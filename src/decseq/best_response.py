@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .belief import reachable_beliefs, update_observer1
-from .errors import ProblemSpecError
+from .errors import CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        blank_conditioned_levels, build_message_model,
                        extract_thresholds, subjective_update)
@@ -84,7 +84,7 @@ def _lookup(atoms, values, belief, tol=1e-9):
             if best is None or d < best[0]:
                 best = (d, j)
     if best is None or best[0] > tol:
-        raise AssertionError(f"belief {belief} not among expected atoms")
+        raise CertificationError(f"belief {belief} not among expected atoms")
     return values[best[1]]
 
 
@@ -343,17 +343,7 @@ def _wald_tables(wald, problem, first_used=0):
         values = list(wald.values[r])
         labels = []
         if r > 0:
-            rows = problem.channel2.row_pair(k + 1)
-            cont = []
-            for b in atoms:
-                c = problem.costs.c2
-                for y in range(len(rows[0])):
-                    p = b * rows[0][y] + (1.0 - b) * rows[1][y]
-                    if p <= 0.0:
-                        continue
-                    c += p * wald.value(b * rows[0][y] / p, r - 1)
-                cont.append(c)
-            branches["continue"] = tuple(cont)
+            branches["continue"] = tuple(wald.continuation(b, r) for b in atoms)
         for i, b in enumerate(atoms):
             cands = [(tc0[i], 0, 0), (tc1[i], 1, 1)]
             if r > 0:
@@ -541,6 +531,8 @@ def pbpo_iteration(problem, init=None, max_rounds=50):
     half-round; it is non-increasing.  Stops when a full round improves
     by less than 1e-12.
     """
+    if max_rounds < 1:
+        raise ProblemSpecError("max_rounds", f"need at least one round, got {max_rounds}")
     if init is None:
         o2 = o2_best_response(immediate_sender_policy(problem), problem).policy
     else:

@@ -24,7 +24,8 @@ from .policies import BLANK, O2Policy, build_message_model, subjective_update
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
 from .wald import (GRID_SIZE_DEFAULT, VI_MAX_ITER_DEFAULT, VI_TOL_DEFAULT,
-                   StationaryWald, thresholds_from_labels, wald_vi_iterates)
+                   StationaryWald, belief_grid, thresholds_from_labels,
+                   wald_vi_iterates)
 
 __all__ = ["TruncationCertificate", "O2InfiniteSolution", "O1InfiniteSolution",
            "EpsilonPair", "value_iterate_o2", "value_iterate_o1",
@@ -117,7 +118,7 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
     rows = problem.channel2.row_pair(1)
     n_y = len(rows[0])
     model = build_message_model(o1, problem)
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = belief_grid(grid_size)
     tc0 = grid * costs.loss[0][0] + (1.0 - grid) * costs.loss[0][1]
     tc1 = grid * costs.loss[1][0] + (1.0 - grid) * costs.loss[1][1]
 
@@ -273,7 +274,7 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
         affines.append((_br._receiver_tail(o2, problem, 0, 0, sb0, memo),
                         _br._receiver_tail(o2, problem, 1, 0, sb0, memo)))
 
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = belief_grid(grid_size)
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
     send_min = np.minimum.reduce(send_curves)
     rows = problem.channel1.row_pair(1)

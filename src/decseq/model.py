@@ -16,6 +16,7 @@ Beliefs are plain floats in [0, 1] and always denote P(H = 0 | information).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ProblemSpecError
@@ -120,6 +121,8 @@ class Problem:
 def _check_number(value, field_name, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemSpecError(field_name, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ProblemSpecError(field_name, f"expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ProblemSpecError(field_name, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:

@@ -485,7 +485,9 @@ class _P2Solver:
                     continue
                 num = b2 * rows[0][y] * mz0
                 den = num + (1.0 - b2) * rows[1][y] * mz1
-                assert den > 0.0, "designer state inconsistent with its message law"
+                if den <= 0.0:
+                    raise ImpossibleUpdateError(
+                        "designer state inconsistent with its message law")
                 flow += w * wald_cost(self.wald, num / den, remaining)
         return flow
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import update_observer1
-from .errors import ProblemSpecError
+from .errors import CertificationError, ProblemSpecError
 from .policies import BLANK, subjective_update
 
 THREADS_ENV = "DECSEQ_THREADS"
@@ -205,7 +205,7 @@ def exact_cost(policies, problem):
         else:
             _walk_p2(o1, o2, problem, h, acc)
         if abs(acc.mass - 1.0) > 1e-9:
-            raise AssertionError(f"path probabilities sum to {acc.mass} under H={h}")
+            raise CertificationError(f"path probabilities sum to {acc.mass} under H={h}")
         accs.append(acc)
     c = problem.costs
     w = (problem.prior, 1.0 - problem.prior)

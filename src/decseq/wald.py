@@ -1,8 +1,11 @@
 """Observer 2's stopping problem once no further messages are coming.
 
 After the final message the receiver faces a classical sequential test: pay
-c2 per fresh observation, or declare and pay the terminal loss.  The finite
-solver is pointwise exact (memoized recursion on the remaining horizon); the
+c2 per fresh observation, or declare and pay the terminal loss.  With a
+finite number of observations left the cost-to-go is the minimum of finitely
+many affine functions of the belief (Smallwood & Sondik, Operations Research
+1973), so the finite solver holds it exactly as knot arrays, built by one
+backup per remaining observation and read by one interpolation.  The
 stationary solver is value iteration on a grid with linear interpolation.
 
 Threshold convention everywhere: declare 1 for beliefs at or below the lower
@@ -12,6 +15,7 @@ between.  Remember beliefs are P(H=0 | info), so low belief means H=1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +26,6 @@ from .model import Channel, terminal_cost
 GRID_SIZE_DEFAULT = 1001
 VI_TOL_DEFAULT = 1e-9
 VI_MAX_ITER_DEFAULT = 10000
-
-_MEMO_DIGITS = 13
 
 
 def _as_eval_points(eval_points):
@@ -75,7 +77,13 @@ class WaldSolution:
     absolute time when the receiver samples every step); the entry at the
     horizon has both components equal, forcing a declaration.  ``values[r]``
     is the optimal cost-to-go with r observations left, evaluated on
-    ``eval_points``; values are pointwise exact, not interpolated.
+    ``eval_points``.
+
+    ``knots[r]`` is a pair ``(xs, ys)`` of equal-length lists holding the
+    cost-to-go with r observations left at ascending beliefs xs, from 0 to
+    1.  That cost-to-go is the minimum of finitely many affine functions of
+    the belief, and xs holds all of its breakpoints, so the linear
+    interpolation that ``value`` performs is exact up to roundoff.
     """
 
     channel: Channel
@@ -84,34 +92,33 @@ class WaldSolution:
     eval_points: tuple
     thresholds: tuple = ()
     values: tuple = ()
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def _rows_for_remaining(self, remaining):
-        # with r observations left, the next draw is observation number
-        # horizon - r + 1
-        return self.channel.row_pair(self.horizon - remaining + 1)
+    knots: tuple = field(default=(), repr=False)
 
     def value(self, belief, remaining):
-        """Optimal expected cost-to-go, exact."""
-        tc0 = terminal_cost(0, belief, self.costs)
-        tc1 = terminal_cost(1, belief, self.costs)
-        stop = tc0 if tc0 <= tc1 else tc1
+        """Optimal expected cost-to-go, read off the knot table."""
         if remaining <= 0:
-            return stop
-        key = (remaining, round(belief, _MEMO_DIGITS))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        row0, row1 = self._rows_for_remaining(remaining)
+            tc0 = terminal_cost(0, belief, self.costs)
+            tc1 = terminal_cost(1, belief, self.costs)
+            return tc0 if tc0 <= tc1 else tc1
+        xs, ys = self.knots[remaining]
+        i = bisect_left(xs, belief)
+        if xs[i] == belief:
+            return ys[i]
+        x0 = xs[i - 1]
+        y0 = ys[i - 1]
+        return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
+
+    def continuation(self, belief, remaining):
+        """Expected cost of one more observation, then optimal play."""
+        # with r observations left, the next draw is observation number
+        # horizon - r + 1
+        row0, row1 = self.channel.row_pair(self.horizon - remaining + 1)
         cont = self.costs.c2
         for y in range(len(row0)):
             prob = belief * row0[y] + (1.0 - belief) * row1[y]
-            if prob <= 0.0:
-                continue
-            cont += prob * self.value(belief * row0[y] / prob, remaining - 1)
-        out = stop if stop <= cont else cont
-        self._memo[key] = out
-        return out
+            if prob > 0.0:
+                cont += prob * self.value(belief * row0[y] / prob, remaining - 1)
+        return cont
 
     def action(self, belief, remaining):
         """DP-optimal action: 0, 1, or None (keep sampling).
@@ -123,14 +130,7 @@ class WaldSolution:
         u, stop = (0, tc0) if tc0 <= tc1 else (1, tc1)
         if remaining <= 0:
             return u
-        row0, row1 = self._rows_for_remaining(remaining)
-        cont = self.costs.c2
-        for y in range(len(row0)):
-            prob = belief * row0[y] + (1.0 - belief) * row1[y]
-            if prob <= 0.0:
-                continue
-            cont += prob * self.value(belief * row0[y] / prob, remaining - 1)
-        return u if stop <= cont else None
+        return u if stop <= self.continuation(belief, remaining) else None
 
     def decide(self, belief, k):
         """Action prescribed by the stored thresholds after k observations."""
@@ -140,6 +140,60 @@ class WaldSolution:
         if belief <= w1:
             return 1
         return None
+
+
+def _stop_cost(b, costs):
+    (l00, l01), (l10, l11) = costs.loss
+    return np.minimum(b * l00 + (1.0 - b) * l01, b * l10 + (1.0 - b) * l11)
+
+
+def _backup(xs, ys, rows, costs):
+    """Knots of min(stop, c2 + E[V(next belief)]) given the knots of V.
+
+    Every breakpoint of the continuation is the preimage of a knot of V
+    under some symbol's Bayes map; a symbol with a zero entry in either row
+    sends every belief to an endpoint, so its term is affine and adds none.
+    Stop and continuation are then both affine between consecutive
+    candidates, and each crossing between them is inserted exactly.
+    Knots strictly inside a stopping run on one side of the declaration
+    boundary are dropped: there the value is one affine declaration cost.
+    """
+    boundary = costs.declare_boundary
+    row0, row1 = rows
+    cand = [np.array([0.0, boundary, 1.0])]
+    for r0, r1 in zip(row0, row1):
+        if r0 > 0.0 and r1 > 0.0:
+            cand.append(xs * r1 / (xs * r1 + (1.0 - xs) * r0))
+    # sort and drop repeats by hand: np.unique imports numpy.ma on first use
+    b = np.sort(np.concatenate(cand))
+    b = b[np.concatenate(([True], b[1:] != b[:-1]))]
+    cont = np.full_like(b, costs.c2)
+    for r0, r1 in zip(row0, row1):
+        prob = b * r0 + (1.0 - b) * r1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            post = np.where(prob > 0.0, b * r0 / prob, 0.0)
+        cont += prob * np.interp(post, xs, ys)
+    stop = _stop_cost(b, costs)
+    gap = cont - stop
+    flip = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0.0)
+    cross = b[flip] + (b[flip + 1] - b[flip]) * (gap[flip] / (gap[flip] - gap[flip + 1]))
+    b = np.insert(b, flip + 1, cross)
+    val = np.insert(np.minimum(stop, cont), flip + 1, _stop_cost(cross, costs))
+    stopping = np.insert(gap >= 0.0, flip + 1, True)
+    inner = stopping[1:-1] & stopping[:-2] & stopping[2:] & (b[1:-1] != boundary)
+    keep = np.concatenate(([True], ~inner, [True]))
+    return b[keep], val[keep]
+
+
+def _knot_tables(channel, costs, horizon):
+    """(xs, ys) knot lists for the cost-to-go with 0..horizon observations left."""
+    xs = np.array(sorted({0.0, costs.declare_boundary, 1.0}))
+    ys = _stop_cost(xs, costs)
+    tables = [(xs.tolist(), ys.tolist())]
+    for r in range(1, horizon + 1):
+        xs, ys = _backup(xs, ys, channel.row_pair(horizon - r + 1), costs)
+        tables.append((xs.tolist(), ys.tolist()))
+    return tuple(tables)
 
 
 def solve_wald_finite(channel, costs, horizon, eval_points=None):
@@ -159,7 +213,8 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
         raise ProblemSpecError("channels", f"channel covers {len(channel.tables)} "
                                            f"observations, horizon {horizon} needed")
     pts = _as_eval_points(eval_points)
-    sol = WaldSolution(channel=channel, costs=costs, horizon=horizon, eval_points=pts)
+    sol = WaldSolution(channel=channel, costs=costs, horizon=horizon, eval_points=pts,
+                       knots=_knot_tables(channel, costs, horizon))
 
     values = []
     for r in range(horizon + 1):
@@ -192,6 +247,13 @@ def wald_cost(solution, belief, remaining):
     return solution.value(belief, remaining)
 
 
+def belief_grid(grid_size):
+    """Uniform value-iteration grid on [0, 1]; needs an interior point."""
+    if grid_size < 3:
+        raise ProblemSpecError("grid_size", f"need at least 3 grid points, got {grid_size}")
+    return np.linspace(0.0, 1.0, grid_size)
+
+
 def wald_vi_iterates(rows, costs, grid):
     """Generator of stationary value-iteration iterates on a belief grid.
 
@@ -202,8 +264,7 @@ def wald_vi_iterates(rows, costs, grid):
     row0 = np.asarray(rows[0], dtype=float)
     row1 = np.asarray(rows[1], dtype=float)
     g = np.asarray(grid, dtype=float)
-    stop = np.minimum(g * costs.loss[0][0] + (1.0 - g) * costs.loss[0][1],
-                      g * costs.loss[1][0] + (1.0 - g) * costs.loss[1][1])
+    stop = _stop_cost(g, costs)
     probs = []
     posts = []
     for y in range(len(row0)):
@@ -264,7 +325,7 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT,
         rows = channel.tables[0]
     else:
         rows = tuple(channel)
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = belief_grid(grid_size)
     it = wald_vi_iterates(rows, costs, grid)
     prev, _ = next(it)
     deltas = []
@@ -282,8 +343,7 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT,
         if n >= max_iter:
             break
 
-    stop = np.minimum(grid * costs.loss[0][0] + (1.0 - grid) * costs.loss[0][1],
-                      grid * costs.loss[1][0] + (1.0 - grid) * costs.loss[1][1])
+    stop = _stop_cost(grid, costs)
     declare = np.where(grid * (costs.loss[1][0] - costs.loss[0][0])
                        < (1.0 - grid) * (costs.loss[0][1] - costs.loss[1][1]), 1, 0)
     labels = [None if prev[i] < stop[i] else int(declare[i]) for i in range(len(grid))]

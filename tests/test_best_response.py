@@ -124,6 +124,13 @@ def test_pbpo_monotone_and_reaches_designer(sym02_p1, sym02_p2, asym_p2):
         assert res.trace[-1] >= opt - 1e-9
 
 
+def test_lookup_off_the_atoms_is_a_certification_error():
+    from decseq.best_response import _lookup
+    assert _lookup((0.1, 0.5), (1.0, 2.0), 0.5 + 1e-12) == 2.0
+    with pytest.raises(decseq.CertificationError):
+        _lookup((0.1, 0.5), (1.0, 2.0), 0.3)
+
+
 def test_pbpo_from_custom_start(asym_p1):
     init = o2_best_response(immediate_sender_policy(asym_p1), asym_p1).policy
     res = pbpo_iteration(asym_p1, init=init)

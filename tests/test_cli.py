@@ -135,6 +135,20 @@ def test_file_error_codes(tmp_path):
                  "--out", str(tmp_path / "y")]) == 5
 
 
+def test_out_of_range_inputs_are_validation_errors(tmp_path):
+    assert main(["best-response", "--spec", spec_path("sym02_p1"), "--pbpo",
+                 "--rounds", "0", "--out", str(tmp_path / "r")]) == 2
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"),
+                 "--grid", "1", "--out", str(tmp_path / "g")]) == 2
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["costs"]["c1"] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve-p1", "--spec", str(bad),
+                 "--out", str(tmp_path / "c")]) == 2
+
+
 def test_usage_errors():
     assert main(["frobnicate"]) == 64
     assert main(["solve-p1"]) == 64

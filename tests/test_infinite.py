@@ -108,6 +108,16 @@ def test_sender_limit_validation(sym02_p1, sym02_p2, asym_p1):
         value_iterate_o1(lim2, asym_p1)             # no bounded stopping time
 
 
+def test_value_iteration_rejects_grid_without_interior(sym02_p1):
+    sol = decseq.solve_p1(sym02_p1)
+    with pytest.raises(ProblemSpecError):
+        solve_wald_infinite(sym02_p1.channel2, sym02_p1.costs, grid_size=2)
+    with pytest.raises(ProblemSpecError):
+        value_iterate_o2(sol.o1, sym02_p1, grid_size=2)
+    with pytest.raises(ProblemSpecError):
+        value_iterate_o1(stationary_anchor(sym02_p1), sym02_p1, grid_size=2)
+
+
 def test_sender_limit_rejects_informative_blank(sym02_p1):
     anchor = stationary_anchor(sym02_p1)
     first = dict(anchor.message_model[0])

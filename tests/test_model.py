@@ -56,6 +56,21 @@ def test_rejects_bad_fields(mutate, field):
         load_problem_spec(spec)
 
 
+@pytest.mark.parametrize("mutate, field", [
+    (lambda s: s.update(prior=float("nan")), "prior"),
+    (lambda s: s["costs"]["J"][0].__setitem__(1, float("nan")), "costs.J[0][1]"),
+    (lambda s: s["costs"].update(c1=float("inf")), "costs.c1"),
+    (lambda s: s["channels"][1]["tables"][0][0].__setitem__(0, float("nan")),
+     "channels[1].tables[0][0]"),
+])
+def test_rejects_non_finite_numbers(mutate, field):
+    spec = make_spec()
+    mutate(spec)
+    with pytest.raises(ProblemSpecError) as err:
+        load_problem_spec(spec)
+    assert err.value.field == field
+
+
 def test_rejects_non_stochastic_rows():
     spec = make_spec(ch1=[[0.9, 0.2], [0.2, 0.8]])
     with pytest.raises(ProblemSpecError):

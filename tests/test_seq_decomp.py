@@ -84,6 +84,14 @@ def test_variants_differ_on_longer_horizons(asym_p1, asym_p2):
     assert abs(v1 - v2) > 1e-6
 
 
+def test_send_flow_rejects_state_outside_message_law(sym02_p2):
+    from decseq.seq_decomp import _P2Solver
+    solver = _P2Solver(sym02_p2)
+    # belief2 = 0 cannot absorb a message that H=1 never sends
+    with pytest.raises(decseq.ImpossibleUpdateError):
+        solver._send_flow(1, ((0.5, 0.0, 1, 0.5, 0.5),), (1.0, 0.0))
+
+
 def test_solver_rejects_wrong_variant(sym02_p1, sym02_p2):
     with pytest.raises(decseq.ProblemSpecError):
         solve_p2(sym02_p1)

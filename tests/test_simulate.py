@@ -1,5 +1,7 @@
 """Exact evaluation and the Monte Carlo path."""
 
+import dataclasses
+
 import pytest
 
 import decseq
@@ -79,6 +81,14 @@ def test_episode_costs_match_components(sym02_p1):
 def test_estimate_rejects_empty_run(sym02_p2, p2_pair):
     with pytest.raises(decseq.ProblemSpecError):
         estimate_cost(p2_pair, sym02_p2, 0, 1)
+
+
+def test_exact_cost_rejects_leaking_path_mass(sym02_p2, p2_pair):
+    # rows that sum to 0.9 lose a tenth of the mass at every observation
+    leaky = decseq.Channel(observer=2, tables=(((0.7, 0.2), (0.2, 0.7)),))
+    problem = dataclasses.replace(sym02_p2, channel2=leaky, raw=None)
+    with pytest.raises(decseq.CertificationError):
+        exact_cost(p2_pair, problem)
 
 
 def test_exact_cost_checks_pair_compatibility(sym02_p1, sym02_p2):

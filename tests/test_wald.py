@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decseq
 from decseq import (Channel, Costs, brute_force_wald, count_stop_rules,
-                    solve_wald_finite, solve_wald_infinite, wald_cost)
+                    load_problem_spec, solve_wald_finite, solve_wald_infinite,
+                    terminal_cost, wald_cost)
+
+from conftest import load_instance
 
 
 def make_channel(eps):
@@ -109,3 +114,84 @@ def test_asymmetric_losses_shift_thresholds():
     inf = solve_wald_infinite(make_channel(0.2), skew)
     sym = solve_wald_infinite(make_channel(0.2), Costs(c1=0.1, c2=0.05, loss=ZERO_ONE))
     assert inf.w1 != pytest.approx(sym.w1, abs=1e-4)
+
+
+def reference_recursion(channel, costs, horizon):
+    """Pointwise memoized backward recursion, the oracle for the knot tables.
+
+    Returns (value, action) with the solver's conventions: ``remaining``
+    observations left, ties toward stopping and then toward declaring 0.
+    """
+    memo = {}
+
+    def backup(b, r):
+        tc0 = terminal_cost(0, b, costs)
+        tc1 = terminal_cost(1, b, costs)
+        u, stop = (0, tc0) if tc0 <= tc1 else (1, tc1)
+        if r <= 0:
+            return u, stop, None
+        row0, row1 = channel.row_pair(horizon - r + 1)
+        cont = costs.c2
+        for y in range(len(row0)):
+            prob = b * row0[y] + (1.0 - b) * row1[y]
+            if prob > 0.0:
+                cont += prob * value(b * row0[y] / prob, r - 1)
+        return u, stop, cont
+
+    def value(b, r):
+        key = (r, round(b, 13))
+        if key not in memo:
+            _, stop, cont = backup(b, r)
+            memo[key] = stop if cont is None or stop <= cont else cont
+        return memo[key]
+
+    def action(b, r):
+        u, stop, cont = backup(b, r)
+        return u if cont is None or stop <= cont else None
+
+    return value, action
+
+
+@st.composite
+def wald_instances(draw):
+    n_sym = draw(st.sampled_from((2, 3)))
+    horizon = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+    def row():
+        w = draw(st.lists(entry, min_size=n_sym, max_size=n_sym))
+        if sum(w) == 0.0:
+            w[0] = 1.0
+        return tuple(x / sum(w) for x in w)
+
+    n_tables = 1 if draw(st.booleans()) else max(horizon, 1)
+    channel = Channel(observer=2, tables=tuple((row(), row()) for _ in range(n_tables)))
+    j00, j11 = draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 0.3))
+    loss = ((j00, j11 + draw(st.floats(0.2, 2.0))),
+            (j00 + draw(st.floats(0.2, 2.0)), j11))
+    costs = Costs(c1=0.1, c2=draw(st.floats(0.002, 0.2)), loss=loss)
+    beliefs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return channel, costs, horizon, beliefs
+
+
+@given(wald_instances())
+@settings(max_examples=150, deadline=None)
+def test_knot_tables_match_reference_recursion(instance):
+    channel, costs, horizon, beliefs = instance
+    sol = solve_wald_finite(channel, costs, horizon, eval_points=beliefs)
+    value, action = reference_recursion(channel, costs, horizon)
+    for r in range(horizon + 1):
+        for b in beliefs:
+            assert abs(wald_cost(sol, b, r) - value(b, r)) <= 1e-12
+        for i, p in enumerate(sol.eval_points):
+            assert sol.values[r][i] == sol.value(p, r)
+            assert sol.action(p, r) == action(p, r)
+
+
+def test_knot_count_stays_small_on_long_horizons():
+    # dropping knots inside the stopping runs keeps the tables near 250
+    # knots at T=40; without it they pass 75,000
+    problem = load_problem_spec(load_instance("sym02_p1"))
+    sol = solve_wald_finite(problem.channel2, problem.costs, 40,
+                            eval_points=(problem.prior,))
+    assert max(len(xs) for xs, _ in sol.knots) < 1000
