@@ -22,8 +22,8 @@ from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, o1_from_dict, o1_to_dict,
                        o2_from_dict, o2_to_dict, pair_from_dict, pair_to_dict,
                        subjective_update)
-from .seq_decomp import (DesignerSolution, q1_p1, q1_p2, q2_p1, q2_p2,
-                         solve_p1, solve_p2, state_belief)
+from .seq_decomp import (DesignerSolution, q1_p1, q2_p1, solve_p1, solve_p2,
+                         state_belief)
 from .simulate import (CostBreakdown, EpisodeResult, EstimateSummary,
                        estimate_cost, exact_cost, simulate_once)
 from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
@@ -49,8 +49,8 @@ __all__ = [
     "BLANK", "O1Policy", "O2Policy", "StageRule", "TerminalRule",
     "build_message_model", "o1_from_dict", "o1_to_dict", "o2_from_dict",
     "o2_to_dict", "pair_from_dict", "pair_to_dict", "subjective_update",
-    "DesignerSolution", "q1_p1", "q1_p2", "q2_p1", "q2_p2", "solve_p1",
-    "solve_p2", "state_belief",
+    "DesignerSolution", "q1_p1", "q2_p1", "solve_p1", "solve_p2",
+    "state_belief",
     "CostBreakdown", "EpisodeResult", "EstimateSummary", "estimate_cost",
     "exact_cost", "simulate_once",
     "StationaryWald", "WaldSolution", "solve_wald_finite",

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .model import load_problem_spec
 from .oracle import enumerate_policies_p1, enumerate_policies_p2
 from .policies import BLANK, o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
 from .seq_decomp import solve_p1, solve_p2
-from .simulate import estimate_cost, exact_cost, thread_count
+from .simulate import estimate_cost, exact_cost
 from .wald import solve_wald_finite, solve_wald_infinite
 
 EXIT_OK = 0
@@ -79,14 +80,27 @@ def _write_json(out_dir, name, payload):
     return path
 
 
-def _write_csv(out_dir, name, header, rows):
+def _write_csv(out_dir, name, header, columns):
+    """Write equal-length columns, each a range, a list of Python ints or a
+    list of Python floats (written by repr).
+
+    A list of ints formats each distinct value once, since episode columns
+    repeat a few small values many times.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
+    cells = []
+    for col in columns:
+        if isinstance(col, range):
+            cells.append(map(str, col))
+        elif col and isinstance(col[0], float):
+            cells.append(map(repr, col))
+        else:
+            text = {v: str(v) for v in set(col)}
+            cells.append(map(text.__getitem__, col))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c)
-                              for c in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
 
 
@@ -96,12 +110,18 @@ def _config(args):
         if k in ("func",):
             continue
         out[k] = v
-    out["threads"] = thread_count()
     return out
 
 
-def _wald_csv_rows(thresholds):
-    return [(k, float(w1), float(w2)) for k, (w1, w2) in enumerate(thresholds)]
+def _check_tol(tol):
+    # NaN would make every convergence test and every "diff > tol" false
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ProblemSpecError("tol", f"need a finite value >= 0, got {tol!r}")
+
+
+def _wald_csv_columns(thresholds):
+    return [range(len(thresholds)), [float(w1) for w1, _ in thresholds],
+            [float(w2) for _, w2 in thresholds]]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +134,7 @@ def _cmd_solve_wald(args):
     sol = solve_wald_finite(problem.channel2, problem.costs, horizon)
     cost = sol.value(problem.prior, horizon)
     _write_csv(args.out, "wald_thresholds.csv", ("k", "w1", "w2"),
-               _wald_csv_rows(sol.thresholds))
+               _wald_csv_columns(sol.thresholds))
     return {"spec_digest": digest, "horizon": horizon,
             "cost_at_prior": cost,
             "thresholds": [[w1, w2] for w1, w2 in sol.thresholds]}, EXIT_OK
@@ -153,7 +173,7 @@ def _solve_designer(args, want_variant):
     check = exact_cost((sol.o1, sol.o2), problem).total
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
     _write_csv(args.out, "wald_thresholds.csv", ("k", "w1", "w2"),
-               _wald_csv_rows(sol.o2.wald_rules))
+               _wald_csv_columns(sol.o2.wald_rules))
     payload = {"spec_digest": digest, "variant": want_variant,
                "cost": sol.total, "exact_cost_check": check,
                "nodes": sol.nodes, "partitions_tried": sol.partitions_tried}
@@ -172,6 +192,7 @@ def _cmd_solve_p2(args):
 
 
 def _cmd_solve_infinite(args):
+    _check_tol(args.tol)
     problem, digest = _load_problem(args.spec)
     payload = {"spec_digest": digest}
     inf = solve_wald_infinite(problem.channel2, problem.costs,
@@ -233,8 +254,9 @@ def _cmd_simulate(args):
     exact = exact_cost(policies, problem).total
     _write_csv(args.out, "episodes.csv",
                ("episode", "h", "tau1", "tau2", "message", "decision", "cost"),
-               [(e.episode, e.h, e.tau1, e.tau2, e.message, e.decision,
-                 float(e.cost)) for e in episodes])
+               [range(args.n)] + [col.tolist() for col in (
+                   episodes.h, episodes.tau1, episodes.tau2, episodes.message,
+                   episodes.decision, episodes.cost)])
     return {"spec_digest": digest, "policies_digest": pdigest,
             "n": summary.n, "seed": summary.seed,
             "mean_cost": summary.mean_cost, "stderr": summary.stderr,
@@ -244,6 +266,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_oracle_check(args):
+    _check_tol(args.tol)
     problem, digest = _load_problem(args.spec)
     if problem.variant == "P1":
         sol = solve_p1(problem)

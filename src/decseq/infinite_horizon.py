@@ -124,21 +124,25 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
 
     blank_stages = list(range(1, problem.t1)) if problem.variant == "P2" else []
 
-    def blank_pass(wald_values, prev_blank):
+    def continuation(t, wald_values, blank_values):
+        """Cost of one more observation at blank stage t, on the grid."""
+        cont = np.full_like(grid, costs.c2)
+        for z, (f0z, f1z) in model[t].items():
+            for y in range(n_y):
+                f0 = f0z * rows[0][y]
+                f1 = f1z * rows[1][y]
+                den = grid * f0 + (1.0 - grid) * f1
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    nb = np.where(den > 0.0, grid * f0 / np.where(den > 0.0, den, 1.0), 0.0)
+                tail = blank_values[t + 1] if z == BLANK else wald_values
+                cont += np.where(den > 0.0, den * np.interp(nb, grid, tail), 0.0)
+        return cont
+
+    def blank_pass(wald_values):
         """One exact backward pass over the pre-message stages."""
         out = {}
         for t in reversed(blank_stages):
-            cont = np.full_like(grid, costs.c2)
-            for z, (f0z, f1z) in model[t].items():
-                for y in range(n_y):
-                    f0 = f0z * rows[0][y]
-                    f1 = f1z * rows[1][y]
-                    den = grid * f0 + (1.0 - grid) * f1
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        nb = np.where(den > 0.0, grid * f0 / np.where(den > 0.0, den, 1.0), 0.0)
-                    tail = out[t + 1] if z == BLANK else wald_values
-                    cont += np.where(den > 0.0, den * np.interp(nb, grid, tail), 0.0)
-            out[t] = np.minimum(np.minimum(tc0, tc1), cont)
+            out[t] = np.minimum(np.minimum(tc0, tc1), continuation(t, wald_values, out))
         return out
 
     gen = wald_vi_iterates(rows, costs, grid)
@@ -152,7 +156,7 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
     blank = {}
     for w, dw in gen:
         n_iter += 1
-        blank = blank_pass(w, prev_blank)
+        blank = blank_pass(w)
         delta = dw
         inc = -np.inf
         if prev_w is not None:
@@ -181,16 +185,7 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
 
     blank_thresholds = {}
     for t in blank_stages:
-        cont = np.full_like(grid, costs.c2)
-        for z, (f0z, f1z) in model[t].items():
-            for y in range(n_y):
-                f0 = f0z * rows[0][y]
-                f1 = f1z * rows[1][y]
-                den = grid * f0 + (1.0 - grid) * f1
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    nb = np.where(den > 0.0, grid * f0 / np.where(den > 0.0, den, 1.0), 0.0)
-                tail = blank[t + 1] if z == BLANK else w
-                cont += np.where(den > 0.0, den * np.interp(nb, grid, tail), 0.0)
+        cont = continuation(t, w, blank)
         labels = []
         for i in range(len(grid)):
             cands = [(tc0[i], 0, 0), (tc1[i], 1, 1), (cont[i], 2, None)]

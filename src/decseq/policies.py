@@ -25,7 +25,8 @@ hypotheses) leaves observer 2's belief unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .belief import AtomLevel, push_level
 from .errors import ProblemSpecError, StructureViolation
@@ -145,6 +146,20 @@ class O2Policy:
     wald_rules: tuple
     message_model: tuple
     n_messages: int = 2
+
+    def __post_init__(self):
+        # a NaN threshold compares false both ways, so that rule would never
+        # declare; reject it instead of running a silently different policy
+        for name in ("blank_rules", "wald_rules"):
+            for i, rule in enumerate(getattr(self, name)):
+                if not all(math.isfinite(v) for v in rule):
+                    raise ProblemSpecError(f"o2.{name}[{i}]",
+                                           f"non-finite threshold in {rule}")
+        for t, stage in enumerate(self.message_model):
+            for z, pair in stage.items():
+                if not all(0.0 <= p <= 1.0 for p in pair):
+                    raise ProblemSpecError(f"o2.message_model[{t}][{z}]",
+                                           f"likelihoods {pair} not in [0, 1]")
 
     @property
     def max_observations(self):

@@ -16,8 +16,8 @@ States are plain tuples so tests can build them directly:
   observer 2 is still sampling, d = 0 once it has declared (its belief slot
   is then frozen and irrelevant; canonicalization blanks it out).
 
-The one-step state transformations q1_* (condition on a message) and q2_*
-(advance one time step) are public; the solvers run on the same helpers.
+The P1 one-step state transformations q1_p1 (condition on a message) and
+q2_p1 (advance one time step) are public; the P1 solver runs on them.
 
 Totals reported include the sunk first observations: c1 for observer 1 (and
 c2 for observer 2 in the interleaved variant), so the value is the full
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .belief import merge_atoms
+from .belief import _classify_with, merge_atoms
 from .errors import ImpossibleUpdateError, ProblemSpecError, UnreachableBranchError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, extract_thresholds)
@@ -40,19 +40,13 @@ DEDUP_TOL = 1e-12
 ROUND_DIGITS = 10
 
 
-def _classify(rule, belief):
-    if hasattr(rule, "classify"):
-        return rule.classify(belief)
-    return rule(belief)
-
-
 # ---------------------------------------------------------------------------
 # variant P1 state transformations
 
 
 def q1_p1(state, o1_rule, z):
     """Condition a P1 state on observer 1 announcing z (symbol or BLANK)."""
-    kept = [(b, m0, m1) for b, m0, m1 in state if _classify(o1_rule, b) == z]
+    kept = [(b, m0, m1) for b, m0, m1 in state if _classify_with(o1_rule, b) == z]
     mass = sum(m0 + m1 for _, m0, m1 in kept)
     if mass <= 0.0:
         raise UnreachableBranchError(f"message {z!r} has probability zero here")
@@ -105,18 +99,6 @@ def _merge_p2(entries, tol=DEDUP_TOL):
     return out
 
 
-def _restrict_p2(state, o1_rule, z):
-    kept = [a for a in state if _classify(o1_rule, a[0]) == z]
-    mass = sum(m0 + m1 for *_, m0, m1 in kept)
-    tot0 = sum(m0 for *_, m0, _ in state)
-    tot1 = sum(m1 for *_, _, m1 in state)
-    r0 = sum(m0 for *_, m0, _ in kept)
-    r1 = sum(m1 for *_, _, m1 in kept)
-    msg_lik = (r0 / tot0 if tot0 > 0.0 else 0.0,
-               r1 / tot1 if tot1 > 0.0 else 0.0)
-    return kept, mass, msg_lik
-
-
 def _observe_p2(kept, msg_lik, channel_rows):
     """Observer 2's step within a message branch: belief2 absorbs the
     message likelihood and one fresh observation; stopped atoms pass
@@ -141,16 +123,6 @@ def _observe_p2(kept, msg_lik, channel_rows):
                     "state is inconsistent with its own message law")
             raw.append((b1, num / den, 1, w0, w1))
     return _merge_p2(raw)
-
-
-def q1_p2(state, o1_rule, z, channel2_rows):
-    """Condition a P2 state on message z at this stage and let observer 2
-    absorb the message plus its own same-step observation.  Normalized."""
-    kept, mass, msg_lik = _restrict_p2(state, o1_rule, z)
-    if mass <= 0.0:
-        raise UnreachableBranchError(f"message {z!r} has probability zero here")
-    atoms = _observe_p2(kept, msg_lik, channel2_rows)
-    return tuple((b1, b2, d, m0 / mass, m1 / mass) for b1, b2, d, m0, m1 in atoms)
 
 
 def _stop_labels_from_rule(atoms, o2_rule):
@@ -183,19 +155,6 @@ def _apply_stop_and_push(atoms, stop_labels, channel1_rows):
             den = b1 * row0[y] + (1.0 - b1) * row1[y]
             raw.append((b1 * row0[y] / den, nb2, nd, w0, w1))
     return _merge_p2(raw)
-
-
-def q2_p2(state, o2_rule, channel1_rows):
-    """Advance a blank-branch P2 state one step.
-
-    o2_rule is the (a, b) continue interval observer 2 uses this stage:
-    active atoms with belief2 <= a declare 1, >= b declare 0 (d drops to
-    0), strictly inside keep sampling.  Then observer 1 takes its next
-    observation on every atom.  Mass is preserved.
-    """
-    atoms = list(state)
-    labels = _stop_labels_from_rule(atoms, o2_rule)
-    return tuple(_apply_stop_and_push(atoms, labels, channel1_rows))
 
 
 # ---------------------------------------------------------------------------

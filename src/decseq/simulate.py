@@ -2,11 +2,14 @@
 
 exact_cost enumerates every positive-probability observation path under each
 hypothesis (alphabets and horizons are finite, and stopped observers stop
-branching), so it is exact up to float arithmetic.  simulate_once and
-estimate_cost sample the same dynamics; estimate_cost gives every episode
-its own counter-based random stream derived from (seed, episode index), so
-results are reproducible and independent of how work is chunked over
-threads.
+branching), so it is exact up to float arithmetic.  estimate_cost samples
+the same dynamics for n episodes in lockstep: each step is one numpy
+operation over every episode still in that phase.  Episode i draws its
+uniforms from its own counter-based stream, the one
+Generator(Philox(key=(seed << 64) | i)) gives, computed for all episodes at
+once by a vectorized Philox4x64-10 that matches numpy's bit for bit; so
+each episode's record is a pure function of (seed, i).  simulate_once runs
+the same sampler on one episode fed by the caller's Generator.
 
 Observer 2 acts on its modelled belief (through the policy's message
 model): identical to the true posterior when the pair is consistent, still
@@ -15,28 +18,14 @@ a well-defined map when it is not.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .belief import update_observer1
-from .errors import CertificationError, ProblemSpecError
-from .policies import BLANK, subjective_update
-
-THREADS_ENV = "DECSEQ_THREADS"
-
-
-def thread_count():
-    """Worker count from the environment, default 1, floor 1."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ProblemSpecError(THREADS_ENV, f"not an integer: {raw!r}")
+from .errors import CertificationError, ImpossibleUpdateError, ProblemSpecError
+from .policies import BLANK, TerminalRule, subjective_update
 
 
 def check_pair(o1, o2, problem):
@@ -232,74 +221,215 @@ class EpisodeResult:
     cost: float
 
 
-def _draw(rng, row):
-    r = rng.random()
-    acc = 0.0
-    for y, p in enumerate(row):
-        acc += p
-        if r < acc:
-            return y
-    return len(row) - 1
+@dataclass(frozen=True, eq=False)
+class Episodes(Sequence):
+    """Sampled episodes as numpy columns, row i holding episode i.
+
+    Indexing yields an EpisodeResult and slicing a list of them.
+    """
+
+    h: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+    message: np.ndarray
+    decision: np.ndarray
+    cost: np.ndarray
+
+    def __len__(self):
+        return len(self.cost)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        return EpisodeResult(episode=i, h=int(self.h[i]), tau1=int(self.tau1[i]),
+                             tau2=int(self.tau2[i]), message=int(self.message[i]),
+                             decision=int(self.decision[i]), cost=float(self.cost[i]))
 
 
-def _sample_episode(o1, o2, problem, rng):
-    h = 0 if rng.random() < problem.prior else 1
-    costs = problem.costs
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a, m):
+    """(high, low) 64-bit words of a * m, the high word from 32-bit halves."""
+    a_lo, a_hi, m_lo, m_hi = a & _LOW32, a >> _U32, m & _LOW32, m >> _U32
+    cross1, cross2 = a_hi * m_lo, a_lo * m_hi
+    carry = ((a_lo * m_lo) >> _U32) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    return a_hi * m_hi + (cross1 >> _U32) + (cross2 >> _U32) + (carry >> _U32), a * m
+
+
+def philox4x64(counter, key0, key1):
+    """Philox4x64-10 blocks (Salmon et al., SC'11), one row per lane.
+
+    counter holds the low counter word (the other three are zero), key0 and
+    key1 the two key words; all are uint64 arrays of one shape.
+    """
+    c0, c1 = counter, np.zeros_like(counter)
+    c2 = c3 = c1
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return np.stack((c0, c1, c2, c3), axis=1)
+
+
+class _PhiloxStreams:
+    """Called with episode indices, returns the next uniform of each, where
+    episode i's k-th uniform is the k-th
+    Generator(Philox(key=(seed << 64) | i)).random().
+
+    numpy's Philox increments its counter, from 0, before each block, and a
+    double is the top 53 bits of one word.  Each episode keeps its current
+    block until its four words are used.
+    """
+
+    def __init__(self, seed, n):
+        self.seed = seed
+        self.used = np.zeros(n, dtype=np.int64)
+        self.block = np.empty((n, 4), dtype=np.uint64)
+
+    def __call__(self, idx):
+        used = self.used[idx]
+        fresh = used % 4 == 0
+        if fresh.any():
+            lanes = idx[fresh]
+            self.block[lanes] = philox4x64(
+                (used[fresh] // 4 + 1).astype(np.uint64), lanes.astype(np.uint64),
+                np.full(lanes.size, self.seed, dtype=np.uint64))
+        self.used[idx] = used + 1
+        return (self.block[idx, used % 4] >> np.uint64(11)) * 2.0 ** -53
+
+
+def _draw(draws, idx, h, rows):
+    """One symbol per episode in idx from rows[h]: the first y whose running
+    row sum exceeds the uniform, else the last symbol."""
+    r = draws(idx)
+    hh = h[idx]
+    y = np.zeros(idx.size, dtype=np.intp)
+    acc0 = acc1 = 0.0
+    for p0, p1 in zip(rows[0][:-1], rows[1][:-1]):
+        acc0 += p0
+        acc1 += p1
+        y += np.where(hh == 0, acc0, acc1) <= r
+    return y
+
+
+def _sender_step(o1, problem, t, draws, idx, h, b1):
+    """Observer 1's t-th observation and message for episodes idx; the
+    symbol n_messages stands for a blank."""
+    rows = problem.channel1.row_pair(t)
+    y = _draw(draws, idx, h, rows)
+    b = b1[idx]
+    num = b * np.take(rows[0], y)
+    den = num + (1.0 - b) * np.take(rows[1], y)
+    if (den <= 0.0).any():
+        i = np.argmax(den <= 0.0)
+        raise ImpossibleUpdateError(
+            f"observation {y[i]} has zero probability at belief {b[i]}")
+    b = b1[idx] = num / den
+    rule = o1.rule_at(t)
+    if isinstance(rule, TerminalRule):
+        return len(rule.cuts) - np.searchsorted(rule.cuts, b)
+    z = np.full(idx.size, problem.n_messages)
+    for sym, iv in enumerate(rule.send):  # the highest symbol that holds b wins
+        if iv is not None:
+            z[(iv[0] <= b) & (b <= iv[1])] = sym
+    return z
+
+
+def _observe2(sb, idx, f0, f1):
+    """subjective_update of episodes idx with likelihood factors f0, f1."""
+    b = sb[idx]
+    num = b * f0
+    den = num + (1.0 - b) * f1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sb[idx] = np.where(den <= 0.0, b, num / den)
+
+
+def _decide(rule, belief):
+    """Declaration under a (lo, hi) rule: 0, 1, or -1 to keep sampling."""
+    lo, hi = rule
+    return np.where(belief >= hi, 0, np.where(belief <= lo, 1, -1))
+
+
+def _sample(o1, o2, problem, n, draws):
+    """Run n episodes in lockstep; draws(idx) gives one uniform per episode
+    in idx from that episode's own stream.  Each episode draws in the order
+    it would alone: h, observer 1's observations, then observer 2's (in P2,
+    observer 1's before observer 2's within a stage).  A stage records
+    tau and the outcome for every episode still running; those that go on
+    are overwritten at a later stage."""
+    m, prior = problem.n_messages, float(problem.prior)
+    everyone = np.arange(n)
+    h = (draws(everyone) >= prior).astype(np.intp)
+    b1, sb = np.full(n, prior), np.full(n, prior)
+    tau1, tau2, message, decision = (np.zeros(n, dtype=np.int64) for _ in range(4))
+
+    def factors(t):
+        # message likelihood pairs by symbol, then BLANK (m), then none (m + 1)
+        pairs = [o2.message_factor(t, z) for z in (*range(m), BLANK)]
+        return np.array(pairs + [(1.0, 1.0)]).T
+
     if problem.variant == "P1":
-        b1 = sb = float(problem.prior)
-        t = 0
-        while True:
+        on, t = everyone, 0
+        while on.size:
             t += 1
-            rows = problem.channel1.row_pair(t)
-            b1 = update_observer1(b1, _draw(rng, rows[h]), rows)
-            z = o1.message(t, b1)
-            if z != BLANK:
-                break
-            sb = subjective_update(sb, None, None, o2.message_factor(t, BLANK))
-        tau1 = t
-        sb = subjective_update(sb, None, None, o2.message_factor(tau1, z))
-        k = 0
+            z = _sender_step(o1, problem, t, draws, on, h, b1)
+            f0, f1 = factors(t)
+            _observe2(sb, on, f0[z], f1[z])
+            tau1[on], message[on] = t, z
+            on = on[z == m]
+        on, k = everyone, 0
         while True:
-            u = o2.decide_wald(k, sb)
-            if u is not None:
+            u = _decide(o2.wald_rules[k], sb[on])
+            tau2[on], decision[on] = k, u
+            on = on[u < 0]
+            if not on.size:
                 break
-            rows2 = problem.channel2.row_pair(k + 1)
-            sb = subjective_update(sb, _draw(rng, rows2[h]), rows2, None)
             k += 1
-        tau2 = k
+            rows = problem.channel2.row_pair(k)
+            y = _draw(draws, on, h, rows)
+            _observe2(sb, on, np.take(rows[0], y), np.take(rows[1], y))
     else:
-        b1 = sb = float(problem.prior)
-        tau1 = tau2 = None
-        z_final = u = None
-        t = 0
-        while tau1 is None or tau2 is None:
+        on1, on2, t = everyone, everyone, 0
+        silent = np.ones(n, dtype=bool)  # observer 1 has not sent yet
+        while on1.size or on2.size:
             t += 1
-            z = None
-            if tau1 is None:
-                rows = problem.channel1.row_pair(t)
-                b1 = update_observer1(b1, _draw(rng, rows[h]), rows)
-                z = o1.message(t, b1)
-                if z != BLANK:
-                    tau1, z_final = t, z
-            if tau2 is None:
-                rows2 = problem.channel2.row_pair(t)
-                factor = None if z is None else o2.message_factor(t, z)
-                sb = subjective_update(sb, _draw(rng, rows2[h]), rows2, factor)
-                du = o2.decide_wald(t, sb) if tau1 is not None else o2.decide_blank(t, sb)
-                if du is not None:
-                    tau2, u = t, du
-        z = z_final
-    cost = costs.c1 * tau1 + costs.c2 * tau2 + costs.loss[u][h]
-    return h, tau1, tau2, z, u, cost
+            z = np.full(n, m + 1)
+            if on1.size:
+                z[on1] = _sender_step(o1, problem, t, draws, on1, h, b1)
+                tau1[on1], message[on1], silent[on1] = t, z[on1], z[on1] == m
+                on1 = on1[silent[on1]]
+            if on2.size:
+                rows = problem.channel2.row_pair(t)
+                y = _draw(draws, on2, h, rows)
+                f0, f1 = factors(t)
+                _observe2(sb, on2, f0[z[on2]] * np.take(rows[0], y),
+                          f1[z[on2]] * np.take(rows[1], y))
+                told = ~silent[on2]
+                u = np.empty(on2.size, dtype=np.int64)
+                if told.any():
+                    u[told] = _decide(o2.wald_rules[t], sb[on2[told]])
+                if not told.all():
+                    u[~told] = _decide(o2.blank_rules[t - 1], sb[on2[~told]])
+                tau2[on2], decision[on2] = t, u
+                on2 = on2[u < 0]
+    c = problem.costs
+    cost = c.c1 * tau1 + c.c2 * tau2 + np.array(c.loss)[decision, h]
+    return Episodes(h=h, tau1=tau1, tau2=tau2, message=message,
+                    decision=decision, cost=cost)
 
 
 def simulate_once(policies, problem, rng_stream):
     """One sampled episode using the supplied numpy Generator."""
     o1, o2 = policies
     check_pair(o1, o2, problem)
-    h, tau1, tau2, z, u, cost = _sample_episode(o1, o2, problem, rng_stream)
-    return EpisodeResult(episode=-1, h=h, tau1=tau1, tau2=tau2,
-                         message=z, decision=u, cost=cost)
+    ep = _sample(o1, o2, problem, 1, lambda idx: rng_stream.random(idx.size))[0]
+    return replace(ep, episode=-1)
 
 
 def episode_rng(seed, episode):
@@ -316,49 +446,27 @@ class EstimateSummary:
     mean_tau1: float
     mean_tau2: float
     error_rate: float
-    threads: int
 
 
 def estimate_cost(policies, problem, n, seed, collect=False):
     """Monte Carlo estimate over n episodes.
 
-    Deterministic for fixed (seed, n): episode i draws only from its own
-    stream, and chunk results are reduced in index order whatever
-    DECSEQ_THREADS says.  Returns (summary, episodes) with episodes None
-    unless collect is set.
+    Deterministic: episode i draws only from the stream episode_rng(seed, i)
+    would give it, so its record does not depend on n.  The seed must lie
+    in [0, 2**64).  Returns (summary, episodes), episodes being an Episodes
+    sequence if collect is set, else None.
     """
     o1, o2 = policies
     check_pair(o1, o2, problem)
     if n <= 0:
         raise ProblemSpecError("n", "need at least one episode")
-    workers = thread_count()
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        rows = []
-        for i in range(lo, hi):
-            h, tau1, tau2, z, u, cost = _sample_episode(o1, o2, problem, episode_rng(seed, i))
-            rows.append(EpisodeResult(episode=i, h=h, tau1=tau1, tau2=tau2,
-                                      message=z, decision=u, cost=cost))
-        return rows
-
-    chunk = max(1, (n + workers - 1) // workers)
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if workers == 1 or len(bounds) == 1:
-        chunks = [run_chunk(b) for b in bounds]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_chunk, bounds))
-
-    episodes = [e for ch in chunks for e in ch]
-    cost = np.array([e.cost for e in episodes])
-    mean = float(cost.mean())
-    stderr = float(cost.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    if not 0 <= seed < 2 ** 64:
+        raise ProblemSpecError("seed", f"must lie in [0, 2**64), got {seed}")
+    eps = _sample(o1, o2, problem, n, _PhiloxStreams(seed, n))
+    stderr = float(eps.cost.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    wrong = np.array(problem.costs.loss)[eps.decision, eps.h] > 0.0
     summary = EstimateSummary(
-        n=n, seed=seed, mean_cost=mean, stderr=stderr,
-        mean_tau1=float(np.mean([e.tau1 for e in episodes])),
-        mean_tau2=float(np.mean([e.tau2 for e in episodes])),
-        error_rate=float(np.mean([problem.costs.loss[e.decision][e.h] > 0.0
-                                  for e in episodes])),
-        threads=workers)
-    return summary, (episodes if collect else None)
+        n=n, seed=seed, mean_cost=float(eps.cost.mean()), stderr=stderr,
+        mean_tau1=float(np.mean(eps.tau1)), mean_tau2=float(np.mean(eps.tau2)),
+        error_rate=float(np.mean(wrong)))
+    return summary, (eps if collect else None)

@@ -153,3 +153,45 @@ def test_usage_errors():
     assert main(["frobnicate"]) == 64
     assert main(["solve-p1"]) == 64
     assert main([]) == 64
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_seed_outside_key_range(tmp_path, seed):
+    pol_out = str(tmp_path / "sol")
+    assert main(["solve-p1", "--spec", spec_path("sym02_p1"),
+                 "--out", pol_out]) == 0
+    assert main(["simulate", "--spec", spec_path("sym02_p1"),
+                 "--policies", os.path.join(pol_out, "policies.json"),
+                 "--n", "10", "--seed", seed, "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o2: o2["wald_rules"][0].__setitem__(0, float("nan")),
+    lambda o2: o2["wald_rules"][-1].__setitem__(1, float("inf")),
+    lambda o2: o2["message_model"][0]["0"].__setitem__(0, float("nan")),
+    lambda o2: o2["message_model"][0]["0"].__setitem__(1, 1.5),
+])
+def test_simulate_rejects_bad_receiver_policy(tmp_path, edit):
+    pol_out = str(tmp_path / "sol")
+    assert main(["solve-p1", "--spec", spec_path("sym02_p1"),
+                 "--out", pol_out]) == 0
+    with open(os.path.join(pol_out, "policies.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["o2"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", spec_path("sym02_p1"),
+                 "--policies", str(bad), "--n", "100",
+                 "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_solve_infinite_rejects_bad_tol(tmp_path, tol):
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"),
+                 "--tol", tol, "--out", str(tmp_path / "i")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_oracle_check_rejects_bad_tol(tmp_path, tol):
+    assert main(["oracle-check", "--spec", spec_path("sym02_p1"),
+                 "--tol", tol, "--out", str(tmp_path / "o")]) == 2

@@ -2,11 +2,17 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import decseq
-from decseq import estimate_cost, exact_cost, simulate_once
-from decseq.simulate import episode_rng
+from decseq import (BLANK, Channel, Costs, O1Policy, O2Policy, Problem,
+                    StageRule, TerminalRule, build_message_model,
+                    estimate_cost, exact_cost, simulate_once,
+                    subjective_update, update_observer1)
+from decseq.simulate import _PhiloxStreams, episode_rng, philox4x64
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +102,223 @@ def test_exact_cost_checks_pair_compatibility(sym02_p1, sym02_p2):
     with pytest.raises(decseq.ProblemSpecError):
         # a wait-then-sample receiver lacks the blank rules P2 needs
         exact_cost((sol1.o1, sol1.o2), sym02_p2)
+
+
+# ---------------------------------------------------------------------------
+# lockstep sampler against the one-episode-at-a-time reference
+
+
+def _draw_ref(rng, row):
+    r = rng.random()
+    acc = 0.0
+    for y, p in enumerate(row):
+        acc += p
+        if r < acc:
+            return y
+    return len(row) - 1
+
+
+def _sample_episode_ref(o1, o2, problem, rng):
+    """The scalar episode loop the lockstep sampler replaced, kept as the
+    reference: one episode, one Generator, draws in episode order."""
+    h = 0 if rng.random() < problem.prior else 1
+    costs = problem.costs
+    if problem.variant == "P1":
+        b1 = sb = float(problem.prior)
+        t = 0
+        while True:
+            t += 1
+            rows = problem.channel1.row_pair(t)
+            b1 = update_observer1(b1, _draw_ref(rng, rows[h]), rows)
+            z = o1.message(t, b1)
+            if z != BLANK:
+                break
+            sb = subjective_update(sb, None, None, o2.message_factor(t, BLANK))
+        tau1 = t
+        sb = subjective_update(sb, None, None, o2.message_factor(tau1, z))
+        k = 0
+        while True:
+            u = o2.decide_wald(k, sb)
+            if u is not None:
+                break
+            rows2 = problem.channel2.row_pair(k + 1)
+            sb = subjective_update(sb, _draw_ref(rng, rows2[h]), rows2, None)
+            k += 1
+        tau2 = k
+    else:
+        b1 = sb = float(problem.prior)
+        tau1 = tau2 = None
+        z_final = u = None
+        t = 0
+        while tau1 is None or tau2 is None:
+            t += 1
+            z = None
+            if tau1 is None:
+                rows = problem.channel1.row_pair(t)
+                b1 = update_observer1(b1, _draw_ref(rng, rows[h]), rows)
+                z = o1.message(t, b1)
+                if z != BLANK:
+                    tau1, z_final = t, z
+            if tau2 is None:
+                rows2 = problem.channel2.row_pair(t)
+                factor = None if z is None else o2.message_factor(t, z)
+                sb = subjective_update(sb, _draw_ref(rng, rows2[h]), rows2, factor)
+                du = o2.decide_wald(t, sb) if tau1 is not None else o2.decide_blank(t, sb)
+                if du is not None:
+                    tau2, u = t, du
+        z = z_final
+    cost = costs.c1 * tau1 + costs.c2 * tau2 + costs.loss[u][h]
+    return h, tau1, tau2, z, u, cost
+
+
+# thresholds on a few beliefs that symmetric channels revisit exactly, so
+# ties at interval ends happen, plus arbitrary ones
+_threshold = st.one_of(st.sampled_from((0.2, 0.5, 0.8)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _channels(draw, horizon):
+    n_sym = draw(st.sampled_from((2, 3)))
+    # 0.2/0.8 rows move beliefs over 0.2, 0.5 and 0.8 exactly
+    entry = st.one_of(st.just(0.0), st.sampled_from((0.2, 0.8)), st.floats(0.05, 1.0))
+
+    def row():
+        w = draw(st.lists(entry, min_size=n_sym, max_size=n_sym)
+                 .filter(lambda w: sum(w) > 0.0))
+        return tuple(x / sum(w) for x in w)
+
+    n_tables = 1 if draw(st.booleans()) else max(horizon, 1)
+    return tuple((row(), row()) for _ in range(n_tables))
+
+
+@st.composite
+def _sender_policy(draw, horizon, m):
+    def stage():
+        pts = sorted(draw(st.lists(_threshold, min_size=2 * m, max_size=2 * m)))
+        # symbol M-1 takes the lowest interval, symbol 0 the highest
+        send = [(pts[2 * (m - 1 - z)], pts[2 * (m - 1 - z) + 1])
+                if draw(st.booleans()) else None for z in range(m)]
+        return StageRule(send=tuple(send))
+
+    cuts = sorted(draw(st.lists(_threshold, min_size=m - 1, max_size=m - 1)))
+    return O1Policy(stages=tuple(stage() for _ in range(horizon - 1)),
+                    terminal=TerminalRule(cuts=tuple(cuts)), n_messages=m)
+
+
+@st.composite
+def _mc_cases(draw):
+    variant = draw(st.sampled_from(("P1", "P2")))
+    m = draw(st.sampled_from((2, 3)))
+    t1 = draw(st.integers(1, 3))
+    t2 = draw(st.integers(t1 if variant == "P2" else 0, 3))
+    problem = Problem(
+        prior=draw(st.one_of(st.just(0.5), st.floats(0.05, 0.95))),
+        channel1=Channel(observer=1, tables=draw(_channels(t1))),
+        channel2=Channel(observer=2, tables=draw(_channels(t2))),
+        costs=Costs(c1=draw(st.floats(0.01, 0.2)), c2=draw(st.floats(0.01, 0.2)),
+                    loss=((0.0, draw(st.floats(0.5, 2.0))),
+                          (draw(st.floats(0.5, 2.0)), 0.0))),
+        t1=t1, t2=t2, variant=variant, n_messages=m)
+    o1 = draw(_sender_policy(t1, m))
+    # a mismatched pair: the receiver modelled a different sender
+    modelled = o1 if draw(st.booleans()) else draw(_sender_policy(t1, m))
+
+    def rule():
+        return tuple(sorted(draw(st.lists(_threshold, min_size=2, max_size=2))))
+
+    last = rule()
+    o2 = O2Policy(
+        blank_rules=tuple(rule() for _ in range(t1 - 1)) if variant == "P2" else (),
+        wald_rules=tuple(rule() for _ in range(t2)) + (last[::-1],),
+        message_model=build_message_model(modelled, problem), n_messages=m)
+    n = draw(st.integers(1, 200))
+    seed = draw(st.one_of(st.sampled_from((0, 2 ** 64 - 1)),
+                          st.integers(0, 2 ** 64 - 1)))
+    return (o1, o2), problem, n, seed
+
+
+def _edge_case(rows1, rows2, o1, modelled, wald_rules):
+    """P1 on hand-made stationary channels, T2 = 1: the receiver models the
+    sender ``modelled`` while ``o1`` sends."""
+    problem = Problem(prior=0.5, channel1=Channel(observer=1, tables=(rows1,)),
+                      channel2=Channel(observer=2, tables=(rows2,)),
+                      costs=Costs(c1=0.1, c2=0.1, loss=((0.0, 1.0), (1.0, 0.0))),
+                      t1=o1.horizon, t2=1, variant="P1")
+    o2 = O2Policy(blank_rules=(), wald_rules=wald_rules,
+                  message_model=build_message_model(modelled, problem))
+    return (o1, o2), problem, 200, 3
+
+
+def _cut(c, stages=()):
+    return O1Policy(stages=stages, terminal=TerminalRule(cuts=(c,)))
+
+
+# Under H=1 the sender's symbol 0 is impossible in the receiver's model, so
+# its belief jumps to 1; its next observation is impossible under H=0 too,
+# and that subjectively impossible event must leave the belief at 1.
+_SUBJECTIVELY_IMPOSSIBLE = _edge_case(
+    ((0.5, 0.5), (1.0, 0.0)), ((1.0, 0.0), (0.5, 0.5)), _cut(0.2), _cut(0.9),
+    ((-0.5, 1.5), (0.5, 0.5)))
+# Rows summing to 0.5 make the sampler fall through to a symbol both
+# hypotheses give probability 0: that must raise, not produce NaN.
+_IMPOSSIBLE_SYMBOL = _edge_case(
+    ((0.5, 0.0), (0.5, 0.0)), ((0.5, 0.5), (0.5, 0.5)), _cut(0.5), _cut(0.5),
+    ((0.5, 0.5), (0.5, 0.5)))
+# Send intervals that touch at 0.8, a belief reached at stage 1: the
+# higher symbol takes the shared end.
+_SYM = ((0.8, 0.2), (0.2, 0.8))
+_TOUCHING = _cut(0.5, (StageRule(send=((0.8, 1.0), (0.0, 0.8))),))
+_TOUCHING_INTERVALS = _edge_case(_SYM, _SYM, _TOUCHING, _TOUCHING,
+                                 ((0.3, 0.7), (0.5, 0.5)))
+
+
+@given(_mc_cases())
+@example(_SUBJECTIVELY_IMPOSSIBLE)
+@example(_IMPOSSIBLE_SYMBOL)
+@example(_TOUCHING_INTERVALS)
+@settings(max_examples=150, deadline=None)
+def test_lockstep_sampler_matches_scalar_reference(case):
+    pair, problem, n, seed = case
+    try:
+        _, eps = estimate_cost(pair, problem, n, seed, collect=True)
+    except decseq.ImpossibleUpdateError:
+        eps = None
+    want = []
+    for i in range(n):
+        try:
+            want.append(_sample_episode_ref(*pair, problem, episode_rng(seed, i)))
+        except decseq.ImpossibleUpdateError:
+            assert eps is None
+            return
+    assert eps is not None
+    got = list(zip(eps.h, eps.tau1, eps.tau2, eps.message, eps.decision, eps.cost))
+    assert got == want
+    assert [(e.h, e.tau1, e.tau2, e.message, e.decision, e.cost)
+            for e in eps] == want
+
+
+@pytest.mark.parametrize("key0, key1", [(0, 0), (2 ** 64 - 1, 0), (0, 2 ** 64 - 1),
+                                        (2 ** 64 - 1, 2 ** 64 - 1), (12345, 2 ** 63)])
+def test_philox_kernel_matches_numpy(key0, key1):
+    bits = np.random.Philox(key=(key1 << 64) | key0)
+    want = bits.random_raw(12).reshape(3, 4)
+    got = philox4x64(np.arange(1, 4, dtype=np.uint64),
+                     np.full(3, key0, dtype=np.uint64),
+                     np.full(3, key1, dtype=np.uint64))
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [4, 5, 8, 9])
+def test_philox_streams_cross_block_boundaries(seed, count):
+    n = 6
+    draws = _PhiloxStreams(seed, n)
+    got = [[] for _ in range(n)]
+    # uneven calls, so episodes reach block boundaries at different calls
+    schedule = [np.arange(n)] * count + [np.array([1, 4])] * count
+    for idx in schedule:
+        for i, r in zip(idx, draws(idx)):
+            got[i].append(r)
+    for i in range(n):
+        want = episode_rng(seed, i).random(len(got[i]))
+        assert got[i] == list(want)
