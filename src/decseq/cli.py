@@ -18,6 +18,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .best_response import o1_best_response, o2_best_response, pbpo_iteration
 from .errors import (CapacityError, CertificationError, DecseqError,
                      ImpossibleUpdateError, ProblemSpecError,
@@ -39,6 +41,7 @@ EXIT_UNREADABLE = 5
 EXIT_USAGE = 64
 
 CERT_TOL = 1e-9
+_CSV_BLOCK = 4096  # rows per write; bounds the text held at once
 
 
 class _UsageError(Exception):
@@ -80,27 +83,74 @@ def _write_json(out_dir, name, payload):
     return path
 
 
-def _write_csv(out_dir, name, header, columns):
-    """Write equal-length columns, each a range, a list of Python ints or a
-    list of Python floats (written by repr).
+def _write_wald_csv(out_dir, thresholds):
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "wald_thresholds.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,w1,w2\n")
+        fh.writelines(f"{k},{float(w1)!r},{float(w2)!r}\n"
+                      for k, (w1, w2) in enumerate(thresholds))
+    return path
 
-    A list of ints formats each distinct value once, since episode columns
-    repeat a few small values many times.
+
+def _dense_rank(col):
+    """Rank of each entry among the distinct values of col (sorted), and
+    the number of distinct values.  np.unique would import numpy.ma."""
+    s = np.sort(col)
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return np.searchsorted(s[keep], col), int(keep.sum())
+
+
+def _row_codes(columns):
+    """Codes in [0, k) equal for two rows iff the rows agree in every
+    column, and one row index per code.
+
+    Columns are packed by min/span offsets.  A column wider than the row
+    count n is replaced by its dense rank, and so is the packed code once
+    it can exceed n, so no product exceeds n**2.
+    """
+    n = len(columns[0])
+    code, size = np.zeros(n, dtype=np.int64), 1
+    for col in columns:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span > n:
+            col, span = _dense_rank(col)
+            lo = 0
+        if size > n:
+            code, size = _dense_rank(code)
+        code = code * span + (col - lo)
+        size *= span
+    code, k = _dense_rank(code)
+    rep = np.empty(k, dtype=np.intp)
+    rep[code] = np.arange(n)  # any row of a group will do
+    return code, rep
+
+
+def _write_episodes_csv(out_dir, episodes):
+    """episodes.csv with one row per episode: its index, then h, tau1, tau2,
+    message, decision (str) and cost (repr).
+
+    Episodes repeat a few outcomes, so each distinct tail after the index is
+    formatted once and the rows stream out as index + cached tail, joined
+    _CSV_BLOCK rows at a time.  The cost joins the key by its bit pattern,
+    so rows equal in the ints but not in the cost keep their own tails.
     """
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    cells = []
-    for col in columns:
-        if isinstance(col, range):
-            cells.append(map(str, col))
-        elif col and isinstance(col[0], float):
-            cells.append(map(repr, col))
-        else:
-            text = {v: str(v) for v in set(col)}
-            cells.append(map(text.__getitem__, col))
+    path = os.path.join(out_dir, "episodes.csv")
+    ints = (episodes.h, episodes.tau1, episodes.tau2, episodes.message,
+            episodes.decision)
+    code, rep = _row_codes(ints + (episodes.cost.view(np.int64),))
+    tails = [f",{h},{t1},{t2},{z},{u},{c!r}\n" for h, t1, t2, z, u, c in
+             zip(*(col[rep].tolist() for col in ints + (episodes.cost,)))]
+    rows = code.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.write("episode,h,tau1,tau2,message,decision,cost\n")
+        fh.writelines("".join(map(str.__add__, map(str, range(lo, lo + _CSV_BLOCK)),
+                                  map(tails.__getitem__, rows[lo:lo + _CSV_BLOCK])))
+                      for lo in range(0, len(rows), _CSV_BLOCK))
     return path
 
 
@@ -119,11 +169,6 @@ def _check_tol(tol):
         raise ProblemSpecError("tol", f"need a finite value >= 0, got {tol!r}")
 
 
-def _wald_csv_columns(thresholds):
-    return [range(len(thresholds)), [float(w1) for w1, _ in thresholds],
-            [float(w2) for _, w2 in thresholds]]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,8 +178,7 @@ def _cmd_solve_wald(args):
     horizon = args.horizon if args.horizon is not None else problem.t2
     sol = solve_wald_finite(problem.channel2, problem.costs, horizon)
     cost = sol.value(problem.prior, horizon)
-    _write_csv(args.out, "wald_thresholds.csv", ("k", "w1", "w2"),
-               _wald_csv_columns(sol.thresholds))
+    _write_wald_csv(args.out, sol.thresholds)
     return {"spec_digest": digest, "horizon": horizon,
             "cost_at_prior": cost,
             "thresholds": [[w1, w2] for w1, w2 in sol.thresholds]}, EXIT_OK
@@ -172,8 +216,7 @@ def _solve_designer(args, want_variant):
     sol = solve_p1(problem) if want_variant == "P1" else solve_p2(problem)
     check = exact_cost((sol.o1, sol.o2), problem).total
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
-    _write_csv(args.out, "wald_thresholds.csv", ("k", "w1", "w2"),
-               _wald_csv_columns(sol.o2.wald_rules))
+    _write_wald_csv(args.out, sol.o2.wald_rules)
     payload = {"spec_digest": digest, "variant": want_variant,
                "cost": sol.total, "exact_cost_check": check,
                "nodes": sol.nodes, "partitions_tried": sol.partitions_tried}
@@ -249,20 +292,22 @@ def _cmd_simulate(args):
     problem, digest = _load_problem(args.spec)
     doc, pdigest = _read_json(args.policies)
     policies = pair_from_dict(doc)
+    start = time.perf_counter()
     summary, episodes = estimate_cost(policies, problem, args.n, args.seed,
                                       collect=True)
+    sampled = time.perf_counter()
     exact = exact_cost(policies, problem).total
-    _write_csv(args.out, "episodes.csv",
-               ("episode", "h", "tau1", "tau2", "message", "decision", "cost"),
-               [range(args.n)] + [col.tolist() for col in (
-                   episodes.h, episodes.tau1, episodes.tau2, episodes.message,
-                   episodes.decision, episodes.cost)])
+    evaluated = time.perf_counter()
+    _write_episodes_csv(args.out, episodes)
+    profile = {"sample_s": sampled - start, "exact_s": evaluated - sampled,
+               "write_s": time.perf_counter() - evaluated}
     return {"spec_digest": digest, "policies_digest": pdigest,
             "n": summary.n, "seed": summary.seed,
             "mean_cost": summary.mean_cost, "stderr": summary.stderr,
             "mean_tau1": summary.mean_tau1, "mean_tau2": summary.mean_tau2,
             "error_rate": summary.error_rate, "exact_cost": exact,
-            "abs_diff": abs(summary.mean_cost - exact)}, EXIT_OK
+            "abs_diff": abs(summary.mean_cost - exact),
+            "profile": profile}, EXIT_OK
 
 
 def _cmd_oracle_check(args):

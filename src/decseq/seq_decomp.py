@@ -175,12 +175,13 @@ def _cluster_positions(values, tol=DEDUP_TOL):
 
 
 def _labels_from_cuts(n_groups, cuts, n_messages):
-    """Terminal partition: cut positions -> symbol per group."""
-    labels = []
-    for g in range(n_groups):
-        below = sum(1 for c in cuts if c <= g)
-        labels.append(n_messages - 1 - below)
-    return tuple(labels)
+    """Terminal partition: cut positions -> symbol per group, symbol M-1
+    below the first cut down to symbol 0 above the last."""
+    labels, lo = (), 0
+    for z, hi in zip(range(n_messages - 1, -1, -1), (*cuts, n_groups)):
+        labels += (z,) * (hi - lo)
+        lo = hi
+    return labels
 
 
 def _labels_from_runs(n_groups, pos, n_messages):
@@ -189,12 +190,12 @@ def _labels_from_runs(n_groups, pos, n_messages):
     Runs alternate blank, symbol M-1, blank, symbol M-2, ..., symbol 0,
     blank; pos[2i] opens symbol M-1-i's run and pos[2i+1] closes it.
     """
-    labels = [BLANK] * n_groups
+    edges = (*pos, n_groups)
+    labels = (BLANK,) * edges[0]
     for i in range(n_messages):
-        z = n_messages - 1 - i
-        for g in range(pos[2 * i], pos[2 * i + 1]):
-            labels[g] = z
-    return tuple(labels)
+        labels += ((n_messages - 1 - i,) * (edges[2 * i + 1] - edges[2 * i])
+                   + (BLANK,) * (edges[2 * i + 2] - edges[2 * i + 1]))
+    return labels
 
 
 def _filler_stage(n_messages, boundary):
@@ -264,13 +265,18 @@ class _P1Solver:
             pre0[i + 1] = pre0[i] + m0
             pre1[i + 1] = pre1[i] + m1
 
+        flow_cache = {}
+
         def send_flow(lo, hi):
-            rm0 = pre0[hi] - pre0[lo]
-            rm1 = pre1[hi] - pre1[lo]
-            mass = rm0 + rm1
-            if mass <= 0.0:
-                return 0.0
-            return mass * wald_cost(self.wald, rm0 / mass, self.pb.t2)
+            got = flow_cache.get((lo, hi))
+            if got is None:
+                rm0 = pre0[hi] - pre0[lo]
+                rm1 = pre1[hi] - pre1[lo]
+                mass = rm0 + rm1
+                got = 0.0 if mass <= 0.0 else mass * wald_cost(self.wald, rm0 / mass,
+                                                               self.pb.t2)
+                flow_cache[(lo, hi)] = got
+            return got
 
         blank_cache = {}
 

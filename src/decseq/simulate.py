@@ -83,13 +83,15 @@ class CostBreakdown:
         return ((self.prior, self.per_h[0]), (1.0 - self.prior, self.per_h[1]))
 
     def tau1_tail(self, t):
-        """P(tau1 >= t), unconditional."""
-        return sum(w * sum(p for tau, p in acc.tau1_pmf.items() if tau >= t)
-                   for w, acc in self._weighted())
+        """P(tau1 >= t), unconditional.  Clamped at 1: the float sum for a
+        certain event can round past it."""
+        return min(1.0, sum(w * sum(p for tau, p in acc.tau1_pmf.items() if tau >= t)
+                            for w, acc in self._weighted()))
 
     def tau2_tail(self, t):
-        return sum(w * sum(p for tau, p in acc.tau2_pmf.items() if tau >= t)
-                   for w, acc in self._weighted())
+        """P(tau2 >= t), unconditional, clamped at 1 like tau1_tail."""
+        return min(1.0, sum(w * sum(p for tau, p in acc.tau2_pmf.items() if tau >= t)
+                            for w, acc in self._weighted()))
 
 
 def _branch(rows, h):

@@ -3,9 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from decseq.cli import main
+from decseq.cli import _write_episodes_csv, main
+from decseq.simulate import Episodes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
@@ -195,3 +199,103 @@ def test_solve_infinite_rejects_bad_tol(tmp_path, tol):
 def test_oracle_check_rejects_bad_tol(tmp_path, tol):
     assert main(["oracle-check", "--spec", spec_path("sym02_p1"),
                  "--tol", tol, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_solve_infinite_epsilon_on_interleaved_instance(tmp_path):
+    # the tau1 tail at t = 1 is a float sum of a certain event; it must not
+    # round past 1 and trip the truncation bound's range check
+    out = str(tmp_path / "inf")
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p2"),
+                 "--epsilon", "0.5", "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["epsilon_pair"]["achieved"] <= 0.5
+    assert all(0.0 <= c["tail_prob"] <= 1.0
+               for c in rep["epsilon_pair"]["certificates"])
+
+
+def test_simulate_report_profile(tmp_path):
+    pol_out = str(tmp_path / "sol")
+    assert main(["solve-p1", "--spec", spec_path("sym02_p1"),
+                 "--out", pol_out]) == 0
+    out = str(tmp_path / "s")
+    assert main(["simulate", "--spec", spec_path("sym02_p1"),
+                 "--policies", os.path.join(pol_out, "policies.json"),
+                 "--n", "100", "--out", out]) == 0
+    profile = read_report(out)["profile"]
+    assert sorted(profile) == ["exact_s", "sample_s", "write_s"]
+    assert all(v >= 0.0 for v in profile.values())
+
+
+def _reference_episodes_csv(path, episodes):
+    """The generic column writer episodes.csv was written with before the
+    grouped-row writer: a range, then lists of ints (each distinct value
+    formatted once) and a list of floats written by repr."""
+    columns = [range(len(episodes))] + [col.tolist() for col in (
+        episodes.h, episodes.tau1, episodes.tau2, episodes.message,
+        episodes.decision, episodes.cost)]
+    cells = []
+    for col in columns:
+        if isinstance(col, range):
+            cells.append(map(str, col))
+        elif col and isinstance(col[0], float):
+            cells.append(map(repr, col))
+        else:
+            text = {v: str(v) for v in set(col)}
+            cells.append(map(text.__getitem__, col))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("episode,h,tau1,tau2,message,decision,cost\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _columns(h, tau1, tau2, message, decision, cost):
+    return Episodes(*(np.array(c, dtype=np.int64)
+                      for c in (h, tau1, tau2, message, decision)),
+                    cost=np.array(cost, dtype=np.float64))
+
+
+_INTS = st.integers(-3, 40) | st.integers(-2 ** 63, 2 ** 63 - 1)
+_COSTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1.5e16, -2.5e-7, 0.1 + 0.2, 1e22])
+
+
+@st.composite
+def _episodes(draw):
+    """Random Episodes whose columns repeat values from small palettes, so
+    rows share ints, costs, or ints with different costs."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for values in [_INTS] * 5 + [_COSTS]:
+        palette = draw(st.lists(values, min_size=1, max_size=6))
+        cols.append([palette[i] for i in rng.integers(len(palette), size=n)])
+    return _columns(*cols)
+
+
+_WIDE = [0 if i == 512 else i for i in range(2048)]
+
+
+@given(_episodes())
+# same ints, costs that differ, including in sign only
+@example(_columns([0] * 4, [1] * 4, [2] * 4, [0] * 4, [1] * 4,
+                  [0.0, 0.5, -0.0, 0.5]))
+# one row at the int64 extremes, with a subnormal cost
+@example(_columns([-2 ** 63], [2 ** 63 - 1], [0], [7], [-1], [1e-310]))
+# columns spanning all of int64; costs that repr in exponent form
+@example(_columns([-2 ** 63, 2 ** 63 - 1] * 3, [0, 1, 2] * 2, [5] * 6,
+                  [2 ** 62, -2 ** 62] * 3, [1] * 6,
+                  [1e300, -1e-300, 1e300, 3.0, 3.0, 2.5e-8]))
+# six columns 2**11 wide (the costs are subnormals with consecutive bit
+# patterns): packed without re-ranking, rows 0 and 512 collide mod 2**64
+@example(_columns(range(2048), *[_WIDE] * 4,
+                  np.array(_WIDE, dtype=np.int64).view(np.float64)))
+# rows across the writer's block boundaries
+@example(_columns(*([0, 1, 1] * 2731 for _ in range(5)),
+                  [0.5, 0.25, 1e-5] * 2731))
+@settings(max_examples=200, deadline=None)
+def test_episodes_writer_matches_column_writer(tmp_path_factory, episodes):
+    out = tmp_path_factory.mktemp("csv")
+    _reference_episodes_csv(out / "want.csv", episodes)
+    path = _write_episodes_csv(str(out), episodes)
+    with open(path, "rb") as fh:
+        got = fh.read()
+    assert got == (out / "want.csv").read_bytes()
