@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from .errors import ImpossibleUpdateError, ProblemSpecError
 
 MERGE_TOL = 1e-12
+KEY_DIGITS = 13
+
+
+def belief_key(belief):
+    """Dictionary key for a belief: the belief rounded to KEY_DIGITS digits."""
+    return round(belief, KEY_DIGITS)
 
 
 def update_observer1(belief, y, channel_rows):
@@ -108,11 +114,12 @@ def merge_atoms(entries, tol=MERGE_TOL):
     return out
 
 
-def push_level(level, channel_rows, tol=MERGE_TOL):
-    """One observation step: push an AtomLevel through a channel row pair."""
+def push_atoms(entries, channel_rows, tol=MERGE_TOL):
+    """One observation step on (belief, w0, w1) triples: push each through
+    a channel row pair, then merge them (merge_atoms)."""
     row0, row1 = channel_rows
     raw = []
-    for b, u0, u1 in level.items():
+    for b, u0, u1 in entries:
         for y in range(len(row0)):
             n0 = u0 * row0[y]
             n1 = u1 * row1[y]
@@ -120,10 +127,14 @@ def push_level(level, channel_rows, tol=MERGE_TOL):
                 continue
             den = b * row0[y] + (1.0 - b) * row1[y]
             raw.append((b * row0[y] / den, n0, n1))
-    merged = merge_atoms(raw, tol)
-    return AtomLevel(atoms=tuple(e[0] for e in merged),
-                     w0=tuple(e[1] for e in merged),
-                     w1=tuple(e[2] for e in merged))
+    return merge_atoms(raw, tol)
+
+
+def push_level(level, channel_rows, tol=MERGE_TOL):
+    """One observation step: push an AtomLevel through a channel row pair."""
+    merged = push_atoms(level.items(), channel_rows, tol)
+    atoms, w0, w1 = zip(*merged) if merged else ((), (), ())
+    return AtomLevel(atoms=atoms, w0=w0, w1=w1)
 
 
 def reachable_beliefs(prior, channel, horizon):
@@ -139,6 +150,33 @@ def reachable_beliefs(prior, channel, horizon):
     for t in range(1, horizon + 1):
         levels.append(push_level(levels[-1], channel.row_pair(t)))
     return AtomSet(levels=tuple(levels))
+
+
+def receiver_atoms(channel, horizon, seeds):
+    """Every belief the receiver can reach from the given seed beliefs.
+
+    ``seeds`` holds (observation count, belief) pairs.  Each seed is pushed
+    through ``channel`` one observation at a time until the receiver has
+    ``horizon`` observations.  Returns the sorted belief keys of the seeds
+    and of every belief they reach.
+    """
+    by_count = {}
+    for k, b in seeds:
+        by_count.setdefault(k, set()).add(belief_key(b))
+    out = set().union(*by_count.values())
+    cur = set()
+    for k in range(min(by_count, default=horizon), horizon + 1):
+        nxt = set(by_count.get(k, ()))
+        if cur:
+            row0, row1 = channel.row_pair(k)
+            for b in cur:
+                for p0, p1 in zip(row0, row1):
+                    den = b * p0 + (1.0 - b) * p1
+                    if den > 0.0:
+                        nxt.add(belief_key(b * p0 / den))
+        out |= nxt
+        cur = nxt
+    return sorted(out)
 
 
 def _classify_with(rule, belief):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .belief import reachable_beliefs, update_observer1
+from .belief import belief_key, reachable_beliefs, receiver_atoms, update_observer1
 from .errors import CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        blank_conditioned_levels, build_message_model,
@@ -95,7 +95,7 @@ def _lookup(atoms, values, belief, tol=1e-9):
 
 def _receiver_tail(o2, problem, h, k, sb, memo):
     """Expected cost of the post-message phase from the decision at count k."""
-    key = (h, k, round(sb, 13))
+    key = (h, k, belief_key(sb))
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -115,29 +115,45 @@ def _receiver_tail(o2, problem, h, k, sb, memo):
     return out
 
 
-def _blank_nodes_p2(o2, problem, upto):
-    """Modelled-belief nodes of a still-sampling receiver entering stage
-    ``upto``, with weights P(path, still sampling | H=h)."""
-    nodes = {round(float(problem.prior), 13): (float(problem.prior), 1.0, 1.0)}
+def _blank_phase_p2(o2, problem, upto):
+    """The still-sampling receiver's blank phase, stages 1 .. upto-1.
+
+    Returns its modelled-belief nodes entering stage ``upto``, as (belief,
+    P(path, still sampling | H=0), ... | H=1)), and per stage the affine
+    charge of its sampling while messages stay blank: charge[t][h] =
+    E[1{still sampling at t} * (c2 + 1{stops at t} * loss) | H=h, blanks
+    through t].
+    """
+    costs = problem.costs
+    prior = float(problem.prior)
+    nodes = {belief_key(prior): (prior, 1.0, 1.0)}
+    charges = []
     for s in range(1, upto):
         factor = o2.message_factor(s, BLANK)
         rows = problem.channel2.row_pair(s)
+        g = [0.0, 0.0]
         nxt = {}
         for sb, w0, w1 in nodes.values():
+            g[0] += w0 * costs.c2
+            g[1] += w1 * costs.c2
             for y in range(len(rows[0])):
                 nw0 = w0 * rows[0][y]
                 nw1 = w1 * rows[1][y]
                 if nw0 == 0.0 and nw1 == 0.0:
                     continue
                 nsb = subjective_update(sb, y, rows, factor)
-                if o2.decide_blank(s, nsb) is not None:
+                u = o2.decide_blank(s, nsb)
+                if u is not None:
+                    g[0] += nw0 * costs.loss[u][0]
+                    g[1] += nw1 * costs.loss[u][1]
                     continue
-                key = round(nsb, 13)
+                key = belief_key(nsb)
                 old = nxt.get(key)
                 nxt[key] = (nsb, nw0 + (old[1] if old else 0.0),
                             nw1 + (old[2] if old else 0.0))
+        charges.append(tuple(g))
         nodes = nxt
-    return list(nodes.values())
+    return list(nodes.values()), charges
 
 
 def _p1_blank_chain(o2, problem, upto):
@@ -176,7 +192,7 @@ def evaluate_o2_policy(o2, history, final_z, problem):
         for h in (0, 1):
             out.append(_receiver_tail(o2, problem, h, 0, sb0, memo))
     else:
-        nodes = _blank_nodes_p2(o2, problem, t)
+        nodes, _ = _blank_phase_p2(o2, problem, t)
         factor = o2.message_factor(t, final_z)
         rows = problem.channel2.row_pair(t)
         for h in (0, 1):
@@ -198,39 +214,6 @@ def evaluate_o2_policy(o2, history, final_z, problem):
     return tuple(out)
 
 
-def _concurrent_charges_p2(o2, problem):
-    """Per-stage affine charge of the receiver's sampling while messages
-    stay blank: charge[t][h] = E[1{still sampling at t} * (c2 + 1{stops at
-    t} * loss) | H=h, blanks through t]."""
-    charges = []
-    nodes = {round(float(problem.prior), 13): (float(problem.prior), 1.0, 1.0)}
-    for s in range(1, problem.t1):
-        factor = o2.message_factor(s, BLANK)
-        rows = problem.channel2.row_pair(s)
-        g = [0.0, 0.0]
-        nxt = {}
-        for sb, w0, w1 in nodes.values():
-            g[0] += w0 * problem.costs.c2
-            g[1] += w1 * problem.costs.c2
-            for y in range(len(rows[0])):
-                nw = (w0 * rows[0][y], w1 * rows[1][y])
-                if nw[0] == 0.0 and nw[1] == 0.0:
-                    continue
-                nsb = subjective_update(sb, y, rows, factor)
-                u = o2.decide_blank(s, nsb)
-                if u is not None:
-                    g[0] += nw[0] * problem.costs.loss[u][0]
-                    g[1] += nw[1] * problem.costs.loss[u][1]
-                    continue
-                key = round(nsb, 13)
-                old = nxt.get(key)
-                nxt[key] = (nsb, nw[0] + (old[1] if old else 0.0),
-                            nw[1] + (old[2] if old else 0.0))
-        charges.append(tuple(g))
-        nodes = nxt
-    return charges
-
-
 def o1_best_response(o2, problem):
     """Exact best sender policy against a fixed receiver policy."""
     if problem.variant == "P2" and len(o2.blank_rules) < problem.t1 - 1:
@@ -246,7 +229,7 @@ def o1_best_response(o2, problem):
         affines.append([evaluate_o2_policy(o2, (BLANK,) * (t - 1), z, problem)
                         for z in range(m)])
     if problem.variant == "P2":
-        concurrent = _concurrent_charges_p2(o2, problem)
+        _, concurrent = _blank_phase_p2(o2, problem, problem.t1)
     else:
         concurrent = [(0.0, 0.0)] * (problem.t1 - 1)
 
@@ -310,25 +293,6 @@ def o1_best_response(o2, problem):
 # receiver best response
 
 
-def _propagate(problem, seeds_by_time):
-    """Push per-time seed beliefs forward to the horizon, collecting all."""
-    relevant = set()
-    for t, seeds in seeds_by_time.items():
-        cur = set(round(b, 13) for b in seeds)
-        relevant |= cur
-        for k in range(t + 1, problem.t2 + 1):
-            rows = problem.channel2.row_pair(k)
-            nxt = set()
-            for b in cur:
-                for y in range(len(rows[0])):
-                    den = b * rows[0][y] + (1.0 - b) * rows[1][y]
-                    if den > 0.0:
-                        nxt.add(round(b * rows[0][y] / den, 13))
-            relevant |= nxt
-            cur = nxt
-    return sorted(relevant)
-
-
 def _wald_tables(wald, problem, first_used=0):
     """ValueTables for the post-message classes, with branch values."""
     out = []
@@ -390,10 +354,8 @@ def o2_best_response(o1, problem):
             posteriors.append((t, z, n0 / p, p))
 
     if problem.variant == "P1":
-        seeds = {}
-        for t, z, post, p in posteriors:
-            seeds.setdefault(0, []).append(post)
-        eval_pts = _propagate(problem, {0: seeds.get(0, [problem.prior])})
+        seeds = [(0, post) for _, _, post, _ in posteriors] or [(0, problem.prior)]
+        eval_pts = receiver_atoms(problem.channel2, problem.t2, seeds)
         wald = solve_wald_finite(problem.channel2, costs, problem.t2,
                                  eval_points=eval_pts)
         o2 = O2Policy(blank_rules=(), wald_rules=wald.thresholds,
@@ -418,12 +380,12 @@ def o2_best_response(o1, problem):
                 f1 = mb[1] * rows[1][y]
                 den = b * f0 + (1.0 - b) * f1
                 if den > 0.0:
-                    cur.add(round(b * f0 / den, 13))
+                    cur.add(belief_key(b * f0 / den))
         decision[s] = sorted(cur)
         entering[s + 1] = decision[s]
 
     # stopping table on every post-message modelled belief
-    seeds_by_time = {}
+    seeds = []
     for t in range(1, problem.t1 + 1):
         rows = problem.channel2.row_pair(t)
         for z in range(problem.n_messages):
@@ -436,8 +398,8 @@ def o2_best_response(o1, problem):
                     f1 = mz[1] * rows[1][y]
                     den = b * f0 + (1.0 - b) * f1
                     if den > 0.0:
-                        seeds_by_time.setdefault(t, []).append(b * f0 / den)
-    eval_pts = _propagate(problem, seeds_by_time) or [float(problem.prior)]
+                        seeds.append((t, b * f0 / den))
+    eval_pts = receiver_atoms(problem.channel2, problem.t2, seeds) or [float(problem.prior)]
     wald = solve_wald_finite(problem.channel2, costs, problem.t2,
                              eval_points=eval_pts)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import decseq
 from decseq import (ImpossibleUpdateError, merge_atoms, message_likelihood,
                     reachable_beliefs, update_observer1, update_observer2)
-from decseq.belief import push_level
+from decseq.belief import push_level, receiver_atoms
 
 
 def rows_from(eps):
@@ -121,3 +121,23 @@ def test_message_likelihood_blank_mass(sym02_p1):
     assert lik[decseq.BLANK] == pytest.approx((1.0, 1.0))
     for h in range(2):
         assert sum(v[h] for v in lik.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_receiver_atoms_matches_reachable_levels(asym_p1):
+    # a seed at count 0 reaches the atoms of reachable_beliefs (one belief
+    # reached along two paths may keep two keys a last digit apart); a seed
+    # already at the horizon is kept but not pushed
+    ch = asym_p1.channel2
+
+    def same_points(got, want):
+        return all(min(abs(g - w) for w in want) <= 1e-12 for g in got) and \
+            all(min(abs(g - w) for g in got) <= 1e-12 for w in want)
+
+    levels = reachable_beliefs(0.3, ch, 3)
+    want = [b for t in range(4) for b in levels.level(t).atoms]
+    assert same_points(receiver_atoms(ch, 3, [(0, 0.3)]), want)
+    assert same_points(receiver_atoms(ch, 3, [(0, 0.3), (3, 0.55)]), want + [0.55])
+    later = reachable_beliefs(0.55, ch, 1)
+    assert same_points(receiver_atoms(ch, 3, [(2, 0.55)]),
+                       [b for t in range(2) for b in later.level(t).atoms])
+    assert receiver_atoms(ch, 3, []) == []

@@ -1,10 +1,14 @@
 """Designer decomposition: state transformations and the two solvers."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import decseq
-from decseq import (UnreachableBranchError, exact_cost, q1_p1, q2_p1,
+from decseq import (CapacityError, UnreachableBranchError, enumerate_policies_p1,
+                    enumerate_policies_p2, exact_cost, q1_p1, q2_p1,
                     reachable_beliefs, solve_p1, solve_p2)
+from decseq.best_response import _blank_phase_p2
 from decseq.seq_decomp import state_belief
 
 from conftest import ASYM, make_spec
@@ -109,3 +113,96 @@ def test_solution_reports_search_size(sym02_p2):
     sol = solve_p2(sym02_p2)
     assert sol.nodes > 0
     assert sol.partitions_tried >= sol.nodes
+
+
+def post_message_beliefs(o2, prob, t, z):
+    """Modelled receiver beliefs after message z at stage t, at every later
+    observation count, written out from the policy's message model."""
+    factor = o2.message_factor(t, z)
+    if prob.variant == "P1":
+        sb = prob.prior
+        for s in range(1, t):
+            sb = decseq.subjective_update(sb, None, None, o2.message_factor(s, decseq.BLANK))
+        cur, first = {decseq.subjective_update(sb, None, None, factor)}, 1
+    else:
+        nodes, _ = _blank_phase_p2(o2, prob, t)
+        rows = prob.channel2.row_pair(t)
+        cur = {decseq.subjective_update(sb, y, rows, factor) for sb, w0, w1 in nodes
+               for y in range(len(rows[0])) if w0 * rows[0][y] + w1 * rows[1][y] > 0.0}
+        first = t + 1
+    out = set(cur)
+    for k in range(first, prob.t2 + 1):
+        rows = prob.channel2.row_pair(k)
+        cur = {b * rows[0][y] / (b * rows[0][y] + (1.0 - b) * rows[1][y])
+               for b in cur for y in range(len(rows[0]))
+               if b * rows[0][y] + (1.0 - b) * rows[1][y] > 0.0}
+        out |= cur
+    return out
+
+
+def test_receiver_table_covers_post_message_beliefs(solved_battery_p1, solved_battery_p2):
+    # the stopping table is tabulated on every belief the receiver can hold
+    # once a message has arrived, so its thresholds are exact there
+    for prob, sol in solved_battery_p1 + solved_battery_p2:
+        pts = sol.wald.eval_points
+        for t in range(1, prob.t1 + 1):
+            for z, lik in sol.o2.message_model[t - 1].items():
+                if z == decseq.BLANK or max(lik) <= 0.0:
+                    continue
+                for b in post_message_beliefs(sol.o2, prob, t, z):
+                    assert min(abs(b - p) for p in pts) <= 1e-9
+
+
+@pytest.mark.parametrize("variant, horizon, nodes, partitions",
+                         [("P1", 6, 1981, 23367), ("P2", 4, 1980, 10307)])
+def test_sym02_anchor_search_sizes(variant, horizon, nodes, partitions):
+    # sym02 with T1 = T2 raised: the search visits exactly these many memo
+    # nodes and partitions; a change to the search shows here first
+    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
+    sol = (solve_p1 if variant == "P1" else solve_p2)(prob)
+    assert (sol.nodes, sol.partitions_tried) == (nodes, partitions)
+
+
+TINY_ORACLE_CAP = 200000
+
+
+@st.composite
+def tiny_specs(draw):
+    """Both variants, T1, T2 <= 2, alphabets <= 3, M <= 3, stationary or
+    time-varying channels; rows may hold zeros."""
+    variant = draw(st.sampled_from(["P1", "P2"]))
+    t1 = draw(st.integers(1, 2))
+    t2 = draw(st.integers(t1 if variant == "P2" else 1, 2))
+
+    def row(k):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    def channel(horizon):
+        k = draw(st.integers(2, 3))
+        n_tables = draw(st.sampled_from(sorted({1, horizon})))
+        return [[row(k), row(k)] for _ in range(n_tables)]
+
+    spec = make_spec(prior=draw(st.integers(1, 9)) / 10,
+                     c1=draw(st.integers(1, 15)) / 100, c2=draw(st.integers(1, 15)) / 100,
+                     loss=[[0.0, draw(st.integers(5, 20)) / 10],
+                           [draw(st.integers(5, 20)) / 10, 0.0]],
+                     t1=t1, t2=t2, variant=variant, m=draw(st.integers(2, 3)))
+    spec["channels"][0]["tables"] = channel(t1)
+    spec["channels"][1]["tables"] = channel(t2)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=tiny_specs())
+def test_designer_matches_oracle_on_tiny_instances(spec):
+    prob = decseq.load_problem_spec(spec)
+    solve, enumerate_policies = ((solve_p1, enumerate_policies_p1) if prob.variant == "P1"
+                                 else (solve_p2, enumerate_policies_p2))
+    try:
+        oracle = enumerate_policies(prob, cap=TINY_ORACLE_CAP)
+    except CapacityError:
+        assume(False)
+    sol = solve(prob)
+    assert sol.total == pytest.approx(oracle.cost, abs=1e-9)
+    assert exact_cost((sol.o1, sol.o2), prob).total == pytest.approx(sol.total, abs=1e-9)
