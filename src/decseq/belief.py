@@ -13,12 +13,6 @@ from dataclasses import dataclass
 from .errors import ImpossibleUpdateError, ProblemSpecError
 
 MERGE_TOL = 1e-12
-KEY_DIGITS = 13
-
-
-def belief_key(belief):
-    """Dictionary key for a belief: the belief rounded to KEY_DIGITS digits."""
-    return round(belief, KEY_DIGITS)
 
 
 def update_observer1(belief, y, channel_rows):
@@ -114,6 +108,11 @@ def merge_atoms(entries, tol=MERGE_TOL):
     return out
 
 
+def merged_support(beliefs):
+    """Sorted distinct beliefs, those closer than MERGE_TOL merged (merge_atoms)."""
+    return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in beliefs])]
+
+
 def push_atoms(entries, channel_rows, tol=MERGE_TOL):
     """One observation step on (belief, w0, w1) triples: push each through
     a channel row pair, then merge them (merge_atoms)."""
@@ -126,6 +125,9 @@ def push_atoms(entries, channel_rows, tol=MERGE_TOL):
             if n0 == 0.0 and n1 == 0.0:
                 continue
             den = b * row0[y] + (1.0 - b) * row1[y]
+            if den <= 0.0:
+                raise ImpossibleUpdateError(
+                    f"observation {y} has zero probability at belief {b}")
             raw.append((b * row0[y] / den, n0, n1))
     return merge_atoms(raw, tol)
 
@@ -157,26 +159,26 @@ def receiver_atoms(channel, horizon, seeds):
 
     ``seeds`` holds (observation count, belief) pairs.  Each seed is pushed
     through ``channel`` one observation at a time until the receiver has
-    ``horizon`` observations.  Returns the sorted belief keys of the seeds
-    and of every belief they reach.
+    ``horizon`` observations.  Returns the merged_support of the seeds and
+    of every belief they reach.
     """
     by_count = {}
     for k, b in seeds:
-        by_count.setdefault(k, set()).add(belief_key(b))
-    out = set().union(*by_count.values())
-    cur = set()
+        by_count.setdefault(k, []).append(b)
+    out = []
+    cur = []
     for k in range(min(by_count, default=horizon), horizon + 1):
-        nxt = set(by_count.get(k, ()))
+        nxt = list(by_count.get(k, ()))
         if cur:
             row0, row1 = channel.row_pair(k)
             for b in cur:
                 for p0, p1 in zip(row0, row1):
                     den = b * p0 + (1.0 - b) * p1
                     if den > 0.0:
-                        nxt.add(belief_key(b * p0 / den))
-        out |= nxt
-        cur = nxt
-    return sorted(out)
+                        nxt.append(b * p0 / den)
+        cur = merged_support(nxt)
+        out += cur
+    return merged_support(out)
 
 
 def _classify_with(rule, belief):

@@ -25,12 +25,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .belief import belief_key, reachable_beliefs, receiver_atoms, update_observer1
+from .belief import merged_support, reachable_beliefs, receiver_atoms, update_observer1
 from .errors import CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
-                       blank_conditioned_levels, build_message_model,
-                       extract_thresholds, subjective_update)
-from .simulate import exact_cost
+                       _message_model, extract_thresholds, send_law)
+from .simulate import exact_cost, forward_pass
 from .wald import solve_wald_finite, thresholds_from_labels, wald_cost
 
 __all__ = [
@@ -89,78 +88,14 @@ def _lookup(atoms, values, belief, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# receiver-side forward machinery (shared by evaluate_o2_policy and the
-# sender's best response)
+# receiver costs against a scripted sender (simulate.forward_pass), shared by
+# evaluate_o2_policy and the sender's best response
 
 
-def _receiver_tail(o2, problem, h, k, sb, memo):
-    """Expected cost of the post-message phase from the decision at count k."""
-    key = (h, k, belief_key(sb))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    u = o2.decide_wald(k, sb)
-    if u is not None:
-        out = problem.costs.loss[u][h]
-    else:
-        rows = problem.channel2.row_pair(k + 1)
-        out = problem.costs.c2
-        for y in range(len(rows[0])):
-            p = rows[h][y]
-            if p <= 0.0:
-                continue
-            out += p * _receiver_tail(o2, problem, h, k + 1,
-                                      subjective_update(sb, y, rows, None), memo)
-    memo[key] = out
-    return out
-
-
-def _blank_phase_p2(o2, problem, upto):
-    """The still-sampling receiver's blank phase, stages 1 .. upto-1.
-
-    Returns its modelled-belief nodes entering stage ``upto``, as (belief,
-    P(path, still sampling | H=0), ... | H=1)), and per stage the affine
-    charge of its sampling while messages stay blank: charge[t][h] =
-    E[1{still sampling at t} * (c2 + 1{stops at t} * loss) | H=h, blanks
-    through t].
-    """
-    costs = problem.costs
-    prior = float(problem.prior)
-    nodes = {belief_key(prior): (prior, 1.0, 1.0)}
-    charges = []
-    for s in range(1, upto):
-        factor = o2.message_factor(s, BLANK)
-        rows = problem.channel2.row_pair(s)
-        g = [0.0, 0.0]
-        nxt = {}
-        for sb, w0, w1 in nodes.values():
-            g[0] += w0 * costs.c2
-            g[1] += w1 * costs.c2
-            for y in range(len(rows[0])):
-                nw0 = w0 * rows[0][y]
-                nw1 = w1 * rows[1][y]
-                if nw0 == 0.0 and nw1 == 0.0:
-                    continue
-                nsb = subjective_update(sb, y, rows, factor)
-                u = o2.decide_blank(s, nsb)
-                if u is not None:
-                    g[0] += nw0 * costs.loss[u][0]
-                    g[1] += nw1 * costs.loss[u][1]
-                    continue
-                key = belief_key(nsb)
-                old = nxt.get(key)
-                nxt[key] = (nsb, nw0 + (old[1] if old else 0.0),
-                            nw1 + (old[2] if old else 0.0))
-        charges.append(tuple(g))
-        nodes = nxt
-    return list(nodes.values()), charges
-
-
-def _p1_blank_chain(o2, problem, upto):
-    sb = float(problem.prior)
-    for s in range(1, upto):
-        sb = subjective_update(sb, None, None, o2.message_factor(s, BLANK))
-    return sb
+def _scripted_charges(o2, problem, t, z):
+    """forward_pass charges of o2 against a sender that stays blank before
+    stage t and sends z at t."""
+    return forward_pass(o2, problem, [{}] * (t - 1) + [{z: (1.0, 1.0)}])[1]
 
 
 def evaluate_o2_policy(o2, history, final_z, problem):
@@ -184,34 +119,9 @@ def evaluate_o2_policy(o2, history, final_z, problem):
     if final_z == BLANK or not isinstance(final_z, int) \
             or not 0 <= final_z < o2.n_messages:
         raise ProblemSpecError("final_z", f"not a symbol: {final_z!r}")
-    memo = {}
-    out = []
-    if problem.variant == "P1":
-        sb = _p1_blank_chain(o2, problem, t)
-        sb0 = subjective_update(sb, None, None, o2.message_factor(t, final_z))
-        for h in (0, 1):
-            out.append(_receiver_tail(o2, problem, h, 0, sb0, memo))
-    else:
-        nodes, _ = _blank_phase_p2(o2, problem, t)
-        factor = o2.message_factor(t, final_z)
-        rows = problem.channel2.row_pair(t)
-        for h in (0, 1):
-            total = 0.0
-            for sb, w0, w1 in nodes:
-                w = (w0, w1)[h]
-                if w <= 0.0:
-                    continue
-                val = problem.costs.c2
-                for y in range(len(rows[0])):
-                    p = rows[h][y]
-                    if p <= 0.0:
-                        continue
-                    val += p * _receiver_tail(o2, problem, h, t,
-                                              subjective_update(sb, y, rows, factor),
-                                              memo)
-                total += w * val
-            out.append(total)
-    return tuple(out)
+    charges = _scripted_charges(o2, problem, t, final_z)
+    first = t if problem.variant == "P2" else 0
+    return tuple(sum(g[h] for g in charges[first:]) for h in (0, 1))
 
 
 def o1_best_response(o2, problem):
@@ -229,7 +139,8 @@ def o1_best_response(o2, problem):
         affines.append([evaluate_o2_policy(o2, (BLANK,) * (t - 1), z, problem)
                         for z in range(m)])
     if problem.variant == "P2":
-        _, concurrent = _blank_phase_p2(o2, problem, problem.t1)
+        # the receiver's per-stage charges while messages stay blank
+        concurrent = _scripted_charges(o2, problem, problem.t1, 0)[1:problem.t1]
     else:
         concurrent = [(0.0, 0.0)] * (problem.t1 - 1)
 
@@ -328,24 +239,15 @@ def o2_best_response(o1, problem):
     """
     if o1.horizon != problem.t1:
         raise ProblemSpecError("o1", f"sender horizon {o1.horizon} != T1 {problem.t1}")
-    model = build_message_model(o1, problem)
+    laws = send_law(o1, problem)
+    model = _message_model(laws, o1.n_messages)
     costs = problem.costs
-    levels = blank_conditioned_levels(o1, problem)
 
-    # sender-side expected sampling cost, from the sender's forward law
+    # sender-side expected sampling cost, from the sender's send law
     e_c1 = 0.0
     posteriors = []  # (stage, symbol, receiver prior, unconditional prob)
-    for t, level in enumerate(levels, start=1):
-        rule = o1.rule_at(t)
-        by_z = {}
-        for b, u0, u1 in level.items():
-            z = rule.classify(b)
-            if z == BLANK:
-                continue
-            acc = by_z.setdefault(z, [0.0, 0.0])
-            acc[0] += u0
-            acc[1] += u1
-        for z, (r0, r1) in sorted(by_z.items()):
+    for t, (law, _) in enumerate(laws, start=1):
+        for z, (r0, r1) in sorted((z, ws) for z, ws in law.items() if z != BLANK):
             p = problem.prior * r0 + (1.0 - problem.prior) * r1
             if p <= 0.0:
                 continue
@@ -371,7 +273,7 @@ def o2_best_response(o1, problem):
     for s in range(1, problem.t1):
         rows = problem.channel2.row_pair(s)
         mb = model[s - 1].get(BLANK, (0.0, 0.0))
-        cur = set()
+        cur = []
         for b in entering[s]:
             if mb[0] <= 0.0 and mb[1] <= 0.0:
                 continue
@@ -380,8 +282,8 @@ def o2_best_response(o1, problem):
                 f1 = mb[1] * rows[1][y]
                 den = b * f0 + (1.0 - b) * f1
                 if den > 0.0:
-                    cur.add(belief_key(b * f0 / den))
-        decision[s] = sorted(cur)
+                    cur.append(b * f0 / den)
+        decision[s] = merged_support(cur)
         entering[s + 1] = decision[s]
 
     # stopping table on every post-message modelled belief

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import best_response as _br
+from .best_response import evaluate_o2_policy
 from .errors import CertificationError, ProblemSpecError
-from .policies import BLANK, O2Policy, build_message_model, subjective_update
+from .policies import BLANK, O2Policy, build_message_model, extract_thresholds
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
 from .wald import (GRID_SIZE_DEFAULT, VI_MAX_ITER_DEFAULT, VI_TOL_DEFAULT,
@@ -261,13 +261,7 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
                                          "time-varying")
     costs = problem.costs
     m = problem.n_messages
-    memo = {}
-    affines = []
-    for z in range(m):
-        sb0 = subjective_update(float(problem.prior), None, None,
-                                o2.message_factor(1, z))
-        affines.append((_br._receiver_tail(o2, problem, 0, 0, sb0, memo),
-                        _br._receiver_tail(o2, problem, 1, 0, sb0, memo)))
+    affines = [evaluate_o2_policy(o2, (), z, problem) for z in range(m)]
 
     grid = belief_grid(grid_size)
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
@@ -308,8 +302,7 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
         cands = [(float(send_curves[z][i]), (0, -z), z) for z in range(m)]
         cands.append((float(cont[i]), (1, 0), BLANK))
         labels.append(min(cands, key=lambda c: (c[0], c[1]))[2])
-    rule = _br.extract_thresholds(list(zip(grid.tolist(), labels)), m,
-                                  terminal=False)
+    rule = extract_thresholds(list(zip(grid.tolist(), labels)), m, terminal=False)
     return O1InfiniteSolution(grid=grid, values=values, stage_rule=rule,
                               affines=tuple(affines), n_iter=n_iter,
                               deltas=deltas, max_increase=float(max_increase),

@@ -306,6 +306,37 @@ def blank_conditioned_levels(o1, problem):
     return out
 
 
+def send_law(o1, problem):
+    """When and what observer 1 sends.
+
+    Entry t-1 is (law, alive) for stage t: law maps each symbol sent at t,
+    and BLANK before the deadline, to [P(tau1 = t, z_t = z | H=0), same
+    under H=1] (for BLANK: still silent after t), and alive is
+    (P(tau1 >= t | H=0), same under H=1).
+    """
+    out = []
+    for t, level in enumerate(blank_conditioned_levels(o1, problem), start=1):
+        rule = o1.rule_at(t)
+        law = {BLANK: [0.0, 0.0]} if t < o1.horizon else {}
+        for b, u0, u1 in level.items():
+            acc = law.setdefault(rule.classify(b), [0.0, 0.0])
+            acc[0] += u0
+            acc[1] += u1
+        out.append((law, (sum(level.w0), sum(level.w1))))
+    return out
+
+
+def _message_model(laws, n_messages):
+    """build_message_model from a send_law."""
+    model = []
+    for law, alive in laws:
+        keys = ([BLANK] if BLANK in law else []) + list(range(n_messages))
+        model.append({z: tuple(v / tot if tot > 0.0 else 0.0
+                               for v, tot in zip(law.get(z, (0.0, 0.0)), alive))
+                      for z in keys})
+    return tuple(model)
+
+
 def build_message_model(o1, problem):
     """Per-stage message likelihoods of an observer-1 policy.
 
@@ -314,24 +345,7 @@ def build_message_model(o1, problem):
     whose blank-survival probability is zero gets zeros across the board
     for that stage.
     """
-    model = []
-    for t, level in enumerate(blank_conditioned_levels(o1, problem), start=1):
-        rule = o1.rule_at(t)
-        tot0 = sum(level.w0)
-        tot1 = sum(level.w1)
-        acc = {}
-        if t < o1.horizon:
-            acc[BLANK] = [0.0, 0.0]
-        for z in range(o1.n_messages):
-            acc[z] = [0.0, 0.0]
-        for b, u0, u1 in level.items():
-            z = rule.classify(b)
-            acc[z][0] += u0
-            acc[z][1] += u1
-        model.append({z: (v[0] / tot0 if tot0 > 0.0 else 0.0,
-                          v[1] / tot1 if tot1 > 0.0 else 0.0)
-                      for z, v in acc.items()})
-    return tuple(model)
+    return _message_model(send_law(o1, problem), o1.n_messages)
 
 
 # ---------------------------------------------------------------------------

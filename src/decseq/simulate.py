@@ -1,11 +1,22 @@
 """Running a policy pair: exact evaluation and Monte Carlo.
 
-exact_cost enumerates every positive-probability observation path under each
-hypothesis (alphabets and horizons are finite, and stopped observers stop
-branching), so it is exact up to float arithmetic.  estimate_cost samples
-the same dynamics for n episodes in lockstep: each step is one numpy
-operation over every episode still in that phase.  Episode i draws its
-uniforms from its own counter-based stream, the one
+Exact evaluation rests on one fact: given the hypothesis, observer 1's
+observations are independent of observer 2's, and observer 1 never sees
+observer 2.  So the sender's law of (tau1, symbol) (policies.send_law) and
+the receiver's own observations fix every path, and forward_pass pushes
+the receiver's path mass over its merged modelled-belief atoms: during the
+blank phase (interleaved variant), weighted by the chance the sender is
+still silent, then after the message, where atoms from every send stage
+and symbol merge, since the stopping problem from there depends only on
+(observation count, belief).  tau1 is recorded when the message is sent,
+tau2 and the loss when the receiver declares.  Beliefs closer than
+belief.MERGE_TOL are one atom; otherwise the result is exact up to float
+arithmetic.  exact_cost runs it on a sender's send law, evaluate_o2_policy
+on a sender scripted to send one symbol at one stage.
+
+estimate_cost samples the same dynamics for n episodes in lockstep: each
+step is one numpy operation over every episode still in that phase.
+Episode i draws its uniforms from its own counter-based stream, the one
 Generator(Philox(key=(seed << 64) | i)) gives, computed for all episodes at
 once by a vectorized Philox4x64-10 that matches numpy's bit for bit; so
 each episode's record is a pure function of (seed, i).  simulate_once runs
@@ -23,9 +34,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief import update_observer1
+from .belief import merge_atoms
 from .errors import CertificationError, ImpossibleUpdateError, ProblemSpecError
-from .policies import BLANK, TerminalRule, subjective_update
+from .policies import BLANK, TerminalRule, send_law, subjective_update
 
 
 def check_pair(o1, o2, problem):
@@ -48,7 +59,8 @@ def check_pair(o1, o2, problem):
 
 @dataclass
 class _HypAccum:
-    """Expectations conditional on one hypothesis."""
+    """Expectations conditional on one hypothesis; ``mass`` is the
+    probability of the episodes that ended (the receiver declared)."""
 
     mass: float = 0.0
     e_tau1: float = 0.0
@@ -58,14 +70,18 @@ class _HypAccum:
     tau2_pmf: dict = field(default_factory=dict)
     declare: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
 
-    def add(self, p, tau1, tau2, u2, loss):
-        self.mass += p
-        self.e_tau1 += p * tau1
-        self.e_tau2 += p * tau2
-        self.e_loss += p * loss
-        self.tau1_pmf[tau1] = self.tau1_pmf.get(tau1, 0.0) + p
-        self.tau2_pmf[tau2] = self.tau2_pmf.get(tau2, 0.0) + p
-        self.declare[u2] += p
+    def sent(self, p, tau1):
+        if p > 0.0:
+            self.e_tau1 += p * tau1
+            self.tau1_pmf[tau1] = self.tau1_pmf.get(tau1, 0.0) + p
+
+    def declared(self, p, tau2, u2, loss):
+        if p > 0.0:
+            self.mass += p
+            self.e_tau2 += p * tau2
+            self.e_loss += p * loss
+            self.tau2_pmf[tau2] = self.tau2_pmf.get(tau2, 0.0) + p
+            self.declare[u2] += p
 
 
 @dataclass
@@ -94,110 +110,111 @@ class CostBreakdown:
                             for w, acc in self._weighted()))
 
 
-def _branch(rows, h):
-    row = rows[h]
-    return [(y, row[y]) for y in range(len(row)) if row[y] > 0.0]
+def _observe_receiver(atoms, rows, factor):
+    """Receiver (belief, w0, w1) atoms after one more observation and, when
+    factor is not None, a message likelihood pair; not yet merged."""
+    out = []
+    for sb, w0, w1 in atoms:
+        for y in range(len(rows[0])):
+            n0 = w0 * rows[0][y]
+            n1 = w1 * rows[1][y]
+            if n0 != 0.0 or n1 != 0.0:
+                out.append((subjective_update(sb, y, rows, factor), n0, n1))
+    return out
 
 
-def _walk_p1(o1, o2, problem, h, acc):
-    """Wait-then-sample variant: observer 2 idles until the one message."""
-    costs = problem.costs
+def forward_pass(o2, problem, sends):
+    """Run receiver policy o2 against a sender's law, both hypotheses at once.
 
-    def wald_phase(p, sb, k, tau1):
-        u = o2.decide_wald(k, sb)
-        if u is not None:
-            acc.add(p, tau1, k, u, costs.loss[u][h])
-            return
-        rows = problem.channel2.row_pair(k + 1)
-        for y2, q in _branch(rows, h):
-            wald_phase(p * q, subjective_update(sb, y2, rows, None), k + 1, tau1)
-
-    def sender_phase(t, p, b1, sb_blank):
-        rows = problem.channel1.row_pair(t)
-        for y1, q in _branch(rows, h):
-            nb1 = update_observer1(b1, y1, rows)
-            z = o1.message(t, nb1)
-            if z == BLANK:
-                nsb = subjective_update(sb_blank, None, None, o2.message_factor(t, BLANK))
-                sender_phase(t + 1, p * q, nb1, nsb)
-            else:
-                sb0 = subjective_update(sb_blank, None, None, o2.message_factor(t, z))
-                wald_phase(p * q, sb0, 0, t)
-
-    sender_phase(1, 1.0, float(problem.prior), float(problem.prior))
-
-
-def _walk_p2(o1, o2, problem, h, acc):
-    """Interleaved variant.
-
-    State: sent_at is None while observer 1 is still active, else
-    (tau1, symbol); sb is observer 2's modelled belief, or None once it has
-    declared, in which case done2 holds (tau2, decision).  An observer that
-    stopped does not branch; the other one runs on alone.
+    ``sends[t-1]`` maps each symbol z to (P(tau1 = t, z_t = z | H=0), same
+    under H=1); the last stage of ``sends`` must carry all the mass left.
+    Returns (accs, charges): accs[h] is the _HypAccum of H=h, and
+    charges[s] is the pair (E[c2 * 1{tau2 >= s >= 1} + loss * 1{tau2 = s}
+    | H=h]) for s = 0..T2, so the charges sum to the receiver's expected
+    cost c2 * tau2 + loss.
     """
     costs = problem.costs
+    last = o2.max_observations
+    accs = (_HypAccum(), _HypAccum())
+    loss_at = [[0.0, 0.0] for _ in range(last + 1)]
+    for t, law in enumerate(sends, start=1):
+        for ws in law.values():
+            for acc, p in zip(accs, ws):
+                acc.sent(p, t)
 
-    def o2_step(t, p, b1, sent_at, z, sb, done2):
-        if sb is None:
-            tau2, u2 = done2
-            if sent_at is not None:
-                acc.add(p, sent_at[0], tau2, u2, costs.loss[u2][h])
-            else:
-                sender_step(t + 1, p, b1, done2)
-            return
-        rows2 = problem.channel2.row_pair(t)
-        factor = None if z is None else o2.message_factor(t, z)
-        for y2, q2 in _branch(rows2, h):
-            nsb = subjective_update(sb, y2, rows2, factor)
-            u = o2.decide_wald(t, nsb) if sent_at is not None else o2.decide_blank(t, nsb)
-            pq = p * q2
+    def settle(k, atoms, decide, scale=(1.0, 1.0)):
+        """Book the declarations at step k, weighted by scale; returns the
+        atoms that keep sampling."""
+        going = []
+        for sb, w0, w1 in atoms:
+            u = decide(k, sb)
             if u is None:
-                step(t + 1, pq, b1, sent_at, nsb, None)
-            elif sent_at is not None:
-                acc.add(pq, sent_at[0], t, u, costs.loss[u][h])
+                going.append((sb, w0, w1))
+                continue
+            for h, w in ((0, w0 * scale[0]), (1, w1 * scale[1])):
+                accs[h].declared(w, k, u, costs.loss[u][h])
+                loss_at[k][h] += w * costs.loss[u][h]
+        if going and k == last:
+            raise ProblemSpecError("o2", "last stopping rule must force a "
+                                         "declaration (w1 >= w2)")
+        return going
+
+    prior = float(problem.prior)
+    if problem.variant == "P1":
+        # the idle receiver's belief moves only with the messages
+        sb, entries = prior, []
+        for t, law in enumerate(sends, start=1):
+            entries += [(subjective_update(sb, None, None, o2.message_factor(t, z)), p0, p1)
+                        for z, (p0, p1) in law.items()]
+            sb = subjective_update(sb, None, None, o2.message_factor(t, BLANK))
+        post = settle(0, merge_atoms(entries), o2.decide_wald)
+        for k in range(1, last + 1):
+            if not post:
+                break
+            rows = problem.channel2.row_pair(k)
+            post = settle(k, merge_atoms(_observe_receiver(post, rows, None)), o2.decide_wald)
+    else:
+        # silent[s-1] = P(tau1 > s | H=h), the weight of the blank phase at s
+        silent = [(0.0, 0.0)] * len(sends)
+        for s in range(len(sends) - 1, 0, -1):
+            silent[s - 1] = tuple(silent[s][h] + sum(ws[h] for ws in sends[s].values())
+                                  for h in (0, 1))
+        blank = [(prior, 1.0, 1.0)]   # P(receiver path, still sampling | H)
+        post = []
+        for s in range(1, last + 1):
+            if not (post or blank):
+                break
+            rows = problem.channel2.row_pair(s)
+            entries = _observe_receiver(post, rows, None)
+            for z, (p0, p1) in (sends[s - 1] if s <= len(sends) else {}).items():
+                sent = [(b, w0 * p0, w1 * p1) for b, w0, w1 in blank]
+                entries += _observe_receiver(sent, rows, o2.message_factor(s, z))
+            post = settle(s, merge_atoms(entries), o2.decide_wald)
+            if s < len(sends):
+                stays = _observe_receiver(blank, rows, o2.message_factor(s, BLANK))
+                blank = settle(s, merge_atoms(stays), o2.decide_blank, silent[s - 1])
             else:
-                sender_step(t + 1, pq, b1, (t, u))
-
-    def sender_step(t, p, b1, done2):
-        # observer 2 has stopped; observer 1 finishes its own stopping problem
-        rows1 = problem.channel1.row_pair(t)
-        tau2, u2 = done2
-        for y1, q1 in _branch(rows1, h):
-            nb1 = update_observer1(b1, y1, rows1)
-            z = o1.message(t, nb1)
-            if z == BLANK:
-                sender_step(t + 1, p * q1, nb1, done2)
-            else:
-                acc.add(p * q1, t, tau2, u2, costs.loss[u2][h])
-
-    def step(t, p, b1, sent_at, sb, done2):
-        if sent_at is None:
-            rows1 = problem.channel1.row_pair(t)
-            for y1, q1 in _branch(rows1, h):
-                nb1 = update_observer1(b1, y1, rows1)
-                z = o1.message(t, nb1)
-                n_sent = None if z == BLANK else (t, z)
-                o2_step(t, p * q1, nb1, n_sent, z, sb, done2)
-        else:
-            o2_step(t, p, b1, sent_at, None, sb, done2)
-
-    step(1, 1.0, float(problem.prior), None, float(problem.prior), None)
+                blank = []
+    charges = []
+    at_least = [0.0, 0.0]   # P(tau2 >= s | H=h)
+    for s in range(last, -1, -1):
+        for h, acc in enumerate(accs):
+            at_least[h] += acc.tau2_pmf.get(s, 0.0)
+        charges.append(tuple(loss_at[s][h] + (costs.c2 * at_least[h] if s else 0.0)
+                             for h in (0, 1)))
+    return accs, charges[::-1]
 
 
 def exact_cost(policies, problem):
-    """Exact expected total cost of (o1, o2) by path enumeration."""
+    """Exact expected total cost of (o1, o2), by forward_pass on o1's send law."""
     o1, o2 = policies
     check_pair(o1, o2, problem)
-    accs = []
-    for h in (0, 1):
-        acc = _HypAccum()
-        if problem.variant == "P1":
-            _walk_p1(o1, o2, problem, h, acc)
-        else:
-            _walk_p2(o1, o2, problem, h, acc)
+    sends = [{z: ws for z, ws in law.items() if z != BLANK}
+             for law, _ in send_law(o1, problem)]
+    accs, _ = forward_pass(o2, problem, sends)
+    for h, acc in enumerate(accs):
         if abs(acc.mass - 1.0) > 1e-9:
             raise CertificationError(f"path probabilities sum to {acc.mass} under H={h}")
-        accs.append(acc)
     c = problem.costs
     w = (problem.prior, 1.0 - problem.prior)
     obs1 = c.c1 * sum(w[h] * accs[h].e_tau1 for h in (0, 1))

@@ -124,14 +124,14 @@ def test_message_likelihood_blank_mass(sym02_p1):
 
 
 def test_receiver_atoms_matches_reachable_levels(asym_p1):
-    # a seed at count 0 reaches the atoms of reachable_beliefs (one belief
-    # reached along two paths may keep two keys a last digit apart); a seed
-    # already at the horizon is kept but not pushed
+    # a seed at count 0 reaches exactly the atoms of reachable_beliefs, one
+    # point per belief; a seed already at the horizon is kept but not pushed
     ch = asym_p1.channel2
 
     def same_points(got, want):
-        return all(min(abs(g - w) for w in want) <= 1e-12 for g in got) and \
-            all(min(abs(g - w) for g in got) <= 1e-12 for w in want)
+        want = merge_atoms([(w, 1.0, 0.0) for w in want])
+        return len(got) == len(want) and \
+            all(abs(g - w) <= 1e-12 for g, (w, _, _) in zip(got, want))
 
     levels = reachable_beliefs(0.3, ch, 3)
     want = [b for t in range(4) for b in levels.level(t).atoms]

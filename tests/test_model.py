@@ -1,6 +1,11 @@
 """Problem loading and validation."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decseq
 from decseq import ProblemSpecError, load_problem_spec
@@ -103,3 +108,45 @@ def test_declare_boundary_shifts_with_losses():
     assert decseq.terminal_cost(0, b, skew) == pytest.approx(
         decseq.terminal_cost(1, b, skew))
     assert b != 0.5
+
+
+@st.composite
+def _valid_specs(draw):
+    variant = draw(st.sampled_from(("P1", "P2")))
+    t1 = draw(st.integers(1, 4))
+    t2 = draw(st.integers(t1 if variant == "P2" else 0, 5))
+
+    def channel(observer, horizon):
+        n_sym = draw(st.integers(2, 4))
+
+        def row():
+            w = draw(st.lists(st.floats(0.0, 1.0), min_size=n_sym, max_size=n_sym)
+                     .filter(lambda w: sum(w) > 0.0))
+            return [x / sum(w) for x in w]
+
+        n_tables = 1 if draw(st.booleans()) else max(horizon, 2)
+        return {"observer": observer, "tables": [[row(), row()] for _ in range(n_tables)]}
+
+    cost = st.floats(1e-4, 1.0)
+    j00, j11 = draw(cost), draw(cost)
+    return {
+        "prior": draw(st.floats(0.0, 1.0)),
+        "channels": [channel(1, t1), channel(2, t2)],
+        "costs": {"c1": draw(cost), "c2": draw(cost),
+                  "J": [[j00, j11 + draw(cost)], [j00 + draw(cost), j11]]},
+        "horizons": {"T1": t1, "T2": t2},
+        "variant": draw(st.sampled_from((variant, variant.lower()))),
+        "M": draw(st.integers(2, 4)),
+    }
+
+
+@given(_valid_specs())
+@settings(max_examples=60, deadline=None)
+def test_spec_round_trip_property(spec):
+    p = load_problem_spec(spec)
+    assert p.prior == spec["prior"] and p.n_messages == spec["M"]
+    assert (p.t1, p.t2) == (spec["horizons"]["T1"], spec["horizons"]["T2"])
+    assert p.costs.loss == tuple(map(tuple, spec["costs"]["J"]))
+    # to_dict of a built problem, through real JSON text
+    doc = dataclasses.replace(p, raw=None).to_dict()
+    assert load_problem_spec(json.dumps(doc)) == p

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decseq
 from decseq import (BLANK, O1Policy, O2Policy, StageRule, StructureViolation,
@@ -79,6 +81,46 @@ def test_policy_json_round_trip(sym02_p2):
     o1, o2 = pair_from_dict(json.loads(json.dumps(doc)))
     assert o1 == sol.o1
     assert o2 == sol.o2
+
+
+# shared endpoints give empty (zero-width) and touching intervals
+_point = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _policy_pairs(draw):
+    m = draw(st.integers(2, 3))
+    t1 = draw(st.integers(1, 4))
+
+    def stage():
+        pts = sorted(draw(st.lists(_point, min_size=2 * m, max_size=2 * m)))
+        # symbol M-1 takes the lowest interval; None leaves a symbol unused
+        return StageRule(send=tuple((pts[2 * (m - 1 - z)], pts[2 * (m - 1 - z) + 1])
+                                    if draw(st.booleans()) else None for z in range(m)))
+
+    def rule():
+        return tuple(sorted(draw(st.lists(_point, min_size=2, max_size=2))))
+
+    def lik():
+        return (draw(_point), draw(_point))
+
+    cuts = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=m - 1, max_size=m - 1)))
+    o1 = O1Policy(stages=tuple(stage() for _ in range(t1 - 1)),
+                  terminal=TerminalRule(cuts=tuple(cuts)), n_messages=m)
+    model = tuple({**({BLANK: lik()} if t < t1 else {}), **{z: lik() for z in range(m)}}
+                  for t in range(1, t1 + 1))
+    # P2 receivers carry blank rules, P1 receivers none
+    o2 = O2Policy(blank_rules=tuple(rule() for _ in range(draw(st.integers(0, t1 - 1)))),
+                  wald_rules=tuple(rule() for _ in range(draw(st.integers(1, 5)))),
+                  message_model=model, n_messages=m)
+    return o1, o2
+
+
+@given(_policy_pairs())
+@settings(max_examples=80, deadline=None)
+def test_policy_json_round_trip_property(pair):
+    o1, o2 = pair
+    assert pair_from_dict(json.loads(json.dumps(pair_to_dict(o1, o2)))) == (o1, o2)
 
 
 def test_o1_policy_stagewise_message(sym02_p1):

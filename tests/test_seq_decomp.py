@@ -8,10 +8,10 @@ import decseq
 from decseq import (CapacityError, UnreachableBranchError, enumerate_policies_p1,
                     enumerate_policies_p2, exact_cost, q1_p1, q2_p1,
                     reachable_beliefs, solve_p1, solve_p2)
-from decseq.best_response import _blank_phase_p2
 from decseq.seq_decomp import state_belief
 
 from conftest import ASYM, make_spec
+from path_oracle import blank_phase_paths
 
 
 def start_state(problem):
@@ -125,7 +125,7 @@ def post_message_beliefs(o2, prob, t, z):
             sb = decseq.subjective_update(sb, None, None, o2.message_factor(s, decseq.BLANK))
         cur, first = {decseq.subjective_update(sb, None, None, factor)}, 1
     else:
-        nodes, _ = _blank_phase_p2(o2, prob, t)
+        nodes = blank_phase_paths(o2, prob, t)
         rows = prob.channel2.row_pair(t)
         cur = {decseq.subjective_update(sb, y, rows, factor) for sb, w0, w1 in nodes
                for y in range(len(rows[0])) if w0 * rows[0][y] + w1 * rows[1][y] > 0.0}
