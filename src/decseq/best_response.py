@@ -23,7 +23,8 @@ map.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .belief import merged_support, reachable_beliefs, receiver_atoms, update_observer1
 from .errors import CertificationError, ProblemSpecError
@@ -59,9 +60,16 @@ class ValueTable:
 
 @dataclass
 class BestResponseResult:
+    """A best response, its exact pair cost and, on first access, its value
+    tables (``build_tables()``; PBPO never reads them)."""
+
     policy: object
     total: float
-    tables: list
+    build_tables: object = field(repr=False)
+
+    @cached_property
+    def tables(self):
+        return self.build_tables()
 
 
 @dataclass
@@ -197,7 +205,7 @@ def o1_best_response(o2, problem):
     for b, w0, w1 in level1.items():
         total += (problem.prior * w0 + (1.0 - problem.prior) * w1) \
             * _lookup(level1.atoms, tables[0].values, b)
-    return BestResponseResult(policy=o1, total=total, tables=tables)
+    return BestResponseResult(policy=o1, total=total, build_tables=lambda: tables)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +272,8 @@ def o2_best_response(o1, problem):
                       message_model=model, n_messages=problem.n_messages)
         total = e_c1 + sum(p * wald_cost(wald, post, problem.t2)
                            for _, _, post, p in posteriors)
-        tables = _wald_tables(wald, problem)
-        return BestResponseResult(policy=o2, total=total, tables=tables)
+        return BestResponseResult(policy=o2, total=total,
+                                  build_tables=lambda: _wald_tables(wald, problem))
 
     # interleaved variant: blank-phase dynamic program on modelled beliefs
     entering = {1: [float(problem.prior)]}   # beliefs entering stage s
@@ -366,8 +374,9 @@ def o2_best_response(o1, problem):
             else:
                 start += p * wald_cost(wald, nb, problem.t2 - 1)
     total = e_c1 + start
-    return BestResponseResult(policy=o2, total=total,
-                              tables=tables + _wald_tables(wald, problem, first_used=1))
+    return BestResponseResult(
+        policy=o2, total=total,
+        build_tables=lambda: tables + _wald_tables(wald, problem, first_used=1))
 
 
 # ---------------------------------------------------------------------------

@@ -208,18 +208,30 @@ def _cmd_best_response(args):
             "side": args.side, "cost": res.total}, EXIT_OK
 
 
+def _designer_checked(problem):
+    """Designer optimum, its exact_cost check, and the report's profile
+    block: seconds in the search, in extraction (policy walk, stopping
+    table, message model) and in the check."""
+    sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
+    start = time.perf_counter()
+    check = exact_cost((sol.o1, sol.o2), problem).total
+    profile = {"search_s": sol.search_s, "extract_s": sol.extract_s,
+               "check_s": time.perf_counter() - start}
+    return sol, check, profile
+
+
 def _solve_designer(args, want_variant):
     problem, digest = _load_problem(args.spec)
     if problem.variant != want_variant:
         raise ProblemSpecError("variant", f"instance is {problem.variant}, "
                                           f"command needs {want_variant}")
-    sol = solve_p1(problem) if want_variant == "P1" else solve_p2(problem)
-    check = exact_cost((sol.o1, sol.o2), problem).total
+    sol, check, profile = _designer_checked(problem)
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
     _write_wald_csv(args.out, sol.o2.wald_rules)
     payload = {"spec_digest": digest, "variant": want_variant,
                "cost": sol.total, "exact_cost_check": check,
-               "nodes": sol.nodes, "partitions_tried": sol.partitions_tried}
+               "nodes": sol.nodes, "partitions_tried": sol.partitions_tried,
+               "memo_hits": sol.memo_hits, "profile": profile}
     if abs(check - sol.total) > CERT_TOL:
         payload["error"] = "reported optimum does not match exact evaluation"
         return payload, EXIT_CERTIFICATION
@@ -334,8 +346,7 @@ def _cmd_mary(args):
     if problem.n_messages < 3:
         raise ProblemSpecError("M", f"mary needs at least 3 message symbols, "
                                     f"got {problem.n_messages}")
-    sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
-    check = exact_cost((sol.o1, sol.o2), problem).total
+    sol, check, profile = _designer_checked(problem)
     stages = []
     for rule in sol.o1.stages:
         edges = []
@@ -351,7 +362,7 @@ def _cmd_mary(args):
     payload = {"spec_digest": digest, "cost": sol.total,
                "exact_cost_check": check, "m": problem.n_messages,
                "stage_thresholds": stages,
-               "terminal_cuts": list(sol.o1.terminal.cuts)}
+               "terminal_cuts": list(sol.o1.terminal.cuts), "profile": profile}
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
     if abs(check - sol.total) > CERT_TOL:
         payload["error"] = "reported optimum does not match exact evaluation"

@@ -5,11 +5,15 @@ history, the joint law of (hypothesis, observer beliefs) is supported on
 finitely many atoms; that conditional law is the designer's state.  Both
 variants share one sequential decomposition (``_Designer``):
 
-* **search** -- ``value(t, state)`` enumerates every achievable threshold
+* **search** -- ``value(t, state)`` tries every achievable threshold
   partition of the state's atoms (the optimal policies are interval-shaped
   in the beliefs, so partition search over sorted atoms is exhaustive),
   prices each message run and recurses on the all-blank branch, with
-  memoization on a rounded canonical form of the state;
+  memoization on a rounded canonical form of the state.  The partitions
+  of n atom groups depend only on n, M and whether the stage is the last,
+  so each solve builds that table once (``_partition_table``) and every
+  node with n groups walks it; a node prices each distinct run and each
+  distinct blank set once;
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch, turns them into threshold rules, and tabulates the
   receiver's stopping rule on every belief it can reach.
@@ -17,7 +21,16 @@ variants share one sequential decomposition (``_Designer``):
 Each variant supplies its state shape and two hooks: ``_stage(t, state)``
 gives the number of atom groups, the stopping cost of a run of groups that
 sends one message, and the cost of the blank branch; ``_advance`` turns one
-stored argmin into that stage's rule and the next state.
+stored argmin into that stage's rule and the next state.  Runs are priced
+through ``WaldSolution.reader``, one knot-table reader per remaining
+observation count, fetched once per node.  In variant P2 ``_run_pricer``
+first lists each sampling atom's terms (weight and the two likelihood
+products of each fresh observation), so a run costs one Bayes update and
+one read per term.
+
+``DesignerSolution`` reports the search size (``nodes``,
+``partitions_tried``, ``memo_hits``) and the seconds spent in the search and
+in extraction (``search_s``, ``extract_s``).
 
 States are plain tuples so tests can build them directly:
 
@@ -38,13 +51,14 @@ brute-force oracles.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .belief import MERGE_TOL, _classify_with, push_atoms, receiver_atoms
 from .errors import ImpossibleUpdateError, ProblemSpecError, UnreachableBranchError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, extract_thresholds)
-from .wald import solve_wald_finite, wald_cost
+from .wald import solve_wald_finite
 
 ROUND_DIGITS = 10
 
@@ -197,6 +211,36 @@ def _labels_from_runs(n_groups, pos, n_messages):
     return labels
 
 
+def _partition_table(n_groups, n_messages, terminal):
+    """Every distinct threshold partition of n_groups sorted atom groups.
+
+    Entries are (labels, symbol runs, blank groups) in the order the cut
+    (terminal) or run (stage) positions first produce each labelling.  A
+    symbol run is a (lo, hi) slice of groups sending that symbol; empty runs
+    cost nothing and are left out.  Blank groups is None at the terminal
+    stage, where every group sends.
+    """
+    combos = itertools.combinations_with_replacement
+    m = n_messages
+    # each candidate: (labels, edges); symbol runs span edges[a]..edges[b]
+    if terminal:
+        cands = ((_labels_from_cuts(n_groups, cuts, m), (0, *cuts, n_groups))
+                 for cuts in combos(range(n_groups + 1), m - 1))
+        spans = [(i, i + 1) for i in range(m)]
+    else:
+        cands = ((_labels_from_runs(n_groups, pos, m), pos)
+                 for pos in combos(range(n_groups + 1), 2 * m))
+        spans = [(2 * i, 2 * i + 1) for i in range(m)]
+    table = {}
+    for labels, edges in cands:
+        if labels not in table:
+            runs = tuple((edges[a], edges[b]) for a, b in spans if edges[a] < edges[b])
+            blank = None if terminal else tuple(
+                g for g, lab in enumerate(labels) if lab == BLANK)
+            table[labels] = (labels, runs, blank)
+    return list(table.values())
+
+
 def _filler_stage(n_messages, boundary):
     send = [None] * n_messages
     send[n_messages - 1] = (0.0, boundary)
@@ -215,6 +259,9 @@ class DesignerSolution:
     wald: object
     nodes: int
     partitions_tried: int
+    memo_hits: int
+    search_s: float
+    extract_s: float
 
     @property
     def variant(self):
@@ -236,7 +283,9 @@ class _Designer:
                 "variant", f"solve_{self.variant.lower()} got a {problem.variant} problem")
         self.pb = problem
         self.memo = {}
+        self.memo_hits = 0
         self.partitions = 0
+        self.partition_tables = {}
         # values only; the policy's own stopping table is rebuilt later on
         # the reachable atoms
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
@@ -247,40 +296,28 @@ class _Designer:
         key = (t, self._canon(state))
         hit = self.memo.get(key)
         if hit is not None:
+            self.memo_hits += 1
             return hit[0]
         n, send, blank = self._stage(t, state)
-        m = self.pb.n_messages
-        combos = itertools.combinations_with_replacement
         terminal = t == self.pb.t1
-        # each candidate: (labels, edges); symbol runs span edges[a]..edges[b]
-        if terminal:
-            cands = ((_labels_from_cuts(n, cuts, m), (0, *cuts, n))
-                     for cuts in combos(range(n + 1), m - 1))
-            spans = [(i, i + 1) for i in range(m)]
-        else:
-            cands = ((_labels_from_runs(n, pos, m), pos)
-                     for pos in combos(range(n + 1), 2 * m))
-            spans = [(2 * i, 2 * i + 1) for i in range(m)]
+        table = self.partition_tables.get((n, terminal))
+        if table is None:
+            table = self.partition_tables[n, terminal] = _partition_table(
+                n, self.pb.n_messages, terminal)
+        self.partitions += len(table)
         flows = {}
         blanks = {}
-        seen = set()
         best = None
         best_dec = None
-        for labels, edges in cands:
-            if labels in seen:
-                continue
-            seen.add(labels)
-            self.partitions += 1
+        for labels, runs, blank_groups in table:
             cost = 0.0
-            for a, b in spans:
-                run = (edges[a], edges[b])
+            for run in runs:
                 got = flows.get(run)
                 if got is None:
                     got = flows[run] = send(*run)
                 cost += got
             choice = None
             if not terminal:
-                blank_groups = tuple(g for g, lab in enumerate(labels) if lab == BLANK)
                 got = blanks.get(blank_groups)
                 if got is None:
                     got = blanks[blank_groups] = blank(blank_groups)
@@ -297,8 +334,10 @@ class _Designer:
         m = pb.n_messages
         boundary = pb.costs.declare_boundary
         interleaved = self.variant == "P2"
+        start = time.perf_counter()
         state = self.initial_state()
         inner = self.value(1, state)
+        searched = time.perf_counter()
         total = (pb.costs.c1 + pb.costs.c2 if interleaved else pb.costs.c1) + inner
 
         stages = []
@@ -327,7 +366,9 @@ class _Designer:
                       wald_rules=table.thresholds,
                       message_model=build_message_model(o1, pb), n_messages=m)
         return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2, wald=table,
-                                nodes=len(self.memo), partitions_tried=self.partitions)
+                                nodes=len(self.memo), partitions_tried=self.partitions,
+                                memo_hits=self.memo_hits, search_s=searched - start,
+                                extract_s=time.perf_counter() - searched)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +401,18 @@ class _P1Solver(_Designer):
         for _, m0, m1 in state:
             pre0.append(pre0[-1] + m0)
             pre1.append(pre1[-1] + m1)
+        read = self.wald.reader(self.pb.t2)
 
         def send(lo, hi):
             rm0 = pre0[hi] - pre0[lo]
             rm1 = pre1[hi] - pre1[lo]
             mass = rm0 + rm1
-            return 0.0 if mass <= 0.0 else mass * wald_cost(self.wald, rm0 / mass, self.pb.t2)
+            if mass <= 0.0:
+                return 0.0
+            belief = rm0 / mass
+            if not 0.0 <= belief <= 1.0:
+                raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
+            return mass * read(belief)
 
         def blank(blank_groups):
             mass_b, nxt = self._blank_next(t, [state[i] for i in blank_groups])
@@ -398,6 +445,45 @@ def solve_p1(problem):
 # variant P2 solver
 
 
+def _run_pricer(atoms, channel_rows, read):
+    """Stopping-cost flow of message runs over a P2 state's sorted atoms.
+
+    Returns ``price(lo, hi, msg_lik)``: the unnormalized expected stopping
+    cost when the atoms ``atoms[lo:hi]`` send a message with likelihood pair
+    msg_lik, the still-sampling ones absorb it with one fresh observation
+    and ``read`` prices each posterior.  Each sampling atom's live terms
+    (w, b2 * row0[y], (1 - b2) * row1[y]) are computed once here, so a run
+    costs one multiply-add pair and one read per term.
+    """
+    row0, row1 = channel_rows
+    terms = []
+    starts = [0]  # atoms[a]'s terms are terms[starts[a]:starts[a + 1]]
+    for _, b2, d, m0, m1 in atoms:
+        if d == 1:
+            for y in range(len(row0)):
+                w = m0 * row0[y] + m1 * row1[y]
+                if w > 0.0:
+                    terms.append((w, b2 * row0[y], (1.0 - b2) * row1[y]))
+        starts.append(len(terms))
+
+    def price(lo, hi, msg_lik):
+        mz0, mz1 = msg_lik
+        flow = 0.0
+        for w, u0, u1 in terms[starts[lo]:starts[hi]]:
+            num = u0 * mz0
+            den = num + u1 * mz1
+            if den <= 0.0:
+                raise ImpossibleUpdateError(
+                    "designer state inconsistent with its message law")
+            belief = num / den
+            if not 0.0 <= belief <= 1.0:
+                raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
+            flow += w * read(belief)
+        return flow
+
+    return price
+
+
 def _receiver_groups(phi):
     """Still-sampling atoms of phi in belief2 order, as (index, atom), and
     their belief2 clusters."""
@@ -427,55 +513,44 @@ class _P2Solver(_Designer):
                              round(m0, ROUND_DIGITS), round(m1, ROUND_DIGITS))
                             for b1, b2, d, m0, m1 in state))
 
-    def _send_flow(self, t, region, msg_lik):
-        """Expected stopping cost of a message branch, unnormalized."""
-        rows = self.pb.channel2.row_pair(t)
-        mz0, mz1 = msg_lik
-        remaining = self.pb.t2 - t
-        flow = 0.0
-        for b1, b2, d, m0, m1 in region:
-            if d == 0:
-                continue
-            for y in range(len(rows[0])):
-                w = m0 * rows[0][y] + m1 * rows[1][y]
-                if w <= 0.0:
-                    continue
-                num = b2 * rows[0][y] * mz0
-                den = num + (1.0 - b2) * rows[1][y] * mz1
-                if den <= 0.0:
-                    raise ImpossibleUpdateError(
-                        "designer state inconsistent with its message law")
-                flow += w * wald_cost(self.wald, num / den, remaining)
-        return flow
-
     def _split(self, state):
-        """Atoms sorted and grouped by belief1, and a function mapping group
-        indices to (their atoms, mass, message likelihood pair)."""
+        """Atoms sorted and grouped by belief1, plus ``run(lo, hi)`` giving
+        (mass, message likelihood pair) of the atoms ``atoms[lo:hi]`` and
+        ``region(group_ids)`` giving (their atoms, mass, message likelihood
+        pair) of any set of groups."""
         atoms = sorted(state)
         groups = _cluster_positions([a[0] for a in atoms])
-        tot0 = sum(m0 for *_, m0, _ in atoms)
-        tot1 = sum(m1 for *_, _, m1 in atoms)
+        m0s = [a[3] for a in atoms]
+        m1s = [a[4] for a in atoms]
+        tot0 = sum(m0s)
+        tot1 = sum(m1s)
+
+        def masses(r0, r1):
+            return r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
+                             r1 / tot1 if tot1 > 0.0 else 0.0)
+
+        def run(lo, hi):
+            return masses(sum(m0s[lo:hi]), sum(m1s[lo:hi]))
 
         def region(group_ids):
             sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-            r0 = sum(m0 for *_, m0, _ in sel)
-            r1 = sum(m1 for *_, _, m1 in sel)
-            lik = (r0 / tot0 if tot0 > 0.0 else 0.0,
-                   r1 / tot1 if tot1 > 0.0 else 0.0)
-            return sel, r0 + r1, lik
+            return (sel, *masses(sum(a[3] for a in sel), sum(a[4] for a in sel)))
 
-        return atoms, groups, region
+        return atoms, groups, run, region
 
     def _next_state(self, t, phi, stop_labels, mass_b):
         nxt = _apply_stop_and_push(phi, stop_labels, self.pb.channel1.row_pair(t + 1))
         return tuple((b1, b2, d, m0 / mass_b, m1 / mass_b) for b1, b2, d, m0, m1 in nxt)
 
     def _stage(self, t, state):
-        _, groups, region = self._split(state)
+        atoms, groups, run, region = self._split(state)
+        price = _run_pricer(atoms, self.pb.channel2.row_pair(t),
+                            self.wald.reader(self.pb.t2 - t))
 
         def send(lo, hi):
-            sel, mass, lik = region(range(lo, hi))
-            return self._send_flow(t, sel, lik) if mass > 0.0 else 0.0
+            lo, hi = groups[lo][0], groups[hi - 1][1]
+            mass, lik = run(lo, hi)
+            return price(lo, hi, lik) if mass > 0.0 else 0.0
 
         def blank(blank_groups):
             return self._blank_part(t, *region(blank_groups))
@@ -510,8 +585,14 @@ class _P2Solver(_Designer):
         c1 = self.pb.costs.c1
         c2 = self.pb.costs.c2
         for i, j in itertools.combinations_with_replacement(range(len(g2) + 1), 2):
-            # groups i..j-1 continue; an empty run stops every atom with 0
-            alo, ahi = (0, 0) if i == j else (g2[i][0], g2[j - 1][1])
+            # groups i..j-1 continue; an empty run stops every atom with 0,
+            # so every (i, i) gives (0, 0)'s child and only (0, 0) is priced
+            if i == j:
+                if i > 0:
+                    continue
+                alo = ahi = 0
+            else:
+                alo, ahi = g2[i][0], g2[j - 1][1]
             charges = (pd1[alo] - pd1[0]) \
                 + (pd0[len(act_sorted)] - pd0[ahi]) \
                 + c2 * (pcm[ahi] - pcm[alo])
@@ -530,7 +611,7 @@ class _P2Solver(_Designer):
         return best, best_choice
 
     def _advance(self, t, state, labels, choice, seeds):
-        atoms, groups, region = self._split(state)
+        atoms, groups, _, region = self._split(state)
         rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in zip(groups, labels)],
                                   self.pb.n_messages, terminal=(t == self.pb.t1))
         # receiver beliefs on every message branch, for the stopping table
@@ -550,9 +631,9 @@ class _P2Solver(_Designer):
         vals = [a[1] for _, a in active]
         i, j = choice
         if i == j:
-            split = 0.0 if i == 0 else (
-                1.0 if i == len(g2) else 0.5 * (vals[g2[i - 1][1] - 1] + vals[g2[i][0]]))
-            a_thr = b_thr = split
+            # (0, 0), the only empty continue run searched: everyone declares
+            # 0.  A search over other empty runs would need their split point.
+            a_thr = b_thr = 0.0
         else:
             alo, ahi = g2[i][0], g2[j - 1][1]
             a_thr = 0.0 if alo == 0 else 0.5 * (vals[alo - 1] + vals[alo])

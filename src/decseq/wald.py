@@ -5,8 +5,9 @@ c2 per fresh observation, or declare and pay the terminal loss.  With a
 finite number of observations left the cost-to-go is the minimum of finitely
 many affine functions of the belief (Smallwood & Sondik, Operations Research
 1973), so the finite solver holds it exactly as knot arrays, built by one
-backup per remaining observation and read by one interpolation.  The
-stationary solver is value iteration on a grid with linear interpolation.
+backup per remaining observation and read by one interpolation
+(``WaldSolution.reader``).  The stationary solver is value iteration on a
+grid with linear interpolation.
 
 Threshold convention everywhere: declare 1 for beliefs at or below the lower
 threshold, declare 0 at or above the upper one, keep sampling strictly in
@@ -93,20 +94,27 @@ class WaldSolution:
     thresholds: tuple = ()
     values: tuple = ()
     knots: tuple = field(default=(), repr=False)
+    _readers: dict = field(default_factory=dict, init=False, repr=False)
 
     def value(self, belief, remaining):
         """Optimal expected cost-to-go, read off the knot table."""
-        if remaining <= 0:
-            tc0 = terminal_cost(0, belief, self.costs)
-            tc1 = terminal_cost(1, belief, self.costs)
-            return tc0 if tc0 <= tc1 else tc1
-        xs, ys = self.knots[remaining]
-        i = bisect_left(xs, belief)
-        if xs[i] == belief:
-            return ys[i]
-        x0 = xs[i - 1]
-        y0 = ys[i - 1]
-        return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
+        return self.reader(remaining)(belief)
+
+    def reader(self, remaining):
+        """The function belief -> ``value(belief, remaining)``.
+
+        One reader per remaining count, built once: callers that price many
+        beliefs at one count (the designer's message runs) skip the lookup
+        of the knot lists on every call.
+        """
+        got = self._readers.get(remaining)
+        if got is None:
+            if remaining > self.horizon:
+                raise ProblemSpecError("remaining",
+                                       f"{remaining} exceeds horizon {self.horizon}")
+            got = self._readers[remaining] = _knot_reader(
+                self.knots[remaining] if remaining > 0 else None, self.costs)
+        return got
 
     def continuation(self, belief, remaining):
         """Expected cost of one more observation, then optimal play."""
@@ -140,6 +148,30 @@ class WaldSolution:
         if belief <= w1:
             return 1
         return None
+
+
+def _knot_reader(knots, costs):
+    """Reader of one knot table (None: no observation left, so the cheaper
+    declaration): bisect, exact knot hit, else linear interpolation."""
+    if knots is None:
+        (l00, l01), (l10, l11) = costs.loss
+
+        def read(belief):
+            # terminal_cost of declaring 0 and of declaring 1
+            tc0 = belief * l00 + (1.0 - belief) * l01
+            tc1 = belief * l10 + (1.0 - belief) * l11
+            return tc0 if tc0 <= tc1 else tc1
+        return read
+    xs, ys = knots
+
+    def read(belief):
+        i = bisect_left(xs, belief)
+        if xs[i] == belief:
+            return ys[i]
+        x0 = xs[i - 1]
+        y0 = ys[i - 1]
+        return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
+    return read
 
 
 def _stop_cost(b, costs):
@@ -242,9 +274,7 @@ def wald_cost(solution, belief, remaining):
     """Exact optimal cost-to-go with ``remaining`` observations left."""
     if not 0.0 <= belief <= 1.0:
         raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
-    if remaining > solution.horizon:
-        raise ProblemSpecError("remaining", f"{remaining} exceeds horizon {solution.horizon}")
-    return solution.value(belief, remaining)
+    return solution.reader(remaining)(belief)
 
 
 def belief_grid(grid_size):

@@ -226,6 +226,21 @@ def test_simulate_report_profile(tmp_path):
     assert all(v >= 0.0 for v in profile.values())
 
 
+@pytest.mark.parametrize("command, name", [("solve-p1", "sym02_p1"),
+                                           ("solve-p2", "sym02_p2"),
+                                           ("mary", "mary3_p1")])
+def test_designer_report_profile_and_search_stats(tmp_path, command, name):
+    out = str(tmp_path / "d")
+    assert main([command, "--spec", spec_path(name), "--out", out]) == 0
+    rep = read_report(out)
+    profile = rep["profile"]
+    assert sorted(profile) == ["check_s", "extract_s", "search_s"]
+    assert all(v >= 0.0 for v in profile.values())
+    assert sum(profile.values()) <= rep["wall_time_s"]
+    if command != "mary":
+        assert rep["nodes"] > 0 and rep["memo_hits"] >= 0
+
+
 def _reference_episodes_csv(path, episodes):
     """The generic column writer episodes.csv was written with before the
     grouped-row writer: a range, then lists of ints (each distinct value
