@@ -275,108 +275,100 @@ def o2_best_response(o1, problem):
         return BestResponseResult(policy=o2, total=total,
                                   build_tables=lambda: _wald_tables(wald, problem))
 
-    # interleaved variant: blank-phase dynamic program on modelled beliefs
-    entering = {1: [float(problem.prior)]}   # beliefs entering stage s
-    decision = {}                            # beliefs at the stage-s decision
-    for s in range(1, problem.t1):
-        rows = problem.channel2.row_pair(s)
-        mb = model[s - 1].get(BLANK, (0.0, 0.0))
-        cur = []
-        for b in entering[s]:
-            if mb[0] <= 0.0 and mb[1] <= 0.0:
-                continue
-            for y in range(len(rows[0])):
-                f0 = mb[0] * rows[0][y]
-                f1 = mb[1] * rows[1][y]
-                den = b * f0 + (1.0 - b) * f1
-                if den > 0.0:
-                    cur.append(b * f0 / den)
-        decision[s] = merged_support(cur)
-        entering[s + 1] = decision[s]
-
-    # stopping table on every post-message modelled belief
-    seeds = []
-    for t in range(1, problem.t1 + 1):
-        rows = problem.channel2.row_pair(t)
-        for z in range(problem.n_messages):
-            mz = model[t - 1].get(z, (0.0, 0.0))
-            if mz[0] <= 0.0 and mz[1] <= 0.0:
-                continue
-            for b in entering.get(t, []):
-                for y in range(len(rows[0])):
-                    f0 = mz[0] * rows[0][y]
-                    f1 = mz[1] * rows[1][y]
-                    den = b * f0 + (1.0 - b) * f1
-                    if den > 0.0:
-                        seeds.append((t, b * f0 / den))
+    # interleaved variant: stopping table on every post-message modelled
+    # belief, then the blank-phase program against it
+    atoms = _blank_atoms(model, problem)
+    seeds = [(t, nb) for t in range(1, problem.t1 + 1) for b in atoms[t - 1]
+             for z, _, nb in _receiver_step(b, model[t - 1], problem.channel2.row_pair(t))
+             if z != BLANK]
     eval_pts = receiver_atoms(problem.channel2, problem.t2, seeds) or [float(problem.prior)]
     wald = solve_wald_finite(problem.channel2, costs, problem.t2,
                              eval_points=eval_pts)
+    tables, rules, start = _blank_phase(
+        model, problem, atoms, lambda t, b: wald_cost(wald, b, problem.t2 - t))
+    o2 = O2Policy(blank_rules=tuple(rules.values()),
+                  wald_rules=wald.thresholds, message_model=model,
+                  n_messages=problem.n_messages)
+    return BestResponseResult(
+        policy=o2, total=e_c1 + start,
+        build_tables=lambda: list(tables.values())
+        + _wald_tables(wald, problem, first_used=1))
 
-    tables = []
-    blank_rules = [None] * (problem.t1 - 1)
-    next_table = None
+
+# ---------------------------------------------------------------------------
+# the receiver's blank phase (interleaved variant), shared with the
+# no-deadline receiver limit
+
+
+def _receiver_step(b, factors, rows):
+    """Yields (symbol, probability, posterior) for each message-and-
+    observation outcome of one receiver stage from modelled belief b;
+    ``factors`` is that stage's message model entry, ``rows`` its channel
+    row pair."""
+    for z, (f0z, f1z) in factors.items():
+        for y in range(len(rows[0])):
+            f0 = f0z * rows[0][y]
+            f1 = f1z * rows[1][y]
+            p = b * f0 + (1.0 - b) * f1
+            if p > 0.0:
+                yield z, p, b * f0 / p
+
+
+def _blank_atoms(model, problem):
+    """atoms[s]: the receiver's modelled beliefs after s all-blank stages,
+    s = 0..T1-1 (atoms[0] is the prior)."""
+    atoms = [[float(problem.prior)]]
+    for s in range(1, problem.t1):
+        rows = problem.channel2.row_pair(s)
+        atoms.append(merged_support(nb for b in atoms[-1]
+                                    for z, _, nb in _receiver_step(b, model[s - 1], rows)
+                                    if z == BLANK))
+    return atoms
+
+
+def _blank_phase(model, problem, atoms, after):
+    """Stop-or-sample program over the blank stages s = 1..T1-1.
+
+    At stage s and belief b the receiver declares, or pays c2 and draws
+    stage s+1's message and observation; a message arriving at stage t
+    leaving belief b is worth ``after(t, b)``.  Returns the ("blank", s)
+    ValueTables and threshold rules by stage, and the value before the
+    first observation.
+    """
+    costs = problem.costs
+    tables = {}
+
+    def sample(s, b):
+        c = costs.c2
+        for z, p, nb in _receiver_step(b, model[s], problem.channel2.row_pair(s + 1)):
+            if z == BLANK:
+                c += p * _lookup(tables[s + 1].atoms, tables[s + 1].values, nb)
+            else:
+                c += p * after(s + 1, nb)
+        return c
+
+    rules = {}
     for s in range(problem.t1 - 1, 0, -1):
-        atoms = decision[s]
-        rows_n = problem.channel2.row_pair(s + 1)
-        tc0 = [b * costs.loss[0][0] + (1.0 - b) * costs.loss[0][1] for b in atoms]
-        tc1 = [b * costs.loss[1][0] + (1.0 - b) * costs.loss[1][1] for b in atoms]
-        cont = []
-        for b in atoms:
-            c = costs.c2
-            for z, (f0z, f1z) in model[s].items():
-                for y in range(len(rows_n[0])):
-                    f0 = f0z * rows_n[0][y]
-                    f1 = f1z * rows_n[1][y]
-                    p = b * f0 + (1.0 - b) * f1
-                    if p <= 0.0:
-                        continue
-                    nb = b * f0 / p
-                    if z == BLANK:
-                        c += p * _lookup(next_table.atoms, next_table.values, nb) \
-                            if next_table is not None else 0.0
-                    else:
-                        c += p * wald_cost(wald, nb, problem.t2 - (s + 1))
-            cont.append(c)
+        pts = atoms[s]
+        tc0 = [b * costs.loss[0][0] + (1.0 - b) * costs.loss[0][1] for b in pts]
+        tc1 = [b * costs.loss[1][0] + (1.0 - b) * costs.loss[1][1] for b in pts]
+        cont = [sample(s, b) for b in pts]
         values = []
         labels = []
-        for i in range(len(atoms)):
+        for i in range(len(pts)):
             cands = [(tc0[i], 0, 0), (tc1[i], 1, 1), (cont[i], 2, None)]
             v, _, lab = min(cands, key=lambda c: (c[0], c[1]))
             values.append(v)
             labels.append(lab)
-        blank_rules[s - 1] = thresholds_from_labels(atoms, labels, costs.declare_boundary)
-        table = ValueTable(kind=("blank", s), atoms=tuple(atoms),
-                           values=tuple(values),
-                           branches={"declare0": tuple(tc0), "declare1": tuple(tc1),
-                                     "continue": tuple(cont)},
-                           labels=tuple(labels))
-        tables.insert(0, table)
-        next_table = table
-
-    o2 = O2Policy(blank_rules=tuple(blank_rules), wald_rules=wald.thresholds,
-                  message_model=model, n_messages=problem.n_messages)
-
-    # receiver-side value from the start, then add the sender's sampling
-    rows1 = problem.channel2.row_pair(1)
-    start = costs.c2
-    b = float(problem.prior)
-    for z, (f0z, f1z) in model[0].items():
-        for y in range(len(rows1[0])):
-            f0 = f0z * rows1[0][y]
-            f1 = f1z * rows1[1][y]
-            p = b * f0 + (1.0 - b) * f1
-            if p <= 0.0:
-                continue
-            nb = b * f0 / p
-            if z == BLANK:
-                start += p * _lookup(tables[0].atoms, tables[0].values, nb)
-            else:
-                start += p * wald_cost(wald, nb, problem.t2 - 1)
-    total = e_c1 + start
-    return BestResponseResult(
-        policy=o2, total=total,
-        build_tables=lambda: tables + _wald_tables(wald, problem, first_used=1))
+        rules[s] = thresholds_from_labels(pts, labels, costs.declare_boundary)
+        tables[s] = ValueTable(kind=("blank", s), atoms=tuple(pts),
+                               values=tuple(values),
+                               branches={"declare0": tuple(tc0), "declare1": tuple(tc1),
+                                         "continue": tuple(cont)},
+                               labels=tuple(labels))
+    stages = range(1, problem.t1)
+    return ({s: tables[s] for s in stages}, {s: rules[s] for s in stages},
+            sample(0, float(problem.prior)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ from .best_response import o1_best_response, o2_best_response, pbpo_iteration
 from .errors import (CapacityError, CertificationError, DecseqError,
                      ImpossibleUpdateError, ProblemSpecError,
                      StructureViolation, UnreachableBranchError)
-from .infinite_horizon import (epsilon_optimal_pair, value_iterate_o1,
-                               value_iterate_o2)
+from .infinite_horizon import (_require_stationary, epsilon_optimal_pair,
+                               value_iterate_o1, value_iterate_o2)
 from .model import load_problem_spec
 from .oracle import enumerate_policies_p1, enumerate_policies_p2
 from .policies import BLANK, o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import estimate_cost, exact_cost
-from .wald import solve_wald_finite, solve_wald_infinite
+from .wald import belief_grid, solve_wald_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,16 +61,18 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise _FileError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_problem(path):
     doc, digest = _read_json(path)
+    if not isinstance(doc, dict):  # load_problem_spec reads a str as JSON text
+        raise ProblemSpecError("$", "top level must be an object")
     return load_problem_spec(doc), digest
 
 
@@ -248,13 +250,10 @@ def _cmd_solve_p2(args):
 
 def _cmd_solve_infinite(args):
     _check_tol(args.tol)
+    belief_grid(args.grid)  # reject a bad --grid before any solve
     problem, digest = _load_problem(args.spec)
+    _require_stationary(problem)
     payload = {"spec_digest": digest}
-    inf = solve_wald_infinite(problem.channel2, problem.costs,
-                              grid_size=args.grid, tol=args.tol)
-    payload["stationary_wald"] = {"w1": inf.w1, "w2": inf.w2,
-                                  "iterations": inf.n_iter,
-                                  "converged": inf.converged}
     if args.policies is not None:
         doc, _ = _read_json(args.policies)
         o1, o2 = pair_from_dict(doc)
@@ -262,6 +261,11 @@ def _cmd_solve_infinite(args):
         sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
         o1, o2 = sol.o1, sol.o2
     lim2 = value_iterate_o2(o1, problem, grid_size=args.grid, tol=args.tol)
+    # the receiver limit's post-message part is solve_wald_infinite's result
+    inf = lim2.wald
+    payload["stationary_wald"] = {"w1": inf.w1, "w2": inf.w2,
+                                  "iterations": inf.n_iter,
+                                  "converged": inf.converged}
     payload["receiver_limit"] = {
         "w1": lim2.wald.w1, "w2": lim2.wald.w2,
         "iterations": lim2.n_iter, "converged": lim2.converged,

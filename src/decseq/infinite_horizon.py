@@ -1,14 +1,14 @@
 """Infinite-horizon limits and epsilon-optimal pairs.
 
 The receiver limit removes the receiver's deadline: its post-message
-problem becomes the stationary sampling problem and the finitely many
-pre-message stages are re-solved against each successive tail iterate, so
-the whole iterate family inherits the pointwise monotone convergence of
-the stationary value iteration.  The sender limit removes the sender's
-deadline against a receiver with a bounded stopping time, which keeps the
-send branches time-invariant affine curves.  Epsilon-optimal pairs come
-from solving growing finite horizons until exact tail probabilities
-certify the truncation bounds.
+problem becomes the stationary sampling problem (``solve_wald_infinite``)
+and the finitely many pre-message stages are the finite best response's
+blank-phase program, solved once on its atoms against that stationary
+value.  The sender limit removes the sender's deadline against a receiver
+with a bounded stopping time, which keeps the send branches time-invariant
+affine curves; it runs the same grid value iteration as the stationary
+stopping problem.  Epsilon-optimal pairs come from solving growing finite
+horizons until exact tail probabilities certify the truncation bounds.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import evaluate_o2_policy
+from .best_response import _blank_atoms, _blank_phase, evaluate_o2_policy
 from .errors import CertificationError, ProblemSpecError
 from .policies import BLANK, O2Policy, build_message_model, extract_thresholds
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
 from .wald import (GRID_SIZE_DEFAULT, VI_MAX_ITER_DEFAULT, VI_TOL_DEFAULT,
-                   StationaryWald, belief_grid, thresholds_from_labels,
-                   wald_vi_iterates)
+                   StationaryWald, belief_grid, grid_continuation,
+                   grid_value_iteration, solve_wald_infinite)
 
 __all__ = ["TruncationCertificate", "O2InfiniteSolution", "O1InfiniteSolution",
            "EpsilonPair", "value_iterate_o2", "value_iterate_o1",
@@ -74,14 +74,15 @@ def truncation_bound(policy_role, tail_prob, costs, t2=None, horizon=None):
 class O2InfiniteSolution:
     """Converged receiver values with no deadline of its own.
 
-    ``wald`` is the stationary post-message solution; ``blank_values`` and
-    ``blank_thresholds`` cover the pre-message stages (empty for the
-    wait-then-sample variant).  The policy has no bounded stopping time.
+    ``wald`` is the stationary post-message solution; ``blank_tables`` and
+    ``blank_thresholds`` cover the pre-message stages by stage (empty for
+    the wait-then-sample variant).  The iteration record is ``wald``'s.
+    The policy has no bounded stopping time.
     """
 
     grid: np.ndarray
     wald: StationaryWald
-    blank_values: dict
+    blank_tables: dict
     blank_thresholds: dict
     message_model: tuple
     n_iter: int
@@ -102,103 +103,33 @@ def _require_stationary(problem):
 
 def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
                      tol=VI_TOL_DEFAULT, max_iter=VI_MAX_ITER_DEFAULT):
-    """Receiver value iteration with the deadline removed.
+    """Receiver limit with the deadline removed.
 
-    The sender keeps its finite deadline; each outer iterate solves the
-    pre-message stages exactly against the current post-message tail
-    iterate, so every tracked value is pointwise non-increasing across
-    iterations.
+    The sender keeps its finite deadline.  After the message the receiver
+    faces the stationary stopping problem (``solve_wald_infinite``); before
+    it, the finite best response's blank-phase program runs on the same
+    atoms against that stationary value.  Each blank value is monotone and
+    1-Lipschitz in the post-message value (the message factors times the
+    channel rows sum to 1), so it inherits the stationary iteration's
+    monotone convergence and needs no iteration of its own.
     """
     _require_stationary(problem)
     if o1.horizon != problem.t1:
         raise ProblemSpecError("o1", f"sender horizon {o1.horizon} != T1 {problem.t1}")
     if len(set(o1.stages)) > 1:
         raise ProblemSpecError("o1", "sender stage rules must be stationary")
-    costs = problem.costs
-    rows = problem.channel2.row_pair(1)
-    n_y = len(rows[0])
     model = build_message_model(o1, problem)
-    grid = belief_grid(grid_size)
-    tc0 = grid * costs.loss[0][0] + (1.0 - grid) * costs.loss[0][1]
-    tc1 = grid * costs.loss[1][0] + (1.0 - grid) * costs.loss[1][1]
-
-    blank_stages = list(range(1, problem.t1)) if problem.variant == "P2" else []
-
-    def continuation(t, wald_values, blank_values):
-        """Cost of one more observation at blank stage t, on the grid."""
-        cont = np.full_like(grid, costs.c2)
-        for z, (f0z, f1z) in model[t].items():
-            for y in range(n_y):
-                f0 = f0z * rows[0][y]
-                f1 = f1z * rows[1][y]
-                den = grid * f0 + (1.0 - grid) * f1
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    nb = np.where(den > 0.0, grid * f0 / np.where(den > 0.0, den, 1.0), 0.0)
-                tail = blank_values[t + 1] if z == BLANK else wald_values
-                cont += np.where(den > 0.0, den * np.interp(nb, grid, tail), 0.0)
-        return cont
-
-    def blank_pass(wald_values):
-        """One exact backward pass over the pre-message stages."""
-        out = {}
-        for t in reversed(blank_stages):
-            out[t] = np.minimum(np.minimum(tc0, tc1), continuation(t, wald_values, out))
-        return out
-
-    gen = wald_vi_iterates(rows, costs, grid)
-    deltas = []
-    max_increase = -np.inf
-    prev_w = None
-    prev_blank = None
-    converged = False
-    n_iter = 0
-    w = None
-    blank = {}
-    for w, dw in gen:
-        n_iter += 1
-        blank = blank_pass(w)
-        delta = dw
-        inc = -np.inf
-        if prev_w is not None:
-            inc = float((w - prev_w).max())
-            for t in blank:
-                d = np.abs(blank[t] - prev_blank[t]).max()
-                delta = max(delta, float(d))
-                inc = max(inc, float((blank[t] - prev_blank[t]).max()))
-        deltas.append(delta)
-        max_increase = max(max_increase, inc)
-        prev_w = w
-        prev_blank = blank
-        if n_iter > 1 and delta < tol:
-            converged = True
-            break
-        if n_iter >= max_iter:
-            break
-
-    # read off the stationary post-message thresholds
-    labels = [None if w[i] < min(tc0[i], tc1[i])
-              else (0 if tc0[i] <= tc1[i] else 1) for i in range(len(grid))]
-    w1, w2 = thresholds_from_labels(list(grid), labels, costs.declare_boundary)
-    wald = StationaryWald(rows=rows, costs=costs, grid=grid, values=w,
-                          w1=w1, w2=w2, n_iter=n_iter, deltas=deltas,
-                          max_increase=max_increase, converged=converged)
-
-    blank_thresholds = {}
-    for t in blank_stages:
-        cont = continuation(t, w, blank)
-        labels = []
-        for i in range(len(grid)):
-            cands = [(tc0[i], 0, 0), (tc1[i], 1, 1), (cont[i], 2, None)]
-            labels.append(min(cands, key=lambda c: (c[0], c[1]))[2])
-        blank_thresholds[t] = thresholds_from_labels(list(grid), labels,
-                                                     costs.declare_boundary)
-
-    return O2InfiniteSolution(grid=grid, wald=wald,
-                              blank_values={t: v for t, v in blank.items()},
-                              blank_thresholds=blank_thresholds,
-                              message_model=model, n_iter=n_iter,
-                              deltas=deltas, max_increase=float(max_increase),
-                              converged=converged)
+    wald = solve_wald_infinite(problem.channel2, problem.costs, grid_size=grid_size,
+                               tol=tol, max_iter=max_iter)
+    tables, rules = {}, {}
+    if problem.variant == "P2":
+        tables, rules, _ = _blank_phase(model, problem, _blank_atoms(model, problem),
+                                        lambda t, b: wald.value(b))
+    return O2InfiniteSolution(grid=wald.grid, wald=wald, blank_tables=tables,
+                              blank_thresholds=rules, message_model=model,
+                              n_iter=wald.n_iter, deltas=wald.deltas,
+                              max_increase=wald.max_increase,
+                              converged=wald.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -259,54 +190,23 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
             raise ProblemSpecError("o2", "receiver anchor's blank factor is "
                                          "informative; send values would be "
                                          "time-varying")
-    costs = problem.costs
     m = problem.n_messages
     affines = [evaluate_o2_policy(o2, (), z, problem) for z in range(m)]
 
     grid = belief_grid(grid_size)
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
-    send_min = np.minimum.reduce(send_curves)
-    rows = problem.channel1.row_pair(1)
-    n_y = len(rows[0])
-    branch = []
-    for y in range(n_y):
-        den = grid * rows[0][y] + (1.0 - grid) * rows[1][y]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nb = np.where(den > 0.0, grid * rows[0][y] / np.where(den > 0.0, den, 1.0), 0.0)
-        branch.append((den, nb))
-
-    values = send_min.copy()
-    deltas = []
-    max_increase = -np.inf
-    converged = False
-    n_iter = 0
-    while n_iter < max_iter:
-        n_iter += 1
-        cont = np.full_like(grid, costs.c1)
-        for den, nb in branch:
-            cont += np.where(den > 0.0, den * np.interp(nb, grid, values), 0.0)
-        new = np.minimum(send_min, cont)
-        delta = float(np.abs(new - values).max())
-        max_increase = max(max_increase, float((new - values).max()))
-        deltas.append(delta)
-        values = new
-        if delta < tol:
-            converged = True
-            break
-
-    cont = np.full_like(grid, costs.c1)
-    for den, nb in branch:
-        cont += np.where(den > 0.0, den * np.interp(nb, grid, values), 0.0)
+    cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
+    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves),
+                                          tol, max_iter)
+    wait = cont(values)
     labels = []
     for i in range(len(grid)):
         cands = [(float(send_curves[z][i]), (0, -z), z) for z in range(m)]
-        cands.append((float(cont[i]), (1, 0), BLANK))
+        cands.append((float(wait[i]), (1, 0), BLANK))
         labels.append(min(cands, key=lambda c: (c[0], c[1]))[2])
     rule = extract_thresholds(list(zip(grid.tolist(), labels)), m, terminal=False)
     return O1InfiniteSolution(grid=grid, values=values, stage_rule=rule,
-                              affines=tuple(affines), n_iter=n_iter,
-                              deltas=deltas, max_increase=float(max_increase),
-                              converged=converged)
+                              affines=tuple(affines), **record)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +229,11 @@ class EpsilonPair:
 def epsilon_optimal_pair(problem, epsilon, max_horizon=6, start_horizon=1):
     """Solve growing finite horizons until the exact tail masses certify
     total truncation loss ≤ epsilon (half per observer)."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ProblemSpecError("epsilon", f"{epsilon} is not > 0")
+    if max_horizon < max(1, start_horizon):
+        raise ProblemSpecError("max_horizon", f"{max_horizon} is below the first "
+                                              f"horizon {max(1, start_horizon)}")
     _require_stationary(problem)
     solver = solve_p1 if problem.variant == "P1" else solve_p2
     best = None

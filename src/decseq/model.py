@@ -121,7 +121,11 @@ class Problem:
 def _check_number(value, field_name, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemSpecError(field_name, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ProblemSpecError(field_name, f"expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ProblemSpecError(field_name, f"expected an integer, got {value!r}")
@@ -137,7 +141,7 @@ def _parse_channel(entry, idx, needed_horizon):
     if not isinstance(entry, dict):
         raise ProblemSpecError(where, "expected an object")
     observer = entry.get("observer")
-    if observer not in (1, 2):
+    if isinstance(observer, bool) or observer not in (1, 2):
         raise ProblemSpecError(f"{where}.observer", f"must be 1 or 2, got {observer!r}")
     tables = entry.get("tables")
     if not isinstance(tables, list) or not tables:

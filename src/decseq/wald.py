@@ -7,7 +7,11 @@ many affine functions of the belief (Smallwood & Sondik, Operations Research
 1973), so the finite solver holds it exactly as knot arrays, built by one
 backup per remaining observation and read by one interpolation
 (``WaldSolution.reader``).  The stationary solver is value iteration on a
-grid with linear interpolation.
+grid with linear interpolation (``grid_value_iteration``, which the
+sender's no-deadline limit shares).  It stays on the grid because iterating
+the knot backup to a tolerance is not monotone in floating point:
+consecutive knot iterates rise by ~1e-16, which breaks the exact
+``max_increase <= 0`` record that the grid iterates keep.
 
 Threshold convention everywhere: declare 1 for beliefs at or below the lower
 threshold, declare 0 at or above the upper one, keep sampling strictly in
@@ -284,6 +288,37 @@ def belief_grid(grid_size):
     return np.linspace(0.0, 1.0, grid_size)
 
 
+def grid_continuation(rows, charge, grid):
+    """The map V -> charge + E[V(next belief)] on ``grid``, for one
+    observation drawn from the row pair ``rows`` and V read by linear
+    interpolation."""
+    g = np.asarray(grid, dtype=float)
+    branches = []
+    for r0, r1 in zip(*rows):
+        prob = g * r0 + (1.0 - g) * r1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            post = np.where(prob > 0.0, g * r0 / np.where(prob > 0.0, prob, 1.0), 0.0)
+        branches.append((prob, post))
+
+    def cont(values):
+        out = np.full_like(g, charge)
+        for prob, post in branches:
+            out += prob * np.interp(post, g, values)
+        return out
+    return cont
+
+
+def _iterates(cont, floor):
+    """Yields (V, sup change) for V = floor, then V -> min(floor, cont(V))."""
+    values = floor.copy()
+    yield values, np.inf
+    while True:
+        new = np.minimum(floor, cont(values))
+        delta = float(np.max(np.abs(new - values)))
+        values = new
+        yield values, delta
+
+
 def wald_vi_iterates(rows, costs, grid):
     """Generator of stationary value-iteration iterates on a belief grid.
 
@@ -291,28 +326,32 @@ def wald_vi_iterates(rows, costs, grid):
     are pointwise non-increasing because adding one more sampling
     opportunity can only help.
     """
-    row0 = np.asarray(rows[0], dtype=float)
-    row1 = np.asarray(rows[1], dtype=float)
     g = np.asarray(grid, dtype=float)
-    stop = _stop_cost(g, costs)
-    probs = []
-    posts = []
-    for y in range(len(row0)):
-        prob = g * row0[y] + (1.0 - g) * row1[y]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = np.where(prob > 0.0, g * row0[y] / np.maximum(prob, 1e-300), 0.0)
-        probs.append(prob)
-        posts.append(post)
-    values = stop.copy()
-    yield values, np.inf
-    while True:
-        cont = np.full_like(g, costs.c2)
-        for prob, post in zip(probs, posts):
-            cont += prob * np.interp(post, g, values)
-        new = np.minimum(stop, cont)
-        delta = float(np.max(np.abs(new - values)))
+    return _iterates(grid_continuation(rows, costs.c2, g), _stop_cost(g, costs))
+
+
+def grid_value_iteration(cont, floor, tol, max_iter):
+    """Run V -> min(floor, cont(V)) from V = floor until the sup change
+    falls below tol or max_iter backups are done.
+
+    Returns the last iterate and its record: ``n_iter`` backups, their sup
+    ``deltas``, the largest pointwise increase between consecutive iterates
+    (``max_increase``, <= 0 when the iterates are monotone) and whether
+    they ``converged``.
+    """
+    it = _iterates(cont, floor)
+    values, _ = next(it)
+    deltas = []
+    max_increase = -np.inf
+    converged = False
+    while len(deltas) < max_iter and not converged:
+        new, delta = next(it)
+        deltas.append(delta)
+        max_increase = max(max_increase, float(np.max(new - values)))
         values = new
-        yield values, delta
+        converged = delta < tol
+    return values, {"n_iter": len(deltas), "deltas": deltas,
+                    "max_increase": max_increase, "converged": converged}
 
 
 @dataclass(eq=False)
@@ -356,28 +395,12 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT,
     else:
         rows = tuple(channel)
     grid = belief_grid(grid_size)
-    it = wald_vi_iterates(rows, costs, grid)
-    prev, _ = next(it)
-    deltas = []
-    max_increase = -np.inf
-    converged = False
-    n = 0
-    for values, delta in it:
-        n += 1
-        deltas.append(delta)
-        max_increase = max(max_increase, float(np.max(values - prev)))
-        prev = values
-        if delta < tol:
-            converged = True
-            break
-        if n >= max_iter:
-            break
-
     stop = _stop_cost(grid, costs)
+    values, record = grid_value_iteration(grid_continuation(rows, costs.c2, grid),
+                                          stop, tol, max_iter)
     declare = np.where(grid * (costs.loss[1][0] - costs.loss[0][0])
                        < (1.0 - grid) * (costs.loss[0][1] - costs.loss[1][1]), 1, 0)
-    labels = [None if prev[i] < stop[i] else int(declare[i]) for i in range(len(grid))]
+    labels = [None if values[i] < stop[i] else int(declare[i]) for i in range(len(grid))]
     w1, w2 = thresholds_from_labels(tuple(grid), labels, costs.declare_boundary)
-    return StationaryWald(rows=rows, costs=costs, grid=grid, values=prev,
-                          w1=w1, w2=w2, n_iter=n, deltas=deltas,
-                          max_increase=max_increase, converged=converged)
+    return StationaryWald(rows=rows, costs=costs, grid=grid, values=values,
+                          w1=w1, w2=w2, **record)

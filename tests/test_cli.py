@@ -1,5 +1,7 @@
 """Command line behavior: artifacts, report fields, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
+
+from conftest import make_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
@@ -314,3 +318,109 @@ def test_episodes_writer_matches_column_writer(tmp_path_factory, episodes):
     with open(path, "rb") as fh:
         got = fh.read()
     assert got == (out / "want.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every malformed input ends in a documented exit code, never a traceback
+
+FAILURE_CODES = {2, 3, 4, 5, 64}
+_TINY_SPEC = make_spec(t1=1, t2=1)
+
+
+def _paths(node, prefix=()):
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# "M" is the one optional key: dropping it leaves a valid spec
+_SPEC_PATHS = [p for p in _paths(_TINY_SPEC) if p != ("M",)]
+_BAD_VALUES = st.sampled_from(["x", None, [], {}, True, False, float("nan"),
+                               float("inf"), -float("inf"), -1, -0.5, 10 ** 400])
+# one tiny request per command that reads a spec
+_SPEC_COMMANDS = st.sampled_from([
+    ["solve-p1"], ["solve-p2"], ["mary"], ["oracle-check"],
+    ["solve-wald", "--horizon", "1"], ["solve-infinite", "--grid", "11"],
+    ["best-response", "--pbpo", "--rounds", "1"]])
+# bad options on a valid spec; None stands for the spec path
+_BAD_ARGV = st.sampled_from([
+    [], ["frobnicate"], ["solve-p1"], ["solve-p1", "--spec", None, "--bogus"],
+    ["solve-p2", "--spec", None],                       # P1 instance
+    ["mary", "--spec", None],                           # binary instance
+    ["solve-wald", "--spec", None, "--horizon", "-1"],
+    ["solve-wald", "--spec", None, "--horizon", "x"],
+    ["solve-infinite", "--spec", None, "--grid", "2"],
+    ["solve-infinite", "--spec", None, "--grid", "1.5"],
+    ["solve-infinite", "--spec", None, "--grid", "11", "--tol", "nan"],
+    ["solve-infinite", "--spec", None, "--grid", "11", "--tol", "-1"],
+    ["solve-infinite", "--spec", None, "--grid", "11", "--epsilon", "nan"],
+    ["solve-infinite", "--spec", None, "--grid", "11", "--epsilon", "-0.5"],
+    ["solve-infinite", "--spec", None, "--grid", "11", "--epsilon", "0.5",
+     "--max-horizon", "0"],
+    ["oracle-check", "--spec", None, "--tol", "inf"],
+    ["oracle-check", "--spec", None, "--cap", "0"],
+    ["best-response", "--spec", None],
+    ["best-response", "--spec", None, "--side", "3"],
+    ["best-response", "--spec", None, "--pbpo", "--rounds", "0"],
+    ["best-response", "--spec", None, "--policies", "missing.json", "--side", "1"],
+    ["simulate", "--spec", None, "--policies", "missing.json"],
+    ["simulate", "--spec", None, "--policies", None, "--n", "x"]])
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@st.composite
+def _bad_requests(draw):
+    """(argv with None for the spec path, the spec file's bytes or None
+    for no file)."""
+    valid = json.dumps(_TINY_SPEC)
+    kind = draw(st.sampled_from(["value", "delete", "text", "missing", "argv"]))
+    if kind == "argv":
+        return draw(_BAD_ARGV), valid.encode()
+    argv = draw(_SPEC_COMMANDS) + ["--spec", None]
+    if kind == "missing":
+        return argv, None
+    if kind == "text":
+        text = draw(st.sampled_from([
+            valid[:draw(st.integers(0, len(valid) - 1))],   # cut short
+            "[]", "3", '"spec"', "null",                     # not an object
+            valid.replace("0.5", "1" * 5000, 1)]))           # over-long int
+        return argv, draw(st.sampled_from([text.encode(), b"\xff" + text.encode()]))
+    doc = json.loads(valid)
+    _set(doc, draw(st.sampled_from(_SPEC_PATHS)),
+         _DELETE if kind == "delete" else draw(_BAD_VALUES))
+    return argv, json.dumps(doc).encode()
+
+
+@given(_bad_requests())
+# a top level that is not an object, including a string the loader would
+# read as JSON text; bytes that are not UTF-8; an integer too long to parse
+@example((["solve-p1", "--spec", None], b"[]"))
+@example((["solve-p1", "--spec", None], b'"spec"'))
+@example((["solve-p1", "--spec", None], b"\xff{}"))
+@example((["solve-p1", "--spec", None], b'{"prior": ' + b"1" * 5000 + b"}"))
+@settings(max_examples=150, deadline=None)
+def test_bad_inputs_end_in_a_documented_exit_code(tmp_path_factory, request_):
+    argv, spec_bytes = request_
+    work = tmp_path_factory.mktemp("bad")
+    spec = work / "spec.json"
+    if spec_bytes is not None:
+        spec.write_bytes(spec_bytes)
+    argv = [str(spec) if a is None else a for a in argv]
+    argv = [str(work / a) if a == "missing.json" else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(work / "out")] if argv else argv)
+    assert code in FAILURE_CODES, (argv, spec_bytes, err.getvalue())
+    assert "Traceback" not in err.getvalue()

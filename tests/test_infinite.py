@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decseq
 from decseq import (BLANK, CertificationError, ProblemSpecError,
-                    epsilon_optimal_pair, solve_wald_infinite,
+                    epsilon_optimal_pair, o2_best_response, solve_wald_infinite,
                     truncation_bound, value_iterate_o1, value_iterate_o2)
 
 from conftest import ASYM, make_spec
@@ -52,9 +54,60 @@ def test_receiver_limit_matches_pure_stationary_tail(sym02_p1):
     sol = decseq.solve_p1(sym02_p1)
     lim = value_iterate_o2(sol.o1, sym02_p1)
     pure = solve_wald_infinite(sym02_p1.channel2, sym02_p1.costs)
-    assert lim.stationary_thresholds[0] == pytest.approx(pure.w1, abs=1e-9)
-    assert lim.stationary_thresholds[1] == pytest.approx(pure.w2, abs=1e-9)
-    assert float(np.abs(lim.wald.values - pure.values).max()) < 1e-6
+    assert lim.stationary_thresholds == (pure.w1, pure.w2)
+    assert np.array_equal(lim.wald.values, pure.values)
+    assert (lim.n_iter, lim.deltas, lim.max_increase, lim.converged) \
+        == (pure.n_iter, pure.deltas, pure.max_increase, pure.converged)
+
+
+@st.composite
+def _stationary_p2_pairs(draw):
+    """A stationary P2 problem, a sender repeating one stage rule, and a
+    value-iteration grid size."""
+    t1 = draw(st.integers(2, 3))
+    accuracy = st.floats(0.55, 0.95)
+
+    def channel():
+        a, b = draw(accuracy), draw(accuracy)
+        return [[a, 1.0 - a], [1.0 - b, b]]
+
+    problem = decseq.load_problem_spec(make_spec(
+        prior=draw(st.floats(0.2, 0.8)), ch1=channel(), ch2=channel(),
+        c1=draw(st.floats(0.005, 0.1)), c2=draw(st.floats(0.005, 0.1)),
+        loss=[[0.0, draw(st.floats(0.8, 1.5))], [draw(st.floats(0.8, 1.5)), 0.0]],
+        t1=t1, t2=draw(st.integers(t1, t1 + 4)), variant="P2"))
+    rule = decseq.StageRule(send=((draw(st.floats(0.5, 1.0)), 1.0),
+                                  (0.0, draw(st.floats(0.0, 0.5)))))
+    o1 = decseq.O1Policy(stages=(rule,) * (t1 - 1),
+                         terminal=decseq.TerminalRule(cuts=(draw(st.floats(0.2, 0.8)),)))
+    return problem, o1, draw(st.sampled_from((51, 201, 1001)))
+
+
+@given(_stationary_p2_pairs())
+@settings(max_examples=40, deadline=None)
+def test_receiver_limit_blank_values_never_above_finite(case):
+    # removing the receiver's deadline can only help: on the finite best
+    # response's own blank atoms the limit's values are no larger
+    problem, o1, grid = case
+    lim = value_iterate_o2(o1, problem, grid_size=grid)
+    finite = {t.kind[1]: t for t in o2_best_response(o1, problem).tables
+              if t.kind[0] == "blank"}
+    assert set(lim.blank_tables) == set(finite) == set(range(1, problem.t1))
+    for s, table in lim.blank_tables.items():
+        assert table.atoms == finite[s].atoms
+        for got, bound in zip(table.values, finite[s].values):
+            assert got <= bound + 1e-12
+
+
+def test_receiver_limit_blank_rule_on_unreachable_branch(sym02_p2):
+    # sym02's sender always speaks at stage 1, so the blank branch has
+    # probability 0: no atoms, and the rule collapses onto the declaration
+    # boundary exactly as the finite designer's does
+    sol = decseq.solve_p2(sym02_p2)
+    lim = value_iterate_o2(sol.o1, sym02_p2)
+    assert lim.blank_tables[1].atoms == ()
+    assert sol.o2.blank_rules == ((0.5, 0.5),)
+    assert lim.blank_thresholds == {1: (0.5, 0.5)}
 
 
 def test_receiver_limit_rejects_nonstationary_sender(sym02_p2):
@@ -152,3 +205,7 @@ def test_epsilon_pair_fails_cleanly():
 def test_epsilon_pair_rejects_bad_epsilon(sym02_p1):
     with pytest.raises(ProblemSpecError):
         epsilon_optimal_pair(sym02_p1, 0.0)
+    with pytest.raises(ProblemSpecError):
+        epsilon_optimal_pair(sym02_p1, float("nan"))
+    with pytest.raises(ProblemSpecError):
+        epsilon_optimal_pair(sym02_p1, 0.5, max_horizon=0)

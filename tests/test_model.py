@@ -53,6 +53,7 @@ def test_max_loss(asym_p2):
     (lambda s: s["horizons"].update(T1=0), "T1"),
     (lambda s: s.update(variant="P3"), "variant"),
     (lambda s: s.update(M=1), "M"),
+    (lambda s: s["channels"][0].update(observer=True), "observer"),
 ])
 def test_rejects_bad_fields(mutate, field):
     spec = make_spec()
@@ -67,6 +68,8 @@ def test_rejects_bad_fields(mutate, field):
     (lambda s: s["costs"].update(c1=float("inf")), "costs.c1"),
     (lambda s: s["channels"][1]["tables"][0][0].__setitem__(0, float("nan")),
      "channels[1].tables[0][0]"),
+    # an integer too large for a float
+    (lambda s: s["horizons"].update(T1=10 ** 400), "horizons.T1"),
 ])
 def test_rejects_non_finite_numbers(mutate, field):
     spec = make_spec()
