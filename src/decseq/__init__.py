@@ -1,8 +1,7 @@
 """Exact solvers, simulators, and brute-force oracles for two-observer
 decentralized sequential detection with a one-shot message channel."""
 
-from .belief import (AtomLevel, AtomSet, merge_atoms, message_likelihood,
-                     reachable_beliefs, update_observer1, update_observer2)
+from .belief import merge_atoms, reachable_beliefs, update_observer1
 from .best_response import (BestResponseResult, PBPOResult, ValueTable,
                             evaluate_o2_policy, extract_thresholds,
                             immediate_sender_policy, o1_best_response,
@@ -22,8 +21,7 @@ from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, o1_from_dict, o1_to_dict,
                        o2_from_dict, o2_to_dict, pair_from_dict, pair_to_dict,
                        subjective_update)
-from .seq_decomp import (DesignerSolution, q1_p1, q2_p1, solve_p1, solve_p2,
-                         state_belief)
+from .seq_decomp import DesignerSolution, q2_p1, solve_p1, solve_p2
 from .simulate import (CostBreakdown, EpisodeResult, EstimateSummary,
                        estimate_cost, exact_cost, simulate_once)
 from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
@@ -32,8 +30,7 @@ from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomLevel", "AtomSet", "merge_atoms", "message_likelihood",
-    "reachable_beliefs", "update_observer1", "update_observer2",
+    "merge_atoms", "reachable_beliefs", "update_observer1",
     "BestResponseResult", "PBPOResult", "ValueTable", "evaluate_o2_policy",
     "extract_thresholds", "immediate_sender_policy", "o1_best_response",
     "o2_best_response", "pbpo_iteration",
@@ -49,8 +46,7 @@ __all__ = [
     "BLANK", "O1Policy", "O2Policy", "StageRule", "TerminalRule",
     "build_message_model", "o1_from_dict", "o1_to_dict", "o2_from_dict",
     "o2_to_dict", "pair_from_dict", "pair_to_dict", "subjective_update",
-    "DesignerSolution", "q1_p1", "q2_p1", "solve_p1", "solve_p2",
-    "state_belief",
+    "DesignerSolution", "q2_p1", "solve_p1", "solve_p2",
     "CostBreakdown", "EpisodeResult", "EstimateSummary", "estimate_cost",
     "exact_cost", "simulate_once",
     "StationaryWald", "WaldSolution", "solve_wald_finite",

@@ -81,8 +81,8 @@ class PBPOResult:
     converged: bool
 
 
-def _lookup(atoms, values, belief, tol=1e-9):
-    """Value at a belief that must be (close to) one of the atoms."""
+def _lookup(atoms, values, belief):
+    """Value at a belief that must be within 1e-9 of one of the atoms."""
     i = bisect_left(atoms, belief)
     best = None
     for j in (i - 1, i, i + 1):
@@ -90,7 +90,7 @@ def _lookup(atoms, values, belief, tol=1e-9):
             d = abs(atoms[j] - belief)
             if best is None or d < best[0]:
                 best = (d, j)
-    if best is None or best[0] > tol:
+    if best is None or best[0] > 1e-9:
         raise CertificationError(f"belief {belief} not among expected atoms")
     return values[best[1]]
 
@@ -159,8 +159,7 @@ def o1_best_response(o2, problem):
     stages = []
     terminal = None
     for t in range(problem.t1, 0, -1):
-        level = levels.level(t)
-        atoms = level.atoms
+        atoms = [b for b, _, _ in levels[t]]
         branches = {("send", z): [] for z in range(m)}
         if t < problem.t1:
             branches["blank"] = []
@@ -200,11 +199,10 @@ def o1_best_response(o2, problem):
         next_atoms, next_values = atoms, values
 
     o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
-    level1 = levels.level(1)
     total = costs.c1
-    for b, w0, w1 in level1.items():
+    for b, w0, w1 in levels[1]:
         total += (problem.prior * w0 + (1.0 - problem.prior) * w1) \
-            * _lookup(level1.atoms, tables[0].values, b)
+            * _lookup(tables[0].atoms, tables[0].values, b)
     return BestResponseResult(policy=o1, total=total, build_tables=lambda: tables)
 
 

@@ -23,9 +23,8 @@ from .errors import CertificationError, ProblemSpecError
 from .policies import BLANK, O2Policy, build_message_model, extract_thresholds
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
-from .wald import (GRID_SIZE_DEFAULT, VI_MAX_ITER_DEFAULT, VI_TOL_DEFAULT,
-                   StationaryWald, belief_grid, grid_continuation,
-                   grid_value_iteration, solve_wald_infinite)
+from .wald import (GRID_SIZE_DEFAULT, VI_TOL_DEFAULT, StationaryWald, belief_grid,
+                   grid_continuation, grid_value_iteration, solve_wald_infinite)
 
 __all__ = ["TruncationCertificate", "O2InfiniteSolution", "O1InfiniteSolution",
            "EpsilonPair", "value_iterate_o2", "value_iterate_o1",
@@ -101,8 +100,7 @@ def _require_stationary(problem):
                                            "stationary channels")
 
 
-def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
-                     tol=VI_TOL_DEFAULT, max_iter=VI_MAX_ITER_DEFAULT):
+def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
     """Receiver limit with the deadline removed.
 
     The sender keeps its finite deadline.  After the message the receiver
@@ -120,7 +118,7 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT,
         raise ProblemSpecError("o1", "sender stage rules must be stationary")
     model = build_message_model(o1, problem)
     wald = solve_wald_infinite(problem.channel2, problem.costs, grid_size=grid_size,
-                               tol=tol, max_iter=max_iter)
+                               tol=tol)
     tables, rules = {}, {}
     if problem.variant == "P2":
         tables, rules, _ = _blank_phase(model, problem, _blank_atoms(model, problem),
@@ -157,8 +155,7 @@ class O1InfiniteSolution:
         return (low[0], low[1], high[0], high[1])
 
 
-def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
-                     tol=VI_TOL_DEFAULT, max_iter=VI_MAX_ITER_DEFAULT):
+def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
     """Sender value iteration with its deadline removed.
 
     Needs a receiver with a bounded stopping time and a time-invariant
@@ -196,8 +193,7 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT,
     grid = belief_grid(grid_size)
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
     cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
-    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves),
-                                          tol, max_iter)
+    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves), tol)
     wait = cont(values)
     labels = []
     for i in range(len(grid)):
@@ -226,18 +222,17 @@ class EpsilonPair:
         return self.certificates[0].epsilon + self.certificates[1].epsilon
 
 
-def epsilon_optimal_pair(problem, epsilon, max_horizon=6, start_horizon=1):
-    """Solve growing finite horizons until the exact tail masses certify
-    total truncation loss ≤ epsilon (half per observer)."""
+def epsilon_optimal_pair(problem, epsilon, max_horizon=6):
+    """Solve horizons 1, 2, ... until the exact tail masses certify total
+    truncation loss ≤ epsilon (half per observer)."""
     if not epsilon > 0.0:
         raise ProblemSpecError("epsilon", f"{epsilon} is not > 0")
-    if max_horizon < max(1, start_horizon):
-        raise ProblemSpecError("max_horizon", f"{max_horizon} is below the first "
-                                              f"horizon {max(1, start_horizon)}")
+    if max_horizon < 1:
+        raise ProblemSpecError("max_horizon", f"{max_horizon} is below the first horizon 1")
     _require_stationary(problem)
     solver = solve_p1 if problem.variant == "P1" else solve_p2
     best = None
-    for t in range(max(1, start_horizon), max_horizon + 1):
+    for t in range(1, max_horizon + 1):
         finite = dataclasses.replace(problem, t1=t, t2=t)
         sol = solver(finite)
         bd = exact_cost((sol.o1, sol.o2), finite)

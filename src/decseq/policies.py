@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import AtomLevel, push_level
+from .belief import push_atoms
 from .errors import ProblemSpecError, StructureViolation
 
 BLANK = "b"
@@ -196,10 +196,11 @@ class O2Policy:
 def subjective_update(belief, y2, channel_rows, factor):
     """Observer 2's modelled-belief step, total by convention.
 
-    Like belief.update_observer2 but a zero-probability joint event keeps
-    the belief unchanged instead of raising: the modelled belief must be
-    defined on every realizable path even when the partner deviates from
-    the modelled policy.
+    The belief absorbs observation y2 (None: no fresh observation) and the
+    message likelihood pair ``factor`` (None: no message).  A
+    zero-probability joint event keeps the belief unchanged instead of
+    raising: the modelled belief must be defined on every realizable path
+    even when the partner deviates from the modelled policy.
     """
     f0, f1 = (1.0, 1.0) if factor is None else factor
     if y2 is not None:
@@ -283,46 +284,33 @@ def extract_thresholds(action_per_atom, n_messages, terminal=False):
     return TerminalRule(cuts=tuple(cuts))
 
 
-def blank_conditioned_levels(o1, problem):
-    """Observer 1's belief law at each stage, on the all-blank branch.
-
-    Returns a list where entry t-1 is the AtomLevel of observer 1's belief
-    at stage t (after its t-th observation), with weights
-    P(belief = atom, all messages before t blank | H = h) -- unnormalized,
-    so the totals give the blank-survival probabilities.
-    """
-    level = AtomLevel(atoms=(float(problem.prior),), w0=(1.0,), w1=(1.0,))
-    out = []
-    for t in range(1, o1.horizon + 1):
-        level = push_level(level, problem.channel1.row_pair(t))
-        out.append(level)
-        if t < o1.horizon:
-            rule = o1.stages[t - 1]
-            kept = [(b, u0, u1) for b, u0, u1 in level.items()
-                    if rule.classify(b) == BLANK]
-            level = AtomLevel(atoms=tuple(e[0] for e in kept),
-                              w0=tuple(e[1] for e in kept),
-                              w1=tuple(e[2] for e in kept))
-    return out
-
-
 def send_law(o1, problem):
     """When and what observer 1 sends.
 
     Entry t-1 is (law, alive) for stage t: law maps each symbol sent at t,
     and BLANK before the deadline, to [P(tau1 = t, z_t = z | H=0), same
     under H=1] (for BLANK: still silent after t), and alive is
-    (P(tau1 >= t | H=0), same under H=1).
+    (P(tau1 >= t | H=0), same under H=1).  Both come from observer 1's
+    belief atoms on the all-blank branch, pushed one observation per stage
+    with unnormalized weights P(belief = atom, all messages before t blank
+    | H = h).
     """
     out = []
-    for t, level in enumerate(blank_conditioned_levels(o1, problem), start=1):
+    level = [(float(problem.prior), 1.0, 1.0)]
+    for t in range(1, o1.horizon + 1):
+        level = push_atoms(level, problem.channel1.row_pair(t))
         rule = o1.rule_at(t)
         law = {BLANK: [0.0, 0.0]} if t < o1.horizon else {}
-        for b, u0, u1 in level.items():
-            acc = law.setdefault(rule.classify(b), [0.0, 0.0])
+        kept = []
+        for b, u0, u1 in level:
+            z = rule.classify(b)
+            acc = law.setdefault(z, [0.0, 0.0])
             acc[0] += u0
             acc[1] += u1
-        out.append((law, (sum(level.w0), sum(level.w1))))
+            if z == BLANK:
+                kept.append((b, u0, u1))
+        out.append((law, (sum(u0 for _, u0, _ in level), sum(u1 for _, _, u1 in level))))
+        level = kept
     return out
 
 

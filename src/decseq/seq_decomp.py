@@ -36,11 +36,12 @@ States are plain tuples so tests can build them directly:
 
 * variant P1: ((belief1, m0, m1), ...) where m_h = P(belief1 = atom, H = h |
   blanks so far); the entries of one state sum to 1 over atoms and both h.
-  The blank branch advances it with q2_p1; q1_p1 conditions it on a message.
+  The blank branch advances it with q2_p1.
 * variant P2: ((belief1, belief2, d, m0, m1), ...) with d = 1 while
-  observer 2 is still sampling, d = 0 once it has declared (its belief slot
-  is then frozen and irrelevant; canonicalization blanks it out).  The
-  blank branch also chooses observer 2's continue interval for the stage.
+  observer 2 is still sampling, d = 0 once it has declared (the push that
+  declares an atom sets its belief2 to -1.0, so declared atoms merge on
+  belief1 alone).  The blank branch also chooses observer 2's continue
+  interval for the stage.
 
 Totals reported include the sunk first observations: c1 for observer 1 (and
 c2 for observer 2 in the interleaved variant), so the value is the full
@@ -54,8 +55,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .belief import MERGE_TOL, _classify_with, push_atoms, receiver_atoms
-from .errors import ImpossibleUpdateError, ProblemSpecError, UnreachableBranchError
+from .belief import MERGE_TOL, push_atoms, receiver_atoms
+from .errors import ImpossibleUpdateError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, extract_thresholds)
 from .wald import solve_wald_finite
@@ -67,40 +68,29 @@ ROUND_DIGITS = 10
 # variant P1 state transformations
 
 
-def q1_p1(state, o1_rule, z):
-    """Condition a P1 state on observer 1 announcing z (symbol or BLANK)."""
-    kept = [(b, m0, m1) for b, m0, m1 in state if _classify_with(o1_rule, b) == z]
-    mass = sum(m0 + m1 for _, m0, m1 in kept)
-    if mass <= 0.0:
-        raise UnreachableBranchError(f"message {z!r} has probability zero here")
-    return tuple((b, m0 / mass, m1 / mass) for b, m0, m1 in kept)
-
-
 def q2_p1(state, channel_rows):
     """Advance a P1 state one step: observer 1 takes one more observation."""
     return tuple(push_atoms(state, channel_rows))
-
-
-def state_belief(state):
-    """P(H=0) implied by a P1 state (or by a message-conditioned branch)."""
-    tot0 = sum(m0 for _, m0, _ in state)
-    tot1 = sum(m1 for _, _, m1 in state)
-    return tot0 / (tot0 + tot1)
 
 
 # ---------------------------------------------------------------------------
 # variant P2 state transformations
 
 
-def _merge_p2(entries, tol=MERGE_TOL):
-    """Sort and merge 5-tuples whose coordinates agree within tol."""
+def _merge_p2(entries):
+    """Sort and merge 5-tuples whose coordinates agree within MERGE_TOL.
+
+    Only neighbours in sort order are compared: two close atoms with a
+    third sorting between them stay apart.  The sym02 anchor search counts
+    rest on this.
+    """
     entries = sorted(entries)
     out = []
     for e in entries:
         b1, b2, d, m0, m1 = e
         if out:
             p1, p2, pd, q0, q1 = out[-1]
-            if pd == d and abs(b1 - p1) <= tol and abs(b2 - p2) <= tol:
+            if pd == d and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
                 tot_old = q0 + q1
                 tot_new = m0 + m1
                 if tot_old + tot_new > 0.0:
@@ -174,12 +164,12 @@ def _apply_stop_and_push(atoms, stop_labels, channel1_rows):
 # shared solver plumbing
 
 
-def _cluster_positions(values, tol=MERGE_TOL):
+def _cluster_positions(values):
     """Group boundaries over sorted values: [(start, end), ...] slices."""
     groups = []
     start = 0
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
+        if values[i] - values[i - 1] > MERGE_TOL:
             groups.append((start, i))
             start = i
     if values:
@@ -497,16 +487,8 @@ class _P2Solver(_Designer):
 
     def initial_state(self):
         p = float(self.pb.prior)
-        rows = self.pb.channel1.row_pair(1)
-        raw = []
-        for y in range(len(rows[0])):
-            w0 = p * rows[0][y]
-            w1 = (1.0 - p) * rows[1][y]
-            if w0 == 0.0 and w1 == 0.0:
-                continue
-            den = p * rows[0][y] + (1.0 - p) * rows[1][y]
-            raw.append((p * rows[0][y] / den, p, 1, w0, w1))
-        return tuple(_merge_p2(raw))
+        return tuple(_apply_stop_and_push(((p, p, 1, p, 1.0 - p),), [None],
+                                          self.pb.channel1.row_pair(1)))
 
     def _canon(self, state):
         return tuple(sorted((round(b1, ROUND_DIGITS), round(b2, ROUND_DIGITS), d,

@@ -36,8 +36,6 @@ VI_MAX_ITER_DEFAULT = 10000
 def _as_eval_points(eval_points):
     if eval_points is None:
         eval_points = np.linspace(0.0, 1.0, GRID_SIZE_DEFAULT)
-    elif isinstance(eval_points, int):
-        eval_points = np.linspace(0.0, 1.0, eval_points)
     pts = sorted(set(float(p) for p in eval_points))
     for p in pts:
         if not 0.0 <= p <= 1.0:
@@ -144,15 +142,6 @@ class WaldSolution:
             return u
         return u if stop <= self.continuation(belief, remaining) else None
 
-    def decide(self, belief, k):
-        """Action prescribed by the stored thresholds after k observations."""
-        w1, w2 = self.thresholds[k]
-        if belief >= w2:
-            return 0
-        if belief <= w1:
-            return 1
-        return None
-
 
 def _knot_reader(knots, costs):
     """Reader of one knot table (None: no observation left, so the cheaper
@@ -237,11 +226,10 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
 
     channel is observer 2's Channel (its t-th table feeds the t-th
     observation).  eval_points selects where values are tabulated and
-    between which points thresholds are placed: None for a default uniform
-    grid, an int for a grid of that size, or an explicit collection of
-    beliefs (e.g. the reachable atoms of a specific problem, which makes
-    the threshold classification of those atoms agree exactly with the
-    dynamic program).
+    between which points thresholds are placed: None for a uniform grid of
+    GRID_SIZE_DEFAULT points, or an explicit collection of beliefs (e.g.
+    the reachable atoms of a specific problem, which makes the threshold
+    classification of those atoms agree exactly with the dynamic program).
     """
     if horizon < 0:
         raise ProblemSpecError("horizon", "must be >= 0")
@@ -330,9 +318,9 @@ def wald_vi_iterates(rows, costs, grid):
     return _iterates(grid_continuation(rows, costs.c2, g), _stop_cost(g, costs))
 
 
-def grid_value_iteration(cont, floor, tol, max_iter):
+def grid_value_iteration(cont, floor, tol):
     """Run V -> min(floor, cont(V)) from V = floor until the sup change
-    falls below tol or max_iter backups are done.
+    falls below tol or VI_MAX_ITER_DEFAULT backups are done.
 
     Returns the last iterate and its record: ``n_iter`` backups, their sup
     ``deltas``, the largest pointwise increase between consecutive iterates
@@ -344,7 +332,7 @@ def grid_value_iteration(cont, floor, tol, max_iter):
     deltas = []
     max_increase = -np.inf
     converged = False
-    while len(deltas) < max_iter and not converged:
+    while len(deltas) < VI_MAX_ITER_DEFAULT and not converged:
         new, delta = next(it)
         deltas.append(delta)
         max_increase = max(max_increase, float(np.max(new - values)))
@@ -372,32 +360,21 @@ class StationaryWald:
     def value(self, belief):
         return float(np.interp(belief, self.grid, self.values))
 
-    def decide(self, belief):
-        if belief >= self.w2:
-            return 0
-        if belief <= self.w1:
-            return 1
-        return None
 
-
-def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT,
-                        tol=VI_TOL_DEFAULT, max_iter=VI_MAX_ITER_DEFAULT):
+def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
     """Stationary stopping solution by value iteration.
 
-    channel may be a stationary Channel or a bare (row_h0, row_h1) pair.
-    Records the per-iteration sup deltas and the largest pointwise increase
-    seen between consecutive iterates (should be <= 0 up to roundoff).
+    channel is a stationary Channel.  Records the per-iteration sup deltas
+    and the largest pointwise increase seen between consecutive iterates
+    (should be <= 0 up to roundoff).
     """
-    if isinstance(channel, Channel):
-        if not channel.stationary:
-            raise ProblemSpecError("channels", "stationary solve needs a stationary channel")
-        rows = channel.tables[0]
-    else:
-        rows = tuple(channel)
+    if not channel.stationary:
+        raise ProblemSpecError("channels", "stationary solve needs a stationary channel")
+    rows = channel.tables[0]
     grid = belief_grid(grid_size)
     stop = _stop_cost(grid, costs)
     values, record = grid_value_iteration(grid_continuation(rows, costs.c2, grid),
-                                          stop, tol, max_iter)
+                                          stop, tol)
     declare = np.where(grid * (costs.loss[1][0] - costs.loss[0][0])
                        < (1.0 - grid) * (costs.loss[0][1] - costs.loss[1][1]), 1, 0)
     labels = [None if values[i] < stop[i] else int(declare[i]) for i in range(len(grid))]

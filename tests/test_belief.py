@@ -1,14 +1,11 @@
 """Bayes updates, atom levels, and conservation laws."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import decseq
-from decseq import (ImpossibleUpdateError, merge_atoms, message_likelihood,
-                    reachable_beliefs, update_observer1, update_observer2)
-from decseq.belief import push_level, receiver_atoms
+from decseq import ImpossibleUpdateError, merge_atoms, reachable_beliefs, update_observer1
+from decseq.belief import push_atoms, receiver_atoms
 
 
 def rows_from(eps):
@@ -21,14 +18,6 @@ def test_update_observer1_hand_value():
     assert update_observer1(0.5, 1, rows_from(0.2)) == pytest.approx(0.2)
 
 
-def test_update_observer2_combines_message_and_symbol():
-    post = update_observer2(0.5, 0, rows_from(0.2), (0.3, 0.7))
-    # factors multiply: 0.8 * 0.3 vs 0.2 * 0.7
-    assert post == pytest.approx(0.24 / (0.24 + 0.14))
-    only_msg = update_observer2(0.5, None, None, (0.3, 0.7))
-    assert only_msg == pytest.approx(0.3)
-
-
 def test_update_degenerate_endpoints():
     assert update_observer1(1.0, 0, rows_from(0.2)) == 1.0
     assert update_observer1(0.0, 1, rows_from(0.2)) == 0.0
@@ -38,8 +27,6 @@ def test_impossible_update_raises():
     rows = ((1.0, 0.0), (1.0, 0.0))
     with pytest.raises(ImpossibleUpdateError):
         update_observer1(0.5, 1, rows)
-    with pytest.raises(ImpossibleUpdateError):
-        update_observer2(0.5, None, None, (0.0, 0.0))
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.05, 0.45))
@@ -69,26 +56,26 @@ def test_merge_atoms_keeps_separated_atoms():
 
 def test_reachable_beliefs_structure(sym02_p1):
     levels = reachable_beliefs(sym02_p1.prior, sym02_p1.channel1, 2)
-    assert levels.level(0).atoms == (0.5,)
-    assert levels.level(1).atoms == (0.2, 0.8)
+    atoms = [[b for b, _, _ in level] for level in levels]
+    assert atoms[0] == [0.5]
+    assert atoms[1] == [0.2, 0.8]
     # level 2: 0.2 and 0.8 each split, middle values coincide at 0.5
-    assert levels.level(2).atoms == pytest.approx(
-        (1.0 / 17.0, 0.5, 16.0 / 17.0))
+    assert atoms[2] == pytest.approx([1.0 / 17.0, 0.5, 16.0 / 17.0])
 
 
 def test_level_masses_sum_to_one(asym_p1):
     levels = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 3)
-    for t in range(4):
-        lv = levels.level(t)
-        assert sum(lv.w0) == pytest.approx(1.0, abs=1e-10)
-        assert sum(lv.w1) == pytest.approx(1.0, abs=1e-10)
+    for level in levels:
+        assert sum(w0 for _, w0, _ in level) == pytest.approx(1.0, abs=1e-10)
+        assert sum(w1 for _, _, w1 in level) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_push_level_conserves_mass(asym_p1):
-    lv = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 1).level(1)
-    nxt = push_level(lv, asym_p1.channel1.row_pair(2))
-    assert sum(nxt.w0) == pytest.approx(sum(lv.w0), abs=1e-12)
-    assert sum(nxt.w1) == pytest.approx(sum(lv.w1), abs=1e-12)
+    # one level pushed through the next observation keeps its mass
+    lv = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 1)[1]
+    nxt = push_atoms(lv, asym_p1.channel1.row_pair(2))
+    for h in (1, 2):
+        assert sum(e[h] for e in nxt) == pytest.approx(sum(e[h] for e in lv), abs=1e-12)
 
 
 def test_atoms_consistent_with_weights(asym_p1):
@@ -97,30 +84,9 @@ def test_atoms_consistent_with_weights(asym_p1):
     levels = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 3)
     p = asym_p1.prior
     for t in range(1, 4):
-        lv = levels.level(t)
-        for b, u0, u1 in lv.items():
+        for b, u0, u1 in levels[t]:
             implied = p * u0 / (p * u0 + (1.0 - p) * u1)
             assert implied == pytest.approx(b, abs=1e-10)
-
-
-def test_message_likelihood_sums_to_one(sym02_p1):
-    levels = reachable_beliefs(sym02_p1.prior, sym02_p1.channel1, 1)
-    rule = decseq.StageRule(send=((0.7, 1.0), (0.0, 0.3)))
-    lik = message_likelihood(levels.level(1), rule)
-    # atoms 0.2 and 0.8 send 1 and 0; nothing lands on blank here
-    assert lik[1] == pytest.approx((0.2, 0.8))
-    assert lik[0] == pytest.approx((0.8, 0.2))
-    for h in range(2):
-        assert sum(v[h] for v in lik.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_message_likelihood_blank_mass(sym02_p1):
-    levels = reachable_beliefs(sym02_p1.prior, sym02_p1.channel1, 1)
-    tight = decseq.StageRule(send=((0.9, 1.0), (0.0, 0.1)))
-    lik = message_likelihood(levels.level(1), tight)
-    assert lik[decseq.BLANK] == pytest.approx((1.0, 1.0))
-    for h in range(2):
-        assert sum(v[h] for v in lik.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_receiver_atoms_matches_reachable_levels(asym_p1):
@@ -134,10 +100,10 @@ def test_receiver_atoms_matches_reachable_levels(asym_p1):
             all(abs(g - w) <= 1e-12 for g, (w, _, _) in zip(got, want))
 
     levels = reachable_beliefs(0.3, ch, 3)
-    want = [b for t in range(4) for b in levels.level(t).atoms]
+    want = [b for level in levels for b, _, _ in level]
     assert same_points(receiver_atoms(ch, 3, [(0, 0.3)]), want)
     assert same_points(receiver_atoms(ch, 3, [(0, 0.3), (3, 0.55)]), want + [0.55])
     later = reachable_beliefs(0.55, ch, 1)
     assert same_points(receiver_atoms(ch, 3, [(2, 0.55)]),
-                       [b for t in range(2) for b in later.level(t).atoms])
+                       [b for level in later for b, _, _ in level])
     assert receiver_atoms(ch, 3, []) == []

@@ -13,9 +13,10 @@ from decseq import (BLANK, O1Policy, O2Policy, StageRule, evaluate_o2_policy,
 
 def enumerate_sender_policies(problem):
     """Every structured sender policy on the reachable atoms (binary only)."""
-    levels = reachable_beliefs(problem.prior, problem.channel1, problem.t1)
-    stage_atoms = [levels.level(t).atoms for t in range(1, problem.t1)]
-    term_atoms = levels.level(problem.t1).atoms
+    atoms_by_t = [[b for b, _, _ in level]
+                  for level in reachable_beliefs(problem.prior, problem.channel1, problem.t1)]
+    stage_atoms = atoms_by_t[1:problem.t1]
+    term_atoms = atoms_by_t[problem.t1]
     stage_choices = []
     for atoms in stage_atoms:
         options = []

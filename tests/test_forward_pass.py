@@ -127,9 +127,9 @@ def test_long_horizon_best_responses_price_exactly(variant):
 def test_exact_cost_rejects_impossible_sender_update():
     # prior 1 and a symbol H=0 never emits: observer 1's update under H=1
     # divides by zero.  This keeps the path walkers' behaviour; the spec is
-    # solvable (H=1 has prior mass 0), so once blank_conditioned_levels
-    # stops pushing the massless hypothesis (a FOUND item in CHANGES.md)
-    # this test should change to expect the cost.
+    # solvable (H=1 has prior mass 0), so once send_law stops pushing the
+    # massless hypothesis (a FOUND item in CHANGES.md) this test should
+    # change to expect the cost.
     spec = make_spec(prior=1.0, ch1=[[1.0, 0.0], [0.5, 0.5]])
     problem = decseq.load_problem_spec(spec)
     other = decseq.load_problem_spec(dict(spec, prior=0.5))

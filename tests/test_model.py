@@ -1,4 +1,4 @@
-"""Problem loading and validation."""
+"""Problem loading and validation, and the package namespace."""
 
 import dataclasses
 import json
@@ -153,3 +153,13 @@ def test_spec_round_trip_property(spec):
     # to_dict of a built problem, through real JSON text
     doc = dataclasses.replace(p, raw=None).to_dict()
     assert load_problem_spec(json.dumps(doc)) == p
+
+
+def test_public_namespace_is_all():
+    # every exported name resolves, and a star import binds exactly __all__
+    assert [n for n in decseq.__all__ if not hasattr(decseq, n)] == []
+    assert len(set(decseq.__all__)) == len(decseq.__all__)
+    ns = {}
+    exec("from decseq import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(decseq.__all__)

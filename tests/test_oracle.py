@@ -6,8 +6,7 @@ import pytest
 
 import decseq
 from decseq import (CapacityError, brute_force_wald, enumerate_policies_p1,
-                    enumerate_policies_p2, solve_p1, update_observer1,
-                    update_observer2)
+                    enumerate_policies_p2, solve_p1, update_observer1)
 
 from conftest import ASYM, make_spec
 

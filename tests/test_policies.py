@@ -162,3 +162,13 @@ def test_build_message_model_conditional_factors(sym02_p1):
     # stage 2 factors are conditioned on that blank prefix and sum to one
     for h in range(2):
         assert sum(f[h] for f in model[1].values()) == pytest.approx(1.0)
+    # this rule sends from both stage-1 atoms: 0.2 sends 1 and 0.8 sends 0,
+    # so nothing lands on blank
+    sends = StageRule(send=((0.7, 1.0), (0.0, 0.3)))
+    first = decseq.build_message_model(
+        O1Policy(stages=(sends,), terminal=term, n_messages=2), sym02_p1)[0]
+    assert first[1] == pytest.approx((0.2, 0.8))
+    assert first[0] == pytest.approx((0.8, 0.2))
+    assert first[BLANK] == (0.0, 0.0)
+    for h in range(2):
+        assert sum(f[h] for f in first.values()) == pytest.approx(1.0, abs=1e-12)

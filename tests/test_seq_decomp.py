@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import decseq
-from decseq import (CapacityError, UnreachableBranchError, enumerate_policies_p1,
-                    enumerate_policies_p2, exact_cost, q1_p1, q2_p1,
-                    reachable_beliefs, solve_p1, solve_p2)
+from decseq import (CapacityError, enumerate_policies_p1, enumerate_policies_p2,
+                    exact_cost, q2_p1, solve_p1, solve_p2)
 from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions,
                                 _labels_from_cuts, _labels_from_runs, _partition_table,
-                                _run_pricer, state_belief)
+                                _run_pricer)
 from decseq.wald import wald_cost
 
 from conftest import ASYM, make_spec
@@ -29,32 +28,6 @@ def test_q2_advances_and_conserves(asym_p1):
     assert sum(m1 for _, _, m1 in state) == pytest.approx(1.0, abs=1e-12)
     beliefs = [b for b, _, _ in state]
     assert beliefs == sorted(beliefs)
-
-
-def test_q1_conditions_and_normalizes(asym_p1):
-    state = q2_p1(start_state(asym_p1), asym_p1.channel1.row_pair(1))
-    rule = decseq.StageRule(send=((0.5, 1.0), (0.0, 0.5)))
-    low = q1_p1(state, rule, 1)
-    # conditioning reweights to unit total mass across hypotheses
-    assert sum(m0 + m1 for _, m0, m1 in low) == pytest.approx(1.0, abs=1e-12)
-    assert all(b < 0.5 for b, _, _ in low)
-
-
-def test_q1_unreachable_branch_raises(asym_p1):
-    state = q2_p1(start_state(asym_p1), asym_p1.channel1.row_pair(1))
-    never = decseq.StageRule(send=((0.999, 1.0), (0.0, 0.001)))
-    with pytest.raises(UnreachableBranchError):
-        q1_p1(state, never, 0)
-
-
-def test_state_belief_recovers_prior(asym_p1):
-    # before any conditioning the state belief is the prior itself
-    st = tuple((b, asym_p1.prior * u0, (1 - asym_p1.prior) * u1)
-               for b, u0, u1 in
-               zip(*[(lv.atoms, lv.w0, lv.w1)
-                     for lv in [reachable_beliefs(asym_p1.prior,
-                                                  asym_p1.channel1, 1).level(1)]][0]))
-    assert state_belief(st) == pytest.approx(asym_p1.prior, abs=1e-12)
 
 
 def test_designer_matches_exact_evaluation(solved_battery_p1, solved_battery_p2):
