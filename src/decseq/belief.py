@@ -29,6 +29,14 @@ def update_observer1(belief, y, channel_rows):
     return num / den
 
 
+def start_atom(prior):
+    """The prior as a (belief, w0, w1) triple with per-hypothesis weights
+    1, except 0 for a hypothesis with no prior mass, whose pushes
+    (``push_atoms``) are then skipped."""
+    prior = float(prior)
+    return (prior, 1.0 if prior > 0.0 else 0.0, 1.0 if prior < 1.0 else 0.0)
+
+
 def merge_atoms(entries):
     """Sort (belief, w0, w1) triples and merge beliefs closer than MERGE_TOL.
 
@@ -79,11 +87,12 @@ def reachable_beliefs(prior, channel, horizon):
 
     Returns a list whose entry t holds the (belief, w0, w1) triples of the
     belief after t observations, w_h being P(belief = atom | H=h), before
-    any communication is taken into account; entry 0 is the prior.
+    any communication is taken into account; entry 0 is the prior.  A
+    hypothesis with no prior mass gets weight 0 throughout.
     """
     if not 0.0 <= prior <= 1.0:
         raise ProblemSpecError("prior", f"belief {prior} outside [0, 1]")
-    levels = [[(float(prior), 1.0, 1.0)]]
+    levels = [[start_atom(prior)]]
     for t in range(1, horizon + 1):
         levels.append(push_atoms(levels[-1], channel.row_pair(t)))
     return levels

@@ -3,8 +3,8 @@
 Every subcommand reads a problem file, writes a self-describing
 report.json (resolved configuration, digest of the inputs, wall time) plus
 any artifact files into --out, and exits with: 0 success, 2 validation
-error, 3 certification or structure mismatch, 4 enumeration cap exceeded,
-5 unreadable input file, 64 usage error.
+error, 3 certification or structure mismatch, 4 enumeration or designer
+search cap exceeded, 5 unreadable input file, 64 usage error.
 """
 
 from __future__ import annotations
@@ -233,7 +233,8 @@ def _solve_designer(args, want_variant):
     payload = {"spec_digest": digest, "variant": want_variant,
                "cost": sol.total, "exact_cost_check": check,
                "nodes": sol.nodes, "partitions_tried": sol.partitions_tried,
-               "memo_hits": sol.memo_hits, "profile": profile}
+               "memo_hits": sol.memo_hits, "stage_stats": list(sol.stage_stats),
+               "profile": profile}
     if abs(check - sol.total) > CERT_TOL:
         payload["error"] = "reported optimum does not match exact evaluation"
         return payload, EXIT_CERTIFICATION
@@ -366,7 +367,8 @@ def _cmd_mary(args):
     payload = {"spec_digest": digest, "cost": sol.total,
                "exact_cost_check": check, "m": problem.n_messages,
                "stage_thresholds": stages,
-               "terminal_cuts": list(sol.o1.terminal.cuts), "profile": profile}
+               "terminal_cuts": list(sol.o1.terminal.cuts),
+               "stage_stats": list(sol.stage_stats), "profile": profile}
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
     if abs(check - sol.total) > CERT_TOL:
         payload["error"] = "reported optimum does not match exact evaluation"

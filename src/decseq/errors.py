@@ -29,12 +29,15 @@ class StructureViolation(DecseqError):
 
 
 class CapacityError(DecseqError):
-    """A brute-force enumeration would exceed the configured cap."""
+    """A brute-force enumeration or a designer search would exceed its cap.
 
-    def __init__(self, count, cap):
+    ``what`` names the counted quantity in the message.
+    """
+
+    def __init__(self, count, cap, what="enumeration size"):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration size {count:.3g} exceeds cap {cap:.3g}")
+        super().__init__(f"{what} {count:.6g} exceeds cap {cap:.6g}")
 
 
 class CertificationError(DecseqError):

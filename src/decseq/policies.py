@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import push_atoms
+from .belief import push_atoms, start_atom
 from .errors import ProblemSpecError, StructureViolation
 
 BLANK = "b"
@@ -293,10 +293,11 @@ def send_law(o1, problem):
     (P(tau1 >= t | H=0), same under H=1).  Both come from observer 1's
     belief atoms on the all-blank branch, pushed one observation per stage
     with unnormalized weights P(belief = atom, all messages before t blank
-    | H = h).
+    | H = h), starting from ``start_atom``: a symbol that only a hypothesis
+    with no prior mass could emit never arises.
     """
     out = []
-    level = [(float(problem.prior), 1.0, 1.0)]
+    level = [start_atom(problem.prior)]
     for t in range(1, o1.horizon + 1):
         level = push_atoms(level, problem.channel1.row_pair(t))
         rule = o1.rule_at(t)

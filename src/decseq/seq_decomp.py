@@ -5,43 +5,57 @@ history, the joint law of (hypothesis, observer beliefs) is supported on
 finitely many atoms; that conditional law is the designer's state.  Both
 variants share one sequential decomposition (``_Designer``):
 
-* **search** -- ``value(t, state)`` tries every achievable threshold
+* **search** -- ``value(t, state, key)`` tries every achievable threshold
   partition of the state's atoms (the optimal policies are interval-shaped
   in the beliefs, so partition search over sorted atoms is exhaustive),
-  prices each message run and recurses on the all-blank branch, with
-  memoization on a rounded canonical form of the state.  The partitions
-  of n atom groups depend only on n, M and whether the stage is the last,
-  so each solve builds that table once (``_partition_table``) and every
-  node with n groups walks it; a node prices each distinct run and each
-  distinct blank set once;
+  prices each message run and recurses on the all-blank branch.  The
+  partitions of n atom groups depend only on n, M and whether the stage is
+  the last, so each solve builds that table once (``_partition_table``) and
+  every node with n groups walks it; a node prices each distinct run and
+  each distinct blank set once;
+* **children** -- a node pushes each of its atoms through observer 1's next
+  observation once, and builds the child of every blank set (in variant P2,
+  of every continue interval of observer 2) from those pushes.  The merged
+  child is keyed and looked up in its stage's memo first; its state tuple
+  is built, and searched, only on a miss (``_Designer._child_value``).  The
+  root and the policy walk use the same child code;
+* **keys** -- a memo key is exact integers, not rounded floats: each keyed
+  coordinate x becomes the k with round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS
+  (``_key_ints``), and a state's key is its atoms' integers, sorted atom by
+  atom, in one flat tuple (``_state_key``).  Two states share a key exactly
+  when their coordinates agree once rounded to ROUND_DIGITS places, as the
+  round-tuple keys they replace did;
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch, turns them into threshold rules, and tabulates the
   receiver's stopping rule on every belief it can reach.
 
-Each variant supplies its state shape and two hooks: ``_stage(t, state)``
-gives the number of atom groups, the stopping cost of a run of groups that
-sends one message, and the cost of the blank branch; ``_advance`` turns one
-stored argmin into that stage's rule and the next state.  Runs are priced
-through ``WaldSolution.reader``, one knot-table reader per remaining
-observation count, fetched once per node.  In variant P2 ``_run_pricer``
-first lists each sampling atom's terms (weight and the two likelihood
-products of each fresh observation), so a run costs one Bayes update and
-one read per term.
+Each variant supplies its state shape and these hooks: ``_root`` gives the
+stage-1 child, ``_key`` and ``_state`` key a merged child and build its
+state, ``_stage(t, state)`` gives the number of atom groups, the stopping
+cost of a run of groups that sends one message, and the cost of the blank
+branch; ``_advance`` turns one stored argmin into that stage's rule and the
+next child.  Runs are priced through ``WaldSolution.reader``, one knot-table
+reader per remaining observation count, fetched once per node.  In variant
+P2 ``_run_pricer`` first lists each sampling atom's terms (weight and the
+two likelihood products of each fresh observation), so a run costs one
+Bayes update and one read per term.
 
-``DesignerSolution`` reports the search size (``nodes``,
-``partitions_tried``, ``memo_hits``) and the seconds spent in the search and
-in extraction (``search_s``, ``extract_s``).
+A search that would store more than ``DESIGNER_NODE_CAP`` nodes raises
+``CapacityError``.  ``DesignerSolution`` reports the search size (``nodes``,
+``partitions_tried``, ``memo_hits``), per-stage figures (``stage_stats``)
+and the seconds spent in the search and in extraction (``search_s``,
+``extract_s``).
 
 States are plain tuples so tests can build them directly:
 
 * variant P1: ((belief1, m0, m1), ...) where m_h = P(belief1 = atom, H = h |
   blanks so far); the entries of one state sum to 1 over atoms and both h.
-  The blank branch advances it with q2_p1.
+  A blank set's masses are normalized, then pushed.
 * variant P2: ((belief1, belief2, d, m0, m1), ...) with d = 1 while
   observer 2 is still sampling, d = 0 once it has declared (the push that
   declares an atom sets its belief2 to -1.0, so declared atoms merge on
   belief1 alone).  The blank branch also chooses observer 2's continue
-  interval for the stage.
+  interval for the stage.  A child is pushed and merged, then normalized.
 
 Totals reported include the sunk first observations: c1 for observer 1 (and
 c2 for observer 2 in the interleaved variant), so the value is the full
@@ -55,13 +69,70 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .belief import MERGE_TOL, push_atoms, receiver_atoms
-from .errors import ImpossibleUpdateError, ProblemSpecError
+from .belief import MERGE_TOL, merge_atoms, push_atoms, receiver_atoms
+from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, extract_thresholds)
 from .wald import solve_wald_finite
 
 ROUND_DIGITS = 10
+# the most memo nodes one designer search may store
+DESIGNER_NODE_CAP = 500_000
+
+_SCALE = 10 ** ROUND_DIGITS
+_FLOAT_SCALE = float(_SCALE)
+# keyed coordinates must satisfy |x| < 1.7, so |x * 1e10| < 1.7e10 < 2**34:
+# the float product is then within 2**-20 of the exact one, and the product
+# plus or minus 2**-19, each rounded by at most 2**-20, still bracket it
+_KEY_LIMIT = 1.7
+_BAND = 2.0 ** -19
+# adding 1.5 * 2**52 to a float y with |y| < 2**51 gives 1.5 * 2**52 +
+# round(y): the sum lies where the doubles are the integers, so float
+# addition rounds y to the nearest integer, ties to even, as round() does
+_ROUNDER = 1.5 * 2.0 ** 52
+
+
+# ---------------------------------------------------------------------------
+# memo keys
+
+
+def _key_ints(xs):
+    """For each float x of xs, the integer k with round(x, ROUND_DIGITS) ==
+    k / 10**ROUND_DIGITS, held exactly in a float as ``_ROUNDER + k``.
+
+    k is rounded twice, from x * 1e10 plus 2**-19 and from x * 1e10 minus
+    2**-19.  These bracket the exact product, so when the two roundings
+    agree the exact product rounds the same way.  They differ only when a
+    half-integer lies within about 2**-19 of the product; there the exact
+    ``_exact_round`` decides.
+    """
+    if xs and (max(xs) >= _KEY_LIMIT or min(xs) <= -_KEY_LIMIT):
+        raise ProblemSpecError(
+            "state", f"coordinate {max(xs, key=abs)} outside the memo key range (-1.7, 1.7)")
+    up = [(x * _FLOAT_SCALE + _BAND) + _ROUNDER for x in xs]
+    down = [(x * _FLOAT_SCALE - _BAND) + _ROUNDER for x in xs]
+    if up != down:
+        up = [u if u == d else _ROUNDER + _exact_round(x) for x, u, d in zip(xs, up, down)]
+    return up
+
+
+def _exact_round(x):
+    """round(x * 10**ROUND_DIGITS), half to even, in exact arithmetic: what
+    ``round(Fraction(x) * 10**ROUND_DIGITS)`` gives, without importing
+    fractions (about 0.6 MB)."""
+    num, den = x.as_integer_ratio()
+    q, r = divmod(num * _SCALE, den)
+    return q + (2 * r > den or (2 * r == den and q % 2 == 1))
+
+
+def _state_key(xs, width):
+    """Memo key of a state given as its atoms' keyed coordinates, ``width``
+    per atom, atom after atom: their ``_key_ints``, sorted atom by atom, in
+    one flat tuple."""
+    ks = iter(_key_ints(xs))
+    atoms = list(zip(*[ks] * width))
+    atoms.sort()
+    return tuple(itertools.chain.from_iterable(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +142,48 @@ ROUND_DIGITS = 10
 def q2_p1(state, channel_rows):
     """Advance a P1 state one step: observer 1 takes one more observation."""
     return tuple(push_atoms(state, channel_rows))
+
+
+def _p1_children(state, channel_rows):
+    """Children of a P1 node, each atom pushed through observer 1's next
+    observation once.
+
+    Returns ``child(atoms)`` for a list of atom indices: None when they have
+    no mass, else (merged next atoms, their mass), the atoms' masses divided
+    by that mass before the push, as ``q2_p1`` would push them.
+    """
+    row0, row1 = channel_rows
+    pushes = []  # per atom: (posterior, row0[y], row1[y]) for each y it can see
+    for b, m0, m1 in state:
+        out = []
+        for y, (r0, r1) in enumerate(zip(row0, row1)):
+            if m0 * r0 == 0.0 and m1 * r1 == 0.0:
+                continue
+            den = b * r0 + (1.0 - b) * r1
+            if den <= 0.0:
+                raise ImpossibleUpdateError(
+                    f"observation {y} has zero probability at belief {b}")
+            out.append((b * r0 / den, r0, r1))
+        pushes.append(out)
+    masses = [m0 + m1 for _, m0, m1 in state]
+
+    def child(atoms):
+        mass = sum([masses[i] for i in atoms])
+        if mass <= 0.0:
+            return None
+        raw = []
+        for i in atoms:
+            _, m0, m1 = state[i]
+            u0 = m0 / mass
+            u1 = m1 / mass
+            for post, r0, r1 in pushes[i]:
+                n0 = u0 * r0
+                n1 = u1 * r1
+                if n0 != 0.0 or n1 != 0.0:
+                    raw.append((post, n0, n1))
+        return merge_atoms(raw), mass
+
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +197,21 @@ def _merge_p2(entries):
     third sorting between them stay apart.  The sym02 anchor search counts
     rest on this.
     """
-    entries = sorted(entries)
     out = []
-    for e in entries:
+    p1 = p2 = pd = q0 = q1 = None  # the last atom of out
+    for e in sorted(entries):
         b1, b2, d, m0, m1 = e
-        if out:
-            p1, p2, pd, q0, q1 = out[-1]
-            if pd == d and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
-                tot_old = q0 + q1
-                tot_new = m0 + m1
-                if tot_old + tot_new > 0.0:
-                    b1 = (p1 * tot_old + b1 * tot_new) / (tot_old + tot_new)
-                    b2 = (p2 * tot_old + b2 * tot_new) / (tot_old + tot_new)
-                out[-1] = (b1, b2, pd, q0 + m0, q1 + m1)
-                continue
-        out.append(e)
+        if d == pd and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
+            tot_old = q0 + q1
+            tot_new = m0 + m1
+            if tot_old + tot_new > 0.0:
+                b1 = (p1 * tot_old + b1 * tot_new) / (tot_old + tot_new)
+                b2 = (p2 * tot_old + b2 * tot_new) / (tot_old + tot_new)
+            p1, p2, q0, q1 = b1, b2, q0 + m0, q1 + m1
+            out[-1] = (p1, p2, pd, q0, q1)
+        else:
+            out.append(e)
+            p1, p2, pd, q0, q1 = e
     return out
 
 
@@ -128,36 +241,42 @@ def _observe_p2(kept, msg_lik, channel_rows):
     return _merge_p2(raw)
 
 
-def _stop_labels_from_rule(atoms, o2_rule):
-    a, b = o2_rule
-    labels = []
-    for _, b2, d, _, _ in atoms:
-        if d == 0:
-            labels.append(None)
-        elif b2 >= b:
-            labels.append(0)
-        elif b2 <= a:
-            labels.append(1)
-        else:
-            labels.append(None)
-    return labels
+def _p2_children(phi, active, channel_rows):
+    """Children of a P2 blank branch, each atom of phi pushed through
+    observer 1's next observation once.
 
+    ``active`` lists phi's still-sampling atoms as (index, atom).  Declared
+    atoms are pushed as they are, active ones both as declaring (d = 0,
+    belief2 -1.0) and as sampling on.  Returns ``child(lo, hi)``: the merged,
+    unnormalized next atoms when active[lo:hi] keep sampling and every other
+    atom declares.
+    """
+    row0, row1 = channel_rows
 
-def _apply_stop_and_push(atoms, stop_labels, channel1_rows):
-    """Flip d for stopping atoms, then advance belief1 for every atom."""
-    row0, row1 = channel1_rows
-    raw = []
-    for (b1, b2, d, m0, m1), lab in zip(atoms, stop_labels):
-        nd = 0 if (d == 1 and lab is not None) else d
-        nb2 = b2 if nd == 1 else -1.0
-        for y in range(len(row0)):
-            w0 = m0 * row0[y]
-            w1 = m1 * row1[y]
-            if w0 == 0.0 and w1 == 0.0:
-                continue
-            den = b1 * row0[y] + (1.0 - b1) * row1[y]
-            raw.append((b1 * row0[y] / den, nb2, nd, w0, w1))
-    return _merge_p2(raw)
+    def push(b1, m0, m1):
+        out = []
+        for r0, r1 in zip(row0, row1):
+            w0 = m0 * r0
+            w1 = m1 * r1
+            if w0 != 0.0 or w1 != 0.0:
+                out.append((b1 * r0 / (b1 * r0 + (1.0 - b1) * r1), w0, w1))
+        return out
+
+    declared = [(b, -1.0, 0, w0, w1) for b1, _, d, m0, m1 in phi if d == 0
+                for b, w0, w1 in push(b1, m0, m1)]
+    stop = []
+    cont = []
+    at = [0]  # active[a]'s pushes are stop/cont[at[a]:at[a + 1]]
+    for _, (b1, b2, _, m0, m1) in active:
+        pushed = push(b1, m0, m1)
+        stop += [(b, -1.0, 0, w0, w1) for b, w0, w1 in pushed]
+        cont += [(b, b2, 1, w0, w1) for b, w0, w1 in pushed]
+        at.append(len(stop))
+
+    def child(lo, hi):
+        return _merge_p2(declared + stop[:at[lo]] + cont[at[lo]:at[hi]] + stop[at[hi]:])
+
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +359,12 @@ def _filler_stage(n_messages, boundary):
 
 @dataclass
 class DesignerSolution:
-    """Output of solve_p1 / solve_p2."""
+    """Output of solve_p1 / solve_p2.
+
+    ``stage_stats`` holds one dict per stage t = 1..T1: memo ``nodes``
+    stored at t, memo ``lookups`` of stage-t states, the ``memo_hits``
+    among them, and ``mean_atoms``, the mean number of atoms per node.
+    """
 
     problem: object
     total: float
@@ -250,6 +374,7 @@ class DesignerSolution:
     nodes: int
     partitions_tried: int
     memo_hits: int
+    stage_stats: tuple
     search_s: float
     extract_s: float
 
@@ -261,19 +386,23 @@ class DesignerSolution:
 class _Designer:
     """Memoized partition search and policy walk shared by both variants.
 
-    Subclasses set ``variant`` and provide ``initial_state``, ``_canon``,
-    ``_stage`` and ``_advance`` (see the module docstring).
+    Subclasses set ``variant`` and ``width`` (keyed coordinates per atom)
+    and provide ``_root``, ``_key``, ``_state``, ``_stage`` and ``_advance``
+    (see the module docstring).
     """
 
     variant = None
+    width = None
 
     def __init__(self, problem):
         if problem.variant != self.variant:
             raise ProblemSpecError(
                 "variant", f"solve_{self.variant.lower()} got a {problem.variant} problem")
         self.pb = problem
-        self.memo = {}
-        self.memo_hits = 0
+        # memo[t] maps a stage-t state key to (value, (labels, choice))
+        self.memo = [{} for _ in range(problem.t1 + 1)]
+        self.lookups = [0] * (problem.t1 + 1)
+        self.nodes = 0
         self.partitions = 0
         self.partition_tables = {}
         # values only; the policy's own stopping table is rebuilt later on
@@ -281,13 +410,23 @@ class _Designer:
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
                                       eval_points=(problem.prior,))
 
-    def value(self, t, state):
-        """Optimal expected cost from stage t on, given the state."""
-        key = (t, self._canon(state))
-        hit = self.memo.get(key)
+    def _child_value(self, t, merged, mass):
+        """Optimal expected cost from stage t on, from the child ``merged``
+        of total mass ``mass``: read from the memo, or on a miss searched
+        from its newly built state."""
+        key = self._key(merged, mass)
+        self.lookups[t] += 1
+        hit = self.memo[t].get(key)
         if hit is not None:
-            self.memo_hits += 1
             return hit[0]
+        return self.value(t, self._state(merged, mass), key)
+
+    def value(self, t, state, key):
+        """Optimal expected cost from stage t on, given the state; stored in
+        the memo under ``key``."""
+        self.nodes += 1
+        if self.nodes > DESIGNER_NODE_CAP:
+            raise CapacityError(self.nodes, DESIGNER_NODE_CAP, "designer search nodes")
         n, send, blank = self._stage(t, state)
         terminal = t == self.pb.t1
         table = self.partition_tables.get((n, terminal))
@@ -315,8 +454,18 @@ class _Designer:
                 choice = got[1]
             if best is None or cost < best:
                 best, best_dec = cost, (labels, choice)
-        self.memo[key] = (best, best_dec)
+        self.memo[t][key] = (best, best_dec)
         return best
+
+    def _stage_stats(self):
+        out = []
+        for t in range(1, self.pb.t1 + 1):
+            memo = self.memo[t]
+            atoms = sum(map(len, memo)) // self.width
+            out.append({"t": t, "nodes": len(memo), "lookups": self.lookups[t],
+                        "memo_hits": self.lookups[t] - len(memo),
+                        "mean_atoms": atoms / len(memo) if memo else 0.0})
+        return tuple(out)
 
     def solve(self):
         """Optimal pair, by the search and a walk of its stored argmins."""
@@ -325,8 +474,8 @@ class _Designer:
         boundary = pb.costs.declare_boundary
         interleaved = self.variant == "P2"
         start = time.perf_counter()
-        state = self.initial_state()
-        inner = self.value(1, state)
+        child = self._root()
+        inner = self._child_value(1, *child)
         searched = time.perf_counter()
         total = (pb.costs.c1 + pb.costs.c2 if interleaved else pb.costs.c1) + inner
 
@@ -337,9 +486,10 @@ class _Designer:
         seeds = [(pb.t2, pb.prior)] if interleaved else []
         for t in range(1, pb.t1 + 1):
             rule = blank_rule = None
-            if state is not None:
-                _, (labels, choice) = self.memo[(t, self._canon(state))]
-                rule, state, blank_rule = self._advance(t, state, labels, choice, seeds)
+            if child is not None:
+                _, (labels, choice) = self.memo[t][self._key(*child)]
+                rule, child, blank_rule = self._advance(t, self._state(*child), labels,
+                                                        choice, seeds)
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
@@ -355,9 +505,11 @@ class _Designer:
         o2 = O2Policy(blank_rules=tuple(blank_rules) if interleaved else (),
                       wald_rules=table.thresholds,
                       message_model=build_message_model(o1, pb), n_messages=m)
+        stage_stats = self._stage_stats()
         return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2, wald=table,
-                                nodes=len(self.memo), partitions_tried=self.partitions,
-                                memo_hits=self.memo_hits, search_s=searched - start,
+                                nodes=self.nodes, partitions_tried=self.partitions,
+                                memo_hits=sum(s["memo_hits"] for s in stage_stats),
+                                stage_stats=stage_stats, search_s=searched - start,
                                 extract_s=time.perf_counter() - searched)
 
 
@@ -367,23 +519,19 @@ class _Designer:
 
 class _P1Solver(_Designer):
     variant = "P1"
+    width = 3
 
-    def initial_state(self):
-        base = ((float(self.pb.prior), float(self.pb.prior), 1.0 - float(self.pb.prior)),)
-        return q2_p1(base, self.pb.channel1.row_pair(1))
+    def _root(self):
+        p = float(self.pb.prior)
+        # the prior's masses sum to exactly 1.0, so they push unchanged
+        return _p1_children(((p, p, 1.0 - p),), self.pb.channel1.row_pair(1))([0])
 
-    def _canon(self, state):
-        return tuple(sorted((round(b, ROUND_DIGITS), round(m0, ROUND_DIGITS),
-                             round(m1, ROUND_DIGITS)) for b, m0, m1 in state))
+    def _key(self, merged, mass):
+        # P1 children are normalized before the push, so mass plays no part
+        return _state_key(list(itertools.chain.from_iterable(merged)), self.width)
 
-    def _blank_next(self, t, blank):
-        """Mass of the blank atoms and the state they advance to (None when
-        the blank branch has no mass)."""
-        mass_b = sum(m0 + m1 for _, m0, m1 in blank)
-        if mass_b <= 0.0:
-            return mass_b, None
-        return mass_b, q2_p1(tuple((b, m0 / mass_b, m1 / mass_b) for b, m0, m1 in blank),
-                             self.pb.channel1.row_pair(t + 1))
+    def _state(self, merged, mass):
+        return tuple(merged)
 
     def _stage(self, t, state):
         pre0 = [0.0]
@@ -404,11 +552,16 @@ class _P1Solver(_Designer):
                 raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
             return mass * read(belief)
 
+        if t == self.pb.t1:
+            return len(state), send, None
+        child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
+        c1 = self.pb.costs.c1
+
         def blank(blank_groups):
-            mass_b, nxt = self._blank_next(t, [state[i] for i in blank_groups])
-            if nxt is None:
+            got = child(blank_groups)
+            if got is None:
                 return 0.0, None
-            return mass_b * (self.pb.costs.c1 + self.value(t + 1, nxt)), None
+            return got[1] * (c1 + self._child_value(t + 1, *got)), None
 
         return len(state), send, blank
 
@@ -422,8 +575,8 @@ class _P1Solver(_Designer):
                 seeds.append((0, sum(m0 for _, m0, _ in sel) / sm))
         if t == self.pb.t1:
             return rule, None, None
-        _, nxt = self._blank_next(t, [a for a, lab in zip(state, labels) if lab == BLANK])
-        return rule, nxt, None
+        child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
+        return rule, child([i for i, lab in enumerate(labels) if lab == BLANK]), None
 
 
 def solve_p1(problem):
@@ -482,18 +635,31 @@ def _receiver_groups(phi):
     return active, _cluster_positions([a[1] for _, a in active])
 
 
+def _continue_span(g2, i, j):
+    """Active-atom span of the continue run of belief2 groups i..j-1.  An
+    empty run stops every atom with 0, so every (i, i) gives (0, 0)."""
+    return (0, 0) if i == j else (g2[i][0], g2[j - 1][1])
+
+
 class _P2Solver(_Designer):
     variant = "P2"
+    # belief1, belief2, m0, m1; d is left out of the key because it is 0
+    # exactly when belief2 is -1.0
+    width = 4
 
-    def initial_state(self):
+    def _root(self):
         p = float(self.pb.prior)
-        return tuple(_apply_stop_and_push(((p, p, 1, p, 1.0 - p),), [None],
-                                          self.pb.channel1.row_pair(1)))
+        phi = ((p, p, 1, p, 1.0 - p),)
+        child = _p2_children(phi, list(enumerate(phi)), self.pb.channel1.row_pair(1))
+        # the prior's masses sum to 1.0, so normalizing leaves them unchanged
+        return child(0, 1), 1.0
 
-    def _canon(self, state):
-        return tuple(sorted((round(b1, ROUND_DIGITS), round(b2, ROUND_DIGITS), d,
-                             round(m0, ROUND_DIGITS), round(m1, ROUND_DIGITS))
-                            for b1, b2, d, m0, m1 in state))
+    def _key(self, merged, mass):
+        return _state_key([x for b1, b2, _, m0, m1 in merged
+                           for x in (b1, b2, m0 / mass, m1 / mass)], self.width)
+
+    def _state(self, merged, mass):
+        return tuple((b1, b2, d, m0 / mass, m1 / mass) for b1, b2, d, m0, m1 in merged)
 
     def _split(self, state):
         """Atoms sorted and grouped by belief1, plus ``run(lo, hi)`` giving
@@ -520,9 +686,13 @@ class _P2Solver(_Designer):
 
         return atoms, groups, run, region
 
-    def _next_state(self, t, phi, stop_labels, mass_b):
-        nxt = _apply_stop_and_push(phi, stop_labels, self.pb.channel1.row_pair(t + 1))
-        return tuple((b1, b2, d, m0 / mass_b, m1 / mass_b) for b1, b2, d, m0, m1 in nxt)
+    def _blank_phase(self, t, blank, lik):
+        """Observer 2's step on a blank branch's atoms (phi), its active atoms
+        in belief2 order with their belief2 groups, and phi's children
+        (``_p2_children``)."""
+        phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
+        active, g2 = _receiver_groups(phi)
+        return active, g2, _p2_children(phi, active, self.pb.channel1.row_pair(t + 1))
 
     def _stage(self, t, state):
         atoms, groups, run, region = self._split(state)
@@ -548,8 +718,7 @@ class _P2Solver(_Designer):
         """
         if mass_b <= 0.0:
             return 0.0, None
-        phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
-        act_sorted, g2 = _receiver_groups(phi)
+        act_sorted, g2, child = self._blank_phase(t, blank, lik)
         loss = self.pb.costs.loss
 
         # prefix sums of declare-1 / declare-0 losses and continue mass over
@@ -567,26 +736,15 @@ class _P2Solver(_Designer):
         c1 = self.pb.costs.c1
         c2 = self.pb.costs.c2
         for i, j in itertools.combinations_with_replacement(range(len(g2) + 1), 2):
-            # groups i..j-1 continue; an empty run stops every atom with 0,
-            # so every (i, i) gives (0, 0)'s child and only (0, 0) is priced
-            if i == j:
-                if i > 0:
-                    continue
-                alo = ahi = 0
-            else:
-                alo, ahi = g2[i][0], g2[j - 1][1]
+            # groups i..j-1 continue; only (0, 0) of the empty runs is priced
+            if i == j and i > 0:
+                continue
+            alo, ahi = _continue_span(g2, i, j)
             charges = (pd1[alo] - pd1[0]) \
                 + (pd0[len(act_sorted)] - pd0[ahi]) \
                 + c2 * (pcm[ahi] - pcm[alo])
-            stops = {}
-            for idx in range(0, alo):
-                stops[act_sorted[idx][0]] = 1
-            for idx in range(ahi, len(act_sorted)):
-                stops[act_sorted[idx][0]] = 0
-            labels = [stops.get(ix) if a[2] == 1 else None
-                      for ix, a in enumerate(phi)]
-            nxt = self._next_state(t, phi, labels, mass_b)
-            val = c1 * mass_b + charges + mass_b * self.value(t + 1, nxt)
+            val = c1 * mass_b + charges \
+                + mass_b * self._child_value(t + 1, child(alo, ahi), mass_b)
             if best is None or val < best:
                 best = val
                 best_choice = (i, j)
@@ -608,20 +766,18 @@ class _P2Solver(_Designer):
         blank, mass_b, lik = region([g for g, lab in enumerate(labels) if lab == BLANK])
         if mass_b <= 0.0 or choice is None:
             return rule, None, None
-        phi = _observe_p2(blank, lik, rows2)
-        active, g2 = _receiver_groups(phi)
+        active, g2, child = self._blank_phase(t, blank, lik)
         vals = [a[1] for _, a in active]
         i, j = choice
+        alo, ahi = _continue_span(g2, i, j)
         if i == j:
             # (0, 0), the only empty continue run searched: everyone declares
             # 0.  A search over other empty runs would need their split point.
             a_thr = b_thr = 0.0
         else:
-            alo, ahi = g2[i][0], g2[j - 1][1]
             a_thr = 0.0 if alo == 0 else 0.5 * (vals[alo - 1] + vals[alo])
             b_thr = 1.0 if ahi == len(vals) else 0.5 * (vals[ahi - 1] + vals[ahi])
-        nxt = self._next_state(t, phi, _stop_labels_from_rule(phi, (a_thr, b_thr)), mass_b)
-        return rule, nxt, (a_thr, b_thr)
+        return rule, (child(alo, ahi), mass_b), (a_thr, b_thr)
 
 
 def solve_p2(problem):

@@ -212,11 +212,12 @@ def exact_cost(policies, problem):
     sends = [{z: ws for z, ws in law.items() if z != BLANK}
              for law, _ in send_law(o1, problem)]
     accs, _ = forward_pass(o2, problem, sends)
+    w = (problem.prior, 1.0 - problem.prior)
     for h, acc in enumerate(accs):
-        if abs(acc.mass - 1.0) > 1e-9:
+        # send_law gives a hypothesis with no prior mass no paths at all
+        if abs(acc.mass - (1.0 if w[h] > 0.0 else 0.0)) > 1e-9:
             raise CertificationError(f"path probabilities sum to {acc.mass} under H={h}")
     c = problem.costs
-    w = (problem.prior, 1.0 - problem.prior)
     obs1 = c.c1 * sum(w[h] * accs[h].e_tau1 for h in (0, 1))
     obs2 = c.c2 * sum(w[h] * accs[h].e_tau2 for h in (0, 1))
     loss = sum(w[h] * accs[h].e_loss for h in (0, 1))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decseq import seq_decomp
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
 
@@ -243,6 +244,27 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     assert sum(profile.values()) <= rep["wall_time_s"]
     if command != "mary":
         assert rep["nodes"] > 0 and rep["memo_hits"] >= 0
+
+
+@pytest.mark.parametrize("command, name", [("solve-p1", "sym02_p1"), ("solve-p2", "sym02_p2"),
+                                           ("mary", "mary3_p1")])
+def test_designer_report_stage_stats(tmp_path, command, name):
+    out = str(tmp_path / "d")
+    assert main([command, "--spec", spec_path(name), "--out", out]) == 0
+    stats = read_report(out)["stage_stats"]
+    assert [s["t"] for s in stats] == list(range(1, len(stats) + 1))
+    assert all(s["lookups"] == s["nodes"] + s["memo_hits"] for s in stats)
+    assert stats[0]["nodes"] == stats[0]["lookups"] == 1
+    if command != "mary":
+        rep = read_report(out)
+        assert sum(s["nodes"] for s in stats) == rep["nodes"]
+        assert sum(s["memo_hits"] for s in stats) == rep["memo_hits"]
+
+
+def test_designer_node_cap_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 2)
+    assert main(["solve-p2", "--spec", spec_path("sym02_p2"),
+                 "--out", str(tmp_path / "cap")]) == 4
 
 
 def _reference_episodes_csv(path, episodes):

@@ -124,18 +124,19 @@ def test_long_horizon_best_responses_price_exactly(variant):
         r1.total, abs=1e-9)
 
 
-def test_exact_cost_rejects_impossible_sender_update():
-    # prior 1 and a symbol H=0 never emits: observer 1's update under H=1
-    # divides by zero.  This keeps the path walkers' behaviour; the spec is
-    # solvable (H=1 has prior mass 0), so once send_law stops pushing the
-    # massless hypothesis (a FOUND item in CHANGES.md) this test should
-    # change to expect the cost.
-    spec = make_spec(prior=1.0, ch1=[[1.0, 0.0], [0.5, 0.5]])
-    problem = decseq.load_problem_spec(spec)
-    other = decseq.load_problem_spec(dict(spec, prior=0.5))
-    o2 = o2_best_response(immediate_sender_policy(other), other).policy
-    with pytest.raises(decseq.ImpossibleUpdateError):
-        exact_cost((immediate_sender_policy(problem), o2), problem)
+def test_exact_cost_solves_certain_prior():
+    # prior 1 and a symbol H=0 never emits, and the prior-0 mirror image:
+    # the hypothesis with no prior mass starts at weight 0, so send_law
+    # never pushes it.  Observer 1 takes one observation and the receiver,
+    # certain of H, declares at once without loss: the cost is c1.
+    for prior, ch1 in ((1.0, [[1.0, 0.0], [0.5, 0.5]]), (0.0, [[0.5, 0.5], [0.0, 1.0]])):
+        spec = make_spec(prior=prior, ch1=ch1)
+        problem = decseq.load_problem_spec(spec)
+        other = decseq.load_problem_spec(dict(spec, prior=0.5))
+        o2 = o2_best_response(immediate_sender_policy(other), other).policy
+        cost = exact_cost((immediate_sender_policy(problem), o2), problem).total
+        assert cost == pytest.approx(problem.costs.c1, abs=1e-12)
+        assert decseq.solve_p1(problem).total == pytest.approx(cost, abs=1e-12)
 
 
 def test_receiver_must_declare_by_its_last_rule(asym_p1):

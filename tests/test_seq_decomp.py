@@ -1,6 +1,8 @@
 """Designer decomposition: state transformations and the two solvers."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 import decseq
 from decseq import (CapacityError, enumerate_policies_p1, enumerate_policies_p2,
-                    exact_cost, q2_p1, solve_p1, solve_p2)
-from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions,
+                    exact_cost, q2_p1, seq_decomp, solve_p1, solve_p2)
+from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions, _key_ints,
                                 _labels_from_cuts, _labels_from_runs, _partition_table,
                                 _run_pricer)
 from decseq.wald import wald_cost
@@ -323,3 +325,161 @@ def test_run_pricer_and_partition_tables_match_references(spec):
     assert len(states) == sol.nodes
     for (n, terminal), table in solver.partition_tables.items():
         assert table == reference_partitions(n, prob.n_messages, terminal)
+
+
+# ---------------------------------------------------------------------------
+# per-stage search statistics and the node cap
+
+
+@pytest.mark.parametrize("variant, horizon", [("P1", 6), ("P2", 4)])
+def test_stage_stats_add_up_to_search_counts(variant, horizon):
+    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
+    solver = (_P1Solver if variant == "P1" else _P2Solver)(prob)
+    stage = solver._stage
+    atoms = {}
+
+    def counting_stage(t, state):
+        atoms.setdefault(t, []).append(len(state))
+        return stage(t, state)
+
+    solver._stage = counting_stage
+    sol = solver.solve()
+    stats = sol.stage_stats
+    assert [s["t"] for s in stats] == list(range(1, horizon + 1))
+    assert sum(s["nodes"] for s in stats) == sol.nodes
+    assert sum(s["memo_hits"] for s in stats) == sol.memo_hits
+    for s in stats:
+        seen = atoms.get(s["t"], [])
+        assert s["lookups"] == s["nodes"] + s["memo_hits"]
+        assert s["nodes"] == len(seen)
+        assert s["mean_atoms"] == pytest.approx(sum(seen) / len(seen) if seen else 0.0)
+    if variant == "P2":
+        # almost all memo traffic is at the last stage
+        assert (stats[-1]["nodes"], stats[-1]["lookups"]) == (1868, 3917)
+
+
+def test_designer_node_cap(monkeypatch, sym02_p1, sym02_p2):
+    full = solve_p2(sym02_p2).nodes
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", full)
+    assert solve_p2(sym02_p2).nodes == full
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", full - 1)
+    with pytest.raises(CapacityError, match="designer search nodes") as exc:
+        solve_p2(sym02_p2)
+    assert (exc.value.count, exc.value.cap) == (full, full - 1)
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 1)
+    with pytest.raises(CapacityError):
+        solve_p1(sym02_p1)
+
+
+# ---------------------------------------------------------------------------
+# exact integer memo keys against the rounded-float keys they replaced
+
+
+def reference_canon(variant, state):
+    """The memo key of a state as round-tuples: each atom's coordinates
+    rounded to ROUND_DIGITS places, atoms sorted."""
+    r = seq_decomp.ROUND_DIGITS
+    if variant == "P1":
+        return tuple(sorted((round(b, r), round(m0, r), round(m1, r)) for b, m0, m1 in state))
+    return tuple(sorted((round(b1, r), round(b2, r), d, round(m0, r), round(m1, r))
+                        for b1, b2, d, m0, m1 in state))
+
+
+def near_ulps(x, steps):
+    """The double ``steps`` ulps away from x."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def near_half(k, steps):
+    """The double ``steps`` ulps away from (k + 0.5) / 1e10, whose product
+    with 1e10 sits next to a half-integer."""
+    return near_ulps((k + 0.5) / 1e10, steps)
+
+
+KEY_RANGE = st.floats(-1.7, 1.7, exclude_min=True, exclude_max=True)
+NEAR_HALF = st.builds(near_half, st.integers(-17 * 10**9, 17 * 10**9 - 1),
+                      st.integers(-3, 3)).filter(lambda x: abs(x) < 1.7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(KEY_RANGE, NEAR_HALF), data=st.data())
+def test_key_ints_are_exact_rounding(x, data):
+    # k is round(x, 10) scaled to an integer, and two floats share a k
+    # exactly when they share round(x, 10)
+    y = data.draw(st.one_of(KEY_RANGE, NEAR_HALF,
+                            st.integers(-4, 4).map(lambda n: near_ulps(x, n))
+                            .filter(lambda y: abs(y) < 1.7)))
+    kx, ky = (k - seq_decomp._ROUNDER for k in _key_ints([x, y]))
+    assert kx == round(Fraction(x) * 10**10)
+    assert int(kx) / 10**10 == round(x, 10)
+    assert (kx == ky) == (round(x, 10) == round(y, 10))
+
+
+def test_key_ints_fraction_branch_runs(monkeypatch):
+    calls = []
+    exact_round = seq_decomp._exact_round
+
+    def spy(x):
+        calls.append(x)
+        return exact_round(x)
+
+    monkeypatch.setattr(seq_decomp, "_exact_round", spy)
+    half = 1 / 2048  # times 1e10 this is 4882812.5 exactly
+    xs = [half, math.nextafter(half, 1.0), math.nextafter(half, 0.0), 0.25, near_half(7, 1)]
+    assert _key_ints(xs) == [seq_decomp._ROUNDER + round(Fraction(x) * 10**10) for x in xs]
+    assert calls == [xs[0], xs[1], xs[2], xs[4]]
+
+
+@pytest.mark.parametrize("bad", [1.7, -1.7, 2.0, math.inf])
+def test_key_ints_reject_values_outside_the_key_range(bad):
+    with pytest.raises(decseq.ProblemSpecError):
+        _key_ints([0.5, bad])
+
+
+# coordinates on a coarse lattice, next to rounding boundaries, or anywhere
+COORD = st.one_of(st.integers(0, 16).map(lambda i: i / 16),
+                  st.builds(near_half, st.integers(0, 10**10 - 1), st.integers(-3, 3)),
+                  st.floats(0.0, 1.0))
+
+
+@st.composite
+def state_pairs(draw, variant):
+    """A random state and a copy with a few coordinates moved by a few ulps
+    or by 1e-11 (d and the declared belief2 of -1.0 stay as they are)."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        if variant == "P1":
+            atoms.append([draw(COORD), draw(COORD), draw(COORD)])
+        else:
+            d = draw(st.integers(0, 1))
+            atoms.append([draw(COORD), draw(COORD) if d else -1.0, d, draw(COORD), draw(COORD)])
+    moved = [list(a) for a in atoms]
+    keyed = [0, 1, 2] if variant == "P1" else [0, 1, 3, 4]
+    for _ in range(draw(st.integers(0, 3))):
+        a = moved[draw(st.integers(0, len(moved) - 1))]
+        c = draw(st.sampled_from(keyed))
+        if variant == "P2" and c == 1 and a[2] == 0:
+            continue
+        if draw(st.booleans()):
+            a[c] = near_ulps(a[c], draw(st.integers(-3, 3)))
+        else:
+            a[c] += draw(st.sampled_from([1e-11, -1e-11]))
+    shuffled = draw(st.permutations(moved))
+    return tuple(map(tuple, atoms)), tuple(map(tuple, shuffled))
+
+
+@pytest.fixture(scope="module")
+def key_solvers(sym02_p1, sym02_p2):
+    return ("P1", _P1Solver(sym02_p1)), ("P2", _P2Solver(sym02_p2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_state_keys_match_rounded_reference(data, key_solvers):
+    for variant, solver in key_solvers:
+        state, moved = data.draw(state_pairs(variant))
+        # mass 1.0: the state's masses are keyed as they are
+        same = solver._key(list(state), 1.0) == solver._key(list(moved), 1.0)
+        assert same == (reference_canon(variant, state) == reference_canon(variant, moved))
