@@ -21,7 +21,7 @@ from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        build_message_model, o1_from_dict, o1_to_dict,
                        o2_from_dict, o2_to_dict, pair_from_dict, pair_to_dict,
                        subjective_update)
-from .seq_decomp import DesignerSolution, q2_p1, solve_p1, solve_p2
+from .seq_decomp import DesignerSolution, solve_p1, solve_p2
 from .simulate import (CostBreakdown, EpisodeResult, EstimateSummary,
                        estimate_cost, exact_cost, simulate_once)
 from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
@@ -46,7 +46,7 @@ __all__ = [
     "BLANK", "O1Policy", "O2Policy", "StageRule", "TerminalRule",
     "build_message_model", "o1_from_dict", "o1_to_dict", "o2_from_dict",
     "o2_to_dict", "pair_from_dict", "pair_to_dict", "subjective_update",
-    "DesignerSolution", "q2_p1", "solve_p1", "solve_p2",
+    "DesignerSolution", "solve_p1", "solve_p2",
     "CostBreakdown", "EpisodeResult", "EstimateSummary", "estimate_cost",
     "exact_cost", "simulate_once",
     "StationaryWald", "WaldSolution", "solve_wald_finite",

@@ -1,8 +1,10 @@
 """Bayes updates and reachable belief sets.
 
-Beliefs are P(H = 0 | information).  With finite observation alphabets the
-belief of each observer lives on a finite, enumerable set of atoms at every
-time; everything downstream (threshold search, exact policy evaluation,
+Beliefs are P(H = 0 | information).  ``bayes`` is the one scalar Bayes step
+that every program outside the designer search uses (``wald._outcomes`` is
+its numpy twin).  With finite observation alphabets the belief of each
+observer lives on a finite, enumerable set of atoms at every time;
+everything downstream (threshold search, exact policy evaluation,
 brute-force checks) runs on those atoms.  A belief law is a list of
 (belief, w0, w1) triples, w_h being the atom's mass under H = h, sorted by
 belief with beliefs closer than MERGE_TOL merged (``merge_atoms``).
@@ -15,18 +17,26 @@ from .errors import ImpossibleUpdateError, ProblemSpecError
 MERGE_TOL = 1e-12
 
 
+def bayes(belief, f0, f1):
+    """One Bayes step on an event of likelihood f0 under H=0 and f1 under
+    H=1: (p, posterior), p = belief * f0 + (1 - belief) * f1 being the
+    event's probability; the posterior is None when p <= 0."""
+    num = belief * f0
+    p = num + (1.0 - belief) * f1
+    return p, (num / p if p > 0.0 else None)
+
+
 def update_observer1(belief, y, channel_rows):
     """Posterior of observer 1 after seeing symbol y.
 
     channel_rows is the pair (row under H=0, row under H=1) for this step.
     """
     row0, row1 = channel_rows
-    num = belief * row0[y]
-    den = num + (1.0 - belief) * row1[y]
-    if den <= 0.0:
+    _, post = bayes(belief, row0[y], row1[y])
+    if post is None:
         raise ImpossibleUpdateError(
             f"observation {y} has zero probability at belief {belief}")
-    return num / den
+    return post
 
 
 def start_atom(prior):
@@ -66,19 +76,18 @@ def merged_support(beliefs):
 def push_atoms(entries, channel_rows):
     """One observation step on (belief, w0, w1) triples: push each through
     a channel row pair, then merge them (merge_atoms)."""
-    row0, row1 = channel_rows
     raw = []
     for b, u0, u1 in entries:
-        for y in range(len(row0)):
-            n0 = u0 * row0[y]
-            n1 = u1 * row1[y]
+        for y, (r0, r1) in enumerate(zip(*channel_rows)):
+            n0 = u0 * r0
+            n1 = u1 * r1
             if n0 == 0.0 and n1 == 0.0:
                 continue
-            den = b * row0[y] + (1.0 - b) * row1[y]
-            if den <= 0.0:
+            _, post = bayes(b, r0, r1)
+            if post is None:
                 raise ImpossibleUpdateError(
                     f"observation {y} has zero probability at belief {b}")
-            raw.append((b * row0[y] / den, n0, n1))
+            raw.append((post, n0, n1))
     return merge_atoms(raw)
 
 
@@ -114,12 +123,12 @@ def receiver_atoms(channel, horizon, seeds):
     for k in range(min(by_count, default=horizon), horizon + 1):
         nxt = list(by_count.get(k, ()))
         if cur:
-            row0, row1 = channel.row_pair(k)
+            rows = channel.row_pair(k)
             for b in cur:
-                for p0, p1 in zip(row0, row1):
-                    den = b * p0 + (1.0 - b) * p1
-                    if den > 0.0:
-                        nxt.append(b * p0 / den)
+                for f0, f1 in zip(*rows):
+                    _, post = bayes(b, f0, f1)
+                    if post is not None:
+                        nxt.append(post)
         cur = merged_support(nxt)
         out += cur
     return merged_support(out)

@@ -5,14 +5,16 @@ the hypothesis, the receiver's behaviour after any message prefix does not
 depend on observer 1's belief, so every send branch is affine in that
 belief and the blank branch adds (in the interleaved variant) an affine
 per-stage charge for the receiver's concurrent sampling.  Backward
-induction over observer 1's reachable belief atoms is therefore exact.
+induction over observer 1's reachable belief atoms is therefore exact; each
+stage's action comes from ``policies.sender_choice``.
 
 Observer 2's best response against a fixed sender policy: condition on the
 message history.  While messages are blank (interleaved variant) the
 modelled belief lives on finitely many atoms per stage and the decision is
 a stop-or-sample dynamic program whose continuation runs over the sender's
 message likelihoods; after the final message it is the plain stopping
-problem.  Also exact.
+problem.  Also exact; both phases label their atoms with
+``wald.stop_or_sample``, and every Bayes step is ``belief.bayes``.
 
 Alternating the two (pbpo_iteration) produces a non-increasing sequence of
 exact pair costs: each response is optimal among all decision maps against
@@ -26,12 +28,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .belief import merged_support, reachable_beliefs, receiver_atoms, update_observer1
+from .belief import bayes, merged_support, reachable_beliefs, receiver_atoms
 from .errors import CertificationError, ProblemSpecError
-from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
-                       _message_model, extract_thresholds, send_law)
+from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
+                       boundary_stage, extract_thresholds, send_law, sender_choice)
 from .simulate import exact_cost, forward_pass
-from .wald import solve_wald_finite, thresholds_from_labels, wald_cost
+from .wald import solve_wald_finite, stop_or_sample, thresholds_from_labels, wald_cost
 
 __all__ = [
     "evaluate_o2_policy", "o1_best_response", "o2_best_response",
@@ -158,34 +160,26 @@ def o1_best_response(o2, problem):
     next_values = None
     stages = []
     terminal = None
+
+    def wait(t, b):
+        # c1 for the next observation, the receiver's concurrent charge,
+        # then the optimal value at the posterior
+        g0, g1 = concurrent[t - 1]
+        cont = costs.c1 + b * g0 + (1.0 - b) * g1
+        for f0, f1 in zip(*problem.channel1.row_pair(t + 1)):
+            p, post = bayes(b, f0, f1)
+            if post is not None:
+                cont += p * _lookup(next_atoms, next_values, post)
+        return cont
+
     for t in range(problem.t1, 0, -1):
         atoms = [b for b, _, _ in levels[t]]
-        branches = {("send", z): [] for z in range(m)}
+        branches = {("send", z): tuple(b * a0 + (1.0 - b) * a1 for b in atoms)
+                    for z, (a0, a1) in enumerate(affines[t - 1])}
         if t < problem.t1:
-            branches["blank"] = []
-        values = []
-        labels = []
-        for b in atoms:
-            cands = []
-            for z in range(m):
-                a0, a1 = affines[t - 1][z]
-                cands.append((b * a0 + (1.0 - b) * a1, (0, -z), z))
-                branches[("send", z)].append(cands[-1][0])
-            if t < problem.t1:
-                g0, g1 = concurrent[t - 1]
-                rows = problem.channel1.row_pair(t + 1)
-                cont = costs.c1 + b * g0 + (1.0 - b) * g1
-                for y in range(len(rows[0])):
-                    p = b * rows[0][y] + (1.0 - b) * rows[1][y]
-                    if p <= 0.0:
-                        continue
-                    cont += p * _lookup(next_atoms, next_values,
-                                        update_observer1(b, y, rows))
-                cands.append((cont, (1, 0), BLANK))
-                branches["blank"].append(cont)
-            val, _, lab = min(cands, key=lambda c: (c[0], c[1]))
-            values.append(val)
-            labels.append(lab)
+            branches["blank"] = tuple(wait(t, b) for b in atoms)
+        labels, values = sender_choice([branches[("send", z)] for z in range(m)],
+                                       branches.get("blank"))
         rule = extract_thresholds(list(zip(atoms, labels)), m,
                                   terminal=(t == problem.t1))
         if t == problem.t1:
@@ -193,8 +187,7 @@ def o1_best_response(o2, problem):
         else:
             stages.insert(0, rule)
         tables.insert(0, ValueTable(kind=("sender", t), atoms=tuple(atoms),
-                                    values=tuple(values),
-                                    branches={k: tuple(v) for k, v in branches.items()},
+                                    values=tuple(values), branches=branches,
                                     labels=tuple(labels)))
         next_atoms, next_values = atoms, values
 
@@ -213,27 +206,13 @@ def o1_best_response(o2, problem):
 def _wald_tables(wald, problem, first_used=0):
     """ValueTables for the post-message classes, with branch values."""
     out = []
+    atoms = wald.eval_points
     for k in range(first_used, problem.t2 + 1):
         r = problem.t2 - k
-        atoms = wald.eval_points
-        tc0 = [b * problem.costs.loss[0][0] + (1.0 - b) * problem.costs.loss[0][1]
-               for b in atoms]
-        tc1 = [b * problem.costs.loss[1][0] + (1.0 - b) * problem.costs.loss[1][1]
-               for b in atoms]
-        branches = {"declare0": tuple(tc0), "declare1": tuple(tc1)}
-        values = list(wald.values[r])
-        labels = []
-        if r > 0:
-            branches["continue"] = tuple(wald.continuation(b, r) for b in atoms)
-        for i, b in enumerate(atoms):
-            cands = [(tc0[i], 0, 0), (tc1[i], 1, 1)]
-            if r > 0:
-                cands.append((branches["continue"][i], 2, None))
-            _, _, lab = min(cands, key=lambda c: (c[0], c[1]))
-            labels.append(lab)
-        out.append(ValueTable(kind=("after", k), atoms=tuple(atoms),
-                              values=tuple(values), branches=branches,
-                              labels=tuple(labels)))
+        cont = [wald.continuation(b, r) for b in atoms] if r > 0 else None
+        labels, _, branches = stop_or_sample(atoms, cont, problem.costs)
+        out.append(ValueTable(kind=("after", k), atoms=atoms, values=wald.values[r],
+                              branches=branches, labels=tuple(labels)))
     return out
 
 
@@ -254,12 +233,10 @@ def o2_best_response(o1, problem):
     posteriors = []  # (stage, symbol, receiver prior, unconditional prob)
     for t, (law, _) in enumerate(laws, start=1):
         for z, (r0, r1) in sorted((z, ws) for z, ws in law.items() if z != BLANK):
-            p = problem.prior * r0 + (1.0 - problem.prior) * r1
-            if p <= 0.0:
-                continue
-            e_c1 += costs.c1 * t * p
-            n0 = problem.prior * r0
-            posteriors.append((t, z, n0 / p, p))
+            p, post = bayes(problem.prior, r0, r1)
+            if post is not None:
+                e_c1 += costs.c1 * t * p
+                posteriors.append((t, z, post, p))
 
     if problem.variant == "P1":
         seeds = [(0, post) for _, _, post, _ in posteriors] or [(0, problem.prior)]
@@ -304,12 +281,10 @@ def _receiver_step(b, factors, rows):
     ``factors`` is that stage's message model entry, ``rows`` its channel
     row pair."""
     for z, (f0z, f1z) in factors.items():
-        for y in range(len(rows[0])):
-            f0 = f0z * rows[0][y]
-            f1 = f1z * rows[1][y]
-            p = b * f0 + (1.0 - b) * f1
-            if p > 0.0:
-                yield z, p, b * f0 / p
+        for r0, r1 in zip(*rows):
+            p, post = bayes(b, f0z * r0, f1z * r1)
+            if post is not None:
+                yield z, p, post
 
 
 def _blank_atoms(model, problem):
@@ -348,21 +323,10 @@ def _blank_phase(model, problem, atoms, after):
     rules = {}
     for s in range(problem.t1 - 1, 0, -1):
         pts = atoms[s]
-        tc0 = [b * costs.loss[0][0] + (1.0 - b) * costs.loss[0][1] for b in pts]
-        tc1 = [b * costs.loss[1][0] + (1.0 - b) * costs.loss[1][1] for b in pts]
-        cont = [sample(s, b) for b in pts]
-        values = []
-        labels = []
-        for i in range(len(pts)):
-            cands = [(tc0[i], 0, 0), (tc1[i], 1, 1), (cont[i], 2, None)]
-            v, _, lab = min(cands, key=lambda c: (c[0], c[1]))
-            values.append(v)
-            labels.append(lab)
+        labels, values, branches = stop_or_sample(pts, [sample(s, b) for b in pts], costs)
         rules[s] = thresholds_from_labels(pts, labels, costs.declare_boundary)
         tables[s] = ValueTable(kind=("blank", s), atoms=tuple(pts),
-                               values=tuple(values),
-                               branches={"declare0": tuple(tc0), "declare1": tuple(tc1),
-                                         "continue": tuple(cont)},
+                               values=tuple(values), branches=branches,
                                labels=tuple(labels))
     stages = range(1, problem.t1)
     return ({s: tables[s] for s in stages}, {s: rules[s] for s in stages},
@@ -378,11 +342,8 @@ def immediate_sender_policy(problem):
     boundary; used as the default starting partner."""
     boundary = problem.costs.declare_boundary
     m = problem.n_messages
-    send = [None] * m
-    send[m - 1] = (0.0, boundary)
-    send[0] = (boundary, 1.0)
-    stages = tuple(StageRule(send=tuple(send)) for _ in range(problem.t1 - 1))
-    terminal = TerminalRule(cuts=tuple([boundary] * (m - 1)))
+    stages = (boundary_stage(m, boundary),) * (problem.t1 - 1)
+    terminal = TerminalRule(cuts=(boundary,) * (m - 1))
     return O1Policy(stages=stages, terminal=terminal, n_messages=m)
 
 

@@ -230,11 +230,15 @@ def _solve_designer(args, want_variant):
     sol, check, profile = _designer_checked(problem)
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
     _write_wald_csv(args.out, sol.o2.wald_rules)
-    payload = {"spec_digest": digest, "variant": want_variant,
-               "cost": sol.total, "exact_cost_check": check,
-               "nodes": sol.nodes, "partitions_tried": sol.partitions_tried,
-               "memo_hits": sol.memo_hits, "stage_stats": list(sol.stage_stats),
-               "profile": profile}
+    return _certified({"spec_digest": digest, "variant": want_variant,
+                       "cost": sol.total, "exact_cost_check": check,
+                       "nodes": sol.nodes, "partitions_tried": sol.partitions_tried,
+                       "memo_hits": sol.memo_hits, "stage_stats": list(sol.stage_stats),
+                       "profile": profile}, sol, check)
+
+
+def _certified(payload, sol, check):
+    """Report and exit code of designer optimum ``sol`` checked at ``check``."""
     if abs(check - sol.total) > CERT_TOL:
         payload["error"] = "reported optimum does not match exact evaluation"
         return payload, EXIT_CERTIFICATION
@@ -310,8 +314,7 @@ def _cmd_simulate(args):
     doc, pdigest = _read_json(args.policies)
     policies = pair_from_dict(doc)
     start = time.perf_counter()
-    summary, episodes = estimate_cost(policies, problem, args.n, args.seed,
-                                      collect=True)
+    summary, episodes = estimate_cost(policies, problem, args.n, args.seed)
     sampled = time.perf_counter()
     exact = exact_cost(policies, problem).total
     evaluated = time.perf_counter()
@@ -352,28 +355,16 @@ def _cmd_mary(args):
         raise ProblemSpecError("M", f"mary needs at least 3 message symbols, "
                                     f"got {problem.n_messages}")
     sol, check, profile = _designer_checked(problem)
-    stages = []
-    for rule in sol.o1.stages:
-        edges = []
-        for z in range(problem.n_messages - 1, -1, -1):
-            iv = rule.send[z]
-            if iv is not None:
-                edges.extend([iv[0], iv[1]])
-        if len(edges) > 2 * problem.n_messages:
-            raise StructureViolation(
-                f"stage rule has {len(edges)} thresholds, "
-                f"limit {2 * problem.n_messages}")
-        stages.append(edges)
-    payload = {"spec_digest": digest, "cost": sol.total,
-               "exact_cost_check": check, "m": problem.n_messages,
-               "stage_thresholds": stages,
-               "terminal_cuts": list(sol.o1.terminal.cuts),
-               "stage_stats": list(sol.stage_stats), "profile": profile}
+    # each stage's send intervals, highest symbol (lowest beliefs) first
+    stages = [[x for iv in reversed(rule.send) if iv is not None for x in iv]
+              for rule in sol.o1.stages]
     _write_json(args.out, "policies.json", pair_to_dict(sol.o1, sol.o2))
-    if abs(check - sol.total) > CERT_TOL:
-        payload["error"] = "reported optimum does not match exact evaluation"
-        return payload, EXIT_CERTIFICATION
-    return payload, EXIT_OK
+    return _certified({"spec_digest": digest, "cost": sol.total,
+                       "exact_cost_check": check, "m": problem.n_messages,
+                       "stage_thresholds": stages,
+                       "terminal_cuts": list(sol.o1.terminal.cuts),
+                       "stage_stats": list(sol.stage_stats), "profile": profile},
+                      sol, check)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ blank-phase program, solved once on its atoms against that stationary
 value.  The sender limit removes the sender's deadline against a receiver
 with a bounded stopping time, which keeps the send branches time-invariant
 affine curves; it runs the same grid value iteration as the stationary
-stopping problem.  Epsilon-optimal pairs come from solving growing finite
+stopping problem and picks its actions with the finite best response's
+``sender_choice``.  Epsilon-optimal pairs come from solving growing finite
 horizons until exact tail probabilities certify the truncation bounds.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .best_response import _blank_atoms, _blank_phase, evaluate_o2_policy
 from .errors import CertificationError, ProblemSpecError
-from .policies import BLANK, O2Policy, build_message_model, extract_thresholds
+from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_choice
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
 from .wald import (GRID_SIZE_DEFAULT, VI_TOL_DEFAULT, StationaryWald, belief_grid,
@@ -194,12 +195,7 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAUL
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
     cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
     values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves), tol)
-    wait = cont(values)
-    labels = []
-    for i in range(len(grid)):
-        cands = [(float(send_curves[z][i]), (0, -z), z) for z in range(m)]
-        cands.append((float(wait[i]), (1, 0), BLANK))
-        labels.append(min(cands, key=lambda c: (c[0], c[1]))[2])
+    labels, _ = sender_choice([c.tolist() for c in send_curves], cont(values).tolist())
     rule = extract_thresholds(list(zip(grid.tolist(), labels)), m, terminal=False)
     return O1InfiniteSolution(grid=grid, values=values, stage_rule=rule,
                               affines=tuple(affines), **record)

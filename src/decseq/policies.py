@@ -20,7 +20,10 @@ Boundary conventions, used consistently by solvers, oracles and simulators:
 send regions are closed intervals and higher symbols are checked first;
 declaration checks test "declare 0" before "declare 1"; a subjectively
 impossible event (zero probability under the message model for both
-hypotheses) leaves observer 2's belief unchanged.
+hypotheses) leaves observer 2's belief unchanged.  Every sender program
+outside the designer search (the finite best response and the no-deadline
+limit) picks its actions with ``sender_choice``, and the receiver programs
+with ``wald.stop_or_sample``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import push_atoms, start_atom
+from .belief import bayes, push_atoms, start_atom
 from .errors import ProblemSpecError, StructureViolation
 
 BLANK = "b"
@@ -69,6 +72,15 @@ class StageRule:
             if iv is not None and iv[0] <= belief <= iv[1]:
                 return z
         return BLANK
+
+
+def boundary_stage(n_messages, boundary):
+    """Stage rule that always sends: symbol M-1 at or below ``boundary``,
+    symbol 0 above it."""
+    send = [None] * n_messages
+    send[n_messages - 1] = (0.0, boundary)
+    send[0] = (boundary, 1.0)
+    return StageRule(send=tuple(send))
 
 
 @dataclass(frozen=True)
@@ -166,20 +178,10 @@ class O2Policy:
         return len(self.wald_rules) - 1
 
     def decide_blank(self, t, belief):
-        a, b = self.blank_rules[t - 1]
-        if belief >= b:
-            return 0
-        if belief <= a:
-            return 1
-        return None
+        return _declaration(self.blank_rules[t - 1], belief)
 
     def decide_wald(self, k, belief):
-        w1, w2 = self.wald_rules[k]
-        if belief >= w2:
-            return 0
-        if belief <= w1:
-            return 1
-        return None
+        return _declaration(self.wald_rules[k], belief)
 
     def message_factor(self, t, z):
         """Likelihood pair of message z at stage t under the built-against
@@ -191,6 +193,17 @@ class O2Policy:
         if pair is None or (pair[0] <= 0.0 and pair[1] <= 0.0):
             return (1.0, 1.0)
         return pair
+
+
+def _declaration(rule, belief):
+    """Decision under a (lo, hi) rule: 0 at or above hi, else 1 at or below
+    lo, else None (keep sampling)."""
+    lo, hi = rule
+    if belief >= hi:
+        return 0
+    if belief <= lo:
+        return 1
+    return None
 
 
 def subjective_update(belief, y2, channel_rows, factor):
@@ -207,11 +220,28 @@ def subjective_update(belief, y2, channel_rows, factor):
         row0, row1 = channel_rows
         f0 *= row0[y2]
         f1 *= row1[y2]
-    num = belief * f0
-    den = num + (1.0 - belief) * f1
-    if den <= 0.0:
-        return belief
-    return num / den
+    _, post = bayes(belief, f0, f1)
+    return belief if post is None else post
+
+
+def sender_choice(sends, wait):
+    """Observer 1's choice at each of a list of beliefs: (labels, values),
+    the symbol or BLANK chosen at belief i and its cost.
+
+    ``sends[z][i]`` is the cost of sending symbol z at belief i and
+    ``wait[i]`` that of staying blank (``wait`` None: a message is forced).
+    Ties go to sending, and between sends to the higher symbol.
+    """
+    labels, values = [], []
+    high_first = range(len(sends) - 1, -1, -1)
+    for i in range(len(sends[0])):
+        z = min(high_first, key=lambda z: sends[z][i])
+        v = sends[z][i]
+        if wait is not None and wait[i] < v:
+            z, v = BLANK, wait[i]
+        labels.append(z)
+        values.append(v)
+    return labels, values
 
 
 def extract_thresholds(action_per_atom, n_messages, terminal=False):

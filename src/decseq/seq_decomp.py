@@ -69,9 +69,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .belief import MERGE_TOL, merge_atoms, push_atoms, receiver_atoms
+from .belief import MERGE_TOL, merge_atoms, receiver_atoms
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
-from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
+from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage,
                        build_message_model, extract_thresholds)
 from .wald import solve_wald_finite
 
@@ -139,18 +139,13 @@ def _state_key(xs, width):
 # variant P1 state transformations
 
 
-def q2_p1(state, channel_rows):
-    """Advance a P1 state one step: observer 1 takes one more observation."""
-    return tuple(push_atoms(state, channel_rows))
-
-
 def _p1_children(state, channel_rows):
     """Children of a P1 node, each atom pushed through observer 1's next
     observation once.
 
     Returns ``child(atoms)`` for a list of atom indices: None when they have
     no mass, else (merged next atoms, their mass), the atoms' masses divided
-    by that mass before the push, as ``q2_p1`` would push them.
+    by that mass before the push, as ``belief.push_atoms`` would push them.
     """
     row0, row1 = channel_rows
     pushes = []  # per atom: (posterior, row0[y], row1[y]) for each y it can see
@@ -350,13 +345,6 @@ def _partition_table(n_groups, n_messages, terminal):
     return list(table.values())
 
 
-def _filler_stage(n_messages, boundary):
-    send = [None] * n_messages
-    send[n_messages - 1] = (0.0, boundary)
-    send[0] = (boundary, 1.0)
-    return StageRule(send=tuple(send))
-
-
 @dataclass
 class DesignerSolution:
     """Output of solve_p1 / solve_p2.
@@ -495,7 +483,7 @@ class _Designer:
                 terminal = rule if rule is not None else \
                     TerminalRule(cuts=(boundary,) * (m - 1))
             else:
-                stages.append(rule if rule is not None else _filler_stage(m, boundary))
+                stages.append(rule if rule is not None else boundary_stage(m, boundary))
                 blank_rules.append(blank_rule if blank_rule is not None
                                    else (boundary, boundary))
 

@@ -98,16 +98,20 @@ class CostBreakdown:
     def _weighted(self):
         return ((self.prior, self.per_h[0]), (1.0 - self.prior, self.per_h[1]))
 
-    def tau1_tail(self, t):
-        """P(tau1 >= t), unconditional.  Clamped at 1: the float sum for a
+    def _tail(self, pmf, t):
+        """P(tau >= t), unconditional, for the tau whose per-hypothesis pmf
+        is the attribute ``pmf``.  Clamped at 1: the float sum for a
         certain event can round past it."""
-        return min(1.0, sum(w * sum(p for tau, p in acc.tau1_pmf.items() if tau >= t)
+        return min(1.0, sum(w * sum(p for tau, p in getattr(acc, pmf).items() if tau >= t)
                             for w, acc in self._weighted()))
 
+    def tau1_tail(self, t):
+        """P(tau1 >= t), unconditional."""
+        return self._tail("tau1_pmf", t)
+
     def tau2_tail(self, t):
-        """P(tau2 >= t), unconditional, clamped at 1 like tau1_tail."""
-        return min(1.0, sum(w * sum(p for tau, p in acc.tau2_pmf.items() if tau >= t)
-                            for w, acc in self._weighted()))
+        """P(tau2 >= t), unconditional."""
+        return self._tail("tau2_pmf", t)
 
 
 def _observe_receiver(atoms, rows, factor):
@@ -468,13 +472,13 @@ class EstimateSummary:
     error_rate: float
 
 
-def estimate_cost(policies, problem, n, seed, collect=False):
+def estimate_cost(policies, problem, n, seed):
     """Monte Carlo estimate over n episodes.
 
     Deterministic: episode i draws only from the stream episode_rng(seed, i)
     would give it, so its record does not depend on n.  The seed must lie
-    in [0, 2**64).  Returns (summary, episodes), episodes being an Episodes
-    sequence if collect is set, else None.
+    in [0, 2**64).  Returns (summary, episodes), episodes being the
+    Episodes sequence the summary was taken over.
     """
     o1, o2 = policies
     check_pair(o1, o2, problem)
@@ -489,4 +493,4 @@ def estimate_cost(policies, problem, n, seed, collect=False):
         n=n, seed=seed, mean_cost=float(eps.cost.mean()), stderr=stderr,
         mean_tau1=float(np.mean(eps.tau1)), mean_tau2=float(np.mean(eps.tau2)),
         error_rate=float(np.mean(wrong)))
-    return summary, (eps if collect else None)
+    return summary, eps

@@ -13,6 +13,11 @@ the knot backup to a tolerance is not monotone in floating point:
 consecutive knot iterates rise by ~1e-16, which breaks the exact
 ``max_increase <= 0`` record that the grid iterates keep.
 
+Every receiver program (the two solvers here, and the best responses'
+post-message tables and blank phase) labels its beliefs with one rule,
+``stop_or_sample``; every numpy Bayes step goes through ``_outcomes``, the
+twin of ``belief.bayes``.
+
 Threshold convention everywhere: declare 1 for beliefs at or below the lower
 threshold, declare 0 at or above the upper one, keep sampling strictly in
 between.  Remember beliefs are P(H=0 | info), so low belief means H=1.
@@ -25,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .belief import bayes
 from .errors import ProblemSpecError, StructureViolation
 from .model import Channel, terminal_cost
 
@@ -41,6 +47,32 @@ def _as_eval_points(eval_points):
         if not 0.0 <= p <= 1.0:
             raise ProblemSpecError("eval_points", f"belief {p} outside [0, 1]")
     return tuple(pts)
+
+
+def stop_or_sample(points, cont, costs):
+    """The receiver's choice at each belief of ``points``: declare 0,
+    declare 1 (each at its ``terminal_cost``) or keep sampling at expected
+    cost ``cont[i]`` (``cont`` None: it must declare).  Ties go to
+    stopping, then to declaring 0.
+
+    Returns (labels, values, branches): labels[i] is 0, 1 or None (keep
+    sampling), values[i] the cost of that choice, and branches maps
+    "declare0", "declare1" and, given ``cont``, "continue" to the
+    per-point costs.
+    """
+    tc0 = tuple(terminal_cost(0, b, costs) for b in points)
+    tc1 = tuple(terminal_cost(1, b, costs) for b in points)
+    branches = {"declare0": tc0, "declare1": tc1}
+    if cont is not None:
+        branches["continue"] = tuple(cont)
+    labels, values = [], []
+    for i, (d0, d1) in enumerate(zip(tc0, tc1)):
+        u, v = (0, d0) if d0 <= d1 else (1, d1)
+        if cont is not None and cont[i] < v:
+            u, v = None, cont[i]
+        labels.append(u)
+        values.append(v)
+    return labels, values, branches
 
 
 def thresholds_from_labels(points, labels, declare_boundary):
@@ -122,25 +154,12 @@ class WaldSolution:
         """Expected cost of one more observation, then optimal play."""
         # with r observations left, the next draw is observation number
         # horizon - r + 1
-        row0, row1 = self.channel.row_pair(self.horizon - remaining + 1)
         cont = self.costs.c2
-        for y in range(len(row0)):
-            prob = belief * row0[y] + (1.0 - belief) * row1[y]
-            if prob > 0.0:
-                cont += prob * self.value(belief * row0[y] / prob, remaining - 1)
+        for f0, f1 in zip(*self.channel.row_pair(self.horizon - remaining + 1)):
+            prob, post = bayes(belief, f0, f1)
+            if post is not None:
+                cont += prob * self.value(post, remaining - 1)
         return cont
-
-    def action(self, belief, remaining):
-        """DP-optimal action: 0, 1, or None (keep sampling).
-
-        Ties break toward stopping, and between declarations toward 0.
-        """
-        tc0 = terminal_cost(0, belief, self.costs)
-        tc1 = terminal_cost(1, belief, self.costs)
-        u, stop = (0, tc0) if tc0 <= tc1 else (1, tc1)
-        if remaining <= 0:
-            return u
-        return u if stop <= self.continuation(belief, remaining) else None
 
 
 def _knot_reader(knots, costs):
@@ -172,6 +191,18 @@ def _stop_cost(b, costs):
     return np.minimum(b * l00 + (1.0 - b) * l01, b * l10 + (1.0 - b) * l11)
 
 
+def _outcomes(b, rows):
+    """``belief.bayes`` on an array of beliefs b: one (probability,
+    posterior) pair of arrays per symbol of the row pair ``rows``; the
+    posterior is 0 where the symbol has probability 0."""
+    out = []
+    for r0, r1 in zip(*rows):
+        num = b * r0
+        prob = num + (1.0 - b) * r1
+        out.append((prob, np.where(prob > 0.0, num / np.where(prob > 0.0, prob, 1.0), 0.0)))
+    return out
+
+
 def _backup(xs, ys, rows, costs):
     """Knots of min(stop, c2 + E[V(next belief)]) given the knots of V.
 
@@ -193,10 +224,7 @@ def _backup(xs, ys, rows, costs):
     b = np.sort(np.concatenate(cand))
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     cont = np.full_like(b, costs.c2)
-    for r0, r1 in zip(row0, row1):
-        prob = b * r0 + (1.0 - b) * r1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = np.where(prob > 0.0, b * r0 / prob, 0.0)
+    for prob, post in _outcomes(b, rows):
         cont += prob * np.interp(post, xs, ys)
     stop = _stop_cost(b, costs)
     gap = cont - stop
@@ -240,10 +268,7 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
     sol = WaldSolution(channel=channel, costs=costs, horizon=horizon, eval_points=pts,
                        knots=_knot_tables(channel, costs, horizon))
 
-    values = []
-    for r in range(horizon + 1):
-        values.append(tuple(sol.value(p, r) for p in pts))
-    sol.values = tuple(values)
+    sol.values = tuple(tuple(sol.value(p, r) for p in pts) for r in range(horizon + 1))
 
     boundary = costs.declare_boundary
     # sentinels at 0 and 1 give the label runs well-defined ends without
@@ -254,8 +279,8 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
     if aug[-1] < 1.0:
         aug = aug + (1.0,)
     thresholds = []
-    for k in range(horizon):
-        labels = [sol.action(p, horizon - k) for p in aug]
+    for r in range(horizon, 0, -1):
+        labels, _, _ = stop_or_sample(aug, [sol.continuation(p, r) for p in aug], costs)
         thresholds.append(thresholds_from_labels(aug, labels, boundary))
     thresholds.append((boundary, boundary))
     sol.thresholds = tuple(thresholds)
@@ -281,12 +306,7 @@ def grid_continuation(rows, charge, grid):
     observation drawn from the row pair ``rows`` and V read by linear
     interpolation."""
     g = np.asarray(grid, dtype=float)
-    branches = []
-    for r0, r1 in zip(*rows):
-        prob = g * r0 + (1.0 - g) * r1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = np.where(prob > 0.0, g * r0 / np.where(prob > 0.0, prob, 1.0), 0.0)
-        branches.append((prob, post))
+    branches = _outcomes(g, rows)
 
     def cont(values):
         out = np.full_like(g, charge)
@@ -372,12 +392,11 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_
         raise ProblemSpecError("channels", "stationary solve needs a stationary channel")
     rows = channel.tables[0]
     grid = belief_grid(grid_size)
-    stop = _stop_cost(grid, costs)
     values, record = grid_value_iteration(grid_continuation(rows, costs.c2, grid),
-                                          stop, tol)
-    declare = np.where(grid * (costs.loss[1][0] - costs.loss[0][0])
-                       < (1.0 - grid) * (costs.loss[0][1] - costs.loss[1][1]), 1, 0)
-    labels = [None if values[i] < stop[i] else int(declare[i]) for i in range(len(grid))]
+                                          _stop_cost(grid, costs), tol)
+    # the last iterate is min(stop, continuation): it lies below the
+    # stopping cost exactly where sampling was strictly cheaper
+    labels, _, _ = stop_or_sample(grid.tolist(), values, costs)
     w1, w2 = thresholds_from_labels(tuple(grid), labels, costs.declare_boundary)
     return StationaryWald(rows=rows, costs=costs, grid=grid, values=values,
                           w1=w1, w2=w2, **record)

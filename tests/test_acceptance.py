@@ -18,6 +18,7 @@ from decseq import (BLANK, Channel, Costs, brute_force_wald,
                     estimate_cost, o1_best_response, o2_best_response,
                     pbpo_iteration, solve_p1, solve_p2, solve_wald_finite,
                     truncation_bound, wald_cost)
+from decseq.belief import push_atoms
 from decseq.wald import wald_vi_iterates
 
 from conftest import battery, record_criterion
@@ -204,7 +205,7 @@ def test_criterion_08_martingale_and_mass():
             assert abs(total - prior) <= 1e-10
             # one advance step conserves per-hypothesis mass
             state = ((prior, 0.6, 0.3), (0.5 * prior, 0.4, 0.7))
-            pushed = decseq.q2_p1(state, rows)
+            pushed = tuple(push_atoms(state, rows))
             assert abs(sum(m0 for _, m0, _ in pushed) - 1.0) <= 1e-10
             assert abs(sum(m1 for _, _, m1 in pushed) - 1.0) <= 1e-10
 

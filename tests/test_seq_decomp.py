@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import decseq
 from decseq import (CapacityError, enumerate_policies_p1, enumerate_policies_p2,
-                    exact_cost, q2_p1, seq_decomp, solve_p1, solve_p2)
+                    exact_cost, seq_decomp, solve_p1, solve_p2)
+from decseq.belief import push_atoms
 from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions, _key_ints,
                                 _labels_from_cuts, _labels_from_runs, _partition_table,
                                 _run_pricer)
@@ -25,7 +26,7 @@ def start_state(problem):
 
 
 def test_q2_advances_and_conserves(asym_p1):
-    state = q2_p1(start_state(asym_p1), asym_p1.channel1.row_pair(1))
+    state = tuple(push_atoms(start_state(asym_p1), asym_p1.channel1.row_pair(1)))
     assert sum(m0 for _, m0, _ in state) == pytest.approx(1.0, abs=1e-12)
     assert sum(m1 for _, _, m1 in state) == pytest.approx(1.0, abs=1e-12)
     beliefs = [b for b, _, _ in state]

@@ -47,7 +47,7 @@ def test_symmetric_instance_balanced_error(sym02_p2, p2_pair):
 
 
 def test_estimate_deterministic_and_unbiased(sym02_p2, p2_pair):
-    s1, eps = estimate_cost(p2_pair, sym02_p2, 50000, 11, collect=True)
+    s1, eps = estimate_cost(p2_pair, sym02_p2, 50000, 11)
     s2, _ = estimate_cost(p2_pair, sym02_p2, 50000, 11)
     assert s1.mean_cost == s2.mean_cost
     assert s1.error_rate == s2.error_rate
@@ -57,7 +57,7 @@ def test_estimate_deterministic_and_unbiased(sym02_p2, p2_pair):
 
 
 def test_episode_stream_is_counter_based(sym02_p2, p2_pair):
-    _, eps = estimate_cost(p2_pair, sym02_p2, 64, 3, collect=True)
+    _, eps = estimate_cost(p2_pair, sym02_p2, 64, 3)
     # episode i only touches its own stream, so a fresh generator for the
     # same (seed, i) reproduces the record regardless of batch size
     for i in (0, 17, 63):
@@ -77,7 +77,7 @@ def test_different_seeds_differ(sym02_p2, p2_pair):
 def test_episode_costs_match_components(sym02_p1):
     sol = decseq.solve_p1(sym02_p1)
     prob = sym02_p1
-    _, eps = estimate_cost((sol.o1, sol.o2), prob, 500, 5, collect=True)
+    _, eps = estimate_cost((sol.o1, sol.o2), prob, 500, 5)
     for ep in eps[:100]:
         rebuilt = (prob.costs.c1 * ep.tau1 + prob.costs.c2 * ep.tau2
                    + prob.costs.loss[ep.decision][ep.h])
@@ -280,7 +280,7 @@ _TOUCHING_INTERVALS = _edge_case(_SYM, _SYM, _TOUCHING, _TOUCHING,
 def test_lockstep_sampler_matches_scalar_reference(case):
     pair, problem, n, seed = case
     try:
-        _, eps = estimate_cost(pair, problem, n, seed, collect=True)
+        _, eps = estimate_cost(pair, problem, n, seed)
     except decseq.ImpossibleUpdateError:
         eps = None
     want = []

@@ -9,6 +9,7 @@ import decseq
 from decseq import (Channel, Costs, brute_force_wald, count_stop_rules,
                     load_problem_spec, solve_wald_finite, solve_wald_infinite,
                     terminal_cost, wald_cost)
+from decseq.wald import stop_or_sample
 
 from conftest import load_instance
 
@@ -185,7 +186,9 @@ def test_knot_tables_match_reference_recursion(instance):
             assert abs(wald_cost(sol, b, r) - value(b, r)) <= 1e-12
         for i, p in enumerate(sol.eval_points):
             assert sol.values[r][i] == sol.value(p, r)
-            assert sol.action(p, r) == action(p, r)
+        cont = [sol.continuation(p, r) for p in sol.eval_points] if r > 0 else None
+        labels, _, _ = stop_or_sample(sol.eval_points, cont, costs)
+        assert labels == [action(p, r) for p in sol.eval_points]
 
 
 def test_knot_count_stays_small_on_long_horizons():
