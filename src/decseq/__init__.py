@@ -8,7 +8,7 @@ from .best_response import (BestResponseResult, PBPOResult, ValueTable,
                             o2_best_response, pbpo_iteration)
 from .errors import (CapacityError, CertificationError, DecseqError,
                      ImpossibleUpdateError, ProblemSpecError,
-                     StructureViolation, UnreachableBranchError)
+                     StructureViolation)
 from .infinite_horizon import (EpsilonPair, O1InfiniteSolution,
                                O2InfiniteSolution, TruncationCertificate,
                                epsilon_optimal_pair, truncation_bound,
@@ -36,7 +36,6 @@ __all__ = [
     "o2_best_response", "pbpo_iteration",
     "CapacityError", "CertificationError", "DecseqError",
     "ImpossibleUpdateError", "ProblemSpecError", "StructureViolation",
-    "UnreachableBranchError",
     "EpsilonPair", "O1InfiniteSolution", "O2InfiniteSolution",
     "TruncationCertificate", "epsilon_optimal_pair", "truncation_bound",
     "value_iterate_o1", "value_iterate_o2",

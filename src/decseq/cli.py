@@ -22,8 +22,7 @@ import numpy as np
 
 from .best_response import o1_best_response, o2_best_response, pbpo_iteration
 from .errors import (CapacityError, CertificationError, DecseqError,
-                     ImpossibleUpdateError, ProblemSpecError,
-                     StructureViolation, UnreachableBranchError)
+                     ImpossibleUpdateError, ProblemSpecError, StructureViolation)
 from .infinite_horizon import (_require_stationary, epsilon_optimal_pair,
                                value_iterate_o1, value_iterate_o2)
 from .model import load_problem_spec
@@ -212,8 +211,8 @@ def _cmd_best_response(args):
 
 def _designer_checked(problem):
     """Designer optimum, its exact_cost check, and the report's profile
-    block: seconds in the search, in extraction (policy walk, stopping
-    table, message model) and in the check."""
+    block: seconds in the search, in extraction (the sender's policy walk
+    and the receiver's best response) and in the check."""
     sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
     start = time.perf_counter()
     check = exact_cost((sol.o1, sol.o2), problem).total
@@ -272,9 +271,9 @@ def _cmd_solve_infinite(args):
                                   "iterations": inf.n_iter,
                                   "converged": inf.converged}
     payload["receiver_limit"] = {
-        "w1": lim2.wald.w1, "w2": lim2.wald.w2,
-        "iterations": lim2.n_iter, "converged": lim2.converged,
-        "max_increase": lim2.max_increase,
+        "w1": inf.w1, "w2": inf.w2,
+        "iterations": inf.n_iter, "converged": inf.converged,
+        "max_increase": inf.max_increase,
         "blank_thresholds": {str(t): [a, b]
                              for t, (a, b) in lim2.blank_thresholds.items()}}
     if problem.variant == "P1":
@@ -452,8 +451,7 @@ def main(argv=None):
     except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    except (ProblemSpecError, ImpossibleUpdateError,
-            UnreachableBranchError) as exc:
+    except (ProblemSpecError, ImpossibleUpdateError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (StructureViolation, CertificationError) as exc:

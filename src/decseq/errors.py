@@ -20,10 +20,6 @@ class ImpossibleUpdateError(DecseqError):
     """A Bayes update was requested on a zero-probability event."""
 
 
-class UnreachableBranchError(DecseqError):
-    """A state restriction removed all probability mass."""
-
-
 class StructureViolation(DecseqError):
     """An action labelling does not have the required threshold shape."""
 

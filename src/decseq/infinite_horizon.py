@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _blank_atoms, _blank_phase, evaluate_o2_policy
-from .errors import CertificationError, ProblemSpecError
+from .errors import CapacityError, CertificationError, ProblemSpecError
 from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_choice
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import exact_cost
@@ -74,25 +74,22 @@ def truncation_bound(policy_role, tail_prob, costs, t2=None, horizon=None):
 class O2InfiniteSolution:
     """Converged receiver values with no deadline of its own.
 
-    ``wald`` is the stationary post-message solution; ``blank_tables`` and
+    ``wald`` is the stationary post-message solution and holds the grid,
+    the thresholds and the iteration record; ``blank_tables`` and
     ``blank_thresholds`` cover the pre-message stages by stage (empty for
-    the wait-then-sample variant).  The iteration record is ``wald``'s.
-    The policy has no bounded stopping time.
+    the wait-then-sample variant).  The policy has no bounded stopping
+    time.
     """
 
-    grid: np.ndarray
     wald: StationaryWald
     blank_tables: dict
     blank_thresholds: dict
     message_model: tuple
-    n_iter: int
-    deltas: list
-    max_increase: float
-    converged: bool
 
     @property
-    def stationary_thresholds(self):
-        return (self.wald.w1, self.wald.w2)
+    def n_iter(self):
+        # perfbench/tracer.py reads the iteration count off this result
+        return self.wald.n_iter
 
 
 def _require_stationary(problem):
@@ -124,11 +121,8 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAUL
     if problem.variant == "P2":
         tables, rules, _ = _blank_phase(model, problem, _blank_atoms(model, problem),
                                         lambda t, b: wald.value(b))
-    return O2InfiniteSolution(grid=wald.grid, wald=wald, blank_tables=tables,
-                              blank_thresholds=rules, message_model=model,
-                              n_iter=wald.n_iter, deltas=wald.deltas,
-                              max_increase=wald.max_increase,
-                              converged=wald.converged)
+    return O2InfiniteSolution(wald=wald, blank_tables=tables, blank_thresholds=rules,
+                              message_model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +214,13 @@ class EpsilonPair:
 
 def epsilon_optimal_pair(problem, epsilon, max_horizon=6):
     """Solve horizons 1, 2, ... until the exact tail masses certify total
-    truncation loss ≤ epsilon (half per observer)."""
+    truncation loss ≤ epsilon (half per observer).
+
+    Raises ``CertificationError``, with the best pair so far as ``best``,
+    when no horizon up to ``max_horizon`` certifies or when a horizon after
+    the first exceeds the designer's node cap; a cap hit at horizon 1
+    stays a ``CapacityError``.
+    """
     if not epsilon > 0.0:
         raise ProblemSpecError("epsilon", f"{epsilon} is not > 0")
     if max_horizon < 1:
@@ -228,9 +228,17 @@ def epsilon_optimal_pair(problem, epsilon, max_horizon=6):
     _require_stationary(problem)
     solver = solve_p1 if problem.variant == "P1" else solve_p2
     best = None
+    failure = f"no horizon up to {max_horizon} certifies epsilon={epsilon}"
     for t in range(1, max_horizon + 1):
         finite = dataclasses.replace(problem, t1=t, t2=t)
-        sol = solver(finite)
+        try:
+            sol = solver(finite)
+        except CapacityError as exc:
+            if best is None:
+                raise
+            failure = (f"horizon {t} stopped at the designer search cap ({exc}) before "
+                       f"certifying epsilon={epsilon}")
+            break
         bd = exact_cost((sol.o1, sol.o2), finite)
         cert1 = truncation_bound("O1", bd.tau1_tail(t), problem.costs,
                                  t2=t, horizon=t)
@@ -243,5 +251,4 @@ def epsilon_optimal_pair(problem, epsilon, max_horizon=6):
         if cert1.epsilon <= epsilon / 2.0 and cert2.epsilon <= epsilon / 2.0:
             return pair
     raise CertificationError(
-        f"no horizon up to {max_horizon} certifies epsilon={epsilon}; best "
-        f"achieved {best.epsilon} at horizon {best.horizon}", best=best)
+        f"{failure}; best achieved {best.epsilon} at horizon {best.horizon}", best=best)

@@ -26,19 +26,20 @@ variants share one sequential decomposition (``_Designer``):
   when their coordinates agree once rounded to ROUND_DIGITS places, as the
   round-tuple keys they replace did;
 * **extraction** -- ``solve()`` walks the stored argmins along the
-  all-blank branch, turns them into threshold rules, and tabulates the
-  receiver's stopping rule on every belief it can reach.
+  all-blank branch into the sender's threshold rules.  With the sender
+  fixed, the receiver's problem is a single-agent stopping problem, so its
+  policy is ``best_response.o2_best_response`` of that sender.
 
 Each variant supplies its state shape and these hooks: ``_root`` gives the
 stage-1 child, ``_key`` and ``_state`` key a merged child and build its
 state, ``_stage(t, state)`` gives the number of atom groups, the stopping
 cost of a run of groups that sends one message, and the cost of the blank
-branch; ``_advance`` turns one stored argmin into that stage's rule and the
-next child.  Runs are priced through ``WaldSolution.reader``, one knot-table
-reader per remaining observation count, fetched once per node.  In variant
-P2 ``_run_pricer`` first lists each sampling atom's terms (weight and the
-two likelihood products of each fresh observation), so a run costs one
-Bayes update and one read per term.
+branch; ``_advance`` turns one stored argmin into that stage's sender rule
+and the next child.  Runs are priced through ``WaldSolution.reader``, one
+knot-table reader per remaining observation count, fetched once per node.
+In variant P2 ``_run_pricer`` first lists each sampling atom's terms (weight
+and the two likelihood products of each fresh observation), so a run costs
+one Bayes update and one read per term.
 
 A search that would store more than ``DESIGNER_NODE_CAP`` nodes raises
 ``CapacityError``.  ``DesignerSolution`` reports the search size (``nodes``,
@@ -69,10 +70,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .belief import MERGE_TOL, merge_atoms, receiver_atoms
+from .belief import MERGE_TOL, merge_atoms
+from .best_response import o2_best_response
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
-from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage,
-                       build_message_model, extract_thresholds)
+from .policies import BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage, extract_thresholds
 from .wald import solve_wald_finite
 
 ROUND_DIGITS = 10
@@ -349,7 +350,8 @@ def _partition_table(n_groups, n_messages, terminal):
 class DesignerSolution:
     """Output of solve_p1 / solve_p2.
 
-    ``stage_stats`` holds one dict per stage t = 1..T1: memo ``nodes``
+    ``o2`` is ``o2_best_response(o1, problem).policy``.  ``stage_stats``
+    holds one dict per stage t = 1..T1: memo ``nodes``
     stored at t, memo ``lookups`` of stage-t states, the ``memo_hits``
     among them, and ``mean_atoms``, the mean number of atoms per node.
     """
@@ -358,7 +360,6 @@ class DesignerSolution:
     total: float
     o1: O1Policy
     o2: O2Policy
-    wald: object
     nodes: int
     partitions_tried: int
     memo_hits: int
@@ -393,8 +394,8 @@ class _Designer:
         self.nodes = 0
         self.partitions = 0
         self.partition_tables = {}
-        # values only; the policy's own stopping table is rebuilt later on
-        # the reachable atoms
+        # values only; the receiver's own stopping table is its best
+        # response's
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
                                       eval_points=(problem.prior,))
 
@@ -456,45 +457,33 @@ class _Designer:
         return tuple(out)
 
     def solve(self):
-        """Optimal pair, by the search and a walk of its stored argmins."""
+        """Optimal pair: the sender by the search and a walk of its stored
+        argmins, the receiver as that sender's best response."""
         pb = self.pb
         m = pb.n_messages
         boundary = pb.costs.declare_boundary
-        interleaved = self.variant == "P2"
         start = time.perf_counter()
         child = self._root()
         inner = self._child_value(1, *child)
         searched = time.perf_counter()
-        total = (pb.costs.c1 + pb.costs.c2 if interleaved else pb.costs.c1) + inner
+        total = (pb.costs.c1 + pb.costs.c2 if self.variant == "P2" else pb.costs.c1) + inner
 
         stages = []
-        blank_rules = []
-        # (receiver observation count, receiver belief) on message branches;
-        # the interleaved receiver's prior joins as is, not propagated
-        seeds = [(pb.t2, pb.prior)] if interleaved else []
         for t in range(1, pb.t1 + 1):
-            rule = blank_rule = None
+            rule = None
             if child is not None:
                 _, (labels, choice) = self.memo[t][self._key(*child)]
-                rule, child, blank_rule = self._advance(t, self._state(*child), labels,
-                                                        choice, seeds)
+                rule, child = self._advance(t, self._state(*child), labels, choice)
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
                     TerminalRule(cuts=(boundary,) * (m - 1))
             else:
                 stages.append(rule if rule is not None else boundary_stage(m, boundary))
-                blank_rules.append(blank_rule if blank_rule is not None
-                                   else (boundary, boundary))
-
-        table = solve_wald_finite(pb.channel2, pb.costs, pb.t2,
-                                  eval_points=receiver_atoms(pb.channel2, pb.t2, seeds))
         o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
-        o2 = O2Policy(blank_rules=tuple(blank_rules) if interleaved else (),
-                      wald_rules=table.thresholds,
-                      message_model=build_message_model(o1, pb), n_messages=m)
+        o2 = o2_best_response(o1, pb).policy
         stage_stats = self._stage_stats()
-        return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2, wald=table,
+        return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
                                 stage_stats=stage_stats, search_s=searched - start,
@@ -553,18 +542,13 @@ class _P1Solver(_Designer):
 
         return len(state), send, blank
 
-    def _advance(self, t, state, labels, choice, seeds):
+    def _advance(self, t, state, labels, choice):
         rule = extract_thresholds([(b, lab) for (b, _, _), lab in zip(state, labels)],
                                   self.pb.n_messages, terminal=(t == self.pb.t1))
-        for z in range(self.pb.n_messages):
-            sel = [a for a, lab in zip(state, labels) if lab == z]
-            sm = sum(m0 + m1 for _, m0, m1 in sel)
-            if sm > 0.0:
-                seeds.append((0, sum(m0 for _, m0, _ in sel) / sm))
         if t == self.pb.t1:
-            return rule, None, None
+            return rule, None
         child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
-        return rule, child([i for i, lab in enumerate(labels) if lab == BLANK]), None
+        return rule, child([i for i, lab in enumerate(labels) if lab == BLANK])
 
 
 def solve_p1(problem):
@@ -738,34 +722,17 @@ class _P2Solver(_Designer):
                 best_choice = (i, j)
         return best, best_choice
 
-    def _advance(self, t, state, labels, choice, seeds):
+    def _advance(self, t, state, labels, choice):
         atoms, groups, _, region = self._split(state)
         rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in zip(groups, labels)],
                                   self.pb.n_messages, terminal=(t == self.pb.t1))
-        # receiver beliefs on every message branch, for the stopping table
-        rows2 = self.pb.channel2.row_pair(t)
-        for z in range(self.pb.n_messages):
-            sel, mass, lik = region([g for g, lab in enumerate(labels) if lab == z])
-            if mass > 0.0:
-                seeds.extend((t, b2) for _, b2, d, _, _ in _observe_p2(sel, lik, rows2)
-                             if d == 1)
         if t == self.pb.t1:
-            return rule, None, None
+            return rule, None
         blank, mass_b, lik = region([g for g, lab in enumerate(labels) if lab == BLANK])
         if mass_b <= 0.0 or choice is None:
-            return rule, None, None
-        active, g2, child = self._blank_phase(t, blank, lik)
-        vals = [a[1] for _, a in active]
-        i, j = choice
-        alo, ahi = _continue_span(g2, i, j)
-        if i == j:
-            # (0, 0), the only empty continue run searched: everyone declares
-            # 0.  A search over other empty runs would need their split point.
-            a_thr = b_thr = 0.0
-        else:
-            a_thr = 0.0 if alo == 0 else 0.5 * (vals[alo - 1] + vals[alo])
-            b_thr = 1.0 if ahi == len(vals) else 0.5 * (vals[ahi - 1] + vals[ahi])
-        return rule, (child(alo, ahi), mass_b), (a_thr, b_thr)
+            return rule, None
+        _, g2, child = self._blank_phase(t, blank, lik)
+        return rule, (child(*_continue_span(g2, *choice)), mass_b)
 
 
 def solve_p2(problem):

@@ -145,11 +145,11 @@ def test_criterion_05_value_iteration_monotone(sym02_p1, sym02_p2):
             solver = solve_p1 if prob.variant == "P1" else solve_p2
             sol = solver(prob)
             lim = decseq.value_iterate_o2(sol.o1, prob)
-            assert lim.converged
-            assert lim.max_increase <= 0.0
+            assert lim.wald.converged
+            assert lim.wald.max_increase <= 0.0
             # raw tail iterates, pairwise, all grid nodes
             rows = prob.channel2.row_pair(1)
-            grid = lim.grid
+            grid = lim.wald.grid
             prev = None
             reference = None
             for k, (w, _) in enumerate(

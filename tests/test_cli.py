@@ -267,6 +267,16 @@ def test_designer_node_cap_exit_code(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "cap")]) == 4
 
 
+def test_epsilon_pair_node_cap_is_a_certification_error(tmp_path, monkeypatch, capsys):
+    # horizons 1 and 2 solve (the spec's own T = 2 takes 4 nodes), horizon 3
+    # would need 13: the run ends as an uncertified epsilon, not a cap error
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 4)
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--grid", "11",
+                 "--epsilon", "0.05", "--max-horizon", "4",
+                 "--out", str(tmp_path / "eps")]) == 3
+    assert "designer search nodes 5 exceeds cap 4" in capsys.readouterr().err
+
+
 def _reference_episodes_csv(path, episodes):
     """The generic column writer episodes.csv was written with before the
     grouped-row writer: a range, then lists of ints (each distinct value

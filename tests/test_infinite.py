@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decseq
-from decseq import (BLANK, CertificationError, ProblemSpecError,
-                    epsilon_optimal_pair, o2_best_response, solve_wald_infinite,
+from decseq import (BLANK, CapacityError, CertificationError, ProblemSpecError,
+                    epsilon_optimal_pair, o2_best_response, seq_decomp, solve_wald_infinite,
                     truncation_bound, value_iterate_o1, value_iterate_o2)
 
 from conftest import ASYM, make_spec
@@ -40,8 +40,8 @@ def test_receiver_limit_monotone_and_converged(sym02_p1, sym02_p2):
         solver = decseq.solve_p1 if prob.variant == "P1" else decseq.solve_p2
         sol = solver(prob)
         lim = value_iterate_o2(sol.o1, prob)
-        assert lim.converged
-        assert lim.max_increase <= 0.0
+        assert lim.wald.converged
+        assert lim.wald.max_increase <= 0.0
         # wait-then-sample: no pre-message decision stages
         if prob.variant == "P1":
             assert lim.blank_thresholds == {}
@@ -54,10 +54,8 @@ def test_receiver_limit_matches_pure_stationary_tail(sym02_p1):
     sol = decseq.solve_p1(sym02_p1)
     lim = value_iterate_o2(sol.o1, sym02_p1)
     pure = solve_wald_infinite(sym02_p1.channel2, sym02_p1.costs)
-    assert lim.stationary_thresholds == (pure.w1, pure.w2)
+    assert (lim.wald.w1, lim.wald.w2) == (pure.w1, pure.w2)
     assert np.array_equal(lim.wald.values, pure.values)
-    assert (lim.n_iter, lim.deltas, lim.max_increase, lim.converged) \
-        == (pure.n_iter, pure.deltas, pure.max_increase, pure.converged)
 
 
 @st.composite
@@ -200,6 +198,22 @@ def test_epsilon_pair_fails_cleanly():
     best = exc.value.best
     assert best.horizon == 2
     assert best.epsilon > 0.001
+
+
+def test_epsilon_pair_keeps_its_best_at_the_node_cap(monkeypatch, sym02_p1):
+    # sym02 P1 solves horizons 1, 2 and 3 in 1, 4 and 13 nodes and first
+    # certifies epsilon = 0.05 at horizon 3; a cap of 4 stops the search there
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 4)
+    with pytest.raises(CertificationError, match="designer search nodes 5 exceeds cap 4") \
+            as exc:
+        epsilon_optimal_pair(sym02_p1, 0.05, max_horizon=4)
+    best = exc.value.best
+    assert best.horizon == 2
+    assert best.epsilon == pytest.approx(0.32, abs=1e-12)
+    # with nothing solved there is no best pair, so the cap error stands
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 0)
+    with pytest.raises(CapacityError):
+        epsilon_optimal_pair(sym02_p1, 0.05, max_horizon=4)
 
 
 def test_epsilon_pair_rejects_bad_epsilon(sym02_p1):

@@ -39,6 +39,12 @@ def test_designer_matches_exact_evaluation(solved_battery_p1, solved_battery_p2)
         assert check == pytest.approx(sol.total, abs=1e-9)
 
 
+def test_designer_receiver_is_the_senders_best_response(solved_battery_p1,
+                                                        solved_battery_p2, mary3_p1):
+    for prob, sol in solved_battery_p1 + solved_battery_p2 + [(mary3_p1, solve_p1(mary3_p1))]:
+        assert sol.o2 == decseq.o2_best_response(sol.o1, prob).policy
+
+
 def test_designer_beats_or_ties_immediate_heuristic(solved_battery_p2):
     for prob, sol in solved_battery_p2:
         o1 = decseq.immediate_sender_policy(prob)
@@ -126,7 +132,8 @@ def test_receiver_table_covers_post_message_beliefs(solved_battery_p1, solved_ba
     # the stopping table is tabulated on every belief the receiver can hold
     # once a message has arrived, so its thresholds are exact there
     for prob, sol in solved_battery_p1 + solved_battery_p2:
-        pts = sol.wald.eval_points
+        tables = decseq.o2_best_response(sol.o1, prob).tables
+        pts = {p for table in tables if table.kind[0] == "after" for p in table.atoms}
         for t in range(1, prob.t1 + 1):
             for z, lik in sol.o2.message_model[t - 1].items():
                 if z == decseq.BLANK or max(lik) <= 0.0:
