@@ -211,12 +211,14 @@ def _cmd_best_response(args):
 
 def _designer_checked(problem):
     """Designer optimum, its exact_cost check, and the report's profile
-    block: seconds in the search, in extraction (the sender's policy walk
-    and the receiver's best response) and in the check."""
+    block: seconds in the search (enumerating and keying nodes, then valuing
+    them), in extraction (the sender's policy walk and the receiver's best
+    response) and in the check."""
     sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
     start = time.perf_counter()
     check = exact_cost((sol.o1, sol.o2), problem).total
-    profile = {"search_s": sol.search_s, "extract_s": sol.extract_s,
+    profile = {"search_s": sol.search_s, "enumerate_s": sol.enumerate_s,
+               "value_s": sol.value_s, "extract_s": sol.extract_s,
                "check_s": time.perf_counter() - start}
     return sol, check, profile
 
@@ -297,15 +299,21 @@ def _cmd_solve_infinite(args):
             payload["sender_limit"] = {
                 "skipped": "receiver's arrival model has an informative "
                            "blank factor; no stationary anchor"}
+    code = EXIT_OK
     if args.epsilon is not None:
-        pair = epsilon_optimal_pair(problem, args.epsilon,
-                                    max_horizon=args.max_horizon)
+        try:
+            pair = epsilon_optimal_pair(problem, args.epsilon,
+                                        max_horizon=args.max_horizon)
+        except CertificationError as exc:
+            # the best pair found still goes out, with its certificates
+            pair, code = exc.best, EXIT_CERTIFICATION
+            payload["error"] = str(exc)
         _write_json(args.out, "policies.json", pair_to_dict(pair.o1, pair.o2))
         payload["epsilon_pair"] = {
             "requested": args.epsilon, "achieved": pair.epsilon,
             "horizon": pair.horizon, "cost": pair.cost,
             "certificates": [c.to_dict() for c in pair.certificates]}
-    return payload, EXIT_OK
+    return payload, code
 
 
 def _cmd_simulate(args):
@@ -408,7 +416,10 @@ def _build_parser():
     sp.add_argument("--grid", type=int, default=1001)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--policies", default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
+    sp.add_argument("--epsilon", type=float, default=None,
+                    help="also solve horizons 1, 2, ... until the returned pair's own "
+                         "truncation loss (its tail masses at its deadline) is at most "
+                         "epsilon; this does not bound its gap to the no-deadline optimum")
     sp.add_argument("--max-horizon", dest="max_horizon", type=int, default=6)
     sp.set_defaults(func=_cmd_solve_infinite)
 
@@ -470,7 +481,8 @@ def main(argv=None):
     if code == EXIT_OK:
         print(f"ok: report at {_write_report}")
     else:
-        print(f"FAILED ({code}): report at {_write_report}", file=sys.stderr)
+        error = f"{payload['error']}; " if "error" in payload else ""
+        print(f"FAILED ({code}): {error}report at {_write_report}", file=sys.stderr)
     return code
 
 

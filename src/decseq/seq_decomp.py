@@ -5,47 +5,51 @@ history, the joint law of (hypothesis, observer beliefs) is supported on
 finitely many atoms; that conditional law is the designer's state.  Both
 variants share one sequential decomposition (``_Designer``):
 
-* **search** -- ``value(t, state, key)`` tries every achievable threshold
-  partition of the state's atoms (the optimal policies are interval-shaped
-  in the beliefs, so partition search over sorted atoms is exhaustive),
-  prices each message run and recurses on the all-blank branch.  The
-  partitions of n atom groups depend only on n, M and whether the stage is
-  the last, so each solve builds that table once (``_partition_table``) and
-  every node with n groups walks it; a node prices each distinct run and
-  each distinct blank set once;
+* **search** -- level-synchronous.  Forward, the nodes of stages 1, ...,
+  T1 - 1 are expanded in the order they were first reached, and each child
+  is looked up in the next stage's memo (``_Level``); a child with a new key
+  becomes a node there.  By induction on the stage, the nodes, and the
+  state standing for each key, are those a depth-first recursion stores.
+  Nodes are valued in numpy batches (``_value_nodes``): every achievable
+  threshold partition of a node's atom groups (the optimal policies are
+  interval-shaped in the beliefs, so partition search over sorted atoms is
+  exhaustive) costs its message runs plus, before the last stage, its
+  blank branch, and the first cheapest wins.  The last stage, which holds
+  most nodes, is valued batch by batch as its nodes appear, the earlier
+  stages backward from their children's values.  The partitions of n
+  groups depend only on n, M and whether the stage is the last, so each
+  solve builds that table once (``_partition_table``; ``_table`` as arrays);
 * **children** -- a node pushes each of its atoms through observer 1's next
-  observation once, and builds the child of every blank set (in variant P2,
-  of every continue interval of observer 2) from those pushes.  The merged
-  child is keyed and looked up in its stage's memo first; its state tuple
-  is built, and searched, only on a miss (``_Designer._child_value``).  The
-  root and the policy walk use the same child code;
-* **keys** -- a memo key is exact integers, not rounded floats: each keyed
-  coordinate x becomes the k with round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS
-  (``_key_ints``), and a state's key is its atoms' integers, sorted atom by
-  atom, in one flat tuple (``_state_key``).  Two states share a key exactly
-  when their coordinates agree once rounded to ROUND_DIGITS places, as the
-  round-tuple keys they replace did;
+  observation once, and merges the child of every blank set (in variant
+  P2, of every continue interval of observer 2) from those pushes.  A
+  child's state is built only when its key is new.  The root and the
+  policy walk use the same child code;
+* **keys** -- a memo key is exact integers: each keyed coordinate x becomes
+  the k with round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``,
+  one numpy pass per batch of lookups), and a state's key is its atoms'
+  integers, sorted atom by atom, as int64 bytes (``_state_keys``);
+* **prices** -- message runs are priced through
+  ``WaldSolution.batch_reader``, every sum added in the order of the scalar
+  recursion this search replaced (``_seq_sums``; numpy's pairwise sums
+  round differently), so every value is bit-identical to it;
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch into the sender's threshold rules.  With the sender
   fixed, the receiver's problem is a single-agent stopping problem, so its
   policy is ``best_response.o2_best_response`` of that sender.
 
-Each variant supplies its state shape and these hooks: ``_root`` gives the
-stage-1 child, ``_key`` and ``_state`` key a merged child and build its
-state, ``_stage(t, state)`` gives the number of atom groups, the stopping
-cost of a run of groups that sends one message, and the cost of the blank
-branch; ``_advance`` turns one stored argmin into that stage's sender rule
-and the next child.  Runs are priced through ``WaldSolution.reader``, one
-knot-table reader per remaining observation count, fetched once per node.
-In variant P2 ``_run_pricer`` first lists each sampling atom's terms (weight
-and the two likelihood products of each fresh observation), so a run costs
-one Bayes update and one read per term.
+Each variant supplies its state shape and hooks: ``_root`` (the stage-1
+child), ``_coords`` (a batch of children's atom rows and keyed
+coordinates), ``_state``, ``_expand`` (look up a node's children, record
+its blank branches), ``_blank_costs``, ``_groups`` and ``_pricer`` (price
+message runs) and ``_advance`` (one stored argmin to that stage's sender
+rule and the next child).
 
 A search that would store more than ``DESIGNER_NODE_CAP`` nodes raises
 ``CapacityError``.  ``DesignerSolution`` reports the search size (``nodes``,
 ``partitions_tried``, ``memo_hits``), per-stage figures (``stage_stats``)
-and the seconds spent in the search and in extraction (``search_s``,
-``extract_s``).
+and the seconds spent enumerating and keying nodes (``enumerate_s``),
+valuing them (``value_s``; the two sum to ``search_s``) and in extraction
+(``extract_s``).
 
 States are plain tuples so tests can build them directly:
 
@@ -66,9 +70,14 @@ brute-force oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .belief import MERGE_TOL, merge_atoms
 from .best_response import o2_best_response
@@ -79,6 +88,9 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
+# lookups are keyed in batches of about this many atoms, and nodes valued
+# in batches of about this many partition costs
+_BATCH = 1 << 12
 
 _SCALE = 10 ** ROUND_DIGITS
 _FLOAT_SCALE = float(_SCALE)
@@ -87,10 +99,6 @@ _FLOAT_SCALE = float(_SCALE)
 # plus or minus 2**-19, each rounded by at most 2**-20, still bracket it
 _KEY_LIMIT = 1.7
 _BAND = 2.0 ** -19
-# adding 1.5 * 2**52 to a float y with |y| < 2**51 gives 1.5 * 2**52 +
-# round(y): the sum lies where the doubles are the integers, so float
-# addition rounds y to the nearest integer, ties to even, as round() does
-_ROUNDER = 1.5 * 2.0 ** 52
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +106,27 @@ _ROUNDER = 1.5 * 2.0 ** 52
 
 
 def _key_ints(xs):
-    """For each float x of xs, the integer k with round(x, ROUND_DIGITS) ==
-    k / 10**ROUND_DIGITS, held exactly in a float as ``_ROUNDER + k``.
+    """For each float x of the 1-d array xs, the integer k (int64) with
+    round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS.
 
-    k is rounded twice, from x * 1e10 plus 2**-19 and from x * 1e10 minus
-    2**-19.  These bracket the exact product, so when the two roundings
-    agree the exact product rounds the same way.  They differ only when a
-    half-integer lies within about 2**-19 of the product; there the exact
-    ``_exact_round`` decides.
+    k is rounded twice (``np.rint``: to nearest, ties to even, as round()
+    does), from x * 1e10 plus 2**-19 and from x * 1e10 minus 2**-19.  These
+    bracket the exact product, so when the two roundings agree the exact
+    product rounds the same way.  They differ only when a half-integer lies
+    within about 2**-19 of the product; there the exact ``_exact_round``
+    decides.
     """
-    if xs and (max(xs) >= _KEY_LIMIT or min(xs) <= -_KEY_LIMIT):
+    xs = np.asarray(xs, dtype=float)
+    bad = ~(np.abs(xs) < _KEY_LIMIT)
+    if bad.any():
         raise ProblemSpecError(
-            "state", f"coordinate {max(xs, key=abs)} outside the memo key range (-1.7, 1.7)")
-    up = [(x * _FLOAT_SCALE + _BAND) + _ROUNDER for x in xs]
-    down = [(x * _FLOAT_SCALE - _BAND) + _ROUNDER for x in xs]
-    if up != down:
-        up = [u if u == d else _ROUNDER + _exact_round(x) for x, u, d in zip(xs, up, down)]
-    return up
+            "state", f"coordinate {xs[bad][0]} outside the memo key range (-1.7, 1.7)")
+    scaled = xs * _FLOAT_SCALE
+    up = np.rint(scaled + _BAND)
+    ks = up.astype(np.int64)
+    for i in np.flatnonzero(up != np.rint(scaled - _BAND)).tolist():
+        ks[i] = _exact_round(float(xs[i]))
+    return ks
 
 
 def _exact_round(x):
@@ -126,14 +138,16 @@ def _exact_round(x):
     return q + (2 * r > den or (2 * r == den and q % 2 == 1))
 
 
-def _state_key(xs, width):
-    """Memo key of a state given as its atoms' keyed coordinates, ``width``
-    per atom, atom after atom: their ``_key_ints``, sorted atom by atom, in
-    one flat tuple."""
-    ks = iter(_key_ints(xs))
-    atoms = list(zip(*[ks] * width))
-    atoms.sort()
-    return tuple(itertools.chain.from_iterable(atoms))
+def _state_keys(coords, counts, width):
+    """Memo keys of the states whose atoms' keyed coordinates are the rows
+    of ``coords`` (``width`` columns), counts[i] rows for state i in turn:
+    each state's ``_key_ints`` rows, sorted, as int64 bytes."""
+    ks = _key_ints(coords.ravel()).reshape(-1, width)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort([ks[:, c] for c in range(width - 1, -1, -1)] + [owner])
+    data = ks[order].tobytes()
+    ends = (np.cumsum(counts) * (8 * width)).tolist()
+    return [data[a:b] for a, b in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +360,35 @@ def _partition_table(n_groups, n_messages, terminal):
     return list(table.values())
 
 
+def _seq_sums(values, start, length):
+    """sum(values[s:s + n]) for each pair (s, n) of the arrays start and
+    length, added left to right as a scalar loop adds."""
+    out = np.zeros(len(start))
+    for j in range(int(length.max(initial=0))):
+        live = np.flatnonzero(length > j)
+        out[live] += values[start[live] + j]
+    return out
+
+
+def _ratio(num, den):
+    """num / den, and 0.0 where den is not positive."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0.0)
+
+
+def _posteriors(num, den):
+    """num / den, checked as the scalar loops check one posterior at a
+    time: the first that fails raises ImpossibleUpdateError if its den is
+    not positive, else ProblemSpecError (outside [0, 1])."""
+    out = _ratio(num, den)
+    wrong = ~(den > 0.0) | ~((out >= 0.0) & (out <= 1.0))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if den[i] <= 0.0:
+            raise ImpossibleUpdateError("designer state inconsistent with its message law")
+        raise ProblemSpecError("belief", f"{float(num[i]) / float(den[i])} outside [0, 1]")
+    return out
+
+
 @dataclass
 class DesignerSolution:
     """Output of solve_p1 / solve_p2.
@@ -365,6 +408,8 @@ class DesignerSolution:
     memo_hits: int
     stage_stats: tuple
     search_s: float
+    enumerate_s: float
+    value_s: float
     extract_s: float
 
     @property
@@ -372,12 +417,70 @@ class DesignerSolution:
         return self.problem.variant
 
 
+class _Level:
+    """The memo lookups of stage t, keyed and deduplicated in batches in
+    the order they are made.  A lookup with a new key makes a node: before
+    the last stage it keeps its state and atom rows, at the last it is
+    valued with its batch.  ``index`` holds the node of every lookup."""
+
+    def __init__(self, solver, t):
+        self.solver, self.t = solver, t
+        self.pending, self.size, self.made = [], 0, 0
+        self.index, self.states, self.rows, self.valued = [], [], [], []
+
+    def add(self, merged, mass):
+        """Look up a child (merged atoms, mass); returns the lookup's place."""
+        self.pending.append((merged, mass))
+        self.size += len(merged)
+        self.made += 1
+        if self.size >= _BATCH:
+            self.flush()
+        return self.made - 1
+
+    def flush(self):
+        s, memo = self.solver, self.solver.memo[self.t]
+        rows, counts, keyed = s._coords(self.pending)
+        index, fresh = [], []
+        for i, key in enumerate(_state_keys(keyed, counts, s.width)):
+            node = memo.get(key)
+            if node is None:
+                s.nodes += 1
+                if s.nodes > DESIGNER_NODE_CAP:
+                    raise CapacityError(s.nodes, DESIGNER_NODE_CAP, "designer search nodes")
+                node = memo[key] = len(memo)
+                fresh.append(i)
+            index.append(node)
+        s.lookups[self.t] += len(index)
+        self.index.append(np.array(index, dtype=np.intp))
+        new = np.zeros(len(counts), dtype=bool)
+        new[fresh] = True
+        rows, counts = rows[np.repeat(new, counts)], counts[new]
+        if self.t < s.pb.t1:
+            self.states += [s._state(*self.pending[i]) for i in fresh]
+            self.rows.append((rows, counts))
+        else:
+            start = time.perf_counter()
+            self.valued.append(s._value_nodes(self.t, rows, counts))
+            s.value_s += time.perf_counter() - start
+        self.pending, self.size = [], 0
+
+    def finish(self):
+        """Flush the last batch and join the batches."""
+        if self.pending:
+            self.flush()
+        self.index = np.concatenate(self.index)
+        if self.valued:
+            self.values, self.best, self.ns = map(np.concatenate, zip(*self.valued))
+        else:
+            self.rows = tuple(map(np.concatenate, zip(*self.rows)))
+
+
 class _Designer:
-    """Memoized partition search and policy walk shared by both variants.
+    """Level-synchronous partition search and policy walk shared by both
+    variants.
 
     Subclasses set ``variant`` and ``width`` (keyed coordinates per atom)
-    and provide ``_root``, ``_key``, ``_state``, ``_stage`` and ``_advance``
-    (see the module docstring).
+    and provide the hooks named in the module docstring.
     """
 
     variant = None
@@ -388,69 +491,118 @@ class _Designer:
             raise ProblemSpecError(
                 "variant", f"solve_{self.variant.lower()} got a {problem.variant} problem")
         self.pb = problem
-        # memo[t] maps a stage-t state key to (value, (labels, choice))
+        # memo[t] maps a stage-t state key to the node's index in its stage
         self.memo = [{} for _ in range(problem.t1 + 1)]
         self.lookups = [0] * (problem.t1 + 1)
         self.nodes = 0
         self.partitions = 0
         self.partition_tables = {}
+        self.tables = {}
+        self.value_s = 0.0
         # values only; the receiver's own stopping table is its best
         # response's
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
                                       eval_points=(problem.prior,))
 
-    def _child_value(self, t, merged, mass):
-        """Optimal expected cost from stage t on, from the child ``merged``
-        of total mass ``mass``: read from the memo, or on a miss searched
-        from its newly built state."""
-        key = self._key(merged, mass)
-        self.lookups[t] += 1
-        hit = self.memo[t].get(key)
-        if hit is not None:
-            return hit[0]
-        return self.value(t, self._state(merged, mass), key)
+    def _coords(self, lookups):
+        """The atom rows of a batch of children (merged atoms, mass), their
+        counts, and the rows' keyed coordinates."""
+        counts = np.array([len(merged) for merged, _ in lookups], dtype=np.intp)
+        rows = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            merged for merged, _ in lookups)), float)
+        rows = rows.reshape(int(counts.sum()), -1)
+        return rows, counts, rows
 
-    def value(self, t, state, key):
-        """Optimal expected cost from stage t on, given the state; stored in
-        the memo under ``key``."""
-        self.nodes += 1
-        if self.nodes > DESIGNER_NODE_CAP:
-            raise CapacityError(self.nodes, DESIGNER_NODE_CAP, "designer search nodes")
-        n, send, blank = self._stage(t, state)
-        terminal = t == self.pb.t1
-        table = self.partition_tables.get((n, terminal))
-        if table is None:
-            table = self.partition_tables[n, terminal] = _partition_table(
-                n, self.pb.n_messages, terminal)
-        self.partitions += len(table)
-        flows = {}
-        blanks = {}
-        best = None
-        best_dec = None
-        for labels, runs, blank_groups in table:
-            cost = 0.0
-            for run in runs:
-                got = flows.get(run)
-                if got is None:
-                    got = flows[run] = send(*run)
-                cost += got
-            choice = None
-            if not terminal:
-                got = blanks.get(blank_groups)
-                if got is None:
-                    got = blanks[blank_groups] = blank(blank_groups)
-                cost += got[0]
-                choice = got[1]
-            if best is None or cost < best:
-                best, best_dec = cost, (labels, choice)
-        self.memo[t][key] = (best, best_dec)
-        return best
+    def _key(self, merged, mass):
+        _, counts, keyed = self._coords([(merged, mass)])
+        return _state_keys(keyed, counts, self.width)[0]
+
+    def _table(self, n, terminal):
+        """The partition table of n groups as arrays: its distinct runs
+        ((r, 2) group bounds), each entry's runs as indices into them (r
+        past its last run), its distinct blank sets in first-use order and
+        each entry's blank set index."""
+        got = self.tables.get((n, terminal))
+        if got is None:
+            m = self.pb.n_messages
+            table = self.partition_tables[n, terminal] = _partition_table(n, m, terminal)
+            runs = {r: i for i, r in enumerate(dict.fromkeys(r for _, rs, _ in table for r in rs))}
+            blanks = {b: i for i, b in enumerate(dict.fromkeys(b for _, _, b in table))}
+            slots = [[runs[r] for r in rs] + [len(runs)] * (m - len(rs)) for _, rs, _ in table]
+            got = self.tables[n, terminal] = (
+                np.array(list(runs), dtype=np.intp).reshape(-1, 2),
+                np.array(slots, dtype=np.intp).reshape(-1, m), list(blanks),
+                np.array([blanks[b] for _, _, b in table], dtype=np.intp))
+        return got
+
+    def _search(self):
+        """Every reachable node, stage by stage, then their values; returns
+        the levels of stages 1..T1 (at 1..T1).  The solver keeps no level:
+        a level refers to the solver, and no cycle keeps a search alive."""
+        level = _Level(self, 1)
+        level.add(*self._root())
+        level.finish()
+        levels = [None, level]
+        for t in range(1, self.pb.t1):
+            nxt = _Level(self, t + 1)
+            # per node its first blank entry; the rest is the variant's (as
+            # typed arrays: a stage can hold millions of entries)
+            level.rec = SimpleNamespace(start=array("q"), mass=array("d"), pos=array("q"),
+                                        charges=array("d"), ng2=array("q"))
+            for state in level.states:
+                self._expand(t, state, level.rec, nxt.add)
+            level.states = None
+            nxt.finish()
+            levels.append(nxt)
+            level = nxt
+        start = time.perf_counter()
+        for t in range(self.pb.t1 - 1, 0, -1):
+            level, child = levels[t], levels[t + 1]
+            cost, level.choices = self._blank_costs(level.rec, child.values[child.index])
+            level.values, level.best, level.ns = self._value_nodes(
+                t, *level.rows, (np.array(level.rec.start, dtype=np.intp), cost))
+        self.value_s += time.perf_counter() - start
+        return levels
+
+    def _value_nodes(self, t, rows, counts, blanks=None):
+        """Values of stage-t nodes given as atom rows, counts[i] for node i
+        in turn.  Before the last stage ``blanks`` holds each node's first
+        blank entry and every entry's cost.  Returns (values, argmin table
+        entries, group counts)."""
+        off = np.concatenate(([0], np.cumsum(counts)))
+        rows, starts = self._groups(rows, off)
+        ns = np.bincount(np.repeat(np.arange(len(counts)), counts)[starts],
+                         minlength=len(counts))
+        gpos = np.flatnonzero(starts)
+        first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
+        price = self._pricer(t, rows, off)
+        values = np.zeros(len(counts))
+        best = np.zeros(len(counts), dtype=np.intp)
+        for n in sorted(set(ns.tolist())):
+            runs, slots, _, bidx = self._table(n, blanks is None)
+            nodes = np.flatnonzero(ns == n)
+            self.partitions += len(slots) * len(nodes)
+            step = max(1, _BATCH // max(len(slots), len(runs) * (n + 1)))
+            for ks in np.split(nodes, range(step, len(nodes), step)):
+                # node k's group g spans atoms bounds[k, g]:bounds[k, g + 1]
+                bounds = np.concatenate((gpos[first[ks, None] + np.arange(n)],
+                                         off[ks + 1, None]), axis=1)
+                run_cost = np.concatenate((price(ks, bounds, runs), np.zeros((len(ks), 1))), 1)
+                # each partition's runs, then its blank branch, added in turn
+                cost = np.zeros((len(ks), len(slots)))
+                for slot in slots.T:
+                    cost += run_cost[:, slot]
+                if blanks is not None:
+                    cost += blanks[1][blanks[0][ks, None] + bidx]
+                best[ks] = cost.argmin(axis=1)
+                values[ks] = cost[np.arange(len(ks)), best[ks]]
+        return values, best, ns
 
     def _stage_stats(self):
         out = []
         for t in range(1, self.pb.t1 + 1):
             memo = self.memo[t]
-            atoms = sum(map(len, memo)) // self.width
+            atoms = sum(map(len, memo)) // (8 * self.width)
             out.append({"t": t, "nodes": len(memo), "lookups": self.lookups[t],
                         "memo_hits": self.lookups[t] - len(memo),
                         "mean_atoms": atoms / len(memo) if memo else 0.0})
@@ -463,17 +615,23 @@ class _Designer:
         m = pb.n_messages
         boundary = pb.costs.declare_boundary
         start = time.perf_counter()
-        child = self._root()
-        inner = self._child_value(1, *child)
+        levels = self._search()
         searched = time.perf_counter()
+        inner = float(levels[1].values[levels[1].index[0]])
         total = (pb.costs.c1 + pb.costs.c2 if self.variant == "P2" else pb.costs.c1) + inner
 
+        child = self._root()
         stages = []
         for t in range(1, pb.t1 + 1):
             rule = None
             if child is not None:
-                _, (labels, choice) = self.memo[t][self._key(*child)]
-                rule, child = self._advance(t, self._state(*child), labels, choice)
+                level = levels[t]
+                i = self.memo[t][self._key(*child)]
+                n, a = int(level.ns[i]), int(level.best[i])
+                choice = None if t == pb.t1 else level.choices[
+                    level.rec.start[i] + int(self._table(n, False)[3][a])]
+                rule, child = self._advance(t, self._state(*child),
+                                            self.partition_tables[n, t == pb.t1][a][0], choice)
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
@@ -483,10 +641,12 @@ class _Designer:
         o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
         o2 = o2_best_response(o1, pb).policy
         stage_stats = self._stage_stats()
+        enumerate_s = searched - start - self.value_s
         return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
-                                stage_stats=stage_stats, search_s=searched - start,
+                                stage_stats=stage_stats, search_s=enumerate_s + self.value_s,
+                                enumerate_s=enumerate_s, value_s=self.value_s,
                                 extract_s=time.perf_counter() - searched)
 
 
@@ -503,44 +663,46 @@ class _P1Solver(_Designer):
         # the prior's masses sum to exactly 1.0, so they push unchanged
         return _p1_children(((p, p, 1.0 - p),), self.pb.channel1.row_pair(1))([0])
 
-    def _key(self, merged, mass):
-        # P1 children are normalized before the push, so mass plays no part
-        return _state_key(list(itertools.chain.from_iterable(merged)), self.width)
-
     def _state(self, merged, mass):
+        # P1 children are normalized before the push, so mass plays no part
+        # here or in the key
         return tuple(merged)
 
-    def _stage(self, t, state):
-        pre0 = [0.0]
-        pre1 = [0.0]
-        for _, m0, m1 in state:
-            pre0.append(pre0[-1] + m0)
-            pre1.append(pre1[-1] + m1)
-        read = self.wald.reader(self.pb.t2)
-
-        def send(lo, hi):
-            rm0 = pre0[hi] - pre0[lo]
-            rm1 = pre1[hi] - pre1[lo]
-            mass = rm0 + rm1
-            if mass <= 0.0:
-                return 0.0
-            belief = rm0 / mass
-            if not 0.0 <= belief <= 1.0:
-                raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
-            return mass * read(belief)
-
-        if t == self.pb.t1:
-            return len(state), send, None
+    def _expand(self, t, state, rec, add):
         child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
-        c1 = self.pb.costs.c1
-
-        def blank(blank_groups):
+        rec.start.append(len(rec.pos))
+        for blank_groups in self._table(len(state), False)[2]:
             got = child(blank_groups)
-            if got is None:
-                return 0.0, None
-            return got[1] * (c1 + self._child_value(t + 1, *got)), None
+            rec.mass.append(0.0 if got is None else got[1])
+            rec.pos.append(-1 if got is None else add(*got))
 
-        return len(state), send, blank
+    def _blank_costs(self, rec, child_values):
+        """Each blank set's cost: its mass times c1 plus its child's value."""
+        pos = np.array(rec.pos, dtype=np.intp)
+        live = pos >= 0
+        cost = np.zeros(len(pos))
+        cost[live] = np.array(rec.mass)[live] * (self.pb.costs.c1 + child_values[pos[live]])
+        return cost, [None] * len(pos)
+
+    def _groups(self, rows, off):
+        # every atom of a P1 state is a group of its own
+        return rows, np.ones(len(rows), dtype=bool)
+
+    def _pricer(self, t, rows, off):
+        read = self.wald.batch_reader(self.pb.t2)
+
+        def price(ks, bounds, runs):
+            # each node's prefix sums of m0 and m1 over its atoms
+            pre = np.zeros((2, len(ks), bounds.shape[1]))
+            pre[:, :, 1:] = np.cumsum(rows[bounds[:, :-1], 1:].transpose(2, 0, 1), axis=2)
+            rm0, rm1 = pre[:, :, runs[:, 1]] - pre[:, :, runs[:, 0]]
+            mass = rm0 + rm1
+            live = ~(mass <= 0.0)
+            out = np.zeros(mass.shape)
+            out[live] = mass[live] * read(_posteriors(rm0[live], mass[live]))
+            return out
+
+        return price
 
     def _advance(self, t, state, labels, choice):
         rule = extract_thresholds([(b, lab) for (b, _, _), lab in zip(state, labels)],
@@ -560,51 +722,20 @@ def solve_p1(problem):
 # variant P2 solver
 
 
-def _run_pricer(atoms, channel_rows, read):
-    """Stopping-cost flow of message runs over a P2 state's sorted atoms.
-
-    Returns ``price(lo, hi, msg_lik)``: the unnormalized expected stopping
-    cost when the atoms ``atoms[lo:hi]`` send a message with likelihood pair
-    msg_lik, the still-sampling ones absorb it with one fresh observation
-    and ``read`` prices each posterior.  Each sampling atom's live terms
-    (w, b2 * row0[y], (1 - b2) * row1[y]) are computed once here, so a run
-    costs one multiply-add pair and one read per term.
-    """
-    row0, row1 = channel_rows
-    terms = []
-    starts = [0]  # atoms[a]'s terms are terms[starts[a]:starts[a + 1]]
-    for _, b2, d, m0, m1 in atoms:
-        if d == 1:
-            for y in range(len(row0)):
-                w = m0 * row0[y] + m1 * row1[y]
-                if w > 0.0:
-                    terms.append((w, b2 * row0[y], (1.0 - b2) * row1[y]))
-        starts.append(len(terms))
-
-    def price(lo, hi, msg_lik):
-        mz0, mz1 = msg_lik
-        flow = 0.0
-        for w, u0, u1 in terms[starts[lo]:starts[hi]]:
-            num = u0 * mz0
-            den = num + u1 * mz1
-            if den <= 0.0:
-                raise ImpossibleUpdateError(
-                    "designer state inconsistent with its message law")
-            belief = num / den
-            if not 0.0 <= belief <= 1.0:
-                raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
-            flow += w * read(belief)
-        return flow
-
-    return price
-
-
 def _receiver_groups(phi):
     """Still-sampling atoms of phi in belief2 order, as (index, atom), and
     their belief2 clusters."""
     active = sorted(((i, a) for i, a in enumerate(phi) if a[2] == 1),
                     key=lambda ia: ia[1][1])
     return active, _cluster_positions([a[1] for _, a in active])
+
+
+@functools.lru_cache(maxsize=None)
+def _continue_choices(n_groups):
+    """Continue runs (i, j) over n_groups belief2 groups in search order:
+    groups i..j-1 continue; of the empty runs only (0, 0) is priced."""
+    return tuple((i, j) for i, j in itertools.combinations_with_replacement(
+        range(n_groups + 1), 2) if i < j or i == 0)
 
 
 def _continue_span(g2, i, j):
@@ -626,37 +757,33 @@ class _P2Solver(_Designer):
         # the prior's masses sum to 1.0, so normalizing leaves them unchanged
         return child(0, 1), 1.0
 
-    def _key(self, merged, mass):
-        return _state_key([x for b1, b2, _, m0, m1 in merged
-                           for x in (b1, b2, m0 / mass, m1 / mass)], self.width)
+    def _coords(self, lookups):
+        rows, counts, _ = super()._coords(lookups)
+        mass = np.repeat(np.array([mass for _, mass in lookups], dtype=float), counts)
+        rows[:, 3] /= mass
+        rows[:, 4] /= mass
+        return rows, counts, rows[:, [0, 1, 3, 4]]
 
     def _state(self, merged, mass):
         return tuple((b1, b2, d, m0 / mass, m1 / mass) for b1, b2, d, m0, m1 in merged)
 
     def _split(self, state):
-        """Atoms sorted and grouped by belief1, plus ``run(lo, hi)`` giving
-        (mass, message likelihood pair) of the atoms ``atoms[lo:hi]`` and
-        ``region(group_ids)`` giving (their atoms, mass, message likelihood
-        pair) of any set of groups."""
+        """Atoms sorted and grouped by belief1, plus ``region(group_ids)``
+        giving (their atoms, mass, message likelihood pair) of any set of
+        groups."""
         atoms = sorted(state)
         groups = _cluster_positions([a[0] for a in atoms])
-        m0s = [a[3] for a in atoms]
-        m1s = [a[4] for a in atoms]
-        tot0 = sum(m0s)
-        tot1 = sum(m1s)
-
-        def masses(r0, r1):
-            return r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
-                             r1 / tot1 if tot1 > 0.0 else 0.0)
-
-        def run(lo, hi):
-            return masses(sum(m0s[lo:hi]), sum(m1s[lo:hi]))
+        tot0 = sum(a[3] for a in atoms)
+        tot1 = sum(a[4] for a in atoms)
 
         def region(group_ids):
             sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-            return (sel, *masses(sum(a[3] for a in sel), sum(a[4] for a in sel)))
+            r0 = sum(a[3] for a in sel)
+            r1 = sum(a[4] for a in sel)
+            return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
+                                  r1 / tot1 if tot1 > 0.0 else 0.0)
 
-        return atoms, groups, run, region
+        return atoms, groups, region
 
     def _blank_phase(self, t, blank, lik):
         """Observer 2's step on a blank branch's atoms (phi), its active atoms
@@ -666,64 +793,105 @@ class _P2Solver(_Designer):
         active, g2 = _receiver_groups(phi)
         return active, g2, _p2_children(phi, active, self.pb.channel1.row_pair(t + 1))
 
-    def _stage(self, t, state):
-        atoms, groups, run, region = self._split(state)
-        price = _run_pricer(atoms, self.pb.channel2.row_pair(t),
-                            self.wald.reader(self.pb.t2 - t))
-
-        def send(lo, hi):
-            lo, hi = groups[lo][0], groups[hi - 1][1]
-            mass, lik = run(lo, hi)
-            return price(lo, hi, lik) if mass > 0.0 else 0.0
-
-        def blank(blank_groups):
-            return self._blank_part(t, *region(blank_groups))
-
-        return len(groups), send, blank
-
-    def _blank_part(self, t, blank, mass_b, lik):
-        """Cost of the blank branch at stage t, plus the chosen stop rule.
-
-        Charges: c1 for observer 1's next observation, observer 2's stop
-        losses or c2 continue charges at this stage, and the recursion on
-        the advanced state.
-        """
-        if mass_b <= 0.0:
-            return 0.0, None
-        act_sorted, g2, child = self._blank_phase(t, blank, lik)
+    def _expand(self, t, state, rec, add):
+        """Looks up the child of every blank set and continue run; records
+        per blank set its receiver group count (-1: no mass), per continue
+        run the blank mass, observer 2's stop losses or c2 continue charges
+        at this stage, and the child's lookup."""
+        _, groups, region = self._split(state)
         loss = self.pb.costs.loss
-
-        # prefix sums of declare-1 / declare-0 losses and continue mass over
-        # the active atoms in belief2 order
-        pd1 = [0.0]
-        pd0 = [0.0]
-        pcm = [0.0]
-        for _, (b1, b2, d, m0, m1) in act_sorted:
-            pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
-            pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
-            pcm.append(pcm[-1] + m0 + m1)
-
-        best = None
-        best_choice = None
-        c1 = self.pb.costs.c1
         c2 = self.pb.costs.c2
-        for i, j in itertools.combinations_with_replacement(range(len(g2) + 1), 2):
-            # groups i..j-1 continue; only (0, 0) of the empty runs is priced
-            if i == j and i > 0:
+        rec.start.append(len(rec.ng2))
+        for blank_groups in self._table(len(groups), False)[2]:
+            blank, mass_b, lik = region(blank_groups)
+            if mass_b <= 0.0:
+                rec.ng2.append(-1)
                 continue
-            alo, ahi = _continue_span(g2, i, j)
-            charges = (pd1[alo] - pd1[0]) \
-                + (pd0[len(act_sorted)] - pd0[ahi]) \
-                + c2 * (pcm[ahi] - pcm[alo])
-            val = c1 * mass_b + charges \
-                + mass_b * self._child_value(t + 1, child(alo, ahi), mass_b)
-            if best is None or val < best:
-                best = val
-                best_choice = (i, j)
-        return best, best_choice
+            act_sorted, g2, child = self._blank_phase(t, blank, lik)
+            rec.ng2.append(len(g2))
+            # prefix sums of declare-1 / declare-0 losses and continue mass
+            # over the active atoms in belief2 order
+            pd1 = [0.0]
+            pd0 = [0.0]
+            pcm = [0.0]
+            for _, (b1, b2, d, m0, m1) in act_sorted:
+                pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
+                pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
+                pcm.append(pcm[-1] + m0 + m1)
+            for i, j in _continue_choices(len(g2)):
+                alo, ahi = _continue_span(g2, i, j)
+                rec.charges.append((pd1[alo] - pd1[0]) + (pd0[len(act_sorted)] - pd0[ahi])
+                                   + c2 * (pcm[ahi] - pcm[alo]))
+                rec.mass.append(mass_b)
+                rec.pos.append(add(child(alo, ahi), mass_b))
+
+    def _blank_costs(self, rec, child_values):
+        """Each blank set's cost, c1 plus the stage's charges plus the
+        child's value times the blank mass at its first cheapest continue
+        run, and that run (None: no mass)."""
+        mass = np.array(rec.mass)
+        val = self.pb.costs.c1 * mass + np.array(rec.charges) \
+            + mass * child_values[np.array(rec.pos, dtype=np.intp)]
+        runs = np.array([len(_continue_choices(g)) if g >= 0 else 0 for g in rec.ng2],
+                        dtype=np.intp)
+        low, arg = np.zeros(len(runs)), np.full(len(runs), -1)
+        live = np.flatnonzero(runs > 0)
+        starts = (np.cumsum(runs) - runs)[live]
+        hits = np.flatnonzero(val == np.repeat(np.minimum.reduceat(val, starts), runs[live]))
+        first = hits[np.searchsorted(hits, starts)]
+        low[live], arg[live] = val[first], first - starts
+        return low, [None if a < 0 else _continue_choices(g)[a]
+                     for g, a in zip(rec.ng2, arg.tolist())]
+
+    def _groups(self, rows, off):
+        """Each node's atoms sorted as sorted(state) sorts them, and flags
+        on the first atom of each belief1 group (``_cluster_positions``)."""
+        owner = np.repeat(np.arange(len(off) - 1), np.diff(off))
+        rows = rows[np.lexsort((*rows.T[::-1], owner))]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = rows[1:, 0] - rows[:-1, 0] > MERGE_TOL
+        starts[off[:-1]] = True
+        return rows, starts
+
+    def _pricer(self, t, rows, off):
+        """Stopping-cost flows of message runs: a run's atoms send a message
+        whose likelihood pair is the run's share of each hypothesis's mass,
+        the still-sampling ones absorb it with one fresh observation, and
+        the knot reader prices each posterior."""
+        read = self.wald.batch_reader(self.pb.t2 - t)
+        row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
+        _, b2, d, m0, m1 = rows.T
+        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
+        # one per fresh observation y of weight w > 0; atom a's are
+        # terms[at[a]:at[a + 1]]
+        w = m0[:, None] * row0 + m1[:, None] * row1
+        live = (d == 1.0)[:, None] & (w > 0.0)
+        tw, tu0, tu1 = w[live], (b2[:, None] * row0)[live], ((1.0 - b2)[:, None] * row1)[live]
+        at = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+        tot0, tot1 = (_seq_sums(m, off[:-1], np.diff(off)) for m in (m0, m1))
+
+        def price(ks, bounds, runs):
+            lo = bounds[:, runs[:, 0]].ravel()
+            hi = bounds[:, runs[:, 1]].ravel()
+            r0, r1 = (_seq_sums(m, lo, hi - lo) for m in (m0, m1))
+            node = np.repeat(ks, len(runs))
+            go = np.flatnonzero(r0 + r1 > 0.0)
+            mz0, mz1 = _ratio(r0[go], tot0[node[go]]), _ratio(r1[go], tot1[node[go]])
+            # run s has cnt[s] terms, pairs begin[s]:begin[s] + cnt[s]
+            cnt = at[hi[go]] - at[lo[go]]
+            begin = np.cumsum(cnt) - cnt
+            seg = np.repeat(np.arange(len(go)), cnt)
+            term = np.arange(len(seg)) + np.repeat(at[lo[go]] - begin, cnt)
+            num = tu0[term] * mz0[seg]
+            belief = _posteriors(num, num + tu1[term] * mz1[seg])
+            out = np.zeros(len(lo))
+            out[go] = _seq_sums(tw[term] * read(belief), begin, cnt)
+            return out.reshape(len(ks), len(runs))
+
+        return price
 
     def _advance(self, t, state, labels, choice):
-        atoms, groups, _, region = self._split(state)
+        atoms, groups, region = self._split(state)
         rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in zip(groups, labels)],
                                   self.pb.n_messages, terminal=(t == self.pb.t1))
         if t == self.pb.t1:

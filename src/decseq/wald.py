@@ -138,8 +138,8 @@ class WaldSolution:
         """The function belief -> ``value(belief, remaining)``.
 
         One reader per remaining count, built once: callers that price many
-        beliefs at one count (the designer's message runs) skip the lookup
-        of the knot lists on every call.
+        beliefs at one count skip the lookup of the knot lists on every
+        call.
         """
         got = self._readers.get(remaining)
         if got is None:
@@ -149,6 +149,21 @@ class WaldSolution:
             got = self._readers[remaining] = _knot_reader(
                 self.knots[remaining] if remaining > 0 else None, self.costs)
         return got
+
+    def batch_reader(self, remaining):
+        """``reader(remaining)`` over an array of beliefs in [0, 1], with the
+        same floating-point steps per belief (searchsorted for bisect): the
+        designer prices its message runs in batches."""
+        if remaining == 0:
+            return lambda beliefs: _stop_cost(beliefs, self.costs)
+        xs, ys = map(np.array, self.knots[remaining])
+
+        def read(beliefs):
+            i = np.searchsorted(xs, beliefs)
+            # i = 0 only at belief 0.0, a knot; there the wrapped i - 1 is unused
+            x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+            return np.where(x1 == beliefs, y1, y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)))
+        return read
 
     def continuation(self, belief, remaining):
         """Expected cost of one more observation, then optimal play."""

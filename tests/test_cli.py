@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decseq import seq_decomp
+from decseq import (CertificationError, epsilon_optimal_pair, load_problem_spec, pair_to_dict,
+                    seq_decomp)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
 
@@ -239,9 +240,11 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     assert main([command, "--spec", spec_path(name), "--out", out]) == 0
     rep = read_report(out)
     profile = rep["profile"]
-    assert sorted(profile) == ["check_s", "extract_s", "search_s"]
+    assert sorted(profile) == ["check_s", "enumerate_s", "extract_s", "search_s", "value_s"]
     assert all(v >= 0.0 for v in profile.values())
-    assert sum(profile.values()) <= rep["wall_time_s"]
+    # the search is its enumeration plus its valuation
+    assert profile["search_s"] == profile["enumerate_s"] + profile["value_s"]
+    assert profile["search_s"] + profile["extract_s"] + profile["check_s"] <= rep["wall_time_s"]
     if command != "mary":
         assert rep["nodes"] > 0 and rep["memo_hits"] >= 0
 
@@ -275,6 +278,29 @@ def test_epsilon_pair_node_cap_is_a_certification_error(tmp_path, monkeypatch, c
                  "--epsilon", "0.05", "--max-horizon", "4",
                  "--out", str(tmp_path / "eps")]) == 3
     assert "designer search nodes 5 exceeds cap 4" in capsys.readouterr().err
+
+
+def test_epsilon_pair_certification_error_writes_the_best_pair(tmp_path, monkeypatch):
+    # horizons 1 and 2 certify no epsilon of 0.32 and horizon 3 stops at the
+    # node cap: exit 3, with the best pair, its certificates and the error
+    # written out
+    monkeypatch.setattr(seq_decomp, "DESIGNER_NODE_CAP", 4)
+    problem = load_problem_spec(json.loads(open(spec_path("sym02_p1")).read()))
+    with pytest.raises(CertificationError) as exc:
+        epsilon_optimal_pair(problem, 0.32)
+    best = exc.value.best
+    out = str(tmp_path / "eps")
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--grid", "11",
+                 "--epsilon", "0.32", "--out", out]) == 3
+    rep = read_report(out)
+    assert rep["error"] == str(exc.value)
+    assert "designer search nodes 5 exceeds cap 4" in rep["error"]
+    assert rep["epsilon_pair"]["horizon"] == best.horizon == 2
+    assert rep["epsilon_pair"]["achieved"] == best.epsilon > 0.32
+    assert rep["epsilon_pair"]["cost"] == best.cost
+    assert rep["epsilon_pair"]["certificates"] == [c.to_dict() for c in best.certificates]
+    with open(os.path.join(out, "policies.json")) as fh:
+        assert json.load(fh) == json.loads(json.dumps(pair_to_dict(best.o1, best.o2)))
 
 
 def _reference_episodes_csv(path, episodes):

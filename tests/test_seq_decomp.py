@@ -1,22 +1,25 @@
 """Designer decomposition: state transformations and the two solvers."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decseq
 from decseq import (CapacityError, enumerate_policies_p1, enumerate_policies_p2,
                     exact_cost, seq_decomp, solve_p1, solve_p2)
 from decseq.belief import push_atoms
+from decseq.policies import pair_to_dict
 from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions, _key_ints,
-                                _labels_from_cuts, _labels_from_runs, _partition_table,
-                                _run_pricer)
+                                _labels_from_cuts, _labels_from_runs, _partition_table)
 from decseq.wald import wald_cost
 
+import designer_reference
 from conftest import ASYM, make_spec
 from path_oracle import blank_phase_paths
 
@@ -75,13 +78,19 @@ def test_variants_differ_on_longer_horizons(asym_p1, asym_p2):
     assert abs(v1 - v2) > 1e-6
 
 
+def value_terminal(solver, state):
+    """The batch value of one last-stage node and its argmin's labels."""
+    rows = np.array(state, dtype=float)
+    values, best, ns = solver._value_nodes(solver.pb.t1, rows, np.array([len(state)]))
+    return values[0], solver.partition_tables[int(ns[0]), True][best[0]][0]
+
+
 def test_send_flow_rejects_state_outside_message_law(sym02_p2):
-    solver = _P2Solver(sym02_p2)
-    price = _run_pricer(((0.5, 0.0, 1, 0.5, 0.5),), sym02_p2.channel2.row_pair(1),
-                        solver.wald.reader(sym02_p2.t2 - 1))
-    # belief2 = 0 cannot absorb a message that H=1 never sends
+    # the run of the first belief1 group sends a message that H=1 never
+    # sends, and its atom's belief2 = 0 cannot absorb it
+    state = ((0.3, 0.0, 1, 0.5, 0.0), (0.7, 0.5, 1, 0.0, 0.5))
     with pytest.raises(decseq.ImpossibleUpdateError):
-        price(0, 1, (1.0, 0.0))
+        value_terminal(_P2Solver(sym02_p2), state)
 
 
 def test_solver_rejects_wrong_variant(sym02_p1, sym02_p2):
@@ -161,6 +170,8 @@ def test_sym02_anchor_memo_hits(variant, horizon, memo_hits):
     sol = (solve_p1 if variant == "P1" else solve_p2)(prob)
     assert sol.memo_hits == memo_hits
     assert sol.search_s >= 0.0 and sol.extract_s >= 0.0
+    assert sol.enumerate_s >= 0.0 and sol.value_s >= 0.0
+    assert sol.search_s == sol.enumerate_s + sol.value_s
 
 
 TINY_ORACLE_CAP = 200000
@@ -312,20 +323,27 @@ def test_run_pricer_and_partition_tables_match_references(spec):
     # equal the per-node enumeration
     prob = decseq.load_problem_spec(spec)
     solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
-    stage = solver._stage
+    pricer = solver._pricer
     states = []
 
-    def checked_stage(t, state):
-        n, send, blank = stage(t, state)
-        n_ref, send_ref = reference_send(solver, t, state)
-        assert n == n_ref
-        for lo in range(n):
-            for hi in range(lo + 1, n + 1):
-                assert outcome(send, lo, hi) == outcome(send_ref, lo, hi)
-        states.append(t)
-        return n, send, blank
+    def checked_pricer(t, rows, off):
+        price = pricer(t, rows, off)
 
-    solver._stage = checked_stage
+        def checked(ks, bounds, runs):
+            # every run of groups lo..hi-1, not only the table's
+            n = bounds.shape[1] - 1
+            every = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+            got = price(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))
+            for k, cost in zip(ks.tolist(), got.tolist()):
+                state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
+                n_ref, send_ref = reference_send(solver, t, state)
+                assert n == n_ref
+                assert cost == [send_ref(lo, hi) for lo, hi in every]
+                states.append(t)
+            return price(ks, bounds, runs)
+        return checked
+
+    solver._pricer = checked_pricer
     try:
         sol = solver.solve()
     except decseq.DecseqError:
@@ -343,14 +361,14 @@ def test_run_pricer_and_partition_tables_match_references(spec):
 def test_stage_stats_add_up_to_search_counts(variant, horizon):
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
     solver = (_P1Solver if variant == "P1" else _P2Solver)(prob)
-    stage = solver._stage
+    value_nodes = solver._value_nodes
     atoms = {}
 
-    def counting_stage(t, state):
-        atoms.setdefault(t, []).append(len(state))
-        return stage(t, state)
+    def counting(t, rows, counts, blanks=None):
+        atoms.setdefault(t, []).extend(counts.tolist())
+        return value_nodes(t, rows, counts, blanks)
 
-    solver._stage = counting_stage
+    solver._value_nodes = counting
     sol = solver.solve()
     stats = sol.stage_stats
     assert [s["t"] for s in stats] == list(range(1, horizon + 1))
@@ -419,7 +437,7 @@ def test_key_ints_are_exact_rounding(x, data):
     y = data.draw(st.one_of(KEY_RANGE, NEAR_HALF,
                             st.integers(-4, 4).map(lambda n: near_ulps(x, n))
                             .filter(lambda y: abs(y) < 1.7)))
-    kx, ky = (k - seq_decomp._ROUNDER for k in _key_ints([x, y]))
+    kx, ky = _key_ints([x, y]).tolist()
     assert kx == round(Fraction(x) * 10**10)
     assert int(kx) / 10**10 == round(x, 10)
     assert (kx == ky) == (round(x, 10) == round(y, 10))
@@ -436,11 +454,11 @@ def test_key_ints_fraction_branch_runs(monkeypatch):
     monkeypatch.setattr(seq_decomp, "_exact_round", spy)
     half = 1 / 2048  # times 1e10 this is 4882812.5 exactly
     xs = [half, math.nextafter(half, 1.0), math.nextafter(half, 0.0), 0.25, near_half(7, 1)]
-    assert _key_ints(xs) == [seq_decomp._ROUNDER + round(Fraction(x) * 10**10) for x in xs]
+    assert _key_ints(xs).tolist() == [round(Fraction(x) * 10**10) for x in xs]
     assert calls == [xs[0], xs[1], xs[2], xs[4]]
 
 
-@pytest.mark.parametrize("bad", [1.7, -1.7, 2.0, math.inf])
+@pytest.mark.parametrize("bad", [1.7, -1.7, 2.0, math.inf, math.nan])
 def test_key_ints_reject_values_outside_the_key_range(bad):
     with pytest.raises(decseq.ProblemSpecError):
         _key_ints([0.5, bad])
@@ -491,3 +509,92 @@ def test_state_keys_match_rounded_reference(data, key_solvers):
         # mass 1.0: the state's masses are keyed as they are
         same = solver._key(list(state), 1.0) == solver._key(list(moved), 1.0)
         assert same == (reference_canon(variant, state) == reference_canon(variant, moved))
+
+
+# ---------------------------------------------------------------------------
+# the level-synchronous search against the depth-first recursion it replaced
+
+
+def search_record(sol):
+    return (sol.total.hex(), sol.nodes, sol.partitions_tried, sol.memo_hits,
+            sol.stage_stats, json.dumps(pair_to_dict(sol.o1, sol.o2), sort_keys=True))
+
+
+def designer_outcome(solve, prob):
+    try:
+        return search_record(solve(prob))
+    except decseq.DecseqError as exc:
+        return type(exc)
+
+
+def spec_with(ch1, ch2, **kw):
+    spec = make_spec(**kw)
+    spec["channels"][0]["tables"] = ch1
+    spec["channels"][1]["tables"] = ch2
+    return spec
+
+
+TERNARY = [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]
+BINARY = [[0.8, 0.2], [0.25, 0.75]]
+
+
+def small_search(spec):
+    # P2 with M = 3 at T1 = 3 reaches 10,000 nodes, seconds for the reference
+    return not (spec["variant"] == "P2" and spec["M"] == 3 and spec["horizons"]["T1"] == 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=tiny_specs(max_t=3).filter(small_search))
+@example(spec=spec_with([TERNARY], [BINARY], t1=3, t2=3, m=3, c1=0.02, c2=0.02))
+@example(spec=spec_with([TERNARY, [[0.4, 0.4, 0.2], [0.1, 0.3, 0.6]]], [BINARY], t1=2, t2=3,
+                        variant="P2", m=3))
+@example(spec=spec_with([BINARY, [[0.6, 0.4], [0.1, 0.9]]], [TERNARY], t1=2, t2=3,
+                        variant="P2", c1=0.03, c2=0.01))
+@example(spec=spec_with([BINARY, BINARY, [[0.9, 0.1], [0.3, 0.7]]], [BINARY], t1=3, t2=2))
+def test_search_matches_depth_first_reference(spec):
+    # random tiny instances (M = 2 or 3, binary or ternary alphabets,
+    # stationary or time-varying channels, T2 >= T1 and, in P1, T2 < T1):
+    # the same total to the bit, search counts, per-stage figures and policies
+    prob = decseq.load_problem_spec(spec)
+    solve = solve_p1 if prob.variant == "P1" else solve_p2
+    assert designer_outcome(solve, prob) == designer_outcome(
+        designer_reference.reference_solve, prob)
+
+
+COORD_ANY = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.25, 1.5]),
+                      st.floats(-0.5, 1.5))
+
+
+@st.composite
+def terminal_nodes(draw):
+    """A tiny problem and one last-stage state of its variant, consistent
+    or not: beliefs and masses may vanish or leave [0, 1], so pricing a
+    run can raise ImpossibleUpdateError or ProblemSpecError."""
+    prob = decseq.load_problem_spec(draw(tiny_specs(max_t=3)))
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        if prob.variant == "P1":
+            atoms.append((draw(COORD_ANY), draw(COORD_ANY), draw(COORD_ANY)))
+        else:
+            d = draw(st.integers(0, 1))
+            atoms.append((draw(COORD_ANY), draw(COORD_ANY) if d else -1.0, d,
+                          draw(COORD_ANY), draw(COORD_ANY)))
+    return prob, tuple(atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=terminal_nodes())
+def test_batch_node_value_matches_scalar_recursion(node):
+    # one last-stage node valued by the numpy batch and by the scalar
+    # recursion: the same value and argmin, or the same error first
+    prob, state = node
+    new = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
+    ref = (designer_reference._P1Solver if prob.variant == "P1"
+           else designer_reference._P2Solver)(prob)
+    try:
+        value = ref.value(prob.t1, state, None)
+        want = (value, ref.memo[prob.t1][None][1][0])
+    except decseq.DecseqError as exc:
+        want = type(exc)
+    got = outcome(value_terminal, new, state)
+    assert got == want
