@@ -302,12 +302,12 @@ def _cmd_solve_infinite(args):
     code = EXIT_OK
     if args.epsilon is not None:
         try:
-            pair = epsilon_optimal_pair(problem, args.epsilon,
-                                        max_horizon=args.max_horizon)
+            pair = epsilon_optimal_pair(problem, args.epsilon, max_horizon=args.max_horizon)
         except CertificationError as exc:
+            if exc.best is None:  # raised inside a solve: no pair to write
+                raise
             # the best pair found still goes out, with its certificates
-            pair, code = exc.best, EXIT_CERTIFICATION
-            payload["error"] = str(exc)
+            pair, code, payload["error"] = exc.best, EXIT_CERTIFICATION, str(exc)
         _write_json(args.out, "policies.json", pair_to_dict(pair.o1, pair.o2))
         payload["epsilon_pair"] = {
             "requested": args.epsilon, "achieved": pair.epsilon,

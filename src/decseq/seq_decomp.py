@@ -6,66 +6,46 @@ finitely many atoms; that conditional law is the designer's state.  Both
 variants share one sequential decomposition (``_Designer``):
 
 * **search** -- level-synchronous.  Forward, the nodes of stages 1, ...,
-  T1 - 1 are expanded in the order they were first reached, and each child
-  is looked up in the next stage's memo (``_Level``); a child with a new key
-  becomes a node there.  By induction on the stage, the nodes, and the
-  state standing for each key, are those a depth-first recursion stores.
-  Nodes are valued in numpy batches (``_value_nodes``): every achievable
-  threshold partition of a node's atom groups (the optimal policies are
-  interval-shaped in the beliefs, so partition search over sorted atoms is
-  exhaustive) costs its message runs plus, before the last stage, its
+  T1 - 1 are expanded in the order they were first reached; each child is
+  looked up in the next stage's memo (``_Level``), and a new key makes a
+  node there, so the nodes, and the state standing for each key, are those
+  a depth-first recursion stores.  Nodes are valued in numpy batches
+  (``_value_nodes``): every achievable threshold partition of a node's atom
+  groups (the optimal policies are interval-shaped in the beliefs, so this
+  is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
-  most nodes, is valued batch by batch as its nodes appear, the earlier
-  stages backward from their children's values.  The partitions of n
-  groups depend only on n, M and whether the stage is the last, so each
-  solve builds that table once (``_partition_table``; ``_table`` as arrays);
+  most nodes, is valued batch by batch, the earlier stages backward.  Each
+  solve builds the partitions of n groups once (``_partition_table``);
 * **children** -- a node pushes each of its atoms through observer 1's next
-  observation once, and merges the child of every blank set (in variant
-  P2, of every continue interval of observer 2) from those pushes.  A
-  child's state is built only when its key is new.  The root and the
-  policy walk use the same child code;
-* **keys** -- a memo key is exact integers: each keyed coordinate x becomes
-  the k with round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``,
-  one numpy pass per batch of lookups), and a state's key is its atoms'
-  integers, sorted atom by atom, as int64 bytes (``_state_keys``);
+  observation once and merges the child of every blank set (in variant P2,
+  of every continue interval of observer 2) from those pushes;
+* **keys** -- each keyed coordinate x becomes the k with round(x,
+  ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a state's key
+  is its atoms' integers, sorted atom by atom, as int64 bytes;
 * **prices** -- message runs are priced through
-  ``WaldSolution.batch_reader``, every sum added in the order of the scalar
-  recursion this search replaced (``_seq_sums``; numpy's pairwise sums
-  round differently), so every value is bit-identical to it;
+  ``WaldSolution.batch_reader``, every sum added left to right
+  (``_seq_sums``; numpy's pairwise sums round differently);
 * **extraction** -- ``solve()`` walks the stored argmins along the
-  all-blank branch into the sender's threshold rules.  With the sender
-  fixed, the receiver's problem is a single-agent stopping problem, so its
-  policy is ``best_response.o2_best_response`` of that sender.
+  all-blank branch into the sender's threshold rules; the receiver is
+  ``best_response.o2_best_response`` of that sender.
 
-Each variant supplies its state shape and hooks: ``_root`` (the stage-1
-child), ``_coords`` (a batch of children's atom rows and keyed
-coordinates), ``_state``, ``_expand`` (look up a node's children, record
-its blank branches), ``_blank_costs``, ``_groups`` and ``_pricer`` (price
-message runs) and ``_advance`` (one stored argmin to that stage's sender
-rule and the next child).
+Each variant supplies the hooks ``_root``, ``_coords``, ``_groups``,
+``_expand``, ``_blank_costs``, ``_pricer`` and ``_advance``.  A search that
+would store more than ``DESIGNER_NODE_CAP`` nodes raises ``CapacityError``.
 
-A search that would store more than ``DESIGNER_NODE_CAP`` nodes raises
-``CapacityError``.  ``DesignerSolution`` reports the search size (``nodes``,
-``partitions_tried``, ``memo_hits``), per-stage figures (``stage_stats``)
-and the seconds spent enumerating and keying nodes (``enumerate_s``),
-valuing them (``value_s``; the two sum to ``search_s``) and in extraction
-(``extract_s``).
+A state is a tuple of atoms, held in the search as numpy rows:
 
-States are plain tuples so tests can build them directly:
+* variant P1: (belief1, m0, m1) with m_h = P(belief1 = atom, H = h | blanks
+  so far), summing to 1 over atoms and both h.  A blank set's masses are
+  normalized, then pushed.
+* variant P2: (belief1, belief2, d, m0, m1) with d = 1 while observer 2 is
+  still sampling, d = 0 once it has declared (belief2 then -1.0, so
+  declared atoms merge on belief1 alone).  The blank branch also chooses
+  observer 2's continue interval.  A child is pushed, merged, normalized.
 
-* variant P1: ((belief1, m0, m1), ...) where m_h = P(belief1 = atom, H = h |
-  blanks so far); the entries of one state sum to 1 over atoms and both h.
-  A blank set's masses are normalized, then pushed.
-* variant P2: ((belief1, belief2, d, m0, m1), ...) with d = 1 while
-  observer 2 is still sampling, d = 0 once it has declared (the push that
-  declares an atom sets its belief2 to -1.0, so declared atoms merge on
-  belief1 alone).  The blank branch also chooses observer 2's continue
-  interval for the stage.  A child is pushed and merged, then normalized.
-
-Totals reported include the sunk first observations: c1 for observer 1 (and
-c2 for observer 2 in the interleaved variant), so the value is the full
-expected cost of the objective, directly comparable with exact_cost and the
-brute-force oracles.
+Totals include the sunk first observations (c1, and c2 in the interleaved
+variant), so they compare directly with exact_cost and the brute-force
+oracles.
 """
 
 from __future__ import annotations
@@ -88,8 +68,8 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# lookups are keyed in batches of about this many atoms, and nodes valued
-# in batches of about this many partition costs
+# batch size: about this many atoms per keying batch, and partition costs
+# per valuation batch
 _BATCH = 1 << 12
 
 _SCALE = 10 ** ROUND_DIGITS
@@ -109,12 +89,10 @@ def _key_ints(xs):
     """For each float x of the 1-d array xs, the integer k (int64) with
     round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS.
 
-    k is rounded twice (``np.rint``: to nearest, ties to even, as round()
-    does), from x * 1e10 plus 2**-19 and from x * 1e10 minus 2**-19.  These
-    bracket the exact product, so when the two roundings agree the exact
-    product rounds the same way.  They differ only when a half-integer lies
-    within about 2**-19 of the product; there the exact ``_exact_round``
-    decides.
+    k is rounded (``np.rint``: ties to even, as round() does) from x * 1e10
+    plus 2**-19 and from x * 1e10 minus 2**-19, which bracket the exact
+    product: where the two agree, so does the exact product, and where a
+    half-integer lies between them the exact ``_exact_round`` decides.
     """
     xs = np.asarray(xs, dtype=float)
     bad = ~(np.abs(xs) < _KEY_LIMIT)
@@ -130,9 +108,8 @@ def _key_ints(xs):
 
 
 def _exact_round(x):
-    """round(x * 10**ROUND_DIGITS), half to even, in exact arithmetic: what
-    ``round(Fraction(x) * 10**ROUND_DIGITS)`` gives, without importing
-    fractions (about 0.6 MB)."""
+    """round(Fraction(x) * 10**ROUND_DIGITS), half to even, without
+    importing fractions (about 0.6 MB)."""
     num, den = x.as_integer_ratio()
     q, r = divmod(num * _SCALE, den)
     return q + (2 * r > den or (2 * r == den and q % 2 == 1))
@@ -306,6 +283,15 @@ def _cluster_positions(values):
     return groups
 
 
+def _nodes(rows, starts, counts):
+    """Each node's atoms (lists) and groups ((lo, hi) slices of them) from
+    grouped atom rows (``_groups``), counts[i] rows for node i in turn."""
+    ends = np.cumsum(counts).tolist()
+    for a, b in zip([0] + ends, ends):
+        cuts = np.flatnonzero(starts[a:b]).tolist() + [b - a]
+        yield rows[a:b].tolist(), list(zip(cuts, cuts[1:]))
+
+
 def _labels_from_cuts(n_groups, cuts, n_messages):
     """Terminal partition: cut positions -> symbol per group, symbol M-1
     below the first cut down to symbol 0 above the last."""
@@ -394,9 +380,10 @@ class DesignerSolution:
     """Output of solve_p1 / solve_p2.
 
     ``o2`` is ``o2_best_response(o1, problem).policy``.  ``stage_stats``
-    holds one dict per stage t = 1..T1: memo ``nodes``
-    stored at t, memo ``lookups`` of stage-t states, the ``memo_hits``
-    among them, and ``mean_atoms``, the mean number of atoms per node.
+    holds one dict per stage t = 1..T1: memo ``nodes`` stored at t, memo
+    ``lookups`` of stage-t states, the ``memo_hits`` among them, and the
+    ``mean_atoms`` per node.  ``search_s`` is ``enumerate_s`` (building and
+    keying nodes) plus ``value_s`` (pricing them).
     """
 
     problem: object
@@ -419,14 +406,14 @@ class DesignerSolution:
 
 class _Level:
     """The memo lookups of stage t, keyed and deduplicated in batches in
-    the order they are made.  A lookup with a new key makes a node: before
-    the last stage it keeps its state and atom rows, at the last it is
-    valued with its batch.  ``index`` holds the node of every lookup."""
+    the order they are made.  A new key makes a node, kept as grouped atom
+    rows (``_groups``) until it is valued: at the last stage with its batch,
+    before it backward.  ``index`` holds the node of every lookup."""
 
     def __init__(self, solver, t):
         self.solver, self.t = solver, t
         self.pending, self.size, self.made = [], 0, 0
-        self.index, self.states, self.rows, self.valued = [], [], [], []
+        self.index, self.rows, self.valued = [], [], []
 
     def add(self, merged, mass):
         """Look up a child (merged atoms, mass); returns the lookup's place."""
@@ -452,15 +439,14 @@ class _Level:
             index.append(node)
         s.lookups[self.t] += len(index)
         self.index.append(np.array(index, dtype=np.intp))
-        new = np.zeros(len(counts), dtype=bool)
-        new[fresh] = True
+        new = np.isin(np.arange(len(counts)), fresh)
         rows, counts = rows[np.repeat(new, counts)], counts[new]
+        nodes = (*s._groups(rows, counts), counts)
         if self.t < s.pb.t1:
-            self.states += [s._state(*self.pending[i]) for i in fresh]
-            self.rows.append((rows, counts))
+            self.rows.append(nodes)
         else:
             start = time.perf_counter()
-            self.valued.append(s._value_nodes(self.t, rows, counts))
+            self.valued.append(s._value_nodes(self.t, *nodes))
             s.value_s += time.perf_counter() - start
         self.pending, self.size = [], 0
 
@@ -477,11 +463,8 @@ class _Level:
 
 class _Designer:
     """Level-synchronous partition search and policy walk shared by both
-    variants.
-
-    Subclasses set ``variant`` and ``width`` (keyed coordinates per atom)
-    and provide the hooks named in the module docstring.
-    """
+    variants.  Subclasses set ``variant`` and ``width`` (keyed coordinates
+    per atom) and provide the hooks named in the module docstring."""
 
     variant = None
     width = None
@@ -499,8 +482,7 @@ class _Designer:
         self.partition_tables = {}
         self.tables = {}
         self.value_s = 0.0
-        # values only; the receiver's own stopping table is its best
-        # response's
+        # values only; the receiver's stopping table is its best response's
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
                                       eval_points=(problem.prior,))
 
@@ -512,10 +494,6 @@ class _Designer:
             merged for merged, _ in lookups)), float)
         rows = rows.reshape(int(counts.sum()), -1)
         return rows, counts, rows
-
-    def _key(self, merged, mass):
-        _, counts, keyed = self._coords([(merged, mass)])
-        return _state_keys(keyed, counts, self.width)[0]
 
     def _table(self, n, terminal):
         """The partition table of n groups as arrays: its distinct runs
@@ -548,10 +526,9 @@ class _Designer:
             # per node its first blank entry; the rest is the variant's (as
             # typed arrays: a stage can hold millions of entries)
             level.rec = SimpleNamespace(start=array("q"), mass=array("d"), pos=array("q"),
-                                        charges=array("d"), ng2=array("q"))
-            for state in level.states:
-                self._expand(t, state, level.rec, nxt.add)
-            level.states = None
+                                        charges=array("d"), runs=array("q"))
+            for atoms, groups in _nodes(*level.rows):
+                self._expand(t, atoms, groups, level.rec, nxt.add)
             nxt.finish()
             levels.append(nxt)
             level = nxt
@@ -564,20 +541,18 @@ class _Designer:
         self.value_s += time.perf_counter() - start
         return levels
 
-    def _value_nodes(self, t, rows, counts, blanks=None):
-        """Values of stage-t nodes given as atom rows, counts[i] for node i
-        in turn.  Before the last stage ``blanks`` holds each node's first
-        blank entry and every entry's cost.  Returns (values, argmin table
-        entries, group counts)."""
+    def _value_nodes(self, t, rows, starts, counts, blanks=None):
+        """Values of stage-t nodes given as grouped atom rows (``_groups``),
+        counts[i] for node i in turn.  Before the last stage ``blanks`` holds
+        each node's first blank entry and every entry's cost.  Returns
+        (values, argmin table entries, group counts)."""
         off = np.concatenate(([0], np.cumsum(counts)))
-        rows, starts = self._groups(rows, off)
         ns = np.bincount(np.repeat(np.arange(len(counts)), counts)[starts],
                          minlength=len(counts))
         gpos = np.flatnonzero(starts)
         first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
         price = self._pricer(t, rows, off)
-        values = np.zeros(len(counts))
-        best = np.zeros(len(counts), dtype=np.intp)
+        values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
         for n in sorted(set(ns.tolist())):
             runs, slots, _, bidx = self._table(n, blanks is None)
             nodes = np.flatnonzero(ns == n)
@@ -626,12 +601,16 @@ class _Designer:
             rule = None
             if child is not None:
                 level = levels[t]
-                i = self.memo[t][self._key(*child)]
+                rows, counts, keyed = self._coords([child])
+                i = self.memo[t][_state_keys(keyed, counts, self.width)[0]]
+                atoms, groups = next(_nodes(*self._groups(rows, counts), counts))
                 n, a = int(level.ns[i]), int(level.best[i])
-                choice = None if t == pb.t1 else level.choices[
-                    level.rec.start[i] + int(self._table(n, False)[3][a])]
-                rule, child = self._advance(t, self._state(*child),
-                                            self.partition_tables[n, t == pb.t1][a][0], choice)
+                labels = self.partition_tables[n, t == pb.t1][a][0]
+                rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in
+                                           zip(groups, labels)], m, terminal=(t == pb.t1))
+                if t < pb.t1:
+                    choice = level.choices[level.rec.start[i] + self._table(n, False)[3][a]]
+                    child = self._advance(t, atoms, groups, labels, int(choice))
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
@@ -663,28 +642,22 @@ class _P1Solver(_Designer):
         # the prior's masses sum to exactly 1.0, so they push unchanged
         return _p1_children(((p, p, 1.0 - p),), self.pb.channel1.row_pair(1))([0])
 
-    def _state(self, merged, mass):
-        # P1 children are normalized before the push, so mass plays no part
-        # here or in the key
-        return tuple(merged)
-
-    def _expand(self, t, state, rec, add):
-        child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
+    def _expand(self, t, atoms, groups, rec, add):
+        child = _p1_children(atoms, self.pb.channel1.row_pair(t + 1))
         rec.start.append(len(rec.pos))
-        for blank_groups in self._table(len(state), False)[2]:
+        for blank_groups in self._table(len(atoms), False)[2]:
             got = child(blank_groups)
             rec.mass.append(0.0 if got is None else got[1])
             rec.pos.append(-1 if got is None else add(*got))
 
     def _blank_costs(self, rec, child_values):
-        """Each blank set's cost: its mass times c1 plus its child's value."""
+        """Each blank set's cost, its mass times c1 plus its child's value,
+        and its child's lookup (-1: no mass)."""
         pos = np.array(rec.pos, dtype=np.intp)
-        live = pos >= 0
-        cost = np.zeros(len(pos))
-        cost[live] = np.array(rec.mass)[live] * (self.pb.costs.c1 + child_values[pos[live]])
-        return cost, [None] * len(pos)
+        cost = np.array(rec.mass) * (self.pb.costs.c1 + child_values[pos])
+        return np.where(pos >= 0, cost, 0.0), pos
 
-    def _groups(self, rows, off):
+    def _groups(self, rows, counts):
         # every atom of a P1 state is a group of its own
         return rows, np.ones(len(rows), dtype=bool)
 
@@ -704,13 +677,9 @@ class _P1Solver(_Designer):
 
         return price
 
-    def _advance(self, t, state, labels, choice):
-        rule = extract_thresholds([(b, lab) for (b, _, _), lab in zip(state, labels)],
-                                  self.pb.n_messages, terminal=(t == self.pb.t1))
-        if t == self.pb.t1:
-            return rule, None
-        child = _p1_children(state, self.pb.channel1.row_pair(t + 1))
-        return rule, child([i for i, lab in enumerate(labels) if lab == BLANK])
+    def _advance(self, t, atoms, groups, labels, choice):
+        child = _p1_children(atoms, self.pb.channel1.row_pair(t + 1))
+        return child([i for i, lab in enumerate(labels) if lab == BLANK])
 
 
 def solve_p1(problem):
@@ -728,6 +697,23 @@ def _receiver_groups(phi):
     active = sorted(((i, a) for i, a in enumerate(phi) if a[2] == 1),
                     key=lambda ia: ia[1][1])
     return active, _cluster_positions([a[1] for _, a in active])
+
+
+def _regions(atoms, groups):
+    """``region(group_ids)`` over a P2 node's sorted atoms and belief1
+    groups: the groups' atoms, their mass and the message likelihood pair
+    (each hypothesis's share of the node's mass, added left to right)."""
+    tot0 = functools.reduce(float.__add__, (a[3] for a in atoms), 0.0)
+    tot1 = functools.reduce(float.__add__, (a[4] for a in atoms), 0.0)
+
+    def region(group_ids):
+        sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
+        r0 = sum(a[3] for a in sel)
+        r1 = sum(a[4] for a in sel)
+        return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
+                              r1 / tot1 if tot1 > 0.0 else 0.0)
+
+    return region
 
 
 @functools.lru_cache(maxsize=None)
@@ -760,30 +746,8 @@ class _P2Solver(_Designer):
     def _coords(self, lookups):
         rows, counts, _ = super()._coords(lookups)
         mass = np.repeat(np.array([mass for _, mass in lookups], dtype=float), counts)
-        rows[:, 3] /= mass
-        rows[:, 4] /= mass
+        rows[:, 3:] /= mass[:, None]
         return rows, counts, rows[:, [0, 1, 3, 4]]
-
-    def _state(self, merged, mass):
-        return tuple((b1, b2, d, m0 / mass, m1 / mass) for b1, b2, d, m0, m1 in merged)
-
-    def _split(self, state):
-        """Atoms sorted and grouped by belief1, plus ``region(group_ids)``
-        giving (their atoms, mass, message likelihood pair) of any set of
-        groups."""
-        atoms = sorted(state)
-        groups = _cluster_positions([a[0] for a in atoms])
-        tot0 = sum(a[3] for a in atoms)
-        tot1 = sum(a[4] for a in atoms)
-
-        def region(group_ids):
-            sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-            r0 = sum(a[3] for a in sel)
-            r1 = sum(a[4] for a in sel)
-            return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
-                                  r1 / tot1 if tot1 > 0.0 else 0.0)
-
-        return atoms, groups, region
 
     def _blank_phase(self, t, blank, lik):
         """Observer 2's step on a blank branch's atoms (phi), its active atoms
@@ -793,32 +757,31 @@ class _P2Solver(_Designer):
         active, g2 = _receiver_groups(phi)
         return active, g2, _p2_children(phi, active, self.pb.channel1.row_pair(t + 1))
 
-    def _expand(self, t, state, rec, add):
+    def _expand(self, t, atoms, groups, rec, add):
         """Looks up the child of every blank set and continue run; records
-        per blank set its receiver group count (-1: no mass), per continue
+        per blank set its number of continue runs (0: no mass), per continue
         run the blank mass, observer 2's stop losses or c2 continue charges
         at this stage, and the child's lookup."""
-        _, groups, region = self._split(state)
+        region = _regions(atoms, groups)
         loss = self.pb.costs.loss
         c2 = self.pb.costs.c2
-        rec.start.append(len(rec.ng2))
+        rec.start.append(len(rec.runs))
         for blank_groups in self._table(len(groups), False)[2]:
             blank, mass_b, lik = region(blank_groups)
             if mass_b <= 0.0:
-                rec.ng2.append(-1)
+                rec.runs.append(0)
                 continue
             act_sorted, g2, child = self._blank_phase(t, blank, lik)
-            rec.ng2.append(len(g2))
+            choices = _continue_choices(len(g2))
+            rec.runs.append(len(choices))
             # prefix sums of declare-1 / declare-0 losses and continue mass
             # over the active atoms in belief2 order
-            pd1 = [0.0]
-            pd0 = [0.0]
-            pcm = [0.0]
+            pd1, pd0, pcm = [0.0], [0.0], [0.0]
             for _, (b1, b2, d, m0, m1) in act_sorted:
                 pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
                 pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
                 pcm.append(pcm[-1] + m0 + m1)
-            for i, j in _continue_choices(len(g2)):
+            for i, j in choices:
                 alo, ahi = _continue_span(g2, i, j)
                 rec.charges.append((pd1[alo] - pd1[0]) + (pd0[len(act_sorted)] - pd0[ahi])
                                    + c2 * (pcm[ahi] - pcm[alo]))
@@ -828,29 +791,26 @@ class _P2Solver(_Designer):
     def _blank_costs(self, rec, child_values):
         """Each blank set's cost, c1 plus the stage's charges plus the
         child's value times the blank mass at its first cheapest continue
-        run, and that run (None: no mass)."""
+        run, and that run's place in ``_continue_choices`` (-1: no mass)."""
         mass = np.array(rec.mass)
         val = self.pb.costs.c1 * mass + np.array(rec.charges) \
             + mass * child_values[np.array(rec.pos, dtype=np.intp)]
-        runs = np.array([len(_continue_choices(g)) if g >= 0 else 0 for g in rec.ng2],
-                        dtype=np.intp)
+        runs = np.array(rec.runs, dtype=np.intp)
         low, arg = np.zeros(len(runs)), np.full(len(runs), -1)
         live = np.flatnonzero(runs > 0)
         starts = (np.cumsum(runs) - runs)[live]
         hits = np.flatnonzero(val == np.repeat(np.minimum.reduceat(val, starts), runs[live]))
         first = hits[np.searchsorted(hits, starts)]
         low[live], arg[live] = val[first], first - starts
-        return low, [None if a < 0 else _continue_choices(g)[a]
-                     for g, a in zip(rec.ng2, arg.tolist())]
+        return low, arg
 
-    def _groups(self, rows, off):
+    def _groups(self, rows, counts):
         """Each node's atoms sorted as sorted(state) sorts them, and flags
         on the first atom of each belief1 group (``_cluster_positions``)."""
-        owner = np.repeat(np.arange(len(off) - 1), np.diff(off))
+        owner = np.repeat(np.arange(len(counts)), counts)
         rows = rows[np.lexsort((*rows.T[::-1], owner))]
         starts = np.ones(len(rows), dtype=bool)
-        starts[1:] = rows[1:, 0] - rows[:-1, 0] > MERGE_TOL
-        starts[off[:-1]] = True
+        starts[1:] = (rows[1:, 0] - rows[:-1, 0] > MERGE_TOL) | (owner[1:] != owner[:-1])
         return rows, starts
 
     def _pricer(self, t, rows, off):
@@ -890,17 +850,13 @@ class _P2Solver(_Designer):
 
         return price
 
-    def _advance(self, t, state, labels, choice):
-        atoms, groups, region = self._split(state)
-        rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in zip(groups, labels)],
-                                  self.pb.n_messages, terminal=(t == self.pb.t1))
-        if t == self.pb.t1:
-            return rule, None
-        blank, mass_b, lik = region([g for g, lab in enumerate(labels) if lab == BLANK])
-        if mass_b <= 0.0 or choice is None:
-            return rule, None
+    def _advance(self, t, atoms, groups, labels, choice):
+        blank, mass_b, lik = _regions(atoms, groups)(
+            [g for g, lab in enumerate(labels) if lab == BLANK])
+        if mass_b <= 0.0 or choice < 0:
+            return None
         _, g2, child = self._blank_phase(t, blank, lik)
-        return rule, (child(*_continue_span(g2, *choice)), mass_b)
+        return child(*_continue_span(g2, *_continue_choices(len(g2))[choice])), mass_b
 
 
 def solve_p2(problem):

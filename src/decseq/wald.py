@@ -152,8 +152,7 @@ class WaldSolution:
 
     def batch_reader(self, remaining):
         """``reader(remaining)`` over an array of beliefs in [0, 1], with the
-        same floating-point steps per belief (searchsorted for bisect): the
-        designer prices its message runs in batches."""
+        same floating-point steps per belief (searchsorted for bisect)."""
         if remaining == 0:
             return lambda beliefs: _stop_cost(beliefs, self.costs)
         xs, ys = map(np.array, self.knots[remaining])

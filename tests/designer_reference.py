@@ -13,6 +13,7 @@ and policy pair that ``solve_p1``/``solve_p2`` must reproduce bit for bit.
 import itertools
 from types import SimpleNamespace
 
+from decseq import seq_decomp
 from decseq.best_response import o2_best_response
 from decseq.errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from decseq.policies import BLANK, O1Policy, TerminalRule, boundary_stage, extract_thresholds
@@ -20,9 +21,6 @@ from decseq.seq_decomp import (_KEY_LIMIT, ROUND_DIGITS, _cluster_positions, _co
                                _exact_round, _observe_p2, _p1_children, _p2_children,
                                _partition_table, _receiver_groups)
 from decseq.wald import solve_wald_finite
-
-# ``DESIGNER_NODE_CAP`` as the search reads it; tests may lower it
-NODE_CAP = [500_000]
 
 _FLOAT_SCALE = float(10 ** ROUND_DIGITS)
 _BAND = 2.0 ** -19
@@ -42,6 +40,15 @@ def key_ints(xs):
     if up != down:
         up = [u if u == d else _ROUNDER + _exact_round(x) for x, u, d in zip(xs, up, down)]
     return up
+
+
+def left_sum(xs):
+    """The floats xs added left to right, as ``seq_decomp`` adds run masses
+    and node totals (from Python 3.12 the builtin sum() compensates)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def state_key(xs, width):
@@ -75,8 +82,9 @@ class _Designer:
 
     def value(self, t, state, key):
         self.nodes += 1
-        if self.nodes > NODE_CAP[0]:
-            raise CapacityError(self.nodes, NODE_CAP[0], "designer search nodes")
+        cap = seq_decomp.DESIGNER_NODE_CAP
+        if self.nodes > cap:
+            raise CapacityError(self.nodes, cap, "designer search nodes")
         n, send, blank = self._stage(t, state)
         terminal = t == self.pb.t1
         table = self.partition_tables.get((n, terminal))
@@ -248,15 +256,15 @@ class _P2Solver(_Designer):
         groups = _cluster_positions([a[0] for a in atoms])
         m0s = [a[3] for a in atoms]
         m1s = [a[4] for a in atoms]
-        tot0 = sum(m0s)
-        tot1 = sum(m1s)
+        tot0 = left_sum(m0s)
+        tot1 = left_sum(m1s)
 
         def masses(r0, r1):
             return r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
                              r1 / tot1 if tot1 > 0.0 else 0.0)
 
         def run(lo, hi):
-            return masses(sum(m0s[lo:hi]), sum(m1s[lo:hi]))
+            return masses(left_sum(m0s[lo:hi]), left_sum(m1s[lo:hi]))
 
         def region(group_ids):
             sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]

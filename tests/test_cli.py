@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decseq import (CertificationError, epsilon_optimal_pair, load_problem_spec, pair_to_dict,
+from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec, pair_to_dict,
                     seq_decomp)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
@@ -301,6 +301,20 @@ def test_epsilon_pair_certification_error_writes_the_best_pair(tmp_path, monkeyp
     assert rep["epsilon_pair"]["certificates"] == [c.to_dict() for c in best.certificates]
     with open(os.path.join(out, "policies.json")) as fh:
         assert json.load(fh) == json.loads(json.dumps(pair_to_dict(best.o1, best.o2)))
+
+
+def test_epsilon_pair_certification_error_without_a_pair(tmp_path, monkeypatch, capsys):
+    # an error raised inside a solve carries no best pair: exit 3 and no
+    # report, as for any certification error
+    def fail(*args, **kwargs):
+        raise CertificationError("x")
+
+    monkeypatch.setattr(cli, "epsilon_optimal_pair", fail)
+    out = tmp_path / "eps"
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--grid", "11",
+                 "--epsilon", "0.32", "--out", str(out)]) == 3
+    assert "certification error: x" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "policies.json").exists()
 
 
 def _reference_episodes_csv(path, episodes):

@@ -20,6 +20,7 @@ from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions, _key_in
 from decseq.wald import wald_cost
 
 import designer_reference
+from designer_reference import left_sum
 from conftest import ASYM, make_spec
 from path_oracle import blank_phase_paths
 
@@ -80,8 +81,9 @@ def test_variants_differ_on_longer_horizons(asym_p1, asym_p2):
 
 def value_terminal(solver, state):
     """The batch value of one last-stage node and its argmin's labels."""
-    rows = np.array(state, dtype=float)
-    values, best, ns = solver._value_nodes(solver.pb.t1, rows, np.array([len(state)]))
+    counts = np.array([len(state)])
+    rows, starts = solver._groups(np.array(state, dtype=float), counts)
+    values, best, ns = solver._value_nodes(solver.pb.t1, rows, starts, counts)
     return values[0], solver.partition_tables[int(ns[0]), True][best[0]][0]
 
 
@@ -289,13 +291,13 @@ def reference_send(solver, t, state):
         return len(state), send
     atoms = sorted(state)
     groups = _cluster_positions([a[0] for a in atoms])
-    tot0 = sum(m0 for *_, m0, _ in atoms)
-    tot1 = sum(m1 for *_, _, m1 in atoms)
+    tot0 = left_sum(m0 for *_, m0, _ in atoms)
+    tot1 = left_sum(m1 for *_, _, m1 in atoms)
 
     def send(lo, hi):
         sel = atoms[groups[lo][0]:groups[hi - 1][1]]
-        r0 = sum(m0 for *_, m0, _ in sel)
-        r1 = sum(m1 for *_, _, m1 in sel)
+        r0 = left_sum(m0 for *_, m0, _ in sel)
+        r1 = left_sum(m1 for *_, _, m1 in sel)
         lik = (r0 / tot0 if tot0 > 0.0 else 0.0, r1 / tot1 if tot1 > 0.0 else 0.0)
         return reference_send_flow(solver, t, sel, lik) if r0 + r1 > 0.0 else 0.0
     return len(groups), send
@@ -319,8 +321,9 @@ def test_partition_table_matches_per_node_enumeration(m, terminal):
 @given(spec=tiny_specs(max_t=3))
 def test_run_pricer_and_partition_tables_match_references(spec):
     # at every memo state, every message run prices exactly as the
-    # per-posterior wald_cost loop, and the per-solve partition tables
-    # equal the per-node enumeration
+    # per-posterior wald_cost loop, or fails with the error that loop meets
+    # first, and the per-solve partition tables equal the per-node
+    # enumeration
     prob = decseq.load_problem_spec(spec)
     solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
     pricer = solver._pricer
@@ -333,22 +336,31 @@ def test_run_pricer_and_partition_tables_match_references(spec):
             # every run of groups lo..hi-1, not only the table's
             n = bounds.shape[1] - 1
             every = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-            got = price(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))
-            for k, cost in zip(ks.tolist(), got.tolist()):
+            want = []
+            for k in ks.tolist():
                 state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
                 n_ref, send_ref = reference_send(solver, t, state)
                 assert n == n_ref
-                assert cost == [send_ref(lo, hi) for lo, hi in every]
-                states.append(t)
+                want.append([outcome(send_ref, lo, hi) for lo, hi in every])
+            try:
+                got = price(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))
+            except decseq.DecseqError as exc:
+                # the batch raises the error of its first failing run
+                errors = [c for costs in want for c in costs if isinstance(c, type)]
+                assert errors and type(exc) is errors[0]
+                raise
+            assert got.tolist() == want
+            states.extend([t] * len(ks))
             return price(ks, bounds, runs)
         return checked
 
     solver._pricer = checked_pricer
     try:
         sol = solver.solve()
+        assert len(states) == sol.nodes
     except decseq.DecseqError:
-        assume(False)
-    assert len(states) == sol.nodes
+        # a pricing error was compared where it arose
+        pass
     for (n, terminal), table in solver.partition_tables.items():
         assert table == reference_partitions(n, prob.n_messages, terminal)
 
@@ -364,9 +376,9 @@ def test_stage_stats_add_up_to_search_counts(variant, horizon):
     value_nodes = solver._value_nodes
     atoms = {}
 
-    def counting(t, rows, counts, blanks=None):
+    def counting(t, rows, starts, counts, blanks=None):
         atoms.setdefault(t, []).extend(counts.tolist())
-        return value_nodes(t, rows, counts, blanks)
+        return value_nodes(t, rows, starts, counts, blanks)
 
     solver._value_nodes = counting
     sol = solver.solve()
@@ -496,6 +508,12 @@ def state_pairs(draw, variant):
     return tuple(map(tuple, atoms)), tuple(map(tuple, shuffled))
 
 
+def state_key(solver, state):
+    # mass 1.0: the state's masses are keyed as they are
+    _, counts, keyed = solver._coords([(list(state), 1.0)])
+    return seq_decomp._state_keys(keyed, counts, solver.width)[0]
+
+
 @pytest.fixture(scope="module")
 def key_solvers(sym02_p1, sym02_p2):
     return ("P1", _P1Solver(sym02_p1)), ("P2", _P2Solver(sym02_p2))
@@ -506,8 +524,7 @@ def key_solvers(sym02_p1, sym02_p2):
 def test_state_keys_match_rounded_reference(data, key_solvers):
     for variant, solver in key_solvers:
         state, moved = data.draw(state_pairs(variant))
-        # mass 1.0: the state's masses are keyed as they are
-        same = solver._key(list(state), 1.0) == solver._key(list(moved), 1.0)
+        same = state_key(solver, state) == state_key(solver, moved)
         assert same == (reference_canon(variant, state) == reference_canon(variant, moved))
 
 
