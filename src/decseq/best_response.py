@@ -209,7 +209,7 @@ def _wald_tables(wald, problem, first_used=0):
     atoms = wald.eval_points
     for k in range(first_used, problem.t2 + 1):
         r = problem.t2 - k
-        cont = [wald.continuation(b, r) for b in atoms] if r > 0 else None
+        cont = wald.continuation(atoms, r).tolist() if r > 0 else None
         labels, _, branches = stop_or_sample(atoms, cont, problem.costs)
         out.append(ValueTable(kind=("after", k), atoms=atoms, values=wald.values[r],
                               branches=branches, labels=tuple(labels)))

@@ -22,16 +22,19 @@ variants share one sequential decomposition (``_Designer``):
 * **keys** -- each keyed coordinate x becomes the k with round(x,
   ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a state's key
   is its atoms' integers, sorted atom by atom, as int64 bytes;
-* **prices** -- message runs are priced through
-  ``WaldSolution.batch_reader``, every sum added left to right
-  (``_seq_sums``; numpy's pairwise sums round differently);
+* **prices** -- message runs are priced through ``WaldSolution.reader``,
+  every sum added left to right (``_seq_sums``, ``_left_sum``: numpy's
+  pairwise sums, and the builtin sum() from Python 3.12, round
+  differently);
 * **extraction** -- ``solve()`` walks the stored argmins along the
-  all-blank branch into the sender's threshold rules; the receiver is
-  ``best_response.o2_best_response`` of that sender.
+  all-blank branch into the sender's threshold rules, following the
+  lookups the search recorded and rebuilding each child on the path with
+  the same ``_expand``; the receiver is ``best_response.o2_best_response``
+  of that sender.
 
 Each variant supplies the hooks ``_root``, ``_coords``, ``_groups``,
-``_expand``, ``_blank_costs``, ``_pricer`` and ``_advance``.  A search that
-would store more than ``DESIGNER_NODE_CAP`` nodes raises ``CapacityError``.
+``_expand``, ``_blank_costs`` and ``_pricer``.  A search that would store
+more than ``DESIGNER_NODE_CAP`` nodes raises ``CapacityError``.
 
 A state is a tuple of atoms, held in the search as numpy rows:
 
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from array import array
 from dataclasses import dataclass
@@ -155,7 +159,7 @@ def _p1_children(state, channel_rows):
     masses = [m0 + m1 for _, m0, m1 in state]
 
     def child(atoms):
-        mass = sum([masses[i] for i in atoms])
+        mass = _left_sum(masses[i] for i in atoms)
         if mass <= 0.0:
             return None
         raw = []
@@ -346,6 +350,12 @@ def _partition_table(n_groups, n_messages, terminal):
     return list(table.values())
 
 
+def _left_sum(xs):
+    """The floats xs added left to right, as the builtin sum() adds them
+    before Python 3.12 (from 3.12 it compensates)."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
 def _seq_sums(values, start, length):
     """sum(values[s:s + n]) for each pair (s, n) of the arrays start and
     length, added left to right as a scalar loop adds."""
@@ -354,6 +364,14 @@ def _seq_sums(values, start, length):
         live = np.flatnonzero(length > j)
         out[live] += values[start[live] + j]
     return out
+
+
+def _record():
+    """An empty expansion record: per node its first blank entry (``start``)
+    and its children's first lookup (``first``); the rest is the variant's.
+    Typed arrays: a stage can hold millions of entries."""
+    return SimpleNamespace(start=array("q"), first=array("q"), mass=array("d"),
+                           pos=array("q"), charges=array("d"), runs=array("q"))
 
 
 def _ratio(num, den):
@@ -523,11 +541,9 @@ class _Designer:
         levels = [None, level]
         for t in range(1, self.pb.t1):
             nxt = _Level(self, t + 1)
-            # per node its first blank entry; the rest is the variant's (as
-            # typed arrays: a stage can hold millions of entries)
-            level.rec = SimpleNamespace(start=array("q"), mass=array("d"), pos=array("q"),
-                                        charges=array("d"), runs=array("q"))
+            level.rec = _record()
             for atoms, groups in _nodes(*level.rows):
+                level.rec.first.append(nxt.made)
                 self._expand(t, atoms, groups, level.rec, nxt.add)
             nxt.finish()
             levels.append(nxt)
@@ -595,22 +611,30 @@ class _Designer:
         inner = float(levels[1].values[levels[1].index[0]])
         total = (pb.costs.c1 + pb.costs.c2 if self.variant == "P2" else pb.costs.c1) + inner
 
-        child = self._root()
+        # the all-blank path: stage t's node i, and child, the state that the
+        # path's stage t - 1 node expands to (node i holds the first state of
+        # its key, which can differ from it by roundoff)
+        i, child = int(levels[1].index[0]), self._root()
         stages = []
         for t in range(1, pb.t1 + 1):
             rule = None
             if child is not None:
                 level = levels[t]
-                rows, counts, keyed = self._coords([child])
-                i = self.memo[t][_state_keys(keyed, counts, self.width)[0]]
+                rows, counts, _ = self._coords([child])
                 atoms, groups = next(_nodes(*self._groups(rows, counts), counts))
                 n, a = int(level.ns[i]), int(level.best[i])
                 labels = self.partition_tables[n, t == pb.t1][a][0]
                 rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in
                                            zip(groups, labels)], m, terminal=(t == pb.t1))
-                if t < pb.t1:
-                    choice = level.choices[level.rec.start[i] + self._table(n, False)[3][a]]
-                    child = self._advance(t, atoms, groups, labels, int(choice))
+                child = None
+                pos = -1 if t == pb.t1 else \
+                    int(level.choices[level.rec.start[i] + self._table(n, False)[3][a]])
+                if pos >= 0:
+                    kids = []  # each add returns its place, as _Level.add does
+                    self._expand(t, atoms, groups, _record(),
+                                 lambda *kid: kids.append(kid) or len(kids) - 1)
+                    child = kids[pos - level.rec.first[i]]
+                    i = int(levels[t + 1].index[pos])
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
@@ -662,7 +686,7 @@ class _P1Solver(_Designer):
         return rows, np.ones(len(rows), dtype=bool)
 
     def _pricer(self, t, rows, off):
-        read = self.wald.batch_reader(self.pb.t2)
+        read = self.wald.reader(self.pb.t2)
 
         def price(ks, bounds, runs):
             # each node's prefix sums of m0 and m1 over its atoms
@@ -676,10 +700,6 @@ class _P1Solver(_Designer):
             return out
 
         return price
-
-    def _advance(self, t, atoms, groups, labels, choice):
-        child = _p1_children(atoms, self.pb.channel1.row_pair(t + 1))
-        return child([i for i, lab in enumerate(labels) if lab == BLANK])
 
 
 def solve_p1(problem):
@@ -703,13 +723,13 @@ def _regions(atoms, groups):
     """``region(group_ids)`` over a P2 node's sorted atoms and belief1
     groups: the groups' atoms, their mass and the message likelihood pair
     (each hypothesis's share of the node's mass, added left to right)."""
-    tot0 = functools.reduce(float.__add__, (a[3] for a in atoms), 0.0)
-    tot1 = functools.reduce(float.__add__, (a[4] for a in atoms), 0.0)
+    tot0 = _left_sum(a[3] for a in atoms)
+    tot1 = _left_sum(a[4] for a in atoms)
 
     def region(group_ids):
         sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-        r0 = sum(a[3] for a in sel)
-        r1 = sum(a[4] for a in sel)
+        r0 = _left_sum(a[3] for a in sel)
+        r1 = _left_sum(a[4] for a in sel)
         return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
                               r1 / tot1 if tot1 > 0.0 else 0.0)
 
@@ -749,14 +769,6 @@ class _P2Solver(_Designer):
         rows[:, 3:] /= mass[:, None]
         return rows, counts, rows[:, [0, 1, 3, 4]]
 
-    def _blank_phase(self, t, blank, lik):
-        """Observer 2's step on a blank branch's atoms (phi), its active atoms
-        in belief2 order with their belief2 groups, and phi's children
-        (``_p2_children``)."""
-        phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
-        active, g2 = _receiver_groups(phi)
-        return active, g2, _p2_children(phi, active, self.pb.channel1.row_pair(t + 1))
-
     def _expand(self, t, atoms, groups, rec, add):
         """Looks up the child of every blank set and continue run; records
         per blank set its number of continue runs (0: no mass), per continue
@@ -771,7 +783,10 @@ class _P2Solver(_Designer):
             if mass_b <= 0.0:
                 rec.runs.append(0)
                 continue
-            act_sorted, g2, child = self._blank_phase(t, blank, lik)
+            # observer 2's step, then the children of phi
+            phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
+            act_sorted, g2 = _receiver_groups(phi)
+            child = _p2_children(phi, act_sorted, self.pb.channel1.row_pair(t + 1))
             choices = _continue_choices(len(g2))
             rec.runs.append(len(choices))
             # prefix sums of declare-1 / declare-0 losses and continue mass
@@ -791,17 +806,17 @@ class _P2Solver(_Designer):
     def _blank_costs(self, rec, child_values):
         """Each blank set's cost, c1 plus the stage's charges plus the
         child's value times the blank mass at its first cheapest continue
-        run, and that run's place in ``_continue_choices`` (-1: no mass)."""
+        run, and that run's child's lookup (-1: no mass)."""
         mass = np.array(rec.mass)
-        val = self.pb.costs.c1 * mass + np.array(rec.charges) \
-            + mass * child_values[np.array(rec.pos, dtype=np.intp)]
+        pos = np.array(rec.pos, dtype=np.intp)
+        val = self.pb.costs.c1 * mass + np.array(rec.charges) + mass * child_values[pos]
         runs = np.array(rec.runs, dtype=np.intp)
         low, arg = np.zeros(len(runs)), np.full(len(runs), -1)
         live = np.flatnonzero(runs > 0)
         starts = (np.cumsum(runs) - runs)[live]
         hits = np.flatnonzero(val == np.repeat(np.minimum.reduceat(val, starts), runs[live]))
         first = hits[np.searchsorted(hits, starts)]
-        low[live], arg[live] = val[first], first - starts
+        low[live], arg[live] = val[first], pos[first]
         return low, arg
 
     def _groups(self, rows, counts):
@@ -818,7 +833,7 @@ class _P2Solver(_Designer):
         whose likelihood pair is the run's share of each hypothesis's mass,
         the still-sampling ones absorb it with one fresh observation, and
         the knot reader prices each posterior."""
-        read = self.wald.batch_reader(self.pb.t2 - t)
+        read = self.wald.reader(self.pb.t2 - t)
         row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
         _, b2, d, m0, m1 = rows.T
         # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
@@ -849,14 +864,6 @@ class _P2Solver(_Designer):
             return out.reshape(len(ks), len(runs))
 
         return price
-
-    def _advance(self, t, atoms, groups, labels, choice):
-        blank, mass_b, lik = _regions(atoms, groups)(
-            [g for g, lab in enumerate(labels) if lab == BLANK])
-        if mass_b <= 0.0 or choice < 0:
-            return None
-        _, g2, child = self._blank_phase(t, blank, lik)
-        return child(*_continue_span(g2, *_continue_choices(len(g2))[choice])), mass_b
 
 
 def solve_p2(problem):

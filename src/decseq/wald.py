@@ -5,13 +5,15 @@ c2 per fresh observation, or declare and pay the terminal loss.  With a
 finite number of observations left the cost-to-go is the minimum of finitely
 many affine functions of the belief (Smallwood & Sondik, Operations Research
 1973), so the finite solver holds it exactly as knot arrays, built by one
-backup per remaining observation and read by one interpolation
-(``WaldSolution.reader``).  The stationary solver is value iteration on a
-grid with linear interpolation (``grid_value_iteration``, which the
-sender's no-deadline limit shares).  It stays on the grid because iterating
-the knot backup to a tolerance is not monotone in floating point:
-consecutive knot iterates rise by ~1e-16, which breaks the exact
-``max_increase <= 0`` record that the grid iterates keep.
+backup per remaining observation and read by one interpolation over arrays
+of beliefs (``WaldSolution.reader``, which ``value``, ``wald_cost``,
+``continuation`` and the designer's run pricing share).  The stationary
+solver is value iteration on a grid with linear interpolation
+(``grid_value_iteration``, which the sender's no-deadline limit shares).
+It stays on the grid because iterating the knot backup to a tolerance is
+not monotone in floating point: consecutive knot iterates rise by ~1e-16,
+which breaks the exact ``max_increase <= 0`` record that the grid iterates
+keep.
 
 Every receiver program (the two solvers here, and the best responses'
 post-message tables and blank phase) labels its beliefs with one rule,
@@ -25,12 +27,10 @@ between.  Remember beliefs are P(H=0 | info), so low belief means H=1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import bayes
 from .errors import ProblemSpecError, StructureViolation
 from .model import Channel, terminal_cost
 
@@ -114,11 +114,11 @@ class WaldSolution:
     is the optimal cost-to-go with r observations left, evaluated on
     ``eval_points``.
 
-    ``knots[r]`` is a pair ``(xs, ys)`` of equal-length lists holding the
+    ``knots[r]`` is a pair ``(xs, ys)`` of equal-length arrays holding the
     cost-to-go with r observations left at ascending beliefs xs, from 0 to
     1.  That cost-to-go is the minimum of finitely many affine functions of
     the belief, and xs holds all of its breakpoints, so the linear
-    interpolation that ``value`` performs is exact up to roundoff.
+    interpolation that ``reader`` performs is exact up to roundoff.
     """
 
     channel: Channel
@@ -128,34 +128,21 @@ class WaldSolution:
     thresholds: tuple = ()
     values: tuple = ()
     knots: tuple = field(default=(), repr=False)
-    _readers: dict = field(default_factory=dict, init=False, repr=False)
 
     def value(self, belief, remaining):
         """Optimal expected cost-to-go, read off the knot table."""
-        return self.reader(remaining)(belief)
+        return float(self.reader(remaining)(belief))
 
     def reader(self, remaining):
-        """The function belief -> ``value(belief, remaining)``.
-
-        One reader per remaining count, built once: callers that price many
-        beliefs at one count skip the lookup of the knot lists on every
-        call.
-        """
-        got = self._readers.get(remaining)
-        if got is None:
-            if remaining > self.horizon:
-                raise ProblemSpecError("remaining",
-                                       f"{remaining} exceeds horizon {self.horizon}")
-            got = self._readers[remaining] = _knot_reader(
-                self.knots[remaining] if remaining > 0 else None, self.costs)
-        return got
-
-    def batch_reader(self, remaining):
-        """``reader(remaining)`` over an array of beliefs in [0, 1], with the
-        same floating-point steps per belief (searchsorted for bisect)."""
+        """The function beliefs -> optimal expected cost-to-go with
+        ``remaining`` observations left, on a belief or an array of beliefs
+        in [0, 1]: the cheaper declaration when none is left, else the knot
+        table's value at a knot and linear interpolation between knots."""
+        if not 0 <= remaining <= self.horizon:
+            raise ProblemSpecError("remaining", f"{remaining} outside 0..{self.horizon}")
         if remaining == 0:
             return lambda beliefs: _stop_cost(beliefs, self.costs)
-        xs, ys = map(np.array, self.knots[remaining])
+        xs, ys = self.knots[remaining]
 
         def read(beliefs):
             i = np.searchsorted(xs, beliefs)
@@ -164,40 +151,17 @@ class WaldSolution:
             return np.where(x1 == beliefs, y1, y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)))
         return read
 
-    def continuation(self, belief, remaining):
-        """Expected cost of one more observation, then optimal play."""
+    def continuation(self, beliefs, remaining):
+        """Expected cost of one more observation, then optimal play, at an
+        array of beliefs."""
+        beliefs = np.asarray(beliefs, dtype=float)
+        read = self.reader(remaining - 1)
+        cont = np.full(beliefs.shape, self.costs.c2)
         # with r observations left, the next draw is observation number
-        # horizon - r + 1
-        cont = self.costs.c2
-        for f0, f1 in zip(*self.channel.row_pair(self.horizon - remaining + 1)):
-            prob, post = bayes(belief, f0, f1)
-            if post is not None:
-                cont += prob * self.value(post, remaining - 1)
+        # horizon - r + 1; a symbol of probability 0 adds 0.0
+        for prob, post in _outcomes(beliefs, self.channel.row_pair(self.horizon - remaining + 1)):
+            cont += prob * read(post)
         return cont
-
-
-def _knot_reader(knots, costs):
-    """Reader of one knot table (None: no observation left, so the cheaper
-    declaration): bisect, exact knot hit, else linear interpolation."""
-    if knots is None:
-        (l00, l01), (l10, l11) = costs.loss
-
-        def read(belief):
-            # terminal_cost of declaring 0 and of declaring 1
-            tc0 = belief * l00 + (1.0 - belief) * l01
-            tc1 = belief * l10 + (1.0 - belief) * l11
-            return tc0 if tc0 <= tc1 else tc1
-        return read
-    xs, ys = knots
-
-    def read(belief):
-        i = bisect_left(xs, belief)
-        if xs[i] == belief:
-            return ys[i]
-        x0 = xs[i - 1]
-        y0 = ys[i - 1]
-        return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
-    return read
 
 
 def _stop_cost(b, costs):
@@ -253,13 +217,11 @@ def _backup(xs, ys, rows, costs):
 
 
 def _knot_tables(channel, costs, horizon):
-    """(xs, ys) knot lists for the cost-to-go with 0..horizon observations left."""
+    """(xs, ys) knot arrays for the cost-to-go with 0..horizon observations left."""
     xs = np.array(sorted({0.0, costs.declare_boundary, 1.0}))
-    ys = _stop_cost(xs, costs)
-    tables = [(xs.tolist(), ys.tolist())]
+    tables = [(xs, _stop_cost(xs, costs))]
     for r in range(1, horizon + 1):
-        xs, ys = _backup(xs, ys, channel.row_pair(horizon - r + 1), costs)
-        tables.append((xs.tolist(), ys.tolist()))
+        tables.append(_backup(*tables[-1], channel.row_pair(horizon - r + 1), costs))
     return tuple(tables)
 
 
@@ -282,7 +244,8 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
     sol = WaldSolution(channel=channel, costs=costs, horizon=horizon, eval_points=pts,
                        knots=_knot_tables(channel, costs, horizon))
 
-    sol.values = tuple(tuple(sol.value(p, r) for p in pts) for r in range(horizon + 1))
+    at = np.array(pts)
+    sol.values = tuple(tuple(sol.reader(r)(at).tolist()) for r in range(horizon + 1))
 
     boundary = costs.declare_boundary
     # sentinels at 0 and 1 give the label runs well-defined ends without
@@ -294,7 +257,7 @@ def solve_wald_finite(channel, costs, horizon, eval_points=None):
         aug = aug + (1.0,)
     thresholds = []
     for r in range(horizon, 0, -1):
-        labels, _, _ = stop_or_sample(aug, [sol.continuation(p, r) for p in aug], costs)
+        labels, _, _ = stop_or_sample(aug, sol.continuation(aug, r).tolist(), costs)
         thresholds.append(thresholds_from_labels(aug, labels, boundary))
     thresholds.append((boundary, boundary))
     sol.thresholds = tuple(thresholds)
@@ -305,7 +268,7 @@ def wald_cost(solution, belief, remaining):
     """Exact optimal cost-to-go with ``remaining`` observations left."""
     if not 0.0 <= belief <= 1.0:
         raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
-    return solution.reader(remaining)(belief)
+    return solution.value(belief, remaining)
 
 
 def belief_grid(grid_size):

@@ -3,14 +3,16 @@
 The recursive ``_Designer.value`` path that ``seq_decomp``'s level-synchronous
 search replaced: a node is keyed by a tuple of exact integers (held in
 floats), looked up on the spot, and on a miss searched at once; each message
-run is priced through the scalar knot reader.  It shares the state
-transformations and partition tables with ``seq_decomp``, so the
-differential tests compare the search order, the keys and the batch pricing,
-not those.  ``reference_solve(problem)`` returns the totals, search counts
-and policy pair that ``solve_p1``/``solve_p2`` must reproduce bit for bit.
+run is priced through the scalar knot reader ``knot_reader``, one belief at
+a time.  It shares the state transformations and partition tables with
+``seq_decomp``, so the differential tests compare the search order, the keys
+and the batch pricing, not those.  ``reference_solve(problem)`` returns the
+totals, search counts and policy pair that ``solve_p1``/``solve_p2`` must
+reproduce bit for bit.
 """
 
 import itertools
+from bisect import bisect_left
 from types import SimpleNamespace
 
 from decseq import seq_decomp
@@ -49,6 +51,31 @@ def left_sum(xs):
     for x in xs:
         total += x
     return total
+
+
+def knot_reader(wald, remaining):
+    """The scalar reader of ``wald``'s knot table with ``remaining``
+    observations left, one belief at a time: the cheaper declaration when
+    none is left, else bisect, the exact knot hit, or linear interpolation."""
+    if remaining == 0:
+        (l00, l01), (l10, l11) = wald.costs.loss
+
+        def read(belief):
+            # terminal_cost of declaring 0 and of declaring 1
+            tc0 = belief * l00 + (1.0 - belief) * l01
+            tc1 = belief * l10 + (1.0 - belief) * l11
+            return tc0 if tc0 <= tc1 else tc1
+        return read
+    xs, ys = (a.tolist() for a in wald.knots[remaining])
+
+    def read(belief):
+        i = bisect_left(xs, belief)
+        if xs[i] == belief:
+            return ys[i]
+        x0 = xs[i - 1]
+        y0 = ys[i - 1]
+        return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
+    return read
 
 
 def state_key(xs, width):
@@ -167,7 +194,7 @@ class _P1Solver(_Designer):
         for _, m0, m1 in state:
             pre0.append(pre0[-1] + m0)
             pre1.append(pre1[-1] + m1)
-        read = self.wald.reader(self.pb.t2)
+        read = knot_reader(self.wald, self.pb.t2)
 
         def send(lo, hi):
             rm0 = pre0[hi] - pre0[lo]
@@ -268,7 +295,7 @@ class _P2Solver(_Designer):
 
         def region(group_ids):
             sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-            return (sel, *masses(sum(a[3] for a in sel), sum(a[4] for a in sel)))
+            return (sel, *masses(left_sum(a[3] for a in sel), left_sum(a[4] for a in sel)))
 
         return atoms, groups, run, region
 
@@ -280,7 +307,7 @@ class _P2Solver(_Designer):
     def _stage(self, t, state):
         atoms, groups, run, region = self._split(state)
         price = run_pricer(atoms, self.pb.channel2.row_pair(t),
-                           self.wald.reader(self.pb.t2 - t))
+                           knot_reader(self.wald, self.pb.t2 - t))
 
         def send(lo, hi):
             lo, hi = groups[lo][0], groups[hi - 1][1]

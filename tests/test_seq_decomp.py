@@ -17,10 +17,9 @@ from decseq.belief import push_atoms
 from decseq.policies import pair_to_dict
 from decseq.seq_decomp import (_P1Solver, _P2Solver, _cluster_positions, _key_ints,
                                 _labels_from_cuts, _labels_from_runs, _partition_table)
-from decseq.wald import wald_cost
 
 import designer_reference
-from designer_reference import left_sum
+from designer_reference import knot_reader, left_sum
 from conftest import ASYM, make_spec
 from path_oracle import blank_phase_paths
 
@@ -250,12 +249,25 @@ def reference_partitions(n, m, terminal):
     return out
 
 
+def reference_cost(solver, remaining):
+    """``wald_cost`` at ``remaining`` observations left, one belief at a time
+    through the scalar knot reader: belief -> cost, ProblemSpecError outside
+    [0, 1]."""
+    read = knot_reader(solver.wald, remaining)
+
+    def cost(belief):
+        if not 0.0 <= belief <= 1.0:
+            raise decseq.ProblemSpecError("belief", f"{belief} outside [0, 1]")
+        return read(belief)
+    return cost
+
+
 def reference_send_flow(solver, t, region, msg_lik):
     """Expected stopping cost of a P2 message branch, unnormalized, by one
-    wald_cost call per posterior."""
+    scalar read per posterior."""
     rows = solver.pb.channel2.row_pair(t)
     mz0, mz1 = msg_lik
-    remaining = solver.pb.t2 - t
+    cost = reference_cost(solver, solver.pb.t2 - t)
     flow = 0.0
     for b1, b2, d, m0, m1 in region:
         if d == 0:
@@ -269,13 +281,14 @@ def reference_send_flow(solver, t, region, msg_lik):
             if den <= 0.0:
                 raise decseq.ImpossibleUpdateError(
                     "designer state inconsistent with its message law")
-            flow += w * wald_cost(solver.wald, num / den, remaining)
+            flow += w * cost(num / den)
     return flow
 
 
 def reference_send(solver, t, state):
     """send(lo, hi) over a state's belief1 groups, priced per posterior."""
     if solver.variant == "P1":
+        cost = reference_cost(solver, solver.pb.t2)
         pre0 = [0.0]
         pre1 = [0.0]
         for _, m0, m1 in state:
@@ -286,8 +299,7 @@ def reference_send(solver, t, state):
             rm0 = pre0[hi] - pre0[lo]
             rm1 = pre1[hi] - pre1[lo]
             mass = rm0 + rm1
-            return 0.0 if mass <= 0.0 else \
-                mass * wald_cost(solver.wald, rm0 / mass, solver.pb.t2)
+            return 0.0 if mass <= 0.0 else mass * cost(rm0 / mass)
         return len(state), send
     atoms = sorted(state)
     groups = _cluster_positions([a[0] for a in atoms])
@@ -321,7 +333,7 @@ def test_partition_table_matches_per_node_enumeration(m, terminal):
 @given(spec=tiny_specs(max_t=3))
 def test_run_pricer_and_partition_tables_match_references(spec):
     # at every memo state, every message run prices exactly as the
-    # per-posterior wald_cost loop, or fails with the error that loop meets
+    # per-posterior scalar loop, or fails with the error that loop meets
     # first, and the per-solve partition tables equal the per-node
     # enumeration
     prob = decseq.load_problem_spec(spec)

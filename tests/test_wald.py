@@ -9,9 +9,11 @@ import decseq
 from decseq import (Channel, Costs, brute_force_wald, count_stop_rules,
                     load_problem_spec, solve_wald_finite, solve_wald_infinite,
                     terminal_cost, wald_cost)
+from decseq.errors import ProblemSpecError
 from decseq.wald import stop_or_sample
 
 from conftest import load_instance
+from designer_reference import knot_reader
 
 
 def make_channel(eps):
@@ -186,9 +188,27 @@ def test_knot_tables_match_reference_recursion(instance):
             assert abs(wald_cost(sol, b, r) - value(b, r)) <= 1e-12
         for i, p in enumerate(sol.eval_points):
             assert sol.values[r][i] == sol.value(p, r)
-        cont = [sol.continuation(p, r) for p in sol.eval_points] if r > 0 else None
+        cont = sol.continuation(sol.eval_points, r).tolist() if r > 0 else None
         labels, _, _ = stop_or_sample(sol.eval_points, cont, costs)
         assert labels == [action(p, r) for p in sol.eval_points]
+
+
+@given(wald_instances())
+@settings(max_examples=100, deadline=None)
+def test_reader_matches_scalar_knot_reader(instance):
+    # bit for bit on random beliefs, on every knot (the exact hit) and at
+    # both ends, over an array and one belief at a time
+    channel, costs, horizon, beliefs = instance
+    sol = solve_wald_finite(channel, costs, horizon, eval_points=beliefs)
+    for r in range(horizon + 1):
+        points = np.concatenate((beliefs, sol.knots[r][0], [0.0, 1.0])).tolist()
+        read = knot_reader(sol, r)
+        want = [read(b).hex() for b in points]
+        assert [x.hex() for x in sol.reader(r)(np.array(points)).tolist()] == want
+        assert [sol.value(b, r).hex() for b in points] == want
+    for remaining in (-1, horizon + 1):
+        with pytest.raises(ProblemSpecError):
+            sol.reader(remaining)
 
 
 def test_knot_count_stays_small_on_long_horizons():
