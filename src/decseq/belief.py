@@ -1,8 +1,10 @@
 """Bayes updates and reachable belief sets.
 
 Beliefs are P(H = 0 | information).  ``bayes`` is the one scalar Bayes step
-that every program outside the designer search uses (``wald._outcomes`` is
-its numpy twin).  With finite observation alphabets the belief of each
+that every program uses but the designer's observer-2 steps
+(``wald._outcomes`` is its numpy twin), and ``push_atom`` the one push of an
+atom through an observation step, shared by ``push_atoms`` and the
+designer's children.  With finite observation alphabets the belief of each
 observer lives on a finite, enumerable set of atoms at every time;
 everything downstream (threshold search, exact policy evaluation,
 brute-force checks) runs on those atoms.  A belief law is a list of
@@ -73,22 +75,27 @@ def merged_support(beliefs):
     return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in beliefs])]
 
 
+def push_atom(belief, w0, w1, channel_rows):
+    """One atom of belief ``belief`` and per-hypothesis masses (w0, w1)
+    pushed through a channel row pair: (posterior, row0[y], row1[y]) for
+    each symbol y the atom can see, w0 * row0[y] or w1 * row1[y] nonzero."""
+    out = []
+    for y, (r0, r1) in enumerate(zip(*channel_rows)):
+        if w0 * r0 == 0.0 and w1 * r1 == 0.0:
+            continue
+        _, post = bayes(belief, r0, r1)
+        if post is None:
+            raise ImpossibleUpdateError(
+                f"observation {y} has zero probability at belief {belief}")
+        out.append((post, r0, r1))
+    return out
+
+
 def push_atoms(entries, channel_rows):
     """One observation step on (belief, w0, w1) triples: push each through
-    a channel row pair, then merge them (merge_atoms)."""
-    raw = []
-    for b, u0, u1 in entries:
-        for y, (r0, r1) in enumerate(zip(*channel_rows)):
-            n0 = u0 * r0
-            n1 = u1 * r1
-            if n0 == 0.0 and n1 == 0.0:
-                continue
-            _, post = bayes(b, r0, r1)
-            if post is None:
-                raise ImpossibleUpdateError(
-                    f"observation {y} has zero probability at belief {b}")
-            raw.append((post, n0, n1))
-    return merge_atoms(raw)
+    a channel row pair (push_atom), then merge them (merge_atoms)."""
+    return merge_atoms([(post, u0 * r0, u1 * r1) for b, u0, u1 in entries
+                        for post, r0, r1 in push_atom(b, u0, u1, channel_rows)])
 
 
 def reachable_beliefs(prior, channel, horizon):

@@ -17,11 +17,12 @@ variants share one sequential decomposition (``_Designer``):
   most nodes, is valued batch by batch, the earlier stages backward.  Each
   solve builds the partitions of n groups once (``_partition_table``);
 * **children** -- a node pushes each of its atoms through observer 1's next
-  observation once and merges the child of every blank set (in variant P2,
-  of every continue interval of observer 2) from those pushes;
-* **keys** -- each keyed coordinate x becomes the k with round(x,
-  ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a state's key
-  is its atoms' integers, sorted atom by atom, as int64 bytes;
+  observation once (``belief.push_atom``) and merges the child of every
+  blank set (in variant P2, of every continue interval of observer 2) from
+  those pushes;
+* **keys** -- each coordinate x of a state's atoms becomes the k with
+  round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a
+  state's key is its atoms' integers, sorted atom by atom, as int64 bytes;
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
   every sum added left to right (``_seq_sums``, ``_left_sum``: numpy's
   pairwise sums, and the builtin sum() from Python 3.12, round
@@ -41,10 +42,11 @@ A state is a tuple of atoms, held in the search as numpy rows:
 * variant P1: (belief1, m0, m1) with m_h = P(belief1 = atom, H = h | blanks
   so far), summing to 1 over atoms and both h.  A blank set's masses are
   normalized, then pushed.
-* variant P2: (belief1, belief2, d, m0, m1) with d = 1 while observer 2 is
-  still sampling, d = 0 once it has declared (belief2 then -1.0, so
-  declared atoms merge on belief1 alone).  The blank branch also chooses
-  observer 2's continue interval.  A child is pushed, merged, normalized.
+* variant P2: (belief1, belief2, m0, m1), belief2 being -1.0 once
+  observer 2 has declared (a merge of such atoms keeps -1.0 exactly, and a
+  still-sampling belief2 is at least 0, so declared atoms merge on belief1
+  alone).  The blank branch also chooses observer 2's continue interval.
+  A child is pushed, merged, normalized.
 
 Totals include the sunk first observations (c1, and c2 in the interleaved
 variant), so they compare directly with exact_cost and the brute-force
@@ -63,7 +65,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .belief import MERGE_TOL, merge_atoms
+from .belief import MERGE_TOL, merge_atoms, push_atom
 from .best_response import o2_best_response
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from .policies import BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage, extract_thresholds
@@ -119,10 +121,11 @@ def _exact_round(x):
     return q + (2 * r > den or (2 * r == den and q % 2 == 1))
 
 
-def _state_keys(coords, counts, width):
-    """Memo keys of the states whose atoms' keyed coordinates are the rows
-    of ``coords`` (``width`` columns), counts[i] rows for state i in turn:
-    each state's ``_key_ints`` rows, sorted, as int64 bytes."""
+def _state_keys(coords, counts):
+    """Memo keys of the states whose atoms' coordinates are the rows of
+    ``coords``, counts[i] rows for state i in turn: each state's
+    ``_key_ints`` rows, sorted, as int64 bytes."""
+    width = coords.shape[1]
     ks = _key_ints(coords.ravel()).reshape(-1, width)
     owner = np.repeat(np.arange(len(counts)), counts)
     order = np.lexsort([ks[:, c] for c in range(width - 1, -1, -1)] + [owner])
@@ -143,19 +146,7 @@ def _p1_children(state, channel_rows):
     no mass, else (merged next atoms, their mass), the atoms' masses divided
     by that mass before the push, as ``belief.push_atoms`` would push them.
     """
-    row0, row1 = channel_rows
-    pushes = []  # per atom: (posterior, row0[y], row1[y]) for each y it can see
-    for b, m0, m1 in state:
-        out = []
-        for y, (r0, r1) in enumerate(zip(row0, row1)):
-            if m0 * r0 == 0.0 and m1 * r1 == 0.0:
-                continue
-            den = b * r0 + (1.0 - b) * r1
-            if den <= 0.0:
-                raise ImpossibleUpdateError(
-                    f"observation {y} has zero probability at belief {b}")
-            out.append((b * r0 / den, r0, r1))
-        pushes.append(out)
+    pushes = [push_atom(b, m0, m1, channel_rows) for b, m0, m1 in state]
     masses = [m0 + m1 for _, m0, m1 in state]
 
     def child(atoms):
@@ -182,27 +173,27 @@ def _p1_children(state, channel_rows):
 
 
 def _merge_p2(entries):
-    """Sort and merge 5-tuples whose coordinates agree within MERGE_TOL.
+    """Sort and merge P2 atoms whose coordinates agree within MERGE_TOL.
 
     Only neighbours in sort order are compared: two close atoms with a
     third sorting between them stay apart.  The sym02 anchor search counts
     rest on this.
     """
     out = []
-    p1 = p2 = pd = q0 = q1 = None  # the last atom of out
+    p1 = p2 = q0 = q1 = None  # the last atom of out
     for e in sorted(entries):
-        b1, b2, d, m0, m1 = e
-        if d == pd and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
+        b1, b2, m0, m1 = e
+        if out and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
             tot_old = q0 + q1
             tot_new = m0 + m1
             if tot_old + tot_new > 0.0:
                 b1 = (p1 * tot_old + b1 * tot_new) / (tot_old + tot_new)
                 b2 = (p2 * tot_old + b2 * tot_new) / (tot_old + tot_new)
             p1, p2, q0, q1 = b1, b2, q0 + m0, q1 + m1
-            out[-1] = (p1, p2, pd, q0, q1)
+            out[-1] = (p1, p2, q0, q1)
         else:
             out.append(e)
-            p1, p2, pd, q0, q1 = e
+            p1, p2, q0, q1 = e
     return out
 
 
@@ -213,9 +204,9 @@ def _observe_p2(kept, msg_lik, channel_rows):
     row0, row1 = channel_rows
     mz0, mz1 = msg_lik
     raw = []
-    for b1, b2, d, m0, m1 in kept:
-        if d == 0:
-            raw.append((b1, -1.0, 0, m0, m1))
+    for b1, b2, m0, m1 in kept:
+        if b2 < 0.0:
+            raw.append((b1, b2, m0, m1))
             continue
         for y in range(len(row0)):
             w0 = m0 * row0[y]
@@ -228,7 +219,7 @@ def _observe_p2(kept, msg_lik, channel_rows):
                 raise ImpossibleUpdateError(
                     f"belief2={b2} cannot absorb (y2={y}, msg_lik={msg_lik}); "
                     "state is inconsistent with its own message law")
-            raw.append((b1, num / den, 1, w0, w1))
+            raw.append((b1, num / den, w0, w1))
     return _merge_p2(raw)
 
 
@@ -237,31 +228,20 @@ def _p2_children(phi, active, channel_rows):
     observer 1's next observation once.
 
     ``active`` lists phi's still-sampling atoms as (index, atom).  Declared
-    atoms are pushed as they are, active ones both as declaring (d = 0,
-    belief2 -1.0) and as sampling on.  Returns ``child(lo, hi)``: the merged,
+    atoms are pushed as they are, active ones both as declaring (belief2
+    -1.0) and as sampling on.  Returns ``child(lo, hi)``: the merged,
     unnormalized next atoms when active[lo:hi] keep sampling and every other
     atom declares.
     """
-    row0, row1 = channel_rows
-
-    def push(b1, m0, m1):
-        out = []
-        for r0, r1 in zip(row0, row1):
-            w0 = m0 * r0
-            w1 = m1 * r1
-            if w0 != 0.0 or w1 != 0.0:
-                out.append((b1 * r0 / (b1 * r0 + (1.0 - b1) * r1), w0, w1))
-        return out
-
-    declared = [(b, -1.0, 0, w0, w1) for b1, _, d, m0, m1 in phi if d == 0
-                for b, w0, w1 in push(b1, m0, m1)]
+    declared = [(b, -1.0, m0 * r0, m1 * r1) for b1, b2, m0, m1 in phi if b2 < 0.0
+                for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
     stop = []
     cont = []
     at = [0]  # active[a]'s pushes are stop/cont[at[a]:at[a + 1]]
-    for _, (b1, b2, _, m0, m1) in active:
-        pushed = push(b1, m0, m1)
-        stop += [(b, -1.0, 0, w0, w1) for b, w0, w1 in pushed]
-        cont += [(b, b2, 1, w0, w1) for b, w0, w1 in pushed]
+    for _, (b1, b2, m0, m1) in active:
+        pushed = [(b, m0 * r0, m1 * r1) for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
+        stop += [(b, -1.0, w0, w1) for b, w0, w1 in pushed]
+        cont += [(b, b2, w0, w1) for b, w0, w1 in pushed]
         at.append(len(stop))
 
     def child(lo, hi):
@@ -444,9 +424,9 @@ class _Level:
 
     def flush(self):
         s, memo = self.solver, self.solver.memo[self.t]
-        rows, counts, keyed = s._coords(self.pending)
+        rows, counts = s._coords(self.pending)
         index, fresh = [], []
-        for i, key in enumerate(_state_keys(keyed, counts, s.width)):
+        for i, key in enumerate(_state_keys(rows, counts)):
             node = memo.get(key)
             if node is None:
                 s.nodes += 1
@@ -481,8 +461,9 @@ class _Level:
 
 class _Designer:
     """Level-synchronous partition search and policy walk shared by both
-    variants.  Subclasses set ``variant`` and ``width`` (keyed coordinates
-    per atom) and provide the hooks named in the module docstring."""
+    variants.  Subclasses set ``variant`` and ``width`` (coordinates per
+    atom, all of them keyed) and provide the hooks named in the module
+    docstring."""
 
     variant = None
     width = None
@@ -505,13 +486,13 @@ class _Designer:
                                       eval_points=(problem.prior,))
 
     def _coords(self, lookups):
-        """The atom rows of a batch of children (merged atoms, mass), their
-        counts, and the rows' keyed coordinates."""
+        """The atom rows of a batch of children (merged atoms, mass) and
+        their counts."""
         counts = np.array([len(merged) for merged, _ in lookups], dtype=np.intp)
         rows = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
             merged for merged, _ in lookups)), float)
         rows = rows.reshape(int(counts.sum()), -1)
-        return rows, counts, rows
+        return rows, counts
 
     def _table(self, n, terminal):
         """The partition table of n groups as arrays: its distinct runs
@@ -620,7 +601,7 @@ class _Designer:
             rule = None
             if child is not None:
                 level = levels[t]
-                rows, counts, _ = self._coords([child])
+                rows, counts = self._coords([child])
                 atoms, groups = next(_nodes(*self._groups(rows, counts), counts))
                 n, a = int(level.ns[i]), int(level.best[i])
                 labels = self.partition_tables[n, t == pb.t1][a][0]
@@ -714,7 +695,7 @@ def solve_p1(problem):
 def _receiver_groups(phi):
     """Still-sampling atoms of phi in belief2 order, as (index, atom), and
     their belief2 clusters."""
-    active = sorted(((i, a) for i, a in enumerate(phi) if a[2] == 1),
+    active = sorted(((i, a) for i, a in enumerate(phi) if a[1] >= 0.0),
                     key=lambda ia: ia[1][1])
     return active, _cluster_positions([a[1] for _, a in active])
 
@@ -723,13 +704,13 @@ def _regions(atoms, groups):
     """``region(group_ids)`` over a P2 node's sorted atoms and belief1
     groups: the groups' atoms, their mass and the message likelihood pair
     (each hypothesis's share of the node's mass, added left to right)."""
-    tot0 = _left_sum(a[3] for a in atoms)
-    tot1 = _left_sum(a[4] for a in atoms)
+    tot0 = _left_sum(a[2] for a in atoms)
+    tot1 = _left_sum(a[3] for a in atoms)
 
     def region(group_ids):
         sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-        r0 = _left_sum(a[3] for a in sel)
-        r1 = _left_sum(a[4] for a in sel)
+        r0 = _left_sum(a[2] for a in sel)
+        r1 = _left_sum(a[3] for a in sel)
         return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
                               r1 / tot1 if tot1 > 0.0 else 0.0)
 
@@ -752,22 +733,20 @@ def _continue_span(g2, i, j):
 
 class _P2Solver(_Designer):
     variant = "P2"
-    # belief1, belief2, m0, m1; d is left out of the key because it is 0
-    # exactly when belief2 is -1.0
     width = 4
 
     def _root(self):
         p = float(self.pb.prior)
-        phi = ((p, p, 1, p, 1.0 - p),)
+        phi = ((p, p, p, 1.0 - p),)
         child = _p2_children(phi, list(enumerate(phi)), self.pb.channel1.row_pair(1))
         # the prior's masses sum to 1.0, so normalizing leaves them unchanged
         return child(0, 1), 1.0
 
     def _coords(self, lookups):
-        rows, counts, _ = super()._coords(lookups)
+        rows, counts = super()._coords(lookups)
         mass = np.repeat(np.array([mass for _, mass in lookups], dtype=float), counts)
-        rows[:, 3:] /= mass[:, None]
-        return rows, counts, rows[:, [0, 1, 3, 4]]
+        rows[:, 2:] /= mass[:, None]
+        return rows, counts
 
     def _expand(self, t, atoms, groups, rec, add):
         """Looks up the child of every blank set and continue run; records
@@ -792,7 +771,7 @@ class _P2Solver(_Designer):
             # prefix sums of declare-1 / declare-0 losses and continue mass
             # over the active atoms in belief2 order
             pd1, pd0, pcm = [0.0], [0.0], [0.0]
-            for _, (b1, b2, d, m0, m1) in act_sorted:
+            for _, (b1, b2, m0, m1) in act_sorted:
                 pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
                 pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
                 pcm.append(pcm[-1] + m0 + m1)
@@ -835,12 +814,12 @@ class _P2Solver(_Designer):
         the knot reader prices each posterior."""
         read = self.wald.reader(self.pb.t2 - t)
         row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
-        _, b2, d, m0, m1 = rows.T
+        _, b2, m0, m1 = rows.T
         # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
         # one per fresh observation y of weight w > 0; atom a's are
         # terms[at[a]:at[a + 1]]
         w = m0[:, None] * row0 + m1[:, None] * row1
-        live = (d == 1.0)[:, None] & (w > 0.0)
+        live = (b2 >= 0.0)[:, None] & (w > 0.0)
         tw, tu0, tu1 = w[live], (b2[:, None] * row0)[live], ((1.0 - b2)[:, None] * row1)[live]
         at = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
         tot0, tot1 = (_seq_sums(m, off[:-1], np.diff(off)) for m in (m0, m1))

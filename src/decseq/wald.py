@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProblemSpecError, StructureViolation
-from .model import Channel, terminal_cost
+from .model import Channel
 
 GRID_SIZE_DEFAULT = 1001
 VI_TOL_DEFAULT = 1e-9
@@ -51,28 +51,29 @@ def _as_eval_points(eval_points):
 
 def stop_or_sample(points, cont, costs):
     """The receiver's choice at each belief of ``points``: declare 0,
-    declare 1 (each at its ``terminal_cost``) or keep sampling at expected
-    cost ``cont[i]`` (``cont`` None: it must declare).  Ties go to
-    stopping, then to declaring 0.
+    declare 1 (each at its ``terminal_cost``, taken on the whole array) or
+    keep sampling at expected cost ``cont[i]`` (``cont`` None: it must
+    declare).  Ties go to stopping, then to declaring 0.
 
     Returns (labels, values, branches): labels[i] is 0, 1 or None (keep
     sampling), values[i] the cost of that choice, and branches maps
     "declare0", "declare1" and, given ``cont``, "continue" to the
     per-point costs.
     """
-    tc0 = tuple(terminal_cost(0, b, costs) for b in points)
-    tc1 = tuple(terminal_cost(1, b, costs) for b in points)
-    branches = {"declare0": tc0, "declare1": tc1}
+    b = np.asarray(points, dtype=float)
+    tc0, tc1 = (b * row[0] + (1.0 - b) * row[1] for row in costs.loss)
+    one = ~(tc0 <= tc1)
+    values = np.where(one, tc1, tc0)
+    branches = {"declare0": tuple(tc0.tolist()), "declare1": tuple(tc1.tolist())}
+    labels = one.astype(int).tolist()
     if cont is not None:
         branches["continue"] = tuple(cont)
-    labels, values = [], []
-    for i, (d0, d1) in enumerate(zip(tc0, tc1)):
-        u, v = (0, d0) if d0 <= d1 else (1, d1)
-        if cont is not None and cont[i] < v:
-            u, v = None, cont[i]
-        labels.append(u)
-        values.append(v)
-    return labels, values, branches
+        sample = np.asarray(cont, dtype=float)
+        go = sample < values
+        values = np.where(go, sample, values)
+        for i in np.flatnonzero(go).tolist():
+            labels[i] = None
+    return labels, values.tolist(), branches
 
 
 def thresholds_from_labels(points, labels, declare_boundary):

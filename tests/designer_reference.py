@@ -235,8 +235,8 @@ def run_pricer(atoms, channel_rows, read):
     row0, row1 = channel_rows
     terms = []
     starts = [0]
-    for _, b2, d, m0, m1 in atoms:
-        if d == 1:
+    for _, b2, m0, m1 in atoms:
+        if b2 >= 0.0:
             for y in range(len(row0)):
                 w = m0 * row0[y] + m1 * row1[y]
                 if w > 0.0:
@@ -267,22 +267,22 @@ class _P2Solver(_Designer):
 
     def _root(self):
         p = float(self.pb.prior)
-        phi = ((p, p, 1, p, 1.0 - p),)
+        phi = ((p, p, p, 1.0 - p),)
         child = _p2_children(phi, list(enumerate(phi)), self.pb.channel1.row_pair(1))
         return child(0, 1), 1.0
 
     def _key(self, merged, mass):
-        return state_key([x for b1, b2, _, m0, m1 in merged
+        return state_key([x for b1, b2, m0, m1 in merged
                           for x in (b1, b2, m0 / mass, m1 / mass)], self.width)
 
     def _state(self, merged, mass):
-        return tuple((b1, b2, d, m0 / mass, m1 / mass) for b1, b2, d, m0, m1 in merged)
+        return tuple((b1, b2, m0 / mass, m1 / mass) for b1, b2, m0, m1 in merged)
 
     def _split(self, state):
         atoms = sorted(state)
         groups = _cluster_positions([a[0] for a in atoms])
-        m0s = [a[3] for a in atoms]
-        m1s = [a[4] for a in atoms]
+        m0s = [a[2] for a in atoms]
+        m1s = [a[3] for a in atoms]
         tot0 = left_sum(m0s)
         tot1 = left_sum(m1s)
 
@@ -295,7 +295,7 @@ class _P2Solver(_Designer):
 
         def region(group_ids):
             sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-            return (sel, *masses(left_sum(a[3] for a in sel), left_sum(a[4] for a in sel)))
+            return (sel, *masses(left_sum(a[2] for a in sel), left_sum(a[3] for a in sel)))
 
         return atoms, groups, run, region
 
@@ -327,7 +327,7 @@ class _P2Solver(_Designer):
         pd1 = [0.0]
         pd0 = [0.0]
         pcm = [0.0]
-        for _, (b1, b2, d, m0, m1) in act_sorted:
+        for _, (b1, b2, m0, m1) in act_sorted:
             pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
             pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
             pcm.append(pcm[-1] + m0 + m1)

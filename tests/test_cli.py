@@ -159,6 +159,20 @@ def test_out_of_range_inputs_are_validation_errors(tmp_path):
                  "--out", str(tmp_path / "c")]) == 2
 
 
+def test_impossible_observation_after_float_certainty_is_a_validation_error(tmp_path):
+    # observer 1's belief rounds to 1.0 while H=1 keeps a 1e-12 share of
+    # symbol 0, so symbol 2 keeps mass at a belief where it has probability 0
+    spec = tmp_path / "certain.json"
+    spec.write_text(json.dumps(make_spec(
+        ch1=[[0.5, 0.5, 0.0], [1e-12, 0.5, 0.5 - 1e-12]], t1=3, t2=3, variant="P2")))
+    for command in ("solve-p2", "oracle-check", "solve-infinite"):
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / command)]) == 2
+    doc = json.loads(spec.read_text())
+    doc["variant"] = "P1"
+    spec.write_text(json.dumps(doc))
+    assert main(["solve-p1", "--spec", str(spec), "--out", str(tmp_path / "p1")]) == 2
+
+
 def test_usage_errors():
     assert main(["frobnicate"]) == 64
     assert main(["solve-p1"]) == 64

@@ -3,7 +3,8 @@ random instances never hit."""
 
 import pytest
 
-from decseq import BLANK, Costs, ImpossibleUpdateError, subjective_update, update_observer1
+from decseq import (BLANK, Costs, ImpossibleUpdateError, subjective_update, terminal_cost,
+                    update_observer1)
 from decseq.belief import bayes
 from decseq.policies import sender_choice
 from decseq.wald import stop_or_sample
@@ -37,6 +38,8 @@ def test_tie_rules_and_impossible_events():
         assert labels == want, (beliefs, cont)
         assert values == [min(c) for c in zip(*branches.values())]
         assert ("continue" in branches) == (cont is not None)
+        for u in (0, 1):
+            assert branches[f"declare{u}"] == tuple(terminal_cost(u, b, ZERO_ONE) for b in beliefs)
     for sends, wait, want in SENDER:
         labels, values = sender_choice(sends, wait)
         assert labels == want, (sends, wait)

@@ -89,7 +89,7 @@ def value_terminal(solver, state):
 def test_send_flow_rejects_state_outside_message_law(sym02_p2):
     # the run of the first belief1 group sends a message that H=1 never
     # sends, and its atom's belief2 = 0 cannot absorb it
-    state = ((0.3, 0.0, 1, 0.5, 0.0), (0.7, 0.5, 1, 0.0, 0.5))
+    state = ((0.3, 0.0, 0.5, 0.0), (0.7, 0.5, 0.0, 0.5))
     with pytest.raises(decseq.ImpossibleUpdateError):
         value_terminal(_P2Solver(sym02_p2), state)
 
@@ -160,6 +160,22 @@ def test_sym02_anchor_search_sizes(variant, horizon, nodes, partitions):
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
     sol = (solve_p1 if variant == "P1" else solve_p2)(prob)
     assert (sol.nodes, sol.partitions_tried) == (nodes, partitions)
+
+
+# observer 2 can see a symbol that H=0 never sends, so still-sampling
+# atoms reach belief2 = 0.0 exactly: they must stay sampling, apart from
+# the declared atoms at belief2 = -1.0
+BOUNDARY = dict(ch2=[[1.0, 0.0], [0.3, 0.7]], c1=0.05, c2=0.02, variant="P2")
+
+
+def test_p2_declared_and_sampling_atoms_stay_apart_at_belief2_zero():
+    sol = solve_p2(decseq.load_problem_spec(make_spec(t1=3, t2=3, **BOUNDARY)))
+    assert sol.total.hex() == "0x1.b035bd512ec6dp-4"
+    assert (sol.nodes, sol.partitions_tried, sol.memo_hits) == (82, 407, 74)
+    prob = decseq.load_problem_spec(make_spec(t1=2, t2=2, **BOUNDARY))
+    oracle = enumerate_policies_p2(prob).cost
+    assert oracle == pytest.approx(0.128, abs=1e-12)
+    assert solve_p2(prob).total == pytest.approx(oracle, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant, horizon, memo_hits",
@@ -269,8 +285,8 @@ def reference_send_flow(solver, t, region, msg_lik):
     mz0, mz1 = msg_lik
     cost = reference_cost(solver, solver.pb.t2 - t)
     flow = 0.0
-    for b1, b2, d, m0, m1 in region:
-        if d == 0:
+    for b1, b2, m0, m1 in region:
+        if b2 < 0.0:
             continue
         for y in range(len(rows[0])):
             w = m0 * rows[0][y] + m1 * rows[1][y]
@@ -431,8 +447,8 @@ def reference_canon(variant, state):
     r = seq_decomp.ROUND_DIGITS
     if variant == "P1":
         return tuple(sorted((round(b, r), round(m0, r), round(m1, r)) for b, m0, m1 in state))
-    return tuple(sorted((round(b1, r), round(b2, r), d, round(m0, r), round(m1, r))
-                        for b1, b2, d, m0, m1 in state))
+    return tuple(sorted((round(b1, r), round(b2, r), round(m0, r), round(m1, r))
+                        for b1, b2, m0, m1 in state))
 
 
 def near_ulps(x, steps):
@@ -497,20 +513,19 @@ COORD = st.one_of(st.integers(0, 16).map(lambda i: i / 16),
 @st.composite
 def state_pairs(draw, variant):
     """A random state and a copy with a few coordinates moved by a few ulps
-    or by 1e-11 (d and the declared belief2 of -1.0 stay as they are)."""
+    or by 1e-11 (a declared belief2 of -1.0 stays as it is)."""
     atoms = []
     for _ in range(draw(st.integers(1, 6))):
         if variant == "P1":
             atoms.append([draw(COORD), draw(COORD), draw(COORD)])
         else:
-            d = draw(st.integers(0, 1))
-            atoms.append([draw(COORD), draw(COORD) if d else -1.0, d, draw(COORD), draw(COORD)])
+            b2 = draw(COORD) if draw(st.booleans()) else -1.0
+            atoms.append([draw(COORD), b2, draw(COORD), draw(COORD)])
     moved = [list(a) for a in atoms]
-    keyed = [0, 1, 2] if variant == "P1" else [0, 1, 3, 4]
     for _ in range(draw(st.integers(0, 3))):
         a = moved[draw(st.integers(0, len(moved) - 1))]
-        c = draw(st.sampled_from(keyed))
-        if variant == "P2" and c == 1 and a[2] == 0:
+        c = draw(st.integers(0, len(a) - 1))
+        if variant == "P2" and c == 1 and a[1] == -1.0:
             continue
         if draw(st.booleans()):
             a[c] = near_ulps(a[c], draw(st.integers(-3, 3)))
@@ -522,8 +537,7 @@ def state_pairs(draw, variant):
 
 def state_key(solver, state):
     # mass 1.0: the state's masses are keyed as they are
-    _, counts, keyed = solver._coords([(list(state), 1.0)])
-    return seq_decomp._state_keys(keyed, counts, solver.width)[0]
+    return seq_decomp._state_keys(*solver._coords([(list(state), 1.0)]))[0]
 
 
 @pytest.fixture(scope="module")
@@ -605,9 +619,9 @@ def terminal_nodes(draw):
         if prob.variant == "P1":
             atoms.append((draw(COORD_ANY), draw(COORD_ANY), draw(COORD_ANY)))
         else:
-            d = draw(st.integers(0, 1))
-            atoms.append((draw(COORD_ANY), draw(COORD_ANY) if d else -1.0, d,
-                          draw(COORD_ANY), draw(COORD_ANY)))
+            # a negative belief2 marks a declared atom
+            b2 = abs(draw(COORD_ANY)) if draw(st.booleans()) else -1.0
+            atoms.append((draw(COORD_ANY), b2, draw(COORD_ANY), draw(COORD_ANY)))
     return prob, tuple(atoms)
 
 
