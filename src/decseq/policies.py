@@ -295,22 +295,15 @@ def extract_thresholds(action_per_atom, n_messages, terminal=False):
         raise StructureViolation("blank action on a forced-send stage")
     if not runs:
         raise StructureViolation("no atoms to extract a terminal cut from")
-    # cuts[i], i = 0..M-2, is the upper edge of symbol (M-1-i)'s region
-    cuts = [None] * (n_messages - 1)
-    pos = n_messages - 1  # highest symbol not yet placed
-    boundary = -1.0 if atoms and atoms[0] <= 0.0 else 0.0
-    for act, first, last in symbol_runs:
-        while pos > act:
-            # symbols skipped before this run get empty regions at `boundary`
-            cuts[n_messages - 1 - pos] = boundary
-            pos -= 1
-        boundary = hi_edge(last)
-        if act > 0:
-            cuts[n_messages - 1 - act] = boundary
-        pos = act - 1
-    while pos >= 1:
-        cuts[n_messages - 1 - pos] = 1.0
-        pos -= 1
+    # cuts[i], i = 0..M-2, is the upper edge of symbol (M-1-i)'s region; a
+    # symbol with no run gets an empty region at the previous cut
+    last_of = {act: last for act, _, last in symbol_runs}
+    cuts = []
+    cut = -1.0 if atoms[0] <= 0.0 else 0.0
+    for z in range(n_messages - 1, 0, -1):
+        if z in last_of:
+            cut = hi_edge(last_of[z])
+        cuts.append(cut)
     return TerminalRule(cuts=tuple(cuts))
 
 

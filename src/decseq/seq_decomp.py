@@ -14,8 +14,9 @@ variants share one sequential decomposition (``_Designer``):
   groups (the optimal policies are interval-shaped in the beliefs, so this
   is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
-  most nodes, is valued batch by batch, the earlier stages backward.  Each
-  solve builds the partitions of n groups once (``_partition_table``);
+  most nodes, is valued batch by batch, the earlier stages backward.  The
+  table of partitions of n groups, a pure function of n, M and whether the
+  stage is the last, is built once per process (``_partition_table``);
 * **children** -- a node pushes each of its atoms through observer 1's next
   observation once (``belief.push_atom``) and merges the child of every
   blank set (in variant P2, of every continue interval of observer 2) from
@@ -276,58 +277,39 @@ def _nodes(rows, starts, counts):
         yield rows[a:b].tolist(), list(zip(cuts, cuts[1:]))
 
 
-def _labels_from_cuts(n_groups, cuts, n_messages):
-    """Terminal partition: cut positions -> symbol per group, symbol M-1
-    below the first cut down to symbol 0 above the last."""
-    labels, lo = (), 0
-    for z, hi in zip(range(n_messages - 1, -1, -1), (*cuts, n_groups)):
-        labels += (z,) * (hi - lo)
-        lo = hi
-    return labels
-
-
-def _labels_from_runs(n_groups, pos, n_messages):
-    """Stage partition: 2M nondecreasing positions -> symbol/BLANK per group.
-
-    Runs alternate blank, symbol M-1, blank, symbol M-2, ..., symbol 0,
-    blank; pos[2i] opens symbol M-1-i's run and pos[2i+1] closes it.
-    """
-    edges = (*pos, n_groups)
-    labels = (BLANK,) * edges[0]
-    for i in range(n_messages):
-        labels += ((n_messages - 1 - i,) * (edges[2 * i + 1] - edges[2 * i])
-                   + (BLANK,) * (edges[2 * i + 2] - edges[2 * i + 1]))
-    return labels
-
-
+@functools.lru_cache(maxsize=None)
 def _partition_table(n_groups, n_messages, terminal):
-    """Every distinct threshold partition of n_groups sorted atom groups.
+    """Every distinct threshold partition of n_groups sorted atom groups, as
+    (parts, runs, slots, blanks, blank_of); built once per process, a pure
+    function of its arguments, so every part of it is read-only.
 
-    Entries are (labels, symbol runs, blank groups) in the order the cut
-    (terminal) or run (stage) positions first produce each labelling.  A
-    symbol run is a (lo, hi) slice of groups sending that symbol; empty runs
-    cost nothing and are left out.  Blank groups is None at the terminal
-    stage, where every group sends.
+    ``parts[a]`` holds partition a's (lo, hi) group slice per symbol, symbol
+    M-1 first, None for an unused symbol; groups no slice covers are blank
+    (there are none at the terminal stage).  Partitions come in the order
+    the cut (terminal) or run (stage) positions first produce each.
+    ``runs`` holds the distinct slices ((r, 2) group bounds), ``slots[a]``
+    partition a's slices as indices into them (r past its last), ``blanks``
+    the distinct blank group sets in first-use order and ``blank_of[a]``
+    partition a's index into them.
     """
-    combos = itertools.combinations_with_replacement
-    m = n_messages
-    # each candidate: (labels, edges); symbol runs span edges[a]..edges[b]
-    if terminal:
-        cands = ((_labels_from_cuts(n_groups, cuts, m), (0, *cuts, n_groups))
-                 for cuts in combos(range(n_groups + 1), m - 1))
-        spans = [(i, i + 1) for i in range(m)]
-    else:
-        cands = ((_labels_from_runs(n_groups, pos, m), pos)
-                 for pos in combos(range(n_groups + 1), 2 * m))
-        spans = [(2 * i, 2 * i + 1) for i in range(m)]
-    table = {}
-    for labels, edges in cands:
-        if labels not in table:
-            runs = tuple((edges[a], edges[b]) for a, b in spans if edges[a] < edges[b])
-            blank = None if terminal else tuple(
-                g for g, lab in enumerate(labels) if lab == BLANK)
-            table[labels] = (labels, runs, blank)
-    return list(table.values())
+    combos = itertools.combinations_with_replacement(
+        range(n_groups + 1), n_messages - 1 if terminal else 2 * n_messages)
+    # symbol M-1-i spans (0, *c, n_groups)[i:i + 2] at the terminal stage, else c[2i:2i + 2]
+    cands = (zip((0, *c), (*c, n_groups)) if terminal else zip(c[::2], c[1::2]) for c in combos)
+    parts = tuple(dict.fromkeys(tuple(s if s[0] < s[1] else None for s in cand)
+                                for cand in cands))
+    used = [[s for s in part if s is not None] for part in parts]
+    runs = {r: i for i, r in enumerate(dict.fromkeys(itertools.chain.from_iterable(used)))}
+    blank_sets = [tuple(g for g in range(n_groups) if not any(lo <= g < hi for lo, hi in u))
+                  for u in used]
+    blanks = {b: i for i, b in enumerate(dict.fromkeys(blank_sets))}
+    arrays = (np.array(list(runs), dtype=np.intp).reshape(-1, 2),
+              np.array([[runs[r] for r in u] + [len(runs)] * (n_messages - len(u)) for u in used],
+                       dtype=np.intp).reshape(-1, n_messages),
+              np.array([blanks[b] for b in blank_sets], dtype=np.intp))
+    for a in arrays:
+        a.setflags(write=False)
+    return parts, arrays[0], arrays[1], tuple(blanks), arrays[2]
 
 
 def _left_sum(xs):
@@ -396,10 +378,6 @@ class DesignerSolution:
     enumerate_s: float
     value_s: float
     extract_s: float
-
-    @property
-    def variant(self):
-        return self.problem.variant
 
 
 class _Level:
@@ -478,8 +456,6 @@ class _Designer:
         self.lookups = [0] * (problem.t1 + 1)
         self.nodes = 0
         self.partitions = 0
-        self.partition_tables = {}
-        self.tables = {}
         self.value_s = 0.0
         # values only; the receiver's stopping table is its best response's
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
@@ -493,24 +469,6 @@ class _Designer:
             merged for merged, _ in lookups)), float)
         rows = rows.reshape(int(counts.sum()), -1)
         return rows, counts
-
-    def _table(self, n, terminal):
-        """The partition table of n groups as arrays: its distinct runs
-        ((r, 2) group bounds), each entry's runs as indices into them (r
-        past its last run), its distinct blank sets in first-use order and
-        each entry's blank set index."""
-        got = self.tables.get((n, terminal))
-        if got is None:
-            m = self.pb.n_messages
-            table = self.partition_tables[n, terminal] = _partition_table(n, m, terminal)
-            runs = {r: i for i, r in enumerate(dict.fromkeys(r for _, rs, _ in table for r in rs))}
-            blanks = {b: i for i, b in enumerate(dict.fromkeys(b for _, _, b in table))}
-            slots = [[runs[r] for r in rs] + [len(runs)] * (m - len(rs)) for _, rs, _ in table]
-            got = self.tables[n, terminal] = (
-                np.array(list(runs), dtype=np.intp).reshape(-1, 2),
-                np.array(slots, dtype=np.intp).reshape(-1, m), list(blanks),
-                np.array([blanks[b] for _, _, b in table], dtype=np.intp))
-        return got
 
     def _search(self):
         """Every reachable node, stage by stage, then their values; returns
@@ -551,7 +509,7 @@ class _Designer:
         price = self._pricer(t, rows, off)
         values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
         for n in sorted(set(ns.tolist())):
-            runs, slots, _, bidx = self._table(n, blanks is None)
+            _, runs, slots, _, bidx = _partition_table(n, self.pb.n_messages, blanks is None)
             nodes = np.flatnonzero(ns == n)
             self.partitions += len(slots) * len(nodes)
             step = max(1, _BATCH // max(len(slots), len(runs) * (n + 1)))
@@ -604,12 +562,16 @@ class _Designer:
                 rows, counts = self._coords([child])
                 atoms, groups = next(_nodes(*self._groups(rows, counts), counts))
                 n, a = int(level.ns[i]), int(level.best[i])
-                labels = self.partition_tables[n, t == pb.t1][a][0]
+                parts, *_, blank_of = _partition_table(n, m, t == pb.t1)
+                labels = [BLANK] * n
+                for z, part in zip(range(m - 1, -1, -1), parts[a]):
+                    if part is not None:
+                        labels[part[0]:part[1]] = [z] * (part[1] - part[0])
                 rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in
                                            zip(groups, labels)], m, terminal=(t == pb.t1))
                 child = None
                 pos = -1 if t == pb.t1 else \
-                    int(level.choices[level.rec.start[i] + self._table(n, False)[3][a]])
+                    int(level.choices[level.rec.start[i] + blank_of[a]])
                 if pos >= 0:
                     kids = []  # each add returns its place, as _Level.add does
                     self._expand(t, atoms, groups, _record(),
@@ -650,7 +612,7 @@ class _P1Solver(_Designer):
     def _expand(self, t, atoms, groups, rec, add):
         child = _p1_children(atoms, self.pb.channel1.row_pair(t + 1))
         rec.start.append(len(rec.pos))
-        for blank_groups in self._table(len(atoms), False)[2]:
+        for blank_groups in _partition_table(len(atoms), self.pb.n_messages, False)[3]:
             got = child(blank_groups)
             rec.mass.append(0.0 if got is None else got[1])
             rec.pos.append(-1 if got is None else add(*got))
@@ -717,20 +679,6 @@ def _regions(atoms, groups):
     return region
 
 
-@functools.lru_cache(maxsize=None)
-def _continue_choices(n_groups):
-    """Continue runs (i, j) over n_groups belief2 groups in search order:
-    groups i..j-1 continue; of the empty runs only (0, 0) is priced."""
-    return tuple((i, j) for i, j in itertools.combinations_with_replacement(
-        range(n_groups + 1), 2) if i < j or i == 0)
-
-
-def _continue_span(g2, i, j):
-    """Active-atom span of the continue run of belief2 groups i..j-1.  An
-    empty run stops every atom with 0, so every (i, i) gives (0, 0)."""
-    return (0, 0) if i == j else (g2[i][0], g2[j - 1][1])
-
-
 class _P2Solver(_Designer):
     variant = "P2"
     width = 4
@@ -757,7 +705,7 @@ class _P2Solver(_Designer):
         loss = self.pb.costs.loss
         c2 = self.pb.costs.c2
         rec.start.append(len(rec.runs))
-        for blank_groups in self._table(len(groups), False)[2]:
+        for blank_groups in _partition_table(len(groups), self.pb.n_messages, False)[3]:
             blank, mass_b, lik = region(blank_groups)
             if mass_b <= 0.0:
                 rec.runs.append(0)
@@ -766,8 +714,10 @@ class _P2Solver(_Designer):
             phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
             act_sorted, g2 = _receiver_groups(phi)
             child = _p2_children(phi, act_sorted, self.pb.channel1.row_pair(t + 1))
-            choices = _continue_choices(len(g2))
-            rec.runs.append(len(choices))
+            # groups i..j-1 continue; of the empty runs only (0, 0) is priced
+            spans = [(0, 0)] + [(g2[i][0], g2[j - 1][1])
+                                for i, j in itertools.combinations(range(len(g2) + 1), 2)]
+            rec.runs.append(len(spans))
             # prefix sums of declare-1 / declare-0 losses and continue mass
             # over the active atoms in belief2 order
             pd1, pd0, pcm = [0.0], [0.0], [0.0]
@@ -775,8 +725,7 @@ class _P2Solver(_Designer):
                 pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
                 pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
                 pcm.append(pcm[-1] + m0 + m1)
-            for i, j in choices:
-                alo, ahi = _continue_span(g2, i, j)
+            for alo, ahi in spans:
                 rec.charges.append((pd1[alo] - pd1[0]) + (pd0[len(act_sorted)] - pd0[ahi])
                                    + c2 * (pcm[ahi] - pcm[alo]))
                 rec.mass.append(mass_b)

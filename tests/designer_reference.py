@@ -19,9 +19,9 @@ from decseq import seq_decomp
 from decseq.best_response import o2_best_response
 from decseq.errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from decseq.policies import BLANK, O1Policy, TerminalRule, boundary_stage, extract_thresholds
-from decseq.seq_decomp import (_KEY_LIMIT, ROUND_DIGITS, _cluster_positions, _continue_span,
-                               _exact_round, _observe_p2, _p1_children, _p2_children,
-                               _partition_table, _receiver_groups)
+from decseq.seq_decomp import (_KEY_LIMIT, ROUND_DIGITS, _cluster_positions, _exact_round,
+                               _observe_p2, _p1_children, _p2_children, _partition_table,
+                               _receiver_groups)
 from decseq.wald import solve_wald_finite
 
 _FLOAT_SCALE = float(10 ** ROUND_DIGITS)
@@ -78,6 +78,28 @@ def knot_reader(wald, remaining):
     return read
 
 
+def table_entries(n, m, terminal):
+    """``_partition_table(n, m, terminal)`` as a list of (labels, symbol runs,
+    blank groups) entries: a symbol or BLANK per group, the non-empty runs
+    symbol M-1 first, and blank groups None at the terminal stage."""
+    parts, _, _, blanks, blank_of = _partition_table(n, m, terminal)
+    out = []
+    for part, b in zip(parts, blank_of.tolist()):
+        labels = [BLANK] * n
+        for z, run in zip(range(m - 1, -1, -1), part):
+            if run is not None:
+                labels[run[0]:run[1]] = [z] * (run[1] - run[0])
+        out.append((tuple(labels), tuple(run for run in part if run is not None),
+                    None if terminal else blanks[b]))
+    return out
+
+
+def _continue_span(g2, i, j):
+    """Active-atom span of the continue run of belief2 groups i..j-1; every
+    empty run (i, i) stops every atom with 0 and gives (0, 0)."""
+    return (0, 0) if i == j else (g2[i][0], g2[j - 1][1])
+
+
 def state_key(xs, width):
     """The atoms' ``key_ints``, ``width`` per atom, sorted atom by atom, in one tuple."""
     ks = iter(key_ints(xs))
@@ -116,7 +138,7 @@ class _Designer:
         terminal = t == self.pb.t1
         table = self.partition_tables.get((n, terminal))
         if table is None:
-            table = self.partition_tables[n, terminal] = _partition_table(
+            table = self.partition_tables[n, terminal] = table_entries(
                 n, self.pb.n_messages, terminal)
         self.partitions += len(table)
         flows = {}

@@ -1,9 +1,11 @@
 """Command line behavior: artifacts, report fields, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +79,69 @@ def test_best_response_side_and_pbpo(tmp_path):
     assert rep2["converged"] is True
     trace = rep2["trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def sym02_p1_pair(tmp_path):
+    """``solve-p1`` on sym02_p1: its report and its policies.json path."""
+    out = str(tmp_path / "sol")
+    assert main(["solve-p1", "--spec", spec_path("sym02_p1"), "--out", out]) == 0
+    return read_report(out), os.path.join(out, "policies.json")
+
+
+def test_best_response_side_2_on_the_designer_pair(tmp_path):
+    # the designer's receiver is its sender's best response: the same cost
+    solved, pol = sym02_p1_pair(tmp_path)
+    out = str(tmp_path / "br")
+    assert main(["best-response", "--spec", spec_path("sym02_p1"), "--policies", pol,
+                 "--side", "2", "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["side"] == 2
+    assert rep["cost"] == pytest.approx(solved["cost"], abs=1e-12)
+    assert rep["cost"] == pytest.approx(0.27, abs=1e-9)
+
+
+def test_solve_infinite_with_policies_anchors_or_skips_the_sender_limit(tmp_path):
+    _, pol = sym02_p1_pair(tmp_path)
+    out = str(tmp_path / "inf")
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--policies", pol,
+                 "--out", out]) == 0
+    limit = read_report(out)["sender_limit"]
+    assert limit["anchor"] and limit["converged"] is True
+    # an informative blank factor leaves no stationary anchor
+    with open(pol) as fh:
+        doc = json.load(fh)
+    doc["o2"]["message_model"][0]["b"] = [0.2, 0.1]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    out = str(tmp_path / "skip")
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--policies",
+                 str(edited), "--out", out]) == 0
+    assert "skipped" in read_report(out)["sender_limit"]
+
+
+def test_unconfirmed_designer_total_is_a_certification_error(tmp_path, monkeypatch):
+    exact_cost = cli.exact_cost
+
+    def off(pair, problem):
+        return SimpleNamespace(total=exact_cost(pair, problem).total + 1e-3)
+
+    monkeypatch.setattr(cli, "exact_cost", off)
+    out = str(tmp_path / "p1")
+    assert main(["solve-p1", "--spec", spec_path("sym02_p1"), "--out", out]) == 3
+    assert "error" in read_report(out)
+
+
+def test_oracle_disagreement_is_a_certification_error(tmp_path, monkeypatch):
+    enumerate_policies_p1 = cli.enumerate_policies_p1
+
+    def off(problem, cap):
+        res = enumerate_policies_p1(problem, cap=cap)
+        return dataclasses.replace(res, cost=res.cost + 1e-6)
+
+    monkeypatch.setattr(cli, "enumerate_policies_p1", off)
+    out = str(tmp_path / "oc")
+    assert main(["oracle-check", "--spec", spec_path("sym02_p1"), "--out", out]) == 3
+    assert "error" in read_report(out)
 
 
 def test_solve_infinite(tmp_path):

@@ -64,6 +64,20 @@ def test_extract_thresholds_terminal_has_no_blank():
         extract_thresholds([(0.1, 1), (0.5, BLANK), (0.9, 0)], 2, terminal=True)
 
 
+@pytest.mark.parametrize("labeled, m, cuts", [
+    ([(0.2, 2), (0.6, 0)], 3, (0.4, 0.4)),
+    # a skipped symbol above every run sits at 0, or at -1 when an atom is at 0
+    ([(0.2, 1), (0.6, 0)], 3, (0.0, 0.4)),
+    ([(0.0, 1), (0.6, 0)], 3, (-1.0, 0.3)),
+    # skipped symbols below the last run sit at its upper edge, 1
+    ([(0.2, 2), (0.6, 1)], 3, (0.4, 1.0)),
+    ([(0.3, 3)], 4, (1.0, 1.0, 1.0)),
+    ([(0.0, 3), (0.5, 1)], 4, (0.25, 0.25, 1.0)),
+])
+def test_extract_thresholds_terminal_cuts_hand_values(labeled, m, cuts):
+    assert extract_thresholds(labeled, m, terminal=True).cuts == cuts
+
+
 def test_subjective_update_total_map():
     rows = ((0.8, 0.2), (0.2, 0.8))
     moved = subjective_update(0.5, 0, rows, (0.3, 0.7))
