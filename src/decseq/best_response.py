@@ -193,9 +193,8 @@ def o1_best_response(o2, problem):
 
     o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
     total = costs.c1
-    for b, w0, w1 in levels[1]:
-        total += (problem.prior * w0 + (1.0 - problem.prior) * w1) \
-            * _lookup(tables[0].atoms, tables[0].values, b)
+    for (_, w0, w1), value in zip(levels[1], tables[0].values):
+        total += (problem.prior * w0 + (1.0 - problem.prior) * w1) * value
     return BestResponseResult(policy=o1, total=total, build_tables=lambda: tables)
 
 

@@ -22,15 +22,15 @@ import numpy as np
 
 from .best_response import o1_best_response, o2_best_response, pbpo_iteration
 from .errors import (CapacityError, CertificationError, DecseqError,
-                     ImpossibleUpdateError, ProblemSpecError, StructureViolation)
+                     ImpossibleUpdateError, ProblemSpecError, StructureViolation, printable)
 from .infinite_horizon import (_require_stationary, epsilon_optimal_pair,
                                value_iterate_o1, value_iterate_o2)
 from .model import load_problem_spec
-from .oracle import enumerate_policies_p1, enumerate_policies_p2
+from .oracle import ORACLE_CAP_DEFAULT, enumerate_policies_p1, enumerate_policies_p2
 from .policies import BLANK, o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import estimate_cost, exact_cost
-from .wald import belief_grid, solve_wald_finite
+from .wald import GRID_SIZE_DEFAULT, VI_TOL_DEFAULT, belief_grid, solve_wald_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -349,7 +349,7 @@ def _cmd_oracle_check(args):
     diff = abs(sol.total - orc.cost)
     payload = {"spec_digest": digest, "solver_cost": sol.total,
                "oracle_cost": orc.cost, "abs_diff": diff,
-               "pairs_covered": orc.count}
+               "pairs_covered": printable(orc.count)}
     if diff > args.tol:
         payload["error"] = f"solver and oracle disagree by {diff}"
         return payload, EXIT_CERTIFICATION
@@ -413,8 +413,8 @@ def _build_parser():
     sp = sub.add_parser("solve-infinite", help="no-deadline limits and "
                                                "epsilon-optimal pairs")
     common(sp)
-    sp.add_argument("--grid", type=int, default=1001)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--grid", type=int, default=GRID_SIZE_DEFAULT)
+    sp.add_argument("--tol", type=float, default=VI_TOL_DEFAULT)
     sp.add_argument("--policies", default=None)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="also solve horizons 1, 2, ... until the returned pair's own "
@@ -433,8 +433,12 @@ def _build_parser():
     sp = sub.add_parser("oracle-check", help="diff the solver against "
                                              "brute force")
     common(sp)
-    sp.add_argument("--cap", type=int, default=10 ** 8)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--cap", type=int, default=ORACLE_CAP_DEFAULT,
+                    help="refuse (exit 4) before enumerating when the oracle's closed-form "
+                         "work bound exceeds this: stopping-rule tree nodes built plus "
+                         "sender maps times stopping rules (P1), or sender maps times "
+                         "receiver decision nodes (P2)")
+    sp.add_argument("--tol", type=float, default=CERT_TOL)
     sp.set_defaults(func=_cmd_oracle_check)
 
     sp = sub.add_parser("mary", help="larger message alphabets")

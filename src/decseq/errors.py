@@ -30,10 +30,18 @@ class CapacityError(DecseqError):
     ``what`` names the counted quantity in the message.
     """
 
-    def __init__(self, count, cap, what="enumeration size"):
+    def __init__(self, count, cap, what):
         self.count = count
         self.cap = cap
-        super().__init__(f"{what} {count:.6g} exceeds cap {cap:.6g}")
+        super().__init__(f"{what} {printable(count)} exceeds cap {printable(cap)}")
+
+
+def printable(n):
+    """``n`` itself while ``str()``, and so ``json``, can write it, else the
+    text "2**k or more".  An oracle's count or work bound can pass the 4300
+    digits ``str()`` converts, and float range, where a float format
+    overflows."""
+    return n if n < 2 ** 14000 else f"2**{n.bit_length() - 1} or more"
 
 
 class CertificationError(DecseqError):

@@ -7,68 +7,73 @@ than the same algorithm twice.
 Policy spaces are counted on the reachable tree: choices at nodes a policy
 cannot reach (below its own stop, or on zero-probability branches) do not
 produce distinct behaviours and are not counted.  Sender maps are
-enumerated literally.  The receiver side uses exact minimization per
-information node — per message class via the rule affines for the
-wait-then-sample variant, by backward induction over the raw
-message-and-observation tree for the interleaved variant.  Both are
+enumerated literally, once each.  The receiver side uses exact
+minimization per information node — per message class via the rule
+affines for the wait-then-sample variant, by backward induction over the
+raw message-and-observation tree for the interleaved variant.  Both are
 exhaustive minima over the full receiver policy space; the reported count
 is the number of policy pairs the search covers.
 
-Deterministic tie-breaks: enumeration order is lexicographic with actions
-ordered (symbol 0, 1, ..., M-1, blank) for the sender and (declare 0,
-declare 1, continue) for the receiver; the first optimum is kept.
+``cap`` bounds the work, not the count.  Before anything is enumerated, a
+closed-form upper bound on the work is compared with it and
+``CapacityError`` is raised if the bound is larger.  The bound is, for
+P1, the stopping-rule tree nodes built and priced plus sender maps times
+stopping rules; for P2, sender maps times the receiver's decision nodes;
+for ``brute_force_wald``, the stopping rules.  One unit took 0.3-1.8 µs
+on a 2-core Xeon VM, so the default cap is at most about a minute of work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import CapacityError, ProblemSpecError
-from .policies import BLANK
 
 __all__ = ["OracleResult", "brute_force_wald", "enumerate_policies_p1",
            "enumerate_policies_p2", "count_stop_rules", "ORACLE_CAP_DEFAULT"]
 
-ORACLE_CAP_DEFAULT = 10 ** 8
+ORACLE_CAP_DEFAULT = 3 * 10 ** 7
 
 
 @dataclass
 class OracleResult:
-    """Global optimum with one witness pair in history-table form.
-
-    ``o1_table`` maps an observation history tuple to a symbol or blank.
-    ``o2_table`` maps (messages heard, own observation history) to 0, 1,
-    or "continue".  ``count`` is the number of policy pairs covered.
-    """
+    """Global optimum ``cost`` and ``count``, the number of policy pairs
+    covered."""
 
     cost: float
-    o1_table: dict
-    o2_table: dict
     count: int
 
-    def to_dict(self):
-        o1 = {",".join(map(str, k)): v for k, v in sorted(self.o1_table.items())} \
-            if self.o1_table is not None else None
-        o2 = {}
-        for (msgs, ys), act in sorted(self.o2_table.items()):
-            key = ",".join(map(str, msgs)) + "|" + ",".join(map(str, ys))
-            o2[key] = act
-        return {"cost": self.cost, "o1_table": o1, "o2_table": o2,
-                "count": self.count}
+
+def _check_work(work, cap):
+    if work > cap:
+        raise CapacityError(work, cap, "oracle work bound")
 
 
 # ---------------------------------------------------------------------------
 # stopping rules on a single observation tree
 
 
+def _rule_sizes(horizon, n_symbols, cap):
+    """(number, total tree nodes) of the stopping rules over ``horizon``
+    observations.  Each level raises the last count to the power
+    ``n_symbols``, so once the count passes ``cap`` both stop growing and
+    are then lower bounds above the cap."""
+    n = size = 2
+    for _ in range(horizon):
+        if n > cap:
+            break
+        # a new rule is a stop, or continue with one child rule per symbol
+        n, size = (2 + n ** n_symbols,
+                   2 + n ** n_symbols + n_symbols * n ** (n_symbols - 1) * size)
+    return n, size
+
+
 def count_stop_rules(horizon, n_symbols):
     """Number of deterministic history-indexed stopping rules; the forced
     declaration at the horizon still picks 0 or 1."""
-    n = 2
-    for _ in range(horizon):
-        n = 2 + n ** n_symbols
-    return n
+    return _rule_sizes(horizon, n_symbols, math.inf)[0]
 
 
 def _stop_rules(depth, horizon, n_symbols):
@@ -78,9 +83,9 @@ def _stop_rules(depth, horizon, n_symbols):
     yield 1
     if depth == horizon:
         return
-    for kids in product(*(tuple(_stop_rules(depth + 1, horizon, n_symbols))
-                          for _ in range(n_symbols))):
-        yield ("c", kids)
+    kids = tuple(_stop_rules(depth + 1, horizon, n_symbols))
+    for combo in product(kids, repeat=n_symbols):
+        yield ("c", combo)
 
 
 def _rule_cost(rule, depth, m0, m1, rows_for, costs):
@@ -94,84 +99,60 @@ def _rule_cost(rule, depth, m0, m1, rows_for, costs):
     return out
 
 
-def _flatten_rule(rule, msgs, hist, out):
-    if rule == 0 or rule == 1:
-        out[(msgs, hist)] = rule
-        return
-    out[(msgs, hist)] = "continue"
-    for y, kid in enumerate(rule[1]):
-        _flatten_rule(kid, msgs, hist + (y,), out)
-
-
 def brute_force_wald(channel, costs, horizon, prior, cap=ORACLE_CAP_DEFAULT):
     """Exhaustive minimum over all stopping rules for the single-observer
-    sampling problem started at ``prior``.  Returns an OracleResult with
-    o1_table None."""
-    n_sym = channel.n_symbols
-    count = count_stop_rules(horizon, n_sym)
-    if count > cap:
-        raise CapacityError(count, cap)
-    best = None
-    best_rule = None
-    for rule in _stop_rules(0, horizon, n_sym):
-        c = _rule_cost(rule, 0, prior, 1.0 - prior, channel.row_pair, costs)
-        if best is None or c < best:
-            best = c
-            best_rule = rule
-    table = {}
-    _flatten_rule(best_rule, (), (), table)
-    return OracleResult(cost=best, o1_table=None, o2_table=table, count=count)
+    sampling problem started at ``prior``; ``cap`` bounds the number of
+    rules."""
+    count = _rule_sizes(horizon, channel.n_symbols, cap)[0]
+    _check_work(count, cap)
+    best = min(_rule_cost(rule, 0, prior, 1.0 - prior, channel.row_pair, costs)
+               for rule in _stop_rules(0, horizon, channel.n_symbols))
+    return OracleResult(cost=best, count=count)
 
 
 # ---------------------------------------------------------------------------
 # sender maps
 
 
-def _count_o1_maps(problem):
+def _count_o1_maps(problem, cap):
+    """Sender maps on the full observation tree, an upper bound on those
+    enumerated; stops growing, as a lower bound, once past ``cap``."""
     n = problem.n_messages
     for _ in range(problem.t1 - 1):
+        if n > cap:
+            break
         n = problem.n_messages + n ** problem.channel1.n_symbols
     return n ** problem.channel1.n_symbols
 
 
-def _o1_subpolicies(problem, t, hist, m0, m1):
+def _o1_subpolicies(problem, t, m0, m1):
     """All sender sub-policies at a node where observation t was just
-    taken.  Each is (assignment dict, tuple of (send time, symbol, mass0,
-    mass1) leaves).  Zero-probability nodes collapse to one canonical
-    choice so the policy count stays on the reachable tree."""
+    taken, each as its tuple of (send time, symbol, mass0, mass1) leaves.
+    Zero-probability nodes collapse to one canonical choice so the policy
+    count stays on the reachable tree."""
     if m0 == 0.0 and m1 == 0.0:
-        return [({hist: 0}, ())]
-    out = []
-    for z in range(problem.n_messages):
-        out.append(({hist: z}, ((t, z, m0, m1),)))
+        return [()]
+    out = [((t, z, m0, m1),) for z in range(problem.n_messages)]
     if t < problem.t1:
         rows = problem.channel1.row_pair(t + 1)
-        kids = [_o1_subpolicies(problem, t + 1, hist + (y,),
-                                m0 * rows[0][y], m1 * rows[1][y])
+        kids = [_o1_subpolicies(problem, t + 1, m0 * rows[0][y], m1 * rows[1][y])
                 for y in range(len(rows[0]))]
-        for combo in product(*kids):
-            mp = {hist: BLANK}
-            brs = ()
-            for cm, cb in combo:
-                mp.update(cm)
-                brs += cb
-            out.append((mp, brs))
+        out.extend(tuple(chain.from_iterable(combo)) for combo in product(*kids))
     return out
 
 
 def _o1_maps(problem):
+    """Each sender map once, as its tuple of leaves."""
     rows = problem.channel1.row_pair(1)
-    roots = [_o1_subpolicies(problem, 1, (y,),
-                             problem.prior * rows[0][y],
+    roots = [_o1_subpolicies(problem, 1, problem.prior * rows[0][y],
                              (1.0 - problem.prior) * rows[1][y])
              for y in range(len(rows[0]))]
     for combo in product(*roots):
-        mp = {}
-        brs = ()
-        for cm, cb in combo:
-            mp.update(cm)
-            brs += cb
-        yield mp, brs
+        yield tuple(chain.from_iterable(combo))
+
+
+def _sender_cost(problem, branches):
+    return problem.costs.c1 * sum(t * (m0 + m1) for t, _, m0, m1 in branches)
 
 
 def _pool_classes(branches):
@@ -194,50 +175,29 @@ def _pool_classes(branches):
 def enumerate_policies_p1(problem, cap=ORACLE_CAP_DEFAULT):
     if problem.variant != "P1":
         raise ProblemSpecError("variant", "enumerate_policies_p1 needs a P1 instance")
-    n_maps = _count_o1_maps(problem)
-    if n_maps > cap:
-        raise CapacityError(n_maps, cap)
-    n_rules = count_stop_rules(problem.t2, problem.channel2.n_symbols)
-
-    total = 0
-    for _, branches in _o1_maps(problem):
-        total += n_rules ** len(_pool_classes(branches))
-        if total > cap:
-            raise CapacityError(total, cap)
+    # work: every stopping-rule tree node built and priced, plus every rule
+    # priced against every sender map
+    n_rules, rule_nodes = _rule_sizes(problem.t2, problem.channel2.n_symbols, cap)
+    _check_work(rule_nodes + _count_o1_maps(problem, cap) * n_rules, cap)
 
     # per-rule cost is linear in the class masses; precompute unit costs
-    rules = list(_stop_rules(0, problem.t2, problem.channel2.n_symbols))
-    aff = [(_rule_cost(r, 0, 1.0, 0.0, problem.channel2.row_pair, problem.costs),
-            _rule_cost(r, 0, 0.0, 1.0, problem.channel2.row_pair, problem.costs))
-           for r in rules]
+    rows_for, costs = problem.channel2.row_pair, problem.costs
+    aff = [(_rule_cost(r, 0, 1.0, 0.0, rows_for, costs),
+            _rule_cost(r, 0, 0.0, 1.0, rows_for, costs))
+           for r in _stop_rules(0, problem.t2, problem.channel2.n_symbols)]
 
     best = None
-    best_map = None
-    best_rules = None
-    for mp, branches in _o1_maps(problem):
+    total = 0
+    for branches in _o1_maps(problem):
         classes = _pool_classes(branches)
-        cost = problem.costs.c1 * sum(t * (m0 + m1) for t, _, m0, m1 in branches)
-        chosen = {}
+        total += n_rules ** len(classes)
+        cost = _sender_cost(problem, branches)
         for key in sorted(classes):
             m0, m1 = classes[key]
-            cls_best = None
-            cls_idx = None
-            for i, (a, b) in enumerate(aff):
-                v = m0 * a + m1 * b
-                if cls_best is None or v < cls_best:
-                    cls_best = v
-                    cls_idx = i
-            cost += cls_best
-            chosen[key] = cls_idx
+            cost += min(m0 * a + m1 * b for a, b in aff)
         if best is None or cost < best:
             best = cost
-            best_map = mp
-            best_rules = chosen
-    o2_table = {}
-    for (t, z), idx in sorted(best_rules.items()):
-        _flatten_rule(rules[idx], (BLANK,) * (t - 1) + (z,), (), o2_table)
-    return OracleResult(cost=best, o1_table=best_map, o2_table=o2_table,
-                        count=total)
+    return OracleResult(cost=best, count=total)
 
 
 # ---------------------------------------------------------------------------
@@ -256,124 +216,74 @@ def _p2_class_masses(problem, branches):
     return blank, sent
 
 
-def _p2_receiver(problem, blank, sent, want_tables):
+def _p2_receiver(problem, blank, sent):
     """Backward induction over the receiver's raw (messages, observations)
-    tree for one sender map.  Returns (value, policy count, table)."""
+    tree for one sender map.  Returns (value, policy count)."""
     costs = problem.costs
     rows_for = problem.channel2.row_pair
 
-    def declare(m0, m1):
-        v0 = m0 * costs.loss[0][0] + m1 * costs.loss[0][1]
-        v1 = m0 * costs.loss[1][0] + m1 * costs.loss[1][1]
-        return (v0, 0) if v0 <= v1 else (v1, 1)
-
-    def children(t, msgs, blank_mode):
-        """Reachable message continuations entering stage t+1."""
-        out = []
-        if not blank_mode:
-            out.append((msgs, None))
-            return out
-        nxt = blank[t + 1] if t + 1 in blank else (0.0, 0.0)
-        if t + 1 < problem.t1 and (nxt[0] > 0.0 or nxt[1] > 0.0):
-            out.append((msgs + (BLANK,), None))
-        for z in range(problem.n_messages):
-            sm = sent.get((t + 1, z))
-            if sm is not None and (sm[0] > 0.0 or sm[1] > 0.0):
-                out.append((msgs + (z,), (t + 1, z)))
-        return out
-
-    def node(t, msgs, hist, y0, y1, blank_mode, cls0, cls1, table):
-        m0 = cls0 * y0
-        m1 = cls1 * y1
-        v, u = declare(m0, m1)
-        cnt = 2
+    def node(t, y0, y1, cls, blank_mode):
+        """Entered holding message class ``cls`` (still blank in
+        ``blank_mode``) after t observations of likelihoods y0, y1.  The
+        root, t = 0, must continue and counts no declare option."""
+        m0 = cls[0] * y0
+        m1 = cls[1] * y1
+        declare = min(m0 * costs.loss[u][0] + m1 * costs.loss[u][1] for u in (0, 1))
         if t == problem.t2:
-            if want_tables:
-                table[(msgs, hist)] = u
-            return v, cnt
+            return declare, 2
+        # message classes reachable entering stage t+1
+        if blank_mode:
+            nxt = []
+            if t + 1 < problem.t1 and (blank[t + 1][0] > 0.0 or blank[t + 1][1] > 0.0):
+                nxt.append((blank[t + 1], True))
+            nxt += [(sent[(t + 1, z)], False) for z in range(problem.n_messages)
+                    if (t + 1, z) in sent]
+        else:
+            nxt = [(cls, False)]
         cont = costs.c2 * (m0 + m1)
-        cnt_prod = 1
+        count = 1
         rows = rows_for(t + 1)
-        sub = {} if want_tables else None
-        for nmsgs, entered in children(t, msgs, blank_mode):
-            if entered is None and blank_mode:
-                ncls = blank[t + 1]
-                nblank = True
-            elif entered is None:
-                ncls = (cls0, cls1)
-                nblank = False
-            else:
-                ncls = sent[entered]
-                nblank = False
+        for ncls, nblank in nxt:
             for y in range(len(rows[0])):
                 ny0 = y0 * rows[0][y]
                 ny1 = y1 * rows[1][y]
                 if ncls[0] * ny0 == 0.0 and ncls[1] * ny1 == 0.0:
                     continue
-                cv, cc = node(t + 1, nmsgs, hist + (y,), ny0, ny1,
-                              nblank, ncls[0], ncls[1], sub)
+                cv, cc = node(t + 1, ny0, ny1, ncls, nblank)
                 cont += cv
-                cnt_prod *= cc
-        cnt += cnt_prod
-        cands = [(v, 0 if u == 0 else 1, u), (cont, 2, "continue")]
-        cands.sort(key=lambda c: (c[0], c[1]))
-        val, _, act = cands[0]
-        if want_tables:
-            table[(msgs, hist)] = act
-            if act == "continue" and sub:
-                table.update(sub)
-        return val, cnt
+                count *= cc
+        if t == 0:
+            return cont, count
+        return min(declare, cont), 2 + count
 
-    total = blank.get(0, (0.0, 0.0))
-    total_mass = total[0] + total[1]
-    value = costs.c2 * total_mass
-    count = 1
-    table = {} if want_tables else None
-    rows = rows_for(1)
-    for nmsgs, entered in children(0, (), True):
-        if entered is None:
-            ncls = blank[1]
-            nblank = True
-        else:
-            ncls = sent[entered]
-            nblank = False
-        for y in range(len(rows[0])):
-            if ncls[0] * rows[0][y] == 0.0 and ncls[1] * rows[1][y] == 0.0:
-                continue
-            cv, cc = node(1, nmsgs, (y,), rows[0][y], rows[1][y],
-                          nblank, ncls[0], ncls[1], table)
-            value += cv
-            count *= cc
-    return value, count, table
+    return node(0, 1.0, 1.0, blank[0], True)
+
+
+def _receiver_nodes(problem, cap):
+    """Upper bound on the receiver's decision nodes for one sender map: at
+    stage t, (t < T1) + M·min(t, T1) message histories times Y**t
+    observation histories.  Stops summing, as a lower bound, once past
+    ``cap``."""
+    nodes = 0
+    for t in range(problem.t2 + 1):
+        nodes += (((t < problem.t1) + problem.n_messages * min(t, problem.t1))
+                  * problem.channel2.n_symbols ** t)
+        if nodes > cap:
+            break
+    return nodes
 
 
 def enumerate_policies_p2(problem, cap=ORACLE_CAP_DEFAULT):
     if problem.variant != "P2":
         raise ProblemSpecError("variant", "enumerate_policies_p2 needs a P2 instance")
-    n_maps = _count_o1_maps(problem)
-    if n_maps > cap:
-        raise CapacityError(n_maps, cap)
-
-    total = 0
-    for _, branches in _o1_maps(problem):
-        blank, sent = _p2_class_masses(problem, branches)
-        _, cnt, _ = _p2_receiver(problem, blank, sent, want_tables=False)
-        total += cnt
-        if total > cap:
-            raise CapacityError(total, cap)
+    _check_work(_count_o1_maps(problem, cap) * _receiver_nodes(problem, cap), cap)
 
     best = None
-    best_map = None
-    best_table = None
-    for mp, branches in _o1_maps(problem):
-        blank, sent = _p2_class_masses(problem, branches)
-        sender_cost = problem.costs.c1 * sum(t * (m0 + m1)
-                                             for t, _, m0, m1 in branches)
-        value, _, table = _p2_receiver(problem, blank, sent, want_tables=True)
-        cost = sender_cost + value
+    total = 0
+    for branches in _o1_maps(problem):
+        value, count = _p2_receiver(problem, *_p2_class_masses(problem, branches))
+        total += count
+        cost = _sender_cost(problem, branches) + value
         if best is None or cost < best:
             best = cost
-            best_map = mp
-            best_table = table
-    return OracleResult(cost=best, o1_table=best_map, o2_table=best_table,
-                        count=total)
+    return OracleResult(cost=best, count=total)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,7 +188,53 @@ def test_oracle_check_pass_and_capacity(tmp_path):
     doc["horizons"] = {"T1": 2, "T2": 3}
     big.write_text(json.dumps(doc))
     assert main(["oracle-check", "--spec", str(big),
+                 "--out", str(tmp_path / "big")]) == 0
+    assert read_report(str(tmp_path / "big"))["abs_diff"] <= 1e-9
+    assert main(["oracle-check", "--spec", str(big), "--cap", "1000",
                  "--out", str(tmp_path / "cap")]) == 4
+
+
+def test_oracle_check_through_a_still_blank_stage(tmp_path):
+    # T1 = T2 = 3, and observer 2 never sees symbol 1 under H=0:
+    # about 1.1e5 units of work, though it covers 4.5e13 policy pairs
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(make_spec(t1=3, t2=3, ch2=[[1.0, 0.0], [0.3, 0.7]],
+                                         c1=0.05, c2=0.02, variant="P2")))
+    out = str(tmp_path / "oc")
+    assert main(["oracle-check", "--spec", str(spec), "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["abs_diff"] <= 1e-9
+    assert rep["pairs_covered"] == 44_729_427_396_712
+
+
+@pytest.mark.parametrize("t2", [10, 40])
+def test_oracle_check_refuses_long_p1_specs_at_once(tmp_path, capsys, t2):
+    # a stopping-rule count past float range used to end in an OverflowError
+    # traceback, and counting them at T2 = 40 did not finish
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["horizons"] = {"T1": 1, "T2": t2}
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["oracle-check", "--spec", str(spec), "--out", str(tmp_path / "oc")]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "oracle work bound" in capsys.readouterr().err
+
+
+def test_oracle_check_writes_a_count_past_str_range(tmp_path):
+    # 4 sender maps; the receiver's tree at T2 = 14 covers more than 2**43000
+    # policy pairs, past the 4300 digits json can write
+    with open(spec_path("sym02_p2")) as fh:
+        doc = json.load(fh)
+    doc["horizons"] = {"T1": 1, "T2": 14}
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps(doc))
+    out = str(tmp_path / "oc")
+    assert main(["oracle-check", "--spec", str(spec), "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["abs_diff"] <= 1e-9
+    assert rep["pairs_covered"] == "2**43000 or more"
 
 
 def test_mary_subcommand(tmp_path):

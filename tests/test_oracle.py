@@ -75,23 +75,51 @@ def test_oracle_reports_pair_count(tiny_p1):
     assert res.count == 2 * 6 ** 2 + 2 * 6
 
 
-def test_oracle_tables_describe_winner(sym02_p1):
-    res = enumerate_policies_p1(sym02_p1)
-    assert res.o1_table
-    assert res.o2_table
-    d = res.to_dict()
-    assert set(d) >= {"cost", "count", "o1_table", "o2_table"}
-    # deterministic across calls
-    res2 = enumerate_policies_p1(sym02_p1)
-    assert res2.cost == res.cost and res2.o1_table == res.o1_table
+def test_oracle_repeats_cost_and_count(sym02_p1, sym02_p2):
+    for prob, enumerate_policies in ((sym02_p1, enumerate_policies_p1),
+                                     (sym02_p2, enumerate_policies_p2)):
+        first = enumerate_policies(prob)
+        again = enumerate_policies(prob)
+        assert (again.cost.hex(), again.count) == (first.cost.hex(), first.count)
 
 
 def test_capacity_error_carries_sizes():
     spec = make_spec(variant="P2", t1=2, t2=3, **ASYM)
     prob = decseq.load_problem_spec(spec)
     with pytest.raises(CapacityError) as exc:
+        enumerate_policies_p2(prob, cap=1000)
+    # 36 sender maps times 1 + 6 + 16 + 32 receiver decision nodes
+    assert (exc.value.count, exc.value.cap) == (36 * 55, 1000)
+    assert enumerate_policies_p2(prob, cap=36 * 55).count > 0
+
+
+@pytest.mark.parametrize("n_symbols", [2, 20])
+def test_capacity_error_past_float_range(n_symbols):
+    # (10**300)**n_symbols sender maps: a float format of the bound
+    # overflows, and str() refuses its 6,300 digits at 20 symbols (the bound
+    # is about 2 * 10**6300, between 2**20929 and 2**20930)
+    m = 10 ** 300
+    row = [1.0 / n_symbols] * n_symbols
+    prob = decseq.load_problem_spec(make_spec(variant="P2", t1=1, t2=1, m=m, ch1=[row, row]))
+    with pytest.raises(CapacityError) as exc:
         enumerate_policies_p2(prob)
-    assert exc.value.count > exc.value.cap
+    # the receiver's node sum stops at 1 + 2 * m, past the cap
+    assert exc.value.count == m ** n_symbols * (1 + 2 * m)
+    shown = str(2 * m ** 3 + m ** 2) if n_symbols == 2 else "2**20929 or more"
+    assert str(exc.value) == (f"oracle work bound {shown} exceeds cap "
+                              f"{decseq.ORACLE_CAP_DEFAULT}")
+
+
+@pytest.mark.parametrize("variant", ["P1", "P2"])
+def test_work_bound_is_checked_before_enumeration(monkeypatch, variant):
+    def refuse(problem):
+        raise AssertionError("sender maps enumerated past the cap")
+
+    monkeypatch.setattr(decseq.oracle, "_o1_maps", refuse)
+    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=2, t2=3))
+    enumerate_policies = enumerate_policies_p1 if variant == "P1" else enumerate_policies_p2
+    with pytest.raises(CapacityError):
+        enumerate_policies(prob, cap=100)
 
 
 def test_capacity_cap_is_adjustable(tiny_p1):
@@ -102,5 +130,3 @@ def test_capacity_cap_is_adjustable(tiny_p1):
 def test_wald_brute_force_structure(tiny_p1):
     res = brute_force_wald(tiny_p1.channel2, tiny_p1.costs, 2, 0.4)
     assert res.count == 38
-    assert res.o1_table is None
-    assert res.o2_table

@@ -173,8 +173,8 @@ def test_p2_declared_and_sampling_atoms_stay_apart_at_belief2_zero():
     assert sol.total.hex() == "0x1.b035bd512ec6dp-4"
     assert (sol.nodes, sol.partitions_tried, sol.memo_hits) == (82, 407, 74)
     # from T1 = 3 the oracle's receiver tree continues through a still-blank
-    # stage (0.10552; its cap counts covered pairs, 4.5e13 here, not work)
-    assert enumerate_policies_p2(deep, cap=10**14).cost == pytest.approx(sol.total, abs=1e-9)
+    # stage (0.10552)
+    assert enumerate_policies_p2(deep).cost == pytest.approx(sol.total, abs=1e-9)
     prob = decseq.load_problem_spec(make_spec(t1=2, t2=2, **BOUNDARY))
     oracle = enumerate_policies_p2(prob).cost
     assert oracle == pytest.approx(0.128, abs=1e-12)
