@@ -11,8 +11,8 @@ from .errors import (CapacityError, CertificationError, DecseqError,
                      StructureViolation)
 from .infinite_horizon import (EpsilonPair, O1InfiniteSolution,
                                O2InfiniteSolution, TruncationCertificate,
-                               epsilon_optimal_pair, truncation_bound,
-                               value_iterate_o1, value_iterate_o2)
+                               epsilon_optimal_pair, stationary_anchor,
+                               truncation_bound, value_iterate_o1, value_iterate_o2)
 from .model import Channel, Costs, Problem, load_problem_spec, terminal_cost
 from .oracle import (ORACLE_CAP_DEFAULT, OracleResult, brute_force_wald,
                      count_stop_rules, enumerate_policies_p1,
@@ -37,8 +37,8 @@ __all__ = [
     "CapacityError", "CertificationError", "DecseqError",
     "ImpossibleUpdateError", "ProblemSpecError", "StructureViolation",
     "EpsilonPair", "O1InfiniteSolution", "O2InfiniteSolution",
-    "TruncationCertificate", "epsilon_optimal_pair", "truncation_bound",
-    "value_iterate_o1", "value_iterate_o2",
+    "TruncationCertificate", "epsilon_optimal_pair", "stationary_anchor",
+    "truncation_bound", "value_iterate_o1", "value_iterate_o2",
     "Channel", "Costs", "Problem", "load_problem_spec", "terminal_cost",
     "ORACLE_CAP_DEFAULT", "OracleResult", "brute_force_wald",
     "count_stop_rules", "enumerate_policies_p1", "enumerate_policies_p2",

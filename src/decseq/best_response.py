@@ -32,7 +32,7 @@ from .belief import bayes, merged_support, reachable_beliefs, receiver_atoms
 from .errors import CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
                        boundary_stage, extract_thresholds, send_law, sender_choice)
-from .simulate import exact_cost, forward_pass
+from .simulate import check_receiver, check_sender, exact_cost, forward_pass
 from .wald import solve_wald_finite, stop_or_sample, thresholds_from_labels, wald_cost
 
 __all__ = [
@@ -119,6 +119,7 @@ def evaluate_o2_policy(o2, history, final_z, problem):
     plus the declaration loss.  The expectation weighs receiver paths that
     already stopped as zero (they contribute no further cost).
     """
+    check_receiver(o2, problem)
     for m in history:
         if m != BLANK:
             raise ProblemSpecError("history", f"pre-final message {m!r} is not blank")
@@ -136,10 +137,7 @@ def evaluate_o2_policy(o2, history, final_z, problem):
 
 def o1_best_response(o2, problem):
     """Exact best sender policy against a fixed receiver policy."""
-    if problem.variant == "P2" and len(o2.blank_rules) < problem.t1 - 1:
-        raise ProblemSpecError("o2", "receiver policy lacks blank-phase rules for P2")
-    if o2.max_observations != problem.t2:
-        raise ProblemSpecError("o2", f"receiver horizon {o2.max_observations} != {problem.t2}")
+    check_receiver(o2, problem)
     costs = problem.costs
     m = problem.n_messages
 
@@ -221,8 +219,7 @@ def o2_best_response(o1, problem):
     The returned policy's message model is this sender's, so the pair is
     consistent and the modelled beliefs are true posteriors.
     """
-    if o1.horizon != problem.t1:
-        raise ProblemSpecError("o1", f"sender horizon {o1.horizon} != T1 {problem.t1}")
+    check_sender(o1, problem)
     laws = send_law(o1, problem)
     model = _message_model(laws, o1.n_messages)
     costs = problem.costs

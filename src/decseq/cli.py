@@ -10,10 +10,8 @@ search cap exceeded, 5 unreadable input file, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -23,14 +21,14 @@ import numpy as np
 from .best_response import o1_best_response, o2_best_response, pbpo_iteration
 from .errors import (CapacityError, CertificationError, DecseqError,
                      ImpossibleUpdateError, ProblemSpecError, StructureViolation, printable)
-from .infinite_horizon import (_require_stationary, epsilon_optimal_pair,
+from .infinite_horizon import (_require_stationary, epsilon_optimal_pair, stationary_anchor,
                                value_iterate_o1, value_iterate_o2)
 from .model import load_problem_spec
 from .oracle import ORACLE_CAP_DEFAULT, enumerate_policies_p1, enumerate_policies_p2
-from .policies import BLANK, o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
+from .policies import o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
 from .seq_decomp import solve_p1, solve_p2
-from .simulate import estimate_cost, exact_cost
-from .wald import GRID_SIZE_DEFAULT, VI_TOL_DEFAULT, belief_grid, solve_wald_finite
+from .simulate import check_pair, estimate_cost, exact_cost
+from .wald import GRID_SIZE_DEFAULT, belief_grid, solve_wald_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,12 +162,6 @@ def _config(args):
     return out
 
 
-def _check_tol(tol):
-    # NaN would make every convergence test and every "diff > tol" false
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ProblemSpecError("tol", f"need a finite value >= 0, got {tol!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -255,7 +247,6 @@ def _cmd_solve_p2(args):
 
 
 def _cmd_solve_infinite(args):
-    _check_tol(args.tol)
     belief_grid(args.grid)  # reject a bad --grid before any solve
     problem, digest = _load_problem(args.spec)
     _require_stationary(problem)
@@ -263,10 +254,11 @@ def _cmd_solve_infinite(args):
     if args.policies is not None:
         doc, _ = _read_json(args.policies)
         o1, o2 = pair_from_dict(doc)
+        check_pair(o1, o2, problem)  # the P2 receiver limit never reads o2
     else:
         sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
         o1, o2 = sol.o1, sol.o2
-    lim2 = value_iterate_o2(o1, problem, grid_size=args.grid, tol=args.tol)
+    lim2 = value_iterate_o2(o1, problem, grid_size=args.grid)
     # the receiver limit's post-message part is solve_wald_infinite's result
     inf = lim2.wald
     payload["stationary_wald"] = {"w1": inf.w1, "w2": inf.w2,
@@ -279,17 +271,10 @@ def _cmd_solve_infinite(args):
         "blank_thresholds": {str(t): [a, b]
                              for t, (a, b) in lim2.blank_thresholds.items()}}
     if problem.variant == "P1":
-        # The sender limit needs arrival factors that do not depend on the
-        # stage.  Repeat the receiver's first-stage factors when its blank
-        # factor carries no hypothesis information; otherwise no stationary
-        # anchor exists and the limit is skipped rather than faked.
-        first = dict(o2.message_model[0])
-        mb = first.get(BLANK, (0.0, 0.0))
-        if abs(mb[0] - mb[1]) <= 0.0:
-            anchor = dataclasses.replace(
-                o2, message_model=tuple(first for _ in range(problem.t1)))
-            lim1 = value_iterate_o1(anchor, problem,
-                                    grid_size=args.grid, tol=args.tol)
+        # with no stationary anchor the sender limit is skipped, not faked
+        anchor = stationary_anchor(o2, problem)
+        if anchor is not None:
+            lim1 = value_iterate_o1(anchor, problem, grid_size=args.grid)
             payload["sender_limit"] = {
                 "four_thresholds": list(lim1.four_thresholds),
                 "iterations": lim1.n_iter, "converged": lim1.converged,
@@ -338,7 +323,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_oracle_check(args):
-    _check_tol(args.tol)
     problem, digest = _load_problem(args.spec)
     if problem.variant == "P1":
         sol = solve_p1(problem)
@@ -350,7 +334,7 @@ def _cmd_oracle_check(args):
     payload = {"spec_digest": digest, "solver_cost": sol.total,
                "oracle_cost": orc.cost, "abs_diff": diff,
                "pairs_covered": printable(orc.count)}
-    if diff > args.tol:
+    if diff > CERT_TOL:
         payload["error"] = f"solver and oracle disagree by {diff}"
         return payload, EXIT_CERTIFICATION
     return payload, EXIT_OK
@@ -414,7 +398,6 @@ def _build_parser():
                                                "epsilon-optimal pairs")
     common(sp)
     sp.add_argument("--grid", type=int, default=GRID_SIZE_DEFAULT)
-    sp.add_argument("--tol", type=float, default=VI_TOL_DEFAULT)
     sp.add_argument("--policies", default=None)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="also solve horizons 1, 2, ... until the returned pair's own "
@@ -438,7 +421,6 @@ def _build_parser():
                          "work bound exceeds this: stopping-rule tree nodes built plus "
                          "sender maps times stopping rules (P1), or sender maps times "
                          "receiver decision nodes (P2)")
-    sp.add_argument("--tol", type=float, default=CERT_TOL)
     sp.set_defaults(func=_cmd_oracle_check)
 
     sp = sub.add_parser("mary", help="larger message alphabets")

@@ -23,12 +23,12 @@ from .best_response import _blank_atoms, _blank_phase, evaluate_o2_policy
 from .errors import CapacityError, CertificationError, ProblemSpecError
 from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_choice
 from .seq_decomp import solve_p1, solve_p2
-from .simulate import exact_cost
-from .wald import (GRID_SIZE_DEFAULT, VI_TOL_DEFAULT, StationaryWald, belief_grid,
-                   grid_continuation, grid_value_iteration, solve_wald_infinite)
+from .simulate import check_receiver, check_sender, exact_cost
+from .wald import (GRID_SIZE_DEFAULT, StationaryWald, belief_grid, grid_continuation,
+                   grid_value_iteration, solve_wald_infinite)
 
 __all__ = ["TruncationCertificate", "O2InfiniteSolution", "O1InfiniteSolution",
-           "EpsilonPair", "value_iterate_o2", "value_iterate_o1",
+           "EpsilonPair", "value_iterate_o2", "value_iterate_o1", "stationary_anchor",
            "truncation_bound", "epsilon_optimal_pair"]
 
 
@@ -98,7 +98,7 @@ def _require_stationary(problem):
                                            "stationary channels")
 
 
-def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
+def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT):
     """Receiver limit with the deadline removed.
 
     The sender keeps its finite deadline.  After the message the receiver
@@ -110,13 +110,11 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAUL
     monotone convergence and needs no iteration of its own.
     """
     _require_stationary(problem)
-    if o1.horizon != problem.t1:
-        raise ProblemSpecError("o1", f"sender horizon {o1.horizon} != T1 {problem.t1}")
+    check_sender(o1, problem)
     if len(set(o1.stages)) > 1:
         raise ProblemSpecError("o1", "sender stage rules must be stationary")
     model = build_message_model(o1, problem)
-    wald = solve_wald_infinite(problem.channel2, problem.costs, grid_size=grid_size,
-                               tol=tol)
+    wald = solve_wald_infinite(problem.channel2, problem.costs, grid_size=grid_size)
     tables, rules = {}, {}
     if problem.variant == "P2":
         tables, rules, _ = _blank_phase(model, problem, _blank_atoms(model, problem),
@@ -150,22 +148,29 @@ class O1InfiniteSolution:
         return (low[0], low[1], high[0], high[1])
 
 
-def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
+def stationary_anchor(o2, problem):
+    """Receiver ``o2`` with its first-stage message model repeated over all
+    T1 stages, the stage-free arrival factors the sender limit needs; None
+    when that stage's blank factor is informative, which makes them vary
+    with the stage.  An empty model reads as uninformative, as
+    ``O2Policy.message_factor`` reads a missing stage."""
+    first = dict(o2.message_model[0]) if o2.message_model else {}
+    mb = first.get(BLANK, (0.0, 0.0))
+    if mb[0] != mb[1]:
+        return None
+    return dataclasses.replace(o2, message_model=(first,) * problem.t1)
+
+
+def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT):
     """Sender value iteration with its deadline removed.
 
-    Needs a receiver with a bounded stopping time and a time-invariant
-    anchor, so the send branches are fixed affine curves; then the sender
-    recursion is a contraction toward the no-deadline value.
+    Needs a finite receiver (``O2Policy``: its last rule forces a
+    declaration, so its stopping time is bounded) that is its own
+    ``stationary_anchor``, so the send branches are fixed affine curves;
+    then the sender recursion is a contraction toward the no-deadline value.
     """
-    if isinstance(o2, O2InfiniteSolution):
-        raise ProblemSpecError("o2", "receiver policy has no bounded stopping "
-                                     "time; the sender limit needs one")
     if not isinstance(o2, O2Policy):
-        raise ProblemSpecError("o2", f"not a receiver policy: {type(o2).__name__}")
-    last = o2.wald_rules[len(o2.wald_rules) - 1]
-    if last[0] < last[1]:
-        raise ProblemSpecError("o2", "receiver policy does not force a decision "
-                                     "at its last stage (unbounded stopping time)")
+        raise ProblemSpecError("o2", f"not a finite receiver policy: {type(o2).__name__}")
     if problem.variant != "P1":
         raise ProblemSpecError("variant", "the sender limit is implemented for "
                                           "the wait-then-sample variant; finite "
@@ -174,21 +179,17 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAUL
     if not problem.channel1.stationary:
         raise ProblemSpecError("channels", "infinite-horizon limits need "
                                            "stationary channels")
-    for stage in o2.message_model:
-        if stage != o2.message_model[0]:
-            raise ProblemSpecError("o2", "receiver anchor is not stationary")
-        mb = stage.get(BLANK)
-        if mb is not None and abs(mb[0] - mb[1]) > 0.0:
-            raise ProblemSpecError("o2", "receiver anchor's blank factor is "
-                                         "informative; send values would be "
-                                         "time-varying")
+    check_receiver(o2, problem)
+    if o2 != stationary_anchor(o2, problem):
+        raise ProblemSpecError("o2", "receiver is not its own stationary_anchor: one "
+                                     "message model stage, blank uninformative, T1 times")
     m = problem.n_messages
     affines = [evaluate_o2_policy(o2, (), z, problem) for z in range(m)]
 
     grid = belief_grid(grid_size)
     send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
     cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
-    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves), tol)
+    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves))
     labels, _ = sender_choice([c.tolist() for c in send_curves], cont(values).tolist())
     rule = extract_thresholds(list(zip(grid.tolist(), labels)), m, terminal=False)
     return O1InfiniteSolution(grid=grid, values=values, stage_rule=rule,

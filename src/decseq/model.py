@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ProblemSpecError
 
@@ -99,11 +99,8 @@ class Problem:
     t2: int
     variant: str
     n_messages: int = 2
-    raw: dict = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
-        if self.raw is not None:
-            return self.raw
         return {
             "prior": self.prior,
             "channels": [
@@ -248,4 +245,4 @@ def load_problem_spec(text):
 
     return Problem(prior=prior, channel1=by_observer[1], channel2=by_observer[2],
                    costs=costs, t1=t1, t2=t2, variant=variant,
-                   n_messages=n_messages, raw=data)
+                   n_messages=n_messages)

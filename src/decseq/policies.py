@@ -149,9 +149,12 @@ class O2Policy:
     ``blank_rules[t-1]`` = (a, b) used at stage t while messages are blank
     (interleaved variant; empty for the wait-then-sample variant).
     ``wald_rules[k]`` = (w1, w2) used once the final message is in, indexed
-    by observer 2's own observation count; the last entry forces a
-    declaration.  ``message_model[t-1]`` maps each symbol (and BLANK) to its
+    by observer 2's own observation count; there is at least one, and the
+    last forces a declaration (w1 >= w2), so every receiver stops by its
+    horizon.  ``message_model[t-1]`` maps each symbol (and BLANK) to its
     likelihood pair at stage t under the partner policy this was built for.
+    Construction checks this shape; ``simulate.check_receiver`` checks the
+    fit to a problem.
     """
 
     blank_rules: tuple
@@ -167,6 +170,9 @@ class O2Policy:
                 if not all(math.isfinite(v) for v in rule):
                     raise ProblemSpecError(f"o2.{name}[{i}]",
                                            f"non-finite threshold in {rule}")
+        if not self.wald_rules or self.wald_rules[-1][0] < self.wald_rules[-1][1]:
+            raise ProblemSpecError("o2.wald_rules",
+                                   "last stopping rule must force a declaration (w1 >= w2)")
         for t, stage in enumerate(self.message_model):
             for z, pair in stage.items():
                 if not all(0.0 <= p <= 1.0 for p in pair):
@@ -384,7 +390,7 @@ def o1_from_dict(data):
                                  for iv in s["send"]))
             for s in data["stages"])
         terminal = TerminalRule(cuts=tuple(float(c) for c in data["terminal"]["cuts"]))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ProblemSpecError("o1", f"malformed policy: {e}")
     return O1Policy(stages=stages, terminal=terminal, n_messages=m)
 
@@ -423,7 +429,7 @@ def o2_from_dict(data):
             wald_rules=tuple((float(a), float(b)) for a, b in data["wald_rules"]),
             message_model=_model_from_json(data["message_model"]),
             n_messages=int(data.get("M", 2)))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ProblemSpecError("o2", f"malformed policy: {e}")
 
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from array import array
@@ -278,10 +279,13 @@ def _nodes(rows, starts, counts):
 
 
 @functools.lru_cache(maxsize=None)
-def _partition_table(n_groups, n_messages, terminal):
+def _partition_table(n_groups, n_messages, terminal, cap=DESIGNER_NODE_CAP):
     """Every distinct threshold partition of n_groups sorted atom groups, as
     (parts, runs, slots, blanks, blank_of); built once per process, a pure
-    function of its arguments, so every part of it is read-only.
+    function of its arguments, so every part of it is read-only.  More than
+    ``cap`` cut or run position tuples raise ``CapacityError`` before any is
+    built; ``cap`` is bound at import, so lowering DESIGNER_NODE_CAP later
+    bounds the search nodes only.
 
     ``parts[a]`` holds partition a's (lo, hi) group slice per symbol, symbol
     M-1 first, None for an unused symbol; groups no slice covers are blank
@@ -292,8 +296,10 @@ def _partition_table(n_groups, n_messages, terminal):
     the distinct blank group sets in first-use order and ``blank_of[a]``
     partition a's index into them.
     """
-    combos = itertools.combinations_with_replacement(
-        range(n_groups + 1), n_messages - 1 if terminal else 2 * n_messages)
+    k = n_messages - 1 if terminal else 2 * n_messages
+    if (size := math.comb(n_groups + k, k)) > cap:
+        raise CapacityError(size, cap, "designer partition table")
+    combos = itertools.combinations_with_replacement(range(n_groups + 1), k)
     # symbol M-1-i spans (0, *c, n_groups)[i:i + 2] at the terminal stage, else c[2i:2i + 2]
     cands = (zip((0, *c), (*c, n_groups)) if terminal else zip(c[::2], c[1::2]) for c in combos)
     parts = tuple(dict.fromkeys(tuple(s if s[0] < s[1] else None for s in cand)

@@ -39,22 +39,35 @@ from .errors import CertificationError, ImpossibleUpdateError, ProblemSpecError
 from .policies import BLANK, TerminalRule, send_law, subjective_update
 
 
-def check_pair(o1, o2, problem):
-    """Validate a policy pair against a problem's horizons and variant."""
+def check_sender(o1, problem):
+    """Fit a sender policy to a problem: its horizon is T1 and its alphabet
+    the problem's M.  O1Policy checks its own shape."""
     if o1.horizon != problem.t1:
         raise ProblemSpecError("o1", f"sender horizon {o1.horizon} != T1 {problem.t1}")
     if o1.n_messages != problem.n_messages:
         raise ProblemSpecError("o1", f"policy uses {o1.n_messages} symbols, problem has "
                                      f"{problem.n_messages}")
+
+
+def check_receiver(o2, problem):
+    """Fit a receiver policy to a problem: its horizon is T2, its alphabet
+    the problem's M, and in the interleaved variant it has a blank-phase
+    rule for each of stages 1..T1-1.  O2Policy checks its own shape."""
     if o2.max_observations != problem.t2:
         raise ProblemSpecError("o2", f"receiver horizon {o2.max_observations} != T2 {problem.t2}")
+    if o2.n_messages != problem.n_messages:
+        raise ProblemSpecError("o2", f"policy uses {o2.n_messages} symbols, problem has "
+                                     f"{problem.n_messages}")
     want_blank = problem.t1 - 1 if problem.variant == "P2" else 0
     if len(o2.blank_rules) < want_blank:
         raise ProblemSpecError("o2", f"variant {problem.variant} needs {want_blank} "
                                      f"blank-phase rules, policy has {len(o2.blank_rules)}")
-    w1, w2 = o2.wald_rules[-1]
-    if w1 < w2:
-        raise ProblemSpecError("o2", "last stopping rule must force a declaration (w1 >= w2)")
+
+
+def check_pair(o1, o2, problem):
+    """Fit a policy pair to a problem: check_sender and check_receiver."""
+    check_sender(o1, problem)
+    check_receiver(o2, problem)
 
 
 @dataclass
@@ -158,9 +171,6 @@ def forward_pass(o2, problem, sends):
             for h, w in ((0, w0 * scale[0]), (1, w1 * scale[1])):
                 accs[h].declared(w, k, u, costs.loss[u][h])
                 loss_at[k][h] += w * costs.loss[u][h]
-        if going and k == last:
-            raise ProblemSpecError("o2", "last stopping rule must force a "
-                                         "declaration (w1 >= w2)")
         return going
 
     prior = float(problem.prior)
@@ -408,7 +418,7 @@ def _sample(o1, o2, problem, n, draws):
             tau1[on], message[on] = t, z
             on = on[z == m]
         on, k = everyone, 0
-        while True:
+        while True:  # ends by the last rule, which O2Policy makes declare
             u = _decide(o2.wald_rules[k], sb[on])
             tau2[on], decision[on] = k, u
             on = on[u < 0]

@@ -316,9 +316,9 @@ def wald_vi_iterates(rows, costs, grid):
     return _iterates(grid_continuation(rows, costs.c2, g), _stop_cost(g, costs))
 
 
-def grid_value_iteration(cont, floor, tol):
+def grid_value_iteration(cont, floor):
     """Run V -> min(floor, cont(V)) from V = floor until the sup change
-    falls below tol or VI_MAX_ITER_DEFAULT backups are done.
+    falls below VI_TOL_DEFAULT or VI_MAX_ITER_DEFAULT backups are done.
 
     Returns the last iterate and its record: ``n_iter`` backups, their sup
     ``deltas``, the largest pointwise increase between consecutive iterates
@@ -335,7 +335,7 @@ def grid_value_iteration(cont, floor, tol):
         deltas.append(delta)
         max_increase = max(max_increase, float(np.max(new - values)))
         values = new
-        converged = delta < tol
+        converged = delta < VI_TOL_DEFAULT
     return values, {"n_iter": len(deltas), "deltas": deltas,
                     "max_increase": max_increase, "converged": converged}
 
@@ -359,7 +359,7 @@ class StationaryWald:
         return float(np.interp(belief, self.grid, self.values))
 
 
-def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_DEFAULT):
+def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT):
     """Stationary stopping solution by value iteration.
 
     channel is a stationary Channel.  Records the per-iteration sup deltas
@@ -371,7 +371,7 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT, tol=VI_TOL_
     rows = channel.tables[0]
     grid = belief_grid(grid_size)
     values, record = grid_value_iteration(grid_continuation(rows, costs.c2, grid),
-                                          _stop_cost(grid, costs), tol)
+                                          _stop_cost(grid, costs))
     # the last iterate is min(stop, continuation): it lies below the
     # stopping cost exactly where sampling was strictly cheaper
     labels, _, _ = stop_or_sample(grid.tolist(), values, costs)

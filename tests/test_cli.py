@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec, pair_to_dict,
-                    seq_decomp)
+from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec,
+                    pair_from_dict, pair_to_dict, seq_decomp, solve_p1, solve_p2,
+                    value_iterate_o1)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
 
@@ -321,18 +322,6 @@ def test_simulate_rejects_bad_receiver_policy(tmp_path, edit):
                  "--out", str(tmp_path / "s")]) == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
-def test_solve_infinite_rejects_bad_tol(tmp_path, tol):
-    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"),
-                 "--tol", tol, "--out", str(tmp_path / "i")]) == 2
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
-def test_oracle_check_rejects_bad_tol(tmp_path, tol):
-    assert main(["oracle-check", "--spec", spec_path("sym02_p1"),
-                 "--tol", tol, "--out", str(tmp_path / "o")]) == 2
-
-
 def test_solve_infinite_epsilon_on_interleaved_instance(tmp_path):
     # the tau1 tail at t = 1 is a float sum of a certain event; it must not
     # round past 1 and trip the truncation bound's range check
@@ -622,3 +611,119 @@ def test_bad_inputs_end_in_a_documented_exit_code(tmp_path_factory, request_):
         code = main(argv + ["--out", str(work / "out")] if argv else argv)
     assert code in FAILURE_CODES, (argv, spec_bytes, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# a policy file must fit the problem it is run on
+
+
+def _problem(name):
+    with open(spec_path(name)) as fh:
+        return load_problem_spec(json.load(fh))
+
+
+def _designer_pair_doc(name):
+    """pair_to_dict of the designer pair of instances/<name>.json, as JSON
+    reads it back."""
+    problem = _problem(name)
+    sol = (solve_p1 if problem.variant == "P1" else solve_p2)(problem)
+    return json.loads(json.dumps(pair_to_dict(sol.o1, sol.o2)))
+
+
+_SYM02_P1 = _problem("sym02_p1")
+_SYM02_P1_PAIR = _designer_pair_doc("sym02_p1")
+_MARY3_P1_PAIR = _designer_pair_doc("mary3_p1")
+_POLICY_COMMANDS = (["simulate", "--n", "20"], ["best-response", "--side", "1"],
+                    ["best-response", "--side", "2"], ["solve-infinite", "--grid", "11"])
+
+
+def _with_o2(**fields):
+    """The sym02_p1 designer pair with the receiver's ``fields`` replaced."""
+    return {**_SYM02_P1_PAIR, "o2": {**_SYM02_P1_PAIR["o2"], **fields}}
+
+
+def _run_policies(work, doc, command):
+    """main() on sym02_p1 with ``doc`` as the --policies file: (exit code,
+    stderr, the output directory)."""
+    pol = work / "policies.json"
+    pol.write_text(json.dumps(doc))
+    out = work / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(command + ["--policies", str(pol), "--spec", spec_path("sym02_p1"),
+                               "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+@pytest.mark.parametrize("doc, command", [
+    # a receiver with no stopping rule at all
+    (_with_o2(wald_rules=[]), ["solve-infinite"]),
+    # the M=3 designer pair of mary3_p1 against this M=2 problem
+    (_MARY3_P1_PAIR, ["best-response", "--side", "1"]),
+    (_MARY3_P1_PAIR, ["best-response", "--side", "2"]),
+    (_MARY3_P1_PAIR, ["solve-infinite"]),
+    # an M=2 sender with an M=3 receiver
+    ({**_SYM02_P1_PAIR, "o2": _MARY3_P1_PAIR["o2"]}, ["simulate", "--n", "20"]),
+    # a receiver of horizon 0 against T2 = 2
+    (_with_o2(wald_rules=_SYM02_P1_PAIR["o2"]["wald_rules"][-1:]), ["solve-infinite"]),
+])
+def test_policies_that_do_not_fit_are_validation_errors(tmp_path, doc, command):
+    code, err, _ = _run_policies(tmp_path, doc, command)
+    assert code == 2, err
+    assert err.startswith("validation error: o"), err
+
+
+def test_solve_infinite_reads_an_empty_message_model_as_uninformative(tmp_path):
+    code, err, out = _run_policies(tmp_path, _with_o2(message_model=[]), ["solve-infinite"])
+    assert code == 0, err
+    limit = read_report(str(out))["sender_limit"]
+    assert limit["converged"] is True and limit["anchor"]
+    # the anchor is the receiver with (1, 1) factors at every stage
+    o2 = dataclasses.replace(pair_from_dict(_SYM02_P1_PAIR)[1],
+                             message_model=({},) * _SYM02_P1.t1)
+    assert limit["four_thresholds"] == list(value_iterate_o1(o2, _SYM02_P1).four_thresholds)
+
+
+_POLICY_PATHS = list(_paths(_SYM02_P1_PAIR))
+_POLICY_VALUES = st.sampled_from(["x", None, [], {}, True, float("nan"), float("inf"),
+                                  -1, -0.5, 0.5, 1, 3, 10 ** 400, [0.2, 0.1]])
+
+
+@st.composite
+def _bad_policies(draw):
+    """The sym02_p1 designer pair with the value at one drawn path replaced
+    or deleted (deleting a list entry cuts a horizon short)."""
+    doc = json.loads(json.dumps(_SYM02_P1_PAIR))
+    _set(doc, draw(st.sampled_from(_POLICY_PATHS)),
+         draw(st.one_of(st.just(_DELETE), _POLICY_VALUES)))
+    return doc
+
+
+@given(_bad_policies())
+@example(_with_o2(wald_rules=[]))
+@example(_with_o2(message_model=[]))
+@example(_with_o2(M=3))
+@example({**_SYM02_P1_PAIR, "o1": {**_SYM02_P1_PAIR["o1"], "M": 3}})
+@settings(max_examples=60, deadline=None)
+def test_bad_policies_end_in_a_documented_exit_code(tmp_path_factory, doc):
+    for command in _POLICY_COMMANDS:
+        code, err, out = _run_policies(tmp_path_factory.mktemp("pol"), doc, command)
+        assert code == 0 or code in FAILURE_CODES, (doc, command, err)
+        if code == 0 and command[0] == "best-response":
+            with open(out / "policies.json") as fh:
+                o1, o2 = pair_from_dict(json.load(fh))
+            assert (o1.horizon, o2.max_observations) == (_SYM02_P1.t1, _SYM02_P1.t2)
+            assert o1.n_messages == o2.n_messages == _SYM02_P1.n_messages
+
+
+@pytest.mark.parametrize("m", [10 ** 300, 1000])
+@pytest.mark.parametrize("command", ["solve-p1", "oracle-check", "solve-infinite"])
+def test_designer_refuses_a_partition_table_past_the_cap(tmp_path, capsys, command, m):
+    # the first stage's table would hold comb(n + 2M, 2M) run positions
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["M"] = m
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 4
+    assert "designer partition table" in capsys.readouterr().err

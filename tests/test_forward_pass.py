@@ -140,11 +140,9 @@ def test_exact_cost_solves_certain_prior():
 
 
 def test_receiver_must_declare_by_its_last_rule(asym_p1):
-    # a receiver that never declares runs out of stopping rules
+    # a receiver that never declares would run out of stopping rules, so it
+    # cannot be built; nor can one with no stopping rule at all
     o2 = o2_best_response(immediate_sender_policy(asym_p1), asym_p1).policy
-    open_end = O2Policy(blank_rules=(), wald_rules=((0.0, 1.0),) * len(o2.wald_rules),
-                        message_model=o2.message_model)
-    with pytest.raises(decseq.ProblemSpecError):
-        evaluate_o2_policy(open_end, (), 0, asym_p1)
-    with pytest.raises(decseq.ProblemSpecError):
-        o1_best_response(open_end, asym_p1)
+    for wald_rules in (((0.0, 1.0),) * len(o2.wald_rules), ()):
+        with pytest.raises(decseq.ProblemSpecError, match="force a declaration"):
+            O2Policy(blank_rules=(), wald_rules=wald_rules, message_model=o2.message_model)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import decseq
 from decseq import (BLANK, CapacityError, CertificationError, ProblemSpecError,
                     epsilon_optimal_pair, o2_best_response, seq_decomp, solve_wald_infinite,
-                    truncation_bound, value_iterate_o1, value_iterate_o2)
+                    stationary_anchor, truncation_bound, value_iterate_o1, value_iterate_o2)
 
 from conftest import ASYM, make_spec
 
@@ -123,15 +123,26 @@ def test_receiver_limit_rejects_nonstationary_sender(sym02_p2):
         value_iterate_o2(mixed, short)
 
 
-def stationary_anchor(problem):
-    sol = decseq.solve_p1(problem)
-    first = dict(sol.o2.message_model[0])
-    return dataclasses.replace(
-        sol.o2, message_model=tuple(first for _ in range(problem.t1)))
+def designer_anchor(problem):
+    """stationary_anchor of the designer's receiver."""
+    return stationary_anchor(decseq.solve_p1(problem).o2, problem)
+
+
+def test_stationary_anchor(sym02_p1):
+    o2 = decseq.solve_p1(sym02_p1).o2
+    anchor = stationary_anchor(o2, sym02_p1)
+    assert anchor.message_model == (o2.message_model[0],) * sym02_p1.t1
+    assert (anchor.wald_rules, anchor.blank_rules) == (o2.wald_rules, o2.blank_rules)
+    assert stationary_anchor(anchor, sym02_p1) == anchor
+    # an empty model reads as uninformative, as message_factor reads it
+    empty = dataclasses.replace(o2, message_model=())
+    assert stationary_anchor(empty, sym02_p1).message_model == ({},) * sym02_p1.t1
+    skew = dataclasses.replace(o2, message_model=({BLANK: (0.2, 0.1)},))
+    assert stationary_anchor(skew, sym02_p1) is None
 
 
 def test_sender_limit_converges(sym02_p1):
-    lim = value_iterate_o1(stationary_anchor(sym02_p1), sym02_p1)
+    lim = value_iterate_o1(designer_anchor(sym02_p1), sym02_p1)
     assert lim.converged
     assert lim.max_increase <= 0.0
     a, b, c, d = lim.four_thresholds
@@ -144,16 +155,19 @@ def test_sender_limit_converges(sym02_p1):
 
 
 def test_sender_limit_validation(sym02_p1, sym02_p2, asym_p1):
-    anchor = stationary_anchor(sym02_p1)
+    anchor = designer_anchor(sym02_p1)
     with pytest.raises(ProblemSpecError):
         value_iterate_o1(anchor, sym02_p2)          # interleaved variant
     sol = decseq.solve_p1(sym02_p1)
     with pytest.raises(ProblemSpecError):
         value_iterate_o1(sol.o2, sym02_p1)          # time-varying arrival model
-    unbounded = dataclasses.replace(
-        anchor, wald_rules=anchor.wald_rules[:-1] + ((0.1, 0.9),))
-    with pytest.raises(ProblemSpecError):
-        value_iterate_o1(unbounded, sym02_p1)
+    with pytest.raises(ProblemSpecError, match="force a declaration"):
+        dataclasses.replace(anchor, wald_rules=anchor.wald_rules[:-1] + ((0.1, 0.9),))
+    with pytest.raises(ProblemSpecError, match="receiver horizon 0 != T2 2"):
+        value_iterate_o1(dataclasses.replace(anchor, wald_rules=anchor.wald_rules[-1:]),
+                         sym02_p1)
+    with pytest.raises(ProblemSpecError, match="policy uses 3 symbols"):
+        value_iterate_o1(dataclasses.replace(anchor, n_messages=3), sym02_p1)
     lim2 = value_iterate_o2(decseq.solve_p1(asym_p1).o1, asym_p1)
     with pytest.raises(ProblemSpecError):
         value_iterate_o1(lim2, asym_p1)             # no bounded stopping time
@@ -166,11 +180,11 @@ def test_value_iteration_rejects_grid_without_interior(sym02_p1):
     with pytest.raises(ProblemSpecError):
         value_iterate_o2(sol.o1, sym02_p1, grid_size=2)
     with pytest.raises(ProblemSpecError):
-        value_iterate_o1(stationary_anchor(sym02_p1), sym02_p1, grid_size=2)
+        value_iterate_o1(designer_anchor(sym02_p1), sym02_p1, grid_size=2)
 
 
 def test_sender_limit_rejects_informative_blank(sym02_p1):
-    anchor = stationary_anchor(sym02_p1)
+    anchor = designer_anchor(sym02_p1)
     first = dict(anchor.message_model[0])
     first[BLANK] = (0.2, 0.1)
     skew = dataclasses.replace(

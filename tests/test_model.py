@@ -151,8 +151,15 @@ def test_spec_round_trip_property(spec):
     assert (p.t1, p.t2) == (spec["horizons"]["T1"], spec["horizons"]["T2"])
     assert p.costs.loss == tuple(map(tuple, spec["costs"]["J"]))
     # to_dict of a built problem, through real JSON text
-    doc = dataclasses.replace(p, raw=None).to_dict()
+    doc = p.to_dict()
     assert load_problem_spec(json.dumps(doc)) == p
+
+
+def test_to_dict_reads_the_fields(sym02_p1):
+    # a copy with other horizons reports its own, not the loaded file's
+    doc = dataclasses.replace(sym02_p1, t1=5, t2=5).to_dict()
+    assert doc["horizons"] == {"T1": 5, "T2": 5}
+    assert load_problem_spec(doc) == dataclasses.replace(sym02_p1, t1=5, t2=5)
 
 
 def test_public_namespace_is_all():

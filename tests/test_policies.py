@@ -123,9 +123,11 @@ def _policy_pairs(draw):
                   terminal=TerminalRule(cuts=tuple(cuts)), n_messages=m)
     model = tuple({**({BLANK: lik()} if t < t1 else {}), **{z: lik() for z in range(m)}}
                   for t in range(1, t1 + 1))
-    # P2 receivers carry blank rules, P1 receivers none
+    # P2 receivers carry blank rules, P1 receivers none; the last stopping
+    # rule, reversed, forces a declaration
     o2 = O2Policy(blank_rules=tuple(rule() for _ in range(draw(st.integers(0, t1 - 1)))),
-                  wald_rules=tuple(rule() for _ in range(draw(st.integers(1, 5)))),
+                  wald_rules=tuple(rule() for _ in range(draw(st.integers(0, 4))))
+                  + (rule()[::-1],),
                   message_model=model, n_messages=m)
     return o1, o2
 

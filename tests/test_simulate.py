@@ -92,7 +92,7 @@ def test_estimate_rejects_empty_run(sym02_p2, p2_pair):
 def test_exact_cost_rejects_leaking_path_mass(sym02_p2, p2_pair):
     # rows that sum to 0.9 lose a tenth of the mass at every observation
     leaky = decseq.Channel(observer=2, tables=(((0.7, 0.2), (0.2, 0.7)),))
-    problem = dataclasses.replace(sym02_p2, channel2=leaky, raw=None)
+    problem = dataclasses.replace(sym02_p2, channel2=leaky)
     with pytest.raises(decseq.CertificationError):
         exact_cost(p2_pair, problem)
 
