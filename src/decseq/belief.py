@@ -3,8 +3,9 @@
 Beliefs are P(H = 0 | information).  ``bayes`` is the one scalar Bayes step
 that every program uses but the designer's observer-2 steps
 (``wald._outcomes`` is its numpy twin), and ``push_atom`` the one push of an
-atom through an observation step, shared by ``push_atoms`` and the
-designer's children.  With finite observation alphabets the belief of each
+atom through an observation step, behind ``push_atoms``; the designer's
+children push and merge numpy rows through their array twins
+(``push_rows``, ``merge_rows``).  With finite observation alphabets the belief of each
 observer lives on a finite, enumerable set of atoms at every time;
 everything downstream (threshold search, exact policy evaluation,
 brute-force checks) runs on those atoms.  A belief law is a list of
@@ -13,6 +14,8 @@ belief with beliefs closer than MERGE_TOL merged (``merge_atoms``).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ImpossibleUpdateError, ProblemSpecError
 
@@ -70,6 +73,50 @@ def merge_atoms(entries):
     return out
 
 
+# a raw row whose belief1 exceeds its sort predecessor's by more than
+# MERGE_TOL + _SLACK, or (two beliefs) whose belief2 differs from it by more
+# than twice that, starts a merged atom of its own: the merged atom that the
+# predecessor ends lies within MERGE_TOL (and roundoff) of it
+_SLACK = 1e-13
+
+
+def merge_rows(rows, first, beliefs):
+    """``merge_atoms`` on numpy rows (beliefs=1: (b, m0, m1)), or with two
+    beliefs (beliefs=2: (b1, b2, m0, m1), both within MERGE_TOL of the last
+    merged atom, as the designer merges P2 atoms), of rows sorted law by law
+    as sorted() sorts tuples, first[i] flagging each law's first row.
+
+    Only chains of rows that no sure split parts run the scalar arithmetic,
+    in lockstep, the longest chains first.  Returns the merged rows and the
+    raw row each begins at.
+    """
+    new = first.copy()
+    gap = np.diff(rows[:, :beliefs], axis=0)
+    new[1:] |= gap[:, 0] > MERGE_TOL + _SLACK
+    if beliefs == 2:
+        new[1:] |= np.abs(gap[:, 1]) > 2.0 * (MERGE_TOL + _SLACK)
+    out, heads = rows.copy(), np.flatnonzero(new)
+    size = np.diff(np.append(heads, len(rows)))
+    chain = np.flatnonzero(size > 1)
+    chain = chain[np.argsort(-size[chain], kind="stable")]
+    heads, size, run = heads[chain], size[chain], rows[heads[chain]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # chains[:n] are still running at their row j
+        for j, n in enumerate(np.searchsorted(-size, -np.arange(1, size.max(initial=1))), 1):
+            at, last, e = heads[:n] + j, run[:n], rows[heads[:n] + j]
+            near = e[:, :beliefs] - last[:, :beliefs]
+            join = ((np.abs(near) if beliefs == 2 else near) <= MERGE_TOL).all(axis=1)
+            old, add = last[:, -2] + last[:, -1], e[:, -2] + e[:, -1]
+            mean = (last[:, :beliefs] * old[:, None] + e[:, :beliefs] * add[:, None]) \
+                / (old + add)[:, None]
+            merged = np.concatenate((np.where((old + add > 0.0)[:, None], mean, e[:, :beliefs]),
+                                     last[:, beliefs:] + e[:, beliefs:]), axis=1)
+            run[:n] = out[at] = np.where(join[:, None], merged, e)
+            new[at] = ~join
+    starts = np.flatnonzero(new)
+    return out[np.append(starts[1:], len(rows))[:len(starts)] - 1], starts
+
+
 def merged_support(beliefs):
     """Sorted distinct beliefs, those closer than MERGE_TOL merged (merge_atoms)."""
     return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in beliefs])]
@@ -89,6 +136,25 @@ def push_atom(belief, w0, w1, channel_rows):
                 f"observation {y} has zero probability at belief {belief}")
         out.append((post, r0, r1))
     return out
+
+
+def push_rows(b, w0, w1, channel_rows):
+    """``push_atom`` on numpy arrays of atoms (b, w0, w1), a column per
+    symbol y: the posteriors, which pushes each atom sees (w0 * row0[y] or
+    w1 * row1[y] nonzero), the seen ones of probability 0 (``push_error``
+    names the first), and the channel rows as arrays."""
+    r0, r1 = (np.array(r, dtype=float) for r in channel_rows)
+    num = b[:, None] * r0
+    p = num + (1.0 - b)[:, None] * r1
+    seen = (w0[:, None] * r0 != 0.0) | (w1[:, None] * r1 != 0.0)
+    post = np.divide(num, p, out=np.zeros(num.shape), where=p > 0.0)
+    return post, seen, seen & ~(p > 0.0), r0, r1
+
+
+def push_error(b, bad):
+    """push_atom's error for the first (atom, symbol) of ``bad``."""
+    a, y = divmod(int(np.argmax(bad)), bad.shape[1])
+    return ImpossibleUpdateError(f"observation {y} has zero probability at belief {float(b[a])}")
 
 
 def push_atoms(entries, channel_rows):

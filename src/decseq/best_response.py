@@ -29,11 +29,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .belief import bayes, merged_support, reachable_beliefs, receiver_atoms
-from .errors import CertificationError, ProblemSpecError
+from .errors import CapacityError, CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
                        boundary_stage, extract_thresholds, send_law, sender_choice)
 from .simulate import check_receiver, check_sender, exact_cost, forward_pass
 from .wald import solve_wald_finite, stop_or_sample, thresholds_from_labels, wald_cost
+
+# the most sender symbol slots (T1 stage rules of M symbols each) that one
+# PBPO run may build
+PBPO_SLOT_CAP = 500_000
 
 __all__ = [
     "evaluate_o2_policy", "o1_best_response", "o2_best_response",
@@ -349,10 +353,13 @@ def pbpo_iteration(problem, init=None, max_rounds=50):
     Starts from ``init`` (an O2Policy) or from the best response to an
     immediate sender.  The trace holds the exact pair cost after every
     half-round; it is non-increasing.  Stops when a full round improves
-    by less than 1e-12.
+    by less than 1e-12.  More than ``PBPO_SLOT_CAP`` sender symbol slots
+    raise ``CapacityError`` before any policy is built.
     """
     if max_rounds < 1:
         raise ProblemSpecError("max_rounds", f"need at least one round, got {max_rounds}")
+    if (slots := problem.t1 * problem.n_messages) > PBPO_SLOT_CAP:
+        raise CapacityError(slots, PBPO_SLOT_CAP, "sender symbol slots (T1 times M)")
     if init is None:
         o2 = o2_best_response(immediate_sender_policy(problem), problem).policy
     else:

@@ -17,25 +17,28 @@ variants share one sequential decomposition (``_Designer``):
   most nodes, is valued batch by batch, the earlier stages backward.  The
   table of partitions of n groups, a pure function of n, M and whether the
   stage is the last, is built once per process (``_partition_table``);
-* **children** -- a node pushes each of its atoms through observer 1's next
-  observation once (``belief.push_atom``) and merges the child of every
-  blank set (in variant P2, of every continue interval of observer 2) from
-  those pushes;
+* **children** -- built a stage at a time, a chunk of nodes at a time, in
+  numpy arrays (``_build``): every node's atoms pass observer 1's next
+  observation once (``belief.push_rows``), and each blank set's child (in
+  variant P2, after observer 2's step, each continue interval's) is a
+  subset of those pushes, sorted once before the subsets are taken, as
+  sorted() sorts tuples, and merged as ``belief.merge_atoms`` merges
+  (``belief.merge_rows``), with no Python object per child;
 * **keys** -- each coordinate x of a state's atoms becomes the k with
   round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a
   state's key is its atoms' integers, sorted atom by atom, as int64 bytes;
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
-  every sum added left to right (``_seq_sums``, ``_left_sum``: numpy's
+  every sum added left to right (``_seq_sums``, ``np.cumsum``: numpy's
   pairwise sums, and the builtin sum() from Python 3.12, round
   differently);
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch into the sender's threshold rules, following the
   lookups the search recorded and rebuilding each child on the path with
-  the same ``_expand``; the receiver is ``best_response.o2_best_response``
+  the same ``_build``; the receiver is ``best_response.o2_best_response``
   of that sender.
 
-Each variant supplies the hooks ``_root``, ``_coords``, ``_groups``,
-``_expand``, ``_blank_costs`` and ``_pricer``.  A search that would store
+Each variant supplies the hooks ``_groups``, ``_children``,
+``_blank_costs`` and ``_pricer``.  A search that would store
 more than ``DESIGNER_NODE_CAP`` nodes raises ``CapacityError``.
 
 A state is a tuple of atoms, held in the search as numpy rows:
@@ -59,7 +62,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import time
 from array import array
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .belief import MERGE_TOL, merge_atoms, push_atom
+from .belief import MERGE_TOL, merge_rows, push_error, push_rows
 from .best_response import o2_best_response
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from .policies import BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage, extract_thresholds
@@ -76,9 +78,12 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# batch size: about this many atoms per keying batch, and partition costs
-# per valuation batch
+# batch size: the last stage's new nodes are valued once the lookups since
+# hold this many atoms, and a valuation prices about this many partition
+# costs at a time
 _BATCH = 1 << 12
+# P2: about this many candidate atoms per chunk of children
+_CHILDREN = 1 << 13
 
 _SCALE = 10 ** ROUND_DIGITS
 _FLOAT_SCALE = float(_SCALE)
@@ -130,152 +135,40 @@ def _state_keys(coords, counts):
     width = coords.shape[1]
     ks = _key_ints(coords.ravel()).reshape(-1, width)
     owner = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort([ks[:, c] for c in range(width - 1, -1, -1)] + [owner])
-    data = ks[order].tobytes()
+    # the children's builders often give every state's rows in order (a
+    # row not above the next), and then the sort is skipped
+    ordered = np.ones(max(len(ks) - 1, 0), dtype=bool)
+    for c in range(width - 1, -1, -1):
+        ordered = (ks[:-1, c] < ks[1:, c]) | ((ks[:-1, c] == ks[1:, c]) & ordered)
+    if not (ordered | (owner[1:] != owner[:-1])).all():
+        ks = ks[np.lexsort([ks[:, c] for c in range(width - 1, -1, -1)] + [owner])]
+    data = ks.tobytes()
     ends = (np.cumsum(counts) * (8 * width)).tolist()
     return [data[a:b] for a, b in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
-# variant P1 state transformations
+# children, built a stage at a time
 
 
-def _p1_children(state, channel_rows):
-    """Children of a P1 node, each atom pushed through observer 1's next
-    observation once.
-
-    Returns ``child(atoms)`` for a list of atom indices: None when they have
-    no mass, else (merged next atoms, their mass), the atoms' masses divided
-    by that mass before the push, as ``belief.push_atoms`` would push them.
-    """
-    pushes = [push_atom(b, m0, m1, channel_rows) for b, m0, m1 in state]
-    masses = [m0 + m1 for _, m0, m1 in state]
-
-    def child(atoms):
-        mass = _left_sum(masses[i] for i in atoms)
-        if mass <= 0.0:
-            return None
-        raw = []
-        for i in atoms:
-            _, m0, m1 = state[i]
-            u0 = m0 / mass
-            u1 = m1 / mass
-            for post, r0, r1 in pushes[i]:
-                n0 = u0 * r0
-                n1 = u1 * r1
-                if n0 != 0.0 or n1 != 0.0:
-                    raw.append((post, n0, n1))
-        return merge_atoms(raw), mass
-
-    return child
+@functools.lru_cache(maxsize=None)
+def _blank_bits(n_groups, n_messages):
+    """The blank group sets of ``_partition_table(n_groups, n_messages,
+    False)`` as int64 bit masks (n_groups < 63: larger tables pass the cap)."""
+    return np.array([sum(1 << g for g in b) for b in
+                     _partition_table(n_groups, n_messages, False)[3]], dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# variant P2 state transformations
-
-
-def _merge_p2(entries):
-    """Sort and merge P2 atoms whose coordinates agree within MERGE_TOL.
-
-    Only neighbours in sort order are compared: two close atoms with a
-    third sorting between them stay apart.  The sym02 anchor search counts
-    rest on this.
-    """
-    out = []
-    p1 = p2 = q0 = q1 = None  # the last atom of out
-    for e in sorted(entries):
-        b1, b2, m0, m1 = e
-        if out and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
-            tot_old = q0 + q1
-            tot_new = m0 + m1
-            if tot_old + tot_new > 0.0:
-                b1 = (p1 * tot_old + b1 * tot_new) / (tot_old + tot_new)
-                b2 = (p2 * tot_old + b2 * tot_new) / (tot_old + tot_new)
-            p1, p2, q0, q1 = b1, b2, q0 + m0, q1 + m1
-            out[-1] = (p1, p2, q0, q1)
-        else:
-            out.append(e)
-            p1, p2, q0, q1 = e
-    return out
-
-
-def _observe_p2(kept, msg_lik, channel_rows):
-    """Observer 2's step within a message branch: belief2 absorbs the
-    message likelihood and one fresh observation; stopped atoms pass
-    through unchanged.  Masses stay unnormalized."""
-    row0, row1 = channel_rows
-    mz0, mz1 = msg_lik
-    raw = []
-    for b1, b2, m0, m1 in kept:
-        if b2 < 0.0:
-            raw.append((b1, b2, m0, m1))
-            continue
-        for y in range(len(row0)):
-            w0 = m0 * row0[y]
-            w1 = m1 * row1[y]
-            if w0 == 0.0 and w1 == 0.0:
-                continue
-            num = b2 * row0[y] * mz0
-            den = num + (1.0 - b2) * row1[y] * mz1
-            if den <= 0.0:
-                raise ImpossibleUpdateError(
-                    f"belief2={b2} cannot absorb (y2={y}, msg_lik={msg_lik}); "
-                    "state is inconsistent with its own message law")
-            raw.append((b1, num / den, w0, w1))
-    return _merge_p2(raw)
-
-
-def _p2_children(phi, active, channel_rows):
-    """Children of a P2 blank branch, each atom of phi pushed through
-    observer 1's next observation once.
-
-    ``active`` lists phi's still-sampling atoms as (index, atom).  Declared
-    atoms are pushed as they are, active ones both as declaring (belief2
-    -1.0) and as sampling on.  Returns ``child(lo, hi)``: the merged,
-    unnormalized next atoms when active[lo:hi] keep sampling and every other
-    atom declares.
-    """
-    declared = [(b, -1.0, m0 * r0, m1 * r1) for b1, b2, m0, m1 in phi if b2 < 0.0
-                for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
-    stop = []
-    cont = []
-    at = [0]  # active[a]'s pushes are stop/cont[at[a]:at[a + 1]]
-    for _, (b1, b2, m0, m1) in active:
-        pushed = [(b, m0 * r0, m1 * r1) for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
-        stop += [(b, -1.0, w0, w1) for b, w0, w1 in pushed]
-        cont += [(b, b2, w0, w1) for b, w0, w1 in pushed]
-        at.append(len(stop))
-
-    def child(lo, hi):
-        return _merge_p2(declared + stop[:at[lo]] + cont[at[lo]:at[hi]] + stop[at[hi]:])
-
-    return child
+@functools.lru_cache(maxsize=None)
+def _span_pairs(n_groups):
+    """Continue runs (i, j), receiver groups i..j-1 continuing: (0, 0), the
+    one empty run priced, then combinations(range(n_groups + 1), 2); those
+    with j <= G, in this order, are the runs over G <= n_groups groups."""
+    return np.array([(0, 0), *itertools.combinations(range(n_groups + 1), 2)], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
 # shared solver plumbing
-
-
-def _cluster_positions(values):
-    """Group boundaries over sorted values: [(start, end), ...] slices."""
-    groups = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > MERGE_TOL:
-            groups.append((start, i))
-            start = i
-    if values:
-        groups.append((start, len(values)))
-    return groups
-
-
-def _nodes(rows, starts, counts):
-    """Each node's atoms (lists) and groups ((lo, hi) slices of them) from
-    grouped atom rows (``_groups``), counts[i] rows for node i in turn."""
-    ends = np.cumsum(counts).tolist()
-    for a, b in zip([0] + ends, ends):
-        cuts = np.flatnonzero(starts[a:b]).tolist() + [b - a]
-        yield rows[a:b].tolist(), list(zip(cuts, cuts[1:]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,12 +211,6 @@ def _partition_table(n_groups, n_messages, terminal, cap=DESIGNER_NODE_CAP):
     return parts, arrays[0], arrays[1], tuple(blanks), arrays[2]
 
 
-def _left_sum(xs):
-    """The floats xs added left to right, as the builtin sum() adds them
-    before Python 3.12 (from 3.12 it compensates)."""
-    return functools.reduce(operator.add, xs, 0.0)
-
-
 def _seq_sums(values, start, length):
     """sum(values[s:s + n]) for each pair (s, n) of the arrays start and
     length, added left to right as a scalar loop adds."""
@@ -334,17 +221,9 @@ def _seq_sums(values, start, length):
     return out
 
 
-def _record():
-    """An empty expansion record: per node its first blank entry (``start``)
-    and its children's first lookup (``first``); the rest is the variant's.
-    Typed arrays: a stage can hold millions of entries."""
-    return SimpleNamespace(start=array("q"), first=array("q"), mass=array("d"),
-                           pos=array("q"), charges=array("d"), runs=array("q"))
-
-
 def _ratio(num, den):
     """num / den, and 0.0 where den is not positive."""
-    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0.0)
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0.0)
 
 
 def _posteriors(num, den):
@@ -368,8 +247,10 @@ class DesignerSolution:
     ``o2`` is ``o2_best_response(o1, problem).policy``.  ``stage_stats``
     holds one dict per stage t = 1..T1: memo ``nodes`` stored at t, memo
     ``lookups`` of stage-t states, the ``memo_hits`` among them, and the
-    ``mean_atoms`` per node.  ``search_s`` is ``enumerate_s`` (building and
-    keying nodes) plus ``value_s`` (pricing them).
+    ``mean_atoms`` per node.  ``search_s`` is ``enumerate_s`` plus
+    ``value_s`` (pricing nodes), and ``enumerate_s`` is ``build_s`` (building
+    children) plus ``key_s`` (keying and deduplicating them, and grouping
+    the new nodes' atoms).
     """
 
     problem: object
@@ -382,33 +263,28 @@ class DesignerSolution:
     stage_stats: tuple
     search_s: float
     enumerate_s: float
+    build_s: float
+    key_s: float
     value_s: float
     extract_s: float
 
 
 class _Level:
-    """The memo lookups of stage t, keyed and deduplicated in batches in
-    the order they are made.  A new key makes a node, kept as grouped atom
-    rows (``_groups``) until it is valued: at the last stage with its batch,
-    before it backward.  ``index`` holds the node of every lookup."""
+    """The memo lookups of stage t, keyed and deduplicated batch by batch
+    in the order they are made.  A new key makes a node, kept as grouped
+    atom rows (``_groups``) until it is valued: at the last stage once the
+    lookups since hold ``_BATCH`` atoms, before it backward.  ``index``
+    holds the node of every lookup."""
 
     def __init__(self, solver, t):
         self.solver, self.t = solver, t
-        self.pending, self.size, self.made = [], 0, 0
-        self.index, self.rows, self.valued = [], [], []
+        self.index, self.rows, self.valued, self.size = [], [], [], 0
 
-    def add(self, merged, mass):
-        """Look up a child (merged atoms, mass); returns the lookup's place."""
-        self.pending.append((merged, mass))
-        self.size += len(merged)
-        self.made += 1
-        if self.size >= _BATCH:
-            self.flush()
-        return self.made - 1
-
-    def flush(self):
+    def add(self, rows, counts):
+        """Look up a batch of children given as atom rows, counts[i] rows
+        for child i in turn."""
         s, memo = self.solver, self.solver.memo[self.t]
-        rows, counts = s._coords(self.pending)
+        start = time.perf_counter()
         index, fresh = [], []
         for i, key in enumerate(_state_keys(rows, counts)):
             node = memo.get(key)
@@ -422,25 +298,28 @@ class _Level:
         s.lookups[self.t] += len(index)
         self.index.append(np.array(index, dtype=np.intp))
         new = np.isin(np.arange(len(counts)), fresh)
-        rows, counts = rows[np.repeat(new, counts)], counts[new]
-        nodes = (*s._groups(rows, counts), counts)
-        if self.t < s.pb.t1:
-            self.rows.append(nodes)
-        else:
-            start = time.perf_counter()
-            self.valued.append(s._value_nodes(self.t, *nodes))
-            s.value_s += time.perf_counter() - start
-        self.pending, self.size = [], 0
+        self.rows.append((*s._groups(rows[np.repeat(new, counts)], counts[new]), counts[new]))
+        self.size += len(rows)
+        s.key_s += time.perf_counter() - start
+        if self.t == s.pb.t1 and self.size >= _BATCH:
+            self._value()
+
+    def _value(self):
+        start = time.perf_counter()
+        nodes = tuple(map(np.concatenate, zip(*self.rows)))
+        self.valued.append(self.solver._value_nodes(self.t, *nodes))
+        self.rows, self.size = [], 0
+        self.solver.value_s += time.perf_counter() - start
 
     def finish(self):
-        """Flush the last batch and join the batches."""
-        if self.pending:
-            self.flush()
+        """Value the last stage's pending nodes, and join the batches."""
         self.index = np.concatenate(self.index)
-        if self.valued:
-            self.values, self.best, self.ns = map(np.concatenate, zip(*self.valued))
-        else:
+        if self.t < self.solver.pb.t1:
             self.rows = tuple(map(np.concatenate, zip(*self.rows)))
+            return
+        if self.rows:
+            self._value()
+        self.values, self.best, self.ns = map(np.concatenate, zip(*self.valued))
 
 
 class _Designer:
@@ -462,19 +341,60 @@ class _Designer:
         self.lookups = [0] * (problem.t1 + 1)
         self.nodes = 0
         self.partitions = 0
-        self.value_s = 0.0
+        self.key_s = self.value_s = 0.0
         # values only; the receiver's stopping table is its best response's
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
                                       eval_points=(problem.prior,))
 
-    def _coords(self, lookups):
-        """The atom rows of a batch of children (merged atoms, mass) and
-        their counts."""
-        counts = np.array([len(merged) for merged, _ in lookups], dtype=np.intp)
-        rows = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
-            merged for merged, _ in lookups)), float)
-        rows = rows.reshape(int(counts.sum()), -1)
-        return rows, counts
+    def _root(self):
+        """The child of the prior, whose masses sum to exactly 1.0 (so the
+        blank set's normalizing leaves them unchanged): observer 1's first
+        observation, in P2 with observer 2 sampling on from the prior."""
+        p = np.array([float(self.pb.prior)])
+        post, seen, bad, r0, r1 = push_rows(p, p, 1.0 - p, self.pb.channel1.row_pair(1))
+        if bad.any():
+            raise push_error(p, bad)
+        rows = np.column_stack((post[0], *[np.repeat(p, len(r0))] * (self.width - 3),
+                                p * r0, (1.0 - p) * r1))[seen[0]]
+        rows = merge_rows(rows[np.lexsort(rows.T[::-1])], np.arange(len(rows)) == 0,
+                          self.width - 2)[0]
+        return rows, np.array([len(rows)])
+
+    def _build(self, t, rows, starts, counts, add):
+        """The children of stage-t nodes given as grouped atom rows
+        (``_groups``), counts[i] rows for node i in turn.  ``_children``
+        builds them a chunk of nodes at a time and hands them to ``add`` as
+        (atom rows, counts) in lookup order: node by node, blank set by blank
+        set, in P2 continue run by continue run.  Returns the expansion
+        record: per node its first blank entry (``start``) and its children's
+        first lookup (``first``), and the arrays ``_children`` returns."""
+        m = self.pb.n_messages
+        owner = np.repeat(np.arange(len(counts)), counts)
+        ns = np.bincount(owner[starts], minlength=len(counts))
+        # each atom's group within its node, and each node's blank sets
+        group = np.cumsum(starts) - 1 - (np.cumsum(ns) - ns)[owner]
+        # blank sets built in node order, as a cap error names
+        bits = {n: _blank_bits(n, m) for n in dict.fromkeys(ns.tolist())}
+        nb = np.array([len(bits.get(n, ())) for n in range(int(ns.max()) + 1)])[ns]
+        off = np.cumsum(counts) - counts
+        rec, first, made = {}, [], 0
+        chunk = np.cumsum(nb * counts) // self.chunk
+        for ks in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(chunk)) + 1):
+            width = np.arange(int(counts[ks].max()))
+            live = width < counts[ks, None]
+            at = np.where(live, off[ks, None] + width, 0)
+            enode = np.repeat(np.arange(len(ks)), nb[ks])
+            masks = np.concatenate([bits[n] for n in ns[ks].tolist()])
+            member = ((masks[:, None] >> np.where(live, group[at], 63)[enode]) & 1).astype(bool)
+            part, looks = self._children(t, rows[at], live, member, enode, add)
+            # typed arrays grow in place: a stage's record is never copied whole
+            for k, v in part.items():
+                rec.setdefault(k, array(v.dtype.char)).frombytes(v.tobytes())
+            first.append(made + (np.cumsum(looks) - looks)[np.cumsum(nb[ks]) - nb[ks]])
+            made += int(looks.sum())
+        rec = SimpleNamespace(**{k: np.frombuffer(a, dtype=a.typecode) for k, a in rec.items()})
+        rec.start, rec.first = np.cumsum(nb) - nb, np.concatenate(first)
+        return rec
 
     def _search(self):
         """Every reachable node, stage by stage, then their values; returns
@@ -486,10 +406,7 @@ class _Designer:
         levels = [None, level]
         for t in range(1, self.pb.t1):
             nxt = _Level(self, t + 1)
-            level.rec = _record()
-            for atoms, groups in _nodes(*level.rows):
-                level.rec.first.append(nxt.made)
-                self._expand(t, atoms, groups, level.rec, nxt.add)
+            level.rec = self._build(t, *level.rows, nxt.add)
             nxt.finish()
             levels.append(nxt)
             level = nxt
@@ -498,7 +415,7 @@ class _Designer:
             level, child = levels[t], levels[t + 1]
             cost, level.choices = self._blank_costs(level.rec, child.values[child.index])
             level.values, level.best, level.ns = self._value_nodes(
-                t, *level.rows, (np.array(level.rec.start, dtype=np.intp), cost))
+                t, *level.rows, (level.rec.start, cost))
         self.value_s += time.perf_counter() - start
         return levels
 
@@ -556,34 +473,35 @@ class _Designer:
         inner = float(levels[1].values[levels[1].index[0]])
         total = (pb.costs.c1 + pb.costs.c2 if self.variant == "P2" else pb.costs.c1) + inner
 
-        # the all-blank path: stage t's node i, and child, the state that the
-        # path's stage t - 1 node expands to (node i holds the first state of
-        # its key, which can differ from it by roundoff)
+        # the all-blank path: stage t's node i, and child, the state (atom
+        # rows, [count]) that the path's stage t - 1 node expands to (node i
+        # holds the first state of its key, which can differ by roundoff)
         i, child = int(levels[1].index[0]), self._root()
         stages = []
         for t in range(1, pb.t1 + 1):
             rule = None
             if child is not None:
                 level = levels[t]
-                rows, counts = self._coords([child])
-                atoms, groups = next(_nodes(*self._groups(rows, counts), counts))
+                rows, starts = self._groups(*child)
                 n, a = int(level.ns[i]), int(level.best[i])
                 parts, *_, blank_of = _partition_table(n, m, t == pb.t1)
                 labels = [BLANK] * n
                 for z, part in zip(range(m - 1, -1, -1), parts[a]):
                     if part is not None:
                         labels[part[0]:part[1]] = [z] * (part[1] - part[0])
-                rule = extract_thresholds([(atoms[lo][0], lab) for (lo, _), lab in
-                                           zip(groups, labels)], m, terminal=(t == pb.t1))
-                child = None
+                rule = extract_thresholds(list(zip(rows[starts, 0].tolist(), labels)), m,
+                                          terminal=(t == pb.t1))
                 pos = -1 if t == pb.t1 else \
                     int(level.choices[level.rec.start[i] + blank_of[a]])
                 if pos >= 0:
-                    kids = []  # each add returns its place, as _Level.add does
-                    self._expand(t, atoms, groups, _record(),
-                                 lambda *kid: kids.append(kid) or len(kids) - 1)
-                    child = kids[pos - level.rec.first[i]]
+                    kids = []
+                    self._build(t, rows, starts, child[1], lambda *kid: kids.append(kid))
+                    rows, counts = (np.concatenate(x) for x in zip(*kids))
+                    j = pos - int(level.rec.first[i])
+                    child = rows[counts[:j].sum():][:counts[j]], counts[j:j + 1]
                     i = int(levels[t + 1].index[pos])
+                else:
+                    child = None
             # once the all-blank branch dies, later rules are never used
             if t == pb.t1:
                 terminal = rule if rule is not None else \
@@ -593,13 +511,14 @@ class _Designer:
         o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
         o2 = o2_best_response(o1, pb).policy
         stage_stats = self._stage_stats()
-        enumerate_s = searched - start - self.value_s
+        build_s = searched - start - self.value_s - self.key_s
+        enumerate_s = build_s + self.key_s
         return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
                                 stage_stats=stage_stats, search_s=enumerate_s + self.value_s,
-                                enumerate_s=enumerate_s, value_s=self.value_s,
-                                extract_s=time.perf_counter() - searched)
+                                enumerate_s=enumerate_s, build_s=build_s, key_s=self.key_s,
+                                value_s=self.value_s, extract_s=time.perf_counter() - searched)
 
 
 # ---------------------------------------------------------------------------
@@ -609,26 +528,49 @@ class _Designer:
 class _P1Solver(_Designer):
     variant = "P1"
     width = 3
+    # atoms of blank sets per child-building chunk: about 1 MB of arrays
+    chunk = 1 << 12
 
-    def _root(self):
-        p = float(self.pb.prior)
-        # the prior's masses sum to exactly 1.0, so they push unchanged
-        return _p1_children(((p, p, 1.0 - p),), self.pb.channel1.row_pair(1))([0])
-
-    def _expand(self, t, atoms, groups, rec, add):
-        child = _p1_children(atoms, self.pb.channel1.row_pair(t + 1))
-        rec.start.append(len(rec.pos))
-        for blank_groups in _partition_table(len(atoms), self.pb.n_messages, False)[3]:
-            got = child(blank_groups)
-            rec.mass.append(0.0 if got is None else got[1])
-            rec.pos.append(-1 if got is None else add(*got))
+    def _children(self, t, atoms, live, member, enode, add):
+        """Each blank set's child, none where the set has no mass: its atoms'
+        masses divided by the set's, pushed (each node's atoms once, their
+        pushes sorted by posterior) and merged.  Per blank set, its mass
+        (0.0: no child) and its number of lookups."""
+        b, m0, m1 = atoms.transpose(2, 0, 1)
+        mass = np.cumsum(np.where(member, (m0 + m1)[enode], 0.0), axis=1)[:, -1]
+        post, seen, bad, r0, r1 = push_rows(b.ravel(), m0.ravel(), m1.ravel(),
+                                            self.pb.channel1.row_pair(t + 1))
+        seen, bad = seen & live.reshape(-1, 1), bad & live.reshape(-1, 1)
+        if bad.any():
+            raise push_error(b.ravel(), bad)
+        order = np.argsort(np.where(seen, post, np.inf).reshape(len(b), -1), axis=1, kind="stable")
+        post, seen = (np.take_along_axis(x.reshape(len(b), -1), order, 1) for x in (post, seen))
+        ent = np.flatnonzero(~(mass <= 0.0))
+        k = enode[ent]
+        e, slot = np.nonzero(seen[k] & np.take_along_axis(member[ent], order[k] // len(r0), 1))
+        node, (atom, y) = k[e], divmod(order[k[e], slot], len(r0))
+        n0, n1 = m0[node, atom] / mass[ent][e] * r0[y], m1[node, atom] / mass[ent][e] * r1[y]
+        keep = (n0 != 0.0) | (n1 != 0.0)
+        raw, e = np.column_stack((post[node, slot], n0, n1))[keep], e[keep]
+        first = np.diff(e, prepend=-1) != 0
+        # pushes of one posterior within a child sort by their masses
+        tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
+        if tie.any():
+            at = np.flatnonzero(np.append(tie, False) | np.append(False, tie))
+            run = np.cumsum(np.append(True, ~tie))[at]
+            raw[at] = raw[at[np.lexsort((raw[at, 2], raw[at, 1], run))]]
+        merged, heads = merge_rows(raw, first, 1)
+        add(merged, np.bincount(e[heads], minlength=len(ent)))
+        looks = np.zeros(len(mass), dtype=np.intp)
+        looks[ent] = 1
+        return {"mass": np.where(looks > 0, mass, 0.0)}, looks
 
     def _blank_costs(self, rec, child_values):
         """Each blank set's cost, its mass times c1 plus its child's value,
         and its child's lookup (-1: no mass)."""
-        pos = np.array(rec.pos, dtype=np.intp)
-        cost = np.array(rec.mass) * (self.pb.costs.c1 + child_values[pos])
-        return np.where(pos >= 0, cost, 0.0), pos
+        live = rec.mass != 0.0
+        pos = np.where(live, np.cumsum(live) - 1, -1)
+        return np.where(live, rec.mass * (self.pb.costs.c1 + child_values[pos]), 0.0), pos
 
     def _groups(self, rows, counts):
         # every atom of a P1 state is a group of its own
@@ -660,102 +602,137 @@ def solve_p1(problem):
 # variant P2 solver
 
 
-def _receiver_groups(phi):
-    """Still-sampling atoms of phi in belief2 order, as (index, atom), and
-    their belief2 clusters."""
-    active = sorted(((i, a) for i, a in enumerate(phi) if a[1] >= 0.0),
-                    key=lambda ia: ia[1][1])
-    return active, _cluster_positions([a[1] for _, a in active])
-
-
-def _regions(atoms, groups):
-    """``region(group_ids)`` over a P2 node's sorted atoms and belief1
-    groups: the groups' atoms, their mass and the message likelihood pair
-    (each hypothesis's share of the node's mass, added left to right)."""
-    tot0 = _left_sum(a[2] for a in atoms)
-    tot1 = _left_sum(a[3] for a in atoms)
-
-    def region(group_ids):
-        sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
-        r0 = _left_sum(a[2] for a in sel)
-        r1 = _left_sum(a[3] for a in sel)
-        return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
-                              r1 / tot1 if tot1 > 0.0 else 0.0)
-
-    return region
-
-
 class _P2Solver(_Designer):
     variant = "P2"
     width = 4
+    chunk = 1 << 11
 
-    def _root(self):
-        p = float(self.pb.prior)
-        phi = ((p, p, p, 1.0 - p),)
-        child = _p2_children(phi, list(enumerate(phi)), self.pb.channel1.row_pair(1))
-        # the prior's masses sum to 1.0, so normalizing leaves them unchanged
-        return child(0, 1), 1.0
-
-    def _coords(self, lookups):
-        rows, counts = super()._coords(lookups)
-        mass = np.repeat(np.array([mass for _, mass in lookups], dtype=float), counts)
-        rows[:, 2:] /= mass[:, None]
-        return rows, counts
-
-    def _expand(self, t, atoms, groups, rec, add):
-        """Looks up the child of every blank set and continue run; records
-        per blank set its number of continue runs (0: no mass), per continue
-        run the blank mass, observer 2's stop losses or c2 continue charges
-        at this stage, and the child's lookup."""
-        region = _regions(atoms, groups)
-        loss = self.pb.costs.loss
-        c2 = self.pb.costs.c2
-        rec.start.append(len(rec.runs))
-        for blank_groups in _partition_table(len(groups), self.pb.n_messages, False)[3]:
-            blank, mass_b, lik = region(blank_groups)
-            if mass_b <= 0.0:
-                rec.runs.append(0)
-                continue
-            # observer 2's step, then the children of phi
-            phi = _observe_p2(blank, lik, self.pb.channel2.row_pair(t))
-            act_sorted, g2 = _receiver_groups(phi)
-            child = _p2_children(phi, act_sorted, self.pb.channel1.row_pair(t + 1))
-            # groups i..j-1 continue; of the empty runs only (0, 0) is priced
-            spans = [(0, 0)] + [(g2[i][0], g2[j - 1][1])
-                                for i, j in itertools.combinations(range(len(g2) + 1), 2)]
-            rec.runs.append(len(spans))
-            # prefix sums of declare-1 / declare-0 losses and continue mass
-            # over the active atoms in belief2 order
-            pd1, pd0, pcm = [0.0], [0.0], [0.0]
-            for _, (b1, b2, m0, m1) in act_sorted:
-                pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
-                pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
-                pcm.append(pcm[-1] + m0 + m1)
-            for alo, ahi in spans:
-                rec.charges.append((pd1[alo] - pd1[0]) + (pd0[len(act_sorted)] - pd0[ahi])
-                                   + c2 * (pcm[ahi] - pcm[alo]))
-                rec.mass.append(mass_b)
-                rec.pos.append(add(child(alo, ahi), mass_b))
+    def _children(self, t, atoms, live, member, enode, add):
+        """Each blank set's region, observer 2's step on it (phi, merged),
+        then the child of each continue run over phi's sampling atoms: phi
+        pushed once, declared atoms as they are and sampling ones both as
+        declaring (belief2 -1.0) and as sampling on, sorted once, and each
+        child (a subset of that) merged and normalized.  Per blank set, its
+        mass and number of continue runs (0: no mass), which is its number of
+        lookups; per continue run, observer 2's stop losses or c2 continue
+        charges at this stage."""
+        pb, loss = self.pb, self.pb.costs.loss
+        b1, b2, m0, m1 = atoms.transpose(2, 0, 1)
+        tot0, tot1 = (np.cumsum(np.where(live, x, 0.0), axis=1)[:, -1] for x in (m0, m1))
+        r0, r1 = (np.cumsum(np.where(member, x[enode], 0.0), axis=1)[:, -1] for x in (m0, m1))
+        mass = r0 + r1
+        ent = np.flatnonzero(~(mass <= 0.0))
+        mz0, mz1 = _ratio(r0[ent], tot0[enode[ent]]), _ratio(r1[ent], tot1[enode[ent]])
+        # observer 2's step: a declared atom passes as it is, a sampling one
+        # absorbs the message and each observation y it can see
+        e, j = np.nonzero(member[ent])
+        k = enode[ent][e]
+        x1, x2, x0m, x1m = b1[k, j], b2[k, j, None], m0[k, j, None], m1[k, j, None]
+        row0, row1 = (np.array(r, dtype=float) for r in pb.channel2.row_pair(t))
+        w0, w1, dec = x0m * row0, x1m * row1, x2 < 0.0
+        num = x2 * row0 * mz0[e, None]
+        den = num + (1.0 - x2) * row1 * mz1[e, None]
+        keep = np.where(dec, np.arange(len(row0)) == 0, (w0 != 0.0) | (w1 != 0.0))
+        errs, bad = [], keep & ~dec & ~(den > 0.0)
+        if bad.any():
+            a, y = divmod(int(np.argmax(bad)), len(row0))
+            errs.append((e[a], 0, ImpossibleUpdateError(
+                f"belief2={float(x2[a, 0])} cannot absorb (y2={y}, msg_lik="
+                f"{(float(mz0[e[a]]), float(mz1[e[a]]))}); "
+                "state is inconsistent with its own message law")))
+        obs = np.stack(np.broadcast_arrays(x1[:, None], np.where(dec, x2, _ratio(num, den)),
+                                           np.where(dec, x0m, w0), np.where(dec, x1m, w1)), -1)
+        obs, oe = obs[keep], np.broadcast_to(e[:, None], keep.shape)[keep]
+        order = np.lexsort((*obs.T[::-1], oe))
+        phi, heads = merge_rows(obs[order], np.diff(oe[order], prepend=-1) != 0, 2)
+        pe = oe[order][heads]
+        # push order: declared atoms, then sampling ones by belief2 (stable)
+        act = phi[:, 1] >= 0.0
+        order = np.lexsort((np.where(act, phi[:, 1], 0.0), act, pe))
+        phi, pe, act = phi[order], pe[order], act[order]
+        nact = np.bincount(pe[act], minlength=len(ent))
+        ai = np.cumsum(act) - 1 - (np.cumsum(nact) - nact)[pe]
+        # receiver groups (belief2 clusters): group g of entry s spans the
+        # sampling atoms bound[s, g]:bound[s, g + 1]
+        ae = pe[act]
+        brk = (np.diff(phi[act, 1], prepend=-np.inf) > MERGE_TOL) | (np.diff(ae, prepend=-1) != 0)
+        ng = np.bincount(ae[brk], minlength=len(ent))
+        bound = np.zeros((len(ent), int(ng.max(initial=0)) + 1), dtype=np.intp)
+        bound[ae[brk], (np.cumsum(brk) - 1 - (np.cumsum(ng) - ng)[ae])[brk]] = ai[act][brk]
+        bound[np.arange(len(ent)), ng] = nact
+        ce, q = np.nonzero(_span_pairs(bound.shape[1] - 1)[:, 1] <= ng[:, None])
+        gi, gj = _span_pairs(bound.shape[1] - 1)[q].T
+        alo, ahi = np.where(gi < gj, bound[ce, gi], 0), np.where(gi < gj, bound[ce, gj], 0)
+        # prefix sums of declare-1 / declare-0 losses and continue mass over
+        # the sampling atoms, each atom's two terms added in turn
+        pre = np.zeros((3, len(ent), 2 * int(nact.max(initial=0)) + 1))
+        am0, am1 = phi[act, 2], phi[act, 3]
+        pre[:, ae, 2 * ai[act] + 1] = am0 * loss[1][0], am0 * loss[0][0], am0
+        pre[:, ae, 2 * ai[act] + 2] = am1 * loss[1][1], am1 * loss[0][1], am1
+        pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2]
+        charges = (pd1[ce, alo] - pd1[ce, 0]) + (pd0[ce, nact[ce]] - pd0[ce, ahi]) \
+            + pb.costs.c2 * (pcm[ce, ahi] - pcm[ce, alo])
+        # phi pushed through observer 1's next observation: declared (kind
+        # 0), declaring (1) and sampling on (2), sorted per blank set
+        post, seen, bad, q0, q1 = push_rows(phi[:, 0], phi[:, 2], phi[:, 3],
+                                            pb.channel1.row_pair(t + 1))
+        if bad.any():
+            errs.append((pe[int(np.argmax(bad)) // bad.shape[1]], 1, push_error(phi[:, 0], bad)))
+        if errs:
+            raise min(errs, key=lambda err: err[:2])[2]
+        r, y = np.nonzero(seen)
+        on = act[r]
+        urows = np.column_stack((post[r, y], np.full(len(r), -1.0),
+                                 phi[r, 2] * q0[y], phi[r, 3] * q1[y]))
+        urows = np.concatenate((urows, urows[on]))
+        urows[len(r):, 1] = phi[r[on], 1]
+        ukind = np.concatenate((on.astype(np.int8), np.full(int(on.sum()), 2, np.int8)))
+        uact, ue = (np.concatenate((x[r], x[r][on])) for x in (ai, pe))
+        order = np.lexsort((*urows.T[::-1], ue))
+        urows, ukind, uact = urows[order], ukind[order], uact[order]
+        ulen = np.bincount(ue, minlength=len(ent))
+        ustart, lens = np.cumsum(ulen) - ulen, ulen[ce]
+        # free the step's arrays before the children are built and keyed
+        del obs, oe, w0, w1, num, den, keep, pre, pd1, pd0, pcm, post, seen, r, y, ue
+        # child c takes, of its blank set's sorted union, the declared rows
+        # and each sampling atom's row as sampling on inside its continue
+        # run and as declaring outside it; a chunk of children at a time
+        cuts = np.flatnonzero(np.diff(np.cumsum(lens) // _CHILDREN)) + 1
+        for cs in np.split(np.arange(len(ce)), cuts):
+            n = lens[cs]
+            cid = np.repeat(np.arange(len(cs)), n)
+            idx = np.arange(int(n.sum())) + np.repeat(ustart[ce[cs]] - (np.cumsum(n) - n), n)
+            inside = (uact[idx] >= alo[cs][cid]) & (uact[idx] < ahi[cs][cid])
+            sel = (ukind[idx] == 0) | ((ukind[idx] == 2) == inside)
+            idx, cid = idx[sel], cid[sel]
+            kids, heads = merge_rows(urows[idx], np.diff(cid, prepend=-1) != 0, 2)
+            counts = np.bincount(cid[heads], minlength=len(cs))
+            kids[:, 2:] /= np.repeat(mass[ent][ce[cs]], counts)[:, None]
+            add(kids, counts)
+        runs = np.zeros(len(mass), dtype=np.intp)
+        runs[ent] = np.bincount(ce, minlength=len(ent))
+        return {"runs": runs, "mass": mass, "charges": charges}, runs
 
     def _blank_costs(self, rec, child_values):
         """Each blank set's cost, c1 plus the stage's charges plus the
         child's value times the blank mass at its first cheapest continue
-        run, and that run's child's lookup (-1: no mass)."""
-        mass = np.array(rec.mass)
-        pos = np.array(rec.pos, dtype=np.intp)
-        val = self.pb.costs.c1 * mass + np.array(rec.charges) + mass * child_values[pos]
-        runs = np.array(rec.runs, dtype=np.intp)
+        run, and that run's child's lookup (-1: no mass); the continue runs
+        are the stage's lookups in turn."""
+        runs = rec.runs
+        mass = np.repeat(rec.mass, runs)
+        val = self.pb.costs.c1 * mass + rec.charges + mass * child_values
         low, arg = np.zeros(len(runs)), np.full(len(runs), -1)
         live = np.flatnonzero(runs > 0)
         starts = (np.cumsum(runs) - runs)[live]
         hits = np.flatnonzero(val == np.repeat(np.minimum.reduceat(val, starts), runs[live]))
         first = hits[np.searchsorted(hits, starts)]
-        low[live], arg[live] = val[first], pos[first]
+        low[live], arg[live] = val[first], first
         return low, arg
 
     def _groups(self, rows, counts):
         """Each node's atoms sorted as sorted(state) sorts them, and flags
-        on the first atom of each belief1 group (``_cluster_positions``)."""
+        on the first atom of each belief1 group (where belief1 rises by
+        more than MERGE_TOL)."""
         owner = np.repeat(np.arange(len(counts)), counts)
         rows = rows[np.lexsort((*rows.T[::-1], owner))]
         starts = np.ones(len(rows), dtype=bool)

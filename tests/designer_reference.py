@@ -4,11 +4,12 @@ The recursive ``_Designer.value`` path that ``seq_decomp``'s level-synchronous
 search replaced: a node is keyed by a tuple of exact integers (held in
 floats), looked up on the spot, and on a miss searched at once; each message
 run is priced through the scalar knot reader ``knot_reader``, one belief at
-a time.  It shares the state transformations and partition tables with
-``seq_decomp``, so the differential tests compare the search order, the keys
-and the batch pricing, not those.  ``reference_solve(problem)`` returns the
-totals, search counts and policy pair that ``solve_p1``/``solve_p2`` must
-reproduce bit for bit.
+a time.  Its children are built one Python tuple at a time by the scalar
+state transformations (``_p1_children``, ``_p2_children``, ``_observe_p2``,
+``_merge_p2``) that ``seq_decomp``'s numpy stage builders replaced.  It
+shares the partition tables with ``seq_decomp``.  ``reference_solve(problem)``
+returns the totals, search counts and policy pair that
+``solve_p1``/``solve_p2`` must reproduce bit for bit.
 """
 
 import itertools
@@ -16,12 +17,11 @@ from bisect import bisect_left
 from types import SimpleNamespace
 
 from decseq import seq_decomp
+from decseq.belief import MERGE_TOL, merge_atoms, push_atom
 from decseq.best_response import o2_best_response
 from decseq.errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from decseq.policies import BLANK, O1Policy, TerminalRule, boundary_stage, extract_thresholds
-from decseq.seq_decomp import (_KEY_LIMIT, ROUND_DIGITS, _cluster_positions, _exact_round,
-                               _observe_p2, _p1_children, _p2_children, _partition_table,
-                               _receiver_groups)
+from decseq.seq_decomp import _KEY_LIMIT, ROUND_DIGITS, _exact_round, _partition_table
 from decseq.wald import solve_wald_finite
 
 _FLOAT_SCALE = float(10 ** ROUND_DIGITS)
@@ -51,6 +51,157 @@ def left_sum(xs):
     for x in xs:
         total += x
     return total
+
+
+# ---------------------------------------------------------------------------
+# the scalar state transformations, one child at a time, that
+# ``seq_decomp``'s stage builders replaced
+
+
+def _cluster_positions(values):
+    """Group boundaries over sorted values: [(start, end), ...] slices."""
+    groups = []
+    start = 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > MERGE_TOL:
+            groups.append((start, i))
+            start = i
+    if values:
+        groups.append((start, len(values)))
+    return groups
+
+
+def _p1_children(state, channel_rows):
+    """Children of a P1 node, each atom pushed through observer 1's next
+    observation once.
+
+    Returns ``child(atoms)`` for a list of atom indices: None when they have
+    no mass, else (merged next atoms, their mass), the atoms' masses divided
+    by that mass before the push, as ``belief.push_atoms`` would push them.
+    """
+    pushes = [push_atom(b, m0, m1, channel_rows) for b, m0, m1 in state]
+    masses = [m0 + m1 for _, m0, m1 in state]
+
+    def child(atoms):
+        mass = left_sum(masses[i] for i in atoms)
+        if mass <= 0.0:
+            return None
+        raw = []
+        for i in atoms:
+            _, m0, m1 = state[i]
+            u0 = m0 / mass
+            u1 = m1 / mass
+            for post, r0, r1 in pushes[i]:
+                n0 = u0 * r0
+                n1 = u1 * r1
+                if n0 != 0.0 or n1 != 0.0:
+                    raw.append((post, n0, n1))
+        return merge_atoms(raw), mass
+
+    return child
+
+
+def _merge_p2(entries):
+    """Sort and merge P2 atoms whose coordinates agree within MERGE_TOL.
+
+    Only neighbours in sort order are compared: two close atoms with a
+    third sorting between them stay apart.  The sym02 anchor search counts
+    rest on this.
+    """
+    out = []
+    p1 = p2 = q0 = q1 = None  # the last atom of out
+    for e in sorted(entries):
+        b1, b2, m0, m1 = e
+        if out and abs(b1 - p1) <= MERGE_TOL and abs(b2 - p2) <= MERGE_TOL:
+            tot_old = q0 + q1
+            tot_new = m0 + m1
+            if tot_old + tot_new > 0.0:
+                b1 = (p1 * tot_old + b1 * tot_new) / (tot_old + tot_new)
+                b2 = (p2 * tot_old + b2 * tot_new) / (tot_old + tot_new)
+            p1, p2, q0, q1 = b1, b2, q0 + m0, q1 + m1
+            out[-1] = (p1, p2, q0, q1)
+        else:
+            out.append(e)
+            p1, p2, q0, q1 = e
+    return out
+
+
+def _observe_p2(kept, msg_lik, channel_rows):
+    """Observer 2's step within a message branch: belief2 absorbs the
+    message likelihood and one fresh observation; stopped atoms pass
+    through unchanged.  Masses stay unnormalized."""
+    row0, row1 = channel_rows
+    mz0, mz1 = msg_lik
+    raw = []
+    for b1, b2, m0, m1 in kept:
+        if b2 < 0.0:
+            raw.append((b1, b2, m0, m1))
+            continue
+        for y in range(len(row0)):
+            w0 = m0 * row0[y]
+            w1 = m1 * row1[y]
+            if w0 == 0.0 and w1 == 0.0:
+                continue
+            num = b2 * row0[y] * mz0
+            den = num + (1.0 - b2) * row1[y] * mz1
+            if den <= 0.0:
+                raise ImpossibleUpdateError(
+                    f"belief2={b2} cannot absorb (y2={y}, msg_lik={msg_lik}); "
+                    "state is inconsistent with its own message law")
+            raw.append((b1, num / den, w0, w1))
+    return _merge_p2(raw)
+
+
+def _p2_children(phi, active, channel_rows):
+    """Children of a P2 blank branch, each atom of phi pushed through
+    observer 1's next observation once.
+
+    ``active`` lists phi's still-sampling atoms as (index, atom).  Declared
+    atoms are pushed as they are, active ones both as declaring (belief2
+    -1.0) and as sampling on.  Returns ``child(lo, hi)``: the merged,
+    unnormalized next atoms when active[lo:hi] keep sampling and every other
+    atom declares.
+    """
+    declared = [(b, -1.0, m0 * r0, m1 * r1) for b1, b2, m0, m1 in phi if b2 < 0.0
+                for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
+    stop = []
+    cont = []
+    at = [0]  # active[a]'s pushes are stop/cont[at[a]:at[a + 1]]
+    for _, (b1, b2, m0, m1) in active:
+        pushed = [(b, m0 * r0, m1 * r1) for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
+        stop += [(b, -1.0, w0, w1) for b, w0, w1 in pushed]
+        cont += [(b, b2, w0, w1) for b, w0, w1 in pushed]
+        at.append(len(stop))
+
+    def child(lo, hi):
+        return _merge_p2(declared + stop[:at[lo]] + cont[at[lo]:at[hi]] + stop[at[hi]:])
+
+    return child
+
+
+def _receiver_groups(phi):
+    """Still-sampling atoms of phi in belief2 order, as (index, atom), and
+    their belief2 clusters."""
+    active = sorted(((i, a) for i, a in enumerate(phi) if a[1] >= 0.0),
+                    key=lambda ia: ia[1][1])
+    return active, _cluster_positions([a[1] for _, a in active])
+
+
+def _regions(atoms, groups):
+    """``region(group_ids)`` over a P2 node's sorted atoms and belief1
+    groups: the groups' atoms, their mass and the message likelihood pair
+    (each hypothesis's share of the node's mass, added left to right)."""
+    tot0 = left_sum(a[2] for a in atoms)
+    tot1 = left_sum(a[3] for a in atoms)
+
+    def region(group_ids):
+        sel = [a for g in group_ids for a in atoms[groups[g][0]:groups[g][1]]]
+        r0 = left_sum(a[2] for a in sel)
+        r1 = left_sum(a[3] for a in sel)
+        return sel, r0 + r1, (r0 / tot0 if tot0 > 0.0 else 0.0,
+                              r1 / tot1 if tot1 > 0.0 else 0.0)
+
+    return region
 
 
 def knot_reader(wald, remaining):

@@ -355,10 +355,13 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     assert main([command, "--spec", spec_path(name), "--out", out]) == 0
     rep = read_report(out)
     profile = rep["profile"]
-    assert sorted(profile) == ["check_s", "enumerate_s", "extract_s", "search_s", "value_s"]
+    assert sorted(profile) == ["build_s", "check_s", "enumerate_s", "extract_s", "key_s",
+                               "search_s", "value_s"]
     assert all(v >= 0.0 for v in profile.values())
-    # the search is its enumeration plus its valuation
+    # the search is its enumeration (child building and keying) plus its
+    # valuation
     assert profile["search_s"] == profile["enumerate_s"] + profile["value_s"]
+    assert profile["enumerate_s"] == profile["build_s"] + profile["key_s"]
     assert profile["search_s"] + profile["extract_s"] + profile["check_s"] <= rep["wall_time_s"]
     if command != "mary":
         assert rep["nodes"] > 0 and rep["memo_hits"] >= 0
@@ -714,6 +717,20 @@ def test_bad_policies_end_in_a_documented_exit_code(tmp_path_factory, doc):
                 o1, o2 = pair_from_dict(json.load(fh))
             assert (o1.horizon, o2.max_observations) == (_SYM02_P1.t1, _SYM02_P1.t2)
             assert o1.n_messages == o2.n_messages == _SYM02_P1.n_messages
+
+
+@pytest.mark.parametrize("m, code", [(10 ** 300, 4), (1000, 0)])
+def test_pbpo_refuses_an_alphabet_past_the_cap(tmp_path, capsys, m, code):
+    # PBPO builds T1 sender rules of M symbol slots each; M = 10**300 ended
+    # in an OverflowError traceback (exit 1) before the cap
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["M"] = m
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["best-response", "--pbpo", "--spec", str(spec),
+                 "--out", str(tmp_path / "out")]) == code
+    assert ("sender symbol slots" in capsys.readouterr().err) == (code == 4)
 
 
 @pytest.mark.parametrize("m", [10 ** 300, 1000])

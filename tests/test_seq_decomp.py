@@ -15,10 +15,10 @@ from decseq import (CapacityError, enumerate_policies_p1, enumerate_policies_p2,
                     exact_cost, seq_decomp, solve_p1, solve_p2)
 from decseq.belief import push_atoms
 from decseq.policies import pair_to_dict
-from decseq.seq_decomp import _P1Solver, _P2Solver, _cluster_positions, _key_ints
+from decseq.seq_decomp import _P1Solver, _P2Solver, _key_ints
 
 import designer_reference
-from designer_reference import knot_reader, left_sum, table_entries
+from designer_reference import _cluster_positions, knot_reader, left_sum, table_entries
 from conftest import ASYM, make_spec
 from path_oracle import blank_phase_paths
 
@@ -179,6 +179,17 @@ def test_p2_declared_and_sampling_atoms_stay_apart_at_belief2_zero():
     oracle = enumerate_policies_p2(prob).cost
     assert oracle == pytest.approx(0.128, abs=1e-12)
     assert solve_p2(prob).total == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the P2 blank phase prices no rule in "
+                   "which nobody continues but everyone declares 0")
+def test_p2_designer_reaches_the_oracle_when_a_split_declares():
+    # the optimum has observer 2 declare 1 below a belief2 split and 0 above
+    # it with nobody sampling on; the designer gives 0.0425 for 0.041667
+    prob = decseq.load_problem_spec(spec_with(
+        [[[0.0, 0.5, 0.5], [0.25, 0.75, 0.0]]], [[[0.0, 1.0], [2 / 3, 1 / 3]]], prior=0.6,
+        c1=0.01, c2=0.01, loss=[[0.0, 0.5], [0.5, 0.0]], variant="P2"))
+    assert solve_p2(prob).total == pytest.approx(enumerate_policies_p2(prob).cost, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant, horizon, memo_hits",
@@ -588,8 +599,7 @@ def state_pairs(draw, variant):
 
 
 def state_key(solver, state):
-    # mass 1.0: the state's masses are keyed as they are
-    return seq_decomp._state_keys(*solver._coords([(list(state), 1.0)]))[0]
+    return seq_decomp._state_keys(np.array(state, dtype=float), np.array([len(state)]))[0]
 
 
 @pytest.fixture(scope="module")
@@ -693,3 +703,184 @@ def test_batch_node_value_matches_scalar_recursion(node):
         want = type(exc)
     got = outcome(value_terminal, new, state)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the numpy stage builders against the scalar child builders they replaced
+
+
+def reference_children(solver, t, state):
+    """One stage-t node's children by the scalar builders, in lookup order:
+    per blank set its number of lookups (P1: 0 or 1, P2: continue runs) and
+    per lookup its normalized atoms and blank mass, and in P2 observer 2's
+    charges; as lists of floats."""
+    pb = solver.pb
+    rows1 = pb.channel1.row_pair(t + 1)
+    looks, kids, masses, charges = [], [], [], []
+    if pb.variant == "P1":
+        child = designer_reference._p1_children(state, rows1)
+        for blank in seq_decomp._partition_table(len(state), pb.n_messages, False)[3]:
+            got = child(blank)
+            looks.append(0 if got is None else 1)
+            masses.append(0.0 if got is None else got[1])
+            kids += [] if got is None else [got[0]]
+        return looks, kids, masses, charges
+    atoms = sorted(state)
+    groups = _cluster_positions([a[0] for a in atoms])
+    region = designer_reference._regions(atoms, groups)
+    loss, c2 = pb.costs.loss, pb.costs.c2
+    for blank in seq_decomp._partition_table(len(groups), pb.n_messages, False)[3]:
+        sel, mass_b, lik = region(blank)
+        if mass_b <= 0.0:
+            looks.append(0)
+            continue
+        phi = designer_reference._observe_p2(sel, lik, pb.channel2.row_pair(t))
+        active, g2 = designer_reference._receiver_groups(phi)
+        child = designer_reference._p2_children(phi, active, rows1)
+        spans = [(0, 0)] + [(g2[i][0], g2[j - 1][1])
+                            for i, j in itertools.combinations(range(len(g2) + 1), 2)]
+        looks.append(len(spans))
+        pd1, pd0, pcm = [0.0], [0.0], [0.0]
+        for _, (_, _, m0, m1) in active:
+            pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
+            pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
+            pcm.append(pcm[-1] + m0 + m1)
+        for alo, ahi in spans:
+            kids.append([(b1, b2, m0 / mass_b, m1 / mass_b) for b1, b2, m0, m1 in child(alo, ahi)])
+            masses.append(mass_b)
+            charges.append((pd1[alo] - pd1[0]) + (pd0[len(active)] - pd0[ahi])
+                           + c2 * (pcm[ahi] - pcm[alo]))
+    return looks, kids, masses, charges
+
+
+def batch_children(solver, t, states):
+    """The same for several nodes at once, by ``_build``."""
+    rows, starts = solver._groups(np.array([a for s in states for a in s], dtype=float),
+                                  np.array([len(s) for s in states]))
+    batches = []
+    rec = solver._build(t, rows, starts, np.array([len(s) for s in states]),
+                        lambda *kid: batches.append(kid))
+    rows, counts = (np.concatenate(x) for x in zip(*batches))
+    kids = np.split(rows, np.cumsum(counts)[:-1]) if len(counts) else []
+    if solver.variant == "P1":
+        return (rec.mass != 0.0).astype(int).tolist(), kids, rec.mass.tolist(), []
+    return (rec.runs.tolist(), kids, np.repeat(rec.mass, rec.runs).tolist(),
+            rec.charges.tolist())
+
+
+def float_bits(xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+def builder_outcome(build, *args):
+    try:
+        looks, kids, masses, charges = build(*args)
+    except decseq.DecseqError as exc:
+        return type(exc), str(exc)
+    return (looks, [float_bits(k) for k in kids], [len(k) for k in kids],
+            float_bits(masses), float_bits(charges))
+
+
+# posteriors equal beliefs through this channel (b * 1 / (b + (1 - b)) is b)
+SAME = [[1.0, 0.0], [1.0, 0.0]]
+COORD_NODE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-12]), st.floats(0.0, 1.0))
+MASS = st.one_of(st.sampled_from([0.0, 0.125, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def stage_nodes(draw):
+    """A small problem (T1 = 2 or 3, channels with zeros or the identity
+    SAME) and one to three nodes of a stage t < T1, atoms drawn freely:
+    repeated and near-repeated beliefs, declared atoms, zero masses."""
+    spec = draw(tiny_specs(max_t=3).filter(lambda s: s["horizons"]["T1"] >= 2))
+    for c in (0, 1):
+        if draw(st.booleans()):
+            spec["channels"][c]["tables"] = [SAME]
+    prob = decseq.load_problem_spec(spec)
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = []
+        for _ in range(draw(st.integers(1, 4 if prob.n_messages == 2 else 3))):
+            b1 = draw(st.sampled_from([a[0] for a in atoms]) if atoms and draw(st.booleans())
+                      else COORD_NODE)
+            b2 = [] if prob.variant == "P1" else [
+                -1.0 if draw(st.booleans()) else draw(COORD_NODE)]
+            atoms.append((b1, *b2, draw(MASS), draw(MASS)))
+        nodes.append(tuple(atoms))
+    return prob, draw(st.integers(1, prob.t1 - 1)), nodes, draw(st.booleans())
+
+
+def node_spec(variant, ch1, ch2, m=2):
+    return decseq.load_problem_spec(spec_with([ch1], [ch2], t1=2, t2=2, variant=variant, m=m))
+
+
+TOL = 1e-12
+# MERGE_TOL, an ulp either side, inside the sure-split margin (belief1) and
+# about twice MERGE_TOL (belief2's sure split)
+GAPS = [TOL, math.nextafter(TOL, 0.0), math.nextafter(TOL, 1.0), TOL + 5e-14, 2 * TOL,
+        2 * TOL + 1e-13]
+
+
+@settings(max_examples=80, deadline=None)
+@given(node=stage_nodes())
+# two atoms GAPS apart in belief1 (P1, P2) or in belief2 (P2)
+@example(node=(node_spec("P1", SAME, BINARY), 1, [((0.0, 0.25, 0.125), (g, 0.5, 0.125))
+                                                  for g in GAPS], False))
+@example(node=(node_spec("P2", SAME, SAME), 1, [((0.0, -1.0, 0.25, 0.125), (g, -1.0, 0.5, 0.125))
+                                                for g in GAPS], True))
+@example(node=(node_spec("P2", SAME, SAME), 1, [((0.5, 0.0, 0.25, 0.125), (0.5, g, 0.5, 0.125))
+                                                for g in GAPS], False))
+# equal belief1, different belief2; declared next to sampling at belief2 = 0
+@example(node=(node_spec("P2", BINARY, BINARY), 1,
+               [((0.4, 0.2, 0.1, 0.2), (0.4, 0.7, 0.3, 0.1), (0.4, -1.0, 0.2, 0.1),
+                 (0.4, 0.0, 0.05, 0.05))], False))
+# zero-mass atoms, and a node of no mass at all
+@example(node=(node_spec("P1", TERNARY, BINARY, m=3), 1,
+               [((0.2, 0.0, 0.0), (0.6, 0.5, 0.5)), ((0.3, 0.0, 0.0),)], True))
+@example(node=(node_spec("P2", TERNARY, BINARY), 1,
+               [((0.2, 0.5, 0.0, 0.0), (0.6, -1.0, 0.5, 0.5))], False))
+# a symbol of probability 0 at the atom's belief (push), and a fresh
+# observation that a sampling atom's belief2 cannot absorb (observer 2)
+@example(node=(node_spec("P1", [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]], BINARY), 1,
+               [((0.5, 0.25, 0.25),), ((1.0, 0.3, 0.2),)], True))
+@example(node=(node_spec("P2", [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]], BINARY), 1,
+               [((1.0, 0.5, 0.3, 0.2),)], False))
+@example(node=(node_spec("P2", BINARY, [[1.0, 0.0], [0.5, 0.5]]), 1,
+               [((0.3, 1.0, 0.2, 0.2), (0.6, 0.5, 0.3, 0.3))], False))
+def test_stage_builders_match_scalar_children(node):
+    # node by node, the scalar builders' children (atoms to the bit, atom
+    # counts, blank masses, lookup order and, in P2, observer 2's charges)
+    # or the error they raise first, against one _build call on all nodes,
+    # in chunks of one node and one child when ``tiny``
+    prob, t, nodes, tiny = node
+    solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
+    children = seq_decomp._CHILDREN
+    if tiny:
+        solver.chunk = seq_decomp._CHILDREN = 1
+    try:
+        got = builder_outcome(batch_children, solver, t, nodes)
+    finally:
+        seq_decomp._CHILDREN = children
+    want = [builder_outcome(reference_children, solver, t, s) for s in nodes]
+    errors = [w for w in want if isinstance(w[0], type)]
+    if errors:
+        assert got == errors[0]
+    else:
+        assert got == (sum((w[0] for w in want), []), sum((w[1] for w in want), []),
+                       sum((w[2] for w in want), []),
+                       b"".join(w[3] for w in want), b"".join(w[4] for w in want))
+
+
+@pytest.mark.parametrize("variant, horizon", [("P1", 5), ("P2", 3)])
+def test_search_is_the_same_in_chunks_of_one(variant, horizon):
+    # every node its own chunk and every P2 child its own batch: the same
+    # search, to the bit, as the default chunks
+    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
+    solver = (_P1Solver if variant == "P1" else _P2Solver)(prob)
+    children = seq_decomp._CHILDREN
+    solver.chunk = seq_decomp._CHILDREN = 1
+    try:
+        tiny = search_record(solver.solve())
+    finally:
+        seq_decomp._CHILDREN = children
+    assert tiny == search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
