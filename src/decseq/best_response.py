@@ -28,6 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .belief import bayes, merged_support, reachable_beliefs, receiver_atoms
 from .errors import CapacityError, CertificationError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
@@ -245,8 +247,13 @@ def o2_best_response(o1, problem):
                                  eval_points=eval_pts)
         o2 = O2Policy(blank_rules=(), wald_rules=wald.thresholds,
                       message_model=model, n_messages=problem.n_messages)
-        total = e_c1 + sum(p * wald_cost(wald, post, problem.t2)
-                           for _, _, post, p in posteriors)
+        read = wald.reader(problem.t2)
+        values = read(np.array([post for _, _, post, _ in posteriors])).tolist()
+        # added left to right: the builtin sum() compensates from Python 3.12
+        flows = 0.0
+        for (_, _, _, p), value in zip(posteriors, values):
+            flows += p * value
+        total = e_c1 + flows
         return BestResponseResult(policy=o2, total=total,
                                   build_tables=lambda: _wald_tables(wald, problem))
 

@@ -28,9 +28,12 @@ variants share one sequential decomposition (``_Designer``):
   round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a
   state's key is its atoms' integers, sorted atom by atom, as int64 bytes;
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
-  every sum added left to right (``_seq_sums``, ``np.cumsum``: numpy's
-  pairwise sums, and the builtin sum() from Python 3.12, round
-  differently);
+  every sum added left to right: prefix sums by ``np.cumsum``, and the sums
+  over runs and their terms by ``np.bincount``, one C pass that adds each
+  weight into its segment's bin in input order (``_seg_sums``).  Pairwise
+  sums (``ndarray.sum``; ``np.add.reduceat``'s order is not documented),
+  differences of ``np.cumsum`` and the builtin sum() from Python 3.12 round
+  differently, so none of them is used;
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch into the sender's threshold rules, following the
   lookups the search recorded and rebuilding each child on the path with
@@ -211,14 +214,30 @@ def _partition_table(n_groups, n_messages, terminal, cap=DESIGNER_NODE_CAP):
     return parts, arrays[0], arrays[1], tuple(blanks), arrays[2]
 
 
+def _segments(start, length):
+    """(seg, idx): the elements of values[s:s + n] for each pair (s, n) of
+    the arrays start and length in turn, each as its pair's place seg and
+    its index idx into values."""
+    seg = np.repeat(np.arange(len(start)), length)
+    begin = np.cumsum(length) - length
+    return seg, np.arange(len(seg)) + np.repeat(start - begin, length)
+
+
+def _seg_sums(seg, weights, n):
+    """The sums of weights by seg = 0..n-1, each added left to right as a
+    scalar loop adds: np.bincount adds each weight into its bin in input
+    order, from 0.0.  ndarray.sum adds pairwise, np.add.reduceat's order is
+    not documented and differences of np.cumsum round differently, so none
+    of them stands in."""
+    # given an empty weights array, bincount returns int64 zeros
+    return np.bincount(seg, weights=weights, minlength=n).astype(float, copy=False)
+
+
 def _seq_sums(values, start, length):
     """sum(values[s:s + n]) for each pair (s, n) of the arrays start and
-    length, added left to right as a scalar loop adds."""
-    out = np.zeros(len(start))
-    for j in range(int(length.max(initial=0))):
-        live = np.flatnonzero(length > j)
-        out[live] += values[start[live] + j]
-    return out
+    length, added left to right (``_seg_sums``)."""
+    seg, idx = _segments(start, length)
+    return _seg_sums(seg, values[idx], len(start))
 
 
 def _ratio(num, den):
@@ -297,7 +316,8 @@ class _Level:
             index.append(node)
         s.lookups[self.t] += len(index)
         self.index.append(np.array(index, dtype=np.intp))
-        new = np.isin(np.arange(len(counts)), fresh)
+        new = np.zeros(len(counts), dtype=bool)
+        new[fresh] = True
         self.rows.append((*s._groups(rows[np.repeat(new, counts)], counts[new]), counts[new]))
         self.size += len(rows)
         s.key_s += time.perf_counter() - start
@@ -759,19 +779,17 @@ class _P2Solver(_Designer):
         def price(ks, bounds, runs):
             lo = bounds[:, runs[:, 0]].ravel()
             hi = bounds[:, runs[:, 1]].ravel()
-            r0, r1 = (_seq_sums(m, lo, hi - lo) for m in (m0, m1))
+            seg, idx = _segments(lo, hi - lo)
+            r0, r1 = (_seg_sums(seg, m[idx], len(lo)) for m in (m0, m1))
             node = np.repeat(ks, len(runs))
             go = np.flatnonzero(r0 + r1 > 0.0)
             mz0, mz1 = _ratio(r0[go], tot0[node[go]]), _ratio(r1[go], tot1[node[go]])
-            # run s has cnt[s] terms, pairs begin[s]:begin[s] + cnt[s]
-            cnt = at[hi[go]] - at[lo[go]]
-            begin = np.cumsum(cnt) - cnt
-            seg = np.repeat(np.arange(len(go)), cnt)
-            term = np.arange(len(seg)) + np.repeat(at[lo[go]] - begin, cnt)
+            # run s's terms are terms[at[lo[s]]:at[hi[s]]]
+            seg, term = _segments(at[lo[go]], at[hi[go]] - at[lo[go]])
             num = tu0[term] * mz0[seg]
             belief = _posteriors(num, num + tu1[term] * mz1[seg])
             out = np.zeros(len(lo))
-            out[go] = _seq_sums(tw[term] * read(belief), begin, cnt)
+            out[go] = _seg_sums(seg, tw[term] * read(belief), len(go))
             return out.reshape(len(ks), len(runs))
 
         return price

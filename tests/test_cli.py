@@ -156,6 +156,20 @@ def test_solve_infinite(tmp_path):
     assert rep["epsilon_pair"]["achieved"] <= 0.5
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6, PBPO symbol order: exits 3, symbols must decrease "
+                          "left to right, got [1, 2, 0]")
+def test_solve_infinite_with_an_unused_symbol(tmp_path):
+    # the designer's pair never sends symbol 2; its receiver reads it as no
+    # message, which makes it the sender limit's cheapest send between 1 and 0
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["M"] = 3
+    spec = tmp_path / "m3.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["solve-infinite", "--spec", str(spec), "--out", str(tmp_path / "inf")]) == 0
+
+
 def test_simulate_reproducible(tmp_path):
     pol_out = str(tmp_path / "sol")
     assert main(["solve-p1", "--spec", spec_path("sym02_p1"),

@@ -254,6 +254,36 @@ def test_designer_matches_oracle_on_tiny_instances(spec):
 # fast paths against the per-node references they replaced
 
 
+SUMMANDS = st.one_of(st.floats(min_value=1e-300, max_value=1e16),
+                     st.floats(min_value=-1e16, max_value=-1e-300),
+                     st.sampled_from([0.0, -0.0, 1.0, 1e16]))
+
+
+@st.composite
+def segment_sums(draw):
+    """Floats and (start, length) pairs into them: empty, overlapping and
+    zero-length segments all come up."""
+    values = draw(st.lists(SUMMANDS, max_size=20))
+    pairs = draw(st.lists(st.integers(0, len(values)).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(0, len(values) - s))), max_size=8))
+    return values, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=segment_sums())
+# a pairwise sum gives 1.0000000000000014e16 for segment (0, 16), and a
+# cumsum difference 0.0 for (1, 15)
+@example(case=([1e16] + [1.0] * 15, [(0, 16), (1, 15)]))
+@example(case=([], []))
+@example(case=([-0.0, 1e-300], [(0, 0), (0, 1), (0, 2), (1, 0)]))
+def test_seq_sums_add_left_to_right(case):
+    values, pairs = case
+    start, length = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    got = seq_decomp._seq_sums(np.array(values, dtype=float), start, length)
+    assert got.dtype == np.float64
+    assert [x.hex() for x in got.tolist()] == [left_sum(values[s:s + n]).hex() for s, n in pairs]
+
+
 def _labels_from_cuts(n_groups, cuts, n_messages):
     """Terminal partition: cut positions -> symbol per group, symbol M-1
     below the first cut down to symbol 0 above the last."""
