@@ -10,6 +10,7 @@ search cap exceeded, 5 unreadable input file, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -132,24 +133,41 @@ def _write_episodes_csv(out_dir, episodes):
     """episodes.csv with one row per episode: its index, then h, tau1, tau2,
     message, decision (str) and cost (repr).
 
-    Episodes repeat a few outcomes, so each distinct tail after the index is
-    formatted once and the rows stream out as index + cached tail, joined
-    _CSV_BLOCK rows at a time.  The cost joins the key by its bit pattern,
-    so rows equal in the ints but not in the cost keep their own tails.
+    Episodes repeat a few outcomes, so Python formats each distinct tail
+    after the index once, into a row of a byte table zero-padded to a
+    common width.  The cost joins the key by its bit pattern, so rows equal
+    in the ints but not in the cost keep their own tails.  Each block of at
+    most _CSV_BLOCK rows, whose indices all have the same digit count, is
+    one uint8 grid: the index digits by integer division, then each row's
+    tail gathered from the table by its code.  The text holds no zero byte,
+    so one mask of the nonzero bytes drops the padding, and the block is
+    written straight from the array: no per-row Python object is made, and
+    the text held at once stays one block.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "episodes.csv")
     ints = (episodes.h, episodes.tau1, episodes.tau2, episodes.message,
             episodes.decision)
     code, rep = _row_codes(ints + (episodes.cost.view(np.int64),))
-    tails = [f",{h},{t1},{t2},{z},{u},{c!r}\n" for h, t1, t2, z, u, c in
-             zip(*(col[rep].tolist() for col in ints + (episodes.cost,)))]
-    rows = code.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("episode,h,tau1,tau2,message,decision,cost\n")
-        fh.writelines("".join(map(str.__add__, map(str, range(lo, lo + _CSV_BLOCK)),
-                                  map(tails.__getitem__, rows[lo:lo + _CSV_BLOCK])))
-                      for lo in range(0, len(rows), _CSV_BLOCK))
+    # a numpy bytes array pads its items with zero bytes to the longest
+    tails = np.array([f",{h},{t1},{t2},{z},{u},{c!r}\n".encode() for h, t1, t2, z, u, c in
+                      zip(*(col[rep].tolist() for col in ints + (episodes.cost,)))])
+    table = tails.view(np.uint8).reshape(len(tails), -1)
+    with open(path, "wb") as fh:
+        fh.write(b"episode,h,tau1,tau2,message,decision,cost\n")
+        lo = 0
+        while lo < len(code):
+            digits = len(str(lo))
+            hi = min(len(code), lo + _CSV_BLOCK, 10 ** digits)
+            rows = code[lo:hi]
+            grid = np.empty((hi - lo, digits + table.shape[1]), dtype=np.uint8)
+            index = np.arange(lo, hi)
+            for j in range(digits - 1, -1, -1):
+                index, grid[:, j] = np.divmod(index, 10)
+            grid[:, :digits] += ord("0")
+            grid[:, digits:] = table[rows]
+            fh.write(grid[grid != 0])
+            lo = hi
     return path
 
 
@@ -363,7 +381,10 @@ def _cmd_mary(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process; parse_args gives every
+    call a fresh Namespace."""
     p = _Parser(prog="decseq",
                 description="Exact solvers, simulators, and oracles for "
                             "two-observer sequential detection.")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec,
-                    pair_from_dict, pair_to_dict, seq_decomp, solve_p1, solve_p2,
+                    pair_from_dict, pair_to_dict, seq_decomp, simulate, solve_p1, solve_p2,
                     value_iterate_o1)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
@@ -361,6 +361,26 @@ def test_simulate_report_profile(tmp_path):
     assert all(v >= 0.0 for v in profile.values())
 
 
+def test_one_parser_serves_every_call_with_its_own_config(tmp_path):
+    # the parser is built once per process; a usage error, then two other
+    # commands, each report holding only its own command's options
+    assert cli._build_parser() is cli._build_parser()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["simulate", "--spec", spec_path("sym02_p1"), "--n", "x"]) == 64
+    wald = str(tmp_path / "w")
+    assert main(["solve-wald", "--spec", spec_path("sym02_p1"), "--horizon", "2",
+                 "--out", wald]) == 0
+    _, pol = sym02_p1_pair(tmp_path)
+    sim = str(tmp_path / "s")
+    assert main(["simulate", "--spec", spec_path("sym02_p1"), "--policies", pol,
+                 "--n", "10", "--out", sim]) == 0
+    assert read_report(wald)["config"] == {"command": "solve-wald", "horizon": 2,
+                                           "out": wald, "spec": spec_path("sym02_p1")}
+    assert read_report(sim)["config"] == {"command": "simulate", "n": 10, "out": sim,
+                                          "policies": pol, "seed": 0,
+                                          "spec": spec_path("sym02_p1")}
+
+
 @pytest.mark.parametrize("command, name", [("solve-p1", "sym02_p1"),
                                            ("solve-p2", "sym02_p2"),
                                            ("mary", "mary3_p1")])
@@ -511,6 +531,12 @@ _WIDE = [0 if i == 512 else i for i in range(2048)]
 # patterns): packed without re-ranking, rows 0 and 512 collide mod 2**64
 @example(_columns(range(2048), *[_WIDE] * 4,
                   np.array(_WIDE, dtype=np.int64).view(np.float64)))
+# 10, 100, 10,000 and 10,001 rows: indices up to one, two and four digits,
+# then one of five
+@example(_columns(*([0, 1] * 5 for _ in range(5)), [0.5, 0.25] * 5))
+@example(_columns(*([0, 3, 1, 2] * 25 for _ in range(5)), [0.5, 0.0, -1.0, 1e-5] * 25))
+@example(_columns(*([0, 1] * 5000 for _ in range(5)), [0.5, 0.25] * 5000))
+@example(_columns(*([0, 1] * 5000 + [7] for _ in range(5)), [0.5, 0.25] * 5000 + [2.0]))
 # rows across the writer's block boundaries
 @example(_columns(*([0, 1, 1] * 2731 for _ in range(5)),
                   [0.5, 0.25, 1e-5] * 2731))
@@ -569,7 +595,11 @@ _BAD_ARGV = st.sampled_from([
     ["best-response", "--spec", None, "--pbpo", "--rounds", "0"],
     ["best-response", "--spec", None, "--policies", "missing.json", "--side", "1"],
     ["simulate", "--spec", None, "--policies", "missing.json"],
-    ["simulate", "--spec", None, "--policies", None, "--n", "x"]])
+    ["simulate", "--spec", None, "--policies", None, "--n", "x"],
+    ["simulate", "--spec", None, "--policies", "pair.json", "--n", "1000000000000000"]])
+# "pair.json" stands for the designer pair of _TINY_SPEC
+_TINY_SOL = solve_p1(load_problem_spec(_TINY_SPEC))
+_TINY_PAIR = pair_to_dict(_TINY_SOL.o1, _TINY_SOL.o2)
 
 
 _DELETE = object()
@@ -614,6 +644,9 @@ def _bad_requests(draw):
 @example((["solve-p1", "--spec", None], b'"spec"'))
 @example((["solve-p1", "--spec", None], b"\xff{}"))
 @example((["solve-p1", "--spec", None], b'{"prior": ' + b"1" * 5000 + b"}"))
+# past the episode cap with a pair that fits
+@example((["simulate", "--spec", None, "--policies", "pair.json", "--n", "1000000000000000"],
+          json.dumps(_TINY_SPEC).encode()))
 @settings(max_examples=150, deadline=None)
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path_factory, request_):
     argv, spec_bytes = request_
@@ -622,7 +655,9 @@ def test_bad_inputs_end_in_a_documented_exit_code(tmp_path_factory, request_):
     if spec_bytes is not None:
         spec.write_bytes(spec_bytes)
     argv = [str(spec) if a is None else a for a in argv]
-    argv = [str(work / a) if a == "missing.json" else a for a in argv]
+    argv = [str(work / a) if a in ("missing.json", "pair.json") else a for a in argv]
+    if str(work / "pair.json") in argv:
+        (work / "pair.json").write_text(json.dumps(_TINY_PAIR))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv + ["--out", str(work / "out")] if argv else argv)
@@ -688,6 +723,14 @@ def test_policies_that_do_not_fit_are_validation_errors(tmp_path, doc, command):
     code, err, _ = _run_policies(tmp_path, doc, command)
     assert code == 2, err
     assert err.startswith("validation error: o"), err
+
+
+@pytest.mark.parametrize("n", [simulate.EPISODE_CAP + 1, 10 ** 15])
+def test_simulate_past_the_episode_cap_exits_4_before_sampling(tmp_path, n):
+    code, err, out = _run_policies(tmp_path, _SYM02_P1_PAIR, ["simulate", "--n", str(n)])
+    assert code == 4, err
+    assert err.startswith("cap exceeded: episodes"), err
+    assert not out.exists()
 
 
 def test_solve_infinite_reads_an_empty_message_model_as_uninformative(tmp_path):

@@ -308,6 +308,26 @@ def test_philox_kernel_matches_numpy(key0, key1):
     assert (got == want).all()
 
 
+_WORD = st.integers(0, 2 ** 64 - 1)
+_HALVES = (2 ** 64 - 1, 0xFFFFFFFF, 0xFFFFFFFF00000000)   # 32-bit halves all ones
+
+
+@given(st.lists(st.tuples(_WORD, st.integers(1, 2 ** 64 - 1)), min_size=1, max_size=4),
+       _WORD)
+@example([(k, k) for k in _HALVES], 2 ** 64 - 1)
+@example([(k, c) for k in _HALVES for c in _HALVES], 0xFFFFFFFF)
+@example([(0, 1)], 0xFFFFFFFF00000000)
+@settings(max_examples=100, deadline=None)
+def test_philox_kernel_matches_numpy_on_any_words(lanes, key1):
+    # one lane per (key0, counter c), key1 shared; numpy's Philox steps its
+    # counter before each block, so block c follows counter c - 1
+    key0, counter = (np.array(col, dtype=np.uint64) for col in zip(*lanes))
+    got = philox4x64(counter, key0, key1)
+    for row, (k0, c) in zip(got, lanes):
+        want = np.random.Philox(key=(key1 << 64) | k0, counter=c - 1).random_raw(4)
+        assert (row == want).all()
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("count", [4, 5, 8, 9])
 def test_philox_streams_cross_block_boundaries(seed, count):
