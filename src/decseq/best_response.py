@@ -206,15 +206,16 @@ def o1_best_response(o2, problem):
 # receiver best response
 
 
-def _wald_tables(wald, problem, first_used=0):
-    """ValueTables for the post-message classes, with branch values."""
+def _wald_tables(wald, atoms, problem, first_used):
+    """ValueTables for the post-message classes on the sorted beliefs
+    ``atoms``, with branch values."""
     out = []
-    atoms = wald.eval_points
     for k in range(first_used, problem.t2 + 1):
         r = problem.t2 - k
         cont = wald.continuation(atoms, r).tolist() if r > 0 else None
         labels, _, branches = stop_or_sample(atoms, cont, problem.costs)
-        out.append(ValueTable(kind=("after", k), atoms=atoms, values=wald.values[r],
+        values = tuple(wald.reader(r)(np.array(atoms)).tolist())
+        out.append(ValueTable(kind=("after", k), atoms=atoms, values=values,
                               branches=branches, labels=tuple(labels)))
     return out
 
@@ -226,6 +227,14 @@ def o2_best_response(o1, problem):
     consistent and the modelled beliefs are true posteriors.
     """
     check_sender(o1, problem)
+    return _o2_response(o1, problem,
+                        solve_wald_finite(problem.channel2, problem.costs, problem.t2))
+
+
+def _o2_response(o1, problem, wald):
+    """``o2_best_response`` against ``wald``, the problem's own stopping
+    table (``solve_wald_finite`` on channel2, the costs and T2), for
+    callers that answer many senders of one problem."""
     laws = send_law(o1, problem)
     model = _message_model(laws, o1.n_messages)
     costs = problem.costs
@@ -242,39 +251,29 @@ def o2_best_response(o1, problem):
 
     if problem.variant == "P1":
         seeds = [(0, post) for _, _, post, _ in posteriors] or [(0, problem.prior)]
-        eval_pts = receiver_atoms(problem.channel2, problem.t2, seeds)
-        wald = solve_wald_finite(problem.channel2, costs, problem.t2,
-                                 eval_points=eval_pts)
-        o2 = O2Policy(blank_rules=(), wald_rules=wald.thresholds,
-                      message_model=model, n_messages=problem.n_messages)
-        read = wald.reader(problem.t2)
-        values = read(np.array([post for _, _, post, _ in posteriors])).tolist()
+        values = wald.reader(problem.t2)(np.array([post for *_, post, _ in posteriors]))
         # added left to right: the builtin sum() compensates from Python 3.12
-        flows = 0.0
-        for (_, _, _, p), value in zip(posteriors, values):
-            flows += p * value
-        total = e_c1 + flows
-        return BestResponseResult(policy=o2, total=total,
-                                  build_tables=lambda: _wald_tables(wald, problem))
-
-    # interleaved variant: stopping table on every post-message modelled
-    # belief, then the blank-phase program against it
-    atoms = _blank_atoms(model, problem)
-    seeds = [(t, nb) for t in range(1, problem.t1 + 1) for b in atoms[t - 1]
-             for z, _, nb in _receiver_step(b, model[t - 1], problem.channel2.row_pair(t))
-             if z != BLANK]
-    eval_pts = receiver_atoms(problem.channel2, problem.t2, seeds) or [float(problem.prior)]
-    wald = solve_wald_finite(problem.channel2, costs, problem.t2,
-                             eval_points=eval_pts)
-    tables, rules, start = _blank_phase(
-        model, problem, atoms, lambda t, b: wald_cost(wald, b, problem.t2 - t))
-    o2 = O2Policy(blank_rules=tuple(rules.values()),
-                  wald_rules=wald.thresholds, message_model=model,
-                  n_messages=problem.n_messages)
+        inner = 0.0
+        for (*_, p), value in zip(posteriors, values.tolist()):
+            inner += p * value
+        blank_tables, rules, first_used = [], {}, 0
+    else:
+        # interleaved variant: the blank-phase program, each message priced
+        # by the stopping table
+        blank_atoms = _blank_atoms(model, problem)
+        seeds = [(t, nb) for t in range(1, problem.t1 + 1) for b in blank_atoms[t - 1]
+                 for z, _, nb in _receiver_step(b, model[t - 1], problem.channel2.row_pair(t))
+                 if z != BLANK]
+        tables, rules, inner = _blank_phase(
+            model, problem, blank_atoms, lambda t, b: wald_cost(wald, b, problem.t2 - t))
+        blank_tables, first_used = list(tables.values()), 1
+    # thresholds between every belief the receiver can hold after a message
+    atoms = tuple(receiver_atoms(problem.channel2, problem.t2, seeds)) or (float(problem.prior),)
+    o2 = O2Policy(blank_rules=tuple(rules.values()), wald_rules=wald.thresholds_at(atoms),
+                  message_model=model, n_messages=problem.n_messages)
     return BestResponseResult(
-        policy=o2, total=e_c1 + start,
-        build_tables=lambda: list(tables.values())
-        + _wald_tables(wald, problem, first_used=1))
+        policy=o2, total=e_c1 + inner,
+        build_tables=lambda: blank_tables + _wald_tables(wald, atoms, problem, first_used))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,9 @@ def pbpo_iteration(problem, init=None, max_rounds=50):
         raise ProblemSpecError("max_rounds", f"need at least one round, got {max_rounds}")
     if (slots := problem.t1 * problem.n_messages) > PBPO_SLOT_CAP:
         raise CapacityError(slots, PBPO_SLOT_CAP, "sender symbol slots (T1 times M)")
+    wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
     if init is None:
-        o2 = o2_best_response(immediate_sender_policy(problem), problem).policy
+        o2 = _o2_response(immediate_sender_policy(problem), problem, wald).policy
     else:
         o2 = init
     trace = []
@@ -380,7 +380,7 @@ def pbpo_iteration(problem, init=None, max_rounds=50):
         rounds += 1
         o1 = o1_best_response(o2, problem).policy
         trace.append(exact_cost((o1, o2), problem).total)
-        o2 = o2_best_response(o1, problem).policy
+        o2 = _o2_response(o1, problem, wald).policy
         trace.append(exact_cost((o1, o2), problem).total)
         if prev is not None and prev - trace[-1] < PBPO_STOP:
             converged = True

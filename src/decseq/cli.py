@@ -29,7 +29,7 @@ from .oracle import ORACLE_CAP_DEFAULT, enumerate_policies_p1, enumerate_policie
 from .policies import o1_to_dict, o2_to_dict, pair_from_dict, pair_to_dict
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import check_pair, estimate_cost, exact_cost
-from .wald import GRID_SIZE_DEFAULT, belief_grid, solve_wald_finite
+from .wald import GRID_SIZE_DEFAULT, belief_grid, solve_wald_finite, wald_cost
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -188,11 +188,11 @@ def _cmd_solve_wald(args):
     problem, digest = _load_problem(args.spec)
     horizon = args.horizon if args.horizon is not None else problem.t2
     sol = solve_wald_finite(problem.channel2, problem.costs, horizon)
-    cost = sol.value(problem.prior, horizon)
-    _write_wald_csv(args.out, sol.thresholds)
+    thresholds = sol.thresholds_at()
+    _write_wald_csv(args.out, thresholds)
     return {"spec_digest": digest, "horizon": horizon,
-            "cost_at_prior": cost,
-            "thresholds": [[w1, w2] for w1, w2 in sol.thresholds]}, EXIT_OK
+            "cost_at_prior": wald_cost(sol, problem.prior, horizon),
+            "thresholds": [[w1, w2] for w1, w2 in thresholds]}, EXIT_OK
 
 
 def _cmd_best_response(args):

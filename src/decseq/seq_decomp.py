@@ -37,8 +37,8 @@ variants share one sequential decomposition (``_Designer``):
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch into the sender's threshold rules, following the
   lookups the search recorded and rebuilding each child on the path with
-  the same ``_build``; the receiver is ``best_response.o2_best_response``
-  of that sender.
+  the same ``_build``; the receiver is that sender's best response
+  (``best_response._o2_response``) against the search's own knot table.
 
 Each variant supplies the hooks ``_groups``, ``_children``,
 ``_blank_costs`` and ``_pricer``.  A search that would store
@@ -73,9 +73,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .belief import MERGE_TOL, merge_rows, push_error, push_rows
-from .best_response import o2_best_response
+from .best_response import _o2_response, immediate_sender_policy
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
-from .policies import BLANK, O1Policy, O2Policy, TerminalRule, boundary_stage, extract_thresholds
+from .policies import BLANK, O1Policy, O2Policy, extract_thresholds
 from .wald import solve_wald_finite
 
 ROUND_DIGITS = 10
@@ -362,9 +362,8 @@ class _Designer:
         self.nodes = 0
         self.partitions = 0
         self.key_s = self.value_s = 0.0
-        # values only; the receiver's stopping table is its best response's
-        self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
-                                      eval_points=(problem.prior,))
+        # prices the message runs and answers the walked sender
+        self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
 
     def _root(self):
         """The child of the prior, whose masses sum to exactly 1.0 (so the
@@ -486,7 +485,6 @@ class _Designer:
         argmins, the receiver as that sender's best response."""
         pb = self.pb
         m = pb.n_messages
-        boundary = pb.costs.declare_boundary
         start = time.perf_counter()
         levels = self._search()
         searched = time.perf_counter()
@@ -497,7 +495,7 @@ class _Designer:
         # rows, [count]) that the path's stage t - 1 node expands to (node i
         # holds the first state of its key, which can differ by roundoff)
         i, child = int(levels[1].index[0]), self._root()
-        stages = []
+        rules = []
         for t in range(1, pb.t1 + 1):
             rule = None
             if child is not None:
@@ -522,14 +520,13 @@ class _Designer:
                     i = int(levels[t + 1].index[pos])
                 else:
                     child = None
-            # once the all-blank branch dies, later rules are never used
-            if t == pb.t1:
-                terminal = rule if rule is not None else \
-                    TerminalRule(cuts=(boundary,) * (m - 1))
-            else:
-                stages.append(rule if rule is not None else boundary_stage(m, boundary))
-        o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
-        o2 = o2_best_response(o1, pb).policy
+            rules.append(rule)
+        # once the all-blank branch dies, later rules are never used; the
+        # immediate sender's fill them
+        filler = immediate_sender_policy(pb)
+        rules = [f if r is None else r for r, f in zip(rules, (*filler.stages, filler.terminal))]
+        o1 = O1Policy(stages=tuple(rules[:-1]), terminal=rules[-1], n_messages=m)
+        o2 = _o2_response(o1, pb, self.wald).policy
         stage_stats = self._stage_stats()
         build_s = searched - start - self.value_s - self.key_s
         enumerate_s = build_s + self.key_s
@@ -692,6 +689,12 @@ class _P2Solver(_Designer):
         pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2]
         charges = (pd1[ce, alo] - pd1[ce, 0]) + (pd0[ce, nact[ce]] - pd0[ce, ahi]) \
             + pb.costs.c2 * (pcm[ce, ahi] - pcm[ce, alo])
+        # the empty run's one child has every sampling atom declare: charge
+        # the cheapest split, 1 below group s and 0 above (the zero padding
+        # of bound past ng repeats s = 0, everyone declaring 0)
+        ei = np.arange(len(ent))[:, None]
+        split = (pd1[ei, bound] - pd1[:, :1]) + (pd0[ei, nact[:, None]] - pd0[ei, bound])
+        charges = np.where(gi < gj, charges, split.min(axis=1)[ce])
         # phi pushed through observer 1's next observation: declared (kind
         # 0), declaring (1) and sampling on (2), sorted per blank set
         post, seen, bad, q0, q1 = push_rows(phi[:, 0], phi[:, 2], phi[:, 3],

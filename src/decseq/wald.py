@@ -6,9 +6,11 @@ finite number of observations left the cost-to-go is the minimum of finitely
 many affine functions of the belief (Smallwood & Sondik, Operations Research
 1973), so the finite solver holds it exactly as knot arrays, built by one
 backup per remaining observation and read by one interpolation over arrays
-of beliefs (``WaldSolution.reader``, which ``value``, ``wald_cost``,
-``continuation`` and the designer's run pricing share).  The stationary
-solver is value iteration on a grid with linear interpolation
+of beliefs (``WaldSolution.reader``, which ``wald_cost``, ``continuation``
+and the designer's run pricing share).  The table depends only on the
+channel, the costs and the horizon, so a designer solve or a PBPO run builds
+it once; thresholds are placed on request (``thresholds_at``).  The
+stationary solver is value iteration on a grid with linear interpolation
 (``grid_value_iteration``, which the sender's no-deadline limit shares).
 It stays on the grid because iterating the knot backup to a tolerance is
 not monotone in floating point: consecutive knot iterates rise by ~1e-16,
@@ -32,21 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProblemSpecError, StructureViolation
-from .model import Channel
+from .model import Channel, terminal_cost
 
 GRID_SIZE_DEFAULT = 1001
 VI_TOL_DEFAULT = 1e-9
 VI_MAX_ITER_DEFAULT = 10000
-
-
-def _as_eval_points(eval_points):
-    if eval_points is None:
-        eval_points = np.linspace(0.0, 1.0, GRID_SIZE_DEFAULT)
-    pts = sorted(set(float(p) for p in eval_points))
-    for p in pts:
-        if not 0.0 <= p <= 1.0:
-            raise ProblemSpecError("eval_points", f"belief {p} outside [0, 1]")
-    return tuple(pts)
 
 
 def stop_or_sample(points, cont, costs):
@@ -61,7 +53,7 @@ def stop_or_sample(points, cont, costs):
     per-point costs.
     """
     b = np.asarray(points, dtype=float)
-    tc0, tc1 = (b * row[0] + (1.0 - b) * row[1] for row in costs.loss)
+    tc0, tc1 = (terminal_cost(u, b, costs) for u in (0, 1))
     one = ~(tc0 <= tc1)
     values = np.where(one, tc1, tc0)
     branches = {"declare0": tuple(tc0.tolist()), "declare1": tuple(tc1.tolist())}
@@ -107,32 +99,20 @@ def thresholds_from_labels(points, labels, declare_boundary):
 
 @dataclass(eq=False)
 class WaldSolution:
-    """Finite-horizon stopping solution.
-
-    ``thresholds[k]`` applies after k observations (so k also indexes
-    absolute time when the receiver samples every step); the entry at the
-    horizon has both components equal, forcing a declaration.  ``values[r]``
-    is the optimal cost-to-go with r observations left, evaluated on
-    ``eval_points``.
+    """Finite-horizon stopping solution: the receiver's knot table.
 
     ``knots[r]`` is a pair ``(xs, ys)`` of equal-length arrays holding the
     cost-to-go with r observations left at ascending beliefs xs, from 0 to
     1.  That cost-to-go is the minimum of finitely many affine functions of
     the belief, and xs holds all of its breakpoints, so the linear
     interpolation that ``reader`` performs is exact up to roundoff.
+    Threshold tables are placed on request (``thresholds_at``).
     """
 
     channel: Channel
     costs: object
     horizon: int
-    eval_points: tuple
-    thresholds: tuple = ()
-    values: tuple = ()
-    knots: tuple = field(default=(), repr=False)
-
-    def value(self, belief, remaining):
-        """Optimal expected cost-to-go, read off the knot table."""
-        return float(self.reader(remaining)(belief))
+    knots: tuple = field(repr=False)
 
     def reader(self, remaining):
         """The function beliefs -> optimal expected cost-to-go with
@@ -164,10 +144,34 @@ class WaldSolution:
             cont += prob * read(post)
         return cont
 
+    def thresholds_at(self, points=None):
+        """Threshold pairs placed between ``points``, beliefs in [0, 1] (the
+        reachable atoms of a problem make their classification agree exactly
+        with the dynamic program), or a uniform grid of GRID_SIZE_DEFAULT
+        for None.  Entry k applies after k observations; the entry at the
+        horizon has both components equal, forcing a declaration."""
+        if points is None:
+            points = np.linspace(0.0, 1.0, GRID_SIZE_DEFAULT)
+        pts = sorted(set(float(p) for p in points))
+        for p in pts:
+            if not 0.0 <= p <= 1.0:
+                raise ProblemSpecError("points", f"belief {p} outside [0, 1]")
+        # sentinels at 0 and 1 give the label runs well-defined ends
+        if not pts or pts[0] > 0.0:
+            pts.insert(0, 0.0)
+        if pts[-1] < 1.0:
+            pts.append(1.0)
+        boundary = self.costs.declare_boundary
+        thresholds = []
+        for r in range(self.horizon, 0, -1):
+            labels, _, _ = stop_or_sample(pts, self.continuation(pts, r).tolist(), self.costs)
+            thresholds.append(thresholds_from_labels(pts, labels, boundary))
+        thresholds.append((boundary, boundary))
+        return tuple(thresholds)
+
 
 def _stop_cost(b, costs):
-    (l00, l01), (l10, l11) = costs.loss
-    return np.minimum(b * l00 + (1.0 - b) * l01, b * l10 + (1.0 - b) * l11)
+    return np.minimum(terminal_cost(0, b, costs), terminal_cost(1, b, costs))
 
 
 def _outcomes(b, rows):
@@ -226,50 +230,23 @@ def _knot_tables(channel, costs, horizon):
     return tuple(tables)
 
 
-def solve_wald_finite(channel, costs, horizon, eval_points=None):
-    """Solve the receiver's finite-horizon stopping problem.
-
-    channel is observer 2's Channel (its t-th table feeds the t-th
-    observation).  eval_points selects where values are tabulated and
-    between which points thresholds are placed: None for a uniform grid of
-    GRID_SIZE_DEFAULT points, or an explicit collection of beliefs (e.g.
-    the reachable atoms of a specific problem, which makes the threshold
-    classification of those atoms agree exactly with the dynamic program).
-    """
+def solve_wald_finite(channel, costs, horizon):
+    """The receiver's finite-horizon knot table; channel is observer 2's
+    Channel (its t-th table feeds the t-th observation)."""
     if horizon < 0:
         raise ProblemSpecError("horizon", "must be >= 0")
     if not channel.stationary and len(channel.tables) < horizon:
         raise ProblemSpecError("channels", f"channel covers {len(channel.tables)} "
                                            f"observations, horizon {horizon} needed")
-    pts = _as_eval_points(eval_points)
-    sol = WaldSolution(channel=channel, costs=costs, horizon=horizon, eval_points=pts,
-                       knots=_knot_tables(channel, costs, horizon))
-
-    at = np.array(pts)
-    sol.values = tuple(tuple(sol.reader(r)(at).tolist()) for r in range(horizon + 1))
-
-    boundary = costs.declare_boundary
-    # sentinels at 0 and 1 give the label runs well-defined ends without
-    # polluting the stored evaluation set
-    aug = pts
-    if not aug or aug[0] > 0.0:
-        aug = (0.0,) + aug
-    if aug[-1] < 1.0:
-        aug = aug + (1.0,)
-    thresholds = []
-    for r in range(horizon, 0, -1):
-        labels, _, _ = stop_or_sample(aug, sol.continuation(aug, r).tolist(), costs)
-        thresholds.append(thresholds_from_labels(aug, labels, boundary))
-    thresholds.append((boundary, boundary))
-    sol.thresholds = tuple(thresholds)
-    return sol
+    return WaldSolution(channel=channel, costs=costs, horizon=horizon,
+                        knots=_knot_tables(channel, costs, horizon))
 
 
 def wald_cost(solution, belief, remaining):
     """Exact optimal cost-to-go with ``remaining`` observations left."""
     if not 0.0 <= belief <= 1.0:
         raise ProblemSpecError("belief", f"{belief} outside [0, 1]")
-    return solution.value(belief, remaining)
+    return float(solution.reader(remaining)(belief))
 
 
 def belief_grid(grid_size):

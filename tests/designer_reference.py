@@ -247,8 +247,16 @@ def table_entries(n, m, terminal):
 
 def _continue_span(g2, i, j):
     """Active-atom span of the continue run of belief2 groups i..j-1; every
-    empty run (i, i) stops every atom with 0 and gives (0, 0)."""
+    empty run (i, i) stops every atom and gives (0, 0)."""
     return (0, 0) if i == j else (g2[i][0], g2[j - 1][1])
+
+
+def empty_run_charge(pd1, pd0, g2):
+    """Observer 2's charge when nobody continues, given the prefix sums pd1
+    and pd0 of the sampling atoms' declare-1 and declare-0 losses and their
+    belief2 clusters g2: everyone declares, 1 below a cluster split and 0
+    above, at the first cheapest split (from "everyone declares 0")."""
+    return min((pd1[a] - pd1[0]) + (pd0[-1] - pd0[a]) for a in [0] + [hi for _, hi in g2])
 
 
 def state_key(xs, width):
@@ -269,8 +277,7 @@ class _Designer:
         self.nodes = 0
         self.partitions = 0
         self.partition_tables = {}
-        self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2,
-                                      eval_points=(problem.prior,))
+        self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
 
     def _child_value(self, t, merged, mass):
         key = self._key(merged, mass)
@@ -513,9 +520,12 @@ class _P2Solver(_Designer):
             if i == j and i > 0:
                 continue
             alo, ahi = _continue_span(g2, i, j)
-            charges = (pd1[alo] - pd1[0]) \
-                + (pd0[len(act_sorted)] - pd0[ahi]) \
-                + c2 * (pcm[ahi] - pcm[alo])
+            if i == j:
+                charges = empty_run_charge(pd1, pd0, g2)
+            else:
+                charges = (pd1[alo] - pd1[0]) \
+                    + (pd0[len(act_sorted)] - pd0[ahi]) \
+                    + c2 * (pcm[ahi] - pcm[alo])
             val = c1 * mass_b + charges \
                 + mass_b * self._child_value(t + 1, child(alo, ahi), mass_b)
             if best is None or val < best:

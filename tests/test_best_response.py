@@ -138,3 +138,21 @@ def test_pbpo_from_custom_start(asym_p1):
     assert res.converged
     assert exact_cost((res.o1, res.o2), asym_p1).total == pytest.approx(
         res.trace[-1], abs=1e-12)
+
+
+def test_one_knot_table_per_designer_solve_and_pbpo_run(monkeypatch, sym02_p1, sym02_p2):
+    # a solve prices its runs and answers its walked sender with one table,
+    # and PBPO answers every round's sender with the one it builds first
+    from decseq import wald
+    builds = []
+    real = wald._knot_tables
+    monkeypatch.setattr(wald, "_knot_tables", lambda *args: builds.append(args) or real(*args))
+    for solve, prob in ((decseq.solve_p1, sym02_p1), (decseq.solve_p2, sym02_p2)):
+        builds.clear()
+        solve(prob)
+        assert len(builds) == 1
+    for prob in (sym02_p1, sym02_p2):
+        builds.clear()
+        res = pbpo_iteration(prob)
+        assert res.rounds >= 2
+        assert len(builds) == 1

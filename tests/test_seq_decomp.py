@@ -181,11 +181,10 @@ def test_p2_declared_and_sampling_atoms_stay_apart_at_belief2_zero():
     assert solve_p2(prob).total == pytest.approx(oracle, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the P2 blank phase prices no rule in "
-                   "which nobody continues but everyone declares 0")
 def test_p2_designer_reaches_the_oracle_when_a_split_declares():
     # the optimum has observer 2 declare 1 below a belief2 split and 0 above
-    # it with nobody sampling on; the designer gives 0.0425 for 0.041667
+    # it with nobody sampling on (0.041667; pricing only "everyone declares
+    # 0" for the empty continue run gave 0.0425)
     prob = decseq.load_problem_spec(spec_with(
         [[[0.0, 0.5, 0.5], [0.25, 0.75, 0.0]]], [[[0.0, 1.0], [2 / 3, 1 / 3]]], prior=0.6,
         c1=0.01, c2=0.01, loss=[[0.0, 0.5], [0.5, 0.0]], variant="P2"))
@@ -775,11 +774,12 @@ def reference_children(solver, t, state):
             pd1.append(pd1[-1] + m0 * loss[1][0] + m1 * loss[1][1])
             pd0.append(pd0[-1] + m0 * loss[0][0] + m1 * loss[0][1])
             pcm.append(pcm[-1] + m0 + m1)
+        charges.append(designer_reference.empty_run_charge(pd1, pd0, g2))
         for alo, ahi in spans:
             kids.append([(b1, b2, m0 / mass_b, m1 / mass_b) for b1, b2, m0, m1 in child(alo, ahi)])
             masses.append(mass_b)
-            charges.append((pd1[alo] - pd1[0]) + (pd0[len(active)] - pd0[ahi])
-                           + c2 * (pcm[ahi] - pcm[alo]))
+        charges += [(pd1[alo] - pd1[0]) + (pd0[len(active)] - pd0[ahi])
+                    + c2 * (pcm[ahi] - pcm[alo]) for alo, ahi in spans[1:]]
     return looks, kids, masses, charges
 
 

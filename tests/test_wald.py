@@ -93,10 +93,23 @@ def test_brute_force_cap():
 def test_thresholds_nested_in_horizon(costs):
     # more remaining time widens the continue region
     sol = solve_wald_finite(make_channel(0.2), costs, 3)
-    (a3, b3), (a2, b2), (a1, b1), (a0, b0) = sol.thresholds
+    (a3, b3), (a2, b2), (a1, b1), (a0, b0) = sol.thresholds_at()
     assert a3 <= a2 <= a1 <= a0
     assert b3 >= b2 >= b1 >= b0
     assert (a0, b0) == (0.5, 0.5)
+
+
+def test_thresholds_at_explicit_points(costs):
+    # repeats, order and the sentinels at 0 and 1 do not matter; with no
+    # point inside (0, 1) every entry collapses onto the declaration boundary
+    sol = solve_wald_finite(make_channel(0.2), costs, 2)
+    pts = (0.7, 0.1, 0.3, 0.5, 0.3, 0.9)
+    got = sol.thresholds_at(pts)
+    assert got == sol.thresholds_at(sorted(set(pts))) == sol.thresholds_at(pts + (0.0, 1.0))
+    assert len(got) == 3 and got[-1] == (0.5, 0.5)
+    assert sol.thresholds_at(()) == ((0.5, 0.5),) * 3
+    with pytest.raises(ProblemSpecError):
+        sol.thresholds_at((0.2, 1.5))
 
 
 def test_stationary_limit(costs):
@@ -181,16 +194,17 @@ def wald_instances(draw):
 @settings(max_examples=150, deadline=None)
 def test_knot_tables_match_reference_recursion(instance):
     channel, costs, horizon, beliefs = instance
-    sol = solve_wald_finite(channel, costs, horizon, eval_points=beliefs)
+    sol = solve_wald_finite(channel, costs, horizon)
+    points = sorted(set(beliefs))
     value, action = reference_recursion(channel, costs, horizon)
     for r in range(horizon + 1):
         for b in beliefs:
             assert abs(wald_cost(sol, b, r) - value(b, r)) <= 1e-12
-        for i, p in enumerate(sol.eval_points):
-            assert sol.values[r][i] == sol.value(p, r)
-        cont = sol.continuation(sol.eval_points, r).tolist() if r > 0 else None
-        labels, _, _ = stop_or_sample(sol.eval_points, cont, costs)
-        assert labels == [action(p, r) for p in sol.eval_points]
+        assert [x.hex() for x in sol.reader(r)(np.array(points)).tolist()] \
+            == [wald_cost(sol, p, r).hex() for p in points]
+        cont = sol.continuation(points, r).tolist() if r > 0 else None
+        labels, _, _ = stop_or_sample(points, cont, costs)
+        assert labels == [action(p, r) for p in points]
 
 
 @given(wald_instances())
@@ -199,13 +213,13 @@ def test_reader_matches_scalar_knot_reader(instance):
     # bit for bit on random beliefs, on every knot (the exact hit) and at
     # both ends, over an array and one belief at a time
     channel, costs, horizon, beliefs = instance
-    sol = solve_wald_finite(channel, costs, horizon, eval_points=beliefs)
+    sol = solve_wald_finite(channel, costs, horizon)
     for r in range(horizon + 1):
         points = np.concatenate((beliefs, sol.knots[r][0], [0.0, 1.0])).tolist()
         read = knot_reader(sol, r)
         want = [read(b).hex() for b in points]
         assert [x.hex() for x in sol.reader(r)(np.array(points)).tolist()] == want
-        assert [sol.value(b, r).hex() for b in points] == want
+        assert [wald_cost(sol, b, r).hex() for b in points] == want
     for remaining in (-1, horizon + 1):
         with pytest.raises(ProblemSpecError):
             sol.reader(remaining)
@@ -215,6 +229,5 @@ def test_knot_count_stays_small_on_long_horizons():
     # dropping knots inside the stopping runs keeps the tables near 250
     # knots at T=40; without it they pass 75,000
     problem = load_problem_spec(load_instance("sym02_p1"))
-    sol = solve_wald_finite(problem.channel2, problem.costs, 40,
-                            eval_points=(problem.prior,))
+    sol = solve_wald_finite(problem.channel2, problem.costs, 40)
     assert max(len(xs) for xs, _ in sol.knots) < 1000
