@@ -188,7 +188,7 @@ def _cmd_solve_wald(args):
     problem, digest = _load_problem(args.spec)
     horizon = args.horizon if args.horizon is not None else problem.t2
     sol = solve_wald_finite(problem.channel2, problem.costs, horizon)
-    thresholds = sol.thresholds_at()
+    thresholds = sol.crossings[::-1]
     _write_wald_csv(args.out, thresholds)
     return {"spec_digest": digest, "horizon": horizon,
             "cost_at_prior": wald_cost(sol, problem.prior, horizon),

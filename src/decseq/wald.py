@@ -7,15 +7,15 @@ many affine functions of the belief (Smallwood & Sondik, Operations Research
 1973), so the finite solver holds it exactly as knot arrays, built by one
 backup per remaining observation and read by one interpolation over arrays
 of beliefs (``WaldSolution.reader``, which ``wald_cost``, ``continuation``
-and the designer's run pricing share).  The table depends only on the
-channel, the costs and the horizon, so a designer solve or a PBPO run builds
-it once; thresholds are placed on request (``thresholds_at``).  The
-stationary solver is value iteration on a grid with linear interpolation
-(``grid_value_iteration``, which the sender's no-deadline limit shares).
-It stays on the grid because iterating the knot backup to a tolerance is
-not monotone in floating point: consecutive knot iterates rise by ~1e-16,
-which breaks the exact ``max_increase <= 0`` record that the grid iterates
-keep.
+and the designer's run pricing share); each backup also finds the exact ends
+of its sampling run, the receiver's thresholds (``WaldSolution.crossings``).
+The table depends only on the channel, the costs and the horizon, so a
+designer solve or a PBPO run builds it once.  The stationary solver is value
+iteration on a grid with linear interpolation (``grid_value_iteration``,
+which the sender's no-deadline limit shares).  It stays on the grid because
+iterating the knot backup to a tolerance is not monotone in floating point:
+consecutive knot iterates rise by ~1e-16, which breaks the exact
+``max_increase <= 0`` record that the grid iterates keep.
 
 Every receiver program (the two solvers here, and the best responses'
 post-message tables and blank phase) labels its beliefs with one rule,
@@ -33,10 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProblemSpecError, StructureViolation
+from .errors import CapacityError, ProblemSpecError, StructureViolation
 from .model import Channel, terminal_cost
 
 GRID_SIZE_DEFAULT = 1001
+# solve_wald_finite refuses longer horizons: a step holds 276 knots (4.4 KB)
+# on sym02's channel and 1,444 (23 KB) on mary3's, so at most about 2.3 GB
+WALD_HORIZON_CAP = 100_000
 VI_TOL_DEFAULT = 1e-9
 VI_MAX_ITER_DEFAULT = 10000
 
@@ -106,13 +109,14 @@ class WaldSolution:
     1.  That cost-to-go is the minimum of finitely many affine functions of
     the belief, and xs holds all of its breakpoints, so the linear
     interpolation that ``reader`` performs is exact up to roundoff.
-    Threshold tables are placed on request (``thresholds_at``).
+    ``crossings[r]`` is the exact threshold pair with r observations left.
     """
 
     channel: Channel
     costs: object
     horizon: int
     knots: tuple = field(repr=False)
+    crossings: tuple
 
     def reader(self, remaining):
         """The function beliefs -> optimal expected cost-to-go with
@@ -144,14 +148,12 @@ class WaldSolution:
             cont += prob * read(post)
         return cont
 
-    def thresholds_at(self, points=None):
-        """Threshold pairs placed between ``points``, beliefs in [0, 1] (the
-        reachable atoms of a problem make their classification agree exactly
-        with the dynamic program), or a uniform grid of GRID_SIZE_DEFAULT
-        for None.  Entry k applies after k observations; the entry at the
+    def thresholds_at(self, points):
+        """Threshold pairs at midpoints between ``points``, beliefs in [0, 1],
+        from the dynamic program's own label at each point, ties included
+        (a problem's reachable atoms are classified exactly as it classifies
+        them).  Entry k applies after k observations; the entry at the
         horizon has both components equal, forcing a declaration."""
-        if points is None:
-            points = np.linspace(0.0, 1.0, GRID_SIZE_DEFAULT)
         pts = sorted(set(float(p) for p in points))
         for p in pts:
             if not 0.0 <= p <= 1.0:
@@ -196,6 +198,8 @@ def _backup(xs, ys, rows, costs):
     candidates, and each crossing between them is inserted exactly.
     Knots strictly inside a stopping run on one side of the declaration
     boundary are dropped: there the value is one affine declaration cost.
+    Also returns the sampling run's ends: the knots just outside it (or its
+    own end at 0.0 or 1.0), or the boundary twice when nothing samples.
     """
     boundary = costs.declare_boundary
     row0, row1 = rows
@@ -216,30 +220,37 @@ def _backup(xs, ys, rows, costs):
     b = np.insert(b, flip + 1, cross)
     val = np.insert(np.minimum(stop, cont), flip + 1, _stop_cost(cross, costs))
     stopping = np.insert(gap >= 0.0, flip + 1, True)
+    go = np.flatnonzero(~stopping)
+    # b[0] is 0.0 and b[-1] is 1.0, so clipping reads an end the run reaches
+    ends = (tuple(b[np.clip((go[0] - 1, go[-1] + 1), 0, b.size - 1)].tolist()) if go.size
+            else (boundary, boundary))
     inner = stopping[1:-1] & stopping[:-2] & stopping[2:] & (b[1:-1] != boundary)
     keep = np.concatenate(([True], ~inner, [True]))
-    return b[keep], val[keep]
+    return (b[keep], val[keep]), ends
 
 
 def _knot_tables(channel, costs, horizon):
-    """(xs, ys) knot arrays for the cost-to-go with 0..horizon observations left."""
+    """(xs, ys) knot arrays for the cost-to-go with 0..horizon observations
+    left, and the sampling-run ends of each (the boundary twice at 0)."""
     xs = np.array(sorted({0.0, costs.declare_boundary, 1.0}))
-    tables = [(xs, _stop_cost(xs, costs))]
+    steps = [((xs, _stop_cost(xs, costs)), (costs.declare_boundary,) * 2)]
     for r in range(1, horizon + 1):
-        tables.append(_backup(*tables[-1], channel.row_pair(horizon - r + 1), costs))
-    return tuple(tables)
+        steps.append(_backup(*steps[-1][0], channel.row_pair(horizon - r + 1), costs))
+    return tuple(zip(*steps))
 
 
 def solve_wald_finite(channel, costs, horizon):
-    """The receiver's finite-horizon knot table; channel is observer 2's
-    Channel (its t-th table feeds the t-th observation)."""
+    """The receiver's finite-horizon knot table and thresholds; channel is
+    observer 2's Channel (its t-th table feeds the t-th observation).  A
+    horizon above ``WALD_HORIZON_CAP`` raises ``CapacityError``."""
     if horizon < 0:
         raise ProblemSpecError("horizon", "must be >= 0")
+    if horizon > WALD_HORIZON_CAP:
+        raise CapacityError(horizon, WALD_HORIZON_CAP, "receiver horizon")
     if not channel.stationary and len(channel.tables) < horizon:
         raise ProblemSpecError("channels", f"channel covers {len(channel.tables)} "
                                            f"observations, horizon {horizon} needed")
-    return WaldSolution(channel=channel, costs=costs, horizon=horizon,
-                        knots=_knot_tables(channel, costs, horizon))
+    return WaldSolution(channel, costs, horizon, *_knot_tables(channel, costs, horizon))
 
 
 def wald_cost(solution, belief, remaining):

@@ -9,12 +9,15 @@ state transformations (``_p1_children``, ``_p2_children``, ``_observe_p2``,
 ``_merge_p2``) that ``seq_decomp``'s numpy stage builders replaced.  It
 shares the partition tables with ``seq_decomp``.  ``reference_solve(problem)``
 returns the totals, search counts and policy pair that
-``solve_p1``/``solve_p2`` must reproduce bit for bit.
+``solve_p1``/``solve_p2`` must reproduce bit for bit.  ``grid_crossings`` is
+the grid labelling that ``WaldSolution.crossings`` replaced.
 """
 
 import itertools
 from bisect import bisect_left
 from types import SimpleNamespace
+
+import numpy as np
 
 from decseq import seq_decomp
 from decseq.belief import MERGE_TOL, merge_atoms, push_atom
@@ -22,7 +25,7 @@ from decseq.best_response import o2_best_response
 from decseq.errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from decseq.policies import BLANK, O1Policy, TerminalRule, boundary_stage, extract_thresholds
 from decseq.seq_decomp import _KEY_LIMIT, ROUND_DIGITS, _exact_round, _partition_table
-from decseq.wald import solve_wald_finite
+from decseq.wald import solve_wald_finite, stop_or_sample, thresholds_from_labels
 
 _FLOAT_SCALE = float(10 ** ROUND_DIGITS)
 _BAND = 2.0 ** -19
@@ -227,6 +230,20 @@ def knot_reader(wald, remaining):
         y0 = ys[i - 1]
         return y0 + (ys[i] - y0) * ((belief - x0) / (xs[i] - x0))
     return read
+
+
+def grid_crossings(wald):
+    """Threshold pair per remaining count r = 0..horizon of ``wald``, placed
+    by labelling the uniform 1001-point grid with ``stop_or_sample`` on the
+    continuation: midpoints between grid points of different labels, or the
+    declaration boundary twice where no grid point samples."""
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    boundary = wald.costs.declare_boundary
+    pairs = [(boundary, boundary)]
+    for r in range(1, wald.horizon + 1):
+        labels, _, _ = stop_or_sample(grid, wald.continuation(grid, r).tolist(), wald.costs)
+        pairs.append(thresholds_from_labels(grid, labels, boundary))
+    return pairs
 
 
 def table_entries(n, m, terminal):

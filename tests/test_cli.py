@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec,
                     pair_from_dict, pair_to_dict, seq_decomp, simulate, solve_p1, solve_p2,
-                    value_iterate_o1)
+                    solve_wald_finite, value_iterate_o1, wald)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
 
@@ -34,7 +34,7 @@ def read_report(out):
         return json.load(fh)
 
 
-def test_solve_wald(tmp_path):
+def test_solve_wald(tmp_path, sym02_p1):
     out = str(tmp_path / "w")
     assert main(["solve-wald", "--spec", spec_path("sym02_p1"),
                  "--horizon", "3", "--out", out]) == 0
@@ -46,6 +46,10 @@ def test_solve_wald(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "k,w1,w2"
     assert len(lines) == 5
+    # row k holds the exact crossings after k observations, 3 - k left
+    crossings = solve_wald_finite(sym02_p1.channel2, sym02_p1.costs, 3).crossings[::-1]
+    assert lines[1:] == [f"{k},{w1!r},{w2!r}" for k, (w1, w2) in enumerate(crossings)]
+    assert rep["thresholds"] == [list(pair) for pair in crossings]
 
 
 def test_solve_p1_and_variant_guard(tmp_path):
@@ -788,6 +792,23 @@ def test_pbpo_refuses_an_alphabet_past_the_cap(tmp_path, capsys, m, code):
     assert main(["best-response", "--pbpo", "--spec", str(spec),
                  "--out", str(tmp_path / "out")]) == code
     assert ("sender symbol slots" in capsys.readouterr().err) == (code == 4)
+
+
+@pytest.mark.parametrize("command", [["solve-p1"], ["best-response", "--pbpo"],
+                                     ["solve-wald", "--horizon", "1000000000"],
+                                     ["solve-wald", "--horizon", str(wald.WALD_HORIZON_CAP + 1)]])
+def test_a_receiver_horizon_past_the_cap_exits_4_at_once(tmp_path, capsys, command):
+    # the knot table grows by one backup per observation, so T2 = 10**9 on
+    # a valid stationary spec ran until memory ran out
+    with open(spec_path("sym02_p1")) as fh:
+        doc = json.load(fh)
+    doc["horizons"] = {"T1": 2, "T2": 10 ** 9}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(command + ["--spec", str(spec), "--out", str(tmp_path / "out")]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "receiver horizon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", [10 ** 300, 1000])

@@ -79,7 +79,7 @@ def test_exact_cost_matches_path_oracle(problem):
         pairs = _pairs(problem)
     except decseq.StructureViolation:
         # a best response ranked the symbols against the receiver's order
-        # (ROADMAP item 5); nothing to evaluate
+        # (ROADMAP item 6); nothing to evaluate
         return
     for pair in pairs:
         assert_same_breakdown(exact_cost(pair, problem), exact_cost_by_paths(pair, problem))

@@ -13,7 +13,7 @@ from decseq.errors import ProblemSpecError
 from decseq.wald import stop_or_sample
 
 from conftest import load_instance
-from designer_reference import knot_reader
+from designer_reference import grid_crossings, knot_reader
 
 
 def make_channel(eps):
@@ -93,7 +93,7 @@ def test_brute_force_cap():
 def test_thresholds_nested_in_horizon(costs):
     # more remaining time widens the continue region
     sol = solve_wald_finite(make_channel(0.2), costs, 3)
-    (a3, b3), (a2, b2), (a1, b1), (a0, b0) = sol.thresholds_at()
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = sol.crossings
     assert a3 <= a2 <= a1 <= a0
     assert b3 >= b2 >= b1 >= b0
     assert (a0, b0) == (0.5, 0.5)
@@ -223,6 +223,29 @@ def test_reader_matches_scalar_knot_reader(instance):
     for remaining in (-1, horizon + 1):
         with pytest.raises(ProblemSpecError):
             sol.reader(remaining)
+
+
+@given(wald_instances())
+@settings(max_examples=100, deadline=None)
+def test_crossings_bracket_one_sampling_run(instance):
+    # the knots where sampling is strictly cheaper than declaring form one
+    # run; its crossings are the knots just outside it (an end of [0, 1]
+    # where the run reaches it), within half a step of the grid labelling
+    channel, costs, horizon, _ = instance
+    sol = solve_wald_finite(channel, costs, horizon)
+    boundary = costs.declare_boundary
+    assert len(sol.crossings) == horizon + 1 and sol.crossings[0] == (boundary, boundary)
+    for r, ((xs, ys), (w1, w2), grid) in enumerate(zip(sol.knots, sol.crossings,
+                                                       grid_crossings(sol))):
+        go = np.flatnonzero(ys < np.minimum(terminal_cost(0, xs, costs),
+                                            terminal_cost(1, xs, costs)))
+        if go.size:
+            assert go[-1] - go[0] == go.size - 1
+            assert w1 == (xs[go[0] - 1] if go[0] else 0.0)
+            assert w2 == (xs[go[-1] + 1] if go[-1] + 1 < xs.size else 1.0)
+        else:
+            assert (w1, w2) == (boundary, boundary)
+        assert abs(w1 - grid[0]) <= 0.0005 + 1e-12 and abs(w2 - grid[1]) <= 0.0005 + 1e-12
 
 
 def test_knot_count_stays_small_on_long_horizons():
