@@ -109,21 +109,23 @@ def _row_codes(columns):
 
     Columns are packed by min/span offsets.  A column wider than the row
     count n is replaced by its dense rank, and so is the packed code once
-    it can exceed n, so no product exceeds n**2.
+    it can exceed n, so no product exceeds n**2.  One np.bincount then
+    compacts the codes present (after a dense rank if they span over 4n).
     """
     n = len(columns[0])
-    code, size = np.zeros(n, dtype=np.int64), 1
+    code, size = 0, 1
     for col in columns:
         lo = int(col.min())
         span = int(col.max()) - lo + 1
         if span > n:
-            col, span = _dense_rank(col)
-            lo = 0
+            col, span, lo = *_dense_rank(col), 0
         if size > n:
             code, size = _dense_rank(code)
         code = code * span + (col - lo)
         size *= span
-    code, k = _dense_rank(code)
+    code, size = _dense_rank(code) if size > 4 * n else (code, size)
+    present = np.bincount(code, minlength=size) > 0
+    code, k = (np.cumsum(present) - 1).take(code), int(present.sum())
     rep = np.empty(k, dtype=np.intp)
     rep[code] = np.arange(n)  # any row of a group will do
     return code, rep
@@ -135,37 +137,41 @@ def _write_episodes_csv(out_dir, episodes):
 
     Episodes repeat a few outcomes, so Python formats each distinct tail
     after the index once, into a row of a byte table zero-padded to a
-    common width.  The cost joins the key by its bit pattern, so rows equal
-    in the ints but not in the cost keep their own tails.  Each block of at
-    most _CSV_BLOCK rows, whose indices all have the same digit count, is
-    one uint8 grid: the index digits by integer division, then each row's
-    tail gathered from the table by its code.  The text holds no zero byte,
-    so one mask of the nonzero bytes drops the padding, and the block is
-    written straight from the array: no per-row Python object is made, and
-    the text held at once stays one block.
+    common width.  Rows are keyed by the int columns (an estimate_cost
+    row's cost is c1*tau1 + c2*tau2 + loss[u][h]); the cost's bit pattern
+    joins the key only if some cost differs from its key's.  Each block of
+    at most _CSV_BLOCK rows, whose indices all have the same digit count,
+    is one uint8 grid: the index digits four at a time from a table of the
+    rows "0000" to "9999", then each row's tail gathered by its code.  The
+    text holds no zero byte, so one mask of the nonzero bytes drops the
+    padding, and the block is written straight from the array: no per-row
+    Python object is made, and the text held at once stays one block.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "episodes.csv")
     ints = (episodes.h, episodes.tau1, episodes.tau2, episodes.message,
             episodes.decision)
-    code, rep = _row_codes(ints + (episodes.cost.view(np.int64),))
+    code, rep = _row_codes(ints)
+    bits = episodes.cost.view(np.int64)
+    if not (bits.take(rep).take(code) == bits).all():
+        code, rep = _row_codes(ints + (bits,))
     # a numpy bytes array pads its items with zero bytes to the longest
     tails = np.array([f",{h},{t1},{t2},{z},{u},{c!r}\n".encode() for h, t1, t2, z, u, c in
                       zip(*(col[rep].tolist() for col in ints + (episodes.cost,)))])
     table = tails.view(np.uint8).reshape(len(tails), -1)
+    digits4 = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48).copy()
     with open(path, "wb") as fh:
         fh.write(b"episode,h,tau1,tau2,message,decision,cost\n")
         lo = 0
         while lo < len(code):
             digits = len(str(lo))
             hi = min(len(code), lo + _CSV_BLOCK, 10 ** digits)
-            rows = code[lo:hi]
             grid = np.empty((hi - lo, digits + table.shape[1]), dtype=np.uint8)
             index = np.arange(lo, hi)
-            for j in range(digits - 1, -1, -1):
-                index, grid[:, j] = np.divmod(index, 10)
-            grid[:, :digits] += ord("0")
-            grid[:, digits:] = table[rows]
+            for end in range(digits, 0, -4):  # four digits at a time, from the right
+                grid[:, max(end - 4, 0):end] = digits4.take(index % 10_000, axis=0)[:, -end:]
+                index //= 10_000
+            grid[:, digits:] = table.take(code[lo:hi], axis=0)
             fh.write(grid[grid != 0])
             lo = hi
     return path
@@ -332,7 +338,8 @@ def _cmd_simulate(args):
     evaluated = time.perf_counter()
     _write_episodes_csv(args.out, episodes)
     profile = {"sample_s": sampled - start, "exact_s": evaluated - sampled,
-               "write_s": time.perf_counter() - evaluated}
+               "write_s": time.perf_counter() - evaluated,
+               "philox_blocks": summary.philox_blocks, "max_states": summary.max_states}
     return {"spec_digest": digest, "policies_digest": pdigest,
             "n": summary.n, "seed": summary.seed,
             "mean_cost": summary.mean_cost, "stderr": summary.stderr,

@@ -14,19 +14,19 @@ belief.MERGE_TOL are one atom; otherwise the result is exact up to float
 arithmetic.  exact_cost runs it on a sender's send law, evaluate_o2_policy
 on a sender scripted to send one symbol at one stage.
 
-estimate_cost samples the same dynamics for n episodes in lockstep: each
-step is one numpy operation over every episode still in that phase.
+estimate_cost samples the same dynamics for n episodes in lockstep.
 Episode i draws its uniforms from its own counter-based stream, the one
 Generator(Philox(key=(seed << 64) | i)) gives, so each episode's record is
 a pure function of (seed, i).  philox4x64 computes the blocks of every
-episode that needs one at once and matches numpy bit for bit: each round
-is a fixed sequence of in-place ufuncs on one preallocated block of words,
-the 64x64-bit high word takes 15 uint64 operations, and the seed's key
-word is one 0-d array shared by every episode.  _PhiloxStreams keeps every
-episode's current block in one flat array and takes each uniform with one
-gather.  More than EPISODE_CAP episodes are refused before anything is
-allocated.  simulate_once runs the same sampler on one episode fed by the
-caller's Generator.
+episode that needs one at once and matches numpy bit for bit, each round
+a fixed sequence of in-place ufuncs on one block of words; _PhiloxStreams
+keeps them slot-major and takes each uniform with one gather.  A stage's
+running episodes hold few distinct beliefs, so each walks an integer state
+over a table of them: Bayes steps, send symbols and declarations are
+computed once per (belief, symbol) pair, by the float operations of one
+episode alone.  More than EPISODE_CAP episodes are refused before anything
+is allocated.  simulate_once runs the same sampler on one episode fed by
+the caller's Generator.
 
 Observer 2 acts on its modelled belief (through the policy's message
 model): identical to the true posterior when the pair is consistent, still
@@ -35,6 +35,7 @@ a well-defined map when it is not.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +47,7 @@ from .errors import (CapacityError, CertificationError, ImpossibleUpdateError,
 from .policies import BLANK, TerminalRule, send_law, subjective_update
 
 # estimate_cost refuses more episodes than this before allocating anything:
-# a run holds about 190 bytes per episode, so the cap is about 2 GB
+# sampling peaks at about 140 (P1) to 170 (P2) bytes per episode: 1.7 GB
 EPISODE_CAP = 10_000_000
 
 
@@ -297,6 +298,7 @@ _M_PARTS = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_LANES = 1 << 15  # lanes per kernel call: its ten rows fit a 2 MB L2 cache
 
 
 def _mulhi(a, m_lo, m_hi, out, t, a_lo, a_hi):
@@ -323,15 +325,15 @@ def _mulhi(a, m_lo, m_hi, out, t, a_lo, a_hi):
 def philox4x64(counter, key0, key1):
     """Philox4x64-10 blocks (Salmon et al., SC'11), one row per lane.
 
-    counter holds the low counter word (the other three are zero) and key0
-    the low key word, 1-D integer arrays of one size with entries in
-    [0, 2**64); key1, the high key word, is one such int shared by every
-    lane, or an array like key0.  Every round runs in place on one
+    key0 holds the low key word, a 1-D integer array with entries in
+    [0, 2**64); counter, the low counter word (the other three are zero),
+    and key1, the high key word, are each an array like key0 or one such
+    int shared by every lane.  Every round runs in place on one
     preallocated block of words.
     """
     (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _M_PARTS
     w0, w1 = _PHILOX_W
-    words = np.empty((10, len(counter)), dtype=np.uint64)
+    words = np.empty((10, len(key0)), dtype=np.uint64)
     c0, c1, c2, c3, k0, h0, h1, t, a_lo, a_hi = words
     c0[:], k0[:], words[1:4] = counter, key0, 0
     # a shared key1 is a 0-d array: in-place adds wrap silently, where
@@ -355,79 +357,108 @@ def philox4x64(counter, key0, key1):
 
 
 class _PhiloxStreams:
-    """Called with episode indices, returns the next uniform of each, where
-    episode i's k-th uniform is the k-th
+    """Called with episode indices idx and draw indices j (one int, or one
+    per episode), returns uniform j of each: episode i's (j+1)-th
     Generator(Philox(key=(seed << 64) | i)).random().
 
     numpy's Philox increments its counter, from 0, before each block, and a
-    double is the top 53 bits of one word.  Each episode keeps its current
-    block, words 4i..4i+3 of one flat array, until its four words are used.
-    """
+    double is the top 53 bits of one word: uniform j is word j & 3 of block
+    (j >> 2) + 1.  A block is computed at j & 3 == 0, at most _PHILOX_LANES
+    per kernel call, and kept in column i of the slot-major (4, n) ``words``
+    until used; ``blocks`` counts them."""
 
     def __init__(self, seed, n):
-        self.seed = seed
-        self.used = np.zeros(n, dtype=np.int64)
-        self.words = np.empty(4 * n, dtype=np.uint64)
+        self.seed, self.blocks = seed, 0
+        self.words = np.empty((4, n), dtype=np.uint64)
 
-    def __call__(self, idx):
-        used = self.used[idx]
-        slot = used & 3
-        fresh = slot == 0
-        if fresh.any():
-            lanes = idx[fresh]
-            # each block as one 32-byte item: a 1-D scatter, about twice as
-            # fast as scattering rows of four words
-            self.words.view("V32")[lanes] = philox4x64(
-                (used[fresh] >> 2) + 1, lanes, self.seed).view("V32")[:, 0]
-        self.used[idx] = used + 1
-        word = self.words[4 * idx + slot]
+    def __call__(self, idx, j):
+        slot, each = j & 3, np.ndim(j)
+        lanes = idx.compress(slot == 0) if each else idx[:idx.size * (slot == 0)]
+        counter = ((j.compress(slot == 0) if each else j) >> 2) + 1
+        for lo in range(0, lanes.size, _PHILOX_LANES):
+            part = lanes[lo:lo + _PHILOX_LANES]
+            block = philox4x64(counter[lo:lo + part.size] if each else counter, part, self.seed)
+            for words, row in zip(self.words, block.T):
+                words[part] = row  # row by row: about twice as fast as one 2-D scatter
+        self.blocks += lanes.size
+        word = (self.words.ravel().take(slot * self.words.shape[1] + idx) if each
+                else self.words[slot].take(idx))
         return np.right_shift(word, np.uint64(11), out=word) * 2.0 ** -53
 
 
-def _draw(draws, idx, h, rows):
-    """One symbol per episode in idx from rows[h]: the first y whose running
-    row sum exceeds the uniform, else the last symbol."""
-    r = draws(idx)
-    hh = h[idx]
-    y = np.zeros(idx.size, dtype=np.intp)
-    acc0 = acc1 = 0.0
-    for p0, p1 in zip(rows[0][:-1], rows[1][:-1]):
-        acc0 += p0
-        acc1 += p1
-        y += np.where(hh == 0, acc0, acc1) <= r
-    return y
+def _pairs(st, base, n_beliefs, width, rows, r):
+    """Pair indices st + base + y of episodes in states st = (2b + h) * width
+    (belief b of the stage's table), class base = k * |Y| and symbol y drawn
+    from rows[h] with uniforms r; and which (b, k * |Y| + y) pairs occur."""
+    p = st + base
+    for col in zip(*(itertools.accumulate(row[:-1]) for row in rows)):
+        p += np.repeat(np.array(col * n_beliefs), width).take(st) <= r
+    return p, np.bincount(p, minlength=2 * n_beliefs * width).reshape(n_beliefs, 2, -1).any(1)
 
 
-def _sender_step(o1, problem, t, draws, idx, h, b1):
-    """Observer 1's t-th observation and message for episodes idx; the
-    symbol n_messages stands for a blank."""
+def _advance(on, p, nb, out, reached, t, when, what):
+    """End a stage: out gives each (belief, k, y) pair's outcome, -1 to go
+    on to the next table's belief nb (deduped by exact equality).  Returns
+    the episodes that go on, their states and the next table, and records
+    and returns those that end (t in when, out in what)."""
+    go, index, ids = reached & (out < 0), {}, np.zeros(nb.shape, dtype=np.int64)
+    ids[go] = [index.setdefault(b, len(index)) for b in nb[go].tolist()]
+    h = (np.arange(2 * len(nb)) & 1)[:, None, None]
+    code = np.where(np.repeat(go, 2, axis=0), (2 * np.repeat(ids, 2, axis=0) + h) * nb[0].size,
+                    -1 - np.repeat(out, 2, axis=0)).ravel().take(p)
+    ended, out, keep = on[:0], code[:0], code >= 0
+    if not keep.all():
+        stop = np.flatnonzero(~keep)
+        ended, out = on.take(stop), -1 - code.take(stop)
+        when[ended], what[ended] = t, out
+        on, code = on.compress(keep), code.compress(keep)
+    return on, code, np.array(list(index)), ended, out
+
+
+def _sender_stage(o1, problem, t, on, st, bel, r, tau1, message):
+    """Observer 1's t-th observation and message, by _advance; a zero-
+    probability observation raises only if some episode draws it."""
     rows = problem.channel1.row_pair(t)
-    y = _draw(draws, idx, h, rows)
-    b = b1[idx]
-    num = b * np.take(rows[0], y)
-    den = num + (1.0 - b) * np.take(rows[1], y)
-    if (den <= 0.0).any():
-        i = np.argmax(den <= 0.0)
-        raise ImpossibleUpdateError(
-            f"observation {y[i]} has zero probability at belief {b[i]}")
-    b = b1[idx] = num / den
+    p, reached = _pairs(st, 0, len(bel), len(rows[0]), rows, r)
+    b, f0, f1 = bel[:, None], np.array(rows[0]), np.array(rows[1])
+    impossible = b * f0 + (1.0 - b) * f1 <= 0.0
+    if (reached & impossible).any():
+        i = np.argmax(np.repeat(impossible, 2, axis=0).ravel().take(p))
+        raise ImpossibleUpdateError(f"observation {p[i] % len(rows[0])} has zero probability "
+                                    f"at belief {bel[p[i] // (2 * len(rows[0]))]}")
+    b = _observe2(b, f0, f1)[:, None]
     rule = o1.rule_at(t)
     if isinstance(rule, TerminalRule):
-        return len(rule.cuts) - np.searchsorted(rule.cuts, b)
-    z = np.full(idx.size, problem.n_messages)
-    for sym, iv in enumerate(rule.send):  # the highest symbol that holds b wins
-        if iv is not None:
-            z[(iv[0] <= b) & (b <= iv[1])] = sym
-    return z
+        z = len(rule.cuts) - np.searchsorted(rule.cuts, b)
+    else:
+        z = np.full(b.shape, problem.n_messages)
+        for sym, iv in enumerate(rule.send):  # the highest symbol that holds b wins
+            if iv is not None:
+                z[(iv[0] <= b) & (b <= iv[1])] = sym
+    return _advance(on, p, b, np.where(z == problem.n_messages, -1, z), reached[:, None], t,
+                    tau1, message)
 
 
-def _observe2(sb, idx, f0, f1):
-    """subjective_update of episodes idx with likelihood factors f0, f1."""
-    b = sb[idx]
+def _receiver_stage(o2, t, on, st, bel, base, rows, f0, f1, r, blank, tau2, decision):
+    """Observer 2's t-th observation and declaration, by _advance, in classes
+    k of message likelihoods f0[k], f1[k]; class ``blank`` has not heard."""
+    p, reached = _pairs(st, base, len(bel), len(f0) * len(rows[0]), rows, r)
+    nb = _observe2(bel[:, None, None], f0[:, None] * np.array(rows[0]),
+                   f1[:, None] * np.array(rows[1]))
+    reached, u = reached.reshape(nb.shape), np.full(nb.shape, -1)
+    for rules, k, now in ((o2.wald_rules, np.arange(len(f0)) != blank, t),
+                          (o2.blank_rules, np.arange(len(f0)) == blank, t - 1)):
+        if reached[:, k].any():
+            u[:, k] = _decide(rules[now], nb[:, k])
+    return _advance(on, p, nb, u, reached, t, tau2, decision)
+
+
+def _observe2(b, f0, f1):
+    """subjective_update of beliefs b with likelihood factors f0, f1."""
     num = b * f0
     den = num + (1.0 - b) * f1
     with np.errstate(divide="ignore", invalid="ignore"):
-        sb[idx] = np.where(den <= 0.0, b, num / den)
+        return np.where(den <= 0.0, b, num / den)
 
 
 def _decide(rule, belief):
@@ -437,17 +468,17 @@ def _decide(rule, belief):
 
 
 def _sample(o1, o2, problem, n, draws):
-    """Run n episodes in lockstep; draws(idx) gives one uniform per episode
-    in idx from that episode's own stream.  Each episode draws in the order
-    it would alone: h, observer 1's observations, then observer 2's (in P2,
-    observer 1's before observer 2's within a stage).  A stage records
-    tau and the outcome for every episode still running; those that go on
-    are overwritten at a later stage."""
+    """Run n episodes in lockstep; draws(idx, j) gives uniform j of each
+    episode in idx from that episode's own stream.  Each episode draws in
+    the order it would alone: h, observer 1's observations, then observer
+    2's (in P2, observer 1's before observer 2's within a stage).  Returns
+    the Episodes and the largest stage table's size."""
     m, prior = problem.n_messages, float(problem.prior)
     everyone = np.arange(n)
-    h = (draws(everyone) >= prior).astype(np.intp)
-    b1, sb = np.full(n, prior), np.full(n, prior)
-    tau1, tau2, message, decision = (np.zeros(n, dtype=np.int64) for _ in range(4))
+    h = (draws(everyone, 0) >= prior).astype(np.intp)
+    # a stopping time not yet reached stays above every stage (P2 draw indices)
+    tau1, tau2, message, decision = (np.full(n, v) for v in (2 ** 62, 2 ** 62, 0, 0))
+    on1, st1, bel1, most, t = everyone, h * problem.channel1.n_symbols, np.array([prior]), 1, 0
 
     def factors(t):
         # message likelihood pairs by symbol, then BLANK (m), then none (m + 1)
@@ -455,60 +486,59 @@ def _sample(o1, o2, problem, n, draws):
         return np.array(pairs + [(1.0, 1.0)]).T
 
     if problem.variant == "P1":
-        on, t = everyone, 0
-        while on.size:
+        # the idle receiver's belief moves only with the messages: one
+        # belief per stage and symbol sent, and the blank path's
+        sb, sent = np.array(prior), []
+        while on1.size:
             t += 1
-            z = _sender_step(o1, problem, t, draws, on, h, b1)
+            on1, st1, bel1 = _sender_stage(o1, problem, t, on1, st1, bel1, draws(on1, t),
+                                           tau1, message)[:3]
             f0, f1 = factors(t)
-            _observe2(sb, on, f0[z], f1[z])
-            tau1[on], message[on] = t, z
-            on = on[z == m]
-        on, k = everyone, 0
-        while True:  # ends by the last rule, which O2Policy makes declare
-            u = _decide(o2.wald_rules[k], sb[on])
-            tau2[on], decision[on] = k, u
-            on = on[u < 0]
-            if not on.size:
-                break
-            k += 1
-            rows = problem.channel2.row_pair(k)
-            y = _draw(draws, on, h, rows)
-            _observe2(sb, on, np.take(rows[0], y), np.take(rows[1], y))
+            sent.append(_observe2(sb, f0[:m], f1[:m]))
+            sb = _observe2(sb, f0[m], f1[m])
+            most = max(most, len(bel1))
+        # the (stage, symbol) classes as a table of one belief and no symbol
+        nb, one = np.concatenate(sent)[None, None], np.ones(1)
+        p, reached = _pairs(h * nb.size, (tau1 - 1) * m + message, 1, nb.size, (), None)
+        on2, st2, bel2 = _advance(everyone, p, nb, _decide(o2.wald_rules[0], nb), reached, 0,
+                                  tau2, decision)[:3]
+        st2, k = st2 // nb.size * problem.channel2.n_symbols, 0
+        while on2.size:  # ends by the last rule, which O2Policy makes declare
+            most, k = max(most, len(bel2)), k + 1
+            on2, st2, bel2 = _receiver_stage(
+                o2, k, on2, st2, bel2, 0, problem.channel2.row_pair(k), one, one,
+                draws(on2, tau1.take(on2) + k), -1, tau2, decision)[:3]
     else:
-        on1, on2, t = everyone, everyone, 0
-        silent = np.ones(n, dtype=bool)  # observer 1 has not sent yet
+        # a receiver's class k is the symbol sent at this stage, m for a
+        # blank, or m + 1 once the sender has sent; zc holds k * |Y|
+        y2 = problem.channel2.n_symbols
+        on2, st2, bel2, zc = everyone, h * (m + 2) * y2, np.array([prior]), np.full(n, m * y2)
         while on1.size or on2.size:
             t += 1
-            z = np.full(n, m + 1)
+            ended = on1[:0]
             if on1.size:
-                z[on1] = _sender_step(o1, problem, t, draws, on1, h, b1)
-                tau1[on1], message[on1], silent[on1] = t, z[on1], z[on1] == m
-                on1 = on1[silent[on1]]
+                on1, st1, bel1, ended, z = _sender_stage(
+                    o1, problem, t, on1, st1, bel1,
+                    draws(on1, t + np.minimum(tau2.take(on1), t - 1)), tau1, message)
+                zc[ended] = z * y2
             if on2.size:
-                rows = problem.channel2.row_pair(t)
-                y = _draw(draws, on2, h, rows)
-                f0, f1 = factors(t)
-                _observe2(sb, on2, f0[z[on2]] * np.take(rows[0], y),
-                          f1[z[on2]] * np.take(rows[1], y))
-                told = ~silent[on2]
-                u = np.empty(on2.size, dtype=np.int64)
-                if told.any():
-                    u[told] = _decide(o2.wald_rules[t], sb[on2[told]])
-                if not told.all():
-                    u[~told] = _decide(o2.blank_rules[t - 1], sb[on2[~told]])
-                tau2[on2], decision[on2] = t, u
-                on2 = on2[u < 0]
+                on2, st2, bel2 = _receiver_stage(
+                    o2, t, on2, st2, bel2, zc.take(on2), problem.channel2.row_pair(t),
+                    *factors(t), draws(on2, t + np.minimum(tau1.take(on2), t)), m, tau2,
+                    decision)[:3]
+            zc[ended] = (m + 1) * y2
+            most = max(most, len(bel1), len(bel2))
     c = problem.costs
     cost = c.c1 * tau1 + c.c2 * tau2 + np.array(c.loss)[decision, h]
     return Episodes(h=h, tau1=tau1, tau2=tau2, message=message,
-                    decision=decision, cost=cost)
+                    decision=decision, cost=cost), most
 
 
 def simulate_once(policies, problem, rng_stream):
     """One sampled episode using the supplied numpy Generator."""
     o1, o2 = policies
     check_pair(o1, o2, problem)
-    ep = _sample(o1, o2, problem, 1, lambda idx: rng_stream.random(idx.size))[0]
+    ep = _sample(o1, o2, problem, 1, lambda idx, j: rng_stream.random(idx.size))[0][0]
     return replace(ep, episode=-1)
 
 
@@ -526,6 +556,8 @@ class EstimateSummary:
     mean_tau1: float
     mean_tau2: float
     error_rate: float
+    philox_blocks: int = 0  # Philox blocks computed
+    max_states: int = 0     # the largest per-stage belief table
 
 
 def estimate_cost(policies, problem, n, seed):
@@ -545,11 +577,12 @@ def estimate_cost(policies, problem, n, seed):
         raise CapacityError(n, EPISODE_CAP, "episodes")
     if not 0 <= seed < 2 ** 64:
         raise ProblemSpecError("seed", f"must lie in [0, 2**64), got {seed}")
-    eps = _sample(o1, o2, problem, n, _PhiloxStreams(seed, n))
+    draws = _PhiloxStreams(seed, n)
+    eps, most = _sample(o1, o2, problem, n, draws)
     stderr = float(eps.cost.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     wrong = np.array(problem.costs.loss)[eps.decision, eps.h] > 0.0
     summary = EstimateSummary(
         n=n, seed=seed, mean_cost=float(eps.cost.mean()), stderr=stderr,
         mean_tau1=float(np.mean(eps.tau1)), mean_tau2=float(np.mean(eps.tau2)),
-        error_rate=float(np.mean(wrong)))
+        error_rate=float(np.mean(wrong)), philox_blocks=draws.blocks, max_states=most)
     return summary, eps

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -361,8 +362,67 @@ def test_simulate_report_profile(tmp_path):
                  "--policies", os.path.join(pol_out, "policies.json"),
                  "--n", "100", "--out", out]) == 0
     profile = read_report(out)["profile"]
-    assert sorted(profile) == ["exact_s", "sample_s", "write_s"]
+    assert sorted(profile) == ["exact_s", "max_states", "philox_blocks", "sample_s", "write_s"]
     assert all(v >= 0.0 for v in profile.values())
+    # a P1 episode draws 1 + tau1 + tau2 uniforms, four per Philox block
+    with open(os.path.join(out, "episodes.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert profile["philox_blocks"] == sum((1 + int(r[2]) + int(r[3]) + 3) // 4 for r in rows)
+    assert isinstance(profile["max_states"], int) and 1 <= profile["max_states"] <= 2 * 100
+
+
+# decseq simulate --n 5000 on four designer pairs, by seed: the sha256 of
+# episodes.csv and mean_cost.hex(), both written before the sampler walked
+# integer states over per-stage belief tables.  The ternary time-varying
+# pairs are P1 at T1 = T2 = 3 and P2 at T1 = T2 = 2 (a P2 solve at 3 takes
+# 0.6 s)
+_TERNARY_TV = dict(make_spec(prior=0.45, c1=0.01, c2=0.03, t1=3, t2=3,
+                             ch2=[[0.8, 0.2], [0.25, 0.75]]),
+                   channels=[{"observer": 1, "tables": [[[0.6, 0.3, 0.1], [0.15, 0.35, 0.5]],
+                                                        [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],
+                                                        [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]]},
+                             {"observer": 2, "tables": [[[0.8, 0.2], [0.25, 0.75]]]}])
+_PINNED = {
+    ("sym02_p1", 0): ("ab2f4b892d6dc7a72a2dff7435963b80987921dd520fd24c7964daaf5a9108e2",
+                      "0x1.121ab4b72c519p-2"),
+    ("sym02_p1", 2 ** 64 - 1): ("64cfd9ce7fbc79dbc66acc8e2e1ed52aee056744408d6e971de20b9ee7489a77",
+                                "0x1.14c1a8ac5c13fp-2"),
+    ("sym02_p2", 0): ("ab2f4b892d6dc7a72a2dff7435963b80987921dd520fd24c7964daaf5a9108e2",
+                      "0x1.121ab4b72c519p-2"),
+    ("sym02_p2", 2 ** 64 - 1): ("64cfd9ce7fbc79dbc66acc8e2e1ed52aee056744408d6e971de20b9ee7489a77",
+                                "0x1.14c1a8ac5c13fp-2"),
+    ("ternary_tv_p1", 0): ("5e6c789b42be536baf93d8868a4fe6aaef68324526b559d268c6035535ba3aaf",
+                           "0x1.3bacb4289118cp-3"),
+    ("ternary_tv_p1", 2 ** 64 - 1): (
+        "16ade0c5b890b9ee991af0cb8162f7cc204e896ab8e50db3134edacd80d358c8",
+        "0x1.2bae03b3e9a70p-3"),
+    ("ternary_tv_p2", 0): ("4c44b75f43c204f0d0d04270c3c99fd5a46c931810b8e924d51d08b090532cc8",
+                           "0x1.889b0ee49f517p-3"),
+    ("ternary_tv_p2", 2 ** 64 - 1): (
+        "0880fd76b02dfefb955a188397dbad2f34a212a60b7b9407f12dac5ac1c5e9d4",
+        "0x1.9170d62bf11fap-3"),
+}
+
+
+@pytest.mark.parametrize("name", ["sym02_p1", "sym02_p2", "ternary_tv_p1", "ternary_tv_p2"])
+def test_simulate_output_is_pinned(tmp_path, name):
+    if name.startswith("ternary"):
+        spec = str(tmp_path / "spec.json")
+        p2 = name.endswith("p2")
+        with open(spec, "w") as fh:
+            json.dump(dict(_TERNARY_TV, variant="P2", horizons={"T1": 2, "T2": 2}) if p2
+                      else _TERNARY_TV, fh)
+    else:
+        spec = spec_path(name)
+    pol = str(tmp_path / "pair")
+    assert main([f"solve-{name[-2:]}", "--spec", spec, "--out", pol]) == 0
+    for seed in (0, 2 ** 64 - 1):
+        out = str(tmp_path / str(seed))
+        assert main(["simulate", "--spec", spec, "--policies", os.path.join(pol, "policies.json"),
+                     "--n", "5000", "--seed", str(seed), "--out", out]) == 0
+        with open(os.path.join(out, "episodes.csv"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert (digest, read_report(out)["mean_cost"].hex()) == _PINNED[name, seed]
 
 
 def test_one_parser_serves_every_call_with_its_own_config(tmp_path):

@@ -272,10 +272,40 @@ _TOUCHING_INTERVALS = _edge_case(_SYM, _SYM, _TOUCHING, _TOUCHING,
                                  ((0.3, 0.7), (0.5, 0.5)))
 
 
+# A ternary sender: symbol 1 is impossible under H=1, so it takes the
+# belief to 1.0, where symbol 2 has zero probability under both hypotheses.
+# No episode at belief 1.0 can draw it (all are H=0), so nothing may raise.
+_WAIT = StageRule(send=(None, None))
+_UNDRAWN_ZERO = _edge_case(((0.5, 0.5, 0.0), (0.6, 0.0, 0.4)), _SYM, _cut(0.5, (_WAIT,)),
+                           _cut(0.5, (_WAIT,)), ((0.3, 0.7), (0.5, 0.5)))
+
+
+def _roundoff_case(variant):
+    """T1 = T2 = 6 on asymmetric rows, the sender silent to its deadline:
+    observer 1's beliefs at t = 6 take 23 distinct float values where exact
+    arithmetic gives 7.  The terminal cut is one of them, with twins one
+    ulp away on both sides, so beliefs merged by roundoff at any stage
+    send the wrong symbol: each must stay its own state."""
+    rows = ((0.78, 0.22), (0.19, 0.81))
+    problem = Problem(prior=0.5, channel1=Channel(observer=1, tables=(rows,)),
+                      channel2=Channel(observer=2, tables=(rows,)),
+                      costs=Costs(c1=0.01, c2=0.01, loss=((0.0, 1.0), (1.0, 0.0))),
+                      t1=6, t2=6, variant=variant)
+    o1 = _cut(0.5809293040651603, (_WAIT,) * 5)
+    keep = (0.01, 0.99)
+    o2 = O2Policy(blank_rules=(keep,) * 5 if variant == "P2" else (),
+                  wald_rules=(keep,) * 6 + ((0.5, 0.5),),
+                  message_model=build_message_model(o1, problem))
+    return (o1, o2), problem, 200, 3
+
+
 @given(_mc_cases())
 @example(_SUBJECTIVELY_IMPOSSIBLE)
 @example(_IMPOSSIBLE_SYMBOL)
 @example(_TOUCHING_INTERVALS)
+@example(_UNDRAWN_ZERO)
+@example(_roundoff_case("P1"))
+@example(_roundoff_case("P2"))
 @settings(max_examples=150, deadline=None)
 def test_lockstep_sampler_matches_scalar_reference(case):
     pair, problem, n, seed = case
@@ -334,10 +364,12 @@ def test_philox_streams_cross_block_boundaries(seed, count):
     n = 6
     draws = _PhiloxStreams(seed, n)
     got = [[] for _ in range(n)]
-    # uneven calls, so episodes reach block boundaries at different calls
-    schedule = [np.arange(n)] * count + [np.array([1, 4])] * count
-    for idx in schedule:
-        for i, r in zip(idx, draws(idx)):
+    # uneven calls, so episodes reach block boundaries at different calls:
+    # one draw index for all, then one per episode
+    schedule = [np.arange(n)] * count + [np.array([1, 4])] * count + [np.arange(n)] * count
+    for call, idx in enumerate(schedule):
+        j = np.array([len(got[i]) for i in idx])
+        for i, r in zip(idx, draws(idx, int(j[0]) if call < count else j)):
             got[i].append(r)
     for i in range(n):
         want = episode_rng(seed, i).random(len(got[i]))
