@@ -16,7 +16,9 @@ being run is the one the policy was built for, the modelled belief is the
 true posterior; against any other partner the policy is still a fixed,
 well-defined map, which is exactly what a best response needs.
 
-Boundary conventions, used consistently by solvers, oracles and simulators:
+Boundary conventions, used consistently by solvers, oracles and the
+simulators (exact evaluation and the Monte Carlo sampler, which applies
+``O1Policy.message`` and ``O2Policy.decide_wald``/``decide_blank`` itself):
 send regions are closed intervals and higher symbols are checked first;
 declaration checks test "declare 0" before "declare 1"; a subjectively
 impossible event (zero probability under the message model for both

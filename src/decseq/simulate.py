@@ -22,11 +22,13 @@ episode that needs one at once and matches numpy bit for bit, each round
 a fixed sequence of in-place ufuncs on one block of words; _PhiloxStreams
 keeps them slot-major and takes each uniform with one gather.  A stage's
 running episodes hold few distinct beliefs, so each walks an integer state
-over a table of them: Bayes steps, send symbols and declarations are
-computed once per (belief, symbol) pair, by the float operations of one
-episode alone.  More than EPISODE_CAP episodes are refused before anything
-is allocated.  simulate_once runs the same sampler on one episode fed by
-the caller's Generator.
+over a table of them.  One stage walker (_walk) fills each (belief, class,
+symbol) entry that some episode reaches by the policies' own rules, the
+calls exact evaluation makes: update_observer1 and O1Policy.message for the
+sender, subjective_update and O2Policy.decide_wald or decide_blank for the
+receiver.  More than EPISODE_CAP episodes are refused before anything is
+allocated.  simulate_once runs the same sampler on one episode fed by the
+caller's Generator.
 
 Observer 2 acts on its modelled belief (through the policy's message
 model): identical to the true posterior when the pair is consistent, still
@@ -36,15 +38,16 @@ a well-defined map when it is not.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief import merge_atoms
+from .belief import merge_atoms, update_observer1
 from .errors import (CapacityError, CertificationError, ImpossibleUpdateError,
                      ProblemSpecError)
-from .policies import BLANK, TerminalRule, send_law, subjective_update
+from .policies import BLANK, send_law, subjective_update
 
 # estimate_cost refuses more episodes than this before allocating anything:
 # sampling peaks at about 140 (P1) to 170 (P2) bytes per episode: 1.7 GB
@@ -403,7 +406,7 @@ def _advance(on, p, nb, out, reached, t, when, what):
     and returns those that end (t in when, out in what)."""
     go, index, ids = reached & (out < 0), {}, np.zeros(nb.shape, dtype=np.int64)
     ids[go] = [index.setdefault(b, len(index)) for b in nb[go].tolist()]
-    h = (np.arange(2 * len(nb)) & 1)[:, None, None]
+    h = (np.arange(2 * len(nb)) & 1)[:, None]
     code = np.where(np.repeat(go, 2, axis=0), (2 * np.repeat(ids, 2, axis=0) + h) * nb[0].size,
                     -1 - np.repeat(out, 2, axis=0)).ravel().take(p)
     ended, out, keep = on[:0], code[:0], code >= 0
@@ -415,56 +418,31 @@ def _advance(on, p, nb, out, reached, t, when, what):
     return on, code, np.array(list(index)), ended, out
 
 
-def _sender_stage(o1, problem, t, on, st, bel, r, tau1, message):
-    """Observer 1's t-th observation and message, by _advance; a zero-
-    probability observation raises only if some episode draws it."""
-    rows = problem.channel1.row_pair(t)
-    p, reached = _pairs(st, 0, len(bel), len(rows[0]), rows, r)
-    b, f0, f1 = bel[:, None], np.array(rows[0]), np.array(rows[1])
-    impossible = b * f0 + (1.0 - b) * f1 <= 0.0
-    if (reached & impossible).any():
-        i = np.argmax(np.repeat(impossible, 2, axis=0).ravel().take(p))
-        raise ImpossibleUpdateError(f"observation {p[i] % len(rows[0])} has zero probability "
-                                    f"at belief {bel[p[i] // (2 * len(rows[0]))]}")
-    b = _observe2(b, f0, f1)[:, None]
-    rule = o1.rule_at(t)
-    if isinstance(rule, TerminalRule):
-        z = len(rule.cuts) - np.searchsorted(rule.cuts, b)
-    else:
-        z = np.full(b.shape, problem.n_messages)
-        for sym, iv in enumerate(rule.send):  # the highest symbol that holds b wins
-            if iv is not None:
-                z[(iv[0] <= b) & (b <= iv[1])] = sym
-    return _advance(on, p, b, np.where(z == problem.n_messages, -1, z), reached[:, None], t,
-                    tau1, message)
-
-
-def _receiver_stage(o2, t, on, st, bel, base, rows, f0, f1, r, blank, tau2, decision):
-    """Observer 2's t-th observation and declaration, by _advance, in classes
-    k of message likelihoods f0[k], f1[k]; class ``blank`` has not heard."""
-    p, reached = _pairs(st, base, len(bel), len(f0) * len(rows[0]), rows, r)
-    nb = _observe2(bel[:, None, None], f0[:, None] * np.array(rows[0]),
-                   f1[:, None] * np.array(rows[1]))
-    reached, u = reached.reshape(nb.shape), np.full(nb.shape, -1)
-    for rules, k, now in ((o2.wald_rules, np.arange(len(f0)) != blank, t),
-                          (o2.blank_rules, np.arange(len(f0)) == blank, t - 1)):
-        if reached[:, k].any():
-            u[:, k] = _decide(rules[now], nb[:, k])
-    return _advance(on, p, nb, u, reached, t, tau2, decision)
-
-
-def _observe2(b, f0, f1):
-    """subjective_update of beliefs b with likelihood factors f0, f1."""
-    num = b * f0
-    den = num + (1.0 - b) * f1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den <= 0.0, b, num / den)
-
-
-def _decide(rule, belief):
-    """Declaration under a (lo, hi) rule: 0, 1, or -1 to keep sampling."""
-    lo, hi = rule
-    return np.where(belief >= hi, 0, np.where(belief <= lo, 1, -1))
+def _walk(on, st, bel, base, classes, rows, r, update, rule, t, when, what):
+    """One observer's stage t, by _pairs and _advance, in ``classes``
+    classes of len(rows[0]) symbols.  update(b, k, y) gives the next
+    belief after symbol y of belief b in class k, and rule(k, belief) the
+    outcome (None or BLANK: go on); each runs once per (b, k, y) that some
+    episode reaches.  An ImpossibleUpdateError of update is raised only if
+    some episode reaches its entry: the first such episode's."""
+    ny, beliefs = len(rows[0]), bel.tolist()
+    width = classes * ny
+    p, reached = _pairs(st, base, len(bel), width, rows, r)
+    nb, out, failed = np.zeros(reached.shape), np.full(reached.shape, -1), {}
+    for e in np.flatnonzero(reached).tolist():
+        k, y = divmod(e % width, ny)
+        try:
+            nb.flat[e] = post = update(beliefs[e // width], k, y)
+        except ImpossibleUpdateError as err:
+            failed[e] = err
+            continue
+        u = rule(k, post)
+        if u is not None and u != BLANK:
+            out.flat[e] = u
+    if failed:
+        e = p // (2 * width) * width + p % width
+        raise failed[e[np.isin(e, list(failed))][0]]
+    return _advance(on, p, nb, out, reached, t, when, what)
 
 
 def _sample(o1, o2, problem, n, draws):
@@ -480,34 +458,35 @@ def _sample(o1, o2, problem, n, draws):
     tau1, tau2, message, decision = (np.full(n, v) for v in (2 ** 62, 2 ** 62, 0, 0))
     on1, st1, bel1, most, t = everyone, h * problem.channel1.n_symbols, np.array([prior]), 1, 0
 
-    def factors(t):
-        # message likelihood pairs by symbol, then BLANK (m), then none (m + 1)
-        pairs = [o2.message_factor(t, z) for z in (*range(m), BLANK)]
-        return np.array(pairs + [(1.0, 1.0)]).T
+    def send(t, j):
+        # observer 1's Bayes step on its t-th observation (draw j), then its message
+        rows = problem.channel1.row_pair(t)
+        return _walk(on1, st1, bel1, 0, 1, rows, draws(on1, j),
+                     lambda b, _, y: update_observer1(b, y, rows),
+                     lambda _, b: o1.message(t, b), t, tau1, message)
 
     if problem.variant == "P1":
         # the idle receiver's belief moves only with the messages: one
         # belief per stage and symbol sent, and the blank path's
-        sb, sent = np.array(prior), []
+        sb, sent = prior, []
         while on1.size:
             t += 1
-            on1, st1, bel1 = _sender_stage(o1, problem, t, on1, st1, bel1, draws(on1, t),
-                                           tau1, message)[:3]
-            f0, f1 = factors(t)
-            sent.append(_observe2(sb, f0[:m], f1[:m]))
-            sb = _observe2(sb, f0[m], f1[m])
+            on1, st1, bel1 = send(t, t)[:3]
+            sent += [subjective_update(sb, None, None, o2.message_factor(t, z)) for z in range(m)]
+            sb = subjective_update(sb, None, None, o2.message_factor(t, BLANK))
             most = max(most, len(bel1))
-        # the (stage, symbol) classes as a table of one belief and no symbol
-        nb, one = np.concatenate(sent)[None, None], np.ones(1)
-        p, reached = _pairs(h * nb.size, (tau1 - 1) * m + message, 1, nb.size, (), None)
-        on2, st2, bel2 = _advance(everyone, p, nb, _decide(o2.wald_rules[0], nb), reached, 0,
-                                  tau2, decision)[:3]
-        st2, k = st2 // nb.size * problem.channel2.n_symbols, 0
+        # the (stage, symbol) classes as a table of one belief and one sure symbol
+        on2, st2, bel2 = _walk(everyone, h * len(sent), np.array([prior]),
+                               (tau1 - 1) * m + message, len(sent), ((1.0,), (1.0,)), None,
+                               lambda b, k, y: sent[k], lambda _, b: o2.decide_wald(0, b), 0,
+                               tau2, decision)[:3]
+        st2, k = st2 // len(sent) * problem.channel2.n_symbols, 0
         while on2.size:  # ends by the last rule, which O2Policy makes declare
             most, k = max(most, len(bel2)), k + 1
-            on2, st2, bel2 = _receiver_stage(
-                o2, k, on2, st2, bel2, 0, problem.channel2.row_pair(k), one, one,
-                draws(on2, tau1.take(on2) + k), -1, tau2, decision)[:3]
+            rows = problem.channel2.row_pair(k)
+            on2, st2, bel2 = _walk(on2, st2, bel2, 0, 1, rows, draws(on2, tau1.take(on2) + k),
+                                   lambda b, _, y: subjective_update(b, y, rows, None),
+                                   lambda _, b: o2.decide_wald(k, b), k, tau2, decision)[:3]
     else:
         # a receiver's class k is the symbol sent at this stage, m for a
         # blank, or m + 1 once the sender has sent; zc holds k * |Y|
@@ -517,15 +496,17 @@ def _sample(o1, o2, problem, n, draws):
             t += 1
             ended = on1[:0]
             if on1.size:
-                on1, st1, bel1, ended, z = _sender_stage(
-                    o1, problem, t, on1, st1, bel1,
-                    draws(on1, t + np.minimum(tau2.take(on1), t - 1)), tau1, message)
+                on1, st1, bel1, ended, z = send(t, t + np.minimum(tau2.take(on1), t - 1))
                 zc[ended] = z * y2
             if on2.size:
-                on2, st2, bel2 = _receiver_stage(
-                    o2, t, on2, st2, bel2, zc.take(on2), problem.channel2.row_pair(t),
-                    *factors(t), draws(on2, t + np.minimum(tau1.take(on2), t)), m, tau2,
-                    decision)[:3]
+                rows = problem.channel2.row_pair(t)
+                factors = [o2.message_factor(t, z) for z in (*range(m), BLANK)] + [None]
+                on2, st2, bel2 = _walk(
+                    on2, st2, bel2, zc.take(on2), m + 2, rows,
+                    draws(on2, t + np.minimum(tau1.take(on2), t)),
+                    lambda b, k, y: subjective_update(b, y, rows, factors[k]),
+                    lambda k, b: (o2.decide_blank if k == m else o2.decide_wald)(t, b),
+                    t, tau2, decision)[:3]
             zc[ended] = (m + 1) * y2
             most = max(most, len(bel1), len(bel2))
     c = problem.costs
@@ -564,13 +545,17 @@ def estimate_cost(policies, problem, n, seed):
     """Monte Carlo estimate over n episodes.
 
     Deterministic: episode i draws only from the stream episode_rng(seed, i)
-    would give it, so its record does not depend on n.  The seed must lie
-    in [0, 2**64).  More than ``EPISODE_CAP`` episodes raise
-    ``CapacityError`` before any is sampled.  Returns (summary, episodes),
-    episodes being the Episodes sequence the summary was taken over.
+    would give it, so its record does not depend on n.  n and the seed are
+    integers (Python or numpy, not bool), the seed in [0, 2**64).  More
+    than ``EPISODE_CAP`` episodes raise ``CapacityError`` before any is
+    sampled.  Returns (summary, episodes), episodes being the Episodes
+    sequence the summary was taken over.
     """
     o1, o2 = policies
     check_pair(o1, o2, problem)
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ProblemSpecError(name, f"expected an integer, got {value!r}")
     if n <= 0:
         raise ProblemSpecError("n", "need at least one episode")
     if n > EPISODE_CAP:

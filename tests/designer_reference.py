@@ -232,18 +232,22 @@ def knot_reader(wald, remaining):
     return read
 
 
+GRID = np.linspace(0.0, 1.0, 1001).tolist()
+
+
 def grid_crossings(wald):
-    """Threshold pair per remaining count r = 0..horizon of ``wald``, placed
-    by labelling the uniform 1001-point grid with ``stop_or_sample`` on the
-    continuation: midpoints between grid points of different labels, or the
-    declaration boundary twice where no grid point samples."""
-    grid = np.linspace(0.0, 1.0, 1001).tolist()
-    boundary = wald.costs.declare_boundary
-    pairs = [(boundary, boundary)]
-    for r in range(1, wald.horizon + 1):
-        labels, _, _ = stop_or_sample(grid, wald.continuation(grid, r).tolist(), wald.costs)
-        pairs.append(thresholds_from_labels(grid, labels, boundary))
-    return pairs
+    """Per remaining count r = 0..horizon of ``wald``, the labels
+    ``stop_or_sample`` gives the uniform 1001-point ``GRID`` on the
+    continuation (None: sample; r = 0 declares everywhere) and the
+    threshold pair placed from them: midpoints between grid points of
+    different labels, or the declaration boundary twice where no grid point
+    samples."""
+    out = []
+    for r in range(wald.horizon + 1):
+        cont = wald.continuation(GRID, r).tolist() if r else None
+        labels, _, _ = stop_or_sample(GRID, cont, wald.costs)
+        out.append((labels, thresholds_from_labels(GRID, labels, wald.costs.declare_boundary)))
+    return out
 
 
 def table_entries(n, m, terminal):

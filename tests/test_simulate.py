@@ -1,5 +1,6 @@
 """Exact evaluation and the Monte Carlo path."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -87,6 +88,21 @@ def test_episode_costs_match_components(sym02_p1):
 def test_estimate_rejects_empty_run(sym02_p2, p2_pair):
     with pytest.raises(decseq.ProblemSpecError):
         estimate_cost(p2_pair, sym02_p2, 0, 1)
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 2.5), (10.5, 1), (1000, True), (True, 1)])
+def test_estimate_rejects_non_integer_n_and_seed(sym02_p2, p2_pair, n, seed):
+    # a float seed used to run the streams of its integer part and report
+    # the float; a float n failed with a bare TypeError
+    with pytest.raises(decseq.ProblemSpecError):
+        estimate_cost(p2_pair, sym02_p2, n, seed)
+
+
+def test_estimate_accepts_numpy_integers(sym02_p2, p2_pair):
+    got, eps = estimate_cost(p2_pair, sym02_p2, np.int64(10), np.uint64(2 ** 64 - 1))
+    want, ref = estimate_cost(p2_pair, sym02_p2, 10, 2 ** 64 - 1)
+    assert (got.seed, got.mean_cost) == (want.seed, want.mean_cost)
+    assert list(eps) == list(ref)
 
 
 def test_exact_cost_rejects_leaking_path_mass(sym02_p2, p2_pair):
@@ -325,6 +341,25 @@ def test_lockstep_sampler_matches_scalar_reference(case):
     assert got == want
     assert [(e.h, e.tau1, e.tau2, e.message, e.decision, e.cost)
             for e in eps] == want
+
+
+@pytest.mark.parametrize("variant", ["P1", "P2"])
+def test_sampler_applies_the_policies_own_rules(variant, monkeypatch):
+    # every send and declaration comes from O1Policy.message and
+    # O2Policy.decide_wald / decide_blank, called once per stage-table entry
+    # that some episode reaches: a few dozen calls, not one per episode
+    calls = collections.Counter()
+    for cls, name in ((O1Policy, "message"), (O2Policy, "decide_wald"),
+                      (O2Policy, "decide_blank")):
+        def counted(self, *args, rule=getattr(cls, name), name=name):
+            calls[name] += 1
+            return rule(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    pair, problem, _, seed = _roundoff_case(variant)
+    estimate_cost(pair, problem, 20000, seed)
+    blank = {"decide_blank"} if variant == "P2" else set()
+    assert set(calls) == {"message", "decide_wald"} | blank
+    assert max(calls.values()) < 1000
 
 
 @pytest.mark.parametrize("key0, key1", [(0, 0), (2 ** 64 - 1, 0), (0, 2 ** 64 - 1),

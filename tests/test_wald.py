@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decseq
@@ -13,7 +13,7 @@ from decseq.errors import ProblemSpecError
 from decseq.wald import stop_or_sample
 
 from conftest import load_instance
-from designer_reference import grid_crossings, knot_reader
+from designer_reference import GRID, grid_crossings, knot_reader
 
 
 def make_channel(eps):
@@ -225,18 +225,31 @@ def test_reader_matches_scalar_knot_reader(instance):
             sol.reader(remaining)
 
 
+# a sampling run strictly between grid points 0.182 and 0.183 at r = 1: the
+# grid labelling samples nowhere and places both thresholds at the
+# declaration boundary 0.18283..., 0.0008 from the exact crossing 0.18202...
+_RUN_BETWEEN_GRID_POINTS = (
+    Channel(observer=2, tables=(((0.05560463449932337, 0.05472121351150274, 0.8896741519891739),
+                                 (0.056179775280898875, 0.0449438202247191, 0.898876404494382)),)),
+    Costs(c1=0.1, c2=0.002, loss=((0.0, 0.2578125), (1.15234375, 0.0))), 1, [0.5])
+
+
 @given(wald_instances())
+@example(_RUN_BETWEEN_GRID_POINTS)
 @settings(max_examples=100, deadline=None)
 def test_crossings_bracket_one_sampling_run(instance):
     # the knots where sampling is strictly cheaper than declaring form one
     # run; its crossings are the knots just outside it (an end of [0, 1]
-    # where the run reaches it), within half a step of the grid labelling
+    # where the run reaches it).  A grid point lies strictly between the
+    # crossings exactly when the grid labelling samples there (ties within
+    # 1e-12 of a crossing aside); only when some grid point samples is each
+    # crossing within half a grid step of the labelling's threshold
     channel, costs, horizon, _ = instance
     sol = solve_wald_finite(channel, costs, horizon)
     boundary = costs.declare_boundary
     assert len(sol.crossings) == horizon + 1 and sol.crossings[0] == (boundary, boundary)
-    for r, ((xs, ys), (w1, w2), grid) in enumerate(zip(sol.knots, sol.crossings,
-                                                       grid_crossings(sol))):
+    for r, ((xs, ys), (w1, w2), (labels, grid)) in enumerate(zip(sol.knots, sol.crossings,
+                                                                  grid_crossings(sol))):
         go = np.flatnonzero(ys < np.minimum(terminal_cost(0, xs, costs),
                                             terminal_cost(1, xs, costs)))
         if go.size:
@@ -245,7 +258,11 @@ def test_crossings_bracket_one_sampling_run(instance):
             assert w2 == (xs[go[-1] + 1] if go[-1] + 1 < xs.size else 1.0)
         else:
             assert (w1, w2) == (boundary, boundary)
-        assert abs(w1 - grid[0]) <= 0.0005 + 1e-12 and abs(w2 - grid[1]) <= 0.0005 + 1e-12
+        for g, label in zip(GRID, labels):
+            if min(abs(g - w1), abs(g - w2)) > 1e-12:
+                assert (w1 < g < w2) == (label is None)
+        if None in labels:
+            assert abs(w1 - grid[0]) <= 0.0005 + 1e-12 and abs(w2 - grid[1]) <= 0.0005 + 1e-12
 
 
 def test_knot_count_stays_small_on_long_horizons():
