@@ -22,8 +22,7 @@ from .policies import (BLANK, O1Policy, O2Policy, StageRule, TerminalRule,
                        o2_from_dict, o2_to_dict, pair_from_dict, pair_to_dict,
                        subjective_update)
 from .seq_decomp import DesignerSolution, solve_p1, solve_p2
-from .simulate import (CostBreakdown, EpisodeResult, EstimateSummary,
-                       estimate_cost, exact_cost, simulate_once)
+from .simulate import CostBreakdown, EstimateSummary, estimate_cost, exact_cost
 from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
                    solve_wald_infinite, wald_cost)
 
@@ -46,8 +45,7 @@ __all__ = [
     "build_message_model", "o1_from_dict", "o1_to_dict", "o2_from_dict",
     "o2_to_dict", "pair_from_dict", "pair_to_dict", "subjective_update",
     "DesignerSolution", "solve_p1", "solve_p2",
-    "CostBreakdown", "EpisodeResult", "EstimateSummary", "estimate_cost",
-    "exact_cost", "simulate_once",
+    "CostBreakdown", "EstimateSummary", "estimate_cost", "exact_cost",
     "StationaryWald", "WaldSolution", "solve_wald_finite",
     "solve_wald_infinite", "wald_cost",
     "__version__",

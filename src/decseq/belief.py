@@ -1,8 +1,9 @@
 """Bayes updates and reachable belief sets.
 
 Beliefs are P(H = 0 | information).  ``bayes`` is the one scalar Bayes step
-that every program uses but the designer's observer-2 steps
-(``wald._outcomes`` is its numpy twin), and ``push_atom`` the one push of an
+that every program uses but the designer's observer-2 steps, and
+``outcomes`` its one numpy twin, behind the receiver's knot backup, the
+grid value iteration and ``push_rows``; ``push_atom`` is the one push of an
 atom through an observation step, behind ``push_atoms``; the designer's
 children push and merge numpy rows through their array twins
 (``push_rows``, ``merge_rows``).  With finite observation alphabets the belief of each
@@ -138,16 +139,24 @@ def push_atom(belief, w0, w1, channel_rows):
     return out
 
 
-def push_rows(b, w0, w1, channel_rows):
-    """``push_atom`` on numpy arrays of atoms (b, w0, w1), a column per
-    symbol y: the posteriors, which pushes each atom sees (w0 * row0[y] or
-    w1 * row1[y] nonzero), the seen ones of probability 0 (``push_error``
-    names the first), and the channel rows as arrays."""
-    r0, r1 = (np.array(r, dtype=float) for r in channel_rows)
+def outcomes(b, rows):
+    """``bayes`` on an array of beliefs b, a column per symbol of the row
+    pair ``rows``: (probabilities, posteriors), the posterior 0.0 where the
+    probability is 0."""
+    r0, r1 = (np.asarray(r, dtype=float) for r in rows)
     num = b[:, None] * r0
     p = num + (1.0 - b)[:, None] * r1
+    return p, np.divide(num, p, out=np.zeros(num.shape), where=p > 0.0)
+
+
+def push_rows(b, w0, w1, channel_rows):
+    """``push_atom`` on numpy arrays of atoms (b, w0, w1), a column per
+    symbol y: the posteriors (``outcomes``), which pushes each atom sees
+    (w0 * row0[y] or w1 * row1[y] nonzero), the seen ones of probability 0
+    (``push_error`` names the first), and the channel rows as arrays."""
+    r0, r1 = (np.array(r, dtype=float) for r in channel_rows)
+    p, post = outcomes(b, (r0, r1))
     seen = (w0[:, None] * r0 != 0.0) | (w1[:, None] * r1 != 0.0)
-    post = np.divide(num, p, out=np.zeros(num.shape), where=p > 0.0)
     return post, seen, seen & ~(p > 0.0), r0, r1
 
 

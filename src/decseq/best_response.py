@@ -353,24 +353,21 @@ def immediate_sender_policy(problem):
     return O1Policy(stages=stages, terminal=terminal, n_messages=m)
 
 
-def pbpo_iteration(problem, init=None, max_rounds=50):
+def pbpo_iteration(problem, max_rounds=50):
     """Alternate exact best responses until the pair cost stops improving.
 
-    Starts from ``init`` (an O2Policy) or from the best response to an
-    immediate sender.  The trace holds the exact pair cost after every
-    half-round; it is non-increasing.  Stops when a full round improves
-    by less than 1e-12.  More than ``PBPO_SLOT_CAP`` sender symbol slots
-    raise ``CapacityError`` before any policy is built.
+    Starts from the best response to an immediate sender.  The trace holds
+    the exact pair cost after every half-round; it is non-increasing.
+    Stops when a full round improves by less than 1e-12.  More than
+    ``PBPO_SLOT_CAP`` sender symbol slots raise ``CapacityError`` before
+    any policy is built.
     """
     if max_rounds < 1:
         raise ProblemSpecError("max_rounds", f"need at least one round, got {max_rounds}")
     if (slots := problem.t1 * problem.n_messages) > PBPO_SLOT_CAP:
         raise CapacityError(slots, PBPO_SLOT_CAP, "sender symbol slots (T1 times M)")
     wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
-    if init is None:
-        o2 = _o2_response(immediate_sender_policy(problem), problem, wald).policy
-    else:
-        o2 = init
+    o2 = _o2_response(immediate_sender_policy(problem), problem, wald).policy
     trace = []
     prev = None
     converged = False

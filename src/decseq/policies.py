@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from .belief import bayes, push_atoms, start_atom
 from .errors import ProblemSpecError, StructureViolation
+from .model import _check_number
 
 BLANK = "b"
 
@@ -384,14 +385,22 @@ def o1_to_dict(o1):
     }
 
 
+def _pair(pair, where):
+    """A policy file's pair of JSON numbers (model._check_number: finite, not
+    a bool or a string) as floats."""
+    a, b = pair
+    return float(_check_number(a, where)), float(_check_number(b, where))
+
+
 def o1_from_dict(data):
     try:
-        m = int(data["M"])
+        m = int(_check_number(data["M"], "o1.M", integer=True))
         stages = tuple(
-            StageRule(send=tuple(None if iv is None else (float(iv[0]), float(iv[1]))
+            StageRule(send=tuple(None if iv is None else _pair(iv, f"o1.stages[{t}].send")
                                  for iv in s["send"]))
-            for s in data["stages"])
-        terminal = TerminalRule(cuts=tuple(float(c) for c in data["terminal"]["cuts"]))
+            for t, s in enumerate(data["stages"]))
+        terminal = TerminalRule(cuts=tuple(float(_check_number(c, "o1.terminal.cuts"))
+                                           for c in data["terminal"]["cuts"]))
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ProblemSpecError("o1", f"malformed policy: {e}")
     return O1Policy(stages=stages, terminal=terminal, n_messages=m)
@@ -404,15 +413,16 @@ def _model_to_json(model):
     return out
 
 
+def _symbol(key, where):
+    """A message-model key: BLANK, or a symbol written as str() writes it."""
+    if key != BLANK and not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ProblemSpecError(where, f"key {key!r} is neither {BLANK!r} nor a symbol")
+    return key if key == BLANK else int(key)
+
+
 def _model_from_json(data):
-    model = []
-    for stage in data:
-        entry = {}
-        for key, pair in stage.items():
-            z = BLANK if key == BLANK else int(key)
-            entry[z] = (float(pair[0]), float(pair[1]))
-        model.append(entry)
-    return tuple(model)
+    return tuple({_symbol(key, f"o2.message_model[{t}]"): _pair(pair, f"o2.message_model[{t}]")
+                  for key, pair in stage.items()} for t, stage in enumerate(data))
 
 
 def o2_to_dict(o2):
@@ -427,10 +437,10 @@ def o2_to_dict(o2):
 def o2_from_dict(data):
     try:
         return O2Policy(
-            blank_rules=tuple((float(a), float(b)) for a, b in data["blank_rules"]),
-            wald_rules=tuple((float(a), float(b)) for a, b in data["wald_rules"]),
+            blank_rules=tuple(_pair(r, "o2.blank_rules") for r in data["blank_rules"]),
+            wald_rules=tuple(_pair(r, "o2.wald_rules") for r in data["wald_rules"]),
             message_model=_model_from_json(data["message_model"]),
-            n_messages=int(data.get("M", 2)))
+            n_messages=int(_check_number(data.get("M", 2), "o2.M", integer=True)))
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ProblemSpecError("o2", f"malformed policy: {e}")
 

@@ -27,8 +27,7 @@ symbol) entry that some episode reaches by the policies' own rules, the
 calls exact evaluation makes: update_observer1 and O1Policy.message for the
 sender, subjective_update and O2Policy.decide_wald or decide_blank for the
 receiver.  More than EPISODE_CAP episodes are refused before anything is
-allocated.  simulate_once runs the same sampler on one episode fed by the
-caller's Generator.
+allocated.
 
 Observer 2 acts on its modelled belief (through the policy's message
 model): identical to the true posterior when the pair is consistent, still
@@ -39,8 +38,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,23 +257,9 @@ def exact_cost(policies, problem):
 # Monte Carlo
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
-    episode: int
-    h: int
-    tau1: int
-    tau2: int
-    message: int
-    decision: int
-    cost: float
-
-
 @dataclass(frozen=True, eq=False)
-class Episodes(Sequence):
-    """Sampled episodes as numpy columns, row i holding episode i.
-
-    Indexing yields an EpisodeResult and slicing a list of them.
-    """
+class Episodes:
+    """Sampled episodes as numpy columns, row i holding episode i."""
 
     h: np.ndarray
     tau1: np.ndarray
@@ -286,14 +270,6 @@ class Episodes(Sequence):
 
     def __len__(self):
         return len(self.cost)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        return EpisodeResult(episode=i, h=int(self.h[i]), tau1=int(self.tau1[i]),
-                             tau2=int(self.tau2[i]), message=int(self.message[i]),
-                             decision=int(self.decision[i]), cost=float(self.cost[i]))
 
 
 # each multiplier whole, then its low and high 32-bit halves
@@ -515,14 +491,6 @@ def _sample(o1, o2, problem, n, draws):
                     decision=decision, cost=cost), most
 
 
-def simulate_once(policies, problem, rng_stream):
-    """One sampled episode using the supplied numpy Generator."""
-    o1, o2 = policies
-    check_pair(o1, o2, problem)
-    ep = _sample(o1, o2, problem, 1, lambda idx, j: rng_stream.random(idx.size))[0][0]
-    return replace(ep, episode=-1)
-
-
 def episode_rng(seed, episode):
     """Counter-based stream for one episode: a pure function of (seed, i)."""
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | episode))
@@ -549,7 +517,7 @@ def estimate_cost(policies, problem, n, seed):
     integers (Python or numpy, not bool), the seed in [0, 2**64).  More
     than ``EPISODE_CAP`` episodes raise ``CapacityError`` before any is
     sampled.  Returns (summary, episodes), episodes being the Episodes
-    sequence the summary was taken over.
+    columns the summary was taken over.
     """
     o1, o2 = policies
     check_pair(o1, o2, problem)

@@ -19,8 +19,8 @@ consecutive knot iterates rise by ~1e-16, which breaks the exact
 
 Every receiver program (the two solvers here, and the best responses'
 post-message tables and blank phase) labels its beliefs with one rule,
-``stop_or_sample``; every numpy Bayes step goes through ``_outcomes``, the
-twin of ``belief.bayes``.
+``stop_or_sample``; every numpy Bayes step goes through ``belief.outcomes``,
+the numpy twin of ``belief.bayes``.
 
 Threshold convention everywhere: declare 1 for beliefs at or below the lower
 threshold, declare 0 at or above the upper one, keep sampling strictly in
@@ -33,10 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .belief import outcomes
 from .errors import CapacityError, ProblemSpecError, StructureViolation
 from .model import Channel, terminal_cost
 
 GRID_SIZE_DEFAULT = 1001
+# belief_grid refuses finer grids: at 10**6 points solve-infinite peaks at
+# about 300 MB (sym02, Python 3.11, numpy 2.4), some 250 bytes per point
+GRID_CAP = 1_000_000
 # solve_wald_finite refuses longer horizons: a step holds 276 knots (4.4 KB)
 # on sym02's channel and 1,444 (23 KB) on mary3's, so at most about 2.3 GB
 WALD_HORIZON_CAP = 100_000
@@ -144,7 +148,8 @@ class WaldSolution:
         cont = np.full(beliefs.shape, self.costs.c2)
         # with r observations left, the next draw is observation number
         # horizon - r + 1; a symbol of probability 0 adds 0.0
-        for prob, post in _outcomes(beliefs, self.channel.row_pair(self.horizon - remaining + 1)):
+        for prob, post in zip(*(a.T for a in outcomes(
+                beliefs, self.channel.row_pair(self.horizon - remaining + 1)))):
             cont += prob * read(post)
         return cont
 
@@ -176,18 +181,6 @@ def _stop_cost(b, costs):
     return np.minimum(terminal_cost(0, b, costs), terminal_cost(1, b, costs))
 
 
-def _outcomes(b, rows):
-    """``belief.bayes`` on an array of beliefs b: one (probability,
-    posterior) pair of arrays per symbol of the row pair ``rows``; the
-    posterior is 0 where the symbol has probability 0."""
-    out = []
-    for r0, r1 in zip(*rows):
-        num = b * r0
-        prob = num + (1.0 - b) * r1
-        out.append((prob, np.where(prob > 0.0, num / np.where(prob > 0.0, prob, 1.0), 0.0)))
-    return out
-
-
 def _backup(xs, ys, rows, costs):
     """Knots of min(stop, c2 + E[V(next belief)]) given the knots of V.
 
@@ -211,7 +204,7 @@ def _backup(xs, ys, rows, costs):
     b = np.sort(np.concatenate(cand))
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     cont = np.full_like(b, costs.c2)
-    for prob, post in _outcomes(b, rows):
+    for prob, post in zip(*(a.T for a in outcomes(b, rows))):
         cont += prob * np.interp(post, xs, ys)
     stop = _stop_cost(b, costs)
     gap = cont - stop
@@ -261,9 +254,12 @@ def wald_cost(solution, belief, remaining):
 
 
 def belief_grid(grid_size):
-    """Uniform value-iteration grid on [0, 1]; needs an interior point."""
+    """Uniform value-iteration grid on [0, 1]; needs an interior point.  A
+    grid above ``GRID_CAP`` points raises ``CapacityError``."""
     if grid_size < 3:
         raise ProblemSpecError("grid_size", f"need at least 3 grid points, got {grid_size}")
+    if grid_size > GRID_CAP:
+        raise CapacityError(grid_size, GRID_CAP, "grid points")
     return np.linspace(0.0, 1.0, grid_size)
 
 
@@ -272,7 +268,7 @@ def grid_continuation(rows, charge, grid):
     observation drawn from the row pair ``rows`` and V read by linear
     interpolation."""
     g = np.asarray(grid, dtype=float)
-    branches = _outcomes(g, rows)
+    branches = list(zip(*(a.T for a in outcomes(g, rows))))
 
     def cont(values):
         out = np.full_like(g, charge)
@@ -280,28 +276,6 @@ def grid_continuation(rows, charge, grid):
             out += prob * np.interp(post, g, values)
         return out
     return cont
-
-
-def _iterates(cont, floor):
-    """Yields (V, sup change) for V = floor, then V -> min(floor, cont(V))."""
-    values = floor.copy()
-    yield values, np.inf
-    while True:
-        new = np.minimum(floor, cont(values))
-        delta = float(np.max(np.abs(new - values)))
-        values = new
-        yield values, delta
-
-
-def wald_vi_iterates(rows, costs, grid):
-    """Generator of stationary value-iteration iterates on a belief grid.
-
-    Yields (values, delta) starting from the stop-only function; iterates
-    are pointwise non-increasing because adding one more sampling
-    opportunity can only help.
-    """
-    g = np.asarray(grid, dtype=float)
-    return _iterates(grid_continuation(rows, costs.c2, g), _stop_cost(g, costs))
 
 
 def grid_value_iteration(cont, floor):
@@ -313,17 +287,16 @@ def grid_value_iteration(cont, floor):
     (``max_increase``, <= 0 when the iterates are monotone) and whether
     they ``converged``.
     """
-    it = _iterates(cont, floor)
-    values, _ = next(it)
+    values = floor
     deltas = []
     max_increase = -np.inf
     converged = False
     while len(deltas) < VI_MAX_ITER_DEFAULT and not converged:
-        new, delta = next(it)
-        deltas.append(delta)
+        new = np.minimum(floor, cont(values))
+        deltas.append(float(np.max(np.abs(new - values))))
         max_increase = max(max_increase, float(np.max(new - values)))
         values = new
-        converged = delta < VI_TOL_DEFAULT
+        converged = deltas[-1] < VI_TOL_DEFAULT
     return values, {"n_iter": len(deltas), "deltas": deltas,
                     "max_increase": max_increase, "converged": converged}
 

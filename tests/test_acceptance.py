@@ -17,9 +17,9 @@ from decseq import (BLANK, Channel, Costs, brute_force_wald,
                     enumerate_policies_p1, enumerate_policies_p2, exact_cost,
                     estimate_cost, o1_best_response, o2_best_response,
                     pbpo_iteration, solve_p1, solve_p2, solve_wald_finite,
-                    truncation_bound, wald_cost)
+                    terminal_cost, truncation_bound, wald_cost)
 from decseq.belief import push_atoms
-from decseq.wald import wald_vi_iterates
+from decseq.wald import grid_continuation
 
 from conftest import battery, record_criterion
 
@@ -147,20 +147,16 @@ def test_criterion_05_value_iteration_monotone(sym02_p1, sym02_p2):
             lim = decseq.value_iterate_o2(sol.o1, prob)
             assert lim.wald.converged
             assert lim.wald.max_increase <= 0.0
-            # raw tail iterates, pairwise, all grid nodes
-            rows = prob.channel2.row_pair(1)
+            # raw iterates from the stop-only function, pairwise, all grid
+            # nodes; the 40th is the reference
             grid = lim.wald.grid
-            prev = None
-            reference = None
-            for k, (w, _) in enumerate(
-                    wald_vi_iterates(rows, prob.costs, grid), start=1):
-                if prev is not None:
-                    assert float((w - prev).max()) <= 0.0
-                prev = w
-                if k == 40:
-                    reference = w.copy()
-                    break
-            assert float(np.abs(lim.wald.values - reference).max()) < 1e-6
+            cont = grid_continuation(prob.channel2.row_pair(1), prob.costs.c2, grid)
+            stop = np.minimum(*(terminal_cost(u, grid, prob.costs) for u in (0, 1)))
+            w = stop
+            for _ in range(39):
+                prev, w = w, np.minimum(stop, cont(w))
+                assert float((w - prev).max()) <= 0.0
+            assert float(np.abs(lim.wald.values - w).max()) < 1e-6
 
 
 def test_criterion_06_truncation_certificates(sym02_p1):

@@ -1,11 +1,12 @@
 """Bayes updates, atom levels, and conservation laws."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decseq import ImpossibleUpdateError, merge_atoms, reachable_beliefs, update_observer1
-from decseq.belief import push_atoms, receiver_atoms
+from decseq.belief import bayes, outcomes, push_atoms, push_rows, receiver_atoms
 
 
 def rows_from(eps):
@@ -27,6 +28,31 @@ def test_impossible_update_raises():
     rows = ((1.0, 0.0), (1.0, 0.0))
     with pytest.raises(ImpossibleUpdateError):
         update_observer1(0.5, 1, rows)
+
+
+_ENDS = st.sampled_from((0.0, 1.0))
+
+
+@st.composite
+def _row_pairs(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(_ENDS, st.floats(0.0, 1.0))
+    return tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+
+
+@given(st.lists(st.one_of(_ENDS, st.floats(0.0, 1.0)), min_size=1, max_size=6), _row_pairs())
+@settings(max_examples=300, deadline=None)
+def test_outcomes_is_bayes_on_arrays(beliefs, rows):
+    b = np.array(beliefs)
+    prob, post = outcomes(b, rows)
+    assert prob.shape == post.shape == (len(beliefs), len(rows[0]))
+    for i, belief in enumerate(beliefs):
+        for y, (f0, f1) in enumerate(zip(*rows)):
+            p, q = bayes(belief, f0, f1)
+            assert float(prob[i, y]).hex() == p.hex()
+            assert float(post[i, y]).hex() == (0.0 if q is None else q).hex()
+    ones = np.ones(len(beliefs))
+    assert push_rows(b, ones, ones, rows)[0].tobytes() == post.tobytes()
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.05, 0.45))

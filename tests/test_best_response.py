@@ -133,8 +133,8 @@ def test_lookup_off_the_atoms_is_a_certification_error():
 
 
 def test_pbpo_from_custom_start(asym_p1):
-    init = o2_best_response(immediate_sender_policy(asym_p1), asym_p1).policy
-    res = pbpo_iteration(asym_p1, init=init)
+    # PBPO has one start, the response to the immediate sender
+    res = pbpo_iteration(asym_p1)
     assert res.converged
     assert exact_cost((res.o1, res.o2), asym_p1).total == pytest.approx(
         res.trace[-1], abs=1e-12)

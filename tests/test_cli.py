@@ -771,6 +771,26 @@ def _run_policies(work, doc, command):
     return code, err.getvalue(), out
 
 
+def _with_o1(**fields):
+    """The sym02_p1 designer pair with the sender's ``fields`` replaced."""
+    return {**_SYM02_P1_PAIR, "o1": {**_SYM02_P1_PAIR["o1"], **fields}}
+
+
+_WALD_RULES = _SYM02_P1_PAIR["o2"]["wald_rules"]
+_MODEL = _SYM02_P1_PAIR["o2"]["message_model"]
+# a string number, a non-integral or bool "M" (read as int(M)) and the
+# symbol key "01" (read as 1) used to run to exit 0
+_MALFORMED = [
+    _with_o1(M=2.5), _with_o1(M=True), _with_o2(M=2.9), _with_o2(M=False),
+    _with_o1(terminal={"cuts": ["0.5"]}),
+    _with_o2(wald_rules=[[str(_WALD_RULES[0][0]), _WALD_RULES[0][1]]] + _WALD_RULES[1:]),
+    _with_o2(message_model=[{**_MODEL[0], "0": [str(_MODEL[0]["0"][0]), _MODEL[0]["0"][1]]}]
+             + _MODEL[1:]),
+    _with_o2(message_model=[{("01" if k == "1" else k): v for k, v in _MODEL[0].items()}]
+             + _MODEL[1:]),
+]
+
+
 @pytest.mark.parametrize("doc, command", [
     # a receiver with no stopping rule at all
     (_with_o2(wald_rules=[]), ["solve-infinite"]),
@@ -782,6 +802,8 @@ def _run_policies(work, doc, command):
     ({**_SYM02_P1_PAIR, "o2": _MARY3_P1_PAIR["o2"]}, ["simulate", "--n", "20"]),
     # a receiver of horizon 0 against T2 = 2
     (_with_o2(wald_rules=_SYM02_P1_PAIR["o2"]["wald_rules"][-1:]), ["solve-infinite"]),
+    *[(doc, command) for doc in _MALFORMED
+      for command in (["simulate", "--n", "20"], ["best-response", "--side", "2"])],
 ])
 def test_policies_that_do_not_fit_are_validation_errors(tmp_path, doc, command):
     code, err, _ = _run_policies(tmp_path, doc, command)
@@ -869,6 +891,16 @@ def test_a_receiver_horizon_past_the_cap_exits_4_at_once(tmp_path, capsys, comma
     assert main(command + ["--spec", str(spec), "--out", str(tmp_path / "out")]) == 4
     assert time.perf_counter() - start < 1.0
     assert "receiver horizon" in capsys.readouterr().err
+
+
+def test_a_grid_past_the_cap_exits_4_at_once(tmp_path, capsys):
+    # the stationary solve holds a few hundred bytes per grid point, so
+    # --grid 100000000 ran until memory ran out
+    start = time.perf_counter()
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"),
+                 "--grid", str(wald.GRID_CAP + 1), "--out", str(tmp_path / "out")]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "grid points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", [10 ** 300, 1000])

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import decseq
 from decseq import (BLANK, Channel, Costs, O1Policy, O2Policy, Problem,
                     StageRule, TerminalRule, build_message_model,
-                    estimate_cost, exact_cost, simulate_once,
-                    subjective_update, update_observer1)
+                    estimate_cost, exact_cost, subjective_update,
+                    update_observer1)
 from decseq.simulate import _PhiloxStreams, episode_rng, philox4x64
 
 
@@ -57,16 +57,17 @@ def test_estimate_deterministic_and_unbiased(sym02_p2, p2_pair):
     assert abs(s1.mean_cost - exact) < 4.0 * s1.stderr
 
 
+def _columns(eps):
+    return list(zip(eps.h, eps.tau1, eps.tau2, eps.message, eps.decision, eps.cost))
+
+
 def test_episode_stream_is_counter_based(sym02_p2, p2_pair):
     _, eps = estimate_cost(p2_pair, sym02_p2, 64, 3)
-    # episode i only touches its own stream, so a fresh generator for the
-    # same (seed, i) reproduces the record regardless of batch size
+    # episode i only touches its own stream, so a run of i + 1 episodes
+    # reproduces its record regardless of batch size
     for i in (0, 17, 63):
-        solo = simulate_once(p2_pair, sym02_p2, episode_rng(3, i))
-        ep = eps[i]
-        assert (solo.h, solo.tau1, solo.tau2, solo.message, solo.decision,
-                solo.cost) == (ep.h, ep.tau1, ep.tau2, ep.message, ep.decision,
-                               ep.cost)
+        _, head = estimate_cost(p2_pair, sym02_p2, i + 1, 3)
+        assert _columns(head)[i] == _columns(eps)[i]
 
 
 def test_different_seeds_differ(sym02_p2, p2_pair):
@@ -79,10 +80,10 @@ def test_episode_costs_match_components(sym02_p1):
     sol = decseq.solve_p1(sym02_p1)
     prob = sym02_p1
     _, eps = estimate_cost((sol.o1, sol.o2), prob, 500, 5)
-    for ep in eps[:100]:
-        rebuilt = (prob.costs.c1 * ep.tau1 + prob.costs.c2 * ep.tau2
-                   + prob.costs.loss[ep.decision][ep.h])
-        assert rebuilt == pytest.approx(ep.cost, abs=1e-12)
+    for h, tau1, tau2, _, decision, cost in _columns(eps)[:100]:
+        rebuilt = (prob.costs.c1 * tau1 + prob.costs.c2 * tau2
+                   + prob.costs.loss[decision][h])
+        assert rebuilt == pytest.approx(cost, abs=1e-12)
 
 
 def test_estimate_rejects_empty_run(sym02_p2, p2_pair):
@@ -102,7 +103,7 @@ def test_estimate_accepts_numpy_integers(sym02_p2, p2_pair):
     got, eps = estimate_cost(p2_pair, sym02_p2, np.int64(10), np.uint64(2 ** 64 - 1))
     want, ref = estimate_cost(p2_pair, sym02_p2, 10, 2 ** 64 - 1)
     assert (got.seed, got.mean_cost) == (want.seed, want.mean_cost)
-    assert list(eps) == list(ref)
+    assert _columns(eps) == _columns(ref)
 
 
 def test_exact_cost_rejects_leaking_path_mass(sym02_p2, p2_pair):
@@ -337,10 +338,7 @@ def test_lockstep_sampler_matches_scalar_reference(case):
             assert eps is None
             return
     assert eps is not None
-    got = list(zip(eps.h, eps.tau1, eps.tau2, eps.message, eps.decision, eps.cost))
-    assert got == want
-    assert [(e.h, e.tau1, e.tau2, e.message, e.decision, e.cost)
-            for e in eps] == want
+    assert _columns(eps) == want
 
 
 @pytest.mark.parametrize("variant", ["P1", "P2"])
