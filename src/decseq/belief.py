@@ -5,13 +5,15 @@ that every program uses but the designer's observer-2 steps, and
 ``outcomes`` its one numpy twin, behind the receiver's knot backup, the
 grid value iteration and ``push_rows``; ``push_atom`` is the one push of an
 atom through an observation step, behind ``push_atoms``; the designer's
-children push and merge numpy rows through their array twins
-(``push_rows``, ``merge_rows``).  With finite observation alphabets the belief of each
+children push and merge numpy rows through their array twins (``push_rows``,
+``merge_rows``).  With finite observation alphabets the belief of each
 observer lives on a finite, enumerable set of atoms at every time;
 everything downstream (threshold search, exact policy evaluation,
 brute-force checks) runs on those atoms.  A belief law is a list of
 (belief, w0, w1) triples, w_h being the atom's mass under H = h, sorted by
-belief with beliefs closer than MERGE_TOL merged (``merge_atoms``).
+belief with beliefs closer than MERGE_TOL merged (``merge_atoms``).  The
+one merge loop (``merge_linked``) also reports the atom each entry joins,
+so a program reads a pushed belief's value there (``push_linked``).
 """
 
 from __future__ import annotations
@@ -54,14 +56,18 @@ def start_atom(prior):
 
 
 def merge_atoms(entries):
-    """Sort (belief, w0, w1) triples and merge beliefs closer than MERGE_TOL.
+    """Sort (belief, w0, w1) triples and merge beliefs closer than MERGE_TOL
+    into their mass-weighted mean, which keeps exact duplicates exact."""
+    return merge_linked(entries)[0]
 
-    The merged belief is the mass-weighted mean of the group, which keeps
-    exact duplicates exact.
-    """
-    entries = sorted(entries)
+
+def merge_linked(entries):
+    """``merge_atoms``, and where[i]: the index of the merged atom that
+    entries[i] joins."""
     out = []
-    for b, u0, u1 in entries:
+    where = [0] * len(entries)
+    for i in sorted(range(len(entries)), key=entries.__getitem__):
+        b, u0, u1 = entries[i]
         if out and b - out[-1][0] <= MERGE_TOL:
             pb, p0, p1 = out[-1]
             tot_old = p0 + p1
@@ -71,7 +77,8 @@ def merge_atoms(entries):
             out[-1] = (b, p0 + u0, p1 + u1)
         else:
             out.append((b, u0, u1))
-    return out
+        where[i] = len(out) - 1
+    return out, where
 
 
 # a raw row whose belief1 exceeds its sort predecessor's by more than
@@ -125,17 +132,18 @@ def merged_support(beliefs):
 
 def push_atom(belief, w0, w1, channel_rows):
     """One atom of belief ``belief`` and per-hypothesis masses (w0, w1)
-    pushed through a channel row pair: (posterior, row0[y], row1[y]) for
-    each symbol y the atom can see, w0 * row0[y] or w1 * row1[y] nonzero."""
+    pushed through a channel row pair: (probability, posterior, row0[y],
+    row1[y]) for each symbol y the atom can see, w0 * row0[y] or
+    w1 * row1[y] nonzero."""
     out = []
     for y, (r0, r1) in enumerate(zip(*channel_rows)):
         if w0 * r0 == 0.0 and w1 * r1 == 0.0:
             continue
-        _, post = bayes(belief, r0, r1)
+        p, post = bayes(belief, r0, r1)
         if post is None:
             raise ImpossibleUpdateError(
                 f"observation {y} has zero probability at belief {belief}")
-        out.append((post, r0, r1))
+        out.append((p, post, r0, r1))
     return out
 
 
@@ -169,8 +177,19 @@ def push_error(b, bad):
 def push_atoms(entries, channel_rows):
     """One observation step on (belief, w0, w1) triples: push each through
     a channel row pair (push_atom), then merge them (merge_atoms)."""
-    return merge_atoms([(post, u0 * r0, u1 * r1) for b, u0, u1 in entries
-                        for post, r0, r1 in push_atom(b, u0, u1, channel_rows)])
+    return push_linked(entries, channel_rows)[0]
+
+
+def push_linked(entries, channel_rows):
+    """``push_atoms``, and links[a]: (probability, index of the merged atom
+    it joins) for each push of entries[a], by symbol, from the one merge
+    (``merge_linked``)."""
+    pushes = [push_atom(b, u0, u1, channel_rows) for b, u0, u1 in entries]
+    merged, where = merge_linked([(post, u0 * r0, u1 * r1)
+                                  for (_, u0, u1), out in zip(entries, pushes)
+                                  for _, post, r0, r1 in out])
+    joins = iter(where)
+    return merged, [[(p, next(joins)) for p, *_ in out] for out in pushes]
 
 
 def reachable_beliefs(prior, channel, horizon):

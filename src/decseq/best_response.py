@@ -6,12 +6,15 @@ depend on observer 1's belief, so every send branch is affine in that
 belief and the blank branch adds (in the interleaved variant) an affine
 per-stage charge for the receiver's concurrent sampling.  Backward
 induction over observer 1's reachable belief atoms is therefore exact; each
-stage's action comes from ``policies.sender_choice``.
+posterior's value is read at the atom its push merged into
+(``belief.push_linked``), and each stage's action comes from
+``policies.sender_choice``.
 
 Observer 2's best response against a fixed sender policy: condition on the
 message history.  While messages are blank (interleaved variant) the
-modelled belief lives on finitely many atoms per stage and the decision is
-a stop-or-sample dynamic program whose continuation runs over the sender's
+modelled belief lives on finitely many atoms per stage, which one forward
+walk builds with each outcome's atom index, and the decision is a
+stop-or-sample dynamic program whose continuation runs over the sender's
 message likelihoods; after the final message it is the plain stopping
 problem.  Also exact; both phases label their atoms with
 ``wald.stop_or_sample``, and every Bayes step is ``belief.bayes``.
@@ -24,18 +27,17 @@ map.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .belief import bayes, merged_support, reachable_beliefs, receiver_atoms
-from .errors import CapacityError, CertificationError, ProblemSpecError
+from .belief import bayes, merge_linked, push_linked, receiver_atoms, start_atom
+from .errors import CapacityError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
                        boundary_stage, extract_thresholds, send_law, sender_choice)
 from .simulate import check_receiver, check_sender, exact_cost, forward_pass
-from .wald import solve_wald_finite, stop_or_sample, thresholds_from_labels, wald_cost
+from .wald import solve_wald_finite, stop_or_sample, thresholds_from_labels
 
 # the most sender symbol slots (T1 stage rules of M symbols each) that one
 # PBPO run may build
@@ -43,7 +45,7 @@ PBPO_SLOT_CAP = 500_000
 
 __all__ = [
     "evaluate_o2_policy", "o1_best_response", "o2_best_response",
-    "pbpo_iteration", "extract_thresholds", "ValueTable",
+    "pbpo_iteration", "ValueTable",
     "BestResponseResult", "PBPOResult", "immediate_sender_policy",
 ]
 
@@ -87,20 +89,6 @@ class PBPOResult:
     trace: list
     rounds: int
     converged: bool
-
-
-def _lookup(atoms, values, belief):
-    """Value at a belief that must be within 1e-9 of one of the atoms."""
-    i = bisect_left(atoms, belief)
-    best = None
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(atoms):
-            d = abs(atoms[j] - belief)
-            if best is None or d < best[0]:
-                best = (d, j)
-    if best is None or best[0] > 1e-9:
-        raise CertificationError(f"belief {belief} not among expected atoms")
-    return values[best[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +136,30 @@ def o1_best_response(o2, problem):
     m = problem.n_messages
 
     # affine send branches: affines[t][z] = (value under H=0, under H=1)
-    affines = []
-    for t in range(1, problem.t1 + 1):
-        affines.append([evaluate_o2_policy(o2, (BLANK,) * (t - 1), z, problem)
-                        for z in range(m)])
+    affines = [[evaluate_o2_policy(o2, (BLANK,) * (t - 1), z, problem) for z in range(m)]
+               for t in range(1, problem.t1 + 1)]
     if problem.variant == "P2":
         # the receiver's per-stage charges while messages stay blank
         concurrent = _scripted_charges(o2, problem, problem.t1, 0)[1:problem.t1]
     else:
         concurrent = [(0.0, 0.0)] * (problem.t1 - 1)
 
-    levels = reachable_beliefs(problem.prior, problem.channel1, problem.t1)
-    tables = []
-    next_atoms = None
-    next_values = None
-    stages = []
-    terminal = None
+    # levels[t]: the sender's atoms after t observations; links[t][a]: the
+    # pushes of levels[t - 1][a] into levels[t]
+    levels, links = [[start_atom(problem.prior)]], [None]
+    for t in range(1, problem.t1 + 1):
+        level, link = push_linked(levels[-1], problem.channel1.row_pair(t))
+        levels.append(level)
+        links.append(link)
+    tables, rules = [], []
 
-    def wait(t, b):
-        # c1 for the next observation, the receiver's concurrent charge,
-        # then the optimal value at the posterior
+    def wait(t, a, b):
+        # c1 for the next observation, the receiver's concurrent charge, then
+        # the optimal value at each posterior's atom in level t + 1's tables[0]
         g0, g1 = concurrent[t - 1]
         cont = costs.c1 + b * g0 + (1.0 - b) * g1
-        for f0, f1 in zip(*problem.channel1.row_pair(t + 1)):
-            p, post = bayes(b, f0, f1)
-            if post is not None:
-                cont += p * _lookup(next_atoms, next_values, post)
+        for p, j in links[t + 1][a]:
+            cont += p * tables[0].values[j]
         return cont
 
     for t in range(problem.t1, 0, -1):
@@ -181,21 +167,16 @@ def o1_best_response(o2, problem):
         branches = {("send", z): tuple(b * a0 + (1.0 - b) * a1 for b in atoms)
                     for z, (a0, a1) in enumerate(affines[t - 1])}
         if t < problem.t1:
-            branches["blank"] = tuple(wait(t, b) for b in atoms)
+            branches["blank"] = tuple(wait(t, a, b) for a, b in enumerate(atoms))
         labels, values = sender_choice([branches[("send", z)] for z in range(m)],
                                        branches.get("blank"))
-        rule = extract_thresholds(list(zip(atoms, labels)), m,
-                                  terminal=(t == problem.t1))
-        if t == problem.t1:
-            terminal = rule
-        else:
-            stages.insert(0, rule)
+        rules.insert(0, extract_thresholds(list(zip(atoms, labels)), m,
+                                           terminal=(t == problem.t1)))
         tables.insert(0, ValueTable(kind=("sender", t), atoms=tuple(atoms),
                                     values=tuple(values), branches=branches,
                                     labels=tuple(labels)))
-        next_atoms, next_values = atoms, values
 
-    o1 = O1Policy(stages=tuple(stages), terminal=terminal, n_messages=m)
+    o1 = O1Policy(stages=tuple(rules[:-1]), terminal=rules[-1], n_messages=m)
     total = costs.c1
     for (_, w0, w1), value in zip(levels[1], tables[0].values):
         total += (problem.prior * w0 + (1.0 - problem.prior) * w1) * value
@@ -260,12 +241,10 @@ def _o2_response(o1, problem, wald):
     else:
         # interleaved variant: the blank-phase program, each message priced
         # by the stopping table
-        blank_atoms = _blank_atoms(model, problem)
-        seeds = [(t, nb) for t in range(1, problem.t1 + 1) for b in blank_atoms[t - 1]
-                 for z, _, nb in _receiver_step(b, model[t - 1], problem.channel2.row_pair(t))
-                 if z != BLANK]
-        tables, rules, inner = _blank_phase(
-            model, problem, blank_atoms, lambda t, b: wald_cost(wald, b, problem.t2 - t))
+        walk = _blank_walk(model, problem)
+        seeds = [(s + 1, b) for s, sent in enumerate(walk[2]) for b in sent]
+        tables, rules, inner = _blank_phase(problem, walk,
+                                            lambda t, b: wald.reader(problem.t2 - t)(b))
         blank_tables, first_used = list(tables.values()), 1
     # thresholds between every belief the receiver can hold after a message
     atoms = tuple(receiver_atoms(problem.channel2, problem.t2, seeds)) or (float(problem.prior),)
@@ -293,50 +272,57 @@ def _receiver_step(b, factors, rows):
                 yield z, p, post
 
 
-def _blank_atoms(model, problem):
-    """atoms[s]: the receiver's modelled beliefs after s all-blank stages,
-    s = 0..T1-1 (atoms[0] is the prior)."""
-    atoms = [[float(problem.prior)]]
-    for s in range(1, problem.t1):
-        rows = problem.channel2.row_pair(s)
-        atoms.append(merged_support(nb for b in atoms[-1]
-                                    for z, _, nb in _receiver_step(b, model[s - 1], rows)
-                                    if z == BLANK))
-    return atoms
+def _blank_walk(model, problem):
+    """One forward walk over the receiver's stages while messages are blank:
+    (atoms, links, sent), atoms[s] the modelled beliefs after s blank stages
+    (atoms[0] is the prior), sent[s] the beliefs a message arriving at stage
+    s+1 leaves, and links[s][a] the (probability, index) of each outcome of
+    stage s+1 from atoms[s][a], indexing atoms[s+1], then sent[s].  The
+    sender speaks by T1, so stage T1 has no blank outcome."""
+    atoms, links, sent = [[float(problem.prior)]], [], []
+    for s in range(problem.t1):
+        rows = problem.channel2.row_pair(s + 1)
+        steps = [list(_receiver_step(b, model[s], rows)) for b in atoms[s]]
+        merged, where = merge_linked([(nb, 1.0, 0.0) for step in steps
+                                      for z, _, nb in step if z == BLANK])
+        atoms.append([b for b, _, _ in merged])
+        sent.append([nb for step in steps for z, _, nb in step if z != BLANK])
+        blank, message = iter(where), iter(range(len(merged), len(merged) + len(sent[s])))
+        links.append([[(p, next(blank if z == BLANK else message)) for z, p, _ in step]
+                      for step in steps])
+    return atoms, links, sent
 
 
-def _blank_phase(model, problem, atoms, after):
-    """Stop-or-sample program over the blank stages s = 1..T1-1.
+def _blank_phase(problem, walk, after):
+    """Stop-or-sample program over the blank stages s = 1..T1-1 of the
+    ``_blank_walk`` ``walk``.
 
     At stage s and belief b the receiver declares, or pays c2 and draws
-    stage s+1's message and observation; a message arriving at stage t
-    leaving belief b is worth ``after(t, b)``.  Returns the ("blank", s)
-    ValueTables and threshold rules by stage, and the value before the
-    first observation.
+    stage s+1's message and observation; the beliefs a message arriving at
+    stage t leaves are worth ``after(t, beliefs)``, read once per stage on
+    an array.  Returns the ("blank", s) ValueTables and threshold rules by
+    stage, and the value before the first observation.
     """
+    atoms, links, sent = walk
     costs = problem.costs
-    tables = {}
-
-    def sample(s, b):
-        c = costs.c2
-        for z, p, nb in _receiver_step(b, model[s], problem.channel2.row_pair(s + 1)):
-            if z == BLANK:
-                c += p * _lookup(tables[s + 1].atoms, tables[s + 1].values, nb)
-            else:
-                c += p * after(s + 1, nb)
-        return c
-
-    rules = {}
-    for s in range(problem.t1 - 1, 0, -1):
-        pts = atoms[s]
-        labels, values, branches = stop_or_sample(pts, [sample(s, b) for b in pts], costs)
-        rules[s] = thresholds_from_labels(pts, labels, costs.declare_boundary)
-        tables[s] = ValueTable(kind=("blank", s), atoms=tuple(pts),
+    tables, rules, values = {}, {}, []
+    for s in range(problem.t1 - 1, -1, -1):
+        # stage s+1's values: its blank atoms', then its message beliefs'
+        reads = values + after(s + 1, np.array(sent[s])).tolist()
+        cont = []
+        for link in links[s]:
+            c = costs.c2
+            for p, j in link:
+                c += p * reads[j]
+            cont.append(c)
+        if s == 0:
+            break
+        labels, values, branches = stop_or_sample(atoms[s], cont, costs)
+        rules[s] = thresholds_from_labels(atoms[s], labels, costs.declare_boundary)
+        tables[s] = ValueTable(kind=("blank", s), atoms=tuple(atoms[s]),
                                values=tuple(values), branches=branches,
                                labels=tuple(labels))
-    stages = range(1, problem.t1)
-    return ({s: tables[s] for s in stages}, {s: rules[s] for s in stages},
-            sample(0, float(problem.prior)))
+    return dict(sorted(tables.items())), dict(sorted(rules.items())), cont[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import _blank_atoms, _blank_phase, evaluate_o2_policy
+from .best_response import _blank_phase, _blank_walk, evaluate_o2_policy
 from .errors import CapacityError, CertificationError, ProblemSpecError
 from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_choice
 from .seq_decomp import solve_p1, solve_p2
@@ -117,8 +117,8 @@ def value_iterate_o2(o1, problem, grid_size=GRID_SIZE_DEFAULT):
     wald = solve_wald_infinite(problem.channel2, problem.costs, grid_size=grid_size)
     tables, rules = {}, {}
     if problem.variant == "P2":
-        tables, rules, _ = _blank_phase(model, problem, _blank_atoms(model, problem),
-                                        lambda t, b: wald.value(b))
+        tables, rules, _ = _blank_phase(problem, _blank_walk(model, problem),
+                                        lambda t, b: np.interp(b, wald.grid, wald.values))
     return O2InfiniteSolution(wald=wald, blank_tables=tables, blank_thresholds=rules,
                               message_model=model)
 

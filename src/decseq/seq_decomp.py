@@ -272,7 +272,6 @@ class DesignerSolution:
     the new nodes' atoms).
     """
 
-    problem: object
     total: float
     o1: O1Policy
     o2: O2Policy
@@ -530,7 +529,7 @@ class _Designer:
         stage_stats = self._stage_stats()
         build_s = searched - start - self.value_s - self.key_s
         enumerate_s = build_s + self.key_s
-        return DesignerSolution(problem=pb, total=total, o1=o1, o2=o2,
+        return DesignerSolution(total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
                                 stage_stats=stage_stats, search_s=enumerate_s + self.value_s,

@@ -29,6 +29,7 @@ between.  Remember beliefs are P(H=0 | info), so low belief means H=1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,28 @@ from .model import Channel, terminal_cost
 
 GRID_SIZE_DEFAULT = 1001
 # belief_grid refuses finer grids: at 10**6 points solve-infinite peaks at
-# about 300 MB (sym02, Python 3.11, numpy 2.4), some 250 bytes per point
+# about 290 MB on sym02_p1 and 120 MB on sym02_p2 (Python 3.11, numpy 2.4)
 GRID_CAP = 1_000_000
 # solve_wald_finite refuses longer horizons: a step holds 276 knots (4.4 KB)
 # on sym02's channel and 1,444 (23 KB) on mary3's, so at most about 2.3 GB
 WALD_HORIZON_CAP = 100_000
 VI_TOL_DEFAULT = 1e-9
 VI_MAX_ITER_DEFAULT = 10000
+
+
+def _choose(b, cont, costs):
+    """``stop_or_sample``'s rule on an array of beliefs b and continuation
+    costs ``cont`` (or None): labels 0.0, 1.0 or NaN (keep sampling), the
+    cost of each choice, and the two declaration costs, all arrays."""
+    tc0, tc1 = (terminal_cost(u, b, costs) for u in (0, 1))
+    one = ~(tc0 <= tc1)
+    values = np.where(one, tc1, tc0)
+    labels = one.astype(float)
+    if cont is not None:
+        go = cont < values
+        values = np.where(go, cont, values)
+        labels[go] = np.nan
+    return labels, values, tc0, tc1
 
 
 def stop_or_sample(points, cont, costs):
@@ -59,48 +75,35 @@ def stop_or_sample(points, cont, costs):
     "declare0", "declare1" and, given ``cont``, "continue" to the
     per-point costs.
     """
-    b = np.asarray(points, dtype=float)
-    tc0, tc1 = (terminal_cost(u, b, costs) for u in (0, 1))
-    one = ~(tc0 <= tc1)
-    values = np.where(one, tc1, tc0)
+    labels, values, tc0, tc1 = _choose(np.asarray(points, dtype=float), cont, costs)
     branches = {"declare0": tuple(tc0.tolist()), "declare1": tuple(tc1.tolist())}
-    labels = one.astype(int).tolist()
     if cont is not None:
         branches["continue"] = tuple(cont)
-        sample = np.asarray(cont, dtype=float)
-        go = sample < values
-        values = np.where(go, sample, values)
-        for i in np.flatnonzero(go).tolist():
-            labels[i] = None
-    return labels, values.tolist(), branches
+    return ([None if math.isnan(x) else int(x) for x in labels.tolist()], values.tolist(),
+            branches)
 
 
 def thresholds_from_labels(points, labels, declare_boundary):
     """Threshold pair from per-point optimal actions.
 
-    labels[i] is 1 (declare 1), 0 (declare 0) or None (keep sampling) at
-    points[i], points ascending.  The only admissible pattern is a run of
-    1s, then Nones, then 0s, any run possibly empty.  Thresholds go at
-    midpoints between adjacent points with different labels; an empty
-    sampling run collapses both thresholds onto the declaration boundary.
+    labels[i] is 1 (declare 1), 0 (declare 0) or None or NaN (keep
+    sampling) at points[i], points ascending.  The only admissible pattern
+    is a run of 1s, then samples, then 0s, any run possibly empty.
+    Thresholds go at midpoints between adjacent points with different
+    labels; an empty sampling run collapses both thresholds onto the
+    declaration boundary.
     """
-    n = len(points)
-    i = 0
-    while i < n and labels[i] == 1:
-        i += 1
-    j = i
-    while j < n and labels[j] is None:
-        j += 1
-    k = j
-    while k < n and labels[k] == 0:
-        k += 1
-    if k != n:
+    lab = np.asarray(labels, dtype=float)
+    ones, go = lab == 1.0, np.isnan(lab)
+    i = int(ones.sum())
+    j = i + int(go.sum())
+    if not (ones[:i].all() and go[i:j].all() and (lab[j:] == 0.0).all()):
         raise StructureViolation(
             f"stopping actions are not threshold-shaped: labels {labels} at {points}")
     if i == j:
         return (declare_boundary, declare_boundary)
     w1 = 0.0 if i == 0 else 0.5 * (points[i - 1] + points[i])
-    w2 = 1.0 if j == n else 0.5 * (points[j - 1] + points[j])
+    w2 = 1.0 if j == lab.size else 0.5 * (points[j - 1] + points[j])
     return (w1, w2)
 
 
@@ -171,7 +174,7 @@ class WaldSolution:
         boundary = self.costs.declare_boundary
         thresholds = []
         for r in range(self.horizon, 0, -1):
-            labels, _, _ = stop_or_sample(pts, self.continuation(pts, r).tolist(), self.costs)
+            labels = _choose(np.array(pts), self.continuation(pts, r), self.costs)[0]
             thresholds.append(thresholds_from_labels(pts, labels, boundary))
         thresholds.append((boundary, boundary))
         return tuple(thresholds)
@@ -305,8 +308,6 @@ def grid_value_iteration(cont, floor):
 class StationaryWald:
     """Converged stationary stopping solution on a grid."""
 
-    rows: tuple
-    costs: object
     grid: np.ndarray
     values: np.ndarray
     w1: float
@@ -315,9 +316,6 @@ class StationaryWald:
     deltas: list
     max_increase: float
     converged: bool
-
-    def value(self, belief):
-        return float(np.interp(belief, self.grid, self.values))
 
 
 def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT):
@@ -329,13 +327,11 @@ def solve_wald_infinite(channel, costs, grid_size=GRID_SIZE_DEFAULT):
     """
     if not channel.stationary:
         raise ProblemSpecError("channels", "stationary solve needs a stationary channel")
-    rows = channel.tables[0]
     grid = belief_grid(grid_size)
-    values, record = grid_value_iteration(grid_continuation(rows, costs.c2, grid),
+    values, record = grid_value_iteration(grid_continuation(channel.tables[0], costs.c2, grid),
                                           _stop_cost(grid, costs))
     # the last iterate is min(stop, continuation): it lies below the
     # stopping cost exactly where sampling was strictly cheaper
-    labels, _, _ = stop_or_sample(grid.tolist(), values, costs)
-    w1, w2 = thresholds_from_labels(tuple(grid), labels, costs.declare_boundary)
-    return StationaryWald(rows=rows, costs=costs, grid=grid, values=values,
-                          w1=w1, w2=w2, **record)
+    w1, w2 = thresholds_from_labels(grid, _choose(grid, values, costs)[0],
+                                    costs.declare_boundary)
+    return StationaryWald(grid=grid, values=values, w1=w1, w2=w2, **record)

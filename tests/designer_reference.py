@@ -94,7 +94,7 @@ def _p1_children(state, channel_rows):
             _, m0, m1 = state[i]
             u0 = m0 / mass
             u1 = m1 / mass
-            for post, r0, r1 in pushes[i]:
+            for _, post, r0, r1 in pushes[i]:
                 n0 = u0 * r0
                 n1 = u1 * r1
                 if n0 != 0.0 or n1 != 0.0:
@@ -166,12 +166,12 @@ def _p2_children(phi, active, channel_rows):
     atom declares.
     """
     declared = [(b, -1.0, m0 * r0, m1 * r1) for b1, b2, m0, m1 in phi if b2 < 0.0
-                for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
+                for _, b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
     stop = []
     cont = []
     at = [0]  # active[a]'s pushes are stop/cont[at[a]:at[a + 1]]
     for _, (b1, b2, m0, m1) in active:
-        pushed = [(b, m0 * r0, m1 * r1) for b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
+        pushed = [(b, m0 * r0, m1 * r1) for _, b, r0, r1 in push_atom(b1, m0, m1, channel_rows)]
         stop += [(b, -1.0, w0, w1) for b, w0, w1 in pushed]
         cont += [(b, b2, w0, w1) for b, w0, w1 in pushed]
         at.append(len(stop))

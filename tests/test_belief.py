@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decseq import ImpossibleUpdateError, merge_atoms, reachable_beliefs, update_observer1
-from decseq.belief import bayes, outcomes, push_atoms, push_rows, receiver_atoms
+from decseq.belief import (MERGE_TOL, bayes, outcomes, push_atom, push_atoms, push_linked,
+                           push_rows, receiver_atoms)
 
 
 def rows_from(eps):
@@ -53,6 +54,65 @@ def test_outcomes_is_bayes_on_arrays(beliefs, rows):
             assert float(post[i, y]).hex() == (0.0 if q is None else q).hex()
     ones = np.ones(len(beliefs))
     assert push_rows(b, ones, ones, rows)[0].tobytes() == post.tobytes()
+
+
+def tagged_merge(entries):
+    """merge_atoms' loop on (belief, w0, w1, tag) entries: the merged atoms
+    and, by tag, the index of the atom each entry joins."""
+    out, joins = [], {}
+    for b, u0, u1, tag in sorted(entries):
+        if out and b - out[-1][0] <= MERGE_TOL:
+            pb, p0, p1 = out[-1]
+            tot_old, tot_new = p0 + p1, u0 + u1
+            if tot_old + tot_new > 0.0:
+                b = (pb * tot_old + b * tot_new) / (tot_old + tot_new)
+            out[-1] = (b, p0 + u0, p1 + u1)
+        else:
+            out.append((b, u0, u1))
+        joins[tag] = len(out) - 1
+    return out, joins
+
+
+@st.composite
+def _atoms(draw):
+    """(belief, w0, w1) triples, beliefs 0.0 and 1.0 among them (with no
+    mass on the hypothesis they rule out) and some within 2 MERGE_TOL of
+    another, so their posteriors land near each other too."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        if out and draw(st.booleans()):
+            b = min(1.0, out[-1][0] + draw(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0))) * MERGE_TOL)
+        else:
+            b = draw(st.one_of(_ENDS, st.floats(0.0, 1.0, allow_subnormal=False)))
+        mass = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+        out.append((b, 0.0 if b == 0.0 else draw(mass), 0.0 if b == 1.0 else draw(mass)))
+    return out
+
+
+@st.composite
+def _seen_rows(draw):
+    """Row pairs with zero entries, the others at least 0.01: a push an
+    atom can see has a probability that does not underflow to 0."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    return tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+
+
+@given(_atoms(), _seen_rows())
+@settings(max_examples=300, deadline=None)
+def test_push_links_point_to_the_atoms_pushes_merge_into(entries, rows):
+    merged, links = push_linked(entries, rows)
+    pushes = [(a, k, p, post, u0 * r0, u1 * r1) for a, (b, u0, u1) in enumerate(entries)
+              for k, (p, post, r0, r1) in enumerate(push_atom(b, u0, u1, rows))]
+    want, joins = tagged_merge([(post, m0, m1, (a, k)) for a, k, _, post, m0, m1 in pushes])
+
+    def hexed(atoms):
+        return [tuple(x.hex() for x in atom) for atom in atoms]
+    assert hexed(merged) == hexed(want) == hexed(merge_atoms([e[3:] for e in pushes]))
+    assert links == [[(p, joins[(a, k)]) for a2, k, p, *_ in pushes if a2 == a]
+                     for a in range(len(entries))]
+    for (b, _, _), link, out in zip(entries, links, (push_atom(*e, rows) for e in entries)):
+        assert [p.hex() for p, _ in link] == [bayes(b, r0, r1)[0].hex() for *_, r0, r1 in out]
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.05, 0.45))

@@ -125,19 +125,29 @@ def test_pbpo_monotone_and_reaches_designer(sym02_p1, sym02_p2, asym_p2):
         assert res.trace[-1] >= opt - 1e-9
 
 
-def test_lookup_off_the_atoms_is_a_certification_error():
-    from decseq.best_response import _lookup
-    assert _lookup((0.1, 0.5), (1.0, 2.0), 0.5 + 1e-12) == 2.0
-    with pytest.raises(decseq.CertificationError):
-        _lookup((0.1, 0.5), (1.0, 2.0), 0.3)
-
-
 def test_pbpo_from_custom_start(asym_p1):
     # PBPO has one start, the response to the immediate sender
     res = pbpo_iteration(asym_p1)
     assert res.converged
     assert exact_cost((res.o1, res.o2), asym_p1).total == pytest.approx(
         res.trace[-1], abs=1e-12)
+
+
+def test_p2_receiver_steps_each_blank_atom_once(monkeypatch):
+    # a sender that waits leaves the receiver blank atoms past stage 1; one
+    # forward walk works out each (stage, atom)'s outcomes once
+    from conftest import make_spec
+    from decseq import best_response
+    problem = decseq.load_problem_spec(make_spec(variant="P2", t1=3, t2=3, c1=0.01, c2=0.02))
+    o1 = decseq.solve_p2(problem).o1
+    steps = []
+    real = best_response._receiver_step
+    monkeypatch.setattr(best_response, "_receiver_step",
+                        lambda b, *args: steps.append(b) or real(b, *args))
+    res = o2_best_response(o1, problem)
+    atoms = [1] + [len(t.atoms) for t in res.tables if t.kind[0] == "blank"]
+    assert atoms == [1, 2, 3]
+    assert len(steps) == sum(atoms)
 
 
 def test_one_knot_table_per_designer_solve_and_pbpo_run(monkeypatch, sym02_p1, sym02_p2):
