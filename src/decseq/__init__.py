@@ -1,7 +1,7 @@
 """Exact solvers, simulators, and brute-force oracles for two-observer
 decentralized sequential detection with a one-shot message channel."""
 
-from .belief import merge_atoms, reachable_beliefs, update_observer1
+from .belief import merge_atoms, update_observer1
 from .best_response import (BestResponseResult, PBPOResult, ValueTable,
                             evaluate_o2_policy, immediate_sender_policy,
                             o1_best_response, o2_best_response, pbpo_iteration)
@@ -28,7 +28,7 @@ from .wald import (StationaryWald, WaldSolution, solve_wald_finite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "merge_atoms", "reachable_beliefs", "update_observer1",
+    "merge_atoms", "update_observer1",
     "BestResponseResult", "PBPOResult", "ValueTable", "evaluate_o2_policy",
     "extract_thresholds", "immediate_sender_policy", "o1_best_response",
     "o2_best_response", "pbpo_iteration",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImpossibleUpdateError, ProblemSpecError
+from .errors import ImpossibleUpdateError
 
 MERGE_TOL = 1e-12
 
@@ -57,7 +57,10 @@ def start_atom(prior):
 
 def merge_atoms(entries):
     """Sort (belief, w0, w1) triples and merge beliefs closer than MERGE_TOL
-    into their mass-weighted mean, which keeps exact duplicates exact."""
+    to the last merged atom: each joining entry moves that atom's belief to
+    the mass-weighted mean (b * old + b' * new) / (old + new) of the two
+    (their w0 + w1 totals), rounded at every step as this scalar loop
+    rounds, so even exact duplicates can merge to a belief an ulp away."""
     return merge_linked(entries)[0]
 
 
@@ -95,34 +98,50 @@ def merge_rows(rows, first, beliefs):
     as sorted() sorts tuples, first[i] flagging each law's first row.
 
     Only chains of rows that no sure split parts run the scalar arithmetic,
-    in lockstep, the longest chains first.  Returns the merged rows and the
-    raw row each begins at.
+    in lockstep, the longest chains first: step j takes row j of every chain
+    still running, all of them in a handful of whole-array operations, each
+    writing the merged atom a row leaves into that row's copy.  Returns the
+    merged rows and the raw row each begins at; ``rows`` is overwritten.
     """
     new = first.copy()
-    gap = np.diff(rows[:, :beliefs], axis=0)
-    new[1:] |= gap[:, 0] > MERGE_TOL + _SLACK
+    new[1:] |= rows[1:, 0] - rows[:-1, 0] > MERGE_TOL + _SLACK
     if beliefs == 2:
-        new[1:] |= np.abs(gap[:, 1]) > 2.0 * (MERGE_TOL + _SLACK)
-    out, heads = rows.copy(), np.flatnonzero(new)
-    size = np.diff(np.append(heads, len(rows)))
+        new[1:] |= np.abs(rows[1:, 1] - rows[:-1, 1]) > 2.0 * (MERGE_TOL + _SLACK)
+    heads = np.flatnonzero(new)
+    size = np.diff(heads, append=len(rows))
     chain = np.flatnonzero(size > 1)
     chain = chain[np.argsort(-size[chain], kind="stable")]
-    heads, size, run = heads[chain], size[chain], rows[heads[chain]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # chains[:n] are still running at their row j
-        for j, n in enumerate(np.searchsorted(-size, -np.arange(1, size.max(initial=1))), 1):
-            at, last, e = heads[:n] + j, run[:n], rows[heads[:n] + j]
-            near = e[:, :beliefs] - last[:, :beliefs]
-            join = ((np.abs(near) if beliefs == 2 else near) <= MERGE_TOL).all(axis=1)
-            old, add = last[:, -2] + last[:, -1], e[:, -2] + e[:, -1]
-            mean = (last[:, :beliefs] * old[:, None] + e[:, :beliefs] * add[:, None]) \
-                / (old + add)[:, None]
-            merged = np.concatenate((np.where((old + add > 0.0)[:, None], mean, e[:, :beliefs]),
-                                     last[:, beliefs:] + e[:, beliefs:]), axis=1)
-            run[:n] = out[at] = np.where(join[:, None], merged, e)
-            new[at] = ~join
+    heads, size = heads[chain], size[chain]
+    # step j's rows, heads[:n[j]] + j, are flat[o[j]:o[j + 1]]; run holds
+    # their copies (cols column by column), and tot their mass totals
+    n = np.searchsorted(-size, -np.arange(size.max(initial=1)))
+    o = np.concatenate(([0], np.cumsum(n)))
+    flat = heads[np.arange(o[-1]) - np.repeat(o[:-1], n)] + np.repeat(np.arange(len(n)), n)
+    run = rows.take(flat, axis=0)
+    cols = run.T
+    tot = cols[-2] + cols[-1]
+    join = np.zeros(len(flat), dtype=bool)
+    o = o.tolist()
+    for j in range(1, len(n)):
+        # the merged atoms the chains' rows j - 1 left, and their rows j
+        last, e = cols[:, o[j - 1]:o[j - 1] + o[j + 1] - o[j]], cols[:, o[j]:o[j + 1]]
+        ok = join[o[j]:o[j + 1]]
+        np.less_equal(e[0] - last[0], MERGE_TOL, out=ok)
+        if beliefs == 2:
+            ok &= np.abs(e[1] - last[1]) <= MERGE_TOL
+        old, add = last[-2] + last[-1], tot[o[j]:o[j + 1]]
+        both = old + add
+        mean = ok & (both > 0.0)
+        for x, y in zip(last[:beliefs], e[:beliefs]):
+            np.divide(x * old + y * add, both, out=y, where=mean)
+        for x, y in zip(last[-2:], e[-2:]):
+            np.add(x, y, out=y, where=ok)
+    new[flat[o[1]:]] = ~join[o[1]:]
     starts = np.flatnonzero(new)
-    return out[np.append(starts[1:], len(rows))[:len(starts)] - 1], starts
+    # each merged atom is the copy its last raw row left
+    for c, x in enumerate(cols):
+        rows[:, c][flat] = x
+    return rows.take(np.append(starts[1:], len(rows))[:len(starts)] - 1, axis=0), starts
 
 
 def merged_support(beliefs):
@@ -190,22 +209,6 @@ def push_linked(entries, channel_rows):
                                   for _, post, r0, r1 in out])
     joins = iter(where)
     return merged, [[(p, next(joins)) for p, *_ in out] for out in pushes]
-
-
-def reachable_beliefs(prior, channel, horizon):
-    """All belief atoms observer ``channel.observer`` can reach by each time.
-
-    Returns a list whose entry t holds the (belief, w0, w1) triples of the
-    belief after t observations, w_h being P(belief = atom | H=h), before
-    any communication is taken into account; entry 0 is the prior.  A
-    hypothesis with no prior mass gets weight 0 throughout.
-    """
-    if not 0.0 <= prior <= 1.0:
-        raise ProblemSpecError("prior", f"belief {prior} outside [0, 1]")
-    levels = [[start_atom(prior)]]
-    for t in range(1, horizon + 1):
-        levels.append(push_atoms(levels[-1], channel.row_pair(t)))
-    return levels
 
 
 def receiver_atoms(channel, horizon, seeds):

@@ -14,7 +14,9 @@ variants share one sequential decomposition (``_Designer``):
   groups (the optimal policies are interval-shaped in the beliefs, so this
   is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
-  most nodes, is valued batch by batch, the earlier stages backward.  The
+  most nodes, is valued batch by batch, the earlier stages backward; a
+  valuation prices the nodes of one group count in batches sized by the
+  entries their arrays hold (``_PRICED``).  The
   table of partitions of n groups, a pure function of n, M and whether the
   stage is the last, is built once per process (``_partition_table``);
 * **children** -- built a stage at a time, a chunk of nodes at a time, in
@@ -22,11 +24,16 @@ variants share one sequential decomposition (``_Designer``):
   observation once (``belief.push_rows``), and each blank set's child (in
   variant P2, after observer 2's step, each continue interval's) is a
   subset of those pushes, sorted once before the subsets are taken, as
-  sorted() sorts tuples, and merged as ``belief.merge_atoms`` merges
-  (``belief.merge_rows``), with no Python object per child;
+  sorted() sorts tuples (``_sort_order``: one stable argsort of each row's
+  order-preserving byte key), and merged as ``belief.merge_atoms`` merges
+  (``belief.merge_rows``), with no Python object per child; rows are
+  gathered with ``ndarray.take``, which copies rows far faster than fancy
+  indexing does;
 * **keys** -- each coordinate x of a state's atoms becomes the k with
   round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a
-  state's key is its atoms' integers, sorted atom by atom, as int64 bytes;
+  state's key is its atoms' integers, sorted atom by atom (``_sort_order``,
+  skipped when they come in order), as int64 bytes, looked up in the memo
+  a batch at a time;
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
   every sum added left to right: prefix sums by ``np.cumsum``, and the sums
   over runs and their terms by ``np.bincount``, one C pass that adds each
@@ -81,12 +88,13 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# batch size: the last stage's new nodes are valued once the lookups since
-# hold this many atoms, and a valuation prices about this many partition
-# costs at a time
+# the last stage's new nodes are valued once the lookups since hold this
+# many atoms
 _BATCH = 1 << 12
 # P2: about this many candidate atoms per chunk of children
-_CHILDREN = 1 << 13
+_CHILDREN = 1 << 14
+# a valuation batch's arrays hold about this many entries
+_PRICED = 1 << 14
 
 _SCALE = 10 ** ROUND_DIGITS
 _FLOAT_SCALE = float(_SCALE)
@@ -95,6 +103,39 @@ _FLOAT_SCALE = float(_SCALE)
 # plus or minus 2**-19, each rounded by at most 2**-20, still bracket it
 _KEY_LIMIT = 1.7
 _BAND = 2.0 ** -19
+
+
+# ---------------------------------------------------------------------------
+# row order
+
+_SIGN = np.uint64(1 << 63)
+_ONES = np.uint64((1 << 64) - 1)
+
+
+def _sort_order(*keys):
+    """The stable order of rows by their columns, as sorted() sorts the row
+    tuples with their indices as the last key.  ``keys`` holds the columns
+    in turn, each a 1-d array or a 2-d block of them: float (no NaN, -0.0
+    ranking equal to 0.0), integer or bool.
+
+    Each column becomes order-preserving uint64 codes (a float's sign bit
+    set, or all its bits inverted where it is negative, after x + 0.0
+    turns -0.0 into 0.0; an integer's sign bit flipped), stored big-endian,
+    so each row reads as one byte string whose byte order is the row
+    order, and one stable argsort sorts those.
+    """
+    blocks = [k[:, None] if k.ndim == 1 else k for k in keys]
+    key = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=">u8")
+    at = 0
+    for b in blocks:
+        if b.dtype.kind == "f":
+            u = (b + 0.0).view(np.uint64)
+            code = u ^ np.where(u >= _SIGN, _ONES, _SIGN)
+        else:
+            code = b.astype(np.int64, copy=False).view(np.uint64) ^ _SIGN
+        key[:, at:at + b.shape[1]] = code
+        at += b.shape[1]
+    return np.argsort(key.view(f"V{8 * at}").ravel(), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +185,7 @@ def _state_keys(coords, counts):
     for c in range(width - 1, -1, -1):
         ordered = (ks[:-1, c] < ks[1:, c]) | ((ks[:-1, c] == ks[1:, c]) & ordered)
     if not (ordered | (owner[1:] != owner[:-1])).all():
-        ks = ks[np.lexsort([ks[:, c] for c in range(width - 1, -1, -1)] + [owner])]
+        ks = ks.take(_sort_order(owner, ks), axis=0)
     data = ks.tobytes()
     ends = (np.cumsum(counts) * (8 * width)).tolist()
     return [data[a:b] for a, b in zip([0] + ends, ends)]
@@ -160,6 +201,18 @@ def _blank_bits(n_groups, n_messages):
     False)`` as int64 bit masks (n_groups < 63: larger tables pass the cap)."""
     return np.array([sum(1 << g for g in b) for b in
                      _partition_table(n_groups, n_messages, False)[3]], dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_cover(n_groups, n_messages, terminal):
+    """Weights w such that, for a node's group bounds b (n_groups + 1
+    increasing positions) and any per-atom counts with prefix sums P,
+    P[b] @ w adds up each group's count once per run of
+    ``_partition_table(n_groups, n_messages, terminal)`` covering it."""
+    runs = _partition_table(n_groups, n_messages, terminal)[1]
+    # a run (lo, hi) adds P[b[hi]] - P[b[lo]]
+    return np.bincount(runs[:, 1], minlength=n_groups + 1) - \
+        np.bincount(runs[:, 0], minlength=n_groups + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,21 +356,25 @@ class _Level:
         for child i in turn."""
         s, memo = self.solver, self.solver.memo[self.t]
         start = time.perf_counter()
-        index, fresh = [], []
-        for i, key in enumerate(_state_keys(rows, counts)):
-            node = memo.get(key)
+        keys = _state_keys(rows, counts)
+        index = list(map(memo.get, keys))
+        fresh = []
+        # a miss may repeat an earlier miss of the same batch
+        for i in [i for i, node in enumerate(index) if node is None]:
+            node = memo.get(keys[i])
             if node is None:
                 s.nodes += 1
                 if s.nodes > DESIGNER_NODE_CAP:
                     raise CapacityError(s.nodes, DESIGNER_NODE_CAP, "designer search nodes")
-                node = memo[key] = len(memo)
+                node = memo[keys[i]] = len(memo)
                 fresh.append(i)
-            index.append(node)
+            index[i] = node
         s.lookups[self.t] += len(index)
         self.index.append(np.array(index, dtype=np.intp))
         new = np.zeros(len(counts), dtype=bool)
         new[fresh] = True
-        self.rows.append((*s._groups(rows[np.repeat(new, counts)], counts[new]), counts[new]))
+        self.rows.append((*s._groups(rows.compress(np.repeat(new, counts), axis=0), counts[new]),
+                          counts[new]))
         self.size += len(rows)
         s.key_s += time.perf_counter() - start
         if self.t == s.pb.t1 and self.size >= _BATCH:
@@ -326,8 +383,8 @@ class _Level:
     def _value(self):
         start = time.perf_counter()
         nodes = tuple(map(np.concatenate, zip(*self.rows)))
-        self.valued.append(self.solver._value_nodes(self.t, *nodes))
         self.rows, self.size = [], 0
+        self.valued.append(self.solver._value_nodes(self.t, *nodes))
         self.solver.value_s += time.perf_counter() - start
 
     def finish(self):
@@ -374,7 +431,7 @@ class _Designer:
             raise push_error(p, bad)
         rows = np.column_stack((post[0], *[np.repeat(p, len(r0))] * (self.width - 3),
                                 p * r0, (1.0 - p) * r1))[seen[0]]
-        rows = merge_rows(rows[np.lexsort(rows.T[::-1])], np.arange(len(rows)) == 0,
+        rows = merge_rows(rows.take(_sort_order(rows), axis=0), np.arange(len(rows)) == 0,
                           self.width - 2)[0]
         return rows, np.array([len(rows)])
 
@@ -403,8 +460,9 @@ class _Designer:
             at = np.where(live, off[ks, None] + width, 0)
             enode = np.repeat(np.arange(len(ks)), nb[ks])
             masks = np.concatenate([bits[n] for n in ns[ks].tolist()])
-            member = ((masks[:, None] >> np.where(live, group[at], 63)[enode]) & 1).astype(bool)
-            part, looks = self._children(t, rows[at], live, member, enode, add)
+            member = ((masks[:, None] >> np.where(live, group[at], 63).take(enode, axis=0)) & 1)
+            part, looks = self._children(t, rows.take(at, axis=0), live, member.astype(bool),
+                                         enode, add)
             # typed arrays grow in place: a stage's record is never copied whole
             for k, v in part.items():
                 rec.setdefault(k, array(v.dtype.char)).frombytes(v.tobytes())
@@ -448,17 +506,25 @@ class _Designer:
         gpos = np.flatnonzero(starts)
         first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
         price = self._pricer(t, rows, off)
+        entries = np.concatenate(([0], np.cumsum(self._run_entries(t, rows))))
         values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
+        m, terminal = self.pb.n_messages, blanks is None
         for n in sorted(set(ns.tolist())):
-            _, runs, slots, _, bidx = _partition_table(n, self.pb.n_messages, blanks is None)
+            _, runs, slots, _, bidx = _partition_table(n, m, terminal)
             nodes = np.flatnonzero(ns == n)
             self.partitions += len(slots) * len(nodes)
-            step = max(1, _BATCH // max(len(slots), len(runs) * (n + 1)))
-            for ks in np.split(nodes, range(step, len(nodes), step)):
-                # node k's group g spans atoms bounds[k, g]:bounds[k, g + 1]
-                bounds = np.concatenate((gpos[first[ks, None] + np.arange(n)],
-                                         off[ks + 1, None]), axis=1)
-                run_cost = np.concatenate((price(ks, bounds, runs), np.zeros((len(ks), 1))), 1)
+            # node k's group g spans atoms bounds[k, g]:bounds[k, g + 1]
+            bounds = np.concatenate((gpos[first[nodes, None] + np.arange(n)],
+                                     off[nodes + 1, None]), axis=1)
+            # a batch's largest array holds, per node, its partitions, its
+            # runs or its priced entries (each group's, once per run covering
+            # it), whichever are most: batches of the dearest node's share
+            priced = int((entries[bounds] @ _run_cover(n, m, terminal)).max())
+            step = max(1, _PRICED // max(len(slots), len(runs) + 1, priced))
+            for a in range(0, len(nodes), step):
+                ks = nodes[a:a + step]
+                run_cost = np.concatenate((price(ks, bounds[a:a + step], runs),
+                                           np.zeros((len(ks), 1))), 1)
                 # each partition's runs, then its blank branch, added in turn
                 cost = np.zeros((len(ks), len(slots)))
                 for slot in slots.T:
@@ -553,7 +619,7 @@ class _P1Solver(_Designer):
         pushes sorted by posterior) and merged.  Per blank set, its mass
         (0.0: no child) and its number of lookups."""
         b, m0, m1 = atoms.transpose(2, 0, 1)
-        mass = np.cumsum(np.where(member, (m0 + m1)[enode], 0.0), axis=1)[:, -1]
+        mass = np.cumsum(np.where(member, (m0 + m1).take(enode, axis=0), 0.0), axis=1)[:, -1]
         post, seen, bad, r0, r1 = push_rows(b.ravel(), m0.ravel(), m1.ravel(),
                                             self.pb.channel1.row_pair(t + 1))
         seen, bad = seen & live.reshape(-1, 1), bad & live.reshape(-1, 1)
@@ -563,18 +629,19 @@ class _P1Solver(_Designer):
         post, seen = (np.take_along_axis(x.reshape(len(b), -1), order, 1) for x in (post, seen))
         ent = np.flatnonzero(~(mass <= 0.0))
         k = enode[ent]
-        e, slot = np.nonzero(seen[k] & np.take_along_axis(member[ent], order[k] // len(r0), 1))
+        e, slot = np.nonzero(seen.take(k, axis=0) & np.take_along_axis(
+            member.take(ent, axis=0), order.take(k, axis=0) // len(r0), 1))
         node, (atom, y) = k[e], divmod(order[k[e], slot], len(r0))
         n0, n1 = m0[node, atom] / mass[ent][e] * r0[y], m1[node, atom] / mass[ent][e] * r1[y]
         keep = (n0 != 0.0) | (n1 != 0.0)
-        raw, e = np.column_stack((post[node, slot], n0, n1))[keep], e[keep]
+        raw, e = np.column_stack((post[node, slot], n0, n1)).compress(keep, axis=0), e[keep]
         first = np.diff(e, prepend=-1) != 0
         # pushes of one posterior within a child sort by their masses
         tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
         if tie.any():
             at = np.flatnonzero(np.append(tie, False) | np.append(False, tie))
             run = np.cumsum(np.append(True, ~tie))[at]
-            raw[at] = raw[at[np.lexsort((raw[at, 2], raw[at, 1], run))]]
+            raw[at] = raw[at[_sort_order(run, raw[at, 1:])]]
         merged, heads = merge_rows(raw, first, 1)
         add(merged, np.bincount(e[heads], minlength=len(ent)))
         looks = np.zeros(len(mass), dtype=np.intp)
@@ -592,13 +659,19 @@ class _P1Solver(_Designer):
         # every atom of a P1 state is a group of its own
         return rows, np.ones(len(rows), dtype=bool)
 
+    def _run_entries(self, t, rows):
+        # runs are priced from prefix sums over a node's groups: a run's
+        # arrays hold no entry per atom
+        return np.zeros(len(rows), dtype=np.intp)
+
     def _pricer(self, t, rows, off):
         read = self.wald.reader(self.pb.t2)
 
         def price(ks, bounds, runs):
             # each node's prefix sums of m0 and m1 over its atoms
             pre = np.zeros((2, len(ks), bounds.shape[1]))
-            pre[:, :, 1:] = np.cumsum(rows[bounds[:, :-1], 1:].transpose(2, 0, 1), axis=2)
+            pre[:, :, 1:] = np.cumsum(rows.take(bounds[:, :-1], axis=0)[..., 1:].transpose(2, 0, 1),
+                                      axis=2)
             rm0, rm1 = pre[:, :, runs[:, 1]] - pre[:, :, runs[:, 0]]
             mass = rm0 + rm1
             live = ~(mass <= 0.0)
@@ -635,13 +708,14 @@ class _P2Solver(_Designer):
         pb, loss = self.pb, self.pb.costs.loss
         b1, b2, m0, m1 = atoms.transpose(2, 0, 1)
         tot0, tot1 = (np.cumsum(np.where(live, x, 0.0), axis=1)[:, -1] for x in (m0, m1))
-        r0, r1 = (np.cumsum(np.where(member, x[enode], 0.0), axis=1)[:, -1] for x in (m0, m1))
+        r0, r1 = (np.cumsum(np.where(member, x.take(enode, axis=0), 0.0), axis=1)[:, -1]
+                  for x in (m0, m1))
         mass = r0 + r1
         ent = np.flatnonzero(~(mass <= 0.0))
         mz0, mz1 = _ratio(r0[ent], tot0[enode[ent]]), _ratio(r1[ent], tot1[enode[ent]])
         # observer 2's step: a declared atom passes as it is, a sampling one
         # absorbs the message and each observation y it can see
-        e, j = np.nonzero(member[ent])
+        e, j = np.nonzero(member.take(ent, axis=0))
         k = enode[ent][e]
         x1, x2, x0m, x1m = b1[k, j], b2[k, j, None], m0[k, j, None], m1[k, j, None]
         row0, row1 = (np.array(r, dtype=float) for r in pb.channel2.row_pair(t))
@@ -658,14 +732,14 @@ class _P2Solver(_Designer):
                 "state is inconsistent with its own message law")))
         obs = np.stack(np.broadcast_arrays(x1[:, None], np.where(dec, x2, _ratio(num, den)),
                                            np.where(dec, x0m, w0), np.where(dec, x1m, w1)), -1)
-        obs, oe = obs[keep], np.broadcast_to(e[:, None], keep.shape)[keep]
-        order = np.lexsort((*obs.T[::-1], oe))
-        phi, heads = merge_rows(obs[order], np.diff(oe[order], prepend=-1) != 0, 2)
+        obs, oe = obs.reshape(-1, 4).compress(keep.ravel(), axis=0), np.repeat(e, keep.sum(axis=1))
+        order = _sort_order(oe, obs)
+        phi, heads = merge_rows(obs.take(order, axis=0), np.diff(oe[order], prepend=-1) != 0, 2)
         pe = oe[order][heads]
         # push order: declared atoms, then sampling ones by belief2 (stable)
         act = phi[:, 1] >= 0.0
-        order = np.lexsort((np.where(act, phi[:, 1], 0.0), act, pe))
-        phi, pe, act = phi[order], pe[order], act[order]
+        order = _sort_order(pe, act, np.where(act, phi[:, 1], 0.0))
+        phi, pe, act = phi.take(order, axis=0), pe[order], act[order]
         nact = np.bincount(pe[act], minlength=len(ent))
         ai = np.cumsum(act) - 1 - (np.cumsum(nact) - nact)[pe]
         # receiver groups (belief2 clusters): group g of entry s spans the
@@ -706,12 +780,12 @@ class _P2Solver(_Designer):
         on = act[r]
         urows = np.column_stack((post[r, y], np.full(len(r), -1.0),
                                  phi[r, 2] * q0[y], phi[r, 3] * q1[y]))
-        urows = np.concatenate((urows, urows[on]))
+        urows = np.concatenate((urows, urows.compress(on, axis=0)))
         urows[len(r):, 1] = phi[r[on], 1]
         ukind = np.concatenate((on.astype(np.int8), np.full(int(on.sum()), 2, np.int8)))
         uact, ue = (np.concatenate((x[r], x[r][on])) for x in (ai, pe))
-        order = np.lexsort((*urows.T[::-1], ue))
-        urows, ukind, uact = urows[order], ukind[order], uact[order]
+        order = _sort_order(ue, urows)
+        urows, ukind, uact = urows.take(order, axis=0), ukind[order], uact[order]
         ulen = np.bincount(ue, minlength=len(ent))
         ustart, lens = np.cumsum(ulen) - ulen, ulen[ce]
         # free the step's arrays before the children are built and keyed
@@ -727,7 +801,7 @@ class _P2Solver(_Designer):
             inside = (uact[idx] >= alo[cs][cid]) & (uact[idx] < ahi[cs][cid])
             sel = (ukind[idx] == 0) | ((ukind[idx] == 2) == inside)
             idx, cid = idx[sel], cid[sel]
-            kids, heads = merge_rows(urows[idx], np.diff(cid, prepend=-1) != 0, 2)
+            kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
             counts = np.bincount(cid[heads], minlength=len(cs))
             kids[:, 2:] /= np.repeat(mass[ent][ce[cs]], counts)[:, None]
             add(kids, counts)
@@ -756,10 +830,22 @@ class _P2Solver(_Designer):
         on the first atom of each belief1 group (where belief1 rises by
         more than MERGE_TOL)."""
         owner = np.repeat(np.arange(len(counts)), counts)
-        rows = rows[np.lexsort((*rows.T[::-1], owner))]
+        rows = rows.take(_sort_order(owner, rows), axis=0)
         starts = np.ones(len(rows), dtype=bool)
         starts[1:] = (rows[1:, 0] - rows[:-1, 0] > MERGE_TOL) | (owner[1:] != owner[:-1])
         return rows, starts
+
+    def _terms(self, t, rows):
+        """Observer 2's channel rows at stage t, and each atom's fresh
+        observations y: their weights w[a, y] = m0 * row0[y] + m1 * row1[y]
+        and which of them a run prices (a sampling atom's, of weight w > 0)."""
+        row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
+        w = rows[:, 2, None] * row0 + rows[:, 3, None] * row1
+        return row0, row1, w, (rows[:, 1] >= 0.0)[:, None] & (w > 0.0)
+
+    def _run_entries(self, t, rows):
+        # a run's arrays hold an entry per atom and per priced term
+        return 1 + self._terms(t, rows)[3].sum(axis=1)
 
     def _pricer(self, t, rows, off):
         """Stopping-cost flows of message runs: a run's atoms send a message
@@ -767,13 +853,10 @@ class _P2Solver(_Designer):
         the still-sampling ones absorb it with one fresh observation, and
         the knot reader prices each posterior."""
         read = self.wald.reader(self.pb.t2 - t)
-        row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
+        row0, row1, w, live = self._terms(t, rows)
         _, b2, m0, m1 = rows.T
-        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
-        # one per fresh observation y of weight w > 0; atom a's are
-        # terms[at[a]:at[a + 1]]
-        w = m0[:, None] * row0 + m1[:, None] * row1
-        live = (b2 >= 0.0)[:, None] & (w > 0.0)
+        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]);
+        # atom a's are terms[at[a]:at[a + 1]]
         tw, tu0, tu1 = w[live], (b2[:, None] * row0)[live], ((1.0 - b2)[:, None] * row1)[live]
         at = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
         tot0, tot1 = (_seq_sums(m, off[:-1], np.diff(off)) for m in (m0, m1))

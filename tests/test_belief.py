@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decseq import ImpossibleUpdateError, merge_atoms, reachable_beliefs, update_observer1
+from decseq import ImpossibleUpdateError, merge_atoms, update_observer1
 from decseq.belief import (MERGE_TOL, bayes, outcomes, push_atom, push_atoms, push_linked,
-                           push_rows, receiver_atoms)
+                           push_rows, receiver_atoms, start_atom)
+
+
+def reachable_levels(prior, channel, horizon):
+    """The (belief, w0, w1) atoms after t = 0..horizon observations, each
+    level the last one pushed and merged (``push_atoms``)."""
+    levels = [[start_atom(prior)]]
+    for t in range(1, horizon + 1):
+        levels.append(push_atoms(levels[-1], channel.row_pair(t)))
+    return levels
 
 
 def rows_from(eps):
@@ -141,7 +150,7 @@ def test_merge_atoms_keeps_separated_atoms():
 
 
 def test_reachable_beliefs_structure(sym02_p1):
-    levels = reachable_beliefs(sym02_p1.prior, sym02_p1.channel1, 2)
+    levels = reachable_levels(sym02_p1.prior, sym02_p1.channel1, 2)
     atoms = [[b for b, _, _ in level] for level in levels]
     assert atoms[0] == [0.5]
     assert atoms[1] == [0.2, 0.8]
@@ -150,7 +159,7 @@ def test_reachable_beliefs_structure(sym02_p1):
 
 
 def test_level_masses_sum_to_one(asym_p1):
-    levels = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 3)
+    levels = reachable_levels(asym_p1.prior, asym_p1.channel1, 3)
     for level in levels:
         assert sum(w0 for _, w0, _ in level) == pytest.approx(1.0, abs=1e-10)
         assert sum(w1 for _, _, w1 in level) == pytest.approx(1.0, abs=1e-10)
@@ -158,7 +167,7 @@ def test_level_masses_sum_to_one(asym_p1):
 
 def test_push_level_conserves_mass(asym_p1):
     # one level pushed through the next observation keeps its mass
-    lv = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 1)[1]
+    lv = reachable_levels(asym_p1.prior, asym_p1.channel1, 1)[1]
     nxt = push_atoms(lv, asym_p1.channel1.row_pair(2))
     for h in (1, 2):
         assert sum(e[h] for e in nxt) == pytest.approx(sum(e[h] for e in lv), abs=1e-12)
@@ -167,7 +176,7 @@ def test_push_level_conserves_mass(asym_p1):
 def test_atoms_consistent_with_weights(asym_p1):
     # each atom value equals the belief implied by its own weight pair
     # once the prior odds are divided out
-    levels = reachable_beliefs(asym_p1.prior, asym_p1.channel1, 3)
+    levels = reachable_levels(asym_p1.prior, asym_p1.channel1, 3)
     p = asym_p1.prior
     for t in range(1, 4):
         for b, u0, u1 in levels[t]:
@@ -176,7 +185,7 @@ def test_atoms_consistent_with_weights(asym_p1):
 
 
 def test_receiver_atoms_matches_reachable_levels(asym_p1):
-    # a seed at count 0 reaches exactly the atoms of reachable_beliefs, one
+    # a seed at count 0 reaches exactly the atoms of the pushed levels, one
     # point per belief; a seed already at the horizon is kept but not pushed
     ch = asym_p1.channel2
 
@@ -185,11 +194,11 @@ def test_receiver_atoms_matches_reachable_levels(asym_p1):
         return len(got) == len(want) and \
             all(abs(g - w) <= 1e-12 for g, (w, _, _) in zip(got, want))
 
-    levels = reachable_beliefs(0.3, ch, 3)
+    levels = reachable_levels(0.3, ch, 3)
     want = [b for level in levels for b, _, _ in level]
     assert same_points(receiver_atoms(ch, 3, [(0, 0.3)]), want)
     assert same_points(receiver_atoms(ch, 3, [(0, 0.3), (3, 0.55)]), want + [0.55])
-    later = reachable_beliefs(0.55, ch, 1)
+    later = reachable_levels(0.55, ch, 1)
     assert same_points(receiver_atoms(ch, 3, [(2, 0.55)]),
                        [b for level in later for b, _, _ in level])
     assert receiver_atoms(ch, 3, []) == []

@@ -7,14 +7,16 @@ import pytest
 import decseq
 from decseq import (BLANK, O1Policy, O2Policy, StageRule, evaluate_o2_policy,
                     exact_cost, extract_thresholds, immediate_sender_policy,
-                    o1_best_response, o2_best_response, pbpo_iteration,
-                    reachable_beliefs)
+                    o1_best_response, o2_best_response, pbpo_iteration)
+from decseq.belief import push_atoms, start_atom
 
 
 def enumerate_sender_policies(problem):
     """Every structured sender policy on the reachable atoms (binary only)."""
-    atoms_by_t = [[b for b, _, _ in level]
-                  for level in reachable_beliefs(problem.prior, problem.channel1, problem.t1)]
+    levels = [[start_atom(problem.prior)]]
+    for t in range(1, problem.t1 + 1):
+        levels.append(push_atoms(levels[-1], problem.channel1.row_pair(t)))
+    atoms_by_t = [[b for b, _, _ in level] for level in levels]
     stage_atoms = atoms_by_t[1:problem.t1]
     term_atoms = atoms_by_t[problem.t1]
     stage_choices = []

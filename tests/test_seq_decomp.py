@@ -902,15 +902,62 @@ def test_stage_builders_match_scalar_children(node):
 
 
 @pytest.mark.parametrize("variant, horizon", [("P1", 5), ("P2", 3)])
-def test_search_is_the_same_in_chunks_of_one(variant, horizon):
-    # every node its own chunk and every P2 child its own batch: the same
-    # search, to the bit, as the default chunks
+def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
+    # every node its own chunk and every P2 child its own batch, then also
+    # every last-stage lookup batch valued at once and every valuation batch
+    # one node: the same search, to the bit, as the default chunks
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
-    solver = (_P1Solver if variant == "P1" else _P2Solver)(prob)
-    children = seq_decomp._CHILDREN
-    solver.chunk = seq_decomp._CHILDREN = 1
-    try:
-        tiny = search_record(solver.solve())
-    finally:
-        seq_decomp._CHILDREN = children
-    assert tiny == search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
+    want = search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
+    solver = (_P1Solver if variant == "P1" else _P2Solver)
+    monkeypatch.setattr(solver, "chunk", 1)
+    monkeypatch.setattr(seq_decomp, "_CHILDREN", 1)
+    assert search_record(solver(prob).solve()) == want
+    monkeypatch.setattr(seq_decomp, "_BATCH", 1)
+    monkeypatch.setattr(seq_decomp, "_PRICED", 1)
+    assert search_record(solver(prob).solve()) == want
+
+
+def lexsort_columns(draw, n):
+    """1-5 float, int64 or bool columns of n rows, with -0.0, 0.0, -1.0,
+    1.0, nextafter neighbours, repeated values and negative integers."""
+    floats = st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5, math.nextafter(0.5, 0.0),
+                              math.nextafter(0.5, 1.0), math.nextafter(0.0, 1.0),
+                              -math.nextafter(0.0, 1.0), 1e-300, -2.5, math.inf, -math.inf]) | \
+        st.floats(allow_nan=False)
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["f", "i", "b"]))
+        if kind == "f":
+            cols.append(np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float))
+        elif kind == "i":
+            cols.append(np.array(draw(st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1),
+                                               min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            cols.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sort_order_is_lexsort(data):
+    # the byte-key order of rows, given column by column or as 2-d blocks
+    # of like columns, is np.lexsort's permutation (the last key primary)
+    n = data.draw(st.integers(0, 40))
+    cols = lexsort_columns(data.draw, n)
+    # rows repeat: draw some rows as copies of earlier ones
+    copies = data.draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10))
+    for i, j in copies:
+        if i < n and j < n:
+            for c in cols:
+                c[i] = c[j]
+    want = np.lexsort(cols[::-1]) if n else np.arange(0)
+    assert seq_decomp._sort_order(*cols).tolist() == want.tolist()
+    blocks, run = [], [cols[0]]
+    for c in cols[1:]:
+        if c.dtype == run[-1].dtype:
+            run.append(c)
+        else:
+            blocks.append(np.column_stack(run))
+            run = [c]
+    blocks.append(np.column_stack(run))
+    assert seq_decomp._sort_order(*blocks).tolist() == want.tolist()
