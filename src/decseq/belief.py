@@ -112,13 +112,12 @@ def merge_rows(rows, first, beliefs):
     chain = np.flatnonzero(size > 1)
     chain = chain[np.argsort(-size[chain], kind="stable")]
     heads, size = heads[chain], size[chain]
-    # step j's rows, heads[:n[j]] + j, are flat[o[j]:o[j + 1]]; run holds
-    # their copies (cols column by column), and tot their mass totals
+    # step j's rows, heads[:n[j]] + j, are flat[o[j]:o[j + 1]]; cols holds
+    # their copies column by column, and tot their mass totals
     n = np.searchsorted(-size, -np.arange(size.max(initial=1)))
     o = np.concatenate(([0], np.cumsum(n)))
     flat = heads[np.arange(o[-1]) - np.repeat(o[:-1], n)] + np.repeat(np.arange(len(n)), n)
-    run = rows.take(flat, axis=0)
-    cols = run.T
+    cols = rows.take(flat, axis=0).T.copy()
     tot = cols[-2] + cols[-1]
     join = np.zeros(len(flat), dtype=bool)
     o = o.tolist()
@@ -131,11 +130,9 @@ def merge_rows(rows, first, beliefs):
             ok &= np.abs(e[1] - last[1]) <= MERGE_TOL
         old, add = last[-2] + last[-1], tot[o[j]:o[j + 1]]
         both = old + add
-        mean = ok & (both > 0.0)
-        for x, y in zip(last[:beliefs], e[:beliefs]):
-            np.divide(x * old + y * add, both, out=y, where=mean)
-        for x, y in zip(last[-2:], e[-2:]):
-            np.add(x, y, out=y, where=ok)
+        np.divide(last[:beliefs] * old + e[:beliefs] * add, both, out=e[:beliefs],
+                  where=ok & (both > 0.0))
+        np.add(last[-2:], e[-2:], out=e[-2:], where=ok)
     new[flat[o[1]:]] = ~join[o[1]:]
     starts = np.flatnonzero(new)
     # each merged atom is the copy its last raw row left

@@ -8,7 +8,7 @@ value.  The sender limit removes the sender's deadline against a receiver
 with a bounded stopping time, which keeps the send branches time-invariant
 affine curves; it runs the same grid value iteration as the stationary
 stopping problem and picks its actions with the finite best response's
-``sender_choice``.  Epsilon-optimal pairs come from solving growing finite
+rule on arrays (``sender_codes``).  Epsilon-optimal pairs come from solving growing finite
 horizons until exact tail probabilities certify the truncation bounds.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .best_response import _blank_phase, _blank_walk, evaluate_o2_policy
 from .errors import CapacityError, CertificationError, ProblemSpecError
-from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_choice
+from .policies import BLANK, O2Policy, build_message_model, extract_thresholds, sender_codes
 from .seq_decomp import solve_p1, solve_p2
 from .simulate import check_receiver, check_sender, exact_cost
 from .wald import (GRID_SIZE_DEFAULT, StationaryWald, belief_grid, grid_continuation,
@@ -161,6 +161,15 @@ def stationary_anchor(o2, problem):
     return dataclasses.replace(o2, message_model=(first,) * problem.t1)
 
 
+def _run_ends(codes):
+    """Indices of the first and last entry of each run of equal codes:
+    ``extract_thresholds`` reads a run only at those points and their
+    neighbours, so its rule from those (point, action) pairs alone is the
+    rule from all of them."""
+    change = codes[1:] != codes[:-1]
+    return np.flatnonzero(np.append(True, change) | np.append(change, True))
+
+
 def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT):
     """Sender value iteration with its deadline removed.
 
@@ -187,11 +196,21 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT):
     affines = [evaluate_o2_policy(o2, (), z, problem) for z in range(m)]
 
     grid = belief_grid(grid_size)
-    send_curves = [grid * a + (1.0 - grid) * b for a, b in affines]
+
+    def send_curves():
+        return [grid * a + (1.0 - grid) * b for a, b in affines]
+
     cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
-    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves))
-    labels, _ = sender_choice([c.tolist() for c in send_curves], cont(values).tolist())
-    rule = extract_thresholds(list(zip(grid.tolist(), labels)), m, terminal=False)
+    values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves()))
+    # the curves are built again once the continuation's tables are freed,
+    # which keeps a large grid's peak at the value iteration's
+    wait = cont(values)
+    del cont
+    codes, _ = sender_codes(send_curves(), wait)
+    ends = _run_ends(codes)
+    rule = extract_thresholds(zip(grid[ends].tolist(),
+                                  [BLANK if z < 0 else z for z in codes[ends].tolist()]),
+                              m, terminal=False)
     return O1InfiniteSolution(grid=grid, values=values, stage_rule=rule,
                               affines=tuple(affines), **record)
 

@@ -24,14 +24,16 @@ declaration checks test "declare 0" before "declare 1"; a subjectively
 impossible event (zero probability under the message model for both
 hypotheses) leaves observer 2's belief unchanged.  Every sender program
 outside the designer search (the finite best response and the no-deadline
-limit) picks its actions with ``sender_choice``, and the receiver programs
-with ``wald.stop_or_sample``.
+limit) picks its actions with ``sender_codes`` (on arrays; ``sender_choice``
+is its list view), and the receiver programs with ``wald.stop_or_sample``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .belief import bayes, push_atoms, start_atom
 from .errors import ProblemSpecError, StructureViolation
@@ -233,24 +235,31 @@ def subjective_update(belief, y2, channel_rows, factor):
     return belief if post is None else post
 
 
-def sender_choice(sends, wait):
-    """Observer 1's choice at each of a list of beliefs: (labels, values),
-    the symbol or BLANK chosen at belief i and its cost.
+def sender_codes(sends, wait):
+    """Observer 1's choice at each of an array of beliefs: (codes, values),
+    the symbol chosen at belief i, or -1 for BLANK, and its cost, as arrays.
 
     ``sends[z][i]`` is the cost of sending symbol z at belief i and
     ``wait[i]`` that of staying blank (``wait`` None: a message is forced).
     Ties go to sending, and between sends to the higher symbol.
     """
-    labels, values = [], []
-    high_first = range(len(sends) - 1, -1, -1)
-    for i in range(len(sends[0])):
-        z = min(high_first, key=lambda z: sends[z][i])
-        v = sends[z][i]
-        if wait is not None and wait[i] < v:
-            z, v = BLANK, wait[i]
-        labels.append(z)
-        values.append(v)
-    return labels, values
+    m = len(sends)
+    values = np.array(sends[m - 1], dtype=float)
+    codes = np.full(values.shape, m - 1, dtype=np.min_scalar_type(-m))
+    # each lower symbol in turn, then BLANK (-1) at ``wait``
+    for z, send in [*zip(range(m - 2, -1, -1), sends[-2::-1]), (-1, wait)]:
+        if send is not None:
+            lower = np.asarray(send, dtype=float) < values
+            codes[lower] = z
+            np.copyto(values, send, where=lower)
+    return codes, values
+
+
+def sender_choice(sends, wait):
+    """``sender_codes`` as lists: the symbol or BLANK chosen at belief i,
+    and its cost."""
+    codes, values = sender_codes(sends, wait)
+    return [BLANK if z < 0 else z for z in codes.tolist()], values.tolist()
 
 
 def extract_thresholds(action_per_atom, n_messages, terminal=False):

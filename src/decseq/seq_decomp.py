@@ -94,7 +94,7 @@ _BATCH = 1 << 12
 # P2: about this many candidate atoms per chunk of children
 _CHILDREN = 1 << 14
 # a valuation batch's arrays hold about this many entries
-_PRICED = 1 << 14
+_PRICED = 1 << 13
 
 _SCALE = 10 ** ROUND_DIGITS
 _FLOAT_SCALE = float(_SCALE)
@@ -376,6 +376,7 @@ class _Level:
         self.rows.append((*s._groups(rows.compress(np.repeat(new, counts), axis=0), counts[new]),
                           counts[new]))
         self.size += len(rows)
+        del keys, index  # before a valuation
         s.key_s += time.perf_counter() - start
         if self.t == s.pb.t1 and self.size >= _BATCH:
             self._value()
@@ -506,7 +507,8 @@ class _Designer:
         gpos = np.flatnonzero(starts)
         first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
         price = self._pricer(t, rows, off)
-        entries = np.concatenate(([0], np.cumsum(self._run_entries(t, rows))))
+        if self._run_entries is not None:
+            entries = np.concatenate(([0], np.cumsum(self._run_entries(t, rows))))
         values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
         m, terminal = self.pb.n_messages, blanks is None
         for n in sorted(set(ns.tolist())):
@@ -518,8 +520,10 @@ class _Designer:
                                      off[nodes + 1, None]), axis=1)
             # a batch's largest array holds, per node, its partitions, its
             # runs or its priced entries (each group's, once per run covering
-            # it), whichever are most: batches of the dearest node's share
-            priced = int((entries[bounds] @ _run_cover(n, m, terminal)).max())
+            # it), whichever are most: about _PRICED entries in all, taking
+            # the nodes' mean priced entries
+            priced = 0 if self._run_entries is None else \
+                int((entries[bounds] @ _run_cover(n, m, terminal)).mean())
             step = max(1, _PRICED // max(len(slots), len(runs) + 1, priced))
             for a in range(0, len(nodes), step):
                 ks = nodes[a:a + step]
@@ -659,10 +663,9 @@ class _P1Solver(_Designer):
         # every atom of a P1 state is a group of its own
         return rows, np.ones(len(rows), dtype=bool)
 
-    def _run_entries(self, t, rows):
-        # runs are priced from prefix sums over a node's groups: a run's
-        # arrays hold no entry per atom
-        return np.zeros(len(rows), dtype=np.intp)
+    # runs are priced from prefix sums over a node's groups: no run's
+    # arrays hold an entry per atom
+    _run_entries = None
 
     def _pricer(self, t, rows, off):
         read = self.wald.reader(self.pb.t2)
@@ -804,6 +807,8 @@ class _P2Solver(_Designer):
             kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
             counts = np.bincount(cid[heads], minlength=len(cs))
             kids[:, 2:] /= np.repeat(mass[ent][ce[cs]], counts)[:, None]
+            # the chunk's selection is freed before its children are keyed
+            del cid, idx, inside, sel, heads
             add(kids, counts)
         runs = np.zeros(len(mass), dtype=np.intp)
         runs[ent] = np.bincount(ce, minlength=len(ent))
@@ -835,17 +840,10 @@ class _P2Solver(_Designer):
         starts[1:] = (rows[1:, 0] - rows[:-1, 0] > MERGE_TOL) | (owner[1:] != owner[:-1])
         return rows, starts
 
-    def _terms(self, t, rows):
-        """Observer 2's channel rows at stage t, and each atom's fresh
-        observations y: their weights w[a, y] = m0 * row0[y] + m1 * row1[y]
-        and which of them a run prices (a sampling atom's, of weight w > 0)."""
-        row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
-        w = rows[:, 2, None] * row0 + rows[:, 3, None] * row1
-        return row0, row1, w, (rows[:, 1] >= 0.0)[:, None] & (w > 0.0)
-
     def _run_entries(self, t, rows):
-        # a run's arrays hold an entry per atom and per priced term
-        return 1 + self._terms(t, rows)[3].sum(axis=1)
+        # a run's arrays hold an entry per atom and at most one per fresh
+        # observation of a still-sampling atom
+        return 1 + len(self.pb.channel2.row_pair(t)[0]) * (rows[:, 1] >= 0.0)
 
     def _pricer(self, t, rows, off):
         """Stopping-cost flows of message runs: a run's atoms send a message
@@ -853,10 +851,13 @@ class _P2Solver(_Designer):
         the still-sampling ones absorb it with one fresh observation, and
         the knot reader prices each posterior."""
         read = self.wald.reader(self.pb.t2 - t)
-        row0, row1, w, live = self._terms(t, rows)
+        row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
         _, b2, m0, m1 = rows.T
-        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]);
-        # atom a's are terms[at[a]:at[a + 1]]
+        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
+        # one per fresh observation y of weight w > 0; atom a's are
+        # terms[at[a]:at[a + 1]]
+        w = m0[:, None] * row0 + m1[:, None] * row1
+        live = (b2 >= 0.0)[:, None] & (w > 0.0)
         tw, tu0, tu1 = w[live], (b2[:, None] * row0)[live], ((1.0 - b2)[:, None] * row1)[live]
         at = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
         tot0, tot1 = (_seq_sums(m, off[:-1], np.diff(off)) for m in (m0, m1))

@@ -1,12 +1,18 @@
 """The shared Bayes step and the two choice rules, on the exact ties that
 random instances never hit."""
 
-import pytest
+import math
 
-from decseq import (BLANK, Costs, ImpossibleUpdateError, subjective_update, terminal_cost,
-                    update_observer1)
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decseq import (BLANK, Costs, ImpossibleUpdateError, StructureViolation, extract_thresholds,
+                    subjective_update, terminal_cost, update_observer1)
 from decseq.belief import bayes
-from decseq.policies import sender_choice
+from decseq.infinite_horizon import _run_ends
+from decseq.policies import sender_choice, sender_codes
 from decseq.wald import stop_or_sample
 
 ZERO_ONE = Costs(c1=0.1, c2=0.05, loss=((0.0, 1.0), (1.0, 0.0)))
@@ -56,3 +62,60 @@ def test_tie_rules_and_impossible_events():
     # observer 2's modelled belief is total: it stays where it was
     assert subjective_update(1.0, 0, rows, None) == 1.0
     assert subjective_update(0.3, 1, rows, (0.0, 0.0)) == 0.3
+
+
+def scalar_sender_choice(sends, wait):
+    """The sender rule one belief at a time: the cheapest send, the higher
+    symbol on ties, unless waiting costs strictly less."""
+    labels, values = [], []
+    for i in range(len(sends[0])):
+        z = min(range(len(sends) - 1, -1, -1), key=lambda z: sends[z][i])
+        v = sends[z][i]
+        if wait is not None and wait[i] < v:
+            z, v = BLANK, wait[i]
+        labels.append(z)
+        values.append(v)
+    return labels, values
+
+
+COST = st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nextafter(0.5, 1.0)]) | \
+    st.floats(-2.0, 2.0) | st.just(math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sender_codes_match_the_scalar_rule(data):
+    # on arrays, with exact ties and NaNs: the same choices, and each cost
+    # the very float the scalar rule picks
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 8))
+    sends = [data.draw(st.lists(COST, min_size=n, max_size=n)) for _ in range(m)]
+    wait = data.draw(st.none() | st.lists(COST, min_size=n, max_size=n))
+    labels, values = sender_choice(sends, wait)
+    want_labels, want_values = scalar_sender_choice(sends, wait)
+    assert labels == want_labels
+    assert [v.hex() for v in values] == [v.hex() for v in want_values]
+    codes, arr = sender_codes([np.array(s) for s in sends],
+                              None if wait is None else np.array(wait))
+    assert [BLANK if z < 0 else z for z in codes.tolist()] == labels
+    assert [v.hex() for v in arr.tolist()] == [v.hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_ends_keep_the_threshold_rule(data):
+    # the rule from each run's end points alone is the rule from every
+    # point, or both fail with the same error
+    m = data.draw(st.integers(2, 3))
+    points = sorted(set(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))))
+    codes = np.array(data.draw(st.lists(st.integers(-1, m - 1), min_size=len(points),
+                                        max_size=len(points))), dtype=np.int8)
+    labels = [BLANK if z < 0 else z for z in codes.tolist()]
+    ends = _run_ends(codes)
+
+    def rule(pairs):
+        try:
+            return extract_thresholds(pairs, m)
+        except StructureViolation:
+            return StructureViolation
+
+    assert rule([(points[i], labels[i]) for i in ends.tolist()]) == rule(list(zip(points, labels)))
