@@ -94,7 +94,7 @@ _BATCH = 1 << 12
 # P2: about this many candidate atoms per chunk of children
 _CHILDREN = 1 << 14
 # a valuation batch's arrays hold about this many entries
-_PRICED = 1 << 13
+_PRICED = 1 << 14
 
 _SCALE = 10 ** ROUND_DIGITS
 _FLOAT_SCALE = float(_SCALE)
@@ -108,8 +108,7 @@ _BAND = 2.0 ** -19
 # ---------------------------------------------------------------------------
 # row order
 
-_SIGN = np.uint64(1 << 63)
-_ONES = np.uint64((1 << 64) - 1)
+_SIGN = np.int64(-1 << 63)
 
 
 def _sort_order(*keys):
@@ -118,24 +117,24 @@ def _sort_order(*keys):
     in turn, each a 1-d array or a 2-d block of them: float (no NaN, -0.0
     ranking equal to 0.0), integer or bool.
 
-    Each column becomes order-preserving uint64 codes (a float's sign bit
-    set, or all its bits inverted where it is negative, after x + 0.0
-    turns -0.0 into 0.0; an integer's sign bit flipped), stored big-endian,
-    so each row reads as one byte string whose byte order is the row
-    order, and one stable argsort sorts those.
+    Each column becomes 64-bit codes whose unsigned order is its order (a
+    float's bits, after x + 0.0 turns -0.0 into 0.0, with the sign bit set,
+    or all bits inverted where it is negative; an integer with its sign bit
+    flipped), stored big-endian, so each row reads as one byte string whose
+    byte order is the row order, and one stable argsort sorts those.
     """
     blocks = [k[:, None] if k.ndim == 1 else k for k in keys]
-    key = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=">u8")
+    key = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=np.int64)
     at = 0
     for b in blocks:
+        code = key[:, at:at + b.shape[1]]
         if b.dtype.kind == "f":
-            u = (b + 0.0).view(np.uint64)
-            code = u ^ np.where(u >= _SIGN, _ONES, _SIGN)
+            np.add(b, 0.0, out=code.view(np.float64))
+            code ^= (code >> 63) | _SIGN
         else:
-            code = b.astype(np.int64, copy=False).view(np.uint64) ^ _SIGN
-        key[:, at:at + b.shape[1]] = code
+            np.bitwise_xor(b, _SIGN, out=code)
         at += b.shape[1]
-    return np.argsort(key.view(f"V{8 * at}").ravel(), kind="stable")
+    return np.argsort(key.astype(">i8", copy=False).view(f"V{8 * at}").ravel(), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +796,7 @@ class _P2Solver(_Designer):
         # and each sampling atom's row as sampling on inside its continue
         # run and as declaring outside it; a chunk of children at a time
         cuts = np.flatnonzero(np.diff(np.cumsum(lens) // _CHILDREN)) + 1
+        emass = mass[ent]
         for cs in np.split(np.arange(len(ce)), cuts):
             n = lens[cs]
             cid = np.repeat(np.arange(len(cs)), n)
@@ -806,7 +806,7 @@ class _P2Solver(_Designer):
             idx, cid = idx[sel], cid[sel]
             kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
             counts = np.bincount(cid[heads], minlength=len(cs))
-            kids[:, 2:] /= np.repeat(mass[ent][ce[cs]], counts)[:, None]
+            kids[:, 2:] /= np.repeat(emass[ce[cs]], counts)[:, None]
             # the chunk's selection is freed before its children are keyed
             del cid, idx, inside, sel, heads
             add(kids, counts)
