@@ -210,8 +210,10 @@ def _run_cover(n_groups, n_messages, terminal):
     ``_partition_table(n_groups, n_messages, terminal)`` covering it."""
     runs = _partition_table(n_groups, n_messages, terminal)[1]
     # a run (lo, hi) adds P[b[hi]] - P[b[lo]]
-    return np.bincount(runs[:, 1], minlength=n_groups + 1) - \
+    w = np.bincount(runs[:, 1], minlength=n_groups + 1) - \
         np.bincount(runs[:, 0], minlength=n_groups + 1)
+    w.setflags(write=False)
+    return w
 
 
 @functools.lru_cache(maxsize=None)
