@@ -117,17 +117,20 @@ def merge_rows(rows, first, beliefs):
     n = np.searchsorted(-size, -np.arange(size.max(initial=1)))
     o = np.concatenate(([0], np.cumsum(n)))
     flat = heads[np.arange(o[-1]) - np.repeat(o[:-1], n)] + np.repeat(np.arange(len(n)), n)
-    cols = rows.take(flat, axis=0).T.copy()
+    cols = np.array(rows.take(flat, axis=0).T, order="C")
     tot = cols[-2] + cols[-1]
     join = np.zeros(len(flat), dtype=bool)
     o = o.tolist()
     for j in range(1, len(n)):
         # the merged atoms the chains' rows j - 1 left, and their rows j
         last, e = cols[:, o[j - 1]:o[j - 1] + o[j + 1] - o[j]], cols[:, o[j]:o[j + 1]]
-        ok = join[o[j]:o[j + 1]]
-        np.less_equal(e[0] - last[0], MERGE_TOL, out=ok)
+        ok, gap = join[o[j]:o[j + 1]], e[:beliefs] - last[:beliefs]
         if beliefs == 2:
-            ok &= np.abs(e[1] - last[1]) <= MERGE_TOL
+            # both beliefs within MERGE_TOL (belief1 never falls: the rows
+            # are sorted and a merged mean stays among its rows)
+            np.abs(gap, out=gap)
+            np.maximum(gap[0], gap[1], out=gap[0])
+        np.less_equal(gap[0], MERGE_TOL, out=ok)
         old, add = last[-2] + last[-1], tot[o[j]:o[j + 1]]
         both = old + add
         np.divide(last[:beliefs] * old + e[:beliefs] * add, both, out=e[:beliefs],
@@ -168,9 +171,10 @@ def outcomes(b, rows):
     pair ``rows``: (probabilities, posteriors), the posterior 0.0 where the
     probability is 0."""
     r0, r1 = (np.asarray(r, dtype=float) for r in rows)
-    num = b[:, None] * r0
-    p = num + (1.0 - b)[:, None] * r1
-    return p, np.divide(num, p, out=np.zeros(num.shape), where=p > 0.0)
+    # built symbol-major, so that every pass runs along the beliefs
+    num = np.multiply.outer(r0, b)
+    p = num + np.multiply.outer(r1, 1.0 - b)
+    return p.T, np.divide(num, p, out=np.zeros(num.shape), where=p > 0.0).T
 
 
 def push_rows(b, w0, w1, channel_rows):
@@ -180,7 +184,7 @@ def push_rows(b, w0, w1, channel_rows):
     (``push_error`` names the first), and the channel rows as arrays."""
     r0, r1 = (np.array(r, dtype=float) for r in channel_rows)
     p, post = outcomes(b, (r0, r1))
-    seen = (w0[:, None] * r0 != 0.0) | (w1[:, None] * r1 != 0.0)
+    seen = ((np.multiply.outer(r0, w0) != 0.0) | (np.multiply.outer(r1, w1) != 0.0)).T
     return post, seen, seen & ~(p > 0.0), r0, r1
 
 

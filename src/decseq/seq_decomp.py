@@ -15,8 +15,9 @@ variants share one sequential decomposition (``_Designer``):
   is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
   most nodes, is valued batch by batch, the earlier stages backward; a
-  valuation prices the nodes of one group count in batches sized by the
-  entries their arrays hold (``_PRICED``).  The
+  valuation takes the nodes of each group count in pieces whose cost
+  arrays hold about ``_PRICED`` entries, and consecutive pieces of that
+  many entries in all share one pricing call.  The
   table of partitions of n groups, a pure function of n, M and whether the
   stage is the last, is built once per process (``_partition_table``);
 * **children** -- built a stage at a time, a chunk of nodes at a time, in
@@ -30,17 +31,25 @@ variants share one sequential decomposition (``_Designer``):
   gathered with ``ndarray.take``, which copies rows far faster than fancy
   indexing does;
 * **keys** -- each coordinate x of a state's atoms becomes the k with
-  round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``), and a
-  state's key is its atoms' integers, sorted atom by atom (``_sort_order``,
-  skipped when they come in order), as int64 bytes, looked up in the memo
-  a batch at a time;
+  round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``: x * 1e10
+  rounded once, the exact rational rounding only next to a half-integer),
+  and a state's key is its atoms' integers, sorted atom by atom
+  (``_sort_order``, skipped when one pass finds every state's rows in
+  order), as int64 bytes, looked up in the memo a batch at a time; only
+  the new nodes' atoms are then sorted as sorted() sorts them and grouped
+  (``_groups``);
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
   every sum added left to right: prefix sums by ``np.cumsum``, and the sums
   over runs and their terms by ``np.bincount``, one C pass that adds each
   weight into its segment's bin in input order (``_seg_sums``).  Pairwise
   sums (``ndarray.sum``; ``np.add.reduceat``'s order is not documented),
   differences of ``np.cumsum`` and the builtin sum() from Python 3.12 round
-  differently, so none of them is used;
+  differently, so none of them is used.  In P2 a valuation lists its
+  atoms' fresh-observation terms once, by flat ``take``, prices the runs
+  of a call in batches of about ``_PRICED`` atoms and terms, and checks
+  each batch's posteriors with three reductions; arrays indexed by
+  observation run along the atoms, since numpy pays per inner loop when
+  a short axis of two or three symbols is innermost;
 * **extraction** -- ``solve()`` walks the stored argmins along the
   all-blank branch into the sender's threshold rules, following the
   lookups the search recorded and rebuilding each child on the path with
@@ -124,17 +133,18 @@ def _sort_order(*keys):
     byte order is the row order, and one stable argsort sorts those.
     """
     blocks = [k[:, None] if k.ndim == 1 else k for k in keys]
-    key = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    key = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=">i8")
     at = 0
     for b in blocks:
-        code = key[:, at:at + b.shape[1]]
+        # codes are made in the block's own layout, then stored big-endian
         if b.dtype.kind == "f":
-            np.add(b, 0.0, out=code.view(np.float64))
+            code = (b + 0.0).view(np.int64)
             code ^= (code >> 63) | _SIGN
         else:
-            np.bitwise_xor(b, _SIGN, out=code)
+            code = np.bitwise_xor(b, _SIGN, dtype=np.int64)
+        key[:, at:at + b.shape[1]] = code
         at += b.shape[1]
-    return np.argsort(key.astype(">i8", copy=False).view(f"V{8 * at}").ravel(), kind="stable")
+    return np.argsort(key.view(f"V{8 * at}").ravel(), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +155,21 @@ def _key_ints(xs):
     """For each float x of the 1-d array xs, the integer k (int64) with
     round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS.
 
-    k is rounded (``np.rint``: ties to even, as round() does) from x * 1e10
-    plus 2**-19 and from x * 1e10 minus 2**-19, which bracket the exact
-    product: where the two agree, so does the exact product, and where a
-    half-integer lies between them the exact ``_exact_round`` decides.
+    k is x * 1e10 rounded (``np.rint``: ties to even, as round() does).
+    That float product is within 2**-20 of the exact one, so the two round
+    alike unless it lies within 2**-19 of a half-integer; there the exact
+    ``_exact_round`` decides.
     """
     xs = np.asarray(xs, dtype=float)
-    bad = ~(np.abs(xs) < _KEY_LIMIT)
-    if bad.any():
+    if not np.abs(xs).max(initial=0.0) < _KEY_LIMIT:
+        bad = ~(np.abs(xs) < _KEY_LIMIT)
         raise ProblemSpecError(
             "state", f"coordinate {xs[bad][0]} outside the memo key range (-1.7, 1.7)")
     scaled = xs * _FLOAT_SCALE
-    up = np.rint(scaled + _BAND)
-    ks = up.astype(np.int64)
-    for i in np.flatnonzero(up != np.rint(scaled - _BAND)).tolist():
+    near = np.rint(scaled)
+    ks = near.astype(np.int64)
+    np.subtract(scaled, near, out=near)
+    for i in np.flatnonzero(np.abs(near, out=near) >= 0.5 - _BAND).tolist():
         ks[i] = _exact_round(float(xs[i]))
     return ks
 
@@ -178,12 +189,11 @@ def _state_keys(coords, counts):
     width = coords.shape[1]
     ks = _key_ints(coords.ravel()).reshape(-1, width)
     owner = np.repeat(np.arange(len(counts)), counts)
-    # the children's builders often give every state's rows in order (a
-    # row not above the next), and then the sort is skipped
-    ordered = np.ones(max(len(ks) - 1, 0), dtype=bool)
-    for c in range(width - 1, -1, -1):
-        ordered = (ks[:-1, c] < ks[1:, c]) | ((ks[:-1, c] == ks[1:, c]) & ordered)
-    if not (ordered | (owner[1:] != owner[:-1])).all():
+    # the children's builders often give every state's rows in order (the
+    # first column in which a row differs from the row before never
+    # falls), and then the sort is skipped
+    falls = np.sign(np.diff(ks, axis=0)) @ 2.0 ** np.arange(width - 1, -1, -1) < 0.0
+    if (falls & (owner[1:] == owner[:-1])).any():
         ks = ks.take(_sort_order(owner, ks), axis=0)
     data = ks.tobytes()
     ends = (np.cumsum(counts) * (8 * width)).tolist()
@@ -200,20 +210,6 @@ def _blank_bits(n_groups, n_messages):
     False)`` as int64 bit masks (n_groups < 63: larger tables pass the cap)."""
     return np.array([sum(1 << g for g in b) for b in
                      _partition_table(n_groups, n_messages, False)[3]], dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=None)
-def _run_cover(n_groups, n_messages, terminal):
-    """Weights w such that, for a node's group bounds b (n_groups + 1
-    increasing positions) and any per-atom counts with prefix sums P,
-    P[b] @ w adds up each group's count once per run of
-    ``_partition_table(n_groups, n_messages, terminal)`` covering it."""
-    runs = _partition_table(n_groups, n_messages, terminal)[1]
-    # a run (lo, hi) adds P[b[hi]] - P[b[lo]]
-    w = np.bincount(runs[:, 1], minlength=n_groups + 1) - \
-        np.bincount(runs[:, 0], minlength=n_groups + 1)
-    w.setflags(write=False)
-    return w
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,13 +283,6 @@ def _seg_sums(seg, weights, n):
     return np.bincount(seg, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def _seq_sums(values, start, length):
-    """sum(values[s:s + n]) for each pair (s, n) of the arrays start and
-    length, added left to right (``_seg_sums``)."""
-    seg, idx = _segments(start, length)
-    return _seg_sums(seg, values[idx], len(start))
-
-
 def _ratio(num, den):
     """num / den, and 0.0 where den is not positive."""
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0.0)
@@ -303,6 +292,10 @@ def _posteriors(num, den):
     """num / den, checked as the scalar loops check one posterior at a
     time: the first that fails raises ImpossibleUpdateError if its den is
     not positive, else ProblemSpecError (outside [0, 1])."""
+    if den.min(initial=1.0) > 0.0:
+        out = num / den
+        if out.min(initial=0.0) >= 0.0 and out.max(initial=0.0) <= 1.0:
+            return out
     out = _ratio(num, den)
     wrong = ~(den > 0.0) | ~((out >= 0.0) & (out <= 1.0))
     if wrong.any():
@@ -320,10 +313,12 @@ class DesignerSolution:
     ``o2`` is ``o2_best_response(o1, problem).policy``.  ``stage_stats``
     holds one dict per stage t = 1..T1: memo ``nodes`` stored at t, memo
     ``lookups`` of stage-t states, the ``memo_hits`` among them, and the
-    ``mean_atoms`` per node.  ``search_s`` is ``enumerate_s`` plus
-    ``value_s`` (pricing nodes), and ``enumerate_s`` is ``build_s`` (building
-    children) plus ``key_s`` (keying and deduplicating them, and grouping
-    the new nodes' atoms).
+    ``mean_atoms`` per node.  ``priced_runs`` counts the message runs priced
+    (a node's runs, once per node) and ``priced_terms`` the fresh
+    observations of still-sampling atoms priced in them (0 in variant P1).
+    ``search_s`` is ``enumerate_s`` plus ``value_s`` (pricing nodes), and
+    ``enumerate_s`` is ``build_s`` (building children) plus ``key_s``
+    (keying and deduplicating them, and grouping the new nodes' atoms).
     """
 
     total: float
@@ -333,6 +328,8 @@ class DesignerSolution:
     partitions_tried: int
     memo_hits: int
     stage_stats: tuple
+    priced_runs: int
+    priced_terms: int
     search_s: float
     enumerate_s: float
     build_s: float
@@ -359,21 +356,21 @@ class _Level:
         start = time.perf_counter()
         keys = _state_keys(rows, counts)
         index = list(map(memo.get, keys))
-        fresh = []
-        # a miss may repeat an earlier miss of the same batch
-        for i in [i for i, node in enumerate(index) if node is None]:
-            node = memo.get(keys[i])
-            if node is None:
-                s.nodes += 1
-                if s.nodes > DESIGNER_NODE_CAP:
-                    raise CapacityError(s.nodes, DESIGNER_NODE_CAP, "designer search nodes")
-                node = memo[keys[i]] = len(memo)
-                fresh.append(i)
-            index[i] = node
+        # a miss may repeat an earlier miss of the same batch; the new
+        # nodes are numbered in the order of their first lookups
+        miss = [i for i, node in enumerate(index) if node is None]
+        made = len(memo)
+        for i in miss:
+            index[i] = memo.setdefault(keys[i], len(memo))
+        s.nodes += len(memo) - made
+        if s.nodes > DESIGNER_NODE_CAP:
+            raise CapacityError(DESIGNER_NODE_CAP + 1, DESIGNER_NODE_CAP, "designer search nodes")
         s.lookups[self.t] += len(index)
         self.index.append(np.array(index, dtype=np.intp))
+        miss = np.array(miss, dtype=np.intp)
+        got = self.index[-1][miss]
         new = np.zeros(len(counts), dtype=bool)
-        new[fresh] = True
+        new[miss[got > np.maximum.accumulate(np.append(made - 1, got))[:-1]]] = True
         self.rows.append((*s._groups(rows.compress(np.repeat(new, counts), axis=0), counts[new]),
                           counts[new]))
         self.size += len(rows)
@@ -419,6 +416,7 @@ class _Designer:
         self.lookups = [0] * (problem.t1 + 1)
         self.nodes = 0
         self.partitions = 0
+        self.priced_runs = self.priced_terms = 0
         self.key_s = self.value_s = 0.0
         # prices the message runs and answers the walked sender
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
@@ -507,33 +505,38 @@ class _Designer:
                          minlength=len(counts))
         gpos = np.flatnonzero(starts)
         first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
-        price = self._pricer(t, rows, off)
-        if self._run_entries is not None:
-            entries = np.concatenate(([0], np.cumsum(self._run_entries(t, rows))))
-        values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
         m, terminal = self.pb.n_messages, blanks is None
+        price = self._pricer(t, rows, off)
+        pieces = []
         for n in sorted(set(ns.tolist())):
             _, runs, slots, _, bidx = _partition_table(n, m, terminal)
             nodes = np.flatnonzero(ns == n)
-            self.partitions += len(slots) * len(nodes)
             # node k's group g spans atoms bounds[k, g]:bounds[k, g + 1]
             bounds = np.concatenate((gpos[first[nodes, None] + np.arange(n)],
                                      off[nodes + 1, None]), axis=1)
-            # a batch's largest array holds, per node, its partitions, its
-            # runs or its priced entries (each group's, once per run covering
-            # it), whichever are most: about _PRICED entries in all, taking
-            # the nodes' mean priced entries
-            priced = 0 if self._run_entries is None else \
-                int((entries[bounds] @ _run_cover(n, m, terminal)).mean())
-            step = max(1, _PRICED // max(len(slots), len(runs) + 1, priced))
-            for a in range(0, len(nodes), step):
-                ks = nodes[a:a + step]
-                run_cost = np.concatenate((price(ks, bounds[a:a + step], runs),
-                                           np.zeros((len(ks), 1))), 1)
+            # a piece's largest array holds, per node, its partitions or its
+            # runs, whichever are more: about _PRICED entries in all
+            size = max(len(slots), len(runs) + 1)
+            step = max(1, _PRICED // size)
+            pieces += [(nodes[a:a + step], bounds[a:a + step], runs, slots, bidx,
+                        size * len(nodes[a:a + step])) for a in range(0, len(nodes), step)]
+        values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
+        # consecutive pieces of about _PRICED entries in all share a pricing
+        # call, which prices their runs in batches of about _PRICED entries
+        size = np.cumsum([0] + [piece[-1] for piece in pieces])[:-1] // _PRICED
+        for call in np.split(np.arange(len(pieces)), np.flatnonzero(np.diff(size)) + 1)[:len(pieces)]:
+            run_cost = price([pieces[i][:3] for i in call])
+            self.priced_runs += len(run_cost)
+            for i in call.tolist():
+                ks, _, runs, slots, bidx, _ = pieces[i]
+                self.partitions += len(slots) * len(ks)
+                costs = np.concatenate((run_cost[:len(ks) * len(runs)].reshape(len(ks), -1),
+                                        np.zeros((len(ks), 1))), 1)
+                run_cost = run_cost[len(ks) * len(runs):]
                 # each partition's runs, then its blank branch, added in turn
                 cost = np.zeros((len(ks), len(slots)))
                 for slot in slots.T:
-                    cost += run_cost[:, slot]
+                    cost += costs[:, slot]
                 if blanks is not None:
                     cost += blanks[1][blanks[0][ks, None] + bidx]
                 best[ks] = cost.argmin(axis=1)
@@ -603,7 +606,8 @@ class _Designer:
         return DesignerSolution(total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
-                                stage_stats=stage_stats, search_s=enumerate_s + self.value_s,
+                                stage_stats=stage_stats, priced_runs=self.priced_runs,
+                                priced_terms=self.priced_terms, search_s=enumerate_s + self.value_s,
                                 enumerate_s=enumerate_s, build_s=build_s, key_s=self.key_s,
                                 value_s=self.value_s, extract_s=time.perf_counter() - searched)
 
@@ -636,10 +640,14 @@ class _P1Solver(_Designer):
         k = enode[ent]
         e, slot = np.nonzero(seen.take(k, axis=0) & np.take_along_axis(
             member.take(ent, axis=0), order.take(k, axis=0) // len(r0), 1))
-        node, (atom, y) = k[e], divmod(order[k[e], slot], len(r0))
-        n0, n1 = m0[node, atom] / mass[ent][e] * r0[y], m1[node, atom] / mass[ent][e] * r1[y]
+        # flat positions of (node, slot) and (node, atom) pairs
+        at = k.take(e) * order.shape[1] + slot
+        atom, y = np.divmod(order.take(at), len(r0))
+        atom += k.take(e) * b.shape[1]
+        share = mass.take(ent.take(e))
+        n0, n1 = m0.take(atom) / share * r0.take(y), m1.take(atom) / share * r1.take(y)
         keep = (n0 != 0.0) | (n1 != 0.0)
-        raw, e = np.column_stack((post[node, slot], n0, n1)).compress(keep, axis=0), e[keep]
+        raw, e = np.column_stack((post.take(at), n0, n1)).compress(keep, axis=0), e[keep]
         first = np.diff(e, prepend=-1) != 0
         # pushes of one posterior within a child sort by their masses
         tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
@@ -664,24 +672,22 @@ class _P1Solver(_Designer):
         # every atom of a P1 state is a group of its own
         return rows, np.ones(len(rows), dtype=bool)
 
-    # runs are priced from prefix sums over a node's groups: no run's
-    # arrays hold an entry per atom
-    _run_entries = None
-
     def _pricer(self, t, rows, off):
         read = self.wald.reader(self.pb.t2)
 
-        def price(ks, bounds, runs):
-            # each node's prefix sums of m0 and m1 over its atoms
-            pre = np.zeros((2, len(ks), bounds.shape[1]))
-            pre[:, :, 1:] = np.cumsum(rows.take(bounds[:, :-1], axis=0)[..., 1:].transpose(2, 0, 1),
-                                      axis=2)
-            rm0, rm1 = pre[:, :, runs[:, 1]] - pre[:, :, runs[:, 0]]
-            mass = rm0 + rm1
-            live = ~(mass <= 0.0)
-            out = np.zeros(mass.shape)
-            out[live] = mass[live] * read(_posteriors(rm0[live], mass[live]))
-            return out
+        def price(parts):
+            out = []
+            for ks, bounds, runs in parts:
+                # each node's prefix sums of m0 and m1 over its atoms
+                pre = np.zeros((2, len(ks), bounds.shape[1]))
+                pre[:, :, 1:] = np.cumsum(rows.take(bounds[:, :-1], axis=0)[..., 1:]
+                                          .transpose(2, 0, 1), axis=2)
+                rm0, rm1 = (pre[:, :, runs[:, 1]] - pre[:, :, runs[:, 0]]).reshape(2, -1)
+                mass = rm0 + rm1
+                live = ~(mass <= 0.0)
+                out.append(np.zeros(mass.shape))
+                out[-1][live] = mass[live] * read(_posteriors(rm0[live], mass[live]))
+            return np.concatenate(out)
 
         return price
 
@@ -710,7 +716,7 @@ class _P2Solver(_Designer):
         lookups; per continue run, observer 2's stop losses or c2 continue
         charges at this stage."""
         pb, loss = self.pb, self.pb.costs.loss
-        b1, b2, m0, m1 = atoms.transpose(2, 0, 1)
+        _, _, m0, m1 = atoms.transpose(2, 0, 1)
         tot0, tot1 = (np.cumsum(np.where(live, x, 0.0), axis=1)[:, -1] for x in (m0, m1))
         r0, r1 = (np.cumsum(np.where(member, x.take(enode, axis=0), 0.0), axis=1)[:, -1]
                   for x in (m0, m1))
@@ -718,25 +724,27 @@ class _P2Solver(_Designer):
         ent = np.flatnonzero(~(mass <= 0.0))
         mz0, mz1 = _ratio(r0[ent], tot0[enode[ent]]), _ratio(r1[ent], tot1[enode[ent]])
         # observer 2's step: a declared atom passes as it is, a sampling one
-        # absorbs the message and each observation y it can see
+        # absorbs the message and each observation y it can see; arrays are
+        # indexed [y, atom entry], the rows sorted below
         e, j = np.nonzero(member.take(ent, axis=0))
-        k = enode[ent][e]
-        x1, x2, x0m, x1m = b1[k, j], b2[k, j, None], m0[k, j, None], m1[k, j, None]
+        x1, x2, x0m, x1m = atoms.reshape(-1, 4).take(
+            enode.take(ent.take(e)) * atoms.shape[1] + j, axis=0).T
         row0, row1 = (np.array(r, dtype=float) for r in pb.channel2.row_pair(t))
-        w0, w1, dec = x0m * row0, x1m * row1, x2 < 0.0
-        num = x2 * row0 * mz0[e, None]
-        den = num + (1.0 - x2) * row1 * mz1[e, None]
-        keep = np.where(dec, np.arange(len(row0)) == 0, (w0 != 0.0) | (w1 != 0.0))
+        w0, w1, dec = np.multiply.outer(row0, x0m), np.multiply.outer(row1, x1m), x2 < 0.0
+        num = np.multiply.outer(row0, x2) * mz0[e]
+        den = num + np.multiply.outer(row1, 1.0 - x2) * mz1[e]
+        keep = np.where(dec, (np.arange(len(row0)) == 0)[:, None], (w0 != 0.0) | (w1 != 0.0))
         errs, bad = [], keep & ~dec & ~(den > 0.0)
         if bad.any():
-            a, y = divmod(int(np.argmax(bad)), len(row0))
+            a = int(np.argmax(bad.any(axis=0)))
             errs.append((e[a], 0, ImpossibleUpdateError(
-                f"belief2={float(x2[a, 0])} cannot absorb (y2={y}, msg_lik="
+                f"belief2={float(x2[a])} cannot absorb (y2={int(np.argmax(bad[:, a]))}, msg_lik="
                 f"{(float(mz0[e[a]]), float(mz1[e[a]]))}); "
                 "state is inconsistent with its own message law")))
-        obs = np.stack(np.broadcast_arrays(x1[:, None], np.where(dec, x2, _ratio(num, den)),
+        obs = np.stack(np.broadcast_arrays(x1, np.where(dec, x2, _ratio(num, den)),
                                            np.where(dec, x0m, w0), np.where(dec, x1m, w1)), -1)
-        obs, oe = obs.reshape(-1, 4).compress(keep.ravel(), axis=0), np.repeat(e, keep.sum(axis=1))
+        obs = obs.reshape(-1, 4).compress(keep.ravel(), axis=0)
+        oe = np.broadcast_to(e, keep.shape).compress(keep.ravel())
         order = _sort_order(oe, obs)
         phi, heads = merge_rows(obs.take(order, axis=0), np.diff(oe[order], prepend=-1) != 0, 2)
         pe = oe[order][heads]
@@ -748,8 +756,8 @@ class _P2Solver(_Designer):
         ai = np.cumsum(act) - 1 - (np.cumsum(nact) - nact)[pe]
         # receiver groups (belief2 clusters): group g of entry s spans the
         # sampling atoms bound[s, g]:bound[s, g + 1]
-        ae = pe[act]
-        brk = (np.diff(phi[act, 1], prepend=-np.inf) > MERGE_TOL) | (np.diff(ae, prepend=-1) != 0)
+        ae, aphi = pe[act], phi.compress(act, axis=0)
+        brk = (np.diff(aphi[:, 1], prepend=-np.inf) > MERGE_TOL) | (np.diff(ae, prepend=-1) != 0)
         ng = np.bincount(ae[brk], minlength=len(ent))
         bound = np.zeros((len(ent), int(ng.max(initial=0)) + 1), dtype=np.intp)
         bound[ae[brk], (np.cumsum(brk) - 1 - (np.cumsum(ng) - ng)[ae])[brk]] = ai[act][brk]
@@ -760,7 +768,7 @@ class _P2Solver(_Designer):
         # prefix sums of declare-1 / declare-0 losses and continue mass over
         # the sampling atoms, each atom's two terms added in turn
         pre = np.zeros((3, len(ent), 2 * int(nact.max(initial=0)) + 1))
-        am0, am1 = phi[act, 2], phi[act, 3]
+        am0, am1 = aphi[:, 2], aphi[:, 3]
         pre[:, ae, 2 * ai[act] + 1] = am0 * loss[1][0], am0 * loss[0][0], am0
         pre[:, ae, 2 * ai[act] + 2] = am1 * loss[1][1], am1 * loss[0][1], am1
         pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2]
@@ -780,37 +788,45 @@ class _P2Solver(_Designer):
             errs.append((pe[int(np.argmax(bad)) // bad.shape[1]], 1, push_error(phi[:, 0], bad)))
         if errs:
             raise min(errs, key=lambda err: err[:2])[2]
-        r, y = np.nonzero(seen)
-        on = act[r]
-        urows = np.column_stack((post[r, y], np.full(len(r), -1.0),
-                                 phi[r, 2] * q0[y], phi[r, 3] * q1[y]))
+        ry = np.flatnonzero(seen)
+        r, y = np.divmod(ry, seen.shape[1])
+        on = act.take(r)
+        urows = np.column_stack((post.take(ry), np.full(len(r), -1.0),
+                                 phi[:, 2].take(r) * q0.take(y), phi[:, 3].take(r) * q1.take(y)))
         urows = np.concatenate((urows, urows.compress(on, axis=0)))
-        urows[len(r):, 1] = phi[r[on], 1]
+        urows[len(r):, 1] = phi[:, 1].take(r.compress(on))
         ukind = np.concatenate((on.astype(np.int8), np.full(int(on.sum()), 2, np.int8)))
         uact, ue = (np.concatenate((x[r], x[r][on])) for x in (ai, pe))
         order = _sort_order(ue, urows)
-        urows, ukind, uact = urows.take(order, axis=0), ukind[order], uact[order]
+        # a union row is kept where its act lies inside the child's continue
+        # run exactly when it samples on: declared rows (kind 0) carry act
+        # -1, inside no run, and are kept as declaring rows are
+        urows, uact = urows.take(order, axis=0), np.where(ukind == 0, -1, uact).take(order)
+        usample = (ukind == 2).take(order)
         ulen = np.bincount(ue, minlength=len(ent))
         ustart, lens = np.cumsum(ulen) - ulen, ulen[ce]
         # free the step's arrays before the children are built and keyed
-        del obs, oe, w0, w1, num, den, keep, pre, pd1, pd0, pcm, post, seen, r, y, ue
+        del obs, oe, w0, w1, num, den, keep, pre, pd1, pd0, pcm, post, seen, ry, r, y, ue
+        del x1, x2, x0m, x1m, phi, aphi, am0, am1, ai, act, pe, ae, on, ukind
         # child c takes, of its blank set's sorted union, the declared rows
         # and each sampling atom's row as sampling on inside its continue
         # run and as declaring outside it; a chunk of children at a time
         cuts = np.flatnonzero(np.diff(np.cumsum(lens) // _CHILDREN)) + 1
-        emass = mass[ent]
+        emass, span = mass[ent], (ahi - alo).view(np.uintp)
         for cs in np.split(np.arange(len(ce)), cuts):
             n = lens[cs]
             cid = np.repeat(np.arange(len(cs)), n)
             idx = np.arange(int(n.sum())) + np.repeat(ustart[ce[cs]] - (np.cumsum(n) - n), n)
-            inside = (uact[idx] >= alo[cs][cid]) & (uact[idx] < ahi[cs][cid])
-            sel = (ukind[idx] == 0) | ((ukind[idx] == 2) == inside)
-            idx, cid = idx[sel], cid[sel]
+            lo = alo[cs].take(cid)
+            sel = ((uact.take(idx) - lo).view(np.uintp) < span[cs].take(cid)) == usample.take(idx)
+            idx, cid = idx.compress(sel), cid.compress(sel)
             kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
             counts = np.bincount(cid[heads], minlength=len(cs))
-            kids[:, 2:] /= np.repeat(emass[ce[cs]], counts)[:, None]
+            share = np.repeat(emass[ce[cs]], counts)
+            kids[:, 2] /= share
+            kids[:, 3] /= share
             # the chunk's selection is freed before its children are keyed
-            del cid, idx, inside, sel, heads
+            del cid, idx, lo, sel, heads, share
             add(kids, counts)
         runs = np.zeros(len(mass), dtype=np.intp)
         runs[ent] = np.bincount(ce, minlength=len(ent))
@@ -842,11 +858,6 @@ class _P2Solver(_Designer):
         starts[1:] = (rows[1:, 0] - rows[:-1, 0] > MERGE_TOL) | (owner[1:] != owner[:-1])
         return rows, starts
 
-    def _run_entries(self, t, rows):
-        # a run's arrays hold an entry per atom and at most one per fresh
-        # observation of a still-sampling atom
-        return 1 + len(self.pb.channel2.row_pair(t)[0]) * (rows[:, 1] >= 0.0)
-
     def _pricer(self, t, rows, off):
         """Stopping-cost flows of message runs: a run's atoms send a message
         whose likelihood pair is the run's share of each hypothesis's mass,
@@ -854,31 +865,45 @@ class _P2Solver(_Designer):
         the knot reader prices each posterior."""
         read = self.wald.reader(self.pb.t2 - t)
         row0, row1 = (np.array(r, dtype=float) for r in self.pb.channel2.row_pair(t))
-        _, b2, m0, m1 = rows.T
-        # each sampling atom's terms (w, b2 * row0[y], (1 - b2) * row1[y]),
+        b2, m0, m1 = (rows[:, c].copy() for c in (1, 2, 3))
+        # each sampling atom's terms b2 * row0[y], (1 - b2) * row1[y] and w,
         # one per fresh observation y of weight w > 0; atom a's are
         # terms[at[a]:at[a + 1]]
-        w = m0[:, None] * row0 + m1[:, None] * row1
-        live = (b2 >= 0.0)[:, None] & (w > 0.0)
-        tw, tu0, tu1 = w[live], (b2[:, None] * row0)[live], ((1.0 - b2)[:, None] * row1)[live]
-        at = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
-        tot0, tot1 = (_seq_sums(m, off[:-1], np.diff(off)) for m in (m0, m1))
+        w = np.multiply.outer(row0, m0) + np.multiply.outer(row1, m1)
+        atom, y = np.divmod(np.flatnonzero(((w > 0.0) & (b2 >= 0.0)).T), len(row0))
+        tw = w.take(y * len(rows) + atom)
+        tu0, tu1 = b2.take(atom) * row0.take(y), (1.0 - b2.take(atom)) * row1.take(y)
+        at = np.concatenate(([0], np.cumsum(np.bincount(atom, minlength=len(rows)))))
+        # a run's arrays hold an entry per atom and per term
+        entries = np.arange(len(rows) + 1) + at
+        owner = np.repeat(np.arange(len(off) - 1), np.diff(off))
+        tot0, tot1 = (_seg_sums(owner, m, len(off) - 1) for m in (m0, m1))
 
-        def price(ks, bounds, runs):
-            lo = bounds[:, runs[:, 0]].ravel()
-            hi = bounds[:, runs[:, 1]].ravel()
+        def price(parts):
+            # every part's runs (node, first atom, end atom), node by node,
+            # in batches of about _PRICED entries
+            node, lo, hi = (np.concatenate(x) for x in zip(*(
+                (np.repeat(ks, len(runs)), bounds[:, runs[:, 0]].ravel(),
+                 bounds[:, runs[:, 1]].ravel()) for ks, bounds, runs in parts)))
+            cuts = np.flatnonzero(np.diff(np.cumsum(1 + entries[hi] - entries[lo]) // _PRICED)) + 1
+            return np.concatenate([flows(*x) for x in zip(*(np.split(a, cuts)
+                                                            for a in (node, lo, hi)))])
+
+        def flows(node, lo, hi):
             seg, idx = _segments(lo, hi - lo)
-            r0, r1 = (_seg_sums(seg, m[idx], len(lo)) for m in (m0, m1))
-            node = np.repeat(ks, len(runs))
+            r0, r1 = (_seg_sums(seg, m.take(idx), len(lo)) for m in (m0, m1))
             go = np.flatnonzero(r0 + r1 > 0.0)
-            mz0, mz1 = _ratio(r0[go], tot0[node[go]]), _ratio(r1[go], tot1[node[go]])
+            k = node.take(go)
+            mz0, mz1 = _ratio(r0.take(go), tot0.take(k)), _ratio(r1.take(go), tot1.take(k))
             # run s's terms are terms[at[lo[s]]:at[hi[s]]]
-            seg, term = _segments(at[lo[go]], at[hi[go]] - at[lo[go]])
-            num = tu0[term] * mz0[seg]
-            belief = _posteriors(num, num + tu1[term] * mz1[seg])
+            start = at.take(lo.take(go))
+            seg, term = _segments(start, at.take(hi.take(go)) - start)
+            self.priced_terms += len(term)
+            num = tu0.take(term) * mz0.take(seg)
+            belief = _posteriors(num, num + tu1.take(term) * mz1.take(seg))
             out = np.zeros(len(lo))
-            out[go] = _seg_sums(seg, tw[term] * read(belief), len(go))
-            return out.reshape(len(ks), len(runs))
+            out[go] = _seg_sums(seg, tw.take(term) * read(belief), len(go))
+            return out
 
         return price
 

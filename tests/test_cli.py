@@ -454,8 +454,12 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     rep = read_report(out)
     profile = rep["profile"]
     assert sorted(profile) == ["build_s", "check_s", "enumerate_s", "extract_s", "key_s",
-                               "search_s", "value_s"]
+                               "priced_runs", "priced_terms", "search_s", "value_s"]
     assert all(v >= 0.0 for v in profile.values())
+    # the valuation's work: P1 prices runs from prefix sums, with no
+    # fresh-observation terms
+    assert profile["priced_runs"] >= rep.get("nodes", 1)
+    assert (profile["priced_terms"] > 0) == (command == "solve-p2")
     # the search is its enumeration (child building and keying) plus its
     # valuation
     assert profile["search_s"] == profile["enumerate_s"] + profile["value_s"]

@@ -110,6 +110,10 @@ def test_solution_reports_search_size(sym02_p2):
     sol = solve_p2(sym02_p2)
     assert sol.nodes > 0
     assert sol.partitions_tried >= sol.nodes
+    # the valuation's work at sym02 P2 T=4: every node's message runs, and
+    # in them the fresh observations of still-sampling atoms
+    sol = solve_p2(decseq.load_problem_spec(make_spec(variant="P2", t1=4, t2=4)))
+    assert (sol.priced_runs, sol.priced_terms) == (11826, 116846)
 
 
 def post_message_beliefs(o2, prob, t, z):
@@ -278,7 +282,8 @@ def segment_sums(draw):
 def test_seq_sums_add_left_to_right(case):
     values, pairs = case
     start, length = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    got = seq_decomp._seq_sums(np.array(values, dtype=float), start, length)
+    seg, idx = seq_decomp._segments(start, length)
+    got = seq_decomp._seg_sums(seg, np.array(values, dtype=float)[idx], len(start))
     assert got.dtype == np.float64
     assert [x.hex() for x in got.tolist()] == [left_sum(values[s:s + n]).hex() for s, n in pairs]
 
@@ -449,26 +454,27 @@ def test_run_pricer_and_partition_tables_match_references(spec):
     def checked_pricer(t, rows, off):
         price = pricer(t, rows, off)
 
-        def checked(ks, bounds, runs):
-            # every run of groups lo..hi-1, not only the table's
-            n = bounds.shape[1] - 1
-            every = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-            want = []
-            for k in ks.tolist():
-                state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
-                n_ref, send_ref = reference_send(solver, t, state)
-                assert n == n_ref
-                want.append([outcome(send_ref, lo, hi) for lo, hi in every])
-            try:
-                got = price(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))
-            except decseq.DecseqError as exc:
-                # the batch raises the error of its first failing run
-                errors = [c for costs in want for c in costs if isinstance(c, type)]
-                assert errors and type(exc) is errors[0]
-                raise
-            assert got.tolist() == want
-            states.extend([t] * len(ks))
-            return price(ks, bounds, runs)
+        def checked(parts):
+            for ks, bounds, _ in parts:
+                # every run of groups lo..hi-1, not only the table's
+                n = bounds.shape[1] - 1
+                every = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+                want = []
+                for k in ks.tolist():
+                    state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
+                    n_ref, send_ref = reference_send(solver, t, state)
+                    assert n == n_ref
+                    want.append([outcome(send_ref, lo, hi) for lo, hi in every])
+                try:
+                    got = price([(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))])
+                except decseq.DecseqError as exc:
+                    # the batch raises the error of its first failing run
+                    errors = [c for costs in want for c in costs if isinstance(c, type)]
+                    assert errors and type(exc) is errors[0]
+                    raise
+                assert got.reshape(len(ks), -1).tolist() == want
+                states.extend([t] * len(ks))
+            return price(parts)
         return checked
 
     solver._pricer = checked_pricer
@@ -732,6 +738,55 @@ def test_batch_node_value_matches_scalar_recursion(node):
         want = type(exc)
     got = outcome(value_terminal, new, state)
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def last_stage_nodes():
+    """Per variant, sym02 at T1 = T2 = 3 and the atom rows of every node
+    its search values at the last stage."""
+    out = {}
+    for variant in ("P1", "P2"):
+        prob = decseq.load_problem_spec(make_spec(variant=variant, t1=3, t2=3))
+        solver, nodes = (_P1Solver if variant == "P1" else _P2Solver)(prob), []
+        value_nodes = solver._value_nodes
+
+        def recording(t, rows, starts, counts, blanks=None, value_nodes=value_nodes, nodes=nodes):
+            if blanks is None:
+                nodes.extend(np.split(rows, np.cumsum(counts)[:-1]))
+            return value_nodes(t, rows, starts, counts, blanks)
+
+        solver._value_nodes = recording
+        solver.solve()
+        out[variant] = prob, nodes
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mixed_batch_values_match_single_nodes(data, last_stage_nodes):
+    # 2-6 last-stage nodes of different group counts valued in one batch
+    # (pieces of several counts sharing pricing calls, or one run per call)
+    # get the value, to the bit, and the first cheapest partition that
+    # valuing each alone gives
+    prob, nodes = last_stage_nodes[data.draw(st.sampled_from(["P1", "P2"]))]
+    picks = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=6))
+    solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
+    priced = seq_decomp._PRICED
+
+    def value(states):
+        counts = np.array([len(s) for s in states])
+        rows, starts = solver._groups(np.concatenate(states), counts)
+        return solver._value_nodes(prob.t1, rows, starts, counts)
+
+    seq_decomp._PRICED = data.draw(st.sampled_from([1, 64, priced]))
+    try:
+        values, best, ns = value([nodes[i] for i in picks])
+        assume(len(set(ns.tolist())) > 1)
+        alone = [value([nodes[i]]) for i in picks]
+    finally:
+        seq_decomp._PRICED = priced
+    assert [(v.hex(), b, n) for v, b, n in zip(values.tolist(), best.tolist(), ns.tolist())] == \
+        [(v[0].hex(), b[0], n[0]) for v, b, n in ((x.tolist() for x in a) for a in alone)]
 
 
 # ---------------------------------------------------------------------------
