@@ -524,7 +524,8 @@ class _Designer:
         # consecutive pieces of about _PRICED entries in all share a pricing
         # call, which prices their runs in batches of about _PRICED entries
         size = np.cumsum([0] + [piece[-1] for piece in pieces])[:-1] // _PRICED
-        for call in np.split(np.arange(len(pieces)), np.flatnonzero(np.diff(size)) + 1)[:len(pieces)]:
+        calls = np.split(np.arange(len(pieces)), np.flatnonzero(np.diff(size)) + 1)
+        for call in calls[:len(pieces)]:
             run_cost = price([pieces[i][:3] for i in call])
             self.priced_runs += len(run_cost)
             for i in call.tolist():
@@ -607,7 +608,8 @@ class _Designer:
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
                                 stage_stats=stage_stats, priced_runs=self.priced_runs,
-                                priced_terms=self.priced_terms, search_s=enumerate_s + self.value_s,
+                                priced_terms=self.priced_terms,
+                                search_s=enumerate_s + self.value_s,
                                 enumerate_s=enumerate_s, build_s=build_s, key_s=self.key_s,
                                 value_s=self.value_s, extract_s=time.perf_counter() - searched)
 
@@ -771,14 +773,19 @@ class _P2Solver(_Designer):
         am0, am1 = aphi[:, 2], aphi[:, 3]
         pre[:, ae, 2 * ai[act] + 1] = am0 * loss[1][0], am0 * loss[0][0], am0
         pre[:, ae, 2 * ai[act] + 2] = am1 * loss[1][1], am1 * loss[0][1], am1
-        pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2]
-        charges = (pd1[ce, alo] - pd1[ce, 0]) + (pd0[ce, nact[ce]] - pd0[ce, ahi]) \
-            + pb.costs.c2 * (pcm[ce, ahi] - pcm[ce, alo])
+        # entry s's prefix sum after i sampling atoms is at s * width + i
+        width = 1 + int(nact.max(initial=0))
+        pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2].reshape(3, -1)
+        row = ce * width
+        charges = (pd1.take(row + alo) - pd1.take(row)) \
+            + (pd0.take(row + nact[ce]) - pd0.take(row + ahi)) \
+            + pb.costs.c2 * (pcm.take(row + ahi) - pcm.take(row + alo))
         # the empty run's one child has every sampling atom declare: charge
         # the cheapest split, 1 below group s and 0 above (the zero padding
         # of bound past ng repeats s = 0, everyone declaring 0)
-        ei = np.arange(len(ent))[:, None]
-        split = (pd1[ei, bound] - pd1[:, :1]) + (pd0[ei, nact[:, None]] - pd0[ei, bound])
+        row = np.arange(len(ent))[:, None] * width
+        split = (pd1.take(row + bound) - pd1.take(row)) \
+            + (pd0.take(row + nact[:, None]) - pd0.take(row + bound))
         charges = np.where(gi < gj, charges, split.min(axis=1)[ce])
         # phi pushed through observer 1's next observation: declared (kind
         # 0), declaring (1) and sampling on (2), sorted per blank set
