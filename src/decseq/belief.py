@@ -1,4 +1,4 @@
-"""Bayes updates and reachable belief sets.
+"""Bayes updates, and the pushes and merges of belief atoms.
 
 Beliefs are P(H = 0 | information).  ``bayes`` is the one scalar Bayes step
 that every program uses but the designer's observer-2 steps, and
@@ -144,11 +144,6 @@ def merge_rows(rows, first, beliefs):
     return rows.take(np.append(starts[1:], len(rows))[:len(starts)] - 1, axis=0), starts
 
 
-def merged_support(beliefs):
-    """Sorted distinct beliefs, those closer than MERGE_TOL merged (merge_atoms)."""
-    return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in beliefs])]
-
-
 def push_atom(belief, w0, w1, channel_rows):
     """One atom of belief ``belief`` and per-hypothesis masses (w0, w1)
     pushed through a channel row pair: (probability, posterior, row0[y],
@@ -211,29 +206,3 @@ def push_linked(entries, channel_rows):
     joins = iter(where)
     return merged, [[(p, next(joins)) for p, *_ in out] for out in pushes]
 
-
-def receiver_atoms(channel, horizon, seeds):
-    """Every belief the receiver can reach from the given seed beliefs.
-
-    ``seeds`` holds (observation count, belief) pairs.  Each seed is pushed
-    through ``channel`` one observation at a time until the receiver has
-    ``horizon`` observations.  Returns the merged_support of the seeds and
-    of every belief they reach.
-    """
-    by_count = {}
-    for k, b in seeds:
-        by_count.setdefault(k, []).append(b)
-    out = []
-    cur = []
-    for k in range(min(by_count, default=horizon), horizon + 1):
-        nxt = list(by_count.get(k, ()))
-        if cur:
-            rows = channel.row_pair(k)
-            for b in cur:
-                for f0, f1 in zip(*rows):
-                    _, post = bayes(b, f0, f1)
-                    if post is not None:
-                        nxt.append(post)
-        cur = merged_support(nxt)
-        out += cur
-    return merged_support(out)

@@ -16,8 +16,9 @@ modelled belief lives on finitely many atoms per stage, which one forward
 walk builds with each outcome's atom index, and the decision is a
 stop-or-sample dynamic program whose continuation runs over the sender's
 message likelihoods; after the final message it is the plain stopping
-problem.  Also exact; both phases label their atoms with
-``wald.stop_or_sample``, and every Bayes step is ``belief.bayes``.
+problem, on the beliefs a message leaves and those they reach.  Also
+exact; both phases label their atoms with ``wald.stop_or_sample``, and
+every Bayes step is ``belief.bayes``.
 
 Alternating the two (pbpo_iteration) produces a non-increasing sequence of
 exact pair costs: each response is optimal among all decision maps against
@@ -27,12 +28,13 @@ map.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .belief import bayes, merge_linked, push_linked, receiver_atoms, start_atom
+from .belief import bayes, merge_atoms, merge_linked, push_linked, start_atom
 from .errors import CapacityError, ProblemSpecError
 from .policies import (BLANK, O1Policy, O2Policy, TerminalRule, _message_model,
                        boundary_stage, extract_thresholds, send_law, sender_choice)
@@ -121,10 +123,11 @@ def evaluate_o2_policy(o2, history, final_z, problem):
     if t > problem.t1:
         raise ProblemSpecError("history", f"final message at stage {t} is past the "
                                           f"deadline {problem.t1}")
-    if final_z == BLANK or not isinstance(final_z, int) \
+    # an integer (Python or numpy, not bool), as estimate_cost takes them
+    if isinstance(final_z, bool) or not isinstance(final_z, numbers.Integral) \
             or not 0 <= final_z < o2.n_messages:
         raise ProblemSpecError("final_z", f"not a symbol: {final_z!r}")
-    charges = _scripted_charges(o2, problem, t, final_z)
+    charges = _scripted_charges(o2, problem, t, int(final_z))
     first = t if problem.variant == "P2" else 0
     return tuple(sum(g[h] for g in charges[first:]) for h in (0, 1))
 
@@ -231,7 +234,7 @@ def _o2_response(o1, problem, wald):
                 posteriors.append((t, z, post, p))
 
     if problem.variant == "P1":
-        seeds = [(0, post) for _, _, post, _ in posteriors] or [(0, problem.prior)]
+        seeds = [[post for *_, post, _ in posteriors] or [problem.prior]]
         values = wald.reader(problem.t2)(np.array([post for *_, post, _ in posteriors]))
         # added left to right: the builtin sum() compensates from Python 3.12
         inner = 0.0
@@ -242,12 +245,12 @@ def _o2_response(o1, problem, wald):
         # interleaved variant: the blank-phase program, each message priced
         # by the stopping table
         walk = _blank_walk(model, problem)
-        seeds = [(s + 1, b) for s, sent in enumerate(walk[2]) for b in sent]
+        seeds = [[]] + walk[2]   # a message at stage k comes with observation k
         tables, rules, inner = _blank_phase(problem, walk,
                                             lambda t, b: wald.reader(problem.t2 - t)(b))
         blank_tables, first_used = list(tables.values()), 1
     # thresholds between every belief the receiver can hold after a message
-    atoms = tuple(receiver_atoms(problem.channel2, problem.t2, seeds)) or (float(problem.prior),)
+    atoms = tuple(_after_atoms(problem.channel2, problem.t2, seeds)) or (float(problem.prior),)
     o2 = O2Policy(blank_rules=tuple(rules.values()), wald_rules=wald.thresholds_at(atoms),
                   message_model=model, n_messages=problem.n_messages)
     return BestResponseResult(
@@ -256,8 +259,8 @@ def _o2_response(o1, problem, wald):
 
 
 # ---------------------------------------------------------------------------
-# the receiver's blank phase (interleaved variant), shared with the
-# no-deadline receiver limit
+# the receiver's walks: its blank phase (interleaved variant), shared with
+# the no-deadline receiver limit, and the beliefs a message leaves
 
 
 def _receiver_step(b, factors, rows):
@@ -270,6 +273,23 @@ def _receiver_step(b, factors, rows):
             p, post = bayes(b, f0z * r0, f1z * r1)
             if post is not None:
                 yield z, p, post
+
+
+def _after_atoms(channel, horizon, seeds):
+    """Every belief the receiver can hold after a message, sorted: the
+    beliefs ``seeds[k]`` that messages leave after k observations and their
+    pushes by the unit-factor step to ``horizon`` observations, merged
+    (``merge_atoms``) count by count and then all together."""
+    out, cur = [], []
+    for k in range(horizon + 1):
+        level = list(seeds[k]) if k < len(seeds) else []
+        if cur:
+            # read only once an atom is pushed: there is no table 0
+            rows = channel.row_pair(k)
+            level += [nb for b in cur for _, _, nb in _receiver_step(b, {BLANK: (1.0, 1.0)}, rows)]
+        cur = [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in level])]
+        out += cur
+    return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in out])]
 
 
 def _blank_walk(model, problem):

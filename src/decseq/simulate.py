@@ -4,11 +4,13 @@ Exact evaluation rests on one fact: given the hypothesis, observer 1's
 observations are independent of observer 2's, and observer 1 never sees
 observer 2.  So the sender's law of (tau1, symbol) (policies.send_law) and
 the receiver's own observations fix every path, and forward_pass pushes
-the receiver's path mass over its merged modelled-belief atoms: during the
-blank phase (interleaved variant), weighted by the chance the sender is
-still silent, then after the message, where atoms from every send stage
-and symbol merge, since the stopping problem from there depends only on
-(observation count, belief).  tau1 is recorded when the message is sent,
+the receiver's path mass over its merged modelled-belief atoms, stage by
+stage in one loop: during the blank phase (interleaved variant), weighted
+by the chance the sender is still silent, then after the message, where
+atoms from every send stage and symbol merge, since the stopping problem
+from there depends only on (observation count, belief).  Messages arrive
+before the first observation, or from the blank atoms with their stage's
+observation (interleaved).  tau1 is recorded when the message is sent,
 tau2 and the loss when the receiver declares.  Beliefs closer than
 belief.MERGE_TOL are one atom; otherwise the result is exact up to float
 arithmetic.  exact_cost runs it on a sender's send law, evaluate_o2_policy
@@ -31,7 +33,9 @@ allocated.
 
 Observer 2 acts on its modelled belief (through the policy's message
 model): identical to the true posterior when the pair is consistent, still
-a well-defined map when it is not.
+a well-defined map when it is not.  Every receiver step here is its own
+rule, subjective_update, which keeps the belief on an outcome the model
+calls impossible, where the best responses' walks skip such outcomes.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def forward_pass(o2, problem, sends):
     cost c2 * tau2 + loss.
     """
     costs = problem.costs
-    last = o2.max_observations
+    last, deadline = o2.max_observations, len(sends)
     accs = (_HypAccum(), _HypAccum())
     loss_at = [[0.0, 0.0] for _ in range(last + 1)]
     for t, law in enumerate(sends, start=1):
@@ -186,42 +190,34 @@ def forward_pass(o2, problem, sends):
                 loss_at[k][h] += w * costs.loss[u][h]
         return going
 
-    prior = float(problem.prior)
-    if problem.variant == "P1":
-        # the idle receiver's belief moves only with the messages
-        sb, entries = prior, []
-        for t, law in enumerate(sends, start=1):
-            entries += [(subjective_update(sb, None, None, o2.message_factor(t, z)), p0, p1)
-                        for z, (p0, p1) in law.items()]
-            sb = subjective_update(sb, None, None, o2.message_factor(t, BLANK))
-        post = settle(0, merge_atoms(entries), o2.decide_wald)
-        for k in range(1, last + 1):
-            if not post:
-                break
-            rows = problem.channel2.row_pair(k)
-            post = settle(k, merge_atoms(_observe_receiver(post, rows, None)), o2.decide_wald)
-    else:
-        # silent[s-1] = P(tau1 > s | H=h), the weight of the blank phase at s
-        silent = [(0.0, 0.0)] * len(sends)
-        for s in range(len(sends) - 1, 0, -1):
-            silent[s - 1] = tuple(silent[s][h] + sum(ws[h] for ws in sends[s].values())
-                                  for h in (0, 1))
-        blank = [(prior, 1.0, 1.0)]   # P(receiver path, still sampling | H)
-        post = []
-        for s in range(1, last + 1):
-            if not (post or blank):
-                break
-            rows = problem.channel2.row_pair(s)
-            entries = _observe_receiver(post, rows, None)
-            for z, (p0, p1) in (sends[s - 1] if s <= len(sends) else {}).items():
+    # silent[s-1] = P(tau1 > s | H=h), the weight of the blank phase at s
+    silent = [(0.0, 0.0)] * deadline
+    for s in range(deadline - 1, 0, -1):
+        silent[s - 1] = tuple(silent[s][h] + sum(ws[h] for ws in sends[s].values())
+                              for h in (0, 1))
+    # the stages whose messages arrive at each observation count: all at 0
+    # in P1 (the idle receiver moves only with them), stage s's at s in P2
+    arrivals = ({0: range(1, deadline + 1)} if problem.variant == "P1"
+                else {s: (s,) for s in range(1, deadline + 1)})
+    blank = [(float(problem.prior), 1.0, 1.0)]   # P(receiver path, still sampling | H)
+    post = []
+    for k in range(min(arrivals), last + 1):
+        if not (post or blank):
+            break
+        # before the first observation, a message comes with a sure symbol
+        rows = problem.channel2.row_pair(k) if k else ((1.0,), (1.0,))
+        entries = _observe_receiver(post, rows, None)
+        for t in arrivals.get(k, ()):
+            for z, (p0, p1) in sends[t - 1].items():
                 sent = [(b, w0 * p0, w1 * p1) for b, w0, w1 in blank]
-                entries += _observe_receiver(sent, rows, o2.message_factor(s, z))
-            post = settle(s, merge_atoms(entries), o2.decide_wald)
-            if s < len(sends):
-                stays = _observe_receiver(blank, rows, o2.message_factor(s, BLANK))
-                blank = settle(s, merge_atoms(stays), o2.decide_blank, silent[s - 1])
-            else:
-                blank = []
+                entries += _observe_receiver(sent, rows, o2.message_factor(t, z))
+            # the sender speaks by its deadline
+            blank = _observe_receiver(blank, rows, o2.message_factor(t, BLANK)) \
+                if t < deadline else []
+        post = settle(k, merge_atoms(entries), o2.decide_wald)
+        if blank:
+            # the interleaved receiver declares or samples on its blank atoms
+            blank = settle(k, merge_atoms(blank), o2.decide_blank, silent[k - 1])
     charges = []
     at_least = [0.0, 0.0]   # P(tau2 >= s | H=h)
     for s in range(last, -1, -1):

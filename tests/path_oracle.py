@@ -3,12 +3,14 @@
 Walks every positive-probability observation path of a policy pair under
 each hypothesis and books each finished path's (tau1, tau2, decision,
 loss).  Exponential in the horizon, so it only serves as the oracle that
-simulate.forward_pass is checked against on small instances.
+simulate.forward_pass is checked against on small instances.  Also keeps
+``receiver_atoms``, the scalar reference for the receiver's post-message
+support (best_response._after_atoms).
 """
 
 from dataclasses import dataclass
 
-from decseq.belief import update_observer1
+from decseq.belief import bayes, merge_atoms, update_observer1
 from decseq.errors import CertificationError
 from decseq.policies import BLANK, subjective_update
 from decseq.simulate import CostBreakdown, _HypAccum, check_pair
@@ -175,3 +177,35 @@ def blank_phase_paths(o2, problem, upto):
                     nxt.append((nsb, nw0, nw1))
         nodes = nxt
     return nodes
+
+
+def merged_support(beliefs):
+    """Sorted distinct beliefs, those closer than MERGE_TOL merged (merge_atoms)."""
+    return [b for b, _, _ in merge_atoms([(b, 1.0, 0.0) for b in beliefs])]
+
+
+def receiver_atoms(channel, horizon, seeds):
+    """Every belief the receiver can reach from the given seed beliefs.
+
+    ``seeds`` holds (observation count, belief) pairs.  Each seed is pushed
+    through ``channel`` one observation at a time until the receiver has
+    ``horizon`` observations.  Returns the merged_support of the seeds and
+    of every belief they reach.
+    """
+    by_count = {}
+    for k, b in seeds:
+        by_count.setdefault(k, []).append(b)
+    out = []
+    cur = []
+    for k in range(min(by_count, default=horizon), horizon + 1):
+        nxt = list(by_count.get(k, ()))
+        if cur:
+            rows = channel.row_pair(k)
+            for b in cur:
+                for f0, f1 in zip(*rows):
+                    _, post = bayes(b, f0, f1)
+                    if post is not None:
+                        nxt.append(post)
+        cur = merged_support(nxt)
+        out += cur
+    return merged_support(out)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decseq import ImpossibleUpdateError, merge_atoms, update_observer1
+from decseq import Channel, ImpossibleUpdateError, merge_atoms, update_observer1
 from decseq.belief import (MERGE_TOL, bayes, outcomes, push_atom, push_atoms, push_linked,
-                           push_rows, receiver_atoms, start_atom)
+                           push_rows, start_atom)
+from decseq.best_response import _after_atoms
+from path_oracle import receiver_atoms
 
 
 def reachable_levels(prior, channel, horizon):
@@ -196,9 +198,49 @@ def test_receiver_atoms_matches_reachable_levels(asym_p1):
 
     levels = reachable_levels(0.3, ch, 3)
     want = [b for level in levels for b, _, _ in level]
-    assert same_points(receiver_atoms(ch, 3, [(0, 0.3)]), want)
-    assert same_points(receiver_atoms(ch, 3, [(0, 0.3), (3, 0.55)]), want + [0.55])
+    assert same_points(_after_atoms(ch, 3, [[0.3]]), want)
+    assert same_points(_after_atoms(ch, 3, [[0.3], [], [], [0.55]]), want + [0.55])
     later = reachable_levels(0.55, ch, 1)
-    assert same_points(receiver_atoms(ch, 3, [(2, 0.55)]),
+    assert same_points(_after_atoms(ch, 3, [[], [], [0.55]]),
                        [b for level in later for b, _, _ in level])
-    assert receiver_atoms(ch, 3, []) == []
+    assert _after_atoms(ch, 3, []) == []
+
+
+@st.composite
+def _receiver_seeds(draw):
+    """A receiver channel (stationary, or one table per observation with
+    rows of zero entries among them), a horizon of 0..3 observations and
+    (count, belief) seeds at counts 0..horizon, at the horizon more often,
+    some within 2 MERGE_TOL of the one before; or no seeds at all.  The
+    seeds are also given count by count, as the support takes them, with
+    empty trailing counts kept or dropped."""
+    horizon = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+    def rows():
+        return tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+
+    tables = tuple(rows() for _ in range(1 if draw(st.booleans()) else max(horizon, 1)))
+    seeds = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.one_of(st.just(horizon), st.integers(0, horizon)))
+        if seeds and draw(st.booleans()):
+            b = min(1.0, seeds[-1][1] + draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))) * MERGE_TOL)
+        else:
+            b = draw(st.one_of(_ENDS, st.floats(0.0, 1.0)))
+        seeds.append((k, b))
+    by_count = [[b for k2, b in seeds if k2 == k] for k in range(horizon + 1)]
+    while by_count and not by_count[-1] and draw(st.booleans()):
+        by_count.pop()
+    return Channel(observer=2, tables=tables), horizon, seeds, by_count
+
+
+@given(_receiver_seeds())
+@settings(max_examples=200, deadline=None)
+def test_after_atoms_match_the_scalar_reference(case):
+    # the best response's support, pushed by its own receiver step, is the
+    # reference's to the bit; a time-varying channel has no table 0 to read
+    channel, horizon, seeds, by_count = case
+    assert [b.hex() for b in _after_atoms(channel, horizon, by_count)] == \
+        [b.hex() for b in receiver_atoms(channel, horizon, seeds)]

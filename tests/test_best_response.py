@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import decseq
@@ -106,6 +107,18 @@ def test_evaluate_o2_policy_validates_history(sym02_p2):
         evaluate_o2_policy(sol.o2, [], BLANK, sym02_p2)  # final symbol only
 
 
+def test_evaluate_o2_policy_takes_integer_symbols(sym02_p1):
+    # symbols are integers as estimate_cost takes them: numpy ones price as
+    # the Python int, and a bool is not a symbol
+    o2 = decseq.solve_p1(sym02_p1).o2
+    want = evaluate_o2_policy(o2, (), 1, sym02_p1)
+    got = evaluate_o2_policy(o2, (), np.int64(1), sym02_p1)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    for bad in (True, False, np.int64(2), 1.0):
+        with pytest.raises(decseq.ProblemSpecError, match="not a symbol"):
+            evaluate_o2_policy(o2, (), bad, sym02_p1)
+
+
 def test_evaluate_o2_policy_affine_in_hypothesis_mix(sym02_p2):
     sol = decseq.solve_p2(sym02_p2)
     a, b = evaluate_o2_policy(sol.o2, [], 1, sym02_p2)
@@ -137,19 +150,24 @@ def test_pbpo_from_custom_start(asym_p1):
 
 def test_p2_receiver_steps_each_blank_atom_once(monkeypatch):
     # a sender that waits leaves the receiver blank atoms past stage 1; one
-    # forward walk works out each (stage, atom)'s outcomes once
+    # forward walk works out each (stage, atom)'s outcomes once.  The
+    # post-message support takes the same step with the unit message factor
     from conftest import make_spec
     from decseq import best_response
     problem = decseq.load_problem_spec(make_spec(variant="P2", t1=3, t2=3, c1=0.01, c2=0.02))
     o1 = decseq.solve_p2(problem).o1
-    steps = []
+    steps, support = [], []
     real = best_response._receiver_step
     monkeypatch.setattr(best_response, "_receiver_step",
-                        lambda b, *args: steps.append(b) or real(b, *args))
+                        lambda b, factors, rows: (support if factors == {BLANK: (1.0, 1.0)}
+                                                  else steps).append(b) or real(b, factors, rows))
     res = o2_best_response(o1, problem)
     atoms = [1] + [len(t.atoms) for t in res.tables if t.kind[0] == "blank"]
     assert atoms == [1, 2, 3]
     assert len(steps) == sum(atoms)
+    # the first messages arrive at stage 2 and leave five merged beliefs,
+    # each pushed once to T2 = 3; the stage-3 ones are not pushed
+    assert len(set(support)) == len(support) == 5
 
 
 def test_one_knot_table_per_designer_solve_and_pbpo_run(monkeypatch, sym02_p1, sym02_p2):
