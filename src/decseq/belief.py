@@ -107,16 +107,18 @@ def merge_rows(rows, first, beliefs):
     new[1:] |= rows[1:, 0] - rows[:-1, 0] > MERGE_TOL + _SLACK
     if beliefs == 2:
         new[1:] |= np.abs(rows[1:, 1] - rows[:-1, 1]) > 2.0 * (MERGE_TOL + _SLACK)
-    heads = np.flatnonzero(new)
-    size = np.diff(heads, append=len(rows))
-    chain = np.flatnonzero(size > 1)
+    heads = new.nonzero()[0]
+    size = np.concatenate((heads[1:], [len(rows)])) - heads
+    chain = (size > 1).nonzero()[0]
+    if not chain.size:  # every row is a merged atom of its own
+        return rows.take(heads, axis=0), heads
     chain = chain[np.argsort(-size[chain], kind="stable")]
     heads, size = heads[chain], size[chain]
     # step j's rows, heads[:n[j]] + j, are flat[o[j]:o[j + 1]]; cols holds
     # their copies column by column, and tot their mass totals
-    n = np.searchsorted(-size, -np.arange(size.max(initial=1)))
-    o = np.concatenate(([0], np.cumsum(n)))
-    flat = heads[np.arange(o[-1]) - np.repeat(o[:-1], n)] + np.repeat(np.arange(len(n)), n)
+    n = (-size).searchsorted(-np.arange(size.max(initial=1)))
+    o = np.concatenate(([0], n.cumsum()))
+    flat = heads[np.arange(o[-1]) - o[:-1].repeat(n)] + np.arange(len(n)).repeat(n)
     cols = np.array(rows.take(flat, axis=0).T, order="C")
     tot = cols[-2] + cols[-1]
     join = np.zeros(len(flat), dtype=bool)
@@ -137,11 +139,10 @@ def merge_rows(rows, first, beliefs):
                   where=ok & (both > 0.0))
         np.add(last[-2:], e[-2:], out=e[-2:], where=ok)
     new[flat[o[1]:]] = ~join[o[1]:]
-    starts = np.flatnonzero(new)
+    starts = new.nonzero()[0]
     # each merged atom is the copy its last raw row left
-    for c, x in enumerate(cols):
-        rows[:, c][flat] = x
-    return rows.take(np.append(starts[1:], len(rows))[:len(starts)] - 1, axis=0), starts
+    rows[flat] = cols.T
+    return rows.take(np.concatenate((starts[1:], [len(rows)]))[:len(starts)] - 1, axis=0), starts
 
 
 def push_atom(belief, w0, w1, channel_rows):

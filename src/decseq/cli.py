@@ -230,8 +230,8 @@ def _designer_checked(problem):
     block: seconds in the search (enumerating nodes, that is building
     children and keying them, then valuing them), in extraction (the
     sender's policy walk and the receiver's best response) and in the
-    check, and the valuation's work (message runs and fresh-observation
-    terms priced)."""
+    check, the valuation's work (message runs and fresh-observation terms
+    priced), and the search's seconds stage by stage."""
     sol = solve_p1(problem) if problem.variant == "P1" else solve_p2(problem)
     start = time.perf_counter()
     check = exact_cost((sol.o1, sol.o2), problem).total
@@ -239,7 +239,8 @@ def _designer_checked(problem):
                "build_s": sol.build_s, "key_s": sol.key_s,
                "value_s": sol.value_s, "extract_s": sol.extract_s,
                "check_s": time.perf_counter() - start,
-               "priced_runs": sol.priced_runs, "priced_terms": sol.priced_terms}
+               "priced_runs": sol.priced_runs, "priced_terms": sol.priced_terms,
+               "stages": list(sol.stage_seconds)}
     return sol, check, profile
 
 

@@ -241,8 +241,8 @@ def epsilon_optimal_pair(problem, epsilon, max_horizon=6):
     the first exceeds the designer's node cap; a cap hit at horizon 1
     stays a ``CapacityError``.
     """
-    if not epsilon > 0.0:
-        raise ProblemSpecError("epsilon", f"{epsilon} is not > 0")
+    if not 0.0 < epsilon < float("inf"):
+        raise ProblemSpecError("epsilon", f"{epsilon} is not a finite number > 0")
     if max_horizon < 1:
         raise ProblemSpecError("max_horizon", f"{max_horizon} is below the first horizon 1")
     _require_stationary(problem)

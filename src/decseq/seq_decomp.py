@@ -15,12 +15,14 @@ variants share one sequential decomposition (``_Designer``):
   is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
   most nodes, is valued batch by batch, the earlier stages backward; a
-  valuation takes the nodes of each group count in pieces whose cost
-  arrays hold about ``_PRICED`` entries, and consecutive pieces of that
-  many entries in all share one pricing call.  The
-  table of partitions of n groups, a pure function of n, M and whether the
-  stage is the last, is built once per process (``_partition_table``);
-* **children** -- built a stage at a time, a chunk of nodes at a time, in
+  valuation takes its nodes by group count in batches of about
+  ``_PRICED`` runs and partitions, one pricing call per batch, and adds
+  each group count's partition costs as one array.  The table of
+  partitions of n groups, a pure function of n, M and whether the stage
+  is the last, is built once per process (``_partition_table``);
+* **children** -- the stage-1 state, the prior's scalar push
+  (``belief.push_atom``), is built once per solve, later ones a stage at
+  a time, a chunk of nodes at a time, in
   numpy arrays (``_build``): every node's atoms pass observer 1's next
   observation once (``belief.push_rows``), and each blank set's child (in
   variant P2, after observer 2's step, each continue interval's) is a
@@ -39,7 +41,7 @@ variants share one sequential decomposition (``_Designer``):
   the new nodes' atoms are then sorted as sorted() sorts them and grouped
   (``_groups``);
 * **prices** -- message runs are priced through ``WaldSolution.reader``,
-  every sum added left to right: prefix sums by ``np.cumsum``, and the sums
+  every sum added left to right: prefix sums a row of nodes at a time, sums
   over runs and their terms by ``np.bincount``, one C pass that adds each
   weight into its segment's bin in input order (``_seg_sums``).  Pairwise
   sums (``ndarray.sum``; ``np.add.reduceat``'s order is not documented),
@@ -88,7 +90,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .belief import MERGE_TOL, merge_rows, push_error, push_rows
+from .belief import MERGE_TOL, merge_rows, push_atom, push_error, push_rows
 from .best_response import _o2_response, immediate_sender_policy
 from .errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from .policies import BLANK, O1Policy, O2Policy, extract_thresholds
@@ -188,15 +190,16 @@ def _state_keys(coords, counts):
     ``_key_ints`` rows, sorted, as int64 bytes."""
     width = coords.shape[1]
     ks = _key_ints(coords.ravel()).reshape(-1, width)
-    owner = np.repeat(np.arange(len(counts)), counts)
+    ends = counts.cumsum()
     # the children's builders often give every state's rows in order (the
     # first column in which a row differs from the row before never
-    # falls), and then the sort is skipped
-    falls = np.sign(np.diff(ks, axis=0)) @ 2.0 ** np.arange(width - 1, -1, -1) < 0.0
-    if (falls & (owner[1:] == owner[:-1])).any():
-        ks = ks.take(_sort_order(owner, ks), axis=0)
+    # falls; a state's first row may fall), and then the sort is skipped
+    falls = np.sign(ks[1:] - ks[:-1]) @ (1 << np.arange(width - 1, -1, -1)) < 0
+    falls[ends[:-1] - 1] = False
+    if falls.any():
+        ks = ks.take(_sort_order(np.arange(len(counts)).repeat(counts), ks), axis=0)
     data = ks.tobytes()
-    ends = (np.cumsum(counts) * (8 * width)).tolist()
+    ends = (ends * (8 * width)).tolist()
     return [data[a:b] for a, b in zip([0] + ends, ends)]
 
 
@@ -268,9 +271,21 @@ def _segments(start, length):
     """(seg, idx): the elements of values[s:s + n] for each pair (s, n) of
     the arrays start and length in turn, each as its pair's place seg and
     its index idx into values."""
-    seg = np.repeat(np.arange(len(start)), length)
-    begin = np.cumsum(length) - length
-    return seg, np.arange(len(seg)) + np.repeat(start - begin, length)
+    seg = np.arange(len(start)).repeat(length)
+    begin = length.cumsum() - length
+    return seg, np.arange(len(seg)) + (start - begin).repeat(length)
+
+
+def _spans(sizes, cap):
+    """Index ranges (a, b) over ``sizes``, cut where their sum passes k * cap."""
+    q = sizes.cumsum() // cap
+    cut = [0, *((q[1:] != q[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    return list(zip(cut[:-1], cut[1:]))
+
+
+def _heads(ids):
+    """Flags on the first of each run of equal (non-negative) ids."""
+    return ids != np.concatenate(([-1], ids[:-1]))
 
 
 def _seg_sums(seg, weights, n):
@@ -319,6 +334,9 @@ class DesignerSolution:
     ``search_s`` is ``enumerate_s`` plus ``value_s`` (pricing nodes), and
     ``enumerate_s`` is ``build_s`` (building children) plus ``key_s``
     (keying and deduplicating them, and grouping the new nodes' atoms).
+    ``stage_seconds`` holds them per stage t = 1..T1 (``t``, ``build_s``
+    building the stage-t states, ``key_s``, ``value_s``), apart from
+    ``stage_stats``, whose counts a depth-first search reproduces.
     """
 
     total: float
@@ -336,6 +354,7 @@ class DesignerSolution:
     key_s: float
     value_s: float
     extract_s: float
+    stage_seconds: tuple
 
 
 class _Level:
@@ -343,11 +362,13 @@ class _Level:
     in the order they are made.  A new key makes a node, kept as grouped
     atom rows (``_groups``) until it is valued: at the last stage once the
     lookups since hold ``_BATCH`` atoms, before it backward.  ``index``
-    holds the node of every lookup."""
+    holds the node of every lookup; ``build_s``, ``key_s`` and ``value_s``
+    the seconds spent building, keying and valuing the stage."""
 
     def __init__(self, solver, t):
         self.solver, self.t = solver, t
         self.index, self.rows, self.valued, self.size = [], [], [], 0
+        self.build_s = self.key_s = self.value_s = 0.0
 
     def add(self, rows, counts):
         """Look up a batch of children given as atom rows, counts[i] rows
@@ -370,12 +391,12 @@ class _Level:
         miss = np.array(miss, dtype=np.intp)
         got = self.index[-1][miss]
         new = np.zeros(len(counts), dtype=bool)
-        new[miss[got > np.maximum.accumulate(np.append(made - 1, got))[:-1]]] = True
-        self.rows.append((*s._groups(rows.compress(np.repeat(new, counts), axis=0), counts[new]),
+        new[miss[got > np.maximum.accumulate(np.concatenate(([made - 1], got)))[:-1]]] = True
+        self.rows.append((*s._groups(rows.compress(new.repeat(counts), axis=0), counts[new]),
                           counts[new]))
         self.size += len(rows)
         del keys, index  # before a valuation
-        s.key_s += time.perf_counter() - start
+        self.key_s += time.perf_counter() - start
         if self.t == s.pb.t1 and self.size >= _BATCH:
             self._value()
 
@@ -384,7 +405,7 @@ class _Level:
         nodes = tuple(map(np.concatenate, zip(*self.rows)))
         self.rows, self.size = [], 0
         self.valued.append(self.solver._value_nodes(self.t, *nodes))
-        self.solver.value_s += time.perf_counter() - start
+        self.value_s += time.perf_counter() - start
 
     def finish(self):
         """Value the last stage's pending nodes, and join the batches."""
@@ -417,22 +438,17 @@ class _Designer:
         self.nodes = 0
         self.partitions = 0
         self.priced_runs = self.priced_terms = 0
-        self.key_s = self.value_s = 0.0
         # prices the message runs and answers the walked sender
         self.wald = solve_wald_finite(problem.channel2, problem.costs, problem.t2)
 
     def _root(self):
-        """The child of the prior, whose masses sum to exactly 1.0 (so the
-        blank set's normalizing leaves them unchanged): observer 1's first
-        observation, in P2 with observer 2 sampling on from the prior."""
-        p = np.array([float(self.pb.prior)])
-        post, seen, bad, r0, r1 = push_rows(p, p, 1.0 - p, self.pb.channel1.row_pair(1))
-        if bad.any():
-            raise push_error(p, bad)
-        rows = np.column_stack((post[0], *[np.repeat(p, len(r0))] * (self.width - 3),
-                                p * r0, (1.0 - p) * r1))[seen[0]]
-        rows = merge_rows(rows.take(_sort_order(rows), axis=0), np.arange(len(rows)) == 0,
-                          self.width - 2)[0]
+        """The child of the prior (masses summing to exactly 1.0): observer
+        1's first observation by the scalar ``belief.push_atom``, in P2 with
+        observer 2 sampling on from the prior, merged as any child is."""
+        p, rows = float(self.pb.prior), self.pb.channel1.row_pair(1)
+        rows = np.array(sorted((post, *[p] * (self.width - 3), p * r0, (1.0 - p) * r1)
+                               for _, post, r0, r1 in push_atom(p, p, 1.0 - p, rows)))
+        rows = merge_rows(rows, np.arange(len(rows)) == 0, self.width - 2)[0]
         return rows, np.array([len(rows)])
 
     def _build(self, t, rows, starts, counts, add):
@@ -444,104 +460,103 @@ class _Designer:
         record: per node its first blank entry (``start``) and its children's
         first lookup (``first``), and the arrays ``_children`` returns."""
         m = self.pb.n_messages
-        owner = np.repeat(np.arange(len(counts)), counts)
-        ns = np.bincount(owner[starts], minlength=len(counts))
+        owner = np.arange(len(counts)).repeat(counts)
+        ns = np.bincount(owner.compress(starts), minlength=len(counts))
         # each atom's group within its node, and each node's blank sets
-        group = np.cumsum(starts) - 1 - (np.cumsum(ns) - ns)[owner]
+        group = starts.cumsum() - 1 - (ns.cumsum() - ns).take(owner)
         # blank sets built in node order, as a cap error names
         bits = {n: _blank_bits(n, m) for n in dict.fromkeys(ns.tolist())}
-        nb = np.array([len(bits.get(n, ())) for n in range(int(ns.max()) + 1)])[ns]
-        off = np.cumsum(counts) - counts
-        rec, first, made = {}, [], 0
-        chunk = np.cumsum(nb * counts) // self.chunk
-        for ks in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(chunk)) + 1):
-            width = np.arange(int(counts[ks].max()))
-            live = width < counts[ks, None]
-            at = np.where(live, off[ks, None] + width, 0)
-            enode = np.repeat(np.arange(len(ks)), nb[ks])
-            masks = np.concatenate([bits[n] for n in ns[ks].tolist()])
-            member = ((masks[:, None] >> np.where(live, group[at], 63).take(enode, axis=0)) & 1)
+        nb = np.array([len(bits.get(n, ())) for n in range(int(ns.max()) + 1)]).take(ns)
+        off, rec, first, made = counts.cumsum() - counts, {}, [], 0
+        for a, z in _spans(nb * counts, self.chunk):
+            width = np.arange(int(counts[a:z].max()))
+            live = width < counts[a:z, None]
+            at = np.where(live, off[a:z, None] + width, 0)
+            enode = np.arange(z - a).repeat(nb[a:z])
+            masks = np.concatenate([bits[n] for n in ns[a:z].tolist()])
+            member = (masks[:, None] >> np.where(live, group.take(at), 63).take(enode, axis=0)) & 1
             part, looks = self._children(t, rows.take(at, axis=0), live, member.astype(bool),
                                          enode, add)
             # typed arrays grow in place: a stage's record is never copied whole
             for k, v in part.items():
                 rec.setdefault(k, array(v.dtype.char)).frombytes(v.tobytes())
-            first.append(made + (np.cumsum(looks) - looks)[np.cumsum(nb[ks]) - nb[ks]])
+            first.append(made + (looks.cumsum() - looks).take(nb[a:z].cumsum() - nb[a:z]))
             made += int(looks.sum())
         rec = SimpleNamespace(**{k: np.frombuffer(a, dtype=a.typecode) for k, a in rec.items()})
-        rec.start, rec.first = np.cumsum(nb) - nb, np.concatenate(first)
+        rec.start, rec.first = nb.cumsum() - nb, np.concatenate(first)
         return rec
 
     def _search(self):
         """Every reachable node, stage by stage, then their values; returns
-        the levels of stages 1..T1 (at 1..T1).  The solver keeps no level:
-        a level refers to the solver, and no cycle keeps a search alive."""
-        level = _Level(self, 1)
-        level.add(*self._root())
+        the stage-1 state (``_root``) and the levels of stages 1..T1 (at
+        1..T1).  The solver keeps no level: a level refers to the solver,
+        and no cycle keeps a search alive."""
+        start = time.perf_counter()
+        root, level = self._root(), _Level(self, 1)
+        level.build_s = time.perf_counter() - start
+        level.add(*root)
         level.finish()
         levels = [None, level]
         for t in range(1, self.pb.t1):
             nxt = _Level(self, t + 1)
+            start = time.perf_counter()
             level.rec = self._build(t, *level.rows, nxt.add)
             nxt.finish()
+            nxt.build_s = time.perf_counter() - start - nxt.key_s - nxt.value_s
             levels.append(nxt)
             level = nxt
-        start = time.perf_counter()
         for t in range(self.pb.t1 - 1, 0, -1):
+            start = time.perf_counter()
             level, child = levels[t], levels[t + 1]
             cost, level.choices = self._blank_costs(level.rec, child.values[child.index])
             level.values, level.best, level.ns = self._value_nodes(
                 t, *level.rows, (level.rec.start, cost))
-        self.value_s += time.perf_counter() - start
-        return levels
+            level.value_s = time.perf_counter() - start
+        return root, levels
 
     def _value_nodes(self, t, rows, starts, counts, blanks=None):
         """Values of stage-t nodes given as grouped atom rows (``_groups``),
         counts[i] for node i in turn.  Before the last stage ``blanks`` holds
         each node's first blank entry and every entry's cost.  Returns
-        (values, argmin table entries, group counts)."""
-        off = np.concatenate(([0], np.cumsum(counts)))
-        ns = np.bincount(np.repeat(np.arange(len(counts)), counts)[starts],
-                         minlength=len(counts))
-        gpos = np.flatnonzero(starts)
-        first = np.cumsum(ns) - ns  # node k's groups start at atoms gpos[first[k]:]
+        (values, argmin table entries, group counts).  The nodes go by group
+        count, in batches whose runs and partitions number about
+        ``_PRICED``, one pricing call per batch; then, a group count at a
+        time, each partition's runs are added slot by slot, then its blank
+        branch, and the first cheapest wins."""
         m, terminal = self.pb.n_messages, blanks is None
-        price = self._pricer(t, rows, off)
-        pieces = []
-        for n in sorted(set(ns.tolist())):
-            _, runs, slots, _, bidx = _partition_table(n, m, terminal)
-            nodes = np.flatnonzero(ns == n)
-            # node k's group g spans atoms bounds[k, g]:bounds[k, g + 1]
-            bounds = np.concatenate((gpos[first[nodes, None] + np.arange(n)],
-                                     off[nodes + 1, None]), axis=1)
-            # a piece's largest array holds, per node, its partitions or its
-            # runs, whichever are more: about _PRICED entries in all
-            size = max(len(slots), len(runs) + 1)
-            step = max(1, _PRICED // size)
-            pieces += [(nodes[a:a + step], bounds[a:a + step], runs, slots, bidx,
-                        size * len(nodes[a:a + step])) for a in range(0, len(nodes), step)]
+        off = np.concatenate(([0], counts.cumsum()))
+        ns = np.add.reduceat(starts, off[:-1], dtype=np.intp)  # integers: exact in any order
+        tables = {n: _partition_table(n, m, terminal) for n in sorted(set(ns.tolist()))}
+        if not tables:
+            return np.zeros(0), np.zeros(0, dtype=np.intp), ns
+        size = np.zeros(max(tables) + 1, dtype=np.intp)  # runs plus partitions
+        size[list(tables)] = [len(tb[1]) + len(tb[2]) for tb in tables.values()]
+        order = np.argsort(ns, kind="stable")
+        price = self._pricer(t, rows, starts, off)
         values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
-        # consecutive pieces of about _PRICED entries in all share a pricing
-        # call, which prices their runs in batches of about _PRICED entries
-        size = np.cumsum([0] + [piece[-1] for piece in pieces])[:-1] // _PRICED
-        calls = np.split(np.arange(len(pieces)), np.flatnonzero(np.diff(size)) + 1)
-        for call in calls[:len(pieces)]:
-            run_cost = price([pieces[i][:3] for i in call])
+        for a, z in _spans(size.take(ns.take(order)), _PRICED):
+            ks = order[a:z]
+            cut = [*_heads(ns[ks]).nonzero()[0].tolist(), len(ks)]
+            blocks = [(c, ks[c:d], tables[int(ns[ks[c]])]) for c, d in zip(cut[:-1], cut[1:])]
+            # every run of the batch: its node's place in ks, first and end group
+            at, bounds = (np.concatenate(x, axis=-1) for x in zip(*(
+                (np.arange(c, c + len(kk)).repeat(len(tb[1])), np.tile(tb[1].T, len(kk)))
+                for c, kk, tb in blocks)))
+            run_cost = price(ks, at, *bounds)
             self.priced_runs += len(run_cost)
-            for i in call.tolist():
-                ks, _, runs, slots, bidx, _ = pieces[i]
-                self.partitions += len(slots) * len(ks)
-                costs = np.concatenate((run_cost[:len(ks) * len(runs)].reshape(len(ks), -1),
-                                        np.zeros((len(ks), 1))), 1)
-                run_cost = run_cost[len(ks) * len(runs):]
-                # each partition's runs, then its blank branch, added in turn
-                cost = np.zeros((len(ks), len(slots)))
+            for _, kk, (_, kruns, slots, _, bidx) in blocks:
+                self.partitions += len(slots) * len(kk)
+                # each node's run costs, then 0.0 for a symbol no run uses
+                costs = np.concatenate((run_cost[:len(kk) * len(kruns)].reshape(len(kk), -1),
+                                        np.zeros((len(kk), 1))), 1)
+                run_cost = run_cost[len(kk) * len(kruns):]
+                cost = np.zeros((len(kk), len(slots)))
                 for slot in slots.T:
                     cost += costs[:, slot]
                 if blanks is not None:
-                    cost += blanks[1][blanks[0][ks, None] + bidx]
-                best[ks] = cost.argmin(axis=1)
-                values[ks] = cost[np.arange(len(ks)), best[ks]]
+                    cost += blanks[1][blanks[0][kk, None] + bidx]
+                best[kk] = cost.argmin(axis=1)
+                values[kk] = cost[np.arange(len(kk)), best[kk]]
         return values, best, ns
 
     def _stage_stats(self):
@@ -560,7 +575,7 @@ class _Designer:
         pb = self.pb
         m = pb.n_messages
         start = time.perf_counter()
-        levels = self._search()
+        root, levels = self._search()
         searched = time.perf_counter()
         inner = float(levels[1].values[levels[1].index[0]])
         total = (pb.costs.c1 + pb.costs.c2 if self.variant == "P2" else pb.costs.c1) + inner
@@ -568,7 +583,7 @@ class _Designer:
         # the all-blank path: stage t's node i, and child, the state (atom
         # rows, [count]) that the path's stage t - 1 node expands to (node i
         # holds the first state of its key, which can differ by roundoff)
-        i, child = int(levels[1].index[0]), self._root()
+        i, child = int(levels[1].index[0]), root
         rules = []
         for t in range(1, pb.t1 + 1):
             rule = None
@@ -602,16 +617,20 @@ class _Designer:
         o1 = O1Policy(stages=tuple(rules[:-1]), terminal=rules[-1], n_messages=m)
         o2 = _o2_response(o1, pb, self.wald).policy
         stage_stats = self._stage_stats()
-        build_s = searched - start - self.value_s - self.key_s
-        enumerate_s = build_s + self.key_s
+        seconds = tuple({"t": t, "build_s": lv.build_s, "key_s": lv.key_s, "value_s": lv.value_s}
+                        for t, lv in enumerate(levels[1:], start=1))
+        key_s, value_s = (sum(s[k] for s in seconds) for k in ("key_s", "value_s"))
+        build_s = searched - start - value_s - key_s
+        enumerate_s = build_s + key_s
         return DesignerSolution(total=total, o1=o1, o2=o2,
                                 nodes=self.nodes, partitions_tried=self.partitions,
                                 memo_hits=sum(s["memo_hits"] for s in stage_stats),
                                 stage_stats=stage_stats, priced_runs=self.priced_runs,
                                 priced_terms=self.priced_terms,
-                                search_s=enumerate_s + self.value_s,
-                                enumerate_s=enumerate_s, build_s=build_s, key_s=self.key_s,
-                                value_s=self.value_s, extract_s=time.perf_counter() - searched)
+                                search_s=enumerate_s + value_s,
+                                enumerate_s=enumerate_s, build_s=build_s, key_s=key_s,
+                                value_s=value_s, extract_s=time.perf_counter() - searched,
+                                stage_seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -630,38 +649,35 @@ class _P1Solver(_Designer):
         pushes sorted by posterior) and merged.  Per blank set, its mass
         (0.0: no child) and its number of lookups."""
         b, m0, m1 = atoms.transpose(2, 0, 1)
-        mass = np.cumsum(np.where(member, (m0 + m1).take(enode, axis=0), 0.0), axis=1)[:, -1]
-        post, seen, bad, r0, r1 = push_rows(b.ravel(), m0.ravel(), m1.ravel(),
+        mass = np.where(member, (m0 + m1).take(enode, axis=0), 0.0).cumsum(axis=1)[:, -1]
+        # a padding atom pushed with no mass is seen nowhere
+        post, seen, bad, r0, r1 = push_rows(b.ravel(), (m0 * live).ravel(), (m1 * live).ravel(),
                                             self.pb.channel1.row_pair(t + 1))
-        seen, bad = seen & live.reshape(-1, 1), bad & live.reshape(-1, 1)
         if bad.any():
             raise push_error(b.ravel(), bad)
+        # each node's pushes by posterior, as flat (atom, symbol) positions
         order = np.argsort(np.where(seen, post, np.inf).reshape(len(b), -1), axis=1, kind="stable")
-        post, seen = (np.take_along_axis(x.reshape(len(b), -1), order, 1) for x in (post, seen))
-        ent = np.flatnonzero(~(mass <= 0.0))
-        k = enode[ent]
-        e, slot = np.nonzero(seen.take(k, axis=0) & np.take_along_axis(
-            member.take(ent, axis=0), order.take(k, axis=0) // len(r0), 1))
-        # flat positions of (node, slot) and (node, atom) pairs
-        at = k.take(e) * order.shape[1] + slot
-        atom, y = np.divmod(order.take(at), len(r0))
-        atom += k.take(e) * b.shape[1]
+        order += np.arange(0, order.size, order.shape[1])[:, None]
+        looks = (~(mass <= 0.0)).astype(np.intp)
+        ent = looks.nonzero()[0]
+        ko = order.take(enode.take(ent), axis=0)
+        e, slot = np.nonzero(seen.take(ko) & member[ent[:, None], ko // len(r0) % b.shape[1]])
+        pos = ko[e, slot]
+        atom, y = np.divmod(pos, len(r0))
         share = mass.take(ent.take(e))
         n0, n1 = m0.take(atom) / share * r0.take(y), m1.take(atom) / share * r1.take(y)
         keep = (n0 != 0.0) | (n1 != 0.0)
-        raw, e = np.column_stack((post.take(at), n0, n1)).compress(keep, axis=0), e[keep]
-        first = np.diff(e, prepend=-1) != 0
+        raw, e = np.column_stack((post.take(pos), n0, n1)).compress(keep, axis=0), e[keep]
+        first = _heads(e)
         # pushes of one posterior within a child sort by their masses
         tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
         if tie.any():
-            at = np.flatnonzero(np.append(tie, False) | np.append(False, tie))
-            run = np.cumsum(np.append(True, ~tie))[at]
+            at = (np.concatenate((tie, [False])) | np.concatenate(([False], tie))).nonzero()[0]
+            run = np.concatenate(([True], ~tie)).cumsum().take(at)
             raw[at] = raw[at[_sort_order(run, raw[at, 1:])]]
         merged, heads = merge_rows(raw, first, 1)
         add(merged, np.bincount(e[heads], minlength=len(ent)))
-        looks = np.zeros(len(mass), dtype=np.intp)
-        looks[ent] = 1
-        return {"mass": np.where(looks > 0, mass, 0.0)}, looks
+        return {"mass": np.where(looks, mass, 0.0)}, looks
 
     def _blank_costs(self, rec, child_values):
         """Each blank set's cost, its mass times c1 plus its child's value,
@@ -674,22 +690,30 @@ class _P1Solver(_Designer):
         # every atom of a P1 state is a group of its own
         return rows, np.ones(len(rows), dtype=bool)
 
-    def _pricer(self, t, rows, off):
+    def _pricer(self, t, rows, starts, off):
         read = self.wald.reader(self.pb.t2)
 
-        def price(parts):
-            out = []
-            for ks, bounds, runs in parts:
-                # each node's prefix sums of m0 and m1 over its atoms
-                pre = np.zeros((2, len(ks), bounds.shape[1]))
-                pre[:, :, 1:] = np.cumsum(rows.take(bounds[:, :-1], axis=0)[..., 1:]
-                                          .transpose(2, 0, 1), axis=2)
-                rm0, rm1 = (pre[:, :, runs[:, 1]] - pre[:, :, runs[:, 0]]).reshape(2, -1)
-                mass = rm0 + rm1
+        def price(ks, at, lo, hi):
+            # pre[c, i, j]: node ks[j]'s m0 (c = 0) or m1 (c = 1) over its
+            # first i atoms (its groups), added left to right a row of nodes
+            # at a time; past a node's last atom pre is never read
+            width = int(hi.max(initial=0))
+            masses = rows[:, 1:].T.take(np.minimum(off.take(ks) + np.arange(width)[:, None],
+                                                   len(rows) - 1), axis=1)
+            pre = np.zeros((2, width + 1, len(ks)))
+            for r in range(width):
+                np.add(pre[:, r], masses[:, r], out=pre[:, r + 1])
+            pre, out, step = pre.reshape(2, -1), np.zeros(len(lo)), max(1, _PRICED // 12)
+            # pricing a run holds about a dozen arrays: slices of runs whose
+            # arrays hold about _PRICED entries
+            for s in (slice(a, a + step) for a in range(0, len(lo), step)):
+                rm = pre.take(hi[s] * len(ks) + at[s], axis=1)
+                rm -= pre.take(lo[s] * len(ks) + at[s], axis=1)
+                mass = rm[0] + rm[1]
                 live = ~(mass <= 0.0)
-                out.append(np.zeros(mass.shape))
-                out[-1][live] = mass[live] * read(_posteriors(rm0[live], mass[live]))
-            return np.concatenate(out)
+                rm0, mass = rm[0][live], mass[live]
+                out[s][live] = mass * read(_posteriors(rm0, mass))
+            return out
 
         return price
 
@@ -719,11 +743,11 @@ class _P2Solver(_Designer):
         charges at this stage."""
         pb, loss = self.pb, self.pb.costs.loss
         _, _, m0, m1 = atoms.transpose(2, 0, 1)
-        tot0, tot1 = (np.cumsum(np.where(live, x, 0.0), axis=1)[:, -1] for x in (m0, m1))
-        r0, r1 = (np.cumsum(np.where(member, x.take(enode, axis=0), 0.0), axis=1)[:, -1]
+        tot0, tot1 = (np.where(live, x, 0.0).cumsum(axis=1)[:, -1] for x in (m0, m1))
+        r0, r1 = (np.where(member, x.take(enode, axis=0), 0.0).cumsum(axis=1)[:, -1]
                   for x in (m0, m1))
         mass = r0 + r1
-        ent = np.flatnonzero(~(mass <= 0.0))
+        ent = (~(mass <= 0.0)).nonzero()[0]
         mz0, mz1 = _ratio(r0[ent], tot0[enode[ent]]), _ratio(r1[ent], tot1[enode[ent]])
         # observer 2's step: a declared atom passes as it is, a sampling one
         # absorbs the message and each observation y it can see; arrays are
@@ -748,21 +772,21 @@ class _P2Solver(_Designer):
         obs = obs.reshape(-1, 4).compress(keep.ravel(), axis=0)
         oe = np.broadcast_to(e, keep.shape).compress(keep.ravel())
         order = _sort_order(oe, obs)
-        phi, heads = merge_rows(obs.take(order, axis=0), np.diff(oe[order], prepend=-1) != 0, 2)
+        phi, heads = merge_rows(obs.take(order, axis=0), _heads(oe[order]), 2)
         pe = oe[order][heads]
         # push order: declared atoms, then sampling ones by belief2 (stable)
         act = phi[:, 1] >= 0.0
         order = _sort_order(pe, act, np.where(act, phi[:, 1], 0.0))
         phi, pe, act = phi.take(order, axis=0), pe[order], act[order]
         nact = np.bincount(pe[act], minlength=len(ent))
-        ai = np.cumsum(act) - 1 - (np.cumsum(nact) - nact)[pe]
+        ai = act.cumsum() - 1 - (nact.cumsum() - nact)[pe]
         # receiver groups (belief2 clusters): group g of entry s spans the
         # sampling atoms bound[s, g]:bound[s, g + 1]
         ae, aphi = pe[act], phi.compress(act, axis=0)
-        brk = (np.diff(aphi[:, 1], prepend=-np.inf) > MERGE_TOL) | (np.diff(ae, prepend=-1) != 0)
+        brk = (aphi[:, 1] - np.concatenate(([-np.inf], aphi[:-1, 1])) > MERGE_TOL) | _heads(ae)
         ng = np.bincount(ae[brk], minlength=len(ent))
         bound = np.zeros((len(ent), int(ng.max(initial=0)) + 1), dtype=np.intp)
-        bound[ae[brk], (np.cumsum(brk) - 1 - (np.cumsum(ng) - ng)[ae])[brk]] = ai[act][brk]
+        bound[ae[brk], (brk.cumsum() - 1 - (ng.cumsum() - ng)[ae])[brk]] = ai[act][brk]
         bound[np.arange(len(ent)), ng] = nact
         ce, q = np.nonzero(_span_pairs(bound.shape[1] - 1)[:, 1] <= ng[:, None])
         gi, gj = _span_pairs(bound.shape[1] - 1)[q].T
@@ -775,7 +799,7 @@ class _P2Solver(_Designer):
         pre[:, ae, 2 * ai[act] + 2] = am1 * loss[1][1], am1 * loss[0][1], am1
         # entry s's prefix sum after i sampling atoms is at s * width + i
         width = 1 + int(nact.max(initial=0))
-        pd1, pd0, pcm = np.cumsum(pre, axis=2)[:, :, ::2].reshape(3, -1)
+        pd1, pd0, pcm = pre.cumsum(axis=2)[:, :, ::2].reshape(3, -1)
         row = ce * width
         charges = (pd1.take(row + alo) - pd1.take(row)) \
             + (pd0.take(row + nact[ce]) - pd0.take(row + ahi)) \
@@ -795,7 +819,7 @@ class _P2Solver(_Designer):
             errs.append((pe[int(np.argmax(bad)) // bad.shape[1]], 1, push_error(phi[:, 0], bad)))
         if errs:
             raise min(errs, key=lambda err: err[:2])[2]
-        ry = np.flatnonzero(seen)
+        ry = seen.ravel().nonzero()[0]
         r, y = np.divmod(ry, seen.shape[1])
         on = act.take(r)
         urows = np.column_stack((post.take(ry), np.full(len(r), -1.0),
@@ -811,25 +835,22 @@ class _P2Solver(_Designer):
         urows, uact = urows.take(order, axis=0), np.where(ukind == 0, -1, uact).take(order)
         usample = (ukind == 2).take(order)
         ulen = np.bincount(ue, minlength=len(ent))
-        ustart, lens = np.cumsum(ulen) - ulen, ulen[ce]
+        ustart, lens = ulen.cumsum() - ulen, ulen[ce]
         # free the step's arrays before the children are built and keyed
         del obs, oe, w0, w1, num, den, keep, pre, pd1, pd0, pcm, post, seen, ry, r, y, ue
         del x1, x2, x0m, x1m, phi, aphi, am0, am1, ai, act, pe, ae, on, ukind
         # child c takes, of its blank set's sorted union, the declared rows
         # and each sampling atom's row as sampling on inside its continue
         # run and as declaring outside it; a chunk of children at a time
-        cuts = np.flatnonzero(np.diff(np.cumsum(lens) // _CHILDREN)) + 1
         emass, span = mass[ent], (ahi - alo).view(np.uintp)
-        for cs in np.split(np.arange(len(ce)), cuts):
-            n = lens[cs]
-            cid = np.repeat(np.arange(len(cs)), n)
-            idx = np.arange(int(n.sum())) + np.repeat(ustart[ce[cs]] - (np.cumsum(n) - n), n)
-            lo = alo[cs].take(cid)
-            sel = ((uact.take(idx) - lo).view(np.uintp) < span[cs].take(cid)) == usample.take(idx)
+        for a, z in _spans(lens, _CHILDREN):
+            cid, idx = _segments(ustart[ce[a:z]], lens[a:z])
+            lo = alo[a:z].take(cid)
+            sel = ((uact.take(idx) - lo).view(np.uintp) < span[a:z].take(cid)) == usample.take(idx)
             idx, cid = idx.compress(sel), cid.compress(sel)
-            kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
-            counts = np.bincount(cid[heads], minlength=len(cs))
-            share = np.repeat(emass[ce[cs]], counts)
+            kids, heads = merge_rows(urows.take(idx, axis=0), _heads(cid), 2)
+            counts = np.bincount(cid[heads], minlength=z - a)
+            share = emass[ce[a:z]].repeat(counts)
             kids[:, 2] /= share
             kids[:, 3] /= share
             # the chunk's selection is freed before its children are keyed
@@ -865,7 +886,7 @@ class _P2Solver(_Designer):
         starts[1:] = (rows[1:, 0] - rows[:-1, 0] > MERGE_TOL) | (owner[1:] != owner[:-1])
         return rows, starts
 
-    def _pricer(self, t, rows, off):
+    def _pricer(self, t, rows, starts, off):
         """Stopping-cost flows of message runs: a run's atoms send a message
         whose likelihood pair is the run's share of each hypothesis's mass,
         the still-sampling ones absorb it with one fresh observation, and
@@ -886,20 +907,22 @@ class _P2Solver(_Designer):
         owner = np.repeat(np.arange(len(off) - 1), np.diff(off))
         tot0, tot1 = (_seg_sums(owner, m, len(off) - 1) for m in (m0, m1))
 
-        def price(parts):
-            # every part's runs (node, first atom, end atom), node by node,
-            # in batches of about _PRICED entries
-            node, lo, hi = (np.concatenate(x) for x in zip(*(
-                (np.repeat(ks, len(runs)), bounds[:, runs[:, 0]].ravel(),
-                 bounds[:, runs[:, 1]].ravel()) for ks, bounds, runs in parts)))
-            cuts = np.flatnonzero(np.diff(np.cumsum(1 + entries[hi] - entries[lo]) // _PRICED)) + 1
-            return np.concatenate([flows(*x) for x in zip(*(np.split(a, cuts)
-                                                            for a in (node, lo, hi)))])
+        # node k's group g spans atoms edge[first[k] + g]:edge[first[k] + g + 1]
+        edge = np.concatenate((starts.nonzero()[0], off[-1:]))
+        first = starts.cumsum().take(off[:-1]) - 1
+
+        def price(ks, at, lo, hi):
+            # the runs (node, first atom, end atom) in batches of about
+            # _PRICED entries
+            node = ks.take(at)
+            lo, hi = edge.take(first.take(node) + lo), edge.take(first.take(node) + hi)
+            return np.concatenate([flows(node[a:z], lo[a:z], hi[a:z]) for a, z in
+                                   _spans(1 + entries.take(hi) - entries.take(lo), _PRICED)])
 
         def flows(node, lo, hi):
             seg, idx = _segments(lo, hi - lo)
             r0, r1 = (_seg_sums(seg, m.take(idx), len(lo)) for m in (m0, m1))
-            go = np.flatnonzero(r0 + r1 > 0.0)
+            go = (r0 + r1 > 0.0).nonzero()[0]
             k = node.take(go)
             mz0, mz1 = _ratio(r0.take(go), tot0.take(k)), _ratio(r1.take(go), tot1.take(k))
             # run s's terms are terms[at[lo[s]]:at[hi[s]]]

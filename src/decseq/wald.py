@@ -51,8 +51,8 @@ VI_MAX_ITER_DEFAULT = 10000
 
 def _choose(b, cont, costs):
     """``stop_or_sample``'s rule on an array of beliefs b and continuation
-    costs ``cont`` (or None): labels 0.0, 1.0 or NaN (keep sampling), the
-    cost of each choice, and the two declaration costs, all arrays."""
+    costs ``cont`` (None, or a row per case): labels 0.0, 1.0 or NaN (keep
+    sampling), the cost of each choice, and the two declaration costs."""
     tc0, tc1 = (terminal_cost(u, b, costs) for u in (0, 1))
     one = ~(tc0 <= tc1)
     values = np.where(one, tc1, tc0)
@@ -60,7 +60,7 @@ def _choose(b, cont, costs):
     if cont is not None:
         go = cont < values
         values = np.where(go, cont, values)
-        labels[go] = np.nan
+        labels = np.where(go, np.nan, labels)
     return labels, values, tc0, tc1
 
 
@@ -100,10 +100,15 @@ def thresholds_from_labels(points, labels, declare_boundary):
     if not (ones[:i].all() and go[i:j].all() and (lab[j:] == 0.0).all()):
         raise StructureViolation(
             f"stopping actions are not threshold-shaped: labels {labels} at {points}")
+    return _pair(points, i, j, declare_boundary)
+
+
+def _pair(points, i, j, declare_boundary):
+    """The thresholds around a sampling run at points[i:j]."""
     if i == j:
         return (declare_boundary, declare_boundary)
     w1 = 0.0 if i == 0 else 0.5 * (points[i - 1] + points[i])
-    w2 = 1.0 if j == lab.size else 0.5 * (points[j - 1] + points[j])
+    w2 = 1.0 if j == len(points) else 0.5 * (points[j - 1] + points[j])
     return (w1, w2)
 
 
@@ -140,21 +145,28 @@ class WaldSolution:
             i = np.searchsorted(xs, beliefs)
             # i = 0 only at belief 0.0, a knot; there the wrapped i - 1 is unused
             x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
-            return np.where(x1 == beliefs, y1, y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)))
+            del i
+            # y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)), in place
+            out = np.subtract(beliefs, x0)
+            out /= x1 - x0
+            out *= y1 - y0
+            out += y0
+            return np.where(x1 == beliefs, y1, out)
         return read
 
     def continuation(self, beliefs, remaining):
         """Expected cost of one more observation, then optimal play, at an
-        array of beliefs."""
-        beliefs = np.asarray(beliefs, dtype=float)
-        read = self.reader(remaining - 1)
-        cont = np.full(beliefs.shape, self.costs.c2)
+        array of beliefs; a row per count when ``remaining`` is a range."""
+        counts, beliefs = np.atleast_1d(remaining).tolist(), np.asarray(beliefs, dtype=float)
         # with r observations left, the next draw is observation number
         # horizon - r + 1; a symbol of probability 0 adds 0.0
-        for prob, post in zip(*(a.T for a in outcomes(
-                beliefs, self.channel.row_pair(self.horizon - remaining + 1)))):
-            cont += prob * read(post)
-        return cont
+        rows = zip(*(self.channel.row_pair(self.horizon - r + 1) for r in counts))
+        prob, post = (a.T for a in outcomes(beliefs, tuple(rows)))
+        values = np.array([self.reader(r - 1)(p) for r, p in zip(counts, post)])
+        cont = np.full((len(counts), *beliefs.shape), self.costs.c2)
+        for y in range(prob.shape[1]):
+            cont += prob[:, y] * values[:, y]
+        return cont if np.ndim(remaining) else cont[0]
 
     def thresholds_at(self, points):
         """Threshold pairs at midpoints between ``points``, beliefs in [0, 1],
@@ -172,12 +184,16 @@ class WaldSolution:
         if pts[-1] < 1.0:
             pts.append(1.0)
         boundary = self.costs.declare_boundary
-        thresholds = []
-        for r in range(self.horizon, 0, -1):
-            labels = _choose(np.array(pts), self.continuation(pts, r), self.costs)[0]
-            thresholds.append(thresholds_from_labels(pts, labels, boundary))
-        thresholds.append((boundary, boundary))
-        return tuple(thresholds)
+        # every remaining count r = horizon..1 labelled at once, a row each of
+        # 1.0, NaN or 0.0, threshold-shaped where its rank 0, 1, 2 never falls
+        labels = _choose(np.array(pts), self.continuation(pts, range(self.horizon, 0, -1)),
+                         self.costs)[0] if self.horizon else np.zeros((0, len(pts)))
+        go = np.isnan(labels)
+        rank, i = go + 2 * (labels == 0.0), (labels == 1.0).sum(axis=1)
+        shaped, j = (rank[:, 1:] >= rank[:, :-1]).all(axis=1), i + go.sum(axis=1)
+        return (*(_pair(pts, a, b, boundary) if ok else thresholds_from_labels(pts, row, boundary)
+                  for a, b, ok, row in zip(i.tolist(), j.tolist(), shaped.tolist(), labels)),
+                (boundary, boundary))
 
 
 def _stop_cost(b, costs):
@@ -198,27 +214,29 @@ def _backup(xs, ys, rows, costs):
     own end at 0.0 or 1.0), or the boundary twice when nothing samples.
     """
     boundary = costs.declare_boundary
-    row0, row1 = rows
-    cand = [np.array([0.0, boundary, 1.0])]
-    for r0, r1 in zip(row0, row1):
-        if r0 > 0.0 and r1 > 0.0:
-            cand.append(xs * r1 / (xs * r1 + (1.0 - xs) * r0))
+    row0, row1 = (np.asarray(r, dtype=float) for r in rows)
+    both = (row0 > 0.0) & (row1 > 0.0)
+    num = np.multiply.outer(row1[both], xs)
+    cand = num / (num + np.multiply.outer(row0[both], 1.0 - xs))
     # sort and drop repeats by hand: np.unique imports numpy.ma on first use
-    b = np.sort(np.concatenate(cand))
+    b = np.sort(np.concatenate(([0.0, boundary, 1.0], cand.ravel())))
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     cont = np.full_like(b, costs.c2)
-    for prob, post in zip(*(a.T for a in outcomes(b, rows))):
-        cont += prob * np.interp(post, xs, ys)
-    stop = _stop_cost(b, costs)
-    gap = cont - stop
+    prob, post = outcomes(b, rows)
+    for p, v in zip(prob.T, np.interp(post.T, xs, ys)):
+        cont += p * v
+    gap = cont - _stop_cost(b, costs)
     flip = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0.0)
     cross = b[flip] + (b[flip + 1] - b[flip]) * (gap[flip] / (gap[flip] - gap[flip + 1]))
-    b = np.insert(b, flip + 1, cross)
-    val = np.insert(np.minimum(stop, cont), flip + 1, _stop_cost(cross, costs))
-    stopping = np.insert(gap >= 0.0, flip + 1, True)
-    go = np.flatnonzero(~stopping)
+    # each crossing goes after its left candidate, its cont +inf: it stops
+    order = np.argsort(np.concatenate((np.arange(b.size), flip)), kind="stable")
+    b = np.concatenate((b, cross))[order]
+    cont = np.concatenate((cont, np.full(flip.size, np.inf)))[order]
+    stop = _stop_cost(b, costs)
+    val, stopping = np.minimum(stop, cont), cont >= stop
+    go = (~stopping).nonzero()[0]
     # b[0] is 0.0 and b[-1] is 1.0, so clipping reads an end the run reaches
-    ends = (tuple(b[np.clip((go[0] - 1, go[-1] + 1), 0, b.size - 1)].tolist()) if go.size
+    ends = ((float(b[max(go[0] - 1, 0)]), float(b[min(go[-1] + 1, b.size - 1)])) if go.size
             else (boundary, boundary))
     inner = stopping[1:-1] & stopping[:-2] & stopping[2:] & (b[1:-1] != boundary)
     keep = np.concatenate(([True], ~inner, [True]))

@@ -10,7 +10,10 @@ state transformations (``_p1_children``, ``_p2_children``, ``_observe_p2``,
 shares the partition tables with ``seq_decomp``.  ``reference_solve(problem)``
 returns the totals, search counts and policy pair that
 ``solve_p1``/``solve_p2`` must reproduce bit for bit.  ``grid_crossings`` is
-the grid labelling that ``WaldSolution.crossings`` replaced.
+the grid labelling that ``WaldSolution.crossings`` replaced.  ``numpy_root``
+and ``group_count_values`` are the numpy stage-1 state and the valuation
+loop over group counts that ``_Designer._root`` (a scalar push) and
+``_Designer._value_nodes`` (one pricing call per batch) replaced.
 """
 
 import itertools
@@ -20,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from decseq import seq_decomp
-from decseq.belief import MERGE_TOL, merge_atoms, push_atom
+from decseq.belief import MERGE_TOL, merge_atoms, merge_rows, push_atom, push_error, push_rows
 from decseq.best_response import o2_best_response
 from decseq.errors import CapacityError, ImpossibleUpdateError, ProblemSpecError
 from decseq.policies import BLANK, O1Policy, TerminalRule, boundary_stage, extract_thresholds
@@ -570,3 +573,68 @@ class _P2Solver(_Designer):
 def reference_solve(problem):
     """The depth-first designer optimum of ``problem`` (either variant)."""
     return (_P1Solver if problem.variant == "P1" else _P2Solver)(problem).solve()
+
+
+# ---------------------------------------------------------------------------
+# the numpy stage-1 state and the valuation loop over group counts that
+# ``_Designer._root`` and ``_Designer._value_nodes`` replaced
+
+
+def numpy_root(solver):
+    """The child of the prior, pushed by ``push_rows``, sorted and merged as
+    rows: (atom rows, [count])."""
+    p = np.array([float(solver.pb.prior)])
+    post, seen, bad, r0, r1 = push_rows(p, p, 1.0 - p, solver.pb.channel1.row_pair(1))
+    if bad.any():
+        raise push_error(p, bad)
+    rows = np.column_stack((post[0], *[np.repeat(p, len(r0))] * (solver.width - 3),
+                            p * r0, (1.0 - p) * r1))[seen[0]]
+    rows = merge_rows(rows.take(seq_decomp._sort_order(rows), axis=0),
+                      np.arange(len(rows)) == 0, solver.width - 2)[0]
+    return rows, np.array([len(rows)])
+
+
+def group_count_values(solver, t, rows, starts, counts, blanks=None):
+    """(values, argmin table entries, group counts) of stage-t nodes, as
+    ``_value_nodes`` took them: the nodes of each group count in pieces of
+    about ``_PRICED`` entries, consecutive pieces of about that many entries
+    sharing a pricing call (the solver's pricer, given the pieces' runs),
+    each partition's runs added slot by slot, then its blank branch, and
+    each node's first cheapest by ``argmin``."""
+    priced = seq_decomp._PRICED
+    off = np.concatenate(([0], np.cumsum(counts)))
+    ns = np.bincount(np.repeat(np.arange(len(counts)), counts)[starts], minlength=len(counts))
+    m, terminal = solver.pb.n_messages, blanks is None
+    price = solver._pricer(t, rows, starts, off)
+    pieces = []
+    for n in sorted(set(ns.tolist())):
+        _, runs, slots, _, bidx = seq_decomp._partition_table(n, m, terminal)
+        nodes = np.flatnonzero(ns == n)
+        size = max(len(slots), len(runs) + 1)
+        step = max(1, priced // size)
+        pieces += [(nodes[a:a + step], runs, slots, bidx, size * len(nodes[a:a + step]))
+                   for a in range(0, len(nodes), step)]
+    values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
+    size = np.cumsum([0] + [piece[-1] for piece in pieces])[:-1] // priced
+    calls = np.split(np.arange(len(pieces)), np.flatnonzero(np.diff(size)) + 1)
+    for call in calls[:len(pieces)]:
+        # the call's runs as (node, first group, end group), node by node
+        ks = np.concatenate([pieces[i][0] for i in call])
+        at = np.repeat(np.arange(len(ks)), np.concatenate(
+            [np.full(len(pieces[i][0]), len(pieces[i][1])) for i in call]))
+        lo, hi = (np.concatenate([np.tile(pieces[i][1][:, c], len(pieces[i][0])) for i in call])
+                  for c in (0, 1))
+        run_cost = price(ks, at, lo, hi)
+        for i in call.tolist():
+            ks, runs, slots, bidx, _ = pieces[i]
+            costs = np.concatenate((run_cost[:len(ks) * len(runs)].reshape(len(ks), -1),
+                                    np.zeros((len(ks), 1))), 1)
+            run_cost = run_cost[len(ks) * len(runs):]
+            cost = np.zeros((len(ks), len(slots)))
+            for slot in slots.T:
+                cost += costs[:, slot]
+            if blanks is not None:
+                cost += blanks[1][blanks[0][ks, None] + bidx]
+            best[ks] = cost.argmin(axis=1)
+            values[ks] = cost[np.arange(len(ks)), best[ks]]
+    return values, best, ns

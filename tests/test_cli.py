@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decseq import (CertificationError, cli, epsilon_optimal_pair, load_problem_spec,
-                    pair_from_dict, pair_to_dict, seq_decomp, simulate, solve_p1, solve_p2,
-                    solve_wald_finite, value_iterate_o1, wald)
+from decseq import (CertificationError, ProblemSpecError, cli, epsilon_optimal_pair,
+                    load_problem_spec, pair_from_dict, pair_to_dict, seq_decomp, simulate,
+                    solve_p1, solve_p2, solve_wald_finite, value_iterate_o1, wald)
 from decseq.cli import _write_episodes_csv, main
 from decseq.simulate import Episodes
 
@@ -30,9 +30,14 @@ def spec_path(name):
     return os.path.join(INSTANCES, name + ".json")
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
 def read_report(out):
+    # strict JSON: NaN, Infinity and -Infinity are refused
     with open(os.path.join(out, "report.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def test_solve_wald(tmp_path, sym02_p1):
@@ -159,6 +164,20 @@ def test_solve_infinite(tmp_path):
     assert rep["receiver_limit"]["converged"] is True
     assert rep["sender_limit"]["converged"] is True
     assert rep["epsilon_pair"]["achieved"] <= 0.5
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+def test_solve_infinite_refuses_a_non_finite_epsilon(tmp_path, capsys, epsilon):
+    # an infinite epsilon would reach report.json as Infinity, which is not
+    # JSON; it is refused with exit 2, as NaN is, and no report is written
+    out = str(tmp_path / "inf")
+    assert main(["solve-infinite", "--spec", spec_path("sym02_p1"), "--grid", "11",
+                 f"--epsilon={epsilon}", "--out", out]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    with pytest.raises(ProblemSpecError):
+        epsilon_optimal_pair(load_problem_spec(open(spec_path("sym02_p1")).read()),
+                             float(epsilon))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -454,8 +473,17 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     rep = read_report(out)
     profile = rep["profile"]
     assert sorted(profile) == ["build_s", "check_s", "enumerate_s", "extract_s", "key_s",
-                               "priced_runs", "priced_terms", "search_s", "value_s"]
+                               "priced_runs", "priced_terms", "search_s", "stages", "value_s"]
+    stages = profile.pop("stages")
     assert all(v >= 0.0 for v in profile.values())
+    # the search's seconds stage by stage: every stage's keying and
+    # valuation add up to the search's
+    assert [s["t"] for s in stages] == list(range(1, len(rep["stage_stats"]) + 1))
+    assert all(sorted(s) == ["build_s", "key_s", "t", "value_s"] for s in stages)
+    assert all(s[k] >= 0.0 for s in stages for k in ("build_s", "key_s", "value_s"))
+    for k in ("key_s", "value_s"):
+        assert sum(s[k] for s in stages) == pytest.approx(profile[k], rel=1e-9, abs=1e-12)
+    assert sum(s["build_s"] for s in stages) <= profile["build_s"] * (1 + 1e-9)
     # the valuation's work: P1 prices runs from prefix sums, with no
     # fresh-observation terms
     assert profile["priced_runs"] >= rep.get("nodes", 1)

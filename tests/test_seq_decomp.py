@@ -451,30 +451,31 @@ def test_run_pricer_and_partition_tables_match_references(spec):
         used.add((n, terminal))
         return table(n, m, terminal)
 
-    def checked_pricer(t, rows, off):
-        price = pricer(t, rows, off)
+    def checked_pricer(t, rows, starts, off):
+        price = pricer(t, rows, starts, off)
 
-        def checked(parts):
-            for ks, bounds, _ in parts:
-                # every run of groups lo..hi-1, not only the table's
-                n = bounds.shape[1] - 1
-                every = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-                want = []
-                for k in ks.tolist():
-                    state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
-                    n_ref, send_ref = reference_send(solver, t, state)
-                    assert n == n_ref
-                    want.append([outcome(send_ref, lo, hi) for lo, hi in every])
-                try:
-                    got = price([(ks, bounds, np.array(every, dtype=np.intp).reshape(-1, 2))])
-                except decseq.DecseqError as exc:
-                    # the batch raises the error of its first failing run
-                    errors = [c for costs in want for c in costs if isinstance(c, type)]
-                    assert errors and type(exc) is errors[0]
-                    raise
-                assert got.reshape(len(ks), -1).tolist() == want
-                states.extend([t] * len(ks))
-            return price(parts)
+        def checked(ks, at, lo, hi):
+            # every run of groups lo..hi-1 of each node, not only the table's
+            want, every = [], []
+            for j, k in enumerate(ks.tolist()):
+                state = tuple(map(tuple, rows[off[k]:off[k + 1]].tolist()))
+                n, send_ref = reference_send(solver, t, state)
+                assert int(starts[off[k]:off[k + 1]].sum()) == n
+                # the solve's runs are runs of the node's groups
+                assert max(hi[at == j].tolist(), default=n) <= n
+                pairs = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+                want += [outcome(send_ref, a, b) for a, b in pairs]
+                every += [(j, a, b) for a, b in pairs]
+            try:
+                got = price(ks, *(np.array(x, dtype=np.intp) for x in zip(*every)))
+            except decseq.DecseqError as exc:
+                # the batch raises the error of its first failing run
+                errors = [c for c in want if isinstance(c, type)]
+                assert errors and type(exc) is errors[0]
+                raise
+            assert got.tolist() == want
+            states.extend([t] * len(ks))
+            return price(ks, at, lo, hi)
         return checked
 
     solver._pricer = checked_pricer
@@ -954,6 +955,77 @@ def test_stage_builders_match_scalar_children(node):
         assert got == (sum((w[0] for w in want), []), sum((w[1] for w in want), []),
                        sum((w[2] for w in want), []),
                        b"".join(w[3] for w in want), b"".join(w[4] for w in want))
+
+
+@st.composite
+def valuation_specs(draw):
+    """Both variants, T1 = T2 <= 3, M = 2 or 3, priors near 0 and 1 and
+    channel rows with zeros: searches whose valuations hold several group
+    counts, and partitions that tie (at M = 3 a run costs the same under
+    either of two symbols)."""
+    variant = draw(st.sampled_from(["P1", "P2"]))
+    t = draw(st.integers(1, 3))
+
+    def row(k):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        return [w / sum(weights) for w in weights]
+
+    spec = make_spec(prior=draw(st.sampled_from([1e-9, 0.01, 0.3, 0.5, 0.8, 0.99, 1.0 - 1e-9])),
+                     c1=draw(st.integers(1, 15)) / 100, c2=draw(st.integers(1, 15)) / 100,
+                     loss=[[0.0, draw(st.integers(5, 20)) / 10],
+                           [draw(st.integers(5, 20)) / 10, 0.0]],
+                     t1=t, t2=t, variant=variant, m=draw(st.integers(2, 3)))
+    k = draw(st.integers(2, 3))
+    spec["channels"][0]["tables"] = [[row(k), row(k)]]
+    spec["channels"][1]["tables"] = [[row(2), row(2)]]
+    return spec
+
+
+def hexed(got):
+    """A valuation's (values, argmin entries, group counts), values by .hex()."""
+    values, best, ns = got
+    return [x.hex() for x in values.tolist()], best.tolist(), ns.tolist()
+
+
+@pytest.mark.parametrize("priced", [1, 64, seq_decomp._PRICED])
+@settings(max_examples=40, deadline=None)
+@given(spec=valuation_specs())
+def test_valuation_and_scalar_root_match_the_numpy_references(priced, spec):
+    # the scalar-pushed root against the numpy push it replaced, and every
+    # valuation of a search (one pricing call per batch, whatever its group
+    # counts) against the parent's pieces and calls per group count, bit for
+    # bit, with batches of any size
+    prob = decseq.load_problem_spec(spec)
+    solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
+    want, got = outcome(designer_reference.numpy_root, solver), outcome(solver._root)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert [x.hex() for x in got[0].ravel().tolist()] == \
+        [x.hex() for x in want[0].ravel().tolist()]
+    assert got[1].tolist() == want[1].tolist()
+    value_nodes = solver._value_nodes
+
+    def checked(t, *args):
+        copies = [tuple(b.copy() for b in a) if isinstance(a, tuple) else a.copy() for a in args]
+        want = outcome(designer_reference.group_count_values, solver, t, *copies)
+        got = outcome(value_nodes, t, *args)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            return value_nodes(t, *args)  # raises as the reference does
+        assert hexed(got) == hexed(want)
+        return got
+
+    solver._value_nodes = checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seq_decomp, "_PRICED", priced)
+        mp.setattr(seq_decomp, "DESIGNER_NODE_CAP", 3000)
+        try:
+            solver.solve()
+        except CapacityError:
+            assume(False)
+        except decseq.DecseqError:
+            pass  # compared where it arose
 
 
 @pytest.mark.parametrize("variant, horizon", [("P1", 5), ("P2", 3)])
