@@ -110,8 +110,6 @@ def merge_rows(rows, first, beliefs):
     heads = new.nonzero()[0]
     size = np.concatenate((heads[1:], [len(rows)])) - heads
     chain = (size > 1).nonzero()[0]
-    if not chain.size:  # every row is a merged atom of its own
-        return rows.take(heads, axis=0), heads
     chain = chain[np.argsort(-size[chain], kind="stable")]
     heads, size = heads[chain], size[chain]
     # step j's rows, heads[:n[j]] + j, are flat[o[j]:o[j + 1]]; cols holds

@@ -283,11 +283,6 @@ def _spans(sizes, cap):
     return list(zip(cut[:-1], cut[1:]))
 
 
-def _heads(ids):
-    """Flags on the first of each run of equal (non-negative) ids."""
-    return ids != np.concatenate(([-1], ids[:-1]))
-
-
 def _seg_sums(seg, weights, n):
     """The sums of weights by seg = 0..n-1, each added left to right as a
     scalar loop adds: np.bincount adds each weight into its bin in input
@@ -518,25 +513,20 @@ class _Designer:
         """Values of stage-t nodes given as grouped atom rows (``_groups``),
         counts[i] for node i in turn.  Before the last stage ``blanks`` holds
         each node's first blank entry and every entry's cost.  Returns
-        (values, argmin table entries, group counts).  The nodes go by group
-        count, in batches whose runs and partitions number about
-        ``_PRICED``, one pricing call per batch; then, a group count at a
-        time, each partition's runs are added slot by slot, then its blank
-        branch, and the first cheapest wins."""
+        (values, argmin table entries, group counts).  Each partition adds
+        its runs slot by slot, then its blank branch; the first cheapest wins."""
         m, terminal = self.pb.n_messages, blanks is None
         off = np.concatenate(([0], counts.cumsum()))
         ns = np.add.reduceat(starts, off[:-1], dtype=np.intp)  # integers: exact in any order
         tables = {n: _partition_table(n, m, terminal) for n in sorted(set(ns.tolist()))}
-        if not tables:
-            return np.zeros(0), np.zeros(0, dtype=np.intp), ns
-        size = np.zeros(max(tables) + 1, dtype=np.intp)  # runs plus partitions
+        size = np.zeros(max(tables, default=0) + 1, dtype=np.intp)  # runs plus partitions
         size[list(tables)] = [len(tb[1]) + len(tb[2]) for tb in tables.values()]
         order = np.argsort(ns, kind="stable")
         price = self._pricer(t, rows, starts, off)
         values, best = np.zeros(len(counts)), np.zeros(len(counts), dtype=np.intp)
-        for a, z in _spans(size.take(ns.take(order)), _PRICED):
+        for a, z in _spans(size.take(ns.take(order)), _PRICED)[:len(ns)]:  # none for no nodes
             ks = order[a:z]
-            cut = [*_heads(ns[ks]).nonzero()[0].tolist(), len(ks)]
+            cut = [0, *((ns[ks[1:]] != ns[ks[:-1]]).nonzero()[0] + 1).tolist(), len(ks)]
             blocks = [(c, ks[c:d], tables[int(ns[ks[c]])]) for c, d in zip(cut[:-1], cut[1:])]
             # every run of the batch: its node's place in ks, first and end group
             at, bounds = (np.concatenate(x, axis=-1) for x in zip(*(
@@ -668,7 +658,7 @@ class _P1Solver(_Designer):
         n0, n1 = m0.take(atom) / share * r0.take(y), m1.take(atom) / share * r1.take(y)
         keep = (n0 != 0.0) | (n1 != 0.0)
         raw, e = np.column_stack((post.take(pos), n0, n1)).compress(keep, axis=0), e[keep]
-        first = _heads(e)
+        first = e != np.concatenate(([-1], e[:-1]))
         # pushes of one posterior within a child sort by their masses
         tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
         if tie.any():
@@ -711,8 +701,7 @@ class _P1Solver(_Designer):
                 rm -= pre.take(lo[s] * len(ks) + at[s], axis=1)
                 mass = rm[0] + rm[1]
                 live = ~(mass <= 0.0)
-                rm0, mass = rm[0][live], mass[live]
-                out[s][live] = mass * read(_posteriors(rm0, mass))
+                out[s][live] = mass[live] * read(_posteriors(rm[0][live], mass[live]))
             return out
 
         return price
@@ -772,7 +761,7 @@ class _P2Solver(_Designer):
         obs = obs.reshape(-1, 4).compress(keep.ravel(), axis=0)
         oe = np.broadcast_to(e, keep.shape).compress(keep.ravel())
         order = _sort_order(oe, obs)
-        phi, heads = merge_rows(obs.take(order, axis=0), _heads(oe[order]), 2)
+        phi, heads = merge_rows(obs.take(order, axis=0), np.diff(oe[order], prepend=-1) != 0, 2)
         pe = oe[order][heads]
         # push order: declared atoms, then sampling ones by belief2 (stable)
         act = phi[:, 1] >= 0.0
@@ -783,7 +772,7 @@ class _P2Solver(_Designer):
         # receiver groups (belief2 clusters): group g of entry s spans the
         # sampling atoms bound[s, g]:bound[s, g + 1]
         ae, aphi = pe[act], phi.compress(act, axis=0)
-        brk = (aphi[:, 1] - np.concatenate(([-np.inf], aphi[:-1, 1])) > MERGE_TOL) | _heads(ae)
+        brk = (np.diff(aphi[:, 1], prepend=-np.inf) > MERGE_TOL) | (np.diff(ae, prepend=-1) != 0)
         ng = np.bincount(ae[brk], minlength=len(ent))
         bound = np.zeros((len(ent), int(ng.max(initial=0)) + 1), dtype=np.intp)
         bound[ae[brk], (brk.cumsum() - 1 - (ng.cumsum() - ng)[ae])[brk]] = ai[act][brk]
@@ -848,7 +837,7 @@ class _P2Solver(_Designer):
             lo = alo[a:z].take(cid)
             sel = ((uact.take(idx) - lo).view(np.uintp) < span[a:z].take(cid)) == usample.take(idx)
             idx, cid = idx.compress(sel), cid.compress(sel)
-            kids, heads = merge_rows(urows.take(idx, axis=0), _heads(cid), 2)
+            kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
             counts = np.bincount(cid[heads], minlength=z - a)
             share = emass[ce[a:z]].repeat(counts)
             kids[:, 2] /= share

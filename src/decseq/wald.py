@@ -51,8 +51,8 @@ VI_MAX_ITER_DEFAULT = 10000
 
 def _choose(b, cont, costs):
     """``stop_or_sample``'s rule on an array of beliefs b and continuation
-    costs ``cont`` (None, or a row per case): labels 0.0, 1.0 or NaN (keep
-    sampling), the cost of each choice, and the two declaration costs."""
+    costs ``cont`` (or None): labels 0.0, 1.0 or NaN (keep sampling), the
+    cost of each choice, and the two declaration costs, all arrays."""
     tc0, tc1 = (terminal_cost(u, b, costs) for u in (0, 1))
     one = ~(tc0 <= tc1)
     values = np.where(one, tc1, tc0)
@@ -60,7 +60,7 @@ def _choose(b, cont, costs):
     if cont is not None:
         go = cont < values
         values = np.where(go, cont, values)
-        labels = np.where(go, np.nan, labels)
+        labels[go] = np.nan
     return labels, values, tc0, tc1
 
 
@@ -100,15 +100,10 @@ def thresholds_from_labels(points, labels, declare_boundary):
     if not (ones[:i].all() and go[i:j].all() and (lab[j:] == 0.0).all()):
         raise StructureViolation(
             f"stopping actions are not threshold-shaped: labels {labels} at {points}")
-    return _pair(points, i, j, declare_boundary)
-
-
-def _pair(points, i, j, declare_boundary):
-    """The thresholds around a sampling run at points[i:j]."""
     if i == j:
         return (declare_boundary, declare_boundary)
     w1 = 0.0 if i == 0 else 0.5 * (points[i - 1] + points[i])
-    w2 = 1.0 if j == len(points) else 0.5 * (points[j - 1] + points[j])
+    w2 = 1.0 if j == lab.size else 0.5 * (points[j - 1] + points[j])
     return (w1, w2)
 
 
@@ -145,28 +140,21 @@ class WaldSolution:
             i = np.searchsorted(xs, beliefs)
             # i = 0 only at belief 0.0, a knot; there the wrapped i - 1 is unused
             x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
-            del i
-            # y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)), in place
-            out = np.subtract(beliefs, x0)
-            out /= x1 - x0
-            out *= y1 - y0
-            out += y0
-            return np.where(x1 == beliefs, y1, out)
+            return np.where(x1 == beliefs, y1, y0 + (y1 - y0) * ((beliefs - x0) / (x1 - x0)))
         return read
 
     def continuation(self, beliefs, remaining):
         """Expected cost of one more observation, then optimal play, at an
-        array of beliefs; a row per count when ``remaining`` is a range."""
-        counts, beliefs = np.atleast_1d(remaining).tolist(), np.asarray(beliefs, dtype=float)
+        array of beliefs."""
+        beliefs = np.asarray(beliefs, dtype=float)
+        read = self.reader(remaining - 1)
+        cont = np.full(beliefs.shape, self.costs.c2)
         # with r observations left, the next draw is observation number
         # horizon - r + 1; a symbol of probability 0 adds 0.0
-        rows = zip(*(self.channel.row_pair(self.horizon - r + 1) for r in counts))
-        prob, post = (a.T for a in outcomes(beliefs, tuple(rows)))
-        values = np.array([self.reader(r - 1)(p) for r, p in zip(counts, post)])
-        cont = np.full((len(counts), *beliefs.shape), self.costs.c2)
-        for y in range(prob.shape[1]):
-            cont += prob[:, y] * values[:, y]
-        return cont if np.ndim(remaining) else cont[0]
+        for prob, post in zip(*(a.T for a in outcomes(
+                beliefs, self.channel.row_pair(self.horizon - remaining + 1)))):
+            cont += prob * read(post)
+        return cont
 
     def thresholds_at(self, points):
         """Threshold pairs at midpoints between ``points``, beliefs in [0, 1],
@@ -184,16 +172,12 @@ class WaldSolution:
         if pts[-1] < 1.0:
             pts.append(1.0)
         boundary = self.costs.declare_boundary
-        # every remaining count r = horizon..1 labelled at once, a row each of
-        # 1.0, NaN or 0.0, threshold-shaped where its rank 0, 1, 2 never falls
-        labels = _choose(np.array(pts), self.continuation(pts, range(self.horizon, 0, -1)),
-                         self.costs)[0] if self.horizon else np.zeros((0, len(pts)))
-        go = np.isnan(labels)
-        rank, i = go + 2 * (labels == 0.0), (labels == 1.0).sum(axis=1)
-        shaped, j = (rank[:, 1:] >= rank[:, :-1]).all(axis=1), i + go.sum(axis=1)
-        return (*(_pair(pts, a, b, boundary) if ok else thresholds_from_labels(pts, row, boundary)
-                  for a, b, ok, row in zip(i.tolist(), j.tolist(), shaped.tolist(), labels)),
-                (boundary, boundary))
+        thresholds = []
+        for r in range(self.horizon, 0, -1):
+            labels = _choose(np.array(pts), self.continuation(pts, r), self.costs)[0]
+            thresholds.append(thresholds_from_labels(pts, labels, boundary))
+        thresholds.append((boundary, boundary))
+        return tuple(thresholds)
 
 
 def _stop_cost(b, costs):
