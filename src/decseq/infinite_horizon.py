@@ -177,6 +177,9 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT):
     declaration, so its stopping time is bounded) that is its own
     ``stationary_anchor``, so the send branches are fixed affine curves;
     then the sender recursion is a contraction toward the no-deadline value.
+    The sender is offered the symbols to which the receiver's stage-1
+    message model gives positive likelihood, every symbol when it gives
+    none (as an empty model does).
     """
     if not isinstance(o2, O2Policy):
         raise ProblemSpecError("o2", f"not a finite receiver policy: {type(o2).__name__}")
@@ -194,11 +197,19 @@ def value_iterate_o1(o2, problem, grid_size=GRID_SIZE_DEFAULT):
                                      "message model stage, blank uninformative, T1 times")
     m = problem.n_messages
     affines = [evaluate_o2_policy(o2, (), z, problem) for z in range(m)]
+    # a symbol the receiver's stage-1 model gives no likelihood reaches it
+    # as no message (``message_factor``'s (1, 1)), so it is not offered;
+    # a model that gives no symbol a likelihood offers every symbol
+    model = o2.message_model[0] if o2.message_model else {}
+    offered = [max(model.get(z, (0.0, 0.0))) > 0.0 for z in range(m)]
+    if not any(offered):
+        offered = [True] * m
 
     grid = belief_grid(grid_size)
 
     def send_curves():
-        return [grid * a + (1.0 - grid) * b for a, b in affines]
+        return [grid * a + (1.0 - grid) * b if ok else np.full(len(grid), np.inf)
+                for ok, (a, b) in zip(offered, affines)]
 
     cont = grid_continuation(problem.channel1.row_pair(1), problem.costs.c1, grid)
     values, record = grid_value_iteration(cont, np.minimum.reduce(send_curves()))

@@ -14,7 +14,8 @@ variants share one sequential decomposition (``_Designer``):
   groups (the optimal policies are interval-shaped in the beliefs, so this
   is exhaustive) costs its message runs plus, before the last stage, its
   blank branch, and the first cheapest wins.  The last stage, which holds
-  most nodes, is valued batch by batch, the earlier stages backward; a
+  most nodes, is valued whenever its new nodes hold ``_BATCH`` atoms, the
+  earlier stages backward, one valuation each; a
   valuation takes its nodes by group count in batches of about
   ``_PRICED`` runs and partitions, one pricing call per batch, and adds
   each group count's partition costs as one array.  The table of
@@ -22,16 +23,20 @@ variants share one sequential decomposition (``_Designer``):
   is the last, is built once per process (``_partition_table``);
 * **children** -- the stage-1 state, the prior's scalar push
   (``belief.push_atom``), is built once per solve, later ones a stage at
-  a time, a chunk of nodes at a time, in
-  numpy arrays (``_build``): every node's atoms pass observer 1's next
-  observation once (``belief.push_rows``), and each blank set's child (in
-  variant P2, after observer 2's step, each continue interval's) is a
-  subset of those pushes, sorted once before the subsets are taken, as
-  sorted() sorts tuples (``_sort_order``: one stable argsort of each row's
+  a time, a chunk of nodes at a time, in numpy arrays (``_build``): every
+  node's atoms pass observer 1's next observation once
+  (``belief.push_rows``), and each blank set's child (in variant P2, after
+  observer 2's step, each continue interval's) is a subset of those
+  pushes, sorted once before the subsets are taken, as sorted() sorts
+  tuples (``_sort_order``: one stable argsort of each row's
   order-preserving byte key), and merged as ``belief.merge_atoms`` merges
   (``belief.merge_rows``), with no Python object per child; rows are
   gathered with ``ndarray.take``, which copies rows far faster than fancy
-  indexing does;
+  indexing does.  A chunk's children are merged and looked up in one
+  batch (in P2 split only past ``_CHILDREN`` candidate atoms, which only
+  unusually wide nodes reach), since a batch pays a fixed number of numpy
+  calls whatever its size: ``merge_rows`` takes one lockstep step per row
+  of its longest merge chain;
 * **keys** -- each coordinate x of a state's atoms becomes the k with
   round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``: x * 1e10
   rounded once, the exact rational rounding only next to a half-integer),
@@ -99,11 +104,13 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# the last stage's new nodes are valued once the lookups since hold this
-# many atoms
+# the last stage's new nodes are valued once they hold this many atoms
+# (counted in the atoms valued, not in the rows looked up, so that large
+# lookup batches do not cut the stage into small valuations)
 _BATCH = 1 << 12
-# P2: about this many candidate atoms per chunk of children
-_CHILDREN = 1 << 14
+# P2: at most about this many candidate atoms per lookup batch of children;
+# a build chunk's candidates pass it only for unusually wide nodes
+_CHILDREN = 1 << 16
 # a valuation batch's arrays hold about this many entries
 _PRICED = 1 << 14
 
@@ -330,8 +337,10 @@ class DesignerSolution:
     ``enumerate_s`` is ``build_s`` (building children) plus ``key_s``
     (keying and deduplicating them, and grouping the new nodes' atoms).
     ``stage_seconds`` holds them per stage t = 1..T1 (``t``, ``build_s``
-    building the stage-t states, ``key_s``, ``value_s``), apart from
-    ``stage_stats``, whose counts a depth-first search reproduces.
+    building the stage-t states, ``key_s``, ``value_s``) with the stage's
+    ``batches`` (memo lookup batches, ``_Level.add`` calls) and
+    ``valuations`` (``_value_nodes`` calls), apart from ``stage_stats``,
+    whose counts a depth-first search reproduces.
     """
 
     total: float
@@ -356,20 +365,23 @@ class _Level:
     """The memo lookups of stage t, keyed and deduplicated batch by batch
     in the order they are made.  A new key makes a node, kept as grouped
     atom rows (``_groups``) until it is valued: at the last stage once the
-    lookups since hold ``_BATCH`` atoms, before it backward.  ``index``
+    new nodes since hold ``_BATCH`` atoms, before it backward.  ``index``
     holds the node of every lookup; ``build_s``, ``key_s`` and ``value_s``
-    the seconds spent building, keying and valuing the stage."""
+    the seconds spent building, keying and valuing the stage, ``batches``
+    and ``valuations`` its ``add`` and ``_value_nodes`` calls."""
 
     def __init__(self, solver, t):
         self.solver, self.t = solver, t
         self.index, self.rows, self.valued, self.size = [], [], [], 0
         self.build_s = self.key_s = self.value_s = 0.0
+        self.batches = self.valuations = 0
 
     def add(self, rows, counts):
         """Look up a batch of children given as atom rows, counts[i] rows
         for child i in turn."""
         s, memo = self.solver, self.solver.memo[self.t]
         start = time.perf_counter()
+        self.batches += 1
         keys = _state_keys(rows, counts)
         index = list(map(memo.get, keys))
         # a miss may repeat an earlier miss of the same batch; the new
@@ -387,10 +399,10 @@ class _Level:
         got = self.index[-1][miss]
         new = np.zeros(len(counts), dtype=bool)
         new[miss[got > np.maximum.accumulate(np.concatenate(([made - 1], got)))[:-1]]] = True
-        self.rows.append((*s._groups(rows.compress(new.repeat(counts), axis=0), counts[new]),
-                          counts[new]))
+        rows = rows.compress(new.repeat(counts), axis=0)
+        self.rows.append((*s._groups(rows, counts[new]), counts[new]))
         self.size += len(rows)
-        del keys, index  # before a valuation
+        del keys, index, rows  # before a valuation
         self.key_s += time.perf_counter() - start
         if self.t == s.pb.t1 and self.size >= _BATCH:
             self._value()
@@ -400,6 +412,7 @@ class _Level:
         nodes = tuple(map(np.concatenate, zip(*self.rows)))
         self.rows, self.size = [], 0
         self.valued.append(self.solver._value_nodes(self.t, *nodes))
+        self.valuations += 1
         self.value_s += time.perf_counter() - start
 
     def finish(self):
@@ -506,6 +519,7 @@ class _Designer:
             cost, level.choices = self._blank_costs(level.rec, child.values[child.index])
             level.values, level.best, level.ns = self._value_nodes(
                 t, *level.rows, (level.rec.start, cost))
+            level.valuations += 1
             level.value_s = time.perf_counter() - start
         return root, levels
 
@@ -607,7 +621,8 @@ class _Designer:
         o1 = O1Policy(stages=tuple(rules[:-1]), terminal=rules[-1], n_messages=m)
         o2 = _o2_response(o1, pb, self.wald).policy
         stage_stats = self._stage_stats()
-        seconds = tuple({"t": t, "build_s": lv.build_s, "key_s": lv.key_s, "value_s": lv.value_s}
+        seconds = tuple({"t": t, "build_s": lv.build_s, "key_s": lv.key_s, "value_s": lv.value_s,
+                         "batches": lv.batches, "valuations": lv.valuations}
                         for t, lv in enumerate(levels[1:], start=1))
         key_s, value_s = (sum(s[k] for s in seconds) for k in ("key_s", "value_s"))
         build_s = searched - start - value_s - key_s
@@ -830,20 +845,23 @@ class _P2Solver(_Designer):
         del x1, x2, x0m, x1m, phi, aphi, am0, am1, ai, act, pe, ae, on, ukind
         # child c takes, of its blank set's sorted union, the declared rows
         # and each sampling atom's row as sampling on inside its continue
-        # run and as declaring outside it; a chunk of children at a time
+        # run and as declaring outside it.  The chunk's children are merged
+        # and looked up in one batch, which costs a fixed number of numpy
+        # calls whatever its size, split only past _CHILDREN candidates
         emass, span = mass[ent], (ahi - alo).view(np.uintp)
         for a, z in _spans(lens, _CHILDREN):
             cid, idx = _segments(ustart[ce[a:z]], lens[a:z])
-            lo = alo[a:z].take(cid)
-            sel = ((uact.take(idx) - lo).view(np.uintp) < span[a:z].take(cid)) == usample.take(idx)
+            sel = ((uact.take(idx) - alo[a:z].take(cid)).view(np.uintp)
+                   < span[a:z].take(cid)) == usample.take(idx)
             idx, cid = idx.compress(sel), cid.compress(sel)
-            kids, heads = merge_rows(urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0, 2)
-            counts = np.bincount(cid[heads], minlength=z - a)
+            kids, first = urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0
+            del sel, idx  # the candidates go before the merge and the lookup
+            kids, heads = merge_rows(kids, first, 2)
+            counts = np.bincount(cid.take(heads), minlength=z - a)
             share = emass[ce[a:z]].repeat(counts)
             kids[:, 2] /= share
             kids[:, 3] /= share
-            # the chunk's selection is freed before its children are keyed
-            del cid, idx, lo, sel, heads, share
+            del cid, first, heads, share
             add(kids, counts)
         runs = np.zeros(len(mass), dtype=np.intp)
         runs[ent] = np.bincount(ce, minlength=len(ent))

@@ -180,18 +180,20 @@ def test_solve_infinite_refuses_a_non_finite_epsilon(tmp_path, capsys, epsilon):
                              float(epsilon))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 6, PBPO symbol order: exits 3, symbols must decrease "
-                          "left to right, got [1, 2, 0]")
 def test_solve_infinite_with_an_unused_symbol(tmp_path):
-    # the designer's pair never sends symbol 2; its receiver reads it as no
-    # message, which makes it the sender limit's cheapest send between 1 and 0
+    # the designer's pair never sends symbol 2, and its receiver would read
+    # it as no message: the sender limit offers only the symbols the
+    # receiver's model gives a likelihood, so 2 is not sent between 1 and 0
     with open(spec_path("sym02_p1")) as fh:
         doc = json.load(fh)
     doc["M"] = 3
     spec = tmp_path / "m3.json"
     spec.write_text(json.dumps(doc))
     assert main(["solve-infinite", "--spec", str(spec), "--out", str(tmp_path / "inf")]) == 0
+    # symbol 0 is sent above 0.5145 and symbol 2, the lowest interval of the
+    # four-threshold view, never: its empty region reads (0, 0)
+    limit = read_report(str(tmp_path / "inf"))["sender_limit"]
+    assert limit["four_thresholds"] == [0.0, 0.0, 0.5145, 1.0]
 
 
 def test_simulate_reproducible(tmp_path):
@@ -479,8 +481,11 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     # the search's seconds stage by stage: every stage's keying and
     # valuation add up to the search's
     assert [s["t"] for s in stages] == list(range(1, len(rep["stage_stats"]) + 1))
-    assert all(sorted(s) == ["build_s", "key_s", "t", "value_s"] for s in stages)
+    assert all(sorted(s) == ["batches", "build_s", "key_s", "t", "valuations", "value_s"]
+               for s in stages)
     assert all(s[k] >= 0.0 for s in stages for k in ("build_s", "key_s", "value_s"))
+    # every stage is looked up in one batch or more and valued at least once
+    assert all(s["batches"] >= 1 and s["valuations"] >= 1 for s in stages)
     for k in ("key_s", "value_s"):
         assert sum(s[k] for s in stages) == pytest.approx(profile[k], rel=1e-9, abs=1e-12)
     assert sum(s["build_s"] for s in stages) <= profile["build_s"] * (1 + 1e-9)

@@ -1036,12 +1036,36 @@ def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
     want = search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
     solver = (_P1Solver if variant == "P1" else _P2Solver)
-    monkeypatch.setattr(solver, "chunk", 1)
-    monkeypatch.setattr(seq_decomp, "_CHILDREN", 1)
-    assert search_record(solver(prob).solve()) == want
-    monkeypatch.setattr(seq_decomp, "_BATCH", 1)
-    monkeypatch.setattr(seq_decomp, "_PRICED", 1)
-    assert search_record(solver(prob).solve()) == want
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "chunk", 1)
+        mp.setattr(seq_decomp, "_CHILDREN", 1)
+        assert search_record(solver(prob).solve()) == want
+        mp.setattr(seq_decomp, "_BATCH", 1)
+        mp.setattr(seq_decomp, "_PRICED", 1)
+        assert search_record(solver(prob).solve()) == want
+    # the other extreme: each build chunk's children one lookup batch and
+    # the whole last stage one valuation, at the default chunks and with
+    # every node its own chunk
+    monkeypatch.setattr(seq_decomp, "_CHILDREN", 1 << 40)
+    monkeypatch.setattr(seq_decomp, "_BATCH", 1 << 40)
+    for chunk in (solver.chunk, 1):
+        monkeypatch.setattr(solver, "chunk", chunk)
+        big, chunks, searched = solver(prob), [], []
+        children = big._children
+        big._children = lambda t, *args: chunks.append(t) or children(t, *args)
+
+        def search():
+            # the build chunks of the search, not of the policy walk after it
+            out = solver._search(big)
+            searched.extend(chunks)
+            return out
+
+        big._search = search
+        sol = big.solve()
+        assert search_record(sol) == want
+        assert [s["batches"] for s in sol.stage_seconds] == \
+            [1, *(searched.count(t) for t in range(1, horizon))]
+        assert [s["valuations"] for s in sol.stage_seconds] == [1] * horizon
 
 
 def lexsort_columns(draw, n):
