@@ -16,11 +16,13 @@ is the number of policy pairs the search covers.
 
 ``cap`` bounds the work, not the count.  Before anything is enumerated, a
 closed-form upper bound on the work is compared with it and
-``CapacityError`` is raised if the bound is larger.  The bound is, for
-P1, the stopping-rule tree nodes built and priced plus sender maps times
-stopping rules; for P2, sender maps times the receiver's decision nodes;
-for ``brute_force_wald``, the stopping rules.  One unit took 0.3-1.8 µs
-on a 2-core Xeon VM, so the default cap is at most about a minute of work.
+``CapacityError`` is raised if the bound is larger; a ``cap`` below 0 is
+a ``ProblemSpecError``, raised before any bound is computed.  The bound
+is, for P1, the stopping-rule tree nodes built and priced plus sender
+maps times stopping rules; for P2, sender maps times the receiver's
+decision nodes; for ``brute_force_wald``, the stopping rules.  One unit
+took 0.3-1.8 µs on a 2-core Xeon VM, so the default cap is at most about a
+minute of work.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ class OracleResult:
 
     cost: float
     count: int
+
+
+def _check_cap(cap):
+    if cap < 0:
+        raise ProblemSpecError("cap", f"must be at least 0, got {cap}")
 
 
 def _check_work(work, cap):
@@ -103,6 +110,7 @@ def brute_force_wald(channel, costs, horizon, prior, cap=ORACLE_CAP_DEFAULT):
     """Exhaustive minimum over all stopping rules for the single-observer
     sampling problem started at ``prior``; ``cap`` bounds the number of
     rules."""
+    _check_cap(cap)
     count = _rule_sizes(horizon, channel.n_symbols, cap)[0]
     _check_work(count, cap)
     best = min(_rule_cost(rule, 0, prior, 1.0 - prior, channel.row_pair, costs)
@@ -175,6 +183,7 @@ def _pool_classes(branches):
 def enumerate_policies_p1(problem, cap=ORACLE_CAP_DEFAULT):
     if problem.variant != "P1":
         raise ProblemSpecError("variant", "enumerate_policies_p1 needs a P1 instance")
+    _check_cap(cap)
     # work: every stopping-rule tree node built and priced, plus every rule
     # priced against every sender map
     n_rules, rule_nodes = _rule_sizes(problem.t2, problem.channel2.n_symbols, cap)
@@ -276,6 +285,7 @@ def _receiver_nodes(problem, cap):
 def enumerate_policies_p2(problem, cap=ORACLE_CAP_DEFAULT):
     if problem.variant != "P2":
         raise ProblemSpecError("variant", "enumerate_policies_p2 needs a P2 instance")
+    _check_cap(cap)
     _check_work(_count_o1_maps(problem, cap) * _receiver_nodes(problem, cap), cap)
 
     best = None

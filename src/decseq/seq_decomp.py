@@ -7,16 +7,16 @@ variants share one sequential decomposition (``_Designer``):
 
 * **search** -- level-synchronous.  Forward, the nodes of stages 1, ...,
   T1 - 1 are expanded in the order they were first reached; each child is
-  looked up in the next stage's memo (``_Level``), and a new key makes a
-  node there, so the nodes, and the state standing for each key, are those
-  a depth-first recursion stores.  Nodes are valued in numpy batches
-  (``_value_nodes``): every achievable threshold partition of a node's atom
-  groups (the optimal policies are interval-shaped in the beliefs, so this
-  is exhaustive) costs its message runs plus, before the last stage, its
-  blank branch, and the first cheapest wins.  The last stage, which holds
-  most nodes, is valued whenever its new nodes hold ``_BATCH`` atoms, the
-  earlier stages backward, one valuation each; a
-  valuation takes its nodes by group count in batches of about
+  looked up in the memo of the next stage's record (``_Level``), and a new
+  key makes a node there, so the nodes, and the state standing for each
+  key, are those a depth-first recursion stores.  Nodes are valued in
+  numpy batches (``_value_nodes``): every achievable threshold partition
+  of a node's atom groups (the optimal policies are interval-shaped in
+  the beliefs, so this is exhaustive) costs its message runs plus, before
+  the last stage, its blank branch, and the first cheapest wins.  The
+  last stage, which holds most nodes, is valued a lookup batch (a build
+  chunk's children) at a time, the earlier stages backward, one valuation
+  each; a valuation takes its nodes by group count in batches of about
   ``_PRICED`` runs and partitions, one pricing call per batch, and adds
   each group count's partition costs as one array.  The table of
   partitions of n groups, a pure function of n, M and whether the stage
@@ -104,10 +104,6 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# the last stage's new nodes are valued once they hold this many atoms
-# (counted in the atoms valued, not in the rows looked up, so that large
-# lookup batches do not cut the stage into small valuations)
-_BATCH = 1 << 12
 # P2: at most about this many candidate atoms per lookup batch of children;
 # a build chunk's candidates pass it only for unusually wide nodes
 _CHILDREN = 1 << 16
@@ -339,8 +335,9 @@ class DesignerSolution:
     ``stage_seconds`` holds them per stage t = 1..T1 (``t``, ``build_s``
     building the stage-t states, ``key_s``, ``value_s``) with the stage's
     ``batches`` (memo lookup batches, ``_Level.add`` calls) and
-    ``valuations`` (``_value_nodes`` calls), apart from ``stage_stats``,
-    whose counts a depth-first search reproduces.
+    ``valuations`` (``_value_nodes`` calls: one per batch at the last stage,
+    one before it), apart from ``stage_stats``, whose counts a depth-first
+    search reproduces.
     """
 
     total: float
@@ -362,68 +359,68 @@ class DesignerSolution:
 
 
 class _Level:
-    """The memo lookups of stage t, keyed and deduplicated batch by batch
-    in the order they are made.  A new key makes a node, kept as grouped
-    atom rows (``_groups``) until it is valued: at the last stage once the
-    new nodes since hold ``_BATCH`` atoms, before it backward.  ``index``
-    holds the node of every lookup; ``build_s``, ``key_s`` and ``value_s``
-    the seconds spent building, keying and valuing the stage, ``batches``
-    and ``valuations`` its ``add`` and ``_value_nodes`` calls."""
+    """Stage t of the search.  Its lookups are keyed and deduplicated in
+    ``memo`` (a state key to its node's index in the stage) batch by batch
+    in the order they are made; a new key makes a node, kept as grouped
+    atom rows (``_groups``) until it is valued: at the last stage in the
+    batch that makes it, before it backward.  ``index`` holds the node of
+    every lookup; ``build_s``, ``key_s`` and ``value_s`` the seconds spent
+    building, keying and valuing the stage, ``batches`` and ``valuations``
+    its ``add`` and ``_value_nodes`` calls."""
 
     def __init__(self, solver, t):
         self.solver, self.t = solver, t
-        self.index, self.rows, self.valued, self.size = [], [], [], 0
+        self.memo, self.lookups = {}, 0
+        self.index, self.rows, self.valued = [], [], []
         self.build_s = self.key_s = self.value_s = 0.0
         self.batches = self.valuations = 0
 
     def add(self, rows, counts):
         """Look up a batch of children given as atom rows, counts[i] rows
-        for child i in turn."""
-        s, memo = self.solver, self.solver.memo[self.t]
+        for child i in turn; at the last stage, value the new nodes."""
+        s, memo = self.solver, self.memo
         start = time.perf_counter()
         self.batches += 1
         keys = _state_keys(rows, counts)
         index = list(map(memo.get, keys))
         # a miss may repeat an earlier miss of the same batch; the new
         # nodes are numbered in the order of their first lookups
-        miss = [i for i, node in enumerate(index) if node is None]
-        made = len(memo)
-        for i in miss:
-            index[i] = memo.setdefault(keys[i], len(memo))
-        s.nodes += len(memo) - made
+        new = np.zeros(len(counts), dtype=bool)
+        for i, node in enumerate(index):
+            if node is None:
+                made = len(memo)
+                index[i] = memo.setdefault(keys[i], made)
+                new[i] = index[i] == made
+        s.nodes += int(np.count_nonzero(new))
         if s.nodes > DESIGNER_NODE_CAP:
             raise CapacityError(DESIGNER_NODE_CAP + 1, DESIGNER_NODE_CAP, "designer search nodes")
-        s.lookups[self.t] += len(index)
+        self.lookups += len(index)
         self.index.append(np.array(index, dtype=np.intp))
-        miss = np.array(miss, dtype=np.intp)
-        got = self.index[-1][miss]
-        new = np.zeros(len(counts), dtype=bool)
-        new[miss[got > np.maximum.accumulate(np.concatenate(([made - 1], got)))[:-1]]] = True
         rows = rows.compress(new.repeat(counts), axis=0)
-        self.rows.append((*s._groups(rows, counts[new]), counts[new]))
-        self.size += len(rows)
+        nodes = (*s._groups(rows, counts[new]), counts[new])
         del keys, index, rows  # before a valuation
         self.key_s += time.perf_counter() - start
-        if self.t == s.pb.t1 and self.size >= _BATCH:
-            self._value()
-
-    def _value(self):
+        if self.t < s.pb.t1:
+            self.rows.append(nodes)
+            return
         start = time.perf_counter()
-        nodes = tuple(map(np.concatenate, zip(*self.rows)))
-        self.rows, self.size = [], 0
-        self.valued.append(self.solver._value_nodes(self.t, *nodes))
+        self.valued.append(s._value_nodes(self.t, *nodes))
         self.valuations += 1
         self.value_s += time.perf_counter() - start
 
     def finish(self):
-        """Value the last stage's pending nodes, and join the batches."""
+        """Join the batches."""
         self.index = np.concatenate(self.index)
         if self.t < self.solver.pb.t1:
             self.rows = tuple(map(np.concatenate, zip(*self.rows)))
-            return
-        if self.rows:
-            self._value()
-        self.values, self.best, self.ns = map(np.concatenate, zip(*self.valued))
+        else:
+            self.values, self.best, self.ns = map(np.concatenate, zip(*self.valued))
+
+    def stats(self):
+        """The stage's ``stage_stats`` entry."""
+        nodes, atoms = len(self.memo), sum(map(len, self.memo)) // (8 * self.solver.width)
+        return {"t": self.t, "nodes": nodes, "lookups": self.lookups,
+                "memo_hits": self.lookups - nodes, "mean_atoms": atoms / nodes if nodes else 0.0}
 
 
 class _Designer:
@@ -440,9 +437,6 @@ class _Designer:
             raise ProblemSpecError(
                 "variant", f"solve_{self.variant.lower()} got a {problem.variant} problem")
         self.pb = problem
-        # memo[t] maps a stage-t state key to the node's index in its stage
-        self.memo = [{} for _ in range(problem.t1 + 1)]
-        self.lookups = [0] * (problem.t1 + 1)
         self.nodes = 0
         self.partitions = 0
         self.priced_runs = self.priced_terms = 0
@@ -563,16 +557,6 @@ class _Designer:
                 values[kk] = cost[np.arange(len(kk)), best[kk]]
         return values, best, ns
 
-    def _stage_stats(self):
-        out = []
-        for t in range(1, self.pb.t1 + 1):
-            memo = self.memo[t]
-            atoms = sum(map(len, memo)) // (8 * self.width)
-            out.append({"t": t, "nodes": len(memo), "lookups": self.lookups[t],
-                        "memo_hits": self.lookups[t] - len(memo),
-                        "mean_atoms": atoms / len(memo) if memo else 0.0})
-        return tuple(out)
-
     def solve(self):
         """Optimal pair: the sender by the search and a walk of its stored
         argmins, the receiver as that sender's best response."""
@@ -620,7 +604,7 @@ class _Designer:
         rules = [f if r is None else r for r, f in zip(rules, (*filler.stages, filler.terminal))]
         o1 = O1Policy(stages=tuple(rules[:-1]), terminal=rules[-1], n_messages=m)
         o2 = _o2_response(o1, pb, self.wald).policy
-        stage_stats = self._stage_stats()
+        stage_stats = tuple(level.stats() for level in levels[1:])
         seconds = tuple({"t": t, "build_s": lv.build_s, "key_s": lv.key_s, "value_s": lv.value_s,
                          "batches": lv.batches, "valuations": lv.valuations}
                         for t, lv in enumerate(levels[1:], start=1))
@@ -645,8 +629,9 @@ class _Designer:
 class _P1Solver(_Designer):
     variant = "P1"
     width = 3
-    # atoms of blank sets per child-building chunk: about 1 MB of arrays
-    chunk = 1 << 12
+    # atoms of blank sets per child-building chunk: about 2 MB of arrays;
+    # a last-stage chunk's new nodes are valued together
+    chunk = 1 << 13
 
     def _children(self, t, atoms, live, member, enode, add):
         """Each blank set's child, none where the set has no mass: its atoms'

@@ -10,6 +10,11 @@ import decseq
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
+# designer outputs pinned bit for bit (tests/test_golden.py), the one source
+# of the anchors' search counts in the suite
+GOLDEN = os.path.join(HERE, "golden", "designer.json")
+# the search-size anchors: sym02 with T1 = T2 raised to these horizons
+ANCHOR_HORIZONS = {"P1": 6, "P2": 4}
 
 _ACCEPTANCE_LINES = {}
 
@@ -51,6 +56,17 @@ def make_spec(prior=0.5, ch1=None, ch2=None, c1=0.1, c2=0.05, loss=None,
         "variant": variant,
         "M": m,
     }
+
+
+def anchor_spec(variant):
+    """The sym02 anchor of ``variant``: (its name in GOLDEN, its spec)."""
+    t = ANCHOR_HORIZONS[variant]
+    return f"sym02_{variant.lower()}_T{t}", make_spec(variant=variant, t1=t, t2=t)
+
+
+def read_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 ASYM = dict(prior=0.4, ch1=[[0.7, 0.3], [0.25, 0.75]],

@@ -303,6 +303,11 @@ def test_out_of_range_inputs_are_validation_errors(tmp_path):
                  "--rounds", "0", "--out", str(tmp_path / "r")]) == 2
     assert main(["solve-infinite", "--spec", spec_path("sym02_p1"),
                  "--grid", "1", "--out", str(tmp_path / "g")]) == 2
+    # a negative oracle cap is a malformed option; a cap of 0 is exceeded
+    assert main(["oracle-check", "--spec", spec_path("sym02_p1"),
+                 "--cap", "-5", "--out", str(tmp_path / "o")]) == 2
+    assert main(["oracle-check", "--spec", spec_path("sym02_p1"),
+                 "--cap", "0", "--out", str(tmp_path / "z")]) == 4
     with open(spec_path("sym02_p1")) as fh:
         doc = json.load(fh)
     doc["costs"]["c1"] = float("inf")
@@ -486,6 +491,8 @@ def test_designer_report_profile_and_search_stats(tmp_path, command, name):
     assert all(s[k] >= 0.0 for s in stages for k in ("build_s", "key_s", "value_s"))
     # every stage is looked up in one batch or more and valued at least once
     assert all(s["batches"] >= 1 and s["valuations"] >= 1 for s in stages)
+    # the last stage values each of its lookup batches as it lands
+    assert stages[-1]["valuations"] == stages[-1]["batches"]
     for k in ("key_s", "value_s"):
         assert sum(s[k] for s in stages) == pytest.approx(profile[k], rel=1e-9, abs=1e-12)
     assert sum(s["build_s"] for s in stages) <= profile["build_s"] * (1 + 1e-9)
@@ -691,6 +698,7 @@ _BAD_ARGV = st.sampled_from([
      "--max-horizon", "0"],
     ["oracle-check", "--spec", None, "--tol", "inf"],
     ["oracle-check", "--spec", None, "--cap", "0"],
+    ["oracle-check", "--spec", None, "--cap", "-5"],
     ["best-response", "--spec", None],
     ["best-response", "--spec", None, "--side", "3"],
     ["best-response", "--spec", None, "--pbpo", "--rounds", "0"],

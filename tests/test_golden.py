@@ -2,10 +2,12 @@
 
 ``tests/golden/designer.json`` holds, for every file in ``instances/`` and
 for both sym02 search-size anchors, the designer's total (as ``float.hex``),
-its search counts, the policy pair as ``policies.json`` writes it and the
-``wald_thresholds.csv`` rows.  A speed-up of the designer must leave all of
-them unchanged.  Regenerate (only for a deliberate change of answers) with
-``PYTHONPATH=src python tests/test_golden.py``.
+its search counts (nodes, partitions, memo hits), the policy pair as
+``policies.json`` writes it and the ``wald_thresholds.csv`` rows.  A
+speed-up of the designer must leave all of them unchanged; the anchor tests
+in ``test_seq_decomp.py`` read their counts from it.  Regenerate (only for
+a deliberate change of answers) with ``PYTHONPATH=src python
+tests/test_golden.py``.
 """
 
 import glob
@@ -18,12 +20,7 @@ import decseq
 from decseq.cli import _write_wald_csv
 from decseq.policies import pair_to_dict
 
-from conftest import INSTANCES, make_spec
-
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "designer.json")
-
-# sym02 with T1 = T2 raised, as in test_sym02_anchor_search_sizes
-ANCHOR_HORIZONS = {"P1": 6, "P2": 4}
+from conftest import ANCHOR_HORIZONS, GOLDEN, INSTANCES, anchor_spec, read_golden
 
 
 def golden_specs():
@@ -31,9 +28,7 @@ def golden_specs():
     for path in sorted(glob.glob(os.path.join(INSTANCES, "*.json"))):
         with open(path) as fh:
             specs[os.path.basename(path)] = json.load(fh)
-    for variant, horizon in ANCHOR_HORIZONS.items():
-        specs[f"sym02_{variant.lower()}_T{horizon}"] = make_spec(
-            variant=variant, t1=horizon, t2=horizon)
+    specs.update(map(anchor_spec, ANCHOR_HORIZONS))
     return specs
 
 
@@ -44,15 +39,14 @@ def designer_record(spec):
         with open(_write_wald_csv(tmp, sol.o2.wald_rules), encoding="utf-8") as fh:
             rows = fh.read().splitlines()
     return {"total": sol.total.hex(), "nodes": sol.nodes,
-            "partitions_tried": sol.partitions_tried,
+            "partitions_tried": sol.partitions_tried, "memo_hits": sol.memo_hits,
             # through JSON, so tuples compare equal to the stored lists
             "policies": json.loads(json.dumps(pair_to_dict(sol.o1, sol.o2))),
             "wald_thresholds_csv": rows}
 
 
 def test_designer_outputs_match_golden():
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = read_golden()
     specs = golden_specs()
     assert sorted(golden) == sorted(specs)
     for name, spec in specs.items():

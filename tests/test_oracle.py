@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 import decseq
-from decseq import (CapacityError, brute_force_wald, enumerate_policies_p1,
-                    enumerate_policies_p2, solve_p1, update_observer1)
+from decseq import (CapacityError, ProblemSpecError, brute_force_wald,
+                    enumerate_policies_p1, enumerate_policies_p2, solve_p1,
+                    update_observer1)
 
 from conftest import ASYM, make_spec
 
@@ -125,6 +126,25 @@ def test_work_bound_is_checked_before_enumeration(monkeypatch, variant):
 def test_capacity_cap_is_adjustable(tiny_p1):
     with pytest.raises(CapacityError):
         enumerate_policies_p1(tiny_p1, cap=10)
+
+
+def test_a_negative_cap_is_a_spec_error(monkeypatch, tiny_p1):
+    # a malformed cap, refused before any work bound is computed; a cap of
+    # 0 is a cap, exceeded by any work
+    def refuse(*args):
+        raise AssertionError("work bound computed for a negative cap")
+
+    monkeypatch.setattr(decseq.oracle, "_rule_sizes", refuse)
+    monkeypatch.setattr(decseq.oracle, "_count_o1_maps", refuse)
+    p2 = decseq.load_problem_spec(make_spec(variant="P2"))
+    for run in (lambda cap: enumerate_policies_p1(tiny_p1, cap=cap),
+                lambda cap: enumerate_policies_p2(p2, cap=cap),
+                lambda cap: brute_force_wald(tiny_p1.channel2, tiny_p1.costs, 2, 0.4, cap=cap)):
+        with pytest.raises(ProblemSpecError, match="cap"):
+            run(-5)
+    monkeypatch.undo()
+    with pytest.raises(CapacityError):
+        enumerate_policies_p1(tiny_p1, cap=0)
 
 
 def test_wald_brute_force_structure(tiny_p1):

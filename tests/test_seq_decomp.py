@@ -19,7 +19,7 @@ from decseq.seq_decomp import _P1Solver, _P2Solver, _key_ints
 
 import designer_reference
 from designer_reference import _cluster_positions, knot_reader, left_sum, table_entries
-from conftest import ASYM, make_spec
+from conftest import ANCHOR_HORIZONS, ASYM, anchor_spec, make_spec, read_golden
 from path_oracle import blank_phase_paths
 
 
@@ -155,14 +155,15 @@ def test_receiver_table_covers_post_message_beliefs(solved_battery_p1, solved_ba
                     assert min(abs(b - p) for p in pts) <= 1e-9
 
 
-@pytest.mark.parametrize("variant, horizon, nodes, partitions",
-                         [("P1", 6, 1981, 23367), ("P2", 4, 1980, 10307)])
-def test_sym02_anchor_search_sizes(variant, horizon, nodes, partitions):
-    # sym02 with T1 = T2 raised: the search visits exactly these many memo
-    # nodes and partitions; a change to the search shows here first
-    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
-    sol = (solve_p1 if variant == "P1" else solve_p2)(prob)
-    assert (sol.nodes, sol.partitions_tried) == (nodes, partitions)
+@pytest.mark.parametrize("variant", sorted(ANCHOR_HORIZONS))
+def test_sym02_anchor_search_sizes(variant):
+    # sym02 with T1 = T2 raised: the search visits exactly the memo nodes
+    # and partitions that the golden file pins; a change to the search
+    # shows here first
+    name, spec = anchor_spec(variant)
+    want = read_golden()[name]
+    sol = (solve_p1 if variant == "P1" else solve_p2)(decseq.load_problem_spec(spec))
+    assert (sol.nodes, sol.partitions_tried) == (want["nodes"], want["partitions_tried"])
 
 
 # observer 2 can see a symbol that H=0 never sends, so still-sampling
@@ -195,14 +196,14 @@ def test_p2_designer_reaches_the_oracle_when_a_split_declares():
     assert solve_p2(prob).total == pytest.approx(enumerate_policies_p2(prob).cost, abs=1e-9)
 
 
-@pytest.mark.parametrize("variant, horizon, memo_hits",
-                         [("P1", 6, 3657), ("P2", 4, 2158)])
-def test_sym02_anchor_memo_hits(variant, horizon, memo_hits):
-    # lookups answered from the memo on the same anchors; the P2 blank
-    # phase prices the empty continue run once, not once per split point
-    prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
-    sol = (solve_p1 if variant == "P1" else solve_p2)(prob)
-    assert sol.memo_hits == memo_hits
+@pytest.mark.parametrize("variant", sorted(ANCHOR_HORIZONS))
+def test_sym02_anchor_memo_hits(variant):
+    # lookups answered from the memo on the same anchors, as the golden
+    # file pins them; the P2 blank phase prices the empty continue run
+    # once, not once per split point
+    name, spec = anchor_spec(variant)
+    sol = (solve_p1 if variant == "P1" else solve_p2)(decseq.load_problem_spec(spec))
+    assert sol.memo_hits == read_golden()[name]["memo_hits"]
     assert sol.search_s >= 0.0 and sol.extract_s >= 0.0
     assert sol.enumerate_s >= 0.0 and sol.value_s >= 0.0
     assert sol.search_s == sol.enumerate_s + sol.value_s
@@ -1031,8 +1032,8 @@ def test_valuation_and_scalar_root_match_the_numpy_references(priced, spec):
 @pytest.mark.parametrize("variant, horizon", [("P1", 5), ("P2", 3)])
 def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
     # every node its own chunk and every P2 child its own batch, then also
-    # every last-stage lookup batch valued at once and every valuation batch
-    # one node: the same search, to the bit, as the default chunks
+    # every valuation batch one node: the same search, to the bit, as the
+    # default chunks
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
     want = search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
     solver = (_P1Solver if variant == "P1" else _P2Solver)
@@ -1040,14 +1041,12 @@ def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
         mp.setattr(solver, "chunk", 1)
         mp.setattr(seq_decomp, "_CHILDREN", 1)
         assert search_record(solver(prob).solve()) == want
-        mp.setattr(seq_decomp, "_BATCH", 1)
         mp.setattr(seq_decomp, "_PRICED", 1)
         assert search_record(solver(prob).solve()) == want
-    # the other extreme: each build chunk's children one lookup batch and
-    # the whole last stage one valuation, at the default chunks and with
-    # every node its own chunk
+    # each build chunk's children one lookup batch, at the default chunks
+    # and with every node its own chunk; the last stage values each lookup
+    # batch once, the earlier stages are valued once each
     monkeypatch.setattr(seq_decomp, "_CHILDREN", 1 << 40)
-    monkeypatch.setattr(seq_decomp, "_BATCH", 1 << 40)
     for chunk in (solver.chunk, 1):
         monkeypatch.setattr(solver, "chunk", chunk)
         big, chunks, searched = solver(prob), [], []
@@ -1063,9 +1062,9 @@ def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
         big._search = search
         sol = big.solve()
         assert search_record(sol) == want
-        assert [s["batches"] for s in sol.stage_seconds] == \
-            [1, *(searched.count(t) for t in range(1, horizon))]
-        assert [s["valuations"] for s in sol.stage_seconds] == [1] * horizon
+        batches = [s["batches"] for s in sol.stage_seconds]
+        assert batches == [1, *(searched.count(t) for t in range(1, horizon))]
+        assert [s["valuations"] for s in sol.stage_seconds] == [1] * (horizon - 1) + batches[-1:]
 
 
 def lexsort_columns(draw, n):
