@@ -354,12 +354,13 @@ def _cmd_simulate(args):
 
 def _cmd_oracle_check(args):
     problem, digest = _load_problem(args.spec)
+    # the oracle first: it refuses a spec past its cap before any work
     if problem.variant == "P1":
-        sol = solve_p1(problem)
         orc = enumerate_policies_p1(problem, cap=args.cap)
+        sol = solve_p1(problem)
     else:
-        sol = solve_p2(problem)
         orc = enumerate_policies_p2(problem, cap=args.cap)
+        sol = solve_p2(problem)
     diff = abs(sol.total - orc.cost)
     payload = {"spec_digest": digest, "solver_cost": sol.total,
                "oracle_cost": orc.cost, "abs_diff": diff,

@@ -27,16 +27,15 @@ variants share one sequential decomposition (``_Designer``):
   node's atoms pass observer 1's next observation once
   (``belief.push_rows``), and each blank set's child (in variant P2, after
   observer 2's step, each continue interval's) is a subset of those
-  pushes, sorted once before the subsets are taken, as sorted() sorts
-  tuples (``_sort_order``: one stable argsort of each row's
-  order-preserving byte key), and merged as ``belief.merge_atoms`` merges
-  (``belief.merge_rows``), with no Python object per child; rows are
-  gathered with ``ndarray.take``, which copies rows far faster than fancy
-  indexing does.  A chunk's children are merged and looked up in one
-  batch (in P2 split only past ``_CHILDREN`` candidate atoms, which only
-  unusually wide nodes reach), since a batch pays a fixed number of numpy
-  calls whatever its size: ``merge_rows`` takes one lockstep step per row
-  of its longest merge chain;
+  pushes.  A chunk's child rows (in P2, the union its continue runs
+  select from) are sorted once, as sorted() sorts tuples
+  (``_sort_order``: one stable argsort of each row's order-preserving
+  byte key), merged once, as ``belief.merge_atoms`` merges
+  (``belief.merge_rows``), and looked up in one batch, with no Python
+  object per child, since a batch pays a fixed number of numpy calls
+  whatever its size (``merge_rows`` takes one lockstep step per row of
+  its longest merge chain); rows are gathered with ``ndarray.take``,
+  which copies rows far faster than fancy indexing does;
 * **keys** -- each coordinate x of a state's atoms becomes the k with
   round(x, ROUND_DIGITS) == k / 10**ROUND_DIGITS (``_key_ints``: x * 1e10
   rounded once, the exact rational rounding only next to a half-integer),
@@ -104,9 +103,6 @@ from .wald import solve_wald_finite
 ROUND_DIGITS = 10
 # the most memo nodes one designer search may store
 DESIGNER_NODE_CAP = 500_000
-# P2: at most about this many candidate atoms per lookup batch of children;
-# a build chunk's candidates pass it only for unusually wide nodes
-_CHILDREN = 1 << 16
 # a valuation batch's arrays hold about this many entries
 _PRICED = 1 << 14
 
@@ -635,9 +631,9 @@ class _P1Solver(_Designer):
 
     def _children(self, t, atoms, live, member, enode, add):
         """Each blank set's child, none where the set has no mass: its atoms'
-        masses divided by the set's, pushed (each node's atoms once, their
-        pushes sorted by posterior) and merged.  Per blank set, its mass
-        (0.0: no child) and its number of lookups."""
+        pushes (each node's atoms pushed once), their masses divided by the
+        set's, sorted as sorted() sorts the child tuples and merged.  Per
+        blank set, its mass (0.0: no child) and its number of lookups."""
         b, m0, m1 = atoms.transpose(2, 0, 1)
         mass = np.where(member, (m0 + m1).take(enode, axis=0), 0.0).cumsum(axis=1)[:, -1]
         # a padding atom pushed with no mass is seen nowhere
@@ -645,26 +641,19 @@ class _P1Solver(_Designer):
                                             self.pb.channel1.row_pair(t + 1))
         if bad.any():
             raise push_error(b.ravel(), bad)
-        # each node's pushes by posterior, as flat (atom, symbol) positions
-        order = np.argsort(np.where(seen, post, np.inf).reshape(len(b), -1), axis=1, kind="stable")
-        order += np.arange(0, order.size, order.shape[1])[:, None]
         looks = (~(mass <= 0.0)).astype(np.intp)
         ent = looks.nonzero()[0]
-        ko = order.take(enode.take(ent), axis=0)
-        e, slot = np.nonzero(seen.take(ko) & member[ent[:, None], ko // len(r0) % b.shape[1]])
-        pos = ko[e, slot]
+        # each live blank set's pushes in (atom, symbol) order
+        e, slot = np.nonzero(seen.reshape(len(b), -1).take(enode.take(ent), axis=0)
+                             & member.take(ent, axis=0).repeat(len(r0), axis=1))
+        pos = enode.take(ent.take(e)) * (b.shape[1] * len(r0)) + slot
         atom, y = np.divmod(pos, len(r0))
         share = mass.take(ent.take(e))
         n0, n1 = m0.take(atom) / share * r0.take(y), m1.take(atom) / share * r1.take(y)
         keep = (n0 != 0.0) | (n1 != 0.0)
         raw, e = np.column_stack((post.take(pos), n0, n1)).compress(keep, axis=0), e[keep]
+        raw = raw.take(_sort_order(e, raw), axis=0)
         first = e != np.concatenate(([-1], e[:-1]))
-        # pushes of one posterior within a child sort by their masses
-        tie = (raw[1:, 0] == raw[:-1, 0]) & ~first[1:]
-        if tie.any():
-            at = (np.concatenate((tie, [False])) | np.concatenate(([False], tie))).nonzero()[0]
-            run = np.concatenate(([True], ~tie)).cumsum().take(at)
-            raw[at] = raw[at[_sort_order(run, raw[at, 1:])]]
         merged, heads = merge_rows(raw, first, 1)
         add(merged, np.bincount(e[heads], minlength=len(ent)))
         return {"mass": np.where(looks, mass, 0.0)}, looks
@@ -725,11 +714,11 @@ class _P2Solver(_Designer):
         """Each blank set's region, observer 2's step on it (phi, merged),
         then the child of each continue run over phi's sampling atoms: phi
         pushed once, declared atoms as they are and sampling ones both as
-        declaring (belief2 -1.0) and as sampling on, sorted once, and each
-        child (a subset of that) merged and normalized.  Per blank set, its
-        mass and number of continue runs (0: no mass), which is its number of
-        lookups; per continue run, observer 2's stop losses or c2 continue
-        charges at this stage."""
+        declaring (belief2 -1.0) and as sampling on, sorted once, and the
+        children (subsets of that) merged and normalized in one batch and
+        looked up in one.  Per blank set, its mass and number of continue
+        runs (0: no mass), which is its number of lookups; per continue run,
+        observer 2's stop losses or c2 continue charges at this stage."""
         pb, loss = self.pb, self.pb.costs.loss
         _, _, m0, m1 = atoms.transpose(2, 0, 1)
         tot0, tot1 = (np.where(live, x, 0.0).cumsum(axis=1)[:, -1] for x in (m0, m1))
@@ -824,30 +813,27 @@ class _P2Solver(_Designer):
         urows, uact = urows.take(order, axis=0), np.where(ukind == 0, -1, uact).take(order)
         usample = (ukind == 2).take(order)
         ulen = np.bincount(ue, minlength=len(ent))
-        ustart, lens = ulen.cumsum() - ulen, ulen[ce]
+        ustart = ulen.cumsum() - ulen
         # free the step's arrays before the children are built and keyed
         del obs, oe, w0, w1, num, den, keep, pre, pd1, pd0, pcm, post, seen, ry, r, y, ue
         del x1, x2, x0m, x1m, phi, aphi, am0, am1, ai, act, pe, ae, on, ukind
         # child c takes, of its blank set's sorted union, the declared rows
         # and each sampling atom's row as sampling on inside its continue
-        # run and as declaring outside it.  The chunk's children are merged
-        # and looked up in one batch, which costs a fixed number of numpy
-        # calls whatever its size, split only past _CHILDREN candidates
-        emass, span = mass[ent], (ahi - alo).view(np.uintp)
-        for a, z in _spans(lens, _CHILDREN):
-            cid, idx = _segments(ustart[ce[a:z]], lens[a:z])
-            sel = ((uact.take(idx) - alo[a:z].take(cid)).view(np.uintp)
-                   < span[a:z].take(cid)) == usample.take(idx)
-            idx, cid = idx.compress(sel), cid.compress(sel)
-            kids, first = urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0
-            del sel, idx  # the candidates go before the merge and the lookup
-            kids, heads = merge_rows(kids, first, 2)
-            counts = np.bincount(cid.take(heads), minlength=z - a)
-            share = emass[ce[a:z]].repeat(counts)
-            kids[:, 2] /= share
-            kids[:, 3] /= share
-            del cid, first, heads, share
-            add(kids, counts)
+        # run and as declaring outside it; the chunk's children are merged
+        # and looked up in one batch
+        cid, idx = _segments(ustart[ce], ulen[ce])
+        sel = ((uact.take(idx) - alo.take(cid)).view(np.uintp)
+               < (ahi - alo).view(np.uintp).take(cid)) == usample.take(idx)
+        idx, cid = idx.compress(sel), cid.compress(sel)
+        kids, first = urows.take(idx, axis=0), np.diff(cid, prepend=-1) != 0
+        del sel, idx, urows, uact, usample  # the candidates go before the merge and the lookup
+        kids, heads = merge_rows(kids, first, 2)
+        counts = np.bincount(cid.take(heads), minlength=len(ce))
+        share = mass[ent[ce]].repeat(counts)
+        kids[:, 2] /= share
+        kids[:, 3] /= share
+        del cid, first, heads, share
+        add(kids, counts)
         runs = np.zeros(len(mass), dtype=np.intp)
         runs[ent] = np.bincount(ce, minlength=len(ent))
         return {"runs": runs, "mass": mass, "charges": charges}, runs

@@ -248,13 +248,15 @@ def test_oracle_check_through_a_still_blank_stage(tmp_path):
     assert rep["pairs_covered"] == 44_729_427_396_712
 
 
-@pytest.mark.parametrize("t2", [10, 40])
-def test_oracle_check_refuses_long_p1_specs_at_once(tmp_path, capsys, t2):
+@pytest.mark.parametrize("t1, t2", [pytest.param(1, 10, id="10"), pytest.param(1, 40, id="40"),
+                                    pytest.param(8, 8, id="8-8")])
+def test_oracle_check_refuses_long_p1_specs_at_once(tmp_path, capsys, t1, t2):
     # a stopping-rule count past float range used to end in an OverflowError
-    # traceback, and counting them at T2 = 40 did not finish
+    # traceback, and counting them at T2 = 40 did not finish; at T1 = T2 = 8
+    # the designer's solve (seconds) used to run before the oracle refused
     with open(spec_path("sym02_p1")) as fh:
         doc = json.load(fh)
-    doc["horizons"] = {"T1": 1, "T2": t2}
+    doc["horizons"] = {"T1": t1, "T2": t2}
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -323,8 +325,16 @@ def test_impossible_observation_after_float_certainty_is_a_validation_error(tmp_
     spec = tmp_path / "certain.json"
     spec.write_text(json.dumps(make_spec(
         ch1=[[0.5, 0.5, 0.0], [1e-12, 0.5, 0.5 - 1e-12]], t1=3, t2=3, variant="P2")))
-    for command in ("solve-p2", "oracle-check", "solve-infinite"):
+    for command in ("solve-p2", "solve-infinite"):
         assert main([command, "--spec", str(spec), "--out", str(tmp_path / command)]) == 2
+    # oracle-check refuses this spec (exit 4) before the designer runs; on
+    # two symbols the oracle admits the same shape (symbol 1 has probability
+    # 0 at belief 1.0), and the designer's error then exits 2
+    assert main(["oracle-check", "--spec", str(spec), "--out", str(tmp_path / "oc")]) == 4
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps(make_spec(
+        ch1=[[1.0, 0.0], [1e-12, 1.0 - 1e-12]], t1=3, t2=3, variant="P2")))
+    assert main(["oracle-check", "--spec", str(binary), "--out", str(tmp_path / "ob")]) == 2
     doc = json.loads(spec.read_text())
     doc["variant"] = "P1"
     spec.write_text(json.dumps(doc))
@@ -951,11 +961,13 @@ def test_a_grid_past_the_cap_exits_4_at_once(tmp_path, capsys):
 @pytest.mark.parametrize("m", [10 ** 300, 1000])
 @pytest.mark.parametrize("command", ["solve-p1", "oracle-check", "solve-infinite"])
 def test_designer_refuses_a_partition_table_past_the_cap(tmp_path, capsys, command, m):
-    # the first stage's table would hold comb(n + 2M, 2M) run positions
+    # the first stage's table would hold comb(n + 2M, 2M) run positions;
+    # oracle-check refuses first, on the oracle's own work bound
     with open(spec_path("sym02_p1")) as fh:
         doc = json.load(fh)
     doc["M"] = m
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 4
-    assert "designer partition table" in capsys.readouterr().err
+    assert ("oracle work bound" if command == "oracle-check" else "designer partition table") \
+        in capsys.readouterr().err

@@ -921,6 +921,12 @@ GAPS = [TOL, math.nextafter(TOL, 0.0), math.nextafter(TOL, 1.0), TOL + 5e-14, 2 
 @example(node=(node_spec("P2", BINARY, BINARY), 1,
                [((0.4, 0.2, 0.1, 0.2), (0.4, 0.7, 0.3, 0.1), (0.4, -1.0, 0.2, 0.1),
                  (0.4, 0.0, 0.05, 0.05))], False))
+# three pushes of one posterior in a child, out of mass order: sorted by
+# m0 (first node) and by m1 at equal m0 (second), their merged sums round
+# differently from sums in atom order
+@example(node=(node_spec("P1", SAME, BINARY), 1,
+               [((0.5, 0.3, 0.3), (0.5, 0.1, 0.1), (0.5, 0.2, 0.2)),
+                ((0.5, 0.1, 0.1), (0.5, 0.1, 0.7), (0.5, 0.1, 0.3))], False))
 # zero-mass atoms, and a node of no mass at all
 @example(node=(node_spec("P1", TERNARY, BINARY, m=3), 1,
                [((0.2, 0.0, 0.0), (0.6, 0.5, 0.5)), ((0.3, 0.0, 0.0),)], True))
@@ -938,16 +944,12 @@ def test_stage_builders_match_scalar_children(node):
     # node by node, the scalar builders' children (atoms to the bit, atom
     # counts, blank masses, lookup order and, in P2, observer 2's charges)
     # or the error they raise first, against one _build call on all nodes,
-    # in chunks of one node and one child when ``tiny``
+    # in chunks of one node when ``tiny``
     prob, t, nodes, tiny = node
     solver = (_P1Solver if prob.variant == "P1" else _P2Solver)(prob)
-    children = seq_decomp._CHILDREN
     if tiny:
-        solver.chunk = seq_decomp._CHILDREN = 1
-    try:
-        got = builder_outcome(batch_children, solver, t, nodes)
-    finally:
-        seq_decomp._CHILDREN = children
+        solver.chunk = 1
+    got = builder_outcome(batch_children, solver, t, nodes)
     want = [builder_outcome(reference_children, solver, t, s) for s in nodes]
     errors = [w for w in want if isinstance(w[0], type)]
     if errors:
@@ -1031,22 +1033,19 @@ def test_valuation_and_scalar_root_match_the_numpy_references(priced, spec):
 
 @pytest.mark.parametrize("variant, horizon", [("P1", 5), ("P2", 3)])
 def test_search_is_the_same_in_chunks_of_one(monkeypatch, variant, horizon):
-    # every node its own chunk and every P2 child its own batch, then also
-    # every valuation batch one node: the same search, to the bit, as the
-    # default chunks
+    # every node its own chunk, then also every valuation batch one node:
+    # the same search, to the bit, as the default chunks
     prob = decseq.load_problem_spec(make_spec(variant=variant, t1=horizon, t2=horizon))
     want = search_record((solve_p1 if variant == "P1" else solve_p2)(prob))
     solver = (_P1Solver if variant == "P1" else _P2Solver)
     with monkeypatch.context() as mp:
         mp.setattr(solver, "chunk", 1)
-        mp.setattr(seq_decomp, "_CHILDREN", 1)
         assert search_record(solver(prob).solve()) == want
         mp.setattr(seq_decomp, "_PRICED", 1)
         assert search_record(solver(prob).solve()) == want
     # each build chunk's children one lookup batch, at the default chunks
     # and with every node its own chunk; the last stage values each lookup
     # batch once, the earlier stages are valued once each
-    monkeypatch.setattr(seq_decomp, "_CHILDREN", 1 << 40)
     for chunk in (solver.chunk, 1):
         monkeypatch.setattr(solver, "chunk", chunk)
         big, chunks, searched = solver(prob), [], []
